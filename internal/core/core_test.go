@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/httpclient"
@@ -608,6 +609,35 @@ func TestPaperDataComplete(t *testing.T) {
 			if r.First.Packets <= 0 || r.Reval.Packets <= 0 {
 				t.Errorf("table %d row %q has empty cells", n, r.Label)
 			}
+		}
+	}
+}
+
+// Deflate runs share the site's one precomputed artifact: two at once
+// (the experiment pool's situation; run under -race) must each see what
+// a run on its own sees.
+func TestConcurrentDeflateRunsShareTheSite(t *testing.T) {
+	site := testSite(t)
+	sc := scenario(httpserver.ProfileApache, httpclient.ModeHTTP11PipelinedDeflate, netem.WAN, httpclient.FirstTime)
+	var results [2]*RunResult
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = Run(sc, site)
+		}(i)
+	}
+	wg.Wait()
+	alone := runOne(t, sc)
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
+		}
+		if res.Stats != alone.Stats || res.Elapsed != alone.Elapsed || res.Client.DeflateResponses != 1 {
+			t.Errorf("concurrent run %d diverged: %+v in %v, alone %+v in %v",
+				i, res.Stats, res.Elapsed, alone.Stats, alone.Elapsed)
 		}
 	}
 }

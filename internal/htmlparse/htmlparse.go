@@ -6,7 +6,10 @@
 // can be issued.
 package htmlparse
 
-import "strings"
+import (
+	"bytes"
+	"strings"
+)
 
 // TokenType classifies a token.
 type TokenType int
@@ -43,177 +46,221 @@ func (t *Token) Attr(name string) (string, bool) {
 	return "", false
 }
 
+// scanner is the lexical core shared by Tokenizer and LinkExtractor: it
+// finds token boundaries in a stream fed in arbitrary pieces and yields
+// each complete token as its type and its bytes between the delimiters,
+// without building anything from them. It keeps only the input not yet
+// yielded, and remembers how far it has already looked for the end of
+// the token at the front, so a token that stays incomplete over many
+// pushes is searched once, not once per push.
+type scanner struct {
+	buf   []byte
+	pos   int  // start of the first token not yet yielded
+	seen  int  // bytes of that token already searched without finding its end
+	quote byte // quote open at seen (start tags only)
+}
+
+// push appends input.
+func (z *scanner) push(data []byte) { z.buf = append(z.buf, data...) }
+
+// compact discards the yielded tokens, keeping the incomplete tail at
+// the front of the same array. Slices returned by next are invalid
+// afterwards.
+func (z *scanner) compact() {
+	z.buf = z.buf[:copy(z.buf, z.buf[z.pos:])]
+	z.pos = 0
+}
+
+// next yields the next complete token: the text of a Text token, the
+// content of a Comment, and what stands between "<", "<!" or "</" and
+// the closing ">" of a StartTag, Decl or EndTag.
+func (z *scanner) next() (typ TokenType, raw []byte, ok bool) {
+	buf := z.buf[z.pos:]
+	if len(buf) == 0 {
+		return 0, nil, false
+	}
+	if buf[0] != '<' {
+		// Text up to the next '<'. Yielded only once the '<' is present;
+		// otherwise more text may still arrive.
+		i := bytes.IndexByte(buf[z.seen:], '<')
+		if i < 0 {
+			z.seen = len(buf)
+			return 0, nil, false
+		}
+		return z.yield(Text, buf[:z.seen+i], z.seen+i)
+	}
+	if len(buf) < 2 {
+		return 0, nil, false
+	}
+	switch {
+	case bytes.HasPrefix(buf, commentOpen):
+		// The search starts at the opener's own dashes, so "<!-->" and
+		// "<!--->" close at once, as empty comments.
+		from := max(z.seen, 2)
+		i := bytes.Index(buf[from:], commentClose)
+		if i < 0 {
+			z.seen = len(buf) - (len(commentClose) - 1)
+			return 0, nil, false
+		}
+		end := from + i
+		return z.yield(Comment, buf[min(4, end):end], end+len(commentClose))
+	case buf[1] == '!' || buf[1] == '/':
+		typ = Decl
+		if buf[1] == '/' {
+			typ = EndTag
+		}
+		from := max(z.seen, 2)
+		i := bytes.IndexByte(buf[from:], '>')
+		if i < 0 {
+			// "<!-" may yet turn out to open a comment, which is
+			// searched from its second byte: record nothing until the
+			// first four bytes have fixed the token's kind.
+			if len(buf) >= len(commentOpen) {
+				z.seen = len(buf)
+			}
+			return 0, nil, false
+		}
+		return z.yield(typ, buf[2:from+i], from+i+1)
+	default:
+		// A start tag ends at the first '>' outside a quoted attribute
+		// value.
+		for i := max(z.seen, 1); i < len(buf); i++ {
+			c := buf[i]
+			switch {
+			case z.quote != 0:
+				if c == z.quote {
+					z.quote = 0
+				}
+			case c == '"' || c == '\'':
+				z.quote = c
+			case c == '>':
+				return z.yield(StartTag, buf[1:i], i+1)
+			}
+		}
+		z.seen = len(buf)
+		return 0, nil, false
+	}
+}
+
+// yield consumes the n bytes of the token at the front.
+func (z *scanner) yield(typ TokenType, raw []byte, n int) (TokenType, []byte, bool) {
+	z.pos += n
+	z.seen, z.quote = 0, 0
+	return typ, raw, true
+}
+
+var (
+	commentOpen  = []byte("<!--")
+	commentClose = []byte("-->")
+)
+
 // Tokenizer incrementally tokenizes HTML. Feed may be called with any
 // byte slicing; tokens are emitted as soon as they are complete.
 type Tokenizer struct {
-	buf []byte
+	z scanner
 }
 
 // Feed appends data and returns the tokens completed by it.
-func (z *Tokenizer) Feed(data []byte) []Token {
-	z.buf = append(z.buf, data...)
+func (t *Tokenizer) Feed(data []byte) []Token {
+	t.z.push(data)
 	var out []Token
 	for {
-		tok, n, ok := z.next()
+		typ, raw, ok := t.z.next()
 		if !ok {
+			t.z.compact()
 			return out
 		}
-		z.buf = z.buf[n:]
-		out = append(out, tok)
+		switch typ {
+		case StartTag:
+			out = append(out, parseStartTag(raw))
+		case EndTag:
+			out = append(out, Token{Type: EndTag, Data: strings.ToLower(strings.TrimSpace(string(raw)))})
+		default:
+			out = append(out, Token{Type: typ, Data: string(raw)})
+		}
 	}
 }
 
 // Flush returns any trailing text at end of input.
-func (z *Tokenizer) Flush() []Token {
-	if len(z.buf) == 0 {
+func (t *Tokenizer) Flush() []Token {
+	if len(t.z.buf) == 0 {
 		return nil
 	}
-	t := Token{Type: Text, Data: string(z.buf)}
-	z.buf = nil
-	return []Token{t}
+	tok := Token{Type: Text, Data: string(t.z.buf)}
+	t.z = scanner{}
+	return []Token{tok}
 }
 
 // Buffered returns the number of bytes held awaiting a complete token.
-func (z *Tokenizer) Buffered() int { return len(z.buf) }
+func (t *Tokenizer) Buffered() int { return len(t.z.buf) }
 
-// next tries to extract one token from the front of the buffer.
-func (z *Tokenizer) next() (Token, int, bool) {
-	buf := z.buf
-	if len(buf) == 0 {
-		return Token{}, 0, false
+// tagName splits a start tag's bytes into its name and its attribute
+// text. The self-closing slash is irrelevant for 1997-era HTML; it is
+// stripped.
+func tagName(raw []byte) (name, attrs []byte) {
+	raw = bytes.TrimSpace(raw)
+	if n := len(raw); n > 0 && raw[n-1] == '/' {
+		raw = raw[:n-1]
 	}
-	if buf[0] != '<' {
-		// Text up to the next '<'. Emit only if the '<' is present;
-		// otherwise more text may still arrive (unless Flush is called).
-		i := indexByte(buf, '<')
-		if i < 0 {
-			return Token{}, 0, false
-		}
-		return Token{Type: Text, Data: string(buf[:i])}, i, true
+	i := 0
+	for i < len(raw) && !isSpace(raw[i]) {
+		i++
 	}
-	if len(buf) < 2 {
-		return Token{}, 0, false
-	}
-	switch {
-	case hasPrefix(buf, "<!--"):
-		end := indexString(buf, "-->")
-		if end < 0 {
-			return Token{}, 0, false
-		}
-		return Token{Type: Comment, Data: string(buf[4:end])}, end + 3, true
-	case buf[1] == '!':
-		end := indexByte(buf, '>')
-		if end < 0 {
-			return Token{}, 0, false
-		}
-		return Token{Type: Decl, Data: string(buf[2:end])}, end + 1, true
-	case buf[1] == '/':
-		end := indexByte(buf, '>')
-		if end < 0 {
-			return Token{}, 0, false
-		}
-		name := strings.ToLower(strings.TrimSpace(string(buf[2:end])))
-		return Token{Type: EndTag, Data: name}, end + 1, true
-	default:
-		end := tagEnd(buf)
-		if end < 0 {
-			return Token{}, 0, false
-		}
-		tok := parseStartTag(buf[1:end])
-		return tok, end + 1, true
-	}
-}
-
-// tagEnd finds the '>' terminating a start tag, respecting quoted
-// attribute values.
-func tagEnd(buf []byte) int {
-	var quote byte
-	for i := 1; i < len(buf); i++ {
-		c := buf[i]
-		switch {
-		case quote != 0:
-			if c == quote {
-				quote = 0
-			}
-		case c == '"' || c == '\'':
-			quote = c
-		case c == '>':
-			return i
-		}
-	}
-	return -1
+	return raw[:i], raw[i:]
 }
 
 func parseStartTag(raw []byte) Token {
-	s := string(raw)
-	// Self-closing slash is irrelevant for 1997-era HTML; strip it.
-	s = strings.TrimSuffix(strings.TrimSpace(s), "/")
-	i := 0
-	for i < len(s) && !isSpace(s[i]) {
-		i++
-	}
-	tok := Token{Type: StartTag, Data: strings.ToLower(s[:i])}
-	rest := s[i:]
+	name, attrs := tagName(raw)
+	tok := Token{Type: StartTag, Data: strings.ToLower(string(name))}
+	rest := string(attrs)
 	for {
-		rest = strings.TrimLeft(rest, " \t\r\n")
-		if rest == "" {
+		attr, value, tail := nextAttr(rest)
+		if attr == "" {
 			return tok
 		}
-		// Attribute name.
+		tok.Attrs = append(tok.Attrs, Attr{Name: strings.ToLower(attr), Value: DecodeEntities(value)})
+		rest = tail
+	}
+}
+
+// nextAttr splits the first attribute off a start tag's attribute text,
+// returning its name as written, its value with the surrounding quotes
+// removed ("" when it has none), and the text after it. An empty name
+// means there is no further attribute.
+func nextAttr(s string) (name, value, rest string) {
+	const space = " \t\r\n"
+	for {
+		s = strings.TrimLeft(s, space)
+		if s == "" {
+			return "", "", ""
+		}
 		j := 0
-		for j < len(rest) && rest[j] != '=' && !isSpace(rest[j]) {
+		for j < len(s) && s[j] != '=' && !isSpace(s[j]) {
 			j++
 		}
-		name := strings.ToLower(rest[:j])
-		rest = strings.TrimLeft(rest[j:], " \t\r\n")
-		if name == "" {
-			// Stray character such as a lone '='; skip it.
-			rest = rest[1:]
-			continue
+		name, s = s[:j], strings.TrimLeft(s[j:], space)
+		if name != "" {
+			break
 		}
-		if rest == "" || rest[0] != '=' {
-			tok.Attrs = append(tok.Attrs, Attr{Name: name})
-			continue
-		}
-		rest = strings.TrimLeft(rest[1:], " \t\r\n")
-		var value string
-		if rest != "" && (rest[0] == '"' || rest[0] == '\'') {
-			q := rest[0]
-			end := strings.IndexByte(rest[1:], q)
-			if end < 0 {
-				value = rest[1:]
-				rest = ""
-			} else {
-				value = rest[1 : 1+end]
-				rest = rest[2+end:]
-			}
-		} else {
-			j = 0
-			for j < len(rest) && !isSpace(rest[j]) {
-				j++
-			}
-			value = rest[:j]
-			rest = rest[j:]
-		}
-		tok.Attrs = append(tok.Attrs, Attr{Name: name, Value: DecodeEntities(value)})
+		// Stray character such as a lone '='; skip it.
+		s = s[1:]
 	}
+	if s == "" || s[0] != '=' {
+		return name, "", s
+	}
+	s = strings.TrimLeft(s[1:], space)
+	if s != "" && (s[0] == '"' || s[0] == '\'') {
+		end := strings.IndexByte(s[1:], s[0])
+		if end < 0 {
+			return name, s[1:], ""
+		}
+		return name, s[1 : 1+end], s[2+end:]
+	}
+	j := 0
+	for j < len(s) && !isSpace(s[j]) {
+		j++
+	}
+	return name, s[:j], s[j:]
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
-
-func hasPrefix(b []byte, s string) bool {
-	return len(b) >= len(s) && string(b[:len(s)]) == s
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
-	}
-	return -1
-}
-
-func indexString(b []byte, s string) int {
-	return strings.Index(string(b), s)
-}

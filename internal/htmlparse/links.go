@@ -1,5 +1,7 @@
 package htmlparse
 
+import "strings"
+
 // LinkKind classifies an embedded or referenced resource.
 type LinkKind int
 
@@ -48,89 +50,103 @@ type Link struct {
 // Duplicate URLs of the same kind are reported once, like a browser's
 // fetch queue.
 type LinkExtractor struct {
-	tok  Tokenizer
-	seen map[string]bool
+	z    scanner
+	seen map[Link]bool
 }
 
 // Feed consumes HTML bytes and returns newly discovered links in document
 // order.
 func (e *LinkExtractor) Feed(data []byte) []Link {
+	e.z.push(data)
 	var out []Link
-	for _, t := range e.tok.Feed(data) {
-		out = e.extract(t, out)
+	for {
+		typ, raw, ok := e.z.next()
+		if !ok {
+			e.z.compact()
+			return out
+		}
+		if typ == StartTag {
+			out = e.extract(raw, out)
+		}
 	}
-	return out
 }
 
-func (e *LinkExtractor) extract(t Token, out []Link) []Link {
-	if t.Type != StartTag {
-		return out
-	}
-	add := func(url string, kind LinkKind) []Link {
-		if url == "" {
+// linkTags are the elements that can carry a link, with the attribute
+// that holds it. Only their start tags have their attributes parsed;
+// everything else in the document is skipped at the scanner's cost.
+var linkTags = [...]struct {
+	tag, attr string
+	kind      LinkKind
+}{
+	{"img", "src", LinkImage},
+	{"input", "src", LinkImage}, // type=image only
+	{"body", "background", LinkBackground},
+	{"link", "href", LinkStylesheet}, // rel=stylesheet only
+	{"script", "src", LinkScript},
+	{"frame", "src", LinkFrame},
+	{"iframe", "src", LinkFrame},
+	{"a", "href", LinkAnchor},
+}
+
+func (e *LinkExtractor) extract(raw []byte, out []Link) []Link {
+	name, rest := tagName(raw)
+	for _, lt := range linkTags {
+		if !lowerIs(name, lt.tag) {
+			continue
+		}
+		attrs := string(rest)
+		if lt.tag == "input" && attrValue(attrs, "type") != "image" ||
+			lt.tag == "link" && !lowerIs(attrValue(attrs, "rel"), "stylesheet") {
+			return out
+		}
+		link := Link{URL: attrValue(attrs, lt.attr), Kind: lt.kind}
+		if link.URL == "" || e.seen[link] {
 			return out
 		}
 		if e.seen == nil {
-			e.seen = make(map[string]bool)
+			e.seen = make(map[Link]bool)
 		}
-		key := kind.String() + "|" + url
-		if e.seen[key] {
-			return out
-		}
-		e.seen[key] = true
-		return append(out, Link{URL: url, Kind: kind})
-	}
-	switch t.Data {
-	case "img":
-		if src, ok := t.Attr("src"); ok {
-			out = add(src, LinkImage)
-		}
-	case "input":
-		if typ, _ := t.Attr("type"); typ == "image" {
-			if src, ok := t.Attr("src"); ok {
-				out = add(src, LinkImage)
-			}
-		}
-	case "body":
-		if bg, ok := t.Attr("background"); ok {
-			out = add(bg, LinkBackground)
-		}
-	case "link":
-		rel, _ := t.Attr("rel")
-		if equalFold(rel, "stylesheet") {
-			if href, ok := t.Attr("href"); ok {
-				out = add(href, LinkStylesheet)
-			}
-		}
-	case "script":
-		if src, ok := t.Attr("src"); ok {
-			out = add(src, LinkScript)
-		}
-	case "frame", "iframe":
-		if src, ok := t.Attr("src"); ok {
-			out = add(src, LinkFrame)
-		}
-	case "a":
-		if href, ok := t.Attr("href"); ok {
-			out = add(href, LinkAnchor)
-		}
+		e.seen[link] = true
+		return append(out, link)
 	}
 	return out
 }
 
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
+// attrValue returns the entity-decoded value of the first attribute
+// called name (given in lower case) in a start tag's attribute text, or
+// "" when there is none.
+func attrValue(attrs, name string) string {
+	for {
+		attr, value, rest := nextAttr(attrs)
+		if attr == "" {
+			return ""
+		}
+		if lowerIs(attr, name) {
+			return DecodeEntities(value)
+		}
+		attrs = rest
+	}
+}
+
+// lowerIs reports whether strings.ToLower(s) == lower, without
+// allocating when s is ASCII.
+func lowerIs[T string | []byte](s T, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			// Beyond ASCII, ToLower can map onto an ASCII letter (the
+			// Kelvin sign) and rewrites invalid UTF-8.
+			return strings.ToLower(string(s)) == lower
+		}
+	}
+	if len(s) != len(lower) {
 		return false
 	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 32
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
 		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 32
-		}
-		if ca != cb {
+		if c != lower[i] {
 			return false
 		}
 	}

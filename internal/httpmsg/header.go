@@ -85,15 +85,35 @@ func (h *Header) Clone() Header {
 	return out
 }
 
-// writeTo serializes the fields followed by the blank line.
+// writeTo serializes the fields, without the blank line that ends a head.
 func (h *Header) writeTo(b *bytes.Buffer) {
 	for _, f := range h.fields {
-		b.WriteString(f.Name)
-		b.WriteString(": ")
-		b.WriteString(f.Value)
-		b.WriteString("\r\n")
+		writeField(b, f.Name, f.Value)
 	}
+}
+
+func writeField(b *bytes.Buffer, name, value string) {
+	b.WriteString(name)
+	b.WriteString(": ")
+	b.WriteString(value)
 	b.WriteString("\r\n")
+}
+
+// wireSize is the number of bytes writeTo emits.
+func (h *Header) wireSize() int {
+	n := 0
+	for _, f := range h.fields {
+		n += fieldSize(f.Name, f.Value)
+	}
+	return n
+}
+
+// fieldSize is the number of bytes writeField emits, 0 for no field.
+func fieldSize(name, value string) int {
+	if name == "" {
+		return 0
+	}
+	return len(name) + len(value) + 4
 }
 
 // TokenListContains reports whether a comma-separated header value (e.g.

@@ -2,7 +2,6 @@ package httpmsg
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 )
 
@@ -24,14 +23,24 @@ type Request struct {
 // Marshal serializes the request. If a body is present a Content-Length
 // field is added unless already set.
 func (r *Request) Marshal() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %s %s\r\n", r.Method, r.Target, r.Proto)
-	h := r.Header
-	if len(r.Body) > 0 && !h.Has("Content-Length") {
-		h = r.Header.Clone()
-		h.Add("Content-Length", strconv.Itoa(len(r.Body)))
+	var length string
+	if len(r.Body) > 0 && !r.Header.Has("Content-Length") {
+		length = strconv.Itoa(len(r.Body))
 	}
-	h.writeTo(&b)
+	var b bytes.Buffer
+	b.Grow(len(r.Method) + len(r.Target) + len(r.Proto) + 4 +
+		r.Header.wireSize() + fieldSize("Content-Length", length) + 2 + len(r.Body))
+	b.WriteString(r.Method)
+	b.WriteByte(' ')
+	b.WriteString(r.Target)
+	b.WriteByte(' ')
+	b.WriteString(r.Proto)
+	b.WriteString("\r\n")
+	r.Header.writeTo(&b)
+	if length != "" {
+		writeField(&b, "Content-Length", length)
+	}
+	b.WriteString("\r\n")
 	b.Write(r.Body)
 	return b.Bytes()
 }
@@ -105,56 +114,57 @@ func bodyless(code int) bool {
 }
 
 // Marshal serializes the response with correct body framing.
-func (r *Response) Marshal() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %d %s\r\n", r.Proto, r.StatusCode, r.Reason)
-	h := r.Header.Clone()
-	switch {
-	case bodyless(r.StatusCode):
-		// No body, no framing fields.
-		h.writeTo(&b)
-		return b.Bytes()
-	case r.Chunked:
-		if !h.Has("Transfer-Encoding") {
-			h.Add("Transfer-Encoding", "chunked")
-		}
-		h.writeTo(&b)
-		writeChunked(&b, r.Body, defaultChunkSize)
-		return b.Bytes()
-	case r.NoBodyLength:
-		h.writeTo(&b)
-		b.Write(r.Body)
-		return b.Bytes()
-	default:
-		if !h.Has("Content-Length") {
-			h.Add("Content-Length", strconv.Itoa(len(r.Body)))
-		}
-		h.writeTo(&b)
-		b.Write(r.Body)
-		return b.Bytes()
-	}
-}
+func (r *Response) Marshal() []byte { return r.MarshalFor("GET") }
 
 // MarshalFor serializes the response as the reply to the given request
 // method: HEAD responses carry headers only.
 func (r *Response) MarshalFor(method string) []byte {
-	if method != "HEAD" {
-		return r.Marshal()
+	// The framing field this serialization adds after the header's own,
+	// and the body bytes that follow the head.
+	var name, value string
+	body, chunked := r.Body, false
+	switch {
+	case bodyless(r.StatusCode):
+		// No body, no framing fields.
+		body = nil
+	case method == "HEAD":
+		// Keep the declared Content-Length of the would-be body: HEAD
+		// responses advertise the entity's length without sending it.
+		name, body = "Content-Length", nil
+	case r.Chunked:
+		name, value, chunked = "Transfer-Encoding", "chunked", true
+	case r.NoBodyLength:
+	default:
+		name = "Content-Length"
 	}
-	clone := *r
-	clone.Body = nil
-	clone.Chunked = false
-	clone.NoBodyLength = false
-	// Keep the declared Content-Length of the would-be body: HEAD
-	// responses advertise the entity's length without sending it.
-	h := r.Header.Clone()
-	if !h.Has("Content-Length") && !bodyless(r.StatusCode) {
-		h.Add("Content-Length", strconv.Itoa(len(r.Body)))
+	if name != "" && r.Header.Has(name) {
+		name = ""
+	} else if name == "Content-Length" {
+		value = strconv.Itoa(len(r.Body))
 	}
-	clone.Header = h
+
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %d %s\r\n", clone.Proto, clone.StatusCode, clone.Reason)
-	clone.Header.writeTo(&b)
+	size := len(r.Proto) + len(r.Reason) + 8 + r.Header.wireSize() + fieldSize(name, value) + 2 + len(body)
+	if chunked {
+		size += chunkedOverhead(len(body), defaultChunkSize)
+	}
+	b.Grow(size)
+	b.WriteString(r.Proto)
+	b.WriteByte(' ')
+	writeInt(&b, r.StatusCode, 10)
+	b.WriteByte(' ')
+	b.WriteString(r.Reason)
+	b.WriteString("\r\n")
+	r.Header.writeTo(&b)
+	if name != "" {
+		writeField(&b, name, value)
+	}
+	b.WriteString("\r\n")
+	if chunked {
+		writeChunked(&b, body, defaultChunkSize)
+	} else {
+		b.Write(body)
+	}
 	return b.Bytes()
 }
 
@@ -163,16 +173,27 @@ const defaultChunkSize = 4096
 // writeChunked emits body in chunked transfer coding.
 func writeChunked(b *bytes.Buffer, body []byte, chunkSize int) {
 	for len(body) > 0 {
-		n := len(body)
-		if n > chunkSize {
-			n = chunkSize
-		}
-		fmt.Fprintf(b, "%x\r\n", n)
+		n := min(len(body), chunkSize)
+		writeInt(b, n, 16)
+		b.WriteString("\r\n")
 		b.Write(body[:n])
 		b.WriteString("\r\n")
 		body = body[n:]
 	}
 	b.WriteString("0\r\n\r\n")
+}
+
+// writeInt appends n in the given base without an intermediate string.
+func writeInt(b *bytes.Buffer, n, base int) {
+	b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(n), base))
+}
+
+// chunkedOverhead bounds the bytes writeChunked adds around n body
+// bytes: a size line of up to 16 hex digits and two CRLFs per chunk, and
+// the last-chunk marker.
+func chunkedOverhead(n, chunkSize int) int {
+	chunks := (n + chunkSize - 1) / chunkSize
+	return chunks*(16+4) + 5
 }
 
 // EncodeChunked returns body in chunked transfer coding with the given
@@ -182,6 +203,7 @@ func EncodeChunked(body []byte, chunkSize int) []byte {
 		chunkSize = defaultChunkSize
 	}
 	var b bytes.Buffer
+	b.Grow(len(body) + chunkedOverhead(len(body), chunkSize))
 	writeChunked(&b, body, chunkSize)
 	return b.Bytes()
 }

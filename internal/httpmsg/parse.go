@@ -18,6 +18,13 @@ var (
 // maxBodyBytes guards against absurd Content-Length values.
 const maxBodyBytes = 64 << 20
 
+// maxBodyPrealloc caps what a declared Content-Length may reserve before
+// the bytes have arrived: a response's length is known the moment its
+// head is parsed, so its body is allocated once instead of grown by
+// doubling, but a length is only a claim, and a hostile one must not
+// buy more than this. Longer bodies grow past it as they arrive.
+const maxBodyPrealloc = 1 << 20
+
 // RequestParser incrementally parses a pipelined stream of requests, as a
 // server reads them from a connection.
 type RequestParser struct {
@@ -197,6 +204,9 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 			p.head = resp
 			p.body = nil
 			p.kind, p.need = responseBodyKind(resp, method)
+			if p.kind == bodyLength && p.need > 0 {
+				p.body = make([]byte, 0, min(p.need, maxBodyPrealloc))
+			}
 			p.chunkNeed, p.chunkLast = -1, false
 		}
 		done, err := p.consumeBody()

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/flatez"
 	"repro/internal/httpmsg"
 	"repro/internal/mux"
 	"repro/internal/obs"
@@ -157,12 +156,11 @@ const serverDate = "Mon, 07 Jul 1997 10:00:00 GMT"
 
 // Server serves one site on one host and port.
 type Server struct {
-	cfg     Config
-	site    *webgen.Site
-	cpu     *sim.CPU
-	stats   Stats
-	deflate map[string][]byte // precomputed deflate bodies by path
-	date    string
+	cfg   Config
+	site  *webgen.Site
+	cpu   *sim.CPU
+	stats Stats
+	date  string
 	// faultSeq numbers responses server-wide (1-based) so one-shot
 	// scripted faults fire exactly once even across retried connections.
 	faultSeq int
@@ -177,23 +175,10 @@ type Server struct {
 // New creates a server and begins listening on host:port.
 func New(s *sim.Simulator, host *tcpsim.Host, port int, site *webgen.Site, cfg Config, rng *sim.Rand, cpuJitter float64) *Server {
 	srv := &Server{
-		cfg:     cfg.applyProfile(),
-		site:    site,
-		cpu:     sim.NewCPU(s, rng, cpuJitter),
-		deflate: make(map[string][]byte),
-		date:    serverDate,
-	}
-	if srv.cfg.EnableDeflate {
-		// "the server does not perform on-the-fly compression but sends
-		// out a pre-computed deflated version of the Microscape HTML
-		// page" — only text/html is precompressed; images are already
-		// compressed by their format.
-		for _, path := range site.Paths() {
-			obj, _ := site.Object(path)
-			if obj.ContentType == "text/html" {
-				srv.deflate[path] = flatez.Compress(obj.Body)
-			}
-		}
+		cfg:  cfg.applyProfile(),
+		site: site,
+		cpu:  sim.NewCPU(s, rng, cpuJitter),
+		date: serverDate,
 	}
 	tcpOpts := srv.cfg.TCP
 	tcpOpts.NoDelay = srv.cfg.NoDelay
@@ -497,9 +482,10 @@ func (s *Server) respond(req *httpmsg.Request) *httpmsg.Response {
 	resp := httpmsg.NewResponse(proto, 200)
 	resp.Header.Add("Content-Type", obj.ContentType)
 
-	// Transport compression: precomputed deflate for HTML.
-	if s.cfg.EnableDeflate {
-		if comp, ok := s.deflate[req.Target]; ok && httpmsg.TokenListContains(req.Header.Get("Accept-Encoding"), "deflate") {
+	// Transport compression: the site's precomputed deflate coding of
+	// its HTML, built once per site.
+	if s.cfg.EnableDeflate && httpmsg.TokenListContains(req.Header.Get("Accept-Encoding"), "deflate") {
+		if comp, ok := s.site.Deflated(req.Target); ok {
 			body = comp
 			resp.Header.Add("Content-Encoding", "deflate")
 			s.stats.DeflateServed++

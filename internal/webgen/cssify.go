@@ -141,7 +141,7 @@ func (s *Site) CSSified(opts Options) (*Site, error) {
 	var imagePaths []string
 	for _, img := range report.Kept {
 		site.Images = append(site.Images, img)
-		path := "/images/" + img.Spec.Name
+		path := imagePath(img.Spec)
 		imagePaths = append(imagePaths, path)
 		site.addObject(&Object{Path: path, ContentType: "image/gif", Body: img.GIF})
 	}

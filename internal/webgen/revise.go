@@ -31,7 +31,7 @@ func (s *Site) Revise(fraction float64, seed uint64) (*Site, error) {
 			use = fresh
 		}
 		site.Images = append(site.Images, use)
-		path := "/images/" + use.Spec.Name
+		path := imagePath(use.Spec)
 		imagePaths = append(imagePaths, path)
 		site.addObject(&Object{Path: path, ContentType: "image/gif", Body: use.GIF})
 		if use != img {

@@ -2,6 +2,7 @@ package webgen
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/flatez"
 )
@@ -25,6 +26,13 @@ type Site struct {
 	Images  []*SynthImage
 	objects map[string]*Object
 	paths   []string
+
+	// deflated holds the deflate coding of every text/html object,
+	// built by the first Deflated call. A site is immutable once
+	// constructed, so the artifact is computed once and lives and dies
+	// with the site; Revise and CSSified return new sites with their own.
+	deflateOnce sync.Once
+	deflated    map[string][]byte
 }
 
 // Options tunes site synthesis.
@@ -42,33 +50,45 @@ func Microscape(opts Options) (*Site, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	specs := MicroscapeSpecs()
 	site := &Site{objects: make(map[string]*Object)}
-	var imagePaths []string
-	for _, spec := range specs {
+	for _, spec := range MicroscapeSpecs() {
 		img, err := Synthesize(spec, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
 		site.Images = append(site.Images, img)
-		path := "/images/" + spec.Name
-		imagePaths = append(imagePaths, path)
 		site.addObject(&Object{
-			Path:        path,
+			Path:        imagePath(spec),
 			ContentType: "image/gif",
 			Body:        img.GIF,
 		})
 	}
-	html := GenerateHTML(HTMLOptions{
+	site.HTML = &Object{Path: "/", ContentType: "text/html", Body: MicroscapeHTML(opts)}
+	site.addObjectFirst(site.HTML)
+	return site, nil
+}
+
+// MicroscapeHTML generates the page Microscape(opts) serves, without
+// synthesizing the images it references: the page depends only on their
+// paths, which the specs fix.
+func MicroscapeHTML(opts Options) []byte {
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
+	specs := MicroscapeSpecs()
+	imagePaths := make([]string, len(specs))
+	for i, spec := range specs {
+		imagePaths[i] = imagePath(spec)
+	}
+	return GenerateHTML(HTMLOptions{
 		TargetBytes: opts.HTMLBytes,
 		Images:      imagePaths,
 		TagCase:     opts.TagCase,
 		Seed:        opts.Seed,
 	})
-	site.HTML = &Object{Path: "/", ContentType: "text/html", Body: html}
-	site.addObjectFirst(site.HTML)
-	return site, nil
 }
+
+func imagePath(spec Spec) string { return "/images/" + spec.Name }
 
 func (s *Site) addObject(o *Object) {
 	o.ETag = fmt.Sprintf("%q", fmt.Sprintf("%x-%x", flatez.Adler32(1, o.Body), len(o.Body)))
@@ -88,6 +108,25 @@ func (s *Site) addObjectFirst(o *Object) {
 func (s *Site) Object(path string) (*Object, bool) {
 	o, ok := s.objects[path]
 	return o, ok
+}
+
+// Deflated returns the precomputed deflate coding of the text/html
+// object at path ("the server does not perform on-the-fly compression
+// but sends out a pre-computed deflated version of the Microscape HTML
+// page"). Only text/html is precompressed; images are already compressed
+// by their format. The returned bytes are shared by every caller and
+// must not be modified. Safe for concurrent use.
+func (s *Site) Deflated(path string) ([]byte, bool) {
+	s.deflateOnce.Do(func() {
+		s.deflated = make(map[string][]byte)
+		for _, p := range s.paths {
+			if obj := s.objects[p]; obj.ContentType == "text/html" {
+				s.deflated[p] = flatez.Compress(obj.Body)
+			}
+		}
+	})
+	body, ok := s.deflated[path]
+	return body, ok
 }
 
 // Paths lists all resource paths, page first.

@@ -481,3 +481,69 @@ func TestCSSReplacementRulesMatchTheirMarkup(t *testing.T) {
 		}
 	}
 }
+
+// The deflate artifact belongs to the site: built once however many
+// callers race for it, shared by all of them, the page's exact deflate
+// coding, and a revised site has its own.
+func TestDeflatedBuiltOncePerSite(t *testing.T) {
+	s := site(t)
+	revised, err := s.Revise(0.3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The revision is fresh: its first Deflated calls race each other.
+	got := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = revised.Deflated("/")
+		}(i)
+	}
+	wg.Wait()
+	for i, b := range got {
+		if len(b) == 0 || &b[0] != &got[0][0] {
+			t.Fatalf("caller %d got its own copy of the artifact", i)
+		}
+	}
+	page, err := flatez.Decompress(got[0])
+	if err != nil || !bytes.Equal(page, revised.HTML.Body) {
+		t.Fatalf("revised artifact does not inflate to the revised page (err %v)", err)
+	}
+
+	orig, ok := s.Deflated("/")
+	if !ok || !bytes.Equal(orig, flatez.Compress(s.HTML.Body)) {
+		t.Fatal("artifact is not flatez.Compress of the page")
+	}
+	if bytes.Equal(orig, got[0]) {
+		t.Error("the revised site serves the original's artifact")
+	}
+	if n := testing.AllocsPerRun(10, func() { s.Deflated("/") }); n != 0 {
+		t.Errorf("a later Deflated call allocates %v times, want 0", n)
+	}
+	if _, ok := s.Deflated(s.Paths()[1]); ok {
+		t.Error("an image has a deflate coding; only text/html is precompressed")
+	}
+	if _, ok := s.Deflated("/missing"); ok {
+		t.Error("a missing path has a deflate coding")
+	}
+}
+
+// MicroscapeHTML is the page Microscape serves, without the images.
+func TestMicroscapeHTMLMatchesSite(t *testing.T) {
+	if !bytes.Equal(MicroscapeHTML(Options{}), site(t).HTML.Body) {
+		t.Error("MicroscapeHTML(default) differs from the default site's page")
+	}
+	if testing.Short() {
+		return
+	}
+	opts := Options{Seed: 2, TagCase: TagsMixed, HTMLBytes: 9000}
+	s, err := Microscape(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(MicroscapeHTML(opts), s.HTML.Body) {
+		t.Errorf("MicroscapeHTML(%+v) differs from that site's page", opts)
+	}
+}
