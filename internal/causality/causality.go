@@ -22,7 +22,10 @@
 package causality
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -151,9 +154,24 @@ type interval struct {
 	start, end sim.Time
 }
 
+// edge is one end of an interval: the number of open intervals of cat
+// changes by delta at instant at.
+type edge struct {
+	at    sim.Time
+	cat   Category
+	delta int32
+}
+
+// liveCounts is the number of open intervals per category.
+type liveCounts [NumCategories]int32
+
 // connTrack accumulates cause intervals for one connection.
 type connTrack struct {
 	ivs []interval
+	// edges, open and indexed are the window index; see index.
+	edges   []edge
+	open    []liveCounts // open[i]: intervals open after edges[:i]
+	indexed int
 
 	connectStart sim.Time
 	stallStart   sim.Time
@@ -287,13 +305,14 @@ func (c *Collector) Finish(b *obs.Bus) *Analysis {
 	// pair; a client span is blamed against intervals on its own
 	// connection *and* the peer, so a server-side Nagle hold (the
 	// paper's §4 stall) lands on the client request it delayed.
-	byAddr := make(map[string]obs.ConnID, len(conns))
+	type addrs struct{ local, remote string }
+	byAddr := make(map[addrs]obs.ConnID, len(conns))
 	for _, ci := range conns {
-		byAddr[ci.Local+"|"+ci.Remote] = ci.ID
+		byAddr[addrs{ci.Local, ci.Remote}] = ci.ID
 	}
 	peer := make(map[obs.ConnID]obs.ConnID, len(conns))
 	for _, ci := range conns {
-		if p, ok := byAddr[ci.Remote+"|"+ci.Local]; ok {
+		if p, ok := byAddr[addrs{ci.Remote, ci.Local}]; ok {
 			peer[ci.ID] = p
 		}
 	}
@@ -303,8 +322,8 @@ func (c *Collector) Finish(b *obs.Bus) *Analysis {
 		if sp.Via != "" || sp.Done == obs.NoTime || sp.Queued == obs.NoTime {
 			continue // upstream hop, abandoned, or never started
 		}
-		tracks := c.spanTracks(sp.Conn, peer)
-		bl := blameWindow(tracks, sp.Queued, sp.Written, sp.Done)
+		own, far := c.spanTracks(sp.Conn, peer)
+		bl := blameWindow(own, far, sp.Queued, sp.Written, sp.Done)
 		rb := RequestBlame{
 			Span: sp.ID, Path: sp.Path, Conn: sp.Conn, Pushed: sp.Pushed,
 			Elapsed: sp.Done.Sub(sp.Queued), B: bl,
@@ -319,18 +338,13 @@ func (c *Collector) Finish(b *obs.Bus) *Analysis {
 }
 
 // spanTracks gathers the interval sources relevant to a span: its
-// connection and that connection's peer.
-func (c *Collector) spanTracks(conn obs.ConnID, peer map[obs.ConnID]obs.ConnID) []*connTrack {
-	var out []*connTrack
-	if t, ok := c.tracks[conn]; ok {
-		out = append(out, t)
-	}
+// connection and that connection's peer, nil where there is none.
+func (c *Collector) spanTracks(conn obs.ConnID, peer map[obs.ConnID]obs.ConnID) (own, far *connTrack) {
+	own = c.tracks[conn]
 	if p, ok := peer[conn]; ok {
-		if t, ok := c.tracks[p]; ok {
-			out = append(out, t)
-		}
+		far = c.tracks[p]
 	}
-	return out
+	return own, far
 }
 
 // Analyze replays a finished bus through a fresh collector. Equivalent
@@ -344,70 +358,87 @@ func Analyze(b *obs.Bus) *Analysis {
 	return c.Finish(b)
 }
 
-// blameWindow partitions the window [q, d) by sweeping its elementary
-// segments: each segment goes to the highest-priority cause interval
-// covering it, and segments no cause claims go to head-of-line
-// queueing before the request hit the wire at w, wire transmission
-// after. Segment lengths tile the window, so the result sums to d - q
-// exactly — the conservation invariant.
-func blameWindow(tracks []*connTrack, q, w, d sim.Time) Blame {
-	var bl Blame
-	if d <= q {
-		return bl
+// index lists the ends of the track's non-empty intervals in time order
+// with the running per-category count of open intervals, once however
+// many windows then query it. ivs only grows, so the index is current
+// when it was built from as many intervals. The order of edges at one
+// instant does not matter: a window is charged only between distinct
+// instants.
+func (t *connTrack) index() {
+	if t.open != nil && t.indexed == len(t.ivs) {
+		return
 	}
-	// Clip candidate intervals to the window and collect boundaries.
-	var ivs []interval
-	points := make([]sim.Time, 0, 16)
-	points = append(points, q, d)
-	if w != obs.NoTime && w > q && w < d {
-		points = append(points, w)
-	}
-	for _, t := range tracks {
-		for _, iv := range t.ivs {
-			s, e := iv.start, iv.end
-			if s < q {
-				s = q
-			}
-			if e > d {
-				e = d
-			}
-			if e <= s {
-				continue
-			}
-			ivs = append(ivs, interval{iv.cat, s, e})
-			points = append(points, s, e)
+	t.indexed = len(t.ivs)
+	t.edges = slices.Grow(t.edges[:0], 2*len(t.ivs))
+	for _, iv := range t.ivs {
+		if iv.end > iv.start {
+			t.edges = append(t.edges, edge{iv.start, iv.cat, +1}, edge{iv.end, iv.cat, -1})
 		}
 	}
-	sortTimes(points)
-	for i := 1; i < len(points); i++ {
-		a, b := points[i-1], points[i]
-		if b <= a {
-			continue
-		}
-		best := catNone
-		for _, iv := range ivs {
-			if iv.start <= a && iv.end >= b && (best == catNone || iv.cat < best) {
-				best = iv.cat
-			}
-		}
-		if best == catNone {
-			if w == obs.NoTime || a < w {
-				best = CatHOL
-			} else {
-				best = CatWire
-			}
-		}
-		bl[best] += b.Sub(a)
+	slices.SortFunc(t.edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
+	t.open = make([]liveCounts, len(t.edges)+1)
+	for i, e := range t.edges {
+		t.open[i+1] = t.open[i]
+		t.open[i+1][e.cat] += e.delta
 	}
-	return bl
 }
 
-// sortTimes is an insertion sort: boundary sets are small and almost
-// sorted, and avoiding sort.Slice keeps the hot path allocation-free.
-func sortTimes(ts []sim.Time) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
+// enter starts a window at q: it adds the intervals open at q to live
+// and returns the edges after q, soonest first. A nil track has none.
+func (t *connTrack) enter(q sim.Time, live *liveCounts) []edge {
+	if t == nil {
+		return nil
+	}
+	t.index()
+	i := sort.Search(len(t.edges), func(i int) bool { return t.edges[i].at > q })
+	for cat, n := range t.open[i] {
+		live[cat] += n
+	}
+	return t.edges[i:]
+}
+
+// blameWindow partitions the window [q, d) by sweeping the interval
+// edges inside it, on the request's own connection and on the peer's,
+// keeping a live count per category: each elementary segment between
+// two edges goes to the highest-priority category open over it, and
+// segments no cause claims go to head-of-line queueing before the
+// request hit the wire at w, wire transmission after. Segment lengths
+// tile the window, so the result sums to d - q exactly — the
+// conservation invariant.
+func blameWindow(own, peer *connTrack, q, w, d sim.Time) Blame {
+	var bl Blame
+	var live liveCounts
+	a, b := own.enter(q, &live), peer.enter(q, &live)
+	for at := q; at < d; {
+		from := &a // whichever track has the next edge
+		if len(a) == 0 || len(b) > 0 && b[0].at < a[0].at {
+			from = &b
+		}
+		next := d
+		if len(*from) > 0 && (*from)[0].at < d {
+			next = (*from)[0].at
+		}
+		if seg := next.Sub(at); seg > 0 {
+			cat := CatConnect
+			for cat < NumCategories && live[cat] == 0 {
+				cat++
+			}
+			if cat < NumCategories {
+				bl[cat] += seg
+			} else {
+				hol := seg
+				if w != obs.NoTime {
+					hol = min(max(w.Sub(at), 0), seg)
+				}
+				bl[CatHOL] += hol
+				bl[CatWire] += seg - hol
+			}
+		}
+		at = next
+		if next < d {
+			live[(*from)[0].cat] += (*from)[0].delta
+			*from = (*from)[1:]
 		}
 	}
+	return bl
 }

@@ -18,7 +18,7 @@ func TestBlameWindowPartition(t *testing.T) {
 		{CatServer, ms(5), ms(20)}, // loses [5,10) to the connect interval
 		{CatNagle, ms(30), ms(40)},
 	}}
-	bl := blameWindow([]*connTrack{tr}, ms(0), ms(25), ms(50))
+	bl := blameWindow(tr, nil, ms(0), ms(25), ms(50))
 	var want Blame
 	want[CatConnect] = ms(10).Sub(ms(0))
 	want[CatServer] = ms(20).Sub(ms(10))
@@ -41,7 +41,7 @@ func TestBlameWindowClipsOpenIntervals(t *testing.T) {
 		{CatSlowStart, ms(10), farFuture},
 		{CatRTO, ms(100), ms(200)}, // beyond the window
 	}}
-	bl := blameWindow([]*connTrack{tr}, ms(0), ms(5), ms(50))
+	bl := blameWindow(tr, nil, ms(0), ms(5), ms(50))
 	if bl[CatSlowStart] != ms(50).Sub(ms(10)) {
 		t.Fatalf("slowstart = %v, want clipped 40ms", bl[CatSlowStart])
 	}
@@ -130,7 +130,7 @@ func FuzzBlameConservation(f *testing.F) {
 			}
 			tr.ivs = append(tr.ivs, interval{Category(next() % int64(NumCategories)), s, e})
 		}
-		bl := blameWindow([]*connTrack{tr}, q, w, d)
+		bl := blameWindow(tr, nil, q, w, d)
 		var want sim.Duration
 		if d > q {
 			want = d.Sub(q)

@@ -81,7 +81,8 @@ func (c *Collector) criticalPath(a *Analysis, spans []obs.SpanInfo, peer map[obs
 		}
 		if cut > gate {
 			a.Chain = append(a.Chain, ChainLink{Span: cur.ID, From: gate, To: cut})
-			a.CriticalBlame.Add(blameWindow(c.spanTracks(cur.Conn, peer), gate, cur.Written, cut))
+			own, far := c.spanTracks(cur.Conn, peer)
+			a.CriticalBlame.Add(blameWindow(own, far, gate, cur.Written, cut))
 		}
 		if p != nil {
 			cur, cut = p, gate

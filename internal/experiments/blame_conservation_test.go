@@ -7,17 +7,14 @@ import (
 	"repro/internal/exp"
 )
 
-// TestBlameConservation is the attribution layer's global property
-// test: every scenario any registered experiment executes — every
-// protocol mode, environment, topology, fault profile, and scheduler
-// knob — is replayed with attribution enabled, and for every completed
-// request the category sum must equal its elapsed time exactly. The
-// critical-path partition must tile its chain the same way. Integer
-// nanoseconds, no epsilon.
-func TestBlameConservation(t *testing.T) {
+// recordedPopulation runs every registered experiment once under the
+// scenario recorder, on a pool of the given width, and returns the
+// session with every scenario the recorder then remembers.
+func recordedPopulation(t *testing.T, parallel int) (*exp.Session, []core.Scenario) {
+	t.Helper()
 	core.RecordScenarios(true)
 	defer core.RecordScenarios(false)
-	s := session(t, 8)
+	s := session(t, parallel)
 	s.Runs = 1
 	for _, name := range exp.Names() {
 		e, _ := exp.Lookup(name)
@@ -29,6 +26,18 @@ func TestBlameConservation(t *testing.T) {
 	if len(scs) < 30 {
 		t.Fatalf("recorder saw only %d scenarios; expected the full experiment population", len(scs))
 	}
+	return s, scs
+}
+
+// TestBlameConservation is the attribution layer's global property
+// test: every scenario any registered experiment executes — every
+// protocol mode, environment, topology, fault profile, and scheduler
+// knob — is replayed with attribution enabled, and for every completed
+// request the category sum must equal its elapsed time exactly. The
+// critical-path partition must tile its chain the same way. Integer
+// nanoseconds, no epsilon.
+func TestBlameConservation(t *testing.T) {
+	s, scs := recordedPopulation(t, 8)
 	for _, sc := range scs {
 		res, err := core.Run(sc, s.Site, core.WithBlame())
 		if err != nil {

@@ -2,11 +2,15 @@ package report
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/webgen"
 )
 
@@ -102,5 +106,73 @@ func TestCSSAndPNGRender(t *testing.T) {
 func TestDurationFormat(t *testing.T) {
 	if Duration(1500*time.Millisecond) != "1.50s" {
 		t.Fatalf("Duration = %q", Duration(1500*time.Millisecond))
+	}
+}
+
+// countingWriter counts Writes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// TestSpecRenderWritesOnce: a table reaches the caller's writer whole,
+// in one Write, and its header and rows are what HeaderLine and Row
+// return.
+func TestSpecRenderWritesOnce(t *testing.T) {
+	type row struct {
+		name string
+		v    float64
+	}
+	spec := Spec[row]{
+		Title: "T", Width: 12, PreHeader: []string{"pre"},
+		Cols: []Col[row]{
+			{Head: "name", Format: "%-5s", Value: func(r row) any { return r.name }},
+			{Format: "|"},
+			{Head: "v", Format: "%4.1f", Value: func(r row) any { return r.v }},
+		},
+		SubRows: func(r row) []string { return []string{"  sub " + r.name} },
+		Footer:  func() []string { return []string{"foot"} },
+	}
+	rows := []row{{"a", 1.25}, {"b", 10}}
+	var w countingWriter
+	spec.Render(&w, rows)
+	want := "T\n------------\npre\n" + spec.HeaderLine() + "\n------------\n" +
+		spec.Row(rows[0]) + "\n  sub a\n" + spec.Row(rows[1]) + "\n  sub b\nfoot\n------------\n"
+	if w.String() != want {
+		t.Errorf("rendered\n%s\nwant\n%s", w.String(), want)
+	}
+	if spec.HeaderLine() != "name  |    v" || spec.Row(rows[0]) != "a     |  1.2" {
+		t.Errorf("header %q, row %q", spec.HeaderLine(), spec.Row(rows[0]))
+	}
+	if w.writes != 1 {
+		t.Errorf("Render made %d Writes, want 1", w.writes)
+	}
+}
+
+// TestFixedNsMatchesFmt compares the integer rendering of the
+// waterfall's seconds and milliseconds with fmt's %.3f and %.1f on
+// random values, on every exact half (where the fallback decides) and
+// on the boundaries of the integer path.
+func TestFixedNsMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := []int64{0, 1, 49999, 50000, 50001, 99999, 100000, 149999, 150000, 150001, 250000, 350000,
+		499999, 500000, 500001, 999500000, 999499999, 1500000, 2500000, 999999999999999, 1e15, 1e15 + 50000,
+		-1, -50000, -1500000, math.MaxInt64, math.MinInt64}
+	for i := 0; i < 50000; i++ {
+		v := rng.Int63n(1 << uint(1+rng.Intn(60)))
+		vals = append(vals, v, v/100000*100000+50000, v/1000000*1000000+500000)
+	}
+	for _, ns := range vals {
+		if got, want := fixedNs(ns, 6, 1), fmt.Sprintf("%.1f", float64(ns)/1e6); got != want {
+			t.Fatalf("fixedNs(%d, 6, 1) = %q, %%.1f gives %q", ns, got, want)
+		}
+		if got, want := fixedNs(ns, 9, 3), fmt.Sprintf("%.3f", sim.Time(ns).Seconds()); got != want {
+			t.Fatalf("fixedNs(%d, 9, 3) = %q, %%.3f gives %q", ns, got, want)
+		}
 	}
 }

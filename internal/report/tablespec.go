@@ -52,55 +52,70 @@ func headFormat(cell string) string {
 	return cell[:j] + "s"
 }
 
-// HeaderLine renders the column-header row.
-func (s Spec[R]) HeaderLine() string {
-	parts := make([]string, len(s.Cols))
+// literal reports a separator column, whose Format is its text.
+func (c Col[R]) literal() bool { return !strings.ContainsRune(c.Format, '%') }
+
+// appendHeader appends the column-header row, cells joined by spaces.
+func (s Spec[R]) appendHeader(b []byte) []byte {
 	for i, c := range s.Cols {
-		if !strings.ContainsRune(c.Format, '%') {
-			parts[i] = c.Format
-			continue
+		if i > 0 {
+			b = append(b, ' ')
 		}
-		parts[i] = fmt.Sprintf(headFormat(c.Format), c.Head)
+		if c.literal() {
+			b = append(b, c.Format...)
+		} else {
+			b = fmt.Appendf(b, headFormat(c.Format), c.Head)
+		}
 	}
-	return strings.Join(parts, " ")
+	return b
 }
+
+// appendRow appends one data row, cells joined by spaces.
+func (s Spec[R]) appendRow(b []byte, r R) []byte {
+	for i, c := range s.Cols {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		if c.literal() {
+			b = append(b, c.Format...)
+		} else {
+			b = fmt.Appendf(b, c.Format, c.Value(r))
+		}
+	}
+	return b
+}
+
+// HeaderLine renders the column-header row.
+func (s Spec[R]) HeaderLine() string { return string(s.appendHeader(nil)) }
 
 // Row renders one data row.
-func (s Spec[R]) Row(r R) string {
-	parts := make([]string, len(s.Cols))
-	for i, c := range s.Cols {
-		if !strings.ContainsRune(c.Format, '%') {
-			parts[i] = c.Format
-			continue
-		}
-		parts[i] = fmt.Sprintf(c.Format, c.Value(r))
-	}
-	return strings.Join(parts, " ")
-}
+func (s Spec[R]) Row(r R) string { return string(s.appendRow(nil, r)) }
 
-// Render writes the whole table.
+// Render writes the whole table, built in one buffer, with one Write.
 func (s Spec[R]) Render(w io.Writer, rows []R) {
+	var b []byte
+	lines := func(ls ...string) {
+		for _, l := range ls {
+			b = append(append(b, l...), '\n')
+		}
+	}
+	rule := strings.Repeat("-", s.Width)
 	if s.Title != "" {
-		line(w, "%s", s.Title)
+		lines(s.Title)
 	}
-	rule(w, s.Width)
-	for _, l := range s.PreHeader {
-		line(w, "%s", l)
-	}
-	line(w, "%s", s.HeaderLine())
-	rule(w, s.Width)
+	lines(rule)
+	lines(s.PreHeader...)
+	b = append(s.appendHeader(b), '\n')
+	lines(rule)
 	for _, r := range rows {
-		line(w, "%s", s.Row(r))
+		b = append(s.appendRow(b, r), '\n')
 		if s.SubRows != nil {
-			for _, l := range s.SubRows(r) {
-				line(w, "%s", l)
-			}
+			lines(s.SubRows(r)...)
 		}
 	}
 	if s.Footer != nil {
-		for _, l := range s.Footer() {
-			line(w, "%s", l)
-		}
+		lines(s.Footer()...)
 	}
-	rule(w, s.Width)
+	lines(rule)
+	_, _ = w.Write(b) // Render reports no error, as the Fprintf per line it replaces did not
 }

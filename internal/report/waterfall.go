@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/causality"
 	"repro/internal/obs"
@@ -14,12 +15,36 @@ import (
 // from it rather than repeating it.
 const wfLegend = "+ reused conn, ! retried, p pushed, x abandoned, * on critical path"
 
+// fixedNs renders float64(ns)/10^unit to prec decimals (prec < unit),
+// byte for byte what fmt's %.<prec>f verb gives for that quotient.
+// Below 1e15 ns the quotient is within 10^-unit of ns/10^unit, so unless
+// the discarded digits are exactly one half — where the side the binary
+// quotient falls on decides — the rounding can be done on the integer,
+// which is several times cheaper than strconv's fixed-precision path.
+func fixedNs(ns int64, unit, prec int) string {
+	pow := [...]int64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+	step := pow[unit-prec]
+	q, r := ns/step, ns%step
+	if ns < 0 || ns >= 1e15 || 2*r == step {
+		return strconv.FormatFloat(float64(ns)/float64(pow[unit]), 'f', prec, 64)
+	}
+	if 2*r > step {
+		q++
+	}
+	var buf [24]byte
+	b := append(strconv.AppendInt(buf[:0], q/pow[prec], 10), '.')
+	for frac, p := q%pow[prec], prec-1; p >= 0; p-- {
+		b = append(b, byte('0'+frac/pow[p]%10))
+	}
+	return string(b)
+}
+
 // wfSec renders an instant as seconds, "-" when never recorded.
 func wfSec(t sim.Time) string {
 	if t == obs.NoTime {
 		return "-"
 	}
-	return fmt.Sprintf("%.3f", t.Seconds())
+	return fixedNs(int64(t), 9, 3)
 }
 
 // wfDur renders a duration in milliseconds, "-" when underlying
@@ -28,7 +53,7 @@ func wfDur(d sim.Duration) string {
 	if d < 0 {
 		return "-"
 	}
-	return fmt.Sprintf("%.1f", float64(d)/1e6)
+	return fixedNs(int64(d), 6, 1)
 }
 
 // wfStatus renders the status code, "-" for abandoned spans.
@@ -86,7 +111,7 @@ func wfBlameMs(r wfRow, c causality.Category) string {
 	if r.blame == nil {
 		return "-"
 	}
-	return fmt.Sprintf("%.1f", r.blame.B.Ms(c))
+	return fixedNs(int64(r.blame.B[c]), 6, 1)
 }
 
 // waterfallSpec is the devtools-style timeline table: per-object queue

@@ -47,20 +47,42 @@ func tcpWireFlags(f tcpsim.Flags) byte {
 	return b
 }
 
-// ipChecksum is the RFC 1071 ones-complement sum over b (padded to an
-// even length with a zero byte).
-func ipChecksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
+// sum16 adds b to a running RFC 1071 ones-complement sum of big-endian
+// 16-bit words (an odd last byte padded with a zero). 2^16 is 1 modulo
+// 0xffff, so wider words may be added whole and the carries folded in
+// at the end; pieces that each start on a word boundary add up to the
+// sum over their concatenation.
+func sum16(sum uint64, b []byte) uint64 {
+	for ; len(b) >= 8; b = b[8:] {
+		v := binary.BigEndian.Uint64(b)
+		sum += v>>32 + v&0xffffffff
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	for ; len(b) >= 2; b = b[2:] {
+		sum += uint64(binary.BigEndian.Uint16(b))
 	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
+	}
+	return sum
+}
+
+// foldChecksum folds the carries back in and complements.
+func foldChecksum(sum uint64) uint16 {
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
+}
+
+// ipChecksum is the RFC 1071 checksum over b.
+func ipChecksum(b []byte) uint16 { return foldChecksum(sum16(0, b)) }
+
+// tcpChecksum is the checksum over the TCP pseudo-header (addresses,
+// protocol 6, segment length) followed by the segment, without building
+// the concatenation.
+func tcpChecksum(src, dst, segment []byte) uint16 {
+	sum := sum16(sum16(0, src), dst) + 6 + uint64(uint16(len(segment)))
+	return foldChecksum(sum16(sum, segment))
 }
 
 // hostIPs assigns 10.0.0.N addresses to host names in first-seen order.
@@ -79,30 +101,47 @@ func (h *hostIPs) ip(name string) [4]byte {
 	return ip
 }
 
+// pcapChunk bounds one Write of the export: records collect in a buffer
+// that is handed to the writer whenever the next one would not fit.
+const pcapChunk = 32 << 10
+
 // WritePcap writes the capture as a classic pcap file: nanosecond
 // timestamp magic, raw-IPv4 link type, one synthesized IPv4+TCP frame
 // per captured segment (dropped segments included — the capture point
 // is the sender's interface, before the loss). Frames carry real IPv4
 // header and TCP pseudo-header checksums so analyzers do not flag them.
 func (c *Capture) WritePcap(w io.Writer) error {
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:], pcapMagicNanos)
-	binary.LittleEndian.PutUint16(hdr[4:], 2)      // version major
-	binary.LittleEndian.PutUint16(hdr[6:], 4)      // version minor
-	binary.LittleEndian.PutUint32(hdr[16:], 65535) // snaplen
-	binary.LittleEndian.PutUint32(hdr[20:], linktypeRaw)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+	const recLen = 16 // per-packet record header
+	buf := make([]byte, 24, pcapChunk)
+	binary.LittleEndian.PutUint32(buf[0:], pcapMagicNanos)
+	binary.LittleEndian.PutUint16(buf[4:], 2)      // version major
+	binary.LittleEndian.PutUint16(buf[6:], 4)      // version minor
+	binary.LittleEndian.PutUint32(buf[16:], 65535) // snaplen
+	binary.LittleEndian.PutUint32(buf[20:], linktypeRaw)
 
 	ips := &hostIPs{byName: make(map[string][4]byte)}
 	var ipID uint16
+	var zero [recLen + ipv4HeaderLen + tcpHeaderLen]byte
 	for _, ev := range c.events {
 		seg := ev.Seg
 		src := ips.ip(seg.From.Host)
 		dst := ips.ip(seg.To.Host)
 		total := ipv4HeaderLen + tcpHeaderLen + len(seg.Payload)
-		frame := make([]byte, total)
+		if len(buf)+recLen+total > pcapChunk && len(buf) > 0 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		at := len(buf)
+		buf = append(append(buf, zero[:]...), seg.Payload...)
+		rec, frame := buf[at:at+recLen], buf[at+recLen:]
+
+		ns := int64(ev.Time)
+		binary.LittleEndian.PutUint32(rec[0:], uint32(ns/1e9))
+		binary.LittleEndian.PutUint32(rec[4:], uint32(ns%1e9))
+		binary.LittleEndian.PutUint32(rec[8:], uint32(total))
+		binary.LittleEndian.PutUint32(rec[12:], uint32(total))
 
 		// IPv4 header.
 		ip := frame[:ipv4HeaderLen]
@@ -117,46 +156,19 @@ func (c *Capture) WritePcap(w io.Writer) error {
 		copy(ip[16:20], dst[:])
 		binary.BigEndian.PutUint16(ip[10:], ipChecksum(ip))
 
-		// TCP header.
-		tcp := frame[ipv4HeaderLen : ipv4HeaderLen+tcpHeaderLen]
+		// TCP header, then the checksum over pseudo-header + segment.
+		tcp := frame[ipv4HeaderLen:]
 		binary.BigEndian.PutUint16(tcp[0:], uint16(seg.From.Port))
 		binary.BigEndian.PutUint16(tcp[2:], uint16(seg.To.Port))
 		binary.BigEndian.PutUint32(tcp[4:], seg.Seq)
 		binary.BigEndian.PutUint32(tcp[8:], seg.Ack)
 		tcp[12] = 5 << 4 // data offset
 		tcp[13] = tcpWireFlags(seg.Flags)
-		wnd := seg.Wnd
-		if wnd > 65535 {
-			wnd = 65535
-		}
-		binary.BigEndian.PutUint16(tcp[14:], uint16(wnd))
-		copy(frame[ipv4HeaderLen+tcpHeaderLen:], seg.Payload)
-
-		// TCP checksum over the pseudo-header + segment.
-		tcpLen := tcpHeaderLen + len(seg.Payload)
-		pseudo := make([]byte, 12+tcpLen)
-		copy(pseudo[0:4], src[:])
-		copy(pseudo[4:8], dst[:])
-		pseudo[9] = 6
-		binary.BigEndian.PutUint16(pseudo[10:], uint16(tcpLen))
-		copy(pseudo[12:], frame[ipv4HeaderLen:])
-		binary.BigEndian.PutUint16(tcp[16:], ipChecksum(pseudo))
-
-		// Per-packet record header.
-		var rec [16]byte
-		ns := int64(ev.Time)
-		binary.LittleEndian.PutUint32(rec[0:], uint32(ns/1e9))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(ns%1e9))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(total))
-		binary.LittleEndian.PutUint32(rec[12:], uint32(total))
-		if _, err := w.Write(rec[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(frame); err != nil {
-			return err
-		}
+		binary.BigEndian.PutUint16(tcp[14:], uint16(min(seg.Wnd, 65535)))
+		binary.BigEndian.PutUint16(tcp[16:], tcpChecksum(src[:], dst[:], tcp))
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
 // PcapPacket is one frame decoded by ParsePcap.
@@ -234,13 +246,7 @@ func ParsePcap(data []byte) (*PcapFile, error) {
 			return nil, fmt.Errorf("pcap: bad IPv4 checksum (residual %#x)", got)
 		}
 		tcpLen := len(frame) - ipv4HeaderLen
-		pseudo := make([]byte, 12+tcpLen)
-		copy(pseudo[0:4], frame[12:16])
-		copy(pseudo[4:8], frame[16:20])
-		pseudo[9] = 6
-		binary.BigEndian.PutUint16(pseudo[10:], uint16(tcpLen))
-		copy(pseudo[12:], frame[ipv4HeaderLen:])
-		if got := ipChecksum(pseudo); got != 0 {
+		if got := tcpChecksum(frame[12:16], frame[16:20], frame[ipv4HeaderLen:]); got != 0 {
 			return nil, fmt.Errorf("pcap: bad TCP checksum (residual %#x)", got)
 		}
 
