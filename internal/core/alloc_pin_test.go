@@ -1,0 +1,58 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exp"
+)
+
+// TestRunAllocationBudget pins what one core.Run allocates, so that the
+// allocation diet of the data paths cannot silently regress: a payload
+// byte is copied once on the way out (into the TCP send buffer) and, for
+// a body nothing reads, not at all on the way in; heads are parsed in
+// place; the packet trace is tallied, not retained; the page's links
+// come from the site. Budgets are the measured cost (in the comment)
+// plus about a fifth; the parent of this change spent 1445 KB / 2194
+// allocations, 361 KB / 1852 and 2878 KB / 5583 on the same three cells.
+func TestRunAllocationBudget(t *testing.T) {
+	site, err := core.DefaultSite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range []struct {
+		name      string
+		kb, count float64
+	}{
+		{"apache/pipelined/WAN/first", 840, 1470}, // 681 KB, 1218 allocations
+		{"apache/pipelined/WAN/reval", 220, 920},  // 176 KB, 763
+		{"apache/mux/WAN/first", 1350, 3100},      // 1083 KB, 2592
+	} {
+		sc, err := core.ParseScenario(cell.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Seed, sc.Jitter = 1, true
+		run := func() {
+			var m exp.Metrics
+			if _, err := core.Run(sc, site, core.WithMetrics(&m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 10
+		count := testing.AllocsPerRun(runs, run) // also warms the site's once-per-site artifacts
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+		t.Logf("%s: %.0f KB, %.0f allocations per run", cell.name, kb, count)
+		if kb > cell.kb || count > cell.count {
+			t.Errorf("%s allocates %.0f KB in %.0f allocations per run, budget %.0f KB in %.0f",
+				cell.name, kb, count, cell.kb, cell.count)
+		}
+	}
+}

@@ -207,6 +207,10 @@ type runConfig struct {
 	blame    bool
 	seed     *uint64
 	metrics  *exp.Metrics
+	// served, when non-nil, is where a sweep keeps the revised site a
+	// ReviseFraction run serves, so that the next cell's run at the same
+	// seed finds it there instead of synthesizing it again.
+	served **webgen.Site
 }
 
 // WithCapture retains the full packet trace in the result.
@@ -349,7 +353,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	} else {
 		net.ConnectHosts(clientHost, serverHost, path)
 	}
-	capture := trace.Attach(net)
+	capture := trace.Attach(net, cfg.capture || flight != nil)
 	defer capture.Detach()
 
 	serverCfg := httpserver.Config{Profile: sc.Server}
@@ -392,11 +396,16 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		if sc.Workload != httpclient.Revalidate {
 			return nil, fmt.Errorf("core: ReviseFraction applies to the revalidation workload")
 		}
-		var err error
-		served, err = site.Revise(sc.ReviseFraction, sc.Seed+101)
-		if err != nil {
-			return nil, err
+		if cfg.served == nil {
+			cfg.served = new(*webgen.Site)
 		}
+		if *cfg.served == nil {
+			var err error
+			if *cfg.served, err = site.Revise(sc.ReviseFraction, sc.Seed+101); err != nil {
+				return nil, err
+			}
+		}
+		served = *cfg.served
 	}
 	server := httpserver.New(s, serverHost, serverPort, served, serverCfg, rng, cpuJitter)
 

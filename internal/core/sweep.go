@@ -39,6 +39,9 @@ type Sweep struct {
 	// carries the causal delay attribution and each collected record
 	// the blame_*_ms / critical_path_ms columns.
 	Blame bool
+	// served, when non-nil, makes a table's cells share each repetition's
+	// revised site: the first cell to run repetition i synthesizes it.
+	served *[]*webgen.Site
 }
 
 // series executes the sweep's Runs×Seeds repetitions of sc, stepping the
@@ -46,15 +49,12 @@ type Sweep struct {
 // stride so regenerated output matches the serial code — and by
 // seedFamilyStride between families. Results are indexed by repetition.
 func (sw Sweep) series(sc Scenario, site *webgen.Site, stride uint64) ([]*RunResult, error) {
-	runs, seeds := sw.Runs, sw.Seeds
-	if runs <= 0 {
-		runs = 1
-	}
-	if seeds <= 0 {
-		seeds = 1
-	}
-	n := runs * seeds
+	runs := max(sw.Runs, 1)
+	n := runs * max(sw.Seeds, 1)
 	results := make([]*RunResult, n)
+	if sw.served != nil && *sw.served == nil {
+		*sw.served = make([]*webgen.Site, n)
+	}
 	var metrics []*exp.Metrics
 	if sw.Collector != nil {
 		metrics = make([]*exp.Metrics, n)
@@ -69,6 +69,10 @@ func (sw Sweep) series(sc Scenario, site *webgen.Site, stride uint64) ([]*RunRes
 		one.Seed = sc.Seed + uint64(family)*seedFamilyStride + uint64(rep)*stride
 		one.Jitter = n > 1
 		var opts []Option
+		if sw.served != nil {
+			// Slot i is this repetition's alone, in every cell.
+			opts = append(opts, func(c *runConfig) { c.served = &(*sw.served)[i] })
+		}
 		if metrics != nil {
 			metrics[i] = &exp.Metrics{Experiment: sw.Experiment, Run: i}
 			opts = append(opts, WithMetrics(metrics[i]))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/httpclient"
 	"repro/internal/httpserver"
 	"repro/internal/netem"
+	"repro/internal/webgen"
 )
 
 // testScenario is a cheap LAN cell used throughout the sweep tests.
@@ -217,5 +218,49 @@ func TestSweepSeedFamilies(t *testing.T) {
 	}
 	if !seen[sc.Seed] || !seen[sc.Seed+7919] {
 		t.Errorf("family 0 lost the legacy seed schedule: %v", seen)
+	}
+}
+
+// A sweep that shares revisions serves each repetition of every cell the
+// site a lone run synthesizes at that seed — once: the first cell fills
+// the slot, the second finds it — and measures exactly what unshared
+// runs measure, at any pool width.
+func TestSweepSharesRevisionsBetweenCells(t *testing.T) {
+	site := testSite(t)
+	sc := scenario(httpserver.ProfileApache, httpclient.ModeHTTP11Pipelined, netem.PPP, httpclient.Revalidate)
+	sc.ReviseFraction, sc.Seed = 0.3, 9900
+	plain := Sweep{Runs: 2, Seeds: 2, Parallel: 4}
+	want, err := plain.series(sc, site, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharing := plain
+	sharing.served = new([]*webgen.Site)
+	var slots []*webgen.Site
+	for cell := 0; cell < 2; cell++ {
+		got, err := sharing.series(sc, site, 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(*sharing.served) != len(want) {
+			t.Fatalf("%d revision slots for %d repetitions", len(*sharing.served), len(want))
+		}
+		for i, res := range got {
+			if res.Stats != want[i].Stats || res.Client != want[i].Client {
+				t.Errorf("cell %d repetition %d measures differently when the revision is shared", cell, i)
+			}
+		}
+		if cell == 0 {
+			slots = append(slots, *sharing.served...)
+			continue
+		}
+		for i, rev := range *sharing.served {
+			if rev == nil || rev != slots[i] {
+				t.Errorf("repetition %d: the second cell did not reuse the first cell's revision", i)
+			}
+		}
+	}
+	if slots[0] == slots[1] || slots[0].HTML.ETag == site.HTML.ETag {
+		t.Error("repetitions at different seeds share a revision, or serve the unrevised site")
 	}
 }

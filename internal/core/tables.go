@@ -488,11 +488,13 @@ func (sw Sweep) RangeTable(site *webgen.Site) ([]RangeRow, error) {
 		{"Conditional GET + Range probe (512 bytes)", 512},
 	}
 	var rows []RangeRow
+	sw.served = new([]*webgen.Site)
 	for _, v := range variants {
 		cfg := httpclient.ModeHTTP11Pipelined.Config()
 		cfg.RevalRangeProbe = v.probe
 		// Both strategies run against identical revisions: the seed does
-		// not vary by variant, so the same objects change in each.
+		// not vary by variant, so the same objects change in each, and
+		// each revision is synthesized once, by the first variant's runs.
 		sc := Scenario{
 			Server: httpserver.ProfileApache, Client: cfg.Mode,
 			Env: netem.PPP, Workload: httpclient.Revalidate,

@@ -20,7 +20,7 @@ func (r *Robot) handleBurstResponse(it workItem, resp *httpmsg.Response) {
 	default:
 		r.result.ResponsesOther++
 	}
-	r.result.PayloadBytes += int64(len(body))
+	r.result.PayloadBytes += int64(resp.BodyLen)
 
 	// The burst response is the metadata for every object on the page.
 	r.metaPending--

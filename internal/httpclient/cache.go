@@ -45,7 +45,8 @@ func (c *Cache) Put(e *Entry) { c.entries[e.Path] = e }
 func (c *Cache) Len() int { return len(c.entries) }
 
 // Prime fills the cache from a site, as if a prior first-time retrieval
-// had completed: every object's validators, plus the page's link list.
+// had completed: every object's validators, plus the page's link list
+// (extracted once per site and shared).
 func (c *Cache) Prime(site *webgen.Site) {
 	for _, path := range site.Paths() {
 		obj, _ := site.Object(path)
@@ -56,14 +57,21 @@ func (c *Cache) Prime(site *webgen.Site) {
 			LastModified: obj.LastModified,
 			Size:         len(obj.Body),
 		}
-		if obj.ContentType == "text/html" {
-			var ex htmlparse.LinkExtractor
-			for _, l := range ex.Feed(obj.Body) {
-				if l.Kind.Inline() {
-					e.Links = append(e.Links, l.URL)
-				}
-			}
+		if obj == site.HTML {
+			e.Links = site.PageLinks(inlineLinks)
 		}
 		c.Put(e)
 	}
+}
+
+// inlineLinks lists a document's inline resources in document order.
+func inlineLinks(html []byte) []string {
+	var links []string
+	var ex htmlparse.LinkExtractor
+	for _, l := range ex.Feed(html) {
+		if l.Kind.Inline() {
+			links = append(links, l.URL)
+		}
+	}
+	return links
 }

@@ -473,3 +473,50 @@ func TestStallTimeout(t *testing.T) {
 		t.Fatalf("200s = %d failed = %d, want 43/0", res.Responses200, res.RequestsFailed)
 	}
 }
+
+// The cache the fetch leaves behind records each object's size whether
+// the robot kept the body or only counted it — the inflated size for the
+// deflate-coded page — and a counted fetch holds no body it did not
+// read: every mode's entries must equal the site's objects both ways.
+func TestCacheEntrySizesKeptAndCounted(t *testing.T) {
+	defer func() { retainBodies = false }()
+	site := testSite(t)
+	for _, mode := range []Mode{ModeHTTP10, ModeHTTP11Serial, ModeHTTP11Pipelined,
+		ModeHTTP11PipelinedDeflate, ModeMux, ModeMuxPush, ModeBurst} {
+		for _, keep := range []bool{true, false} {
+			retainBodies = keep
+			robot, _ := fetch(t, mode.Config(), FirstTime, false)
+			if n := robot.Cache().Len(); n != site.ObjectCount() {
+				t.Fatalf("%v keep=%v: %d cache entries, want %d", mode, keep, n, site.ObjectCount())
+			}
+			for _, path := range site.Paths() {
+				obj, _ := site.Object(path)
+				if e, ok := robot.Cache().Get(path); !ok || e.Size != len(obj.Body) || e.ETag != obj.ETag {
+					t.Errorf("%v keep=%v: entry for %s = %+v, want size %d, etag %s", mode, keep, path, e, len(obj.Body), obj.ETag)
+				}
+			}
+		}
+	}
+}
+
+// Prime takes the page's link list from the site, which extracts it once:
+// every primed cache shares one list, and it is the list a first-time
+// fetch discovers.
+func TestPrimeSharesTheSitesLinkList(t *testing.T) {
+	site := testSite(t)
+	a, b := NewCache(), NewCache()
+	a.Prime(site)
+	b.Prime(site)
+	pa, _ := a.Get("/")
+	pb, _ := b.Get("/")
+	if len(pa.Links) == 0 || &pa.Links[0] != &pb.Links[0] {
+		t.Fatal("two caches primed from one site do not share its link list")
+	}
+	robot, _ := fetch(t, ModeHTTP11Pipelined.Config(), FirstTime, false)
+	fetched, _ := robot.Cache().Get("/")
+	// Prime lists every inline reference in document order; the robot
+	// records each URL once, which for this page is the same list.
+	if strings.Join(fetched.Links, " ") != strings.Join(pa.Links, " ") {
+		t.Fatalf("primed links differ from fetched links:\n%v\n%v", pa.Links, fetched.Links)
+	}
+}

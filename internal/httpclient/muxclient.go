@@ -22,11 +22,13 @@ type muxStream struct {
 	delivered bool     // response handed to handleResponse
 	done      bool     // endStream seen
 
-	status int
-	header httpmsg.Header
-	body   []byte
-	span   obs.SpanID // pushed-span timeline row (0 when not pushed)
-	path   string     // :path of a push, before any item claims it
+	status  int
+	header  httpmsg.Header
+	keep    bool // wantsBody(header): body is retained, not just counted
+	body    []byte
+	bodyLen int
+	span    obs.SpanID // pushed-span timeline row (0 when not pushed)
+	path    string     // :path of a push, before any item claims it
 
 	// lastData is the last time this stream itself made progress
 	// (headers or body), and rxMark the connection's received-byte
@@ -188,6 +190,7 @@ func (mc *muxConn) onHeaders(st *mux.Stream, fields []mux.Field, end bool) {
 			ms.header.Add(f.Name, f.Value)
 		}
 	}
+	ms.keep = wantsBody(&ms.header)
 	if ms.pushed {
 		mc.r.cfg.Obs.SpanFirstByte(ms.span)
 	} else {
@@ -220,7 +223,10 @@ func (mc *muxConn) onStreamData(st *mux.Stream, p []byte, end bool) {
 		}
 		return
 	}
-	ms.body = append(ms.body, p...)
+	ms.bodyLen += len(p)
+	if ms.keep {
+		ms.body = append(ms.body, p...)
+	}
 	if ms.claimed && ms.it.isHTML && ms.status == 200 {
 		// Parse the page as it streams so inline objects start
 		// (or claim their pushes) before the document completes.
@@ -245,11 +251,12 @@ func (mc *muxConn) complete(ms *muxStream) {
 		Reason:     httpmsg.StatusText(ms.status),
 		Header:     ms.header,
 		Body:       ms.body,
+		BodyLen:    ms.bodyLen,
 	}
 	it := ms.it
-	r.cfg.Obs.SpanDone(it.span, ms.status, int64(len(ms.body)))
+	r.cfg.Obs.SpanDone(it.span, ms.status, int64(ms.bodyLen))
 	if ms.pushed {
-		r.cfg.Obs.SpanDone(ms.span, ms.status, int64(len(ms.body)))
+		r.cfg.Obs.SpanDone(ms.span, ms.status, int64(ms.bodyLen))
 	}
 	r.cpu.Run(r.cfg.PerRequestCPU, func() {
 		r.handleResponse(nil, it, resp)
@@ -292,7 +299,7 @@ func (mc *muxConn) onRstStream(st *mux.Stream) {
 	if ms.pushed && !ms.claimed {
 		r.result.StreamsReset++
 		r.cfg.Obs.StreamReset(mc.conn.ObsID(), st.ID, st.ResetCode.String())
-		r.result.PushWastedBytes += int64(len(ms.body))
+		r.result.PushWastedBytes += int64(ms.bodyLen)
 		ms.cancelled = true
 		delete(mc.promised, ms.path)
 		return
@@ -327,7 +334,7 @@ func (mc *muxConn) onGoaway(last uint32, code mux.ErrCode) {
 func (mc *muxConn) requeueStream(ms *muxStream, chargeBudget bool) {
 	r := mc.r
 	p := r.cfg.Recovery
-	r.result.WastedBytes += int64(len(ms.body))
+	r.result.WastedBytes += int64(ms.bodyLen)
 	if p != nil && !r.recovering {
 		r.recovering = true
 		r.recoverFrom = r.sim.Now()
@@ -505,7 +512,7 @@ func (mc *muxConn) finish() {
 		}
 		if ms.pushed && !ms.claimed && !ms.cancelled {
 			// Promised, delivered (fully or partly), never wanted.
-			mc.r.result.PushWastedBytes += int64(len(ms.body))
+			mc.r.result.PushWastedBytes += int64(ms.bodyLen)
 		}
 	}
 	mc.fillStats()

@@ -187,7 +187,7 @@ func (r *Robot) dispatch() {
 		// Flush before idle: once the document parse is complete no
 		// further requests can appear, so waiting for the timer would
 		// only lose time (the paper's explicit-flush insight).
-		if c := r.liveConn(); c != nil && len(c.sendBuf) > 0 && !r.htmlPending {
+		if c := r.liveConn(); c != nil && c.conn.Corked() > 0 && !r.htmlPending {
 			c.flush()
 		}
 	} else {
@@ -292,8 +292,22 @@ func (r *Robot) idleConn() *clientConn {
 	return nil
 }
 
+// retainBodies keeps every response body, as the robot did before it
+// counted the ones nothing reads; only the kept-versus-counted test sets it.
+var retainBodies bool
+
+// wantsBody reports whether the robot will read a response's body: a
+// deflate-coded page is inflated and a burst payload decoded, but an
+// identity page is parsed as it streams (BodyChunk), and of everything
+// else, the images above all, only the length is used.
+func wantsBody(h *httpmsg.Header) bool {
+	return retainBodies || h.Get("Content-Encoding") == "deflate" ||
+		h.Get("Content-Type") == mux.BurstContentType
+}
+
 func (r *Robot) dial() *clientConn {
 	cc := &clientConn{r: r}
+	cc.parser.KeepBody = func(head *httpmsg.Response) bool { return wantsBody(&head.Header) }
 	cc.parser.BodyChunk = func(head *httpmsg.Response, chunk []byte) {
 		// Identify the page by its media type: one Feed call can complete
 		// several pipelined responses, so the request queue's head is not
@@ -384,7 +398,8 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 		r.handleBurstResponse(it, resp)
 		return
 	}
-	body := resp.Body
+	// body is nil when wantsBody declined it; size is what arrived.
+	body, size := resp.Body, resp.BodyLen
 	switch resp.StatusCode {
 	case 200:
 		r.result.Responses200++
@@ -395,7 +410,7 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 	default:
 		r.result.ResponsesOther++
 	}
-	r.result.PayloadBytes += int64(len(body))
+	r.result.PayloadBytes += int64(size)
 
 	// First response for an object completes its metadata (size, header
 	// fields, leading bytes) — the quantity range probing accelerates.
@@ -427,8 +442,8 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 	if resp.Header.Get("Content-Encoding") == "deflate" {
 		r.result.DeflateResponses++
 		if decoded, err := flatez.Decompress(body); err == nil {
-			body = decoded
-			r.result.InflatedBytes += int64(len(body))
+			body, size = decoded, len(decoded)
+			r.result.InflatedBytes += int64(size)
 		}
 	}
 
@@ -461,7 +476,7 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 			ContentType:  resp.Header.Get("Content-Type"),
 			ETag:         resp.Header.Get("ETag"),
 			LastModified: resp.Header.Get("Last-Modified"),
-			Size:         len(body),
+			Size:         size,
 		}
 		if it.isHTML {
 			e.Links = append([]string(nil), r.imageURLs...)
@@ -612,7 +627,6 @@ type clientConn struct {
 	parser   httpmsg.ResponseParser
 	inflight []workItem
 
-	sendBuf    []byte
 	flushTimer sim.TimerHandle
 	watchdog   sim.TimerHandle
 	sentFirst  bool
@@ -622,11 +636,10 @@ type clientConn struct {
 	unflushed []obs.SpanID
 }
 
-// enqueuePipelined appends the request to the output buffer and applies
-// the paper's flush policy.
+// enqueuePipelined appends the request to the output buffer (the corked
+// tail of the connection's send buffer) and applies the paper's flush policy.
 func (cc *clientConn) enqueuePipelined(it workItem) {
-	req := cc.r.buildItemRequest(it)
-	cc.sendBuf = append(cc.sendBuf, req.Marshal()...)
+	cc.conn.Cork(cc.r.buildItemRequest(it).AppendTo)
 	cc.inflight = append(cc.inflight, it)
 	cc.parser.PushExpectation(it.method)
 	cc.r.issued++
@@ -639,7 +652,7 @@ func (cc *clientConn) enqueuePipelined(it workItem) {
 	switch {
 	case first && cc.r.cfg.ExplicitFirstFlush:
 		cc.flush()
-	case len(cc.sendBuf) >= cc.r.cfg.BufferSize:
+	case cc.conn.Corked() >= cc.r.cfg.BufferSize:
 		cc.flush()
 	default:
 		cc.armFlushTimer()
@@ -653,24 +666,23 @@ func (cc *clientConn) sendImmediate(it workItem) {
 	cc.parser.PushExpectation(it.method)
 	cc.r.issued++
 	cc.r.cfg.Obs.SpanWritten(it.span, cc.conn.ObsID())
-	cc.conn.Write(req.Marshal())
+	cc.conn.Cork(req.AppendTo)
+	cc.conn.Flush()
 	cc.armWatchdog()
 }
 
 func (cc *clientConn) flush() {
 	cc.flushTimer.Stop()
-	if len(cc.sendBuf) == 0 || cc.dead {
+	if cc.conn.Corked() == 0 || cc.dead {
 		return
 	}
-	buf := cc.sendBuf
-	cc.sendBuf = nil
 	if len(cc.unflushed) > 0 {
 		for _, id := range cc.unflushed {
 			cc.r.cfg.Obs.SpanWritten(id, cc.conn.ObsID())
 		}
 		cc.unflushed = cc.unflushed[:0]
 	}
-	cc.conn.Write(buf)
+	cc.conn.Flush()
 	cc.armWatchdog()
 }
 
@@ -700,7 +712,7 @@ func (cc *clientConn) armWatchdog() {
 
 // Package-level timer thunks keep the per-event path allocation-free.
 func watchdogFire(a any)  { a.(*clientConn).onWatchdog() }
-func flushFire(a any)     { a.(*clientConn).onFlushTimer() }
+func flushFire(a any)     { a.(*clientConn).flush() }
 func robotDispatch(a any) { a.(*Robot).dispatch() }
 
 func (cc *clientConn) onWatchdog() {
@@ -730,8 +742,6 @@ func (cc *clientConn) armFlushTimer() {
 	cc.flushTimer = cc.r.sim.ScheduleArg(cc.r.cfg.FlushTimeout, flushFire, cc)
 }
 
-func (cc *clientConn) onFlushTimer() { cc.flush() }
-
 func (cc *clientConn) onData(c *tcpsim.Conn, data []byte) {
 	cc.r.lastData = cc.r.sim.Now()
 	if len(cc.inflight) > 0 {
@@ -756,7 +766,7 @@ func (cc *clientConn) deliver(resps []*httpmsg.Response) {
 		}
 		it := cc.inflight[0]
 		cc.inflight = cc.inflight[1:]
-		r.cfg.Obs.SpanDone(it.span, resp.StatusCode, int64(len(resp.Body)))
+		r.cfg.Obs.SpanDone(it.span, resp.StatusCode, int64(resp.BodyLen))
 
 		connClose := httpmsg.TokenListContains(resp.Header.Get("Connection"), "close")
 		reusable := r.cfg.KeepAlive && !connClose

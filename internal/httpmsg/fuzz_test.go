@@ -50,7 +50,11 @@ func FuzzRequestParser(f *testing.F) {
 	f.Add([]byte("POST /cgi HTTP/1.0\r\nContent-Length: 5\r\n\r\nhello"), uint8(2))
 	f.Add([]byte("GET /a HTTP/1.1\r\nHost: a\r\n\r\nGET /b HTTP/1.1\r\nHost: a\r\nConnection: close\r\n\r\n"), uint8(7))
 	f.Add([]byte("HEAD /big HTTP/1.1\r\nRange: bytes=0-99\r\n\r\n"), uint8(4))
+	for _, shape := range headShapes {
+		f.Add([]byte(shape), uint8(2))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		checkHeadsAgainstOracle(t, data)
 		whole, wholeErr := feedRequests(data, len(data)+1)
 		n := int(chunk)%16 + 1
 		split, splitErr := feedRequests(data, n)
@@ -124,7 +128,11 @@ func FuzzResponseParser(f *testing.F) {
 	f.Add([]byte("HTTP/1.0 200 OK\r\nLast-Modified: Monday, 07-Jul-97 10:00:00 GMT\r\n\r\nbody until close"), uint8(4), uint8(0))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 9999\r\n\r\n"), uint8(1), uint8(1))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokHTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"), uint8(6), uint8(0))
+	for _, shape := range headShapes {
+		f.Add([]byte(shape), uint8(2), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8, methodBits uint8) {
+		checkHeadsAgainstOracle(t, data)
 		// Up to eight outstanding requests; each bit selects HEAD (which
 		// changes body framing) over GET for the matching slot.
 		methods := make([]string, 8)

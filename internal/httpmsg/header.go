@@ -9,10 +9,7 @@
 // results (Tables 10 and 11).
 package httpmsg
 
-import (
-	"bytes"
-	"strings"
-)
+import "strings"
 
 // Field is a single header field. Name case is preserved for byte-exact
 // output; lookups are case-insensitive.
@@ -25,8 +22,12 @@ type Header struct {
 	fields []Field
 }
 
-// Add appends a field, preserving order and duplicates.
+// Add appends a field, preserving order and duplicates. The first Add
+// reserves room for the eight fields a message here typically carries.
 func (h *Header) Add(name, value string) {
+	if h.fields == nil {
+		h.fields = make([]Field, 0, 8)
+	}
 	h.fields = append(h.fields, Field{Name: name, Value: value})
 }
 
@@ -85,21 +86,23 @@ func (h *Header) Clone() Header {
 	return out
 }
 
-// writeTo serializes the fields, without the blank line that ends a head.
-func (h *Header) writeTo(b *bytes.Buffer) {
+// appendTo serializes the fields onto b, without the blank line that
+// ends a head.
+func (h *Header) appendTo(b []byte) []byte {
 	for _, f := range h.fields {
-		writeField(b, f.Name, f.Value)
+		b = appendField(b, f.Name, f.Value)
 	}
+	return b
 }
 
-func writeField(b *bytes.Buffer, name, value string) {
-	b.WriteString(name)
-	b.WriteString(": ")
-	b.WriteString(value)
-	b.WriteString("\r\n")
+func appendField(b []byte, name, value string) []byte {
+	b = append(b, name...)
+	b = append(b, ": "...)
+	b = append(b, value...)
+	return append(b, "\r\n"...)
 }
 
-// wireSize is the number of bytes writeTo emits.
+// wireSize is the number of bytes appendTo emits.
 func (h *Header) wireSize() int {
 	n := 0
 	for _, f := range h.fields {
@@ -108,7 +111,7 @@ func (h *Header) wireSize() int {
 	return n
 }
 
-// fieldSize is the number of bytes writeField emits, 0 for no field.
+// fieldSize is the number of bytes appendField emits, 0 for no field.
 func fieldSize(name, value string) int {
 	if name == "" {
 		return 0
@@ -119,8 +122,9 @@ func fieldSize(name, value string) int {
 // TokenListContains reports whether a comma-separated header value (e.g.
 // Connection or Accept-Encoding) contains token, case-insensitively.
 func TokenListContains(value, token string) bool {
-	for _, part := range strings.Split(value, ",") {
-		if strings.EqualFold(strings.TrimSpace(part), token) {
+	for more := true; more; {
+		var part string
+		if part, value, more = strings.Cut(value, ","); strings.EqualFold(strings.TrimSpace(part), token) {
 			return true
 		}
 	}
@@ -136,8 +140,9 @@ func ETagMatch(headerVal, etag string) bool {
 	if strings.TrimSpace(headerVal) == "*" {
 		return true
 	}
-	for _, part := range strings.Split(headerVal, ",") {
-		if strings.TrimSpace(part) == etag {
+	for more := true; more; {
+		var part string
+		if part, headerVal, more = strings.Cut(headerVal, ","); strings.TrimSpace(part) == etag {
 			return true
 		}
 	}

@@ -1,7 +1,7 @@
 package httpmsg
 
 import (
-	"bytes"
+	"slices"
 	"strconv"
 )
 
@@ -22,27 +22,29 @@ type Request struct {
 
 // Marshal serializes the request. If a body is present a Content-Length
 // field is added unless already set.
-func (r *Request) Marshal() []byte {
+func (r *Request) Marshal() []byte { return r.AppendTo(nil) }
+
+// AppendTo appends the request's serialization to dst, growing it at most
+// once: a sender marshals straight into its output buffer.
+func (r *Request) AppendTo(dst []byte) []byte {
 	var length string
 	if len(r.Body) > 0 && !r.Header.Has("Content-Length") {
 		length = strconv.Itoa(len(r.Body))
 	}
-	var b bytes.Buffer
-	b.Grow(len(r.Method) + len(r.Target) + len(r.Proto) + 4 +
-		r.Header.wireSize() + fieldSize("Content-Length", length) + 2 + len(r.Body))
-	b.WriteString(r.Method)
-	b.WriteByte(' ')
-	b.WriteString(r.Target)
-	b.WriteByte(' ')
-	b.WriteString(r.Proto)
-	b.WriteString("\r\n")
-	r.Header.writeTo(&b)
+	b := slices.Grow(dst, len(r.Method)+len(r.Target)+len(r.Proto)+4+
+		r.Header.wireSize()+fieldSize("Content-Length", length)+2+len(r.Body))
+	b = append(b, r.Method...)
+	b = append(b, ' ')
+	b = append(b, r.Target...)
+	b = append(b, ' ')
+	b = append(b, r.Proto...)
+	b = append(b, "\r\n"...)
+	b = r.Header.appendTo(b)
 	if length != "" {
-		writeField(&b, "Content-Length", length)
+		b = appendField(b, "Content-Length", length)
 	}
-	b.WriteString("\r\n")
-	b.Write(r.Body)
-	return b.Bytes()
+	b = append(b, "\r\n"...)
+	return append(b, r.Body...)
 }
 
 // WireSize returns the serialized size in bytes.
@@ -68,6 +70,9 @@ type Response struct {
 	Reason     string
 	Header     Header
 	Body       []byte
+	// BodyLen is set by ResponseParser: the body bytes received, len(Body)
+	// unless its KeepBody declined them. Marshal ignores it.
+	BodyLen int
 	// Chunked selects chunked transfer coding on Marshal (HTTP/1.1 only).
 	Chunked bool
 	// NoBodyLength leaves the body length undeclared: HTTP/1.0 style
@@ -118,7 +123,11 @@ func (r *Response) Marshal() []byte { return r.MarshalFor("GET") }
 
 // MarshalFor serializes the response as the reply to the given request
 // method: HEAD responses carry headers only.
-func (r *Response) MarshalFor(method string) []byte {
+func (r *Response) MarshalFor(method string) []byte { return r.AppendFor(nil, method) }
+
+// AppendFor appends what MarshalFor returns to dst: a server marshals
+// straight into the buffer it hands to TCP.
+func (r *Response) AppendFor(dst []byte, method string) []byte {
 	// The framing field this serialization adds after the header's own,
 	// and the body bytes that follow the head.
 	var name, value string
@@ -143,52 +152,44 @@ func (r *Response) MarshalFor(method string) []byte {
 		value = strconv.Itoa(len(r.Body))
 	}
 
-	var b bytes.Buffer
 	size := len(r.Proto) + len(r.Reason) + 8 + r.Header.wireSize() + fieldSize(name, value) + 2 + len(body)
 	if chunked {
 		size += chunkedOverhead(len(body), defaultChunkSize)
 	}
-	b.Grow(size)
-	b.WriteString(r.Proto)
-	b.WriteByte(' ')
-	writeInt(&b, r.StatusCode, 10)
-	b.WriteByte(' ')
-	b.WriteString(r.Reason)
-	b.WriteString("\r\n")
-	r.Header.writeTo(&b)
+	b := slices.Grow(dst, size)
+	b = append(b, r.Proto...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(r.StatusCode), 10)
+	b = append(b, ' ')
+	b = append(b, r.Reason...)
+	b = append(b, "\r\n"...)
+	b = r.Header.appendTo(b)
 	if name != "" {
-		writeField(&b, name, value)
+		b = appendField(b, name, value)
 	}
-	b.WriteString("\r\n")
+	b = append(b, "\r\n"...)
 	if chunked {
-		writeChunked(&b, body, defaultChunkSize)
-	} else {
-		b.Write(body)
+		return appendChunked(b, body, defaultChunkSize)
 	}
-	return b.Bytes()
+	return append(b, body...)
 }
 
 const defaultChunkSize = 4096
 
-// writeChunked emits body in chunked transfer coding.
-func writeChunked(b *bytes.Buffer, body []byte, chunkSize int) {
+// appendChunked emits body in chunked transfer coding.
+func appendChunked(b, body []byte, chunkSize int) []byte {
 	for len(body) > 0 {
 		n := min(len(body), chunkSize)
-		writeInt(b, n, 16)
-		b.WriteString("\r\n")
-		b.Write(body[:n])
-		b.WriteString("\r\n")
+		b = strconv.AppendInt(b, int64(n), 16)
+		b = append(b, "\r\n"...)
+		b = append(b, body[:n]...)
+		b = append(b, "\r\n"...)
 		body = body[n:]
 	}
-	b.WriteString("0\r\n\r\n")
+	return append(b, "0\r\n\r\n"...)
 }
 
-// writeInt appends n in the given base without an intermediate string.
-func writeInt(b *bytes.Buffer, n, base int) {
-	b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(n), base))
-}
-
-// chunkedOverhead bounds the bytes writeChunked adds around n body
+// chunkedOverhead bounds the bytes appendChunked adds around n body
 // bytes: a size line of up to 16 hex digits and two CRLFs per chunk, and
 // the last-chunk marker.
 func chunkedOverhead(n, chunkSize int) int {
@@ -202,8 +203,5 @@ func EncodeChunked(body []byte, chunkSize int) []byte {
 	if chunkSize <= 0 {
 		chunkSize = defaultChunkSize
 	}
-	var b bytes.Buffer
-	b.Grow(len(body) + chunkedOverhead(len(body), chunkSize))
-	writeChunked(&b, body, chunkSize)
-	return b.Bytes()
+	return appendChunked(make([]byte, 0, len(body)+chunkedOverhead(len(body), chunkSize)), body, chunkSize)
 }

@@ -105,3 +105,114 @@ func TestMarshalAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+// A parsed head costs three allocations — its string, the message and
+// the field list sized from the line count — however many fields it has
+// (the split-and-append parser took eleven for a server's usual eight).
+func TestParsedHeadAllocations(t *testing.T) {
+	resp := NewResponse(Proto11, 304)
+	req := &Request{Method: "GET", Target: "/images/x.gif", Proto: Proto11}
+	for i := 0; i < 12; i++ {
+		resp.Header.Add(fmt.Sprintf("X-Field-%d", i), "value")
+		req.Header.Add(fmt.Sprintf("X-Field-%d", i), "value")
+	}
+	respHead, reqHead := resp.Marshal(), req.Marshal()
+	if n := testing.AllocsPerRun(50, func() { parseResponseHead(respHead) }); n > 3 {
+		t.Errorf("parsing a response head allocates %v times, want at most 3", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { parseRequestHead(reqHead) }); n > 3 {
+		t.Errorf("parsing a request head allocates %v times, want at most 3", n)
+	}
+}
+
+// A body KeepBody declines costs nothing in the two framings the
+// simulated servers use: it is counted where TCP left it and still
+// streamed to BodyChunk, and the parser allocates what the same response
+// costs with an empty body. (A chunked body is counted too, but a chunk
+// that spans segments waits in the stream buffer and each size line is
+// parsed from a string; nothing here sends one.)
+func TestDiscardedBodyCostsNothing(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 30000)
+	for name, shape := range map[string]func(*Response){
+		"length":      func(*Response) {},
+		"chunked":     func(r *Response) { r.Chunked = true },
+		"until-close": func(r *Response) { r.NoBodyLength = true },
+	} {
+		wire := map[bool][]byte{}
+		for _, full := range []bool{false, true} {
+			resp := NewResponse(Proto11, 200)
+			resp.Header.Add("Content-Type", "image/gif")
+			if shape(resp); full {
+				resp.Body = body
+			}
+			wire[full] = resp.Marshal()
+		}
+		var streamed int
+		var got *Response
+		parse := func(wire []byte) func() {
+			return func() {
+				p := ResponseParser{
+					KeepBody:  func(*Response) bool { return false },
+					BodyChunk: func(_ *Response, chunk []byte) { streamed += len(chunk) },
+				}
+				p.PushExpectation("GET")
+				streamed, got = 0, nil
+				for off := 0; off < len(wire); off += 1460 {
+					if out, _ := p.Feed(wire[off:min(off+1460, len(wire))]); len(out) == 1 {
+						got = out[0]
+					}
+				}
+				if got == nil {
+					got, _ = p.CloseEOF()
+				}
+			}
+		}
+		empty := testing.AllocsPerRun(20, parse(wire[false]))
+		full := testing.AllocsPerRun(20, parse(wire[true]))
+		if full > empty && name != "chunked" {
+			t.Errorf("%s: a discarded %d-byte body cost %v allocations (%v with it, %v without)",
+				name, len(body), full-empty, full, empty)
+		}
+		if got == nil || got.Body != nil || got.BodyLen != len(body) || streamed != len(body) {
+			t.Errorf("%s: discarded body: response %+v, %d bytes streamed; want nil Body, BodyLen and stream of %d",
+				name, got, streamed, len(body))
+		}
+	}
+}
+
+// Pending is documented as the bytes of the in-progress response, but
+// the body count is only reset by the next head: between responses it
+// still reports the last completed body. The robot adds Pending to
+// WastedBytes when a connection dies with requests outstanding, which is
+// where the 49.2 KB "Waste" of the early-close HTTP/1.1 rows of
+// faults_golden.txt comes from although nothing was fetched twice. This
+// test pins the quirk — with bodies kept and with bodies counted — so
+// that it is changed on purpose (ROADMAP item 3, with the goldens), not
+// by a refactoring.
+func TestPendingCountsLastCompletedBody(t *testing.T) {
+	first := NewResponse(Proto11, 200)
+	first.Body = bytes.Repeat([]byte("x"), 5000)
+	second := NewResponse(Proto11, 200)
+	second.Body = []byte("0123456789")
+	secondWire := second.Marshal()
+	for _, keep := range []bool{true, false} {
+		p := ResponseParser{KeepBody: func(*Response) bool { return keep }}
+		p.PushExpectation("GET")
+		p.PushExpectation("GET")
+		if out, err := p.Feed(first.Marshal()); err != nil || len(out) != 1 {
+			t.Fatalf("keep=%v: Feed = %v, %v", keep, out, err)
+		}
+		if p.Pending() != 5000 {
+			t.Errorf("keep=%v: Pending between responses = %d, want the 5000 bytes of the completed body (the pinned quirk)", keep, p.Pending())
+		}
+		// The next head resets the count; from then on Pending is what
+		// its comment says.
+		cut := len(secondWire) - 4
+		if out, err := p.Feed(secondWire[:cut]); err != nil || len(out) != 0 {
+			t.Fatalf("keep=%v: Feed = %v, %v", keep, out, err)
+		}
+		if p.Pending() != 6 {
+			t.Errorf("keep=%v: Pending inside the second body = %d, want its 6 bytes so far", keep, p.Pending())
+		}
+	}
+}

@@ -1,51 +1,53 @@
 package httpmsg
 
-// stream is the parsers' input buffer: bytes are appended at the tail
-// and consumed from a moving read offset. Unlike the old idiom of
-// re-slicing the buffer forward (`buf = buf[n:]`), consuming never
-// discards the array's prefix, so a long-lived connection parses an
-// arbitrary number of messages with a single steady-state allocation:
-// the buffer rewinds to the start whenever it empties, and compacts
-// before it would otherwise have to grow.
+// stream is the parsers' input buffer: a Feed pushes its bytes, the
+// parser consumes from the front, and what is left when the Feed returns
+// waits for the next one. A push onto an empty stream borrows the
+// caller's slice instead of copying it, so bytes consumed in the same
+// Feed (every complete head, every body byte) are read where TCP left
+// them; settle, before Feed returns, copies only the remainder (a partial
+// head or chunk-size line) into the stream's own array, which is reused
+// for the life of the connection.
 type stream struct {
-	data []byte
-	off  int
+	data []byte // unconsumed bytes: the tail of own, or the caller's slice while lent
+	own  []byte
+	lent bool
 }
 
 // bytes returns the unconsumed region. The slice is invalidated by the
-// next push or advance.
-func (s *stream) bytes() []byte { return s.data[s.off:] }
+// next push, advance or settle.
+func (s *stream) bytes() []byte { return s.data }
 
 // len returns the number of unconsumed bytes.
-func (s *stream) len() int { return len(s.data) - s.off }
+func (s *stream) len() int { return len(s.data) }
 
 // push appends p to the buffer.
 func (s *stream) push(p []byte) {
-	if s.off == len(s.data) {
-		// Empty: rewind to the array start.
-		s.data = s.data[:0]
-		s.off = 0
-	} else if s.off > 0 && len(s.data)+len(p) > cap(s.data) {
+	if len(s.data) == 0 {
+		s.data, s.lent = p, true
+		return
+	}
+	off := len(s.own) - len(s.data)
+	if off > 0 && len(s.own)+len(p) > cap(s.own) {
 		// Would grow: slide the live region down first so the existing
 		// array is reused whenever the consumed prefix makes room.
-		n := copy(s.data, s.data[s.off:])
-		s.data = s.data[:n]
-		s.off = 0
+		s.own = s.own[:copy(s.own, s.data)]
+		off = 0
 	}
-	s.data = append(s.data, p...)
+	s.own = append(s.own, p...)
+	s.data = s.own[off:]
+}
+
+// settle ends a borrow: the caller may reuse its slice afterwards.
+func (s *stream) settle() {
+	if s.lent {
+		s.own = append(s.own[:0], s.data...)
+		s.data, s.lent = s.own, false
+	}
 }
 
 // advance consumes n bytes.
-func (s *stream) advance(n int) {
-	s.off += n
-	if s.off == len(s.data) {
-		s.data = s.data[:0]
-		s.off = 0
-	}
-}
+func (s *stream) advance(n int) { s.data = s.data[n:] }
 
 // reset discards all unconsumed bytes.
-func (s *stream) reset() {
-	s.data = s.data[:0]
-	s.off = 0
-}
+func (s *stream) reset() { s.data = s.data[:0] }

@@ -215,8 +215,6 @@ type serverConn struct {
 	mux        *muxServerConn
 	muxDecided bool
 	preBuf     []byte
-
-	outBuf []byte
 }
 
 func newServerConn(srv *Server, c *tcpsim.Conn) tcpsim.Handler {
@@ -303,7 +301,6 @@ func (sc *serverConn) onPeerClose(c *tcpsim.Conn) {
 	// Client finished sending. Once all pending work drains, close our
 	// half too.
 	if !sc.processing && len(sc.pending) == 0 {
-		sc.flush()
 		sc.close()
 	}
 }
@@ -348,13 +345,13 @@ func (sc *serverConn) serve(req *httpmsg.Request) {
 		resp.Header.Add("Connection", "close")
 	}
 
-	body := resp.MarshalFor(req.Method)
-	sc.srv.stats.BytesOut += int64(len(body))
-	sc.outBuf = append(sc.outBuf, body...)
-	// Buffering policy from the paper: flush when the buffer is full or
-	// when there are no more requests coming in on the connection.
-	if len(sc.outBuf) >= sc.srv.cfg.ResponseBufferSize || (len(sc.pending) == 0 && sc.parser.Buffered() == 0) {
-		sc.flush()
+	// The output buffer is the corked tail of the connection's send
+	// buffer: the response is marshalled straight into it. Buffering
+	// policy from the paper: flush when the buffer is full or when there
+	// are no more requests coming in on the connection.
+	sc.srv.stats.BytesOut += int64(sc.conn.Cork(func(b []byte) []byte { return resp.AppendFor(b, req.Method) }))
+	if sc.conn.Corked() >= sc.srv.cfg.ResponseBufferSize || (len(sc.pending) == 0 && sc.parser.Buffered() == 0) {
+		sc.conn.Flush()
 	}
 
 	if lastOnConn || clientClose {
@@ -365,7 +362,6 @@ func (sc *serverConn) serve(req *httpmsg.Request) {
 				b.Fault(sc.conn.ObsID(), "early-close", int64(sc.served))
 			}
 		}
-		sc.flush()
 		sc.close()
 		return
 	}
@@ -373,7 +369,6 @@ func (sc *serverConn) serve(req *httpmsg.Request) {
 	// If the client already half-closed and everything is served, finish
 	// our half too.
 	if !sc.processing && len(sc.pending) == 0 && sc.conn.State() == tcpsim.StateCloseWait {
-		sc.flush()
 		sc.close()
 	}
 }
@@ -387,7 +382,7 @@ func (sc *serverConn) injectFault(req *httpmsg.Request, resp *httpmsg.Response) 
 	sc.srv.faultSeq++
 	seq := sc.srv.faultSeq
 	fire := func(kind string, body []byte) {
-		sc.flush()
+		sc.conn.Flush()
 		if len(body) > 0 {
 			sc.srv.stats.BytesOut += int64(len(body))
 			sc.conn.Write(body)
@@ -591,23 +586,14 @@ func parseRange(h string, size int) (lo, hi int, ok bool) {
 	return loV, hiV, true
 }
 
-// flush writes the buffered responses to the connection.
-func (sc *serverConn) flush() {
-	if len(sc.outBuf) == 0 {
-		return
-	}
-	sc.conn.Write(sc.outBuf)
-	sc.outBuf = nil
-}
-
-// close ends the connection: gracefully (half-close, drain) by default,
-// or naively (both halves) in NaiveClose mode.
+// close ends the connection, which flushes the buffered responses first:
+// gracefully (half-close, drain) by default, or naively (both halves) in
+// NaiveClose mode.
 func (sc *serverConn) close() {
 	if sc.closing {
 		return
 	}
 	sc.closing = true
-	sc.flush()
 	if sc.srv.cfg.NaiveClose {
 		sc.conn.Close()
 		return

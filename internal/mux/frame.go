@@ -145,20 +145,25 @@ func AppendFrame(b []byte, t FrameType, flags uint8, streamID uint32, payload []
 // stream: Feed accepts any split of the stream (single bytes, whole
 // connections) and returns the frames completed so far.
 type FrameReader struct {
-	buf  []byte
-	dead error
+	buf    []byte  // buf[off:] is the incomplete frame carried to the next Feed
+	off    int     // bytes of buf the last Feed's frames consumed
+	frames []Frame // the slice Feed returns, reused
+	dead   error
 }
 
 // Feed appends data and returns every complete frame now available.
-// The returned frames' Payload slices alias the reader's buffer and
-// are valid only until the next Feed. Once Feed returns an error the
-// reader is dead and all further calls return the same error.
+// The returned slice and its frames' Payloads alias the reader's
+// buffers and are valid only until the next Feed. Once Feed returns an
+// error the reader is dead and all further calls return the same error.
 func (r *FrameReader) Feed(data []byte) ([]Frame, error) {
 	if r.dead != nil {
 		return nil, r.dead
 	}
-	r.buf = append(r.buf, data...)
-	var frames []Frame
+	// The previous batch is dead now, so its bytes can be overwritten:
+	// slide the carried remnant to the front and append, and the one
+	// array serves the whole connection.
+	r.buf = append(r.buf[:copy(r.buf, r.buf[r.off:])], data...)
+	frames := r.frames[:0]
 	off := 0
 	for {
 		rest := r.buf[off:]
@@ -168,11 +173,11 @@ func (r *FrameReader) Feed(data []byte) ([]Frame, error) {
 		n := int(rest[0])<<16 | int(rest[1])<<8 | int(rest[2])
 		if n > MaxFrameLen {
 			r.dead = fmt.Errorf("%w: %d", ErrFrameTooLarge, n)
-			return frames, r.dead
+			break
 		}
 		if rest[5]&0x80 != 0 {
 			r.dead = ErrReservedBit
-			return frames, r.dead
+			break
 		}
 		if len(rest) < HeaderLen+n {
 			break
@@ -185,13 +190,8 @@ func (r *FrameReader) Feed(data []byte) ([]Frame, error) {
 		})
 		off += HeaderLen + n
 	}
-	// Drop the consumed prefix by re-slicing — never by copying
-	// down, which would overwrite the payload bytes the returned
-	// frames alias. The next Feed's append reallocates past the
-	// remnant, so the old array is released once the caller is done
-	// with this batch.
-	r.buf = r.buf[off:]
-	return frames, nil
+	r.off, r.frames = off, frames
+	return frames, r.dead
 }
 
 // CloseCheck reports whether the stream ended cleanly on a frame
@@ -201,8 +201,8 @@ func (r *FrameReader) CloseCheck() error {
 	if r.dead != nil {
 		return r.dead
 	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(r.buf))
+	if n := len(r.buf) - r.off; n != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrTruncated, n)
 	}
 	return nil
 }

@@ -29,8 +29,8 @@ func FuzzFrameParser(f *testing.F) {
 	dialogue = AppendFrame(dialogue, FrameRstStream, 0, 2, []byte{0, 0, 0, 8})
 
 	f.Add(byte(0), dialogue)
-	f.Add(byte(1), dialogue[:len(dialogue)-3])            // truncated mid-frame
-	f.Add(byte(3), dialogue[len(Preface):])               // no preface
+	f.Add(byte(1), dialogue[:len(dialogue)-3])                 // truncated mid-frame
+	f.Add(byte(3), dialogue[len(Preface):])                    // no preface
 	f.Add(byte(0), []byte{0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 1}) // oversized length
 	f.Add(byte(0), []byte{0, 0, 0, 0, 0, 0x80, 0, 0, 1})       // reserved bit
 	f.Add(byte(2), AppendFrame(nil, FrameHeaders, FlagEndHeaders, 3,
@@ -76,19 +76,112 @@ func FuzzFrameParser(f *testing.F) {
 	})
 }
 
+// oracleTable is the dynamic table as it was before the ring: a slice
+// kept newest first by building a fresh one around every insertion.
+// The ring must number, find and evict exactly as it does.
+type oracleTable struct {
+	dyn []Field
+}
+
+func (t *oracleTable) lookup(f Field) (exact int, name int) {
+	for i, s := range staticTable {
+		if s.Name == f.Name {
+			if s.Value == f.Value {
+				return i + 1, 0
+			}
+			if name == 0 {
+				name = i + 1
+			}
+		}
+	}
+	for i, d := range t.dyn {
+		idx := len(staticTable) + i + 1
+		if d.Name == f.Name {
+			if d.Value == f.Value {
+				return idx, 0
+			}
+			if name == 0 {
+				name = idx
+			}
+		}
+	}
+	return 0, name
+}
+
+func (t *oracleTable) at(i int) (Field, bool) {
+	if i >= 1 && i <= len(staticTable) {
+		return staticTable[i-1], true
+	}
+	i -= len(staticTable) + 1
+	if i >= 0 && i < len(t.dyn) {
+		return t.dyn[i], true
+	}
+	return Field{}, false
+}
+
+func (t *oracleTable) insert(f Field) {
+	if len(t.dyn) >= dynTableCap {
+		t.dyn = t.dyn[:dynTableCap-1]
+	}
+	t.dyn = append([]Field{f}, t.dyn...)
+}
+
+// checkTableAgainstOracle inserts fields into a ring table and the
+// slice oracle, unconditionally (so that a long enough list evicts), and
+// demands after every insertion that both find the next field at the
+// same indexes and hold the same field at every wire index, the first
+// one past the table included.
+func checkTableAgainstOracle(t *testing.T, fields []Field) {
+	t.Helper()
+	var ring table
+	var oracle oracleTable
+	for n, f := range fields {
+		ge, gn := ring.lookup(f)
+		we, wn := oracle.lookup(f)
+		if ge != we || gn != wn {
+			t.Fatalf("after %d insertions: lookup(%q=%q) = (%d, %d), oracle (%d, %d)", n, f.Name, f.Value, ge, gn, we, wn)
+		}
+		ring.insert(f)
+		oracle.insert(f)
+		for i := 0; i <= len(staticTable)+dynTableCap+1; i++ {
+			got, err := ring.at(i)
+			want, ok := oracle.at(i)
+			if (err == nil) != ok || got != want {
+				t.Fatalf("after %d insertions: at(%d) = %v, %v; oracle %v, %v", n+1, i, got, err, want, ok)
+			}
+		}
+	}
+}
+
+func TestRingTableMatchesSliceTable(t *testing.T) {
+	var fields []Field
+	for i := 0; i < 2*dynTableCap+7; i++ {
+		// Names repeat (name-only matches, also against the static
+		// table); every third field repeats an earlier pair exactly.
+		f := Field{Name: []string{"etag", "x-a", "x-b"}[i%3], Value: string(rune('a' + i%53))}
+		if i%3 == 2 {
+			f = fields[i/2]
+		}
+		fields = append(fields, f)
+	}
+	checkTableAgainstOracle(t, fields)
+}
+
 // FuzzHeaderCoder drives the HPACK-style header coder from both
 // directions: the raw input is decoded as a hostile header block
 // (must never panic or over-read), and is also deterministically
 // carved into header fields that are encoded and decoded across
 // several blocks on one table pair — the round trip must reproduce
 // the fields exactly, including dynamic-table insertions and
-// evictions.
+// evictions. The same fields drive the ring table against the slice
+// table it replaced; the eviction seed carves into more than
+// dynTableCap of them.
 func FuzzHeaderCoder(f *testing.F) {
 	var enc Encoder
 	f.Add(enc.Encode(nil, []Field{{":method", "GET"}, {":path", "/"}, {"etag", `"x1"`}}))
 	f.Add([]byte{0x81, 0x40, 0x02, 0x01, 'v', 0x00, 0x01, 'n', 0x01, 'w'})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})           // varint overflow
-	f.Add([]byte{0x00, 0x7f, 'a'})                        // string length past block
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})                            // varint overflow
+	f.Add([]byte{0x00, 0x7f, 'a'})                                         // string length past block
 	f.Add(bytes.Repeat([]byte{0x00, 0x01, 'n', 0x01, 'v'}, dynTableCap+4)) // force evictions
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Hostile pass: arbitrary bytes through a fresh decoder.
@@ -115,6 +208,11 @@ func FuzzHeaderCoder(f *testing.F) {
 		if len(fields) > 0 {
 			blocks = append(blocks, fields)
 		}
+		var all []Field
+		for _, b := range blocks {
+			all = append(all, b...)
+		}
+		checkTableAgainstOracle(t, all)
 		var e Encoder
 		var d Decoder
 		for bi, want := range blocks {

@@ -64,15 +64,22 @@ const dynTableCap = 128
 
 // table is the shared static+dynamic index space. Encoder and
 // decoder each own one and keep them synchronized by applying the
-// same deterministic insertion rule to the same field stream.
+// same deterministic insertion rule to the same field stream. The
+// dynamic entries live in a fixed ring read newest first, as HPACK
+// numbers them, so an insertion moves nothing and allocates nothing.
 type table struct {
-	dyn []Field // newest first, as HPACK numbers them
+	ring [dynTableCap]Field
+	head int // ring index of the newest entry
+	n    int // live entries
 }
 
+// dyn returns the dynamic entry at offset i, 0 being the newest.
+func (t *table) dyn(i int) *Field { return &t.ring[(t.head+i)%dynTableCap] }
+
 // lookup returns the 1-based wire index of an exact (name, value)
-// match, or of a name-only match (negated), or 0 if absent. Exact
-// matches win over name matches; static wins over dynamic at equal
-// match strength, keeping indexes stable across connections.
+// match, or of a name-only match, or 0 if absent. Exact matches win
+// over name matches; static wins over dynamic at equal match
+// strength, keeping indexes stable across connections.
 func (t *table) lookup(f Field) (exact int, name int) {
 	for i, s := range staticTable {
 		if s.Name == f.Name {
@@ -84,9 +91,9 @@ func (t *table) lookup(f Field) (exact int, name int) {
 			}
 		}
 	}
-	for i, d := range t.dyn {
-		idx := len(staticTable) + i + 1
-		if d.Name == f.Name {
+	for i := 0; i < t.n; i++ {
+		if d := t.dyn(i); d.Name == f.Name {
+			idx := len(staticTable) + i + 1
 			if d.Value == f.Value {
 				return idx, 0
 			}
@@ -103,21 +110,19 @@ func (t *table) at(i int) (Field, error) {
 	if i >= 1 && i <= len(staticTable) {
 		return staticTable[i-1], nil
 	}
-	i -= len(staticTable) + 1
-	if i >= 0 && i < len(t.dyn) {
-		return t.dyn[i], nil
+	if d := i - len(staticTable) - 1; d >= 0 && d < t.n {
+		return *t.dyn(d), nil
 	}
-	return Field{}, fmt.Errorf("mux: header index %d out of table range", i+len(staticTable)+1)
+	return Field{}, fmt.Errorf("mux: header index %d out of table range", i)
 }
 
 // insert adds f at dynamic index 1, evicting the oldest entry when
 // full. Both sides call this for every literal-encoded field, which
 // is what keeps their tables identical.
 func (t *table) insert(f Field) {
-	if len(t.dyn) >= dynTableCap {
-		t.dyn = t.dyn[:dynTableCap-1]
-	}
-	t.dyn = append([]Field{f}, t.dyn...)
+	t.head = (t.head + dynTableCap - 1) % dynTableCap
+	t.ring[t.head] = f
+	t.n = min(t.n+1, dynTableCap)
 }
 
 // Encoder compresses header blocks. One encoder serves one direction

@@ -151,8 +151,10 @@ type pair struct {
 
 func newPair() *pair {
 	p := &pair{}
-	p.client = NewClient(func(b []byte) { p.toServer = append(p.toServer, b) })
-	p.server = NewServer(func(b []byte) { p.toClient = append(p.toClient, b) })
+	// Send's slice is the session's reused buffer: a queueing transport
+	// copies it, as a TCP write does.
+	p.client = NewClient(func(b []byte) { p.toServer = append(p.toServer, bytes.Clone(b)) })
+	p.server = NewServer(func(b []byte) { p.toClient = append(p.toClient, bytes.Clone(b)) })
 	return p
 }
 
@@ -500,5 +502,68 @@ func TestPeerDeadlockDetector(t *testing.T) {
 	}
 	if got != st {
 		t.Fatalf("PeerDeadlock named stream %d, want %d", got.ID, st.ID)
+	}
+}
+
+// One array serves a connection's worth of frames: once the reader has
+// seen its largest batch, feeding it allocates nothing, however the
+// stream is segmented — and the frames still come out whole.
+func TestFrameReaderReusesItsBuffer(t *testing.T) {
+	var wire []byte
+	for id := uint32(1); id < 40; id += 2 {
+		wire = AppendFrame(wire, FrameHeaders, FlagEndHeaders, id, make([]byte, 24))
+		for i := 0; i < 4; i++ {
+			wire = AppendFrame(wire, FrameData, 0, id, bytes.Repeat([]byte{byte(id)}, DefaultMaxFrameSize))
+		}
+	}
+	var r FrameReader
+	frames, bad := 0, 0
+	pass := func() {
+		frames = 0
+		for off := 0; off < len(wire); off += 1460 {
+			fs, err := r.Feed(wire[off:min(off+1460, len(wire))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range fs {
+				frames++
+				if f.Type == FrameData && (len(f.Payload) != DefaultMaxFrameSize ||
+					bytes.Count(f.Payload, []byte{byte(f.StreamID)}) != DefaultMaxFrameSize) {
+					bad++
+				}
+			}
+		}
+	}
+	pass()
+	if n := testing.AllocsPerRun(5, pass); n != 0 {
+		t.Errorf("a warm FrameReader allocates %v times per page of frames, want 0", n)
+	}
+	if frames != 100 || bad != 0 || r.CloseCheck() != nil {
+		t.Fatalf("%d frames (%d corrupted), CloseCheck %v; want 100 intact on a frame boundary", frames, bad, r.CloseCheck())
+	}
+}
+
+// The session marshals every flush into one buffer it keeps, and queues
+// a stream's body by reference: serving a response costs no allocation
+// per byte once the buffer has grown to the largest batch.
+func TestSessionSendReusesItsBuffer(t *testing.T) {
+	s := NewServer(nil)
+	s.prefaceLeft, s.connSendWindow = 0, MaxWindow
+	sent := 0
+	s.Send = func(b []byte) { sent += len(b) }
+	body := make([]byte, 20*DefaultMaxFrameSize)
+	serve := func(id uint32) {
+		st := s.newStream(id)
+		s.WriteHeaders(st, []Field{{":status", "200"}}, false)
+		s.WriteData(st, body, true)
+	}
+	serve(2)
+	id := uint32(2)
+	perStream := testing.AllocsPerRun(20, func() { id += 2; serve(id) })
+	if perStream > 4 { // the stream, its map and order slots, the header block
+		t.Errorf("serving a stream allocates %v times, want at most 4 and none that scale with the body", perStream)
+	}
+	if want := int(id) / 2 * (HeaderLen + 1 + len(body) + 20*HeaderLen); sent != want {
+		t.Errorf("sent %d bytes, want %d", sent, want)
 	}
 }

@@ -2,7 +2,7 @@ package mux
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Defaults mirror RFC 7540: a 65,535-octet initial flow-control
@@ -64,7 +64,8 @@ func (st *Stream) done() bool {
 type Session struct {
 	// Send transmits marshalled frames. Each public call flushes at
 	// most once, with every frame it generated batched into a single
-	// byte slice.
+	// byte slice: the session's own buffer, valid only until Send
+	// returns (a transport write copies it).
 	Send func([]byte)
 
 	// MaxFrameSize caps outgoing DATA payloads (the interleaving
@@ -131,7 +132,8 @@ type Session struct {
 	goawayRecv     bool
 	failed         bool
 
-	out []byte // frames accumulated by the current public call
+	out    []byte   // frames accumulated by the current public call
+	ackIDs []uint32 // ackWindows' scratch
 }
 
 func newSession(send func([]byte)) *Session {
@@ -231,12 +233,18 @@ func (s *Session) writeHeaderBlock(t FrameType, st *Stream, onID uint32, fields 
 
 // WriteData queues body bytes on st; the scheduler interleaves and
 // flow-controls the actual DATA frames. endStream marks the final
-// write.
+// write. A stream's first write is queued by reference (the bodies
+// served here are a site's immutable objects): p must not be modified
+// until the stream has drained.
 func (s *Session) WriteData(st *Stream, p []byte, endStream bool) {
 	if st.ResetRecv || st.ResetSent {
 		return // peer gave up on this stream; drop the body
 	}
-	st.sendBuf = append(st.sendBuf, p...)
+	if len(st.sendBuf) == 0 {
+		st.sendBuf = p[:len(p):len(p)] // capped: a later write appends elsewhere
+	} else {
+		st.sendBuf = append(st.sendBuf, p...)
+	}
 	if endStream {
 		st.endPending = true
 	}
@@ -631,11 +639,12 @@ func (s *Session) ackWindows() {
 	if len(s.recvAcc) == 0 {
 		return
 	}
-	ids := make([]uint32, 0, len(s.recvAcc))
+	ids := s.ackIDs[:0]
 	for id := range s.recvAcc {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	s.ackIDs = ids
 	for _, id := range ids {
 		st := s.streams[id]
 		if st != nil && !st.recvEnded && !st.ResetSent {
@@ -745,6 +754,9 @@ func (s *Session) flush() {
 	s.out = nil
 	if s.Send != nil {
 		s.Send(b)
+	}
+	if s.out == nil {
+		s.out = b[:0] // unless Send re-entered the session, reuse the buffer
 	}
 }
 

@@ -223,7 +223,6 @@ type proxyConn struct {
 	parser httpmsg.RequestParser
 
 	slots      []*pxSlot
-	outBuf     []byte
 	closing    bool
 	peerClosed bool
 }
@@ -274,7 +273,6 @@ func (pc *proxyConn) onData(c *tcpsim.Conn, data []byte) {
 func (pc *proxyConn) onPeerClose(c *tcpsim.Conn) {
 	pc.peerClosed = true
 	if len(pc.slots) == 0 {
-		pc.flush()
 		pc.close()
 	}
 }
@@ -470,34 +468,25 @@ func (pc *proxyConn) writeReady() {
 		if clientClose {
 			resp.Header.Set("Connection", "close")
 		}
-		body := resp.MarshalFor(slot.req.Method)
 		p.stats.Responses++
-		p.stats.BytesToClient += int64(len(body))
-		pc.outBuf = append(pc.outBuf, body...)
+		p.stats.BytesToClient += int64(pc.conn.Cork(func(b []byte) []byte {
+			return resp.AppendFor(b, slot.req.Method)
+		}))
 		if clientClose {
-			pc.flush()
 			pc.close()
 			return
 		}
 	}
-	// Buffering policy mirrors the origin server: flush when the buffer
-	// is full or when no further pipelined responses are pending.
-	if len(pc.outBuf) >= p.cfg.ResponseBufferSize ||
+	// Buffering policy mirrors the origin server, and like it the output
+	// buffer is the corked tail of the connection's send buffer: flush
+	// when it is full or when no further pipelined responses are pending.
+	if pc.conn.Corked() >= p.cfg.ResponseBufferSize ||
 		(len(pc.slots) == 0 && pc.parser.Buffered() == 0) {
-		pc.flush()
+		pc.conn.Flush()
 	}
 	if pc.peerClosed && len(pc.slots) == 0 {
-		pc.flush()
 		pc.close()
 	}
-}
-
-func (pc *proxyConn) flush() {
-	if len(pc.outBuf) == 0 {
-		return
-	}
-	pc.conn.Write(pc.outBuf)
-	pc.outBuf = nil
 }
 
 func (pc *proxyConn) close() {
@@ -505,8 +494,7 @@ func (pc *proxyConn) close() {
 		return
 	}
 	pc.closing = true
-	pc.flush()
-	pc.conn.CloseWrite()
+	pc.conn.CloseWrite() // flushes the buffered responses first
 }
 
 // upstreamFetch is one origin request awaiting its pipelined response.

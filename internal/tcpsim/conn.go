@@ -23,6 +23,7 @@ type Conn struct {
 	sndMax     uint32
 	sndBase    uint32
 	sndBuf     []byte
+	corked     int // tail bytes of sndBuf that Cork queued and Flush has not released
 	cwnd       int
 	ssthresh   int
 	peerWnd    int
@@ -147,19 +148,6 @@ func (c *Conn) SetNoDelay(v bool) {
 	}
 }
 
-// BufferedSend returns the number of bytes written but not yet transmitted.
-func (c *Conn) BufferedSend() int {
-	unsent := len(c.sndBuf) - int(c.sndNxt-c.sndBase)
-	if c.finSent {
-		// sndNxt includes the FIN sequence slot.
-		unsent = len(c.sndBuf) - int(c.sndNxt-1-c.sndBase)
-	}
-	if unsent < 0 {
-		return 0
-	}
-	return unsent
-}
-
 // Unacked returns the number of payload bytes sent but not acknowledged.
 func (c *Conn) Unacked() int {
 	n := int(c.sndNxt - c.sndUna)
@@ -206,17 +194,46 @@ func (c *Conn) Write(p []byte) error {
 		return c.err
 	}
 	c.sndBuf = append(c.sndBuf, p...)
-	c.totalWritten += int64(len(p))
+	c.totalWritten += int64(len(p) + c.corked)
+	c.corked = 0
 	c.trySend()
 	return nil
 }
 
-// CloseWrite half-closes the sending direction: after all buffered data is
-// transmitted a FIN is sent. Reading continues to work.
+// Cork lets marshal append straight to the send buffer, the one copy a
+// payload byte makes on its way to the wire, and holds those bytes back,
+// queued but not transmitted until the next Flush, Write or CloseWrite:
+// an application output buffer with its own flush policy. It returns the
+// bytes queued, 0 if the connection no longer accepts writes. marshal
+// must only append.
+func (c *Conn) Cork(marshal func(buf []byte) []byte) int {
+	if c.writeClosed || (c.state == StateClosed && c.err != nil) {
+		return 0
+	}
+	before := len(c.sndBuf)
+	c.sndBuf = marshal(c.sndBuf)
+	c.corked += len(c.sndBuf) - before
+	return len(c.sndBuf) - before
+}
+
+// Corked returns the number of bytes Cork is holding back.
+func (c *Conn) Corked() int { return c.corked }
+
+// Flush releases the corked bytes to the transmitter, exactly as one
+// Write of them would; with nothing corked it does nothing.
+func (c *Conn) Flush() {
+	if c.corked > 0 {
+		c.Write(nil)
+	}
+}
+
+// CloseWrite half-closes the sending direction: corked bytes are flushed,
+// and after all buffered data is transmitted a FIN is sent. Reading works on.
 func (c *Conn) CloseWrite() {
 	if c.writeClosed {
 		return
 	}
+	c.Flush()
 	c.writeClosed = true
 	c.finPending = true
 	c.trySend()
@@ -567,12 +584,13 @@ func (c *Conn) trySend() {
 	default:
 		return
 	}
+	end := len(c.sndBuf) - c.corked
 	for !c.finSent {
 		offset := int(c.sndNxt - c.sndBase)
-		if offset < 0 || offset > len(c.sndBuf) {
+		if offset < 0 || offset > end {
 			break
 		}
-		pending := len(c.sndBuf) - offset
+		pending := end - offset
 		if pending <= 0 {
 			break
 		}
@@ -598,7 +616,7 @@ func (c *Conn) trySend() {
 		if n > avail {
 			n = avail
 		}
-		last := offset+n == len(c.sndBuf)
+		last := offset+n == end
 		if n < c.opts.MSS && c.sndNxt != c.sndUna && !c.opts.NoDelay && !(c.finPending && last) {
 			// Nagle: a small segment waits while data is outstanding.
 			if b := c.host.net.Obs; b != nil {
@@ -636,7 +654,7 @@ func (c *Conn) trySend() {
 		c.armRTO()
 	}
 	// Bare FIN when the buffer is fully transmitted.
-	if c.finPending && !c.finSent && int(c.sndNxt-c.sndBase) >= len(c.sndBuf) {
+	if c.finPending && !c.finSent && int(c.sndNxt-c.sndBase) >= end {
 		c.noteResume()
 		c.sendSegment(FlagFIN|FlagACK, c.sndNxt, nil, false)
 		c.markFinSent()

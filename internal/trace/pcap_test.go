@@ -72,7 +72,7 @@ func TestPcapIncludesDroppedPackets(t *testing.T) {
 	// through.
 	drop.Loss = func(i, wireBytes int) bool { return i == 0 }
 	n.ConnectHosts(client, server, netem.NewAsymPath(s, "t", drop, cfg))
-	cap := Attach(n)
+	cap := Attach(n, true)
 	server.Listen(80, tcpsim.Options{}, func(c *tcpsim.Conn) tcpsim.Handler {
 		return &tcpsim.Callbacks{PeerClose: func(c *tcpsim.Conn) { c.CloseWrite() }}
 	})
@@ -139,7 +139,7 @@ func TestDetachRestoresHook(t *testing.T) {
 
 	prior := 0
 	n.PacketHook = func(ev tcpsim.PacketEvent) { prior++ }
-	cap := Attach(n)
+	cap := Attach(n, true)
 	cap.Detach()
 	cap.Detach() // idempotent
 
@@ -162,8 +162,8 @@ func TestDetachRestoresHook(t *testing.T) {
 func TestDetachStackedLIFO(t *testing.T) {
 	s := sim.New()
 	n := tcpsim.NewNetwork(s)
-	a := Attach(n)
-	b := Attach(n)
+	a := Attach(n, true)
+	b := Attach(n, true)
 	b.Detach()
 	// After detaching b, a's hook must be the active head again.
 	n.PacketHook(tcpsim.PacketEvent{})

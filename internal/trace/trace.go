@@ -13,29 +13,70 @@ import (
 	"repro/internal/tcpsim"
 )
 
-// Capture accumulates packet events from a tcpsim.Network.
+// Capture observes the packets of a tcpsim.Network. It always keeps a
+// running tally per directed host pair, which is all Stats needs; the
+// packet events themselves (≈80 KB for a page load) are kept, for
+// Events, Dump, TimeSequence and WritePcap, only if Attach was told to.
 type Capture struct {
 	events   []tcpsim.PacketEvent
+	links    []linkTally // in order of first packet; four on a proxy run
+	retain   bool
 	net      *tcpsim.Network
 	prev     func(tcpsim.PacketEvent)
 	detached bool
 }
 
+// linkTally is the Stats of the packets one host sent to another,
+// Connections counting its SYNs.
+type linkTally struct {
+	from, to string
+	Stats
+}
+
 // Attach installs the capture as the network's packet hook, chaining any
-// hook already present. Call Detach when done so the hook chain does not
-// grow with every capture over a long-lived network; captures must be
-// detached in reverse attach order (LIFO), like deferred cleanups.
-func Attach(n *tcpsim.Network) *Capture {
-	c := &Capture{net: n, prev: n.PacketHook}
+// hook already present; retain keeps the events as well as the tallies.
+// Call Detach when done so the hook chain does not grow with every
+// capture over a long-lived network; captures must be detached in
+// reverse attach order (LIFO), like deferred cleanups.
+func Attach(n *tcpsim.Network, retain bool) *Capture {
+	c := &Capture{net: n, prev: n.PacketHook, retain: retain}
 	n.PacketHook = func(ev tcpsim.PacketEvent) {
 		if !c.detached {
-			c.events = append(c.events, ev)
+			c.record(ev)
 		}
 		if c.prev != nil {
 			c.prev(ev)
 		}
 	}
 	return c
+}
+
+func (c *Capture) record(ev tcpsim.PacketEvent) {
+	if c.retain {
+		c.events = append(c.events, ev)
+	}
+	from, to := ev.Seg.From.Host, ev.Seg.To.Host
+	i := 0
+	for i < len(c.links) && (c.links[i].from != from || c.links[i].to != to) {
+		i++
+	}
+	if i == len(c.links) {
+		c.links = append(c.links, linkTally{from: from, to: to, Stats: Stats{First: ev.Time}})
+	}
+	l := &c.links[i]
+	l.Packets++
+	l.PayloadBytes += int64(len(ev.Seg.Payload))
+	l.WireBytes += int64(ev.WireBytes)
+	if ev.Retrans {
+		l.Retransmissions++
+	}
+	if ev.Dropped {
+		l.Dropped++
+	}
+	if ev.Seg.Flags&tcpsim.FlagSYN != 0 && ev.Seg.Flags&tcpsim.FlagACK == 0 {
+		l.Connections++
+	}
+	l.Last = ev.Time
 }
 
 // Detach removes the capture from the network's hook chain, restoring
@@ -53,11 +94,12 @@ func (c *Capture) Detach() {
 	}
 }
 
-// Events returns the captured packet events in transmission order.
+// Events returns the captured packet events in transmission order, nil
+// for a capture attached without retention.
 func (c *Capture) Events() []tcpsim.PacketEvent { return c.events }
 
-// Reset discards captured events.
-func (c *Capture) Reset() { c.events = c.events[:0] }
+// Reset discards captured events and tallies.
+func (c *Capture) Reset() { c.events, c.links = c.events[:0], c.links[:0] }
 
 // Stats summarizes a capture in the paper's terms.
 type Stats struct {
@@ -99,58 +141,41 @@ func (s Stats) Elapsed() sim.Duration { return s.Last.Sub(s.First) }
 
 // Stats computes summary statistics, treating clientHost as the
 // measurement point for direction labelling.
-func (c *Capture) Stats(clientHost string) Stats {
-	return c.stats(clientHost, "")
-}
+func (c *Capture) Stats(clientHost string) Stats { return c.StatsBetween(clientHost, "") }
 
 // StatsBetween restricts the summary to packets exchanged between the
-// two named hosts, labelling direction from clientHost's point of view.
-// In a multi-hop topology (client → proxy → origin) this is the tcpdump
-// placed on one link: StatsBetween("client", "proxy") sees the last
-// mile, StatsBetween("proxy", "server") the upstream side.
+// two named hosts (every packet when serverHost is ""), labelling
+// direction from clientHost's point of view. In a multi-hop topology
+// (client → proxy → origin) this is the tcpdump placed on one link:
+// StatsBetween("client", "proxy") sees the last mile,
+// StatsBetween("proxy", "server") the upstream side. Packets are tallied
+// in virtual-time order, so the earliest First and the latest Last among
+// the pairs bound the capture.
 func (c *Capture) StatsBetween(clientHost, serverHost string) Stats {
-	return c.stats(clientHost, serverHost)
-}
-
-// stats walks the capture; serverHost == "" means no pair filtering.
-func (c *Capture) stats(clientHost, serverHost string) Stats {
 	var s Stats
-	first := true
-	for _, ev := range c.events {
-		if serverHost != "" {
-			from, to := ev.Seg.From.Host, ev.Seg.To.Host
-			if !(from == clientHost && to == serverHost) &&
-				!(from == serverHost && to == clientHost) {
-				continue
-			}
+	for _, l := range c.links {
+		fromClient := l.from == clientHost
+		if serverHost != "" && !(fromClient && l.to == serverHost) &&
+			!(l.from == serverHost && l.to == clientHost) {
+			continue
 		}
-		s.Packets++
-		s.PayloadBytes += int64(len(ev.Seg.Payload))
-		s.WireBytes += int64(ev.WireBytes)
-		if ev.Seg.From.Host == clientHost {
-			s.ClientToServer++
+		if s.Packets == 0 || l.First < s.First {
+			s.First = l.First
+		}
+		s.Last = max(s.Last, l.Last)
+		s.Packets += l.Packets
+		s.PayloadBytes += l.PayloadBytes
+		s.WireBytes += l.WireBytes
+		s.Retransmissions += l.Retransmissions
+		s.Dropped += l.Dropped
+		if fromClient {
+			s.ClientToServer += l.Packets
+			s.RetransC2S += l.Retransmissions
+			s.Connections += l.Connections
 		} else {
-			s.ServerToClient++
+			s.ServerToClient += l.Packets
+			s.RetransS2C += l.Retransmissions
 		}
-		if ev.Retrans {
-			s.Retransmissions++
-			if ev.Seg.From.Host == clientHost {
-				s.RetransC2S++
-			} else {
-				s.RetransS2C++
-			}
-		}
-		if ev.Dropped {
-			s.Dropped++
-		}
-		if ev.Seg.Flags&tcpsim.FlagSYN != 0 && ev.Seg.Flags&tcpsim.FlagACK == 0 && ev.Seg.From.Host == clientHost {
-			s.Connections++
-		}
-		if first {
-			s.First = ev.Time
-			first = false
-		}
-		s.Last = ev.Time
 	}
 	return s
 }

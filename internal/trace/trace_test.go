@@ -22,7 +22,7 @@ func runExchange(t *testing.T) (*Capture, *sim.Simulator) {
 	server := n.AddHost("server")
 	cfg := netem.Config{PropagationDelay: time.Millisecond}
 	n.ConnectHosts(client, server, netem.NewAsymPath(s, "t", cfg, cfg))
-	cap := Attach(n)
+	cap := Attach(n, true)
 
 	server.Listen(80, tcpsim.Options{}, func(c *tcpsim.Conn) tcpsim.Handler {
 		return &tcpsim.Callbacks{
@@ -142,7 +142,7 @@ func TestHookChaining(t *testing.T) {
 	n.ConnectHosts(client, server, netem.NewAsymPath(s, "t", cfg, cfg))
 	prior := 0
 	n.PacketHook = func(ev tcpsim.PacketEvent) { prior++ }
-	cap := Attach(n)
+	cap := Attach(n, true)
 	server.Listen(80, tcpsim.Options{}, func(c *tcpsim.Conn) tcpsim.Handler {
 		return &tcpsim.Callbacks{PeerClose: func(c *tcpsim.Conn) { c.CloseWrite() }}
 	})
@@ -193,5 +193,46 @@ func TestWriteXplot(t *testing.T) {
 				t.Fatalf("absolute sequence leaked into plot: %s", ln)
 			}
 		}
+	}
+}
+
+// A capture attached without retention reports the statistics of one
+// that keeps every event, and keeps none: nothing to list, dump, plot or
+// write to a pcap but the file header.
+func TestTallyOnlyCapture(t *testing.T) {
+	s := sim.New()
+	n := tcpsim.NewNetwork(s)
+	client := n.AddHost("client")
+	server := n.AddHost("server")
+	cfg := netem.Config{PropagationDelay: time.Millisecond}
+	n.ConnectHosts(client, server, netem.NewAsymPath(s, "t", cfg, cfg))
+	kept := Attach(n, true)
+	tallied := Attach(n, false)
+	server.Listen(80, tcpsim.Options{}, func(c *tcpsim.Conn) tcpsim.Handler {
+		return &tcpsim.Callbacks{Data: func(c *tcpsim.Conn, d []byte) { c.Write(make([]byte, 3000)); c.CloseWrite() }}
+	})
+	client.Dial("server", 80, tcpsim.Options{}, &tcpsim.Callbacks{
+		Connect:   func(c *tcpsim.Conn) { c.Write(make([]byte, 100)) },
+		PeerClose: func(c *tcpsim.Conn) { c.CloseWrite() },
+	})
+	s.Run()
+	if len(kept.Events()) == 0 || tallied.Events() != nil || len(tallied.TimeSequence("server")) != 0 {
+		t.Fatalf("kept capture has %d events, tally-only capture %d", len(kept.Events()), len(tallied.Events()))
+	}
+	for _, host := range []string{"client", "server"} {
+		if got, want := tallied.Stats(host), kept.Stats(host); got != want || got.Packets == 0 {
+			t.Errorf("Stats(%q): tally-only %+v, retained %+v", host, got, want)
+		}
+	}
+	if got := tallied.StatsBetween("client", "nobody"); got != (Stats{}) {
+		t.Errorf("StatsBetween an absent pair = %+v, want zero", got)
+	}
+	var pcap bytes.Buffer
+	if err := tallied.WritePcap(&pcap); err != nil || pcap.Len() != 24 {
+		t.Errorf("tally-only pcap: %d bytes, err %v; want the 24-byte file header", pcap.Len(), err)
+	}
+	tallied.Reset()
+	if got := tallied.Stats("client"); got != (Stats{}) {
+		t.Errorf("Stats after Reset = %+v, want zero", got)
 	}
 }

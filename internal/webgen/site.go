@@ -33,6 +33,10 @@ type Site struct {
 	// with the site; Revise and CSSified return new sites with their own.
 	deflateOnce sync.Once
 	deflated    map[string][]byte
+
+	// pageLinks, likewise, is built by the first PageLinks call.
+	linksOnce sync.Once
+	pageLinks []string
 }
 
 // Options tunes site synthesis.
@@ -127,6 +131,16 @@ func (s *Site) Deflated(path string) ([]byte, bool) {
 	})
 	body, ok := s.deflated[path]
 	return body, ok
+}
+
+// PageLinks returns the page's inline links as extract finds them in its
+// HTML. Like Deflated, the list is computed by the first call and shared,
+// unmodified, for the life of the site; safe for concurrent use. The
+// extractor is the caller's (the HTML parser's own tests build their
+// pages with this package); every caller must pass the same pure function.
+func (s *Site) PageLinks(extract func(html []byte) []string) []string {
+	s.linksOnce.Do(func() { s.pageLinks = extract(s.HTML.Body) })
+	return s.pageLinks
 }
 
 // Paths lists all resource paths, page first.

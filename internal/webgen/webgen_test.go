@@ -547,3 +547,44 @@ func TestMicroscapeHTMLMatchesSite(t *testing.T) {
 		t.Errorf("MicroscapeHTML(%+v) differs from that site's page", opts)
 	}
 }
+
+// The page's link list is the same kind of artifact: extracted once
+// however many callers race for it, from the site's own page, shared by
+// all of them, and a revised site has its own.
+func TestPageLinksExtractedOncePerSite(t *testing.T) {
+	s := site(t)
+	revised, err := s.Revise(0.3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var pages [][]byte
+	extract := func(html []byte) []string {
+		mu.Lock()
+		defer mu.Unlock()
+		pages = append(pages, html)
+		return []string{"/a", "/b"}
+	}
+	got := make([][]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = revised.PageLinks(extract)
+		}(i)
+	}
+	wg.Wait()
+	for i, l := range got {
+		if len(l) != 2 || &l[0] != &got[0][0] {
+			t.Fatalf("caller %d got its own list", i)
+		}
+	}
+	s.PageLinks(extract)
+	if len(pages) != 2 || !bytes.Equal(pages[0], revised.HTML.Body) || !bytes.Equal(pages[1], s.HTML.Body) {
+		t.Fatalf("extract ran %d times, want once per site on that site's page", len(pages))
+	}
+	if n := testing.AllocsPerRun(10, func() { s.PageLinks(extract) }); n != 0 {
+		t.Errorf("a later PageLinks call allocates %v times, want 0", n)
+	}
+}
