@@ -3,9 +3,13 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exp"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden table files")
@@ -20,6 +24,24 @@ func TestLegacyTablesUnchanged(t *testing.T) {
 		s := session(t, 4)
 		got := render(t, s, name)
 		checkGolden(t, name, filepath.Join("testdata", "legacy_"+name+"_golden.txt"), got)
+	}
+}
+
+// TestAllTablesGolden pins the whole default httpperf output — every
+// exp.Names() entry at the paper's five runs per cell, a blank line
+// after each, as run() prints it — byte-for-byte, on a serial and on a
+// wide pool. A change to how experiments are declared, generated or
+// rendered must leave testdata/all_golden.txt alone.
+func TestAllTablesGolden(t *testing.T) {
+	for _, parallel := range []int{1, 8} {
+		s := session(t, parallel)
+		s.Runs, s.Seeds = core.DefaultRuns, 1
+		var got bytes.Buffer
+		for _, name := range exp.Names() {
+			got.Write(render(t, s, name))
+			got.WriteByte('\n')
+		}
+		checkGolden(t, fmt.Sprintf("all/parallel=%d", parallel), filepath.Join("testdata", "all_golden.txt"), got.Bytes())
 	}
 }
 
