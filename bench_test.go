@@ -9,14 +9,18 @@ package repro
 //	BenchmarkTable4JigsawLAN-1  ...  181 pipeline_first_pa  0.49 pipeline_first_sec ...
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exp"
+	_ "repro/internal/experiments"
 	"repro/internal/httpclient"
 	"repro/internal/httpserver"
 	"repro/internal/mux"
 	"repro/internal/netem"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
 	"repro/internal/webgen"
@@ -30,6 +34,34 @@ func benchSite(b *testing.B) *webgen.Site {
 		b.Fatal(err)
 	}
 	return site
+}
+
+// regenerate generates the named experiment b.N times, at one run per
+// cell, and returns the last result.
+func regenerate(b *testing.B, name string) any {
+	b.Helper()
+	s := &exp.Session{Site: benchSite(b), Runs: 1}
+	b.ResetTimer()
+	var data any
+	var err error
+	for i := 0; i < b.N; i++ {
+		if data, err = s.Generate(name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	return data
+}
+
+// reportValue attaches the named column of the row under the labels as
+// a benchmark metric.
+func reportValue(b *testing.B, unit string, tab *report.Table, column string, labels ...any) {
+	b.Helper()
+	v, ok := tab.Value(column, labels...).(float64)
+	if !ok {
+		b.Fatalf("%s: no number in column %q of row %v", tab.Title, column, labels)
+	}
+	b.ReportMetric(v, unit)
 }
 
 // reportRow attaches one table row's cells as benchmark metrics.
@@ -63,17 +95,7 @@ func BenchmarkTable1Environments(b *testing.B) {
 }
 
 func mainTableBench(b *testing.B, number int) {
-	site := benchSite(b)
-	b.ResetTimer()
-	var tab core.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tab, err = core.Sweep{Runs: 1}.MainTable(number, site)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
+	tab := regenerate(b, fmt.Sprint(number)).(core.Table)
 	for _, row := range tab.Rows {
 		key := map[string]string{
 			"HTTP/1.0":                          "http10",
@@ -89,18 +111,7 @@ func mainTableBench(b *testing.B, number int) {
 // BenchmarkTable3InitialTuning regenerates the initial (untuned) LAN
 // revalidation investigation.
 func BenchmarkTable3InitialTuning(b *testing.B) {
-	site := benchSite(b)
-	b.ResetTimer()
-	var rows []core.Table3Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.Sweep{Runs: 1}.Table3(site)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	for _, r := range rows {
+	for _, r := range regenerate(b, "3").([]core.Table3Row) {
 		key := map[string]string{
 			"HTTP/1.0":            "http10",
 			"HTTP/1.1 Persistent": "persistent",
@@ -120,17 +131,7 @@ func BenchmarkTable8JigsawPPP(b *testing.B) { mainTableBench(b, 8) }
 func BenchmarkTable9ApachePPP(b *testing.B) { mainTableBench(b, 9) }
 
 func browserTableBench(b *testing.B, number int) {
-	site := benchSite(b)
-	b.ResetTimer()
-	var tab core.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tab, err = core.Sweep{Runs: 1}.BrowserTable(number, site)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
+	tab := regenerate(b, fmt.Sprint(number)).(core.Table)
 	for _, row := range tab.Rows {
 		key := "netscape"
 		if row.Label == "Internet Explorer" {
@@ -148,22 +149,17 @@ func BenchmarkTable11BrowsersApache(b *testing.B) { browserTableBench(b, 11) }
 // BenchmarkModemCompression regenerates the §8.2.1 single-GET modem
 // comparison (paper: 67 packets/12.21s uncompressed vs 21/4.35 deflated).
 func BenchmarkModemCompression(b *testing.B) {
-	site := benchSite(b)
-	b.ResetTimer()
-	var rows []core.ModemRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.Sweep{Runs: 1}.ModemTable(site, httpserver.ProfileJigsaw)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(rows[0].Packets, "raw_pa")
-	b.ReportMetric(rows[0].Seconds, "raw_sec")
-	b.ReportMetric(rows[1].Seconds, "v42bis_sec")
-	b.ReportMetric(rows[2].Packets, "deflate_pa")
-	b.ReportMetric(rows[2].Seconds, "deflate_sec")
+	tab := regenerate(b, "modem").([]*report.Table)[0] // Jigsaw
+	const (
+		raw     = "Uncompressed HTML, modem compression off"
+		v42bis  = "Uncompressed HTML, V.42bis modem compression"
+		deflate = "Deflate-compressed HTML, modem compression off"
+	)
+	reportValue(b, "raw_pa", tab, "Pa", raw)
+	reportValue(b, "raw_sec", tab, "Sec", raw)
+	reportValue(b, "v42bis_sec", tab, "Sec", v42bis)
+	reportValue(b, "deflate_pa", tab, "Pa", deflate)
+	reportValue(b, "deflate_sec", tab, "Sec", deflate)
 }
 
 // BenchmarkTagCaseCompression regenerates the markup-case deflate note
@@ -222,61 +218,31 @@ func BenchmarkPNGConversion(b *testing.B) {
 
 // BenchmarkNagleInteraction regenerates the Nagle/delayed-ACK ablation.
 func BenchmarkNagleInteraction(b *testing.B) {
-	site := benchSite(b)
-	b.ResetTimer()
-	var rows []core.NagleRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.Sweep{Runs: 1}.NagleTable(site)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(rows[2].Seconds, "serial_nodelay_sec")
-	b.ReportMetric(rows[3].Seconds, "serial_nagle_sec")
+	tab := regenerate(b, "nagle").([]*report.Table)[0]
+	reportValue(b, "serial_nodelay_sec", tab, "Sec", "Serial client, server TCP_NODELAY")
+	reportValue(b, "serial_nagle_sec", tab, "Sec", "Serial client, server Nagle")
 }
 
 // BenchmarkResetScenario regenerates the connection-management (server
 // early-close) experiment.
 func BenchmarkResetScenario(b *testing.B) {
-	site := benchSite(b)
-	b.ResetTimer()
-	var rows []core.ResetRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.Sweep{Runs: 1}.ResetTable(site)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(rows[0].Seconds, "graceful_sec")
-	b.ReportMetric(rows[1].Seconds, "naive_sec")
-	b.ReportMetric(rows[1].Errors, "naive_resets")
+	tab := regenerate(b, "reset").([]*report.Table)[0]
+	reportValue(b, "graceful_sec", tab, "Sec", "Graceful half-close after 5 requests")
+	reportValue(b, "naive_sec", tab, "Sec", "Naive full close after 5 requests")
+	reportValue(b, "naive_resets", tab, "Resets", "Naive full close after 5 requests")
 }
 
 // BenchmarkFlushPolicyAblation sweeps the pipelining buffer/timer grid.
 func BenchmarkFlushPolicyAblation(b *testing.B) {
-	site := benchSite(b)
-	b.ResetTimer()
-	var rows []core.FlushRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.Sweep{Runs: 1}.FlushAblation(site)
-		if err != nil {
-			b.Fatal(err)
+	tab := regenerate(b, "flush").([]*report.Table)[0]
+	best := tab.Rows[0][:2] // the (buffer, timer) labels of the fastest cell
+	for _, r := range tab.Rows {
+		if tab.Value("Sec", r[:2]...).(float64) < tab.Value("Sec", best...).(float64) {
+			best = r[:2]
 		}
 	}
-	b.StopTimer()
-	best := rows[0]
-	for _, r := range rows {
-		if r.Seconds < best.Seconds {
-			best = r
-		}
-	}
-	b.ReportMetric(float64(best.BufferSize), "best_buffer_bytes")
-	b.ReportMetric(best.Seconds, "best_sec")
+	b.ReportMetric(float64(best[0].(int)), "best_buffer_bytes")
+	reportValue(b, "best_sec", tab, "Sec", best...)
 }
 
 // BenchmarkScenarioThroughput measures raw simulator speed: one pipelined
@@ -412,20 +378,10 @@ func BenchmarkSiteSynthesis(b *testing.B) {
 // multiplexing") experiment: revalidation after a site revision, with and
 // without 512-byte metadata probes.
 func BenchmarkRangeProbe(b *testing.B) {
-	site := benchSite(b)
-	b.ResetTimer()
-	var rows []core.RangeRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.Sweep{Runs: 1}.RangeTable(site)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(rows[0].MetadataSeconds, "plain_meta_sec")
-	b.ReportMetric(rows[1].MetadataSeconds, "probe_meta_sec")
-	b.ReportMetric(rows[1].Responses206, "probe_206s")
+	tab := regenerate(b, "range").([]*report.Table)[0]
+	reportValue(b, "plain_meta_sec", tab, "Metadata Sec", "Conditional GET (full changed bodies inline)")
+	reportValue(b, "probe_meta_sec", tab, "Metadata Sec", "Conditional GET + Range probe (512 bytes)")
+	reportValue(b, "probe_206s", tab, "206s", "Conditional GET + Range probe (512 bytes)")
 }
 
 // BenchmarkHeaderRedundancy regenerates the compact-wire-representation
@@ -449,20 +405,10 @@ func BenchmarkHeaderRedundancy(b *testing.B) {
 
 // BenchmarkInitialCwnd regenerates the slow-start initial-window ablation.
 func BenchmarkInitialCwnd(b *testing.B) {
-	site := benchSite(b)
-	b.ResetTimer()
-	var rows []core.CwndRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.Sweep{Runs: 1}.CwndTable(site)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(rows[0].Seconds, "iw1_plain_sec")
-	b.ReportMetric(rows[1].Seconds, "iw1_deflate_sec")
-	b.ReportMetric(rows[2].Seconds, "iw2_plain_sec")
+	tab := regenerate(b, "cwnd").([]*report.Table)[0]
+	reportValue(b, "iw1_plain_sec", tab, "Sec", "IW=1, identity HTML")
+	reportValue(b, "iw1_deflate_sec", tab, "Sec", "IW=1, deflate HTML")
+	reportValue(b, "iw2_plain_sec", tab, "Sec", "IW=2, identity HTML")
 }
 
 // BenchmarkMuxLoopback pins the mux framing layer's raw throughput: two

@@ -8,24 +8,9 @@
 // Usage:
 //
 //	httpperf                 # everything
-//	httpperf -table 4        # one of Tables 3-11
-//	httpperf -table modem    # the §8.2.1 modem-compression experiment
-//	httpperf -table tagcase  # tag case vs deflate ratio
-//	httpperf -table css      # Figure 1 + whole-page CSS replacement
-//	httpperf -table png      # GIF->PNG / GIF->MNG conversion
-//	httpperf -table nagle    # Nagle interaction ablation
-//	httpperf -table reset    # server early-close scenario
-//	httpperf -table flush    # buffer/flush-timer ablation
-//	httpperf -table range    # range-probe revalidation after a site revision
-//	httpperf -table headers  # request-redundancy (compact encoding) estimate
-//	httpperf -table cwnd     # slow-start initial window ablation
-//	httpperf -table proxy    # shared caching proxy tier (cold/warm/stale)
-//	httpperf -table faults   # fault injection and recovery matrix
-//	httpperf -faults         # shortcut for -table faults
-//	httpperf -table mux      # multiplexed modes: mux, server push, burst
-//	httpperf -table mux-faults  # framed-protocol fault injection and recovery
-//	httpperf -table sweep    # per-run structured metrics sweep
-//	httpperf -list           # registered experiments + scenario vocabulary
+//	httpperf -table 4        # one experiment: a paper table (1, 3-11) or one of
+//	                         # the named ones (modem, nagle, proxy, mux, blame, ...)
+//	httpperf -list           # every registered experiment + the scenario vocabulary
 //	httpperf -list-envs      # Table 1
 //	httpperf -runs 5         # averaging runs per cell (default 5)
 //	httpperf -seeds 2        # independent seed families per cell (default 1)
@@ -35,14 +20,14 @@
 //
 // Statistical observability:
 //
-//	httpperf -experiment variance -reps 8   # seed-variance experiment: mean ± 95% CI
+//	httpperf -table variance -seeds 8       # seed-variance experiment: mean ± 95% CI
 //	                                        # and latency quantiles per cell
-//	httpperf -table 4 -stats -reps 4        # any experiment + per-cell ±CI summary table
+//	httpperf -table 4 -stats -seeds 4       # any experiment + per-cell ±CI summary table
 //	httpperf -hist                          # run -scenario once, print per-request
 //	                                        # latency histograms (queue/TTFB/total)
 //
-// -experiment is an alias for -table; -reps sets the seed-family count
-// (like -seeds) so every cell becomes a population rather than a point.
+// -seeds widens every cell from a point to a population: that many
+// independent seed families of -runs repetitions each.
 //
 // Observability (single-scenario mode; see -scenario for the cell):
 //
@@ -84,12 +69,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	_ "repro/internal/experiments"
+	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/report"
 	"repro/internal/telemetry"
@@ -102,12 +88,9 @@ func main() {
 // realMain carries the whole invocation so deferred telemetry and
 // profile finalizers run before the process exits.
 func realMain() int {
-	table := flag.String("table", "all", "which table to regenerate (3..11, modem, tagcase, css, png, nagle, reset, flush, range, headers, cwnd, proxy, faults, variance, mux, mux-faults, sweep, all)")
-	experiment := flag.String("experiment", "", "alias for -table")
-	faultsOnly := flag.Bool("faults", false, "shortcut for -table faults")
+	table := flag.String("table", "all", "which table to regenerate ("+strings.Join(exp.AllNames(), ", ")+", all)")
 	runs := flag.Int("runs", core.DefaultRuns, "averaging runs per cell")
 	seeds := flag.Int("seeds", 1, "independent seed families per cell (multiplies -runs)")
-	reps := flag.Int("reps", 0, "replications per cell: sets the seed-family count (overrides -seeds)")
 	statsOn := flag.Bool("stats", false, "collect per-request latency distributions and append a per-cell mean ±95% CI summary table")
 	hist := flag.Bool("hist", false, "run -scenario once and print its per-request latency histograms (queue/TTFB/total)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for independent simulation runs")
@@ -233,20 +216,9 @@ func realMain() int {
 		}
 		return 0
 	}
-	if *faultsOnly {
-		*table = "faults"
-	}
-	if *experiment != "" {
-		*table = *experiment
-	}
-	if *reps > 0 {
-		*seeds = *reps
-	}
 	s := &exp.Session{Runs: *runs, Seeds: *seeds, Parallel: *parallel, Stats: *statsOn}
 	if *profileSlowest != "" {
-		// The recorder lets us recover the exact Scenario of the slowest
-		// cell, and the collector supplies its wall-time measurements.
-		core.RecordScenarios(true)
+		// The collector supplies the cells' wall-time measurements.
 		s.Collector = exp.NewCollector()
 	}
 	if err := run(s, *table, *asJSON, *asCSV, *statsOn, reporter); err != nil {
@@ -331,10 +303,16 @@ func writeSlowestProfile(path string, s *exp.Session) error {
 	if !found {
 		return fmt.Errorf("profile-slowest: the sweep collected no per-run metrics")
 	}
-	sc, ok := core.RecordedScenario(slowest.Scenario)
-	if !ok {
-		return fmt.Errorf("profile-slowest: scenario %q was not recorded", slowest.Scenario)
+	// Scenario strings do not round-trip through ParseScenario (the
+	// paper's mode names contain slashes, and overrides are not spelled
+	// out), so the experiment's declared cell of that name supplies the
+	// Scenario and the metrics record its seed.
+	scs := experiments.Scenarios(slowest.Experiment)
+	i := slices.IndexFunc(scs, func(sc core.Scenario) bool { return sc.String() == slowest.Scenario })
+	if i < 0 {
+		return fmt.Errorf("profile-slowest: experiment %s declares no cell named %q", slowest.Experiment, slowest.Scenario)
 	}
+	sc := scs[i]
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -52,7 +52,7 @@ func goldenTable(t *testing.T, name, path string) {
 }
 
 // TestFaultMatrixGolden pins the exact bytes the CI fault-matrix smoke
-// job diffs: `httpperf -faults -runs 1 -seeds 1 -parallel 4`. If the
+// job diffs: `httpperf -table faults -runs 1 -seeds 1 -parallel 4`. If the
 // fault table legitimately changes, regenerate with `go test ./cmd/httpperf
 // -run TestFaultMatrixGolden -update`.
 func TestFaultMatrixGolden(t *testing.T) {

@@ -9,9 +9,11 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/exp"
+	_ "repro/internal/experiments"
 	"repro/internal/flatez"
-	"repro/internal/httpserver"
 	"repro/internal/lzw"
+	"repro/internal/report"
 )
 
 func main() {
@@ -49,12 +51,13 @@ func main() {
 	}
 
 	fmt.Println("\nSingle GET of the page over the 28.8k modem link:")
-	mrows, err := core.Sweep{Runs: 1}.ModemTable(site, httpserver.ProfileApache)
+	data, err := (&exp.Session{Site: site, Runs: 1}).Generate("modem")
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range mrows {
-		fmt.Printf("  %-52s %5.0f packets %7.2fs\n", r.Label, r.Packets, r.Seconds)
+	apache := data.([]*report.Table)[1] // the experiment's second table; the first is Jigsaw's
+	for _, r := range apache.Rows {
+		fmt.Printf("  %-52s %5.0f packets %7.2fs\n", r[0], apache.Value("Pa", r[0]), apache.Value("Sec", r[0]))
 	}
 
 	fmt.Println("\nImage format conversion:")

@@ -1,7 +1,7 @@
 // Package core is the public experiment API of the reproduction: it wires
 // the simulated network (netem, tcpsim), servers (httpserver), and clients
-// (httpclient) into runnable scenarios, and regenerates every table and
-// figure of the paper's evaluation (see tables.go).
+// (httpclient) into runnable scenarios, and measures whole grids of them
+// (see grid.go) for the experiments declared in internal/experiments.
 //
 // A Scenario names one cell of the paper's measurement matrix — server
 // profile × client mode × network environment × workload. Run executes it
@@ -271,7 +271,6 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	if err := validateMode(sc); err != nil {
 		return nil, err
 	}
-	recordScenario(sc)
 	s := sim.New()
 	s.SetEventLimit(50_000_000)
 	net := tcpsim.NewNetwork(s)
@@ -653,18 +652,12 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	return res, nil
 }
 
-// Avg is the paper's per-cell measurement: packets, payload bytes,
-// elapsed seconds, and TCP/IP overhead percentage, averaged over repeated
-// runs.
+// Avg is the paper's per-cell measurement — packets, payload bytes,
+// elapsed seconds, and TCP/IP overhead percentage — averaged over Runs
+// repeated runs.
 type Avg struct {
-	Runs        int
-	Packets     float64
-	Bytes       float64
-	Seconds     float64
-	OverheadPct float64
-
-	SocketsUsed float64
-	Errors      int
+	Runs int
+	Cell
 }
 
 // DefaultRuns is the paper's repetition count.

@@ -38,7 +38,8 @@ func scenario(server httpserver.Profile, mode httpclient.Mode, env netem.Environ
 func TestAllScenariosComplete(t *testing.T) {
 	for _, server := range []httpserver.Profile{httpserver.ProfileJigsaw, httpserver.ProfileApache} {
 		for _, env := range netem.Environments {
-			for _, mode := range protocolModes {
+			for _, mode := range []httpclient.Mode{httpclient.ModeHTTP10, httpclient.ModeHTTP11Serial,
+				httpclient.ModeHTTP11Pipelined, httpclient.ModeHTTP11PipelinedDeflate} {
 				for _, wl := range []httpclient.Workload{httpclient.FirstTime, httpclient.Revalidate} {
 					res := runOne(t, scenario(server, mode, env, wl))
 					if !res.Client.Done {
@@ -240,29 +241,6 @@ func TestModemCompressionRequiresPPP(t *testing.T) {
 	}
 }
 
-func TestModemTableShape(t *testing.T) {
-	rows, err := Sweep{Runs: 1}.ModemTable(testSite(t), httpserver.ProfileApache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	raw, modem, deflate := rows[0], rows[1], rows[2]
-	// V.42bis helps the raw transfer...
-	if modem.Seconds >= raw.Seconds {
-		t.Errorf("modem compression did not help: %.2f vs %.2f", modem.Seconds, raw.Seconds)
-	}
-	// ...but deflate beats it (the paper's point).
-	if deflate.Seconds >= modem.Seconds {
-		t.Errorf("deflate (%.2fs) should beat modem compression (%.2fs)", deflate.Seconds, modem.Seconds)
-	}
-	// Packet counts collapse roughly threefold with deflate (67 -> 21).
-	if deflate.Packets > raw.Packets/2 {
-		t.Errorf("deflate packets %.0f vs raw %.0f, want ≈1/3", deflate.Packets, raw.Packets)
-	}
-}
-
 func TestTagCaseTableShape(t *testing.T) {
 	rows, err := TagCaseTable()
 	if err != nil {
@@ -277,146 +255,6 @@ func TestTagCaseTableShape(t *testing.T) {
 	}
 	if lower.Ratio >= upper.Ratio {
 		t.Errorf("lower-case ratio %.3f not better than upper %.3f", lower.Ratio, upper.Ratio)
-	}
-}
-
-func TestNagleTableShape(t *testing.T) {
-	rows, err := Sweep{Runs: 1}.NagleTable(testSite(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	serialNoDelay, serialNagle := rows[2], rows[3]
-	if serialNagle.Seconds < 1.3*serialNoDelay.Seconds {
-		t.Errorf("serial+Nagle (%.2fs) should be dramatically slower than serial+NODELAY (%.2fs)",
-			serialNagle.Seconds, serialNoDelay.Seconds)
-	}
-}
-
-func TestResetTableShape(t *testing.T) {
-	rows, err := Sweep{Runs: 1}.ResetTable(testSite(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	graceful, naive := rows[0], rows[1]
-	if graceful.Errors != 0 {
-		t.Errorf("graceful close produced %v resets", graceful.Errors)
-	}
-	if naive.Errors == 0 {
-		t.Error("naive close produced no reset")
-	}
-	if graceful.Responses != 43 || naive.Responses != 43 {
-		t.Errorf("both variants must eventually serve 43 responses: %v / %v",
-			graceful.Responses, naive.Responses)
-	}
-	if naive.Seconds <= graceful.Seconds {
-		t.Errorf("naive close (%.2fs) should cost more than graceful (%.2fs)",
-			naive.Seconds, graceful.Seconds)
-	}
-}
-
-func TestFlushAblationShape(t *testing.T) {
-	rows, err := Sweep{Runs: 1}.FlushAblation(testSite(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 15 {
-		t.Fatalf("rows = %d, want 15", len(rows))
-	}
-	for _, r := range rows {
-		if r.Packets <= 0 || r.Seconds <= 0 {
-			t.Fatalf("degenerate cell: %+v", r)
-		}
-	}
-}
-
-func TestMainTableStructure(t *testing.T) {
-	tab, err := Sweep{Runs: 1}.MainTable(5, testSite(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("Table 5 rows = %d, want 4", len(tab.Rows))
-	}
-	for _, r := range tab.Rows {
-		if r.Paper == nil {
-			t.Errorf("row %q missing paper comparison", r.Label)
-		}
-	}
-	ppp, err := Sweep{Runs: 1}.MainTable(8, testSite(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ppp.Rows) != 3 {
-		t.Fatalf("Table 8 rows = %d, want 3 (no HTTP/1.0 over PPP)", len(ppp.Rows))
-	}
-	if _, err := (Sweep{Runs: 1}).MainTable(12, testSite(t)); err == nil {
-		t.Fatal("bogus table number accepted")
-	}
-}
-
-func TestTable3Shape(t *testing.T) {
-	rows, err := Sweep{Runs: 1}.Table3(testSite(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	h10, persistent, pipeline := rows[0], rows[1], rows[2]
-	// "a significant saving in TCP packets using HTTP/1.1 but also a big
-	// increase in elapsed time".
-	if persistent.PktsTotal >= h10.PktsTotal/2 {
-		t.Errorf("persistent packets %.0f vs 1.0 %.0f, want big saving", persistent.PktsTotal, h10.PktsTotal)
-	}
-	if persistent.Elapsed <= h10.Elapsed {
-		t.Errorf("initial persistent elapsed %.2f should exceed HTTP/1.0 %.2f", persistent.Elapsed, h10.Elapsed)
-	}
-	// "Elapsed time performance of HTTP/1.1 with pipelining was worse
-	// than HTTP/1.0 in this initial implementation, though the number of
-	// packets used were dramatically better."
-	if pipeline.Elapsed <= h10.Elapsed {
-		t.Errorf("initial pipeline elapsed %.2f should exceed HTTP/1.0 %.2f", pipeline.Elapsed, h10.Elapsed)
-	}
-	if pipeline.PktsTotal >= h10.PktsTotal/5 {
-		t.Errorf("pipeline packets %.0f vs 1.0 %.0f, want dramatic saving", pipeline.PktsTotal, h10.PktsTotal)
-	}
-	if h10.TotalSockets != 43 || persistent.TotalSockets != 1 || pipeline.TotalSockets != 1 {
-		t.Errorf("socket counts: %d/%d/%d, want 43/1/1",
-			h10.TotalSockets, persistent.TotalSockets, pipeline.TotalSockets)
-	}
-}
-
-func TestBrowserTables(t *testing.T) {
-	for _, n := range []int{10, 11} {
-		tab, err := Sweep{Runs: 1}.BrowserTable(n, testSite(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(tab.Rows) != 2 {
-			t.Fatalf("Table %d rows = %d, want 2", n, len(tab.Rows))
-		}
-	}
-	// The Table 10 anomaly: IE revalidating against Jigsaw costs several
-	// times the packets of IE against Apache (301 vs 117 in the paper).
-	jig, err := Sweep{Runs: 1}.BrowserTable(10, testSite(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	apa, err := Sweep{Runs: 1}.BrowserTable(11, testSite(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ieJig := jig.Rows[1].Reval
-	ieApa := apa.Rows[1].Reval
-	if ieJig.Packets < 2*ieApa.Packets {
-		t.Errorf("IE reval on Jigsaw (%.0f packets) should far exceed on Apache (%.0f)",
-			ieJig.Packets, ieApa.Packets)
-	}
-	if _, err := (Sweep{Runs: 1}).BrowserTable(7, testSite(t)); err == nil {
-		t.Fatal("bogus browser table number accepted")
 	}
 }
 
@@ -452,34 +290,6 @@ func TestErrDidNotFinishSurfaces(t *testing.T) {
 	// refused, so the run drains with the fetch incomplete.
 	if !errors.Is(ErrDidNotFinish, ErrDidNotFinish) {
 		t.Fatal("sentinel error identity broken")
-	}
-}
-
-func TestRangeTableShape(t *testing.T) {
-	rows, err := Sweep{Runs: 1}.RangeTable(testSite(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, probe := rows[0], rows[1]
-	if plain.Responses206 != 0 {
-		t.Fatalf("conditional GET produced %v 206s", plain.Responses206)
-	}
-	if probe.Responses206 < 10 {
-		t.Fatalf("probe variant produced only %v 206s", probe.Responses206)
-	}
-	// The paper's predicted benefit: object metadata completes much
-	// earlier because large changed entities cannot monopolize the
-	// connection.
-	if probe.MetadataSeconds >= 0.75*plain.MetadataSeconds {
-		t.Fatalf("probe metadata %.2fs vs plain %.2fs: no multiplexing benefit",
-			probe.MetadataSeconds, plain.MetadataSeconds)
-	}
-	// And the cost is modest: total time and bytes within ~20%.
-	if probe.Seconds > 1.25*plain.Seconds {
-		t.Fatalf("probe total %.2fs vs plain %.2fs: cost too high", probe.Seconds, plain.Seconds)
-	}
-	if probe.Bytes > 1.2*plain.Bytes {
-		t.Fatalf("probe bytes %.0f vs plain %.0f", probe.Bytes, plain.Bytes)
 	}
 }
 
@@ -525,66 +335,6 @@ func TestHeaderRedundancy(t *testing.T) {
 	}
 	if delta.Ratio > 0.3 {
 		t.Fatalf("per-request dictionary ratio %.3f, want ≤0.3", delta.Ratio)
-	}
-}
-
-// TestFidelityEnvelope guards the calibration: every cell of the
-// regenerated main tables must stay within a fixed band of the paper's
-// published value. Packets are protocol-determined and held tight;
-// elapsed time depends on modeled CPU costs and gets a wider band.
-func TestFidelityEnvelope(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full table matrix")
-	}
-	const (
-		paLo, paHi   = 0.60, 1.45
-		secLo, secHi = 0.30, 2.00
-	)
-	for _, n := range []int{4, 5, 6, 7, 8, 9} {
-		tab, err := Sweep{Runs: 1}.MainTable(n, testSite(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range tab.Rows {
-			if row.Paper == nil {
-				t.Fatalf("table %d row %q has no paper data", n, row.Label)
-			}
-			check := func(kind string, got, want float64, lo, hi float64) {
-				if want == 0 {
-					return
-				}
-				r := got / want
-				if r < lo || r > hi {
-					t.Errorf("table %d, %s, %s: measured %.1f vs paper %.1f (ratio %.2f outside [%.2f, %.2f])",
-						n, row.Label, kind, got, want, r, lo, hi)
-				}
-			}
-			check("first Pa", row.First.Packets, row.Paper.First.Packets, paLo, paHi)
-			check("reval Pa", row.Reval.Packets, row.Paper.Reval.Packets, paLo, paHi)
-			check("first Sec", row.First.Seconds, row.Paper.First.Seconds, secLo, secHi)
-			check("reval Sec", row.Reval.Seconds, row.Paper.Reval.Seconds, secLo, secHi)
-			check("first Bytes", row.First.Bytes, row.Paper.First.Bytes, 0.7, 1.3)
-			check("reval Bytes", row.Reval.Bytes, row.Paper.Reval.Bytes, 0.7, 1.3)
-		}
-	}
-}
-
-func TestCwndTableShape(t *testing.T) {
-	rows, err := Sweep{Runs: 1}.CwndTable(testSite(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	iw1Plain, iw1Deflate := rows[0], rows[1]
-	// Deflate always removes packets; with IW=1 it must not be slower.
-	if iw1Deflate.Packets >= iw1Plain.Packets {
-		t.Errorf("deflate did not reduce packets at IW=1: %.0f vs %.0f",
-			iw1Deflate.Packets, iw1Plain.Packets)
-	}
-	if iw1Deflate.Seconds > iw1Plain.Seconds*1.02 {
-		t.Errorf("deflate slower at IW=1: %.2f vs %.2f", iw1Deflate.Seconds, iw1Plain.Seconds)
 	}
 }
 

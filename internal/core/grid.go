@@ -1,0 +1,128 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/netem"
+	"repro/internal/stats"
+	"repro/internal/webgen"
+)
+
+// GridRow is one declared table row: the labels it prints under and the
+// complete scenario, seed included, of each of its cells — one per
+// workload in the two-workload layouts, otherwise one.
+type GridRow struct {
+	Labels []any
+	Cells  []Scenario
+}
+
+// Grid is an experiment's scenario population as a value, so that it can
+// be enumerated and replayed as well as run.
+type Grid struct {
+	Rows []GridRow
+	// Stride steps the seed between a cell's repetitions. Each table keeps
+	// the stride it has always used, so regenerated output matches the
+	// code that once looped over it by hand.
+	Stride uint64
+	// Stats and Blame arm, on every run, the observers the table's
+	// columns read: RunResult.Latency and RunResult.Blame.
+	Stats, Blame bool
+}
+
+// Measured is a GridRow after its cells ran: Results[k] holds cell k's
+// repetitions, indexed as Sweep.series indexes them.
+type Measured struct {
+	Labels  []any
+	Results [][]*RunResult
+}
+
+// sharesRevisions reports a grid whose every cell revisits the same
+// revised sites — one seed, one fraction — as the range-probe strategies
+// do so that the same objects change under each.
+func (g Grid) sharesRevisions() bool {
+	if len(g.Rows) == 0 || g.Rows[0].Cells[0].ReviseFraction <= 0 {
+		return false
+	}
+	first := g.Rows[0].Cells[0]
+	return !slices.ContainsFunc(g.Rows, func(r GridRow) bool {
+		return slices.ContainsFunc(r.Cells, func(sc Scenario) bool {
+			return sc.Seed != first.Seed || sc.ReviseFraction != first.ReviseFraction
+		})
+	})
+}
+
+// Measure runs every cell of the grid across the sweep's population, row
+// by row. Cells that share their revisions synthesize each repetition's
+// revised site once, in the first cell to run it.
+func (sw Sweep) Measure(g Grid, site *webgen.Site) ([]Measured, error) {
+	sw.Stats = sw.Stats || g.Stats
+	sw.Blame = sw.Blame || g.Blame
+	if g.sharesRevisions() {
+		sw.served = new([]*webgen.Site)
+	}
+	out := make([]Measured, len(g.Rows))
+	for i, row := range g.Rows {
+		out[i] = Measured{Labels: row.Labels, Results: make([][]*RunResult, len(row.Cells))}
+		for k, sc := range row.Cells {
+			results, err := sw.series(sc, site, g.Stride)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", sc, err)
+			}
+			out[i].Results[k] = results
+		}
+	}
+	return out, nil
+}
+
+// The three reducers every table column is built from.
+
+// Mean averages f over a cell's repetitions, summed in index order.
+func Mean(results []*RunResult, f func(*RunResult) float64) float64 {
+	var sum float64
+	for _, res := range results {
+		sum += f(res)
+	}
+	return sum / float64(len(results))
+}
+
+// Summarize reduces f over a cell's repetitions to mean ± Student-t 95%
+// confidence interval.
+func Summarize(results []*RunResult, f func(*RunResult) float64) stats.Summary {
+	xs := make([]float64, len(results))
+	for i, res := range results {
+		xs[i] = f(res)
+	}
+	return stats.Summarize(xs)
+}
+
+// MergedLatency merges the per-request latency histograms of a cell's
+// repetitions (runs under Stats).
+func MergedLatency(results []*RunResult) *stats.LatencySet {
+	var lat stats.LatencySet
+	for _, res := range results {
+		lat.Merge(res.Latency)
+	}
+	return &lat
+}
+
+// Packets, PayloadBytes and Seconds are the paper's per-run quantities,
+// as the reducers take them.
+func Packets(res *RunResult) float64      { return float64(res.Stats.Packets) }
+func PayloadBytes(res *RunResult) float64 { return float64(res.Stats.PayloadBytes) }
+func Seconds(res *RunResult) float64      { return res.Elapsed.Seconds() }
+
+// Average reduces a cell's repetitions to the paper's per-cell
+// measurement; the overhead percentage is that of the averaged cell.
+func Average(results []*RunResult) Avg {
+	avg := Avg{Runs: len(results), Cell: Cell{
+		Packets: Mean(results, Packets),
+		Bytes:   Mean(results, PayloadBytes),
+		Seconds: Mean(results, Seconds),
+	}}
+	hdr := avg.Packets * netem.IPTCPHeaderBytes
+	if total := avg.Bytes + hdr; total > 0 {
+		avg.OverheadPct = 100 * hdr / total
+	}
+	return avg
+}

@@ -177,44 +177,6 @@ func TestProxyTimelineDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestProxyTableDeterminism runs the proxy experiment generator at both
-// pool widths; the rows must be identical.
-func TestProxyTableDeterminism(t *testing.T) {
-	site := testSite(t)
-	serial, err := Sweep{Runs: 2, Parallel: 1}.ProxyTable(site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Sweep{Runs: 2, Parallel: 8}.ProxyTable(site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("ProxyTable differs between parallel levels:\nserial: %+v\nparallel: %+v", serial, par)
-	}
-	if len(serial) != len(proxyVariants)*len(protocolModes) {
-		t.Fatalf("got %d rows, want %d", len(serial), len(proxyVariants)*len(protocolModes))
-	}
-	for _, r := range serial {
-		switch r.Variant {
-		case "cold":
-			if r.HitRatio != 0 || r.OriginPackets == 0 {
-				t.Errorf("cold %s: hit ratio %.2f, origin packets %.1f", r.Mode, r.HitRatio, r.OriginPackets)
-			}
-		case "warm":
-			if r.HitRatio != 1 || r.OriginPackets != 0 || r.BytesSaved == 0 {
-				t.Errorf("warm %s: hit ratio %.2f, origin packets %.1f, saved %.0f",
-					r.Mode, r.HitRatio, r.OriginPackets, r.BytesSaved)
-			}
-		case "stale":
-			if r.OriginPackets == 0 || r.UpstreamRequests == 0 {
-				t.Errorf("stale %s: origin packets %.1f, upstream requests %.1f",
-					r.Mode, r.OriginPackets, r.UpstreamRequests)
-			}
-		}
-	}
-}
-
 // TestParseTopology covers the new scenario vocabulary and its error
 // messages naming the valid values.
 func TestParseTopology(t *testing.T) {

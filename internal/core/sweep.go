@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/exp"
-	"repro/internal/netem"
 	"repro/internal/webgen"
 )
 
@@ -114,26 +113,9 @@ func (sw Sweep) series(sc Scenario, site *webgen.Site, stride uint64) ([]*RunRes
 // RunAveraged executes the scenario across the sweep's population and
 // averages the measurements, like the paper's five-run methodology.
 func (sw Sweep) RunAveraged(sc Scenario, site *webgen.Site) (Avg, error) {
-	var avg Avg
 	results, err := sw.series(sc, site, 7919)
 	if err != nil {
-		return avg, err
+		return Avg{}, err
 	}
-	for _, res := range results {
-		avg.Runs++
-		avg.Packets += float64(res.Stats.Packets)
-		avg.Bytes += float64(res.Stats.PayloadBytes)
-		avg.Seconds += res.Elapsed.Seconds()
-		avg.SocketsUsed += float64(res.Client.SocketsUsed)
-		avg.Errors += res.Client.Errors
-	}
-	avg.Packets /= float64(avg.Runs)
-	avg.Bytes /= float64(avg.Runs)
-	avg.Seconds /= float64(avg.Runs)
-	avg.SocketsUsed /= float64(avg.Runs)
-	hdr := avg.Packets * netem.IPTCPHeaderBytes
-	if total := avg.Bytes + hdr; total > 0 {
-		avg.OverheadPct = 100 * hdr / total
-	}
-	return avg, nil
+	return Average(results), nil
 }

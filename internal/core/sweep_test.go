@@ -102,26 +102,6 @@ func TestSweepParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepTableDeterminism exercises a whole table generator (the
-// Nagle ablation, which mixes server overrides) at both pool widths.
-func TestSweepTableDeterminism(t *testing.T) {
-	site, err := DefaultSite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Sweep{Runs: 2, Parallel: 1}.NagleTable(site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Sweep{Runs: 2, Parallel: 8}.NagleTable(site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("NagleTable differs between parallel levels:\nserial: %+v\nparallel: %+v", serial, par)
-	}
-}
-
 // TestWithMetricsCounters checks the structured record against the run
 // result it was filled from.
 func TestWithMetricsCounters(t *testing.T) {

@@ -4,30 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exp"
 )
-
-// recordedPopulation runs every registered experiment once under the
-// scenario recorder, on a pool of the given width, and returns the
-// session with every scenario the recorder then remembers.
-func recordedPopulation(t *testing.T, parallel int) (*exp.Session, []core.Scenario) {
-	t.Helper()
-	core.RecordScenarios(true)
-	defer core.RecordScenarios(false)
-	s := session(t, parallel)
-	s.Runs = 1
-	for _, name := range exp.Names() {
-		e, _ := exp.Lookup(name)
-		if _, err := e.Generate(s); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	scs := core.RecordedScenarios()
-	if len(scs) < 30 {
-		t.Fatalf("recorder saw only %d scenarios; expected the full experiment population", len(scs))
-	}
-	return s, scs
-}
 
 // TestBlameConservation is the attribution layer's global property
 // test: every scenario any registered experiment executes — every
@@ -37,8 +14,8 @@ func recordedPopulation(t *testing.T, parallel int) (*exp.Session, []core.Scenar
 // critical-path partition must tile its chain the same way. Integer
 // nanoseconds, no epsilon.
 func TestBlameConservation(t *testing.T) {
-	s, scs := recordedPopulation(t, 8)
-	for _, sc := range scs {
+	s := session(t, 1)
+	for _, sc := range Scenarios() {
 		res, err := core.Run(sc, s.Site, core.WithBlame())
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)

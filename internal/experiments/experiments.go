@@ -1,14 +1,22 @@
 // Package experiments declares the paper's regenerable experiments in
-// the exp registry, replacing the hardcoded step table the httpperf
-// command used to carry. Blank-importing the package populates the
-// registry; each entry's Generate drives scenarios through a core.Sweep
+// the exp registry. Blank-importing the package populates the registry.
+//
+// A scenario-driven experiment is data: for each of its tables a grid —
+// the row labels and the complete scenario, seed included, of every cell,
+// the seed stride the table has always used and the observers its columns
+// need — and a layout whose columns reduce a cell's runs to one value.
+// One path executes them all: the grid's cells run through a core.Sweep
 // built from the session (averaging depth, seed families, parallelism,
-// metrics collection), and Render prints the paper-style text table.
+// metrics collection), the columns reduce the results into a
+// report.Table, and the table renders itself. Because the cells are
+// values they can also be enumerated without running anything; see
+// Scenarios.
 package experiments
 
 import (
-	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -18,258 +26,260 @@ import (
 	"repro/internal/report"
 )
 
-// sweepFor derives the core.Sweep an experiment's scenarios run under,
-// stamping the experiment name on collected metrics records.
-func sweepFor(s *exp.Session, name string) core.Sweep {
+type (
+	row = core.Measured
+	col = report.Col[row]
+)
+
+// table is one declared table: the grid it measures and the layout its
+// measured rows print in.
+type table struct {
+	spec report.Spec[row]
+	grid core.Grid
+}
+
+// cell is a plain scenario: the server profile's tuned configuration and
+// the client mode's own, to which a declaration adds what it varies.
+func cell(server httpserver.Profile, mode httpclient.Mode, env netem.Environment, wl httpclient.Workload, seed uint64) core.Scenario {
+	return core.Scenario{Server: server, Client: mode, Env: env, Workload: wl, Seed: seed}
+}
+
+// oneCell declares a one-cell row under the labels.
+func oneCell(sc core.Scenario, labels ...any) core.GridRow {
+	return core.GridRow{Labels: labels, Cells: []core.Scenario{sc}}
+}
+
+// experiment is one declaration. The zero generate and render are the
+// generic path — every table measured, tabulated and printed in order,
+// a blank line between tables; an experiment sets its own where its
+// result has a typed shape (Tables 3-11), a section that is not a grid
+// (mux, blame), or no scenarios at all.
+type experiment struct {
+	name, title string
+	// skip keeps the experiment out of the default run-everything
+	// sequence (exp.Experiment.Skip).
+	skip   bool
+	tables []table
+
+	generate func(s *exp.Session, e *experiment) (any, error)
+	render   func(w io.Writer, s *exp.Session, data any) error
+}
+
+// sweep derives the core.Sweep the experiment's scenarios run under,
+// stamping its name on collected metrics records.
+func (e *experiment) sweep(s *exp.Session) core.Sweep {
 	return core.Sweep{
 		Runs:       s.Runs,
 		Seeds:      s.Seeds,
 		Parallel:   s.Parallel,
-		Experiment: name,
+		Experiment: e.name,
 		Collector:  s.Collector,
 		Stats:      s.Stats,
 	}
 }
 
-// ModemPair bundles both server profiles' modem experiments.
-type ModemPair struct {
-	Jigsaw, Apache []core.ModemRow
+// measure runs the given tables in order and reduces each, returning the
+// measured rows as well for a section that views them a second way.
+func (e *experiment) measure(s *exp.Session, tables []table) ([]*report.Table, [][]row, error) {
+	out, measured := make([]*report.Table, len(tables)), make([][]row, len(tables))
+	for i, t := range tables {
+		var err error
+		if measured[i], err = e.sweep(s).Measure(t.grid, s.Site); err != nil {
+			return nil, nil, err
+		}
+		out[i] = report.Tabulate(t.spec, measured[i])
+	}
+	return out, measured, nil
 }
 
-func renderMainTable(w io.Writer, _ *exp.Session, d any) error {
-	report.MainTable(w, d.(core.Table))
-	return nil
+// measureTables is the generic generate: every declared table, in order.
+func measureTables(s *exp.Session, e *experiment) (any, error) {
+	tables, _, err := e.measure(s, e.tables)
+	return tables, err
 }
+
+// renderWith adapts one of the report package's printers to an
+// experiment's render, asserting the type its generate produced.
+func renderWith[T any](print func(io.Writer, T)) func(io.Writer, *exp.Session, any) error {
+	return func(w io.Writer, _ *exp.Session, data any) error {
+		print(w, data.(T))
+		return nil
+	}
+}
+
+// renderTables prints tables in order, a blank line between them.
+var renderTables = renderWith(func(w io.Writer, tables []*report.Table) {
+	for i, t := range tables {
+		if i > 0 {
+			io.WriteString(w, "\n")
+		}
+		t.Render(w)
+	}
+})
+
+// declared lists every experiment in the historical step order, which
+// is the registry's.
+var declared = slices.Concat(
+	[]experiment{environments, table3},
+	paperTables(),
+	[]experiment{modem, tagCase, css, png, nagle, reset, flush, rangeProbe, headers, cwnd,
+		proxy, faultInjection, variance, mux, muxFaults, blame, metricsSweep},
+)
 
 func init() {
-	exp.Register(exp.Experiment{
-		Name: "1", Title: "Table 1 - Tested network environments",
-		Generate: func(*exp.Session) (any, error) { return nil, nil },
-		Render: func(w io.Writer, _ *exp.Session, _ any) error {
-			report.Environments(w)
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "3", Title: "Table 3 - Initial LAN cache revalidation test",
-		Generate: func(s *exp.Session) (any, error) { return sweepFor(s, "3").Table3(s.Site) },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Table3(w, d.([]core.Table3Row))
-			return nil
-		},
-	})
-	for _, n := range []int{4, 5, 6, 7, 8, 9} {
-		n := n
+	for i := range declared {
+		e := &declared[i]
+		generate, render := e.generate, e.render
+		if generate == nil {
+			generate = measureTables
+		}
+		if render == nil {
+			render = renderTables
+		}
 		exp.Register(exp.Experiment{
-			Name:  fmt.Sprint(n),
-			Title: fmt.Sprintf("Table %d - protocol comparison (server × environment)", n),
-			Generate: func(s *exp.Session) (any, error) {
-				return sweepFor(s, fmt.Sprint(n)).MainTable(n, s.Site)
-			},
-			Render: renderMainTable,
+			Name: e.name, Title: e.title, Skip: e.skip,
+			Generate: func(s *exp.Session) (any, error) { return generate(s, e) },
+			Render:   render,
 		})
 	}
-	for _, n := range []int{10, 11} {
-		n := n
-		exp.Register(exp.Experiment{
-			Name:  fmt.Sprint(n),
-			Title: fmt.Sprintf("Table %d - product browsers over PPP", n),
-			Generate: func(s *exp.Session) (any, error) {
-				return sweepFor(s, fmt.Sprint(n)).BrowserTable(n, s.Site)
-			},
-			Render: renderMainTable,
-		})
+}
+
+// Scenarios returns the scenario population of the named experiments,
+// or with no name of the default sequence exp.Names(): every declared
+// cell at repetition 0 — what a one-run pass executes first in each cell
+// — one per display string, the last declaration of a string winning,
+// sorted by that string.
+func Scenarios(names ...string) []core.Scenario {
+	byLabel := map[string]core.Scenario{}
+	for _, e := range declared {
+		if wanted := slices.Contains(names, e.name) || len(names) == 0 && !e.skip; !wanted {
+			continue
+		}
+		for _, t := range e.tables {
+			for _, r := range t.grid.Rows {
+				for _, sc := range r.Cells {
+					byLabel[sc.String()] = sc
+				}
+			}
+		}
 	}
-	exp.Register(exp.Experiment{
-		Name: "modem", Title: "§8.2.1 modem-compression experiment",
-		Generate: func(s *exp.Session) (any, error) {
-			sw := sweepFor(s, "modem")
-			j, err := sw.ModemTable(s.Site, httpserver.ProfileJigsaw)
-			if err != nil {
-				return nil, err
+	out := make([]core.Scenario, 0, len(byLabel))
+	for _, sc := range byLabel {
+		out = append(out, sc)
+	}
+	slices.SortFunc(out, func(a, b core.Scenario) int { return strings.Compare(a.String(), b.String()) })
+	return out
+}
+
+// Column builders. A label column prints one of the row's declared
+// labels; a value column reduces the repetitions of the row's first cell
+// — reval shifts a column to the second, the cache-validation cell of a
+// two-workload row.
+
+func label(i int) func(row) any { return func(m row) any { return m.Labels[i] } }
+
+func reval(c col) col {
+	first := c.Value
+	c.Value = func(m row) any { return first(row{Labels: m.Labels, Results: m.Results[1:]}) }
+	return c
+}
+
+// num is a column averaging f.
+func num(head, format string, f func(*core.RunResult) float64) col {
+	return col{Head: head, Format: format, Value: func(m row) any { return core.Mean(m.Results[0], f) }}
+}
+
+// client lifts one of the robot's counters to a per-run quantity.
+func client[T int | int64 | float64](f func(*httpclient.Result) T) func(*core.RunResult) float64 {
+	return func(res *core.RunResult) float64 { return float64(f(&res.Client)) }
+}
+
+// kb scales a byte quantity to kilobytes.
+func kb(f func(*core.RunResult) float64) func(*core.RunResult) float64 {
+	return func(res *core.RunResult) float64 { return f(res) / 1024 }
+}
+
+var separator = col{Format: "|"}
+
+// protocolModes are the four measured client configurations, in table
+// order.
+var protocolModes = []httpclient.Mode{
+	httpclient.ModeHTTP10,
+	httpclient.ModeHTTP11Serial,
+	httpclient.ModeHTTP11Pipelined,
+	httpclient.ModeHTTP11PipelinedDeflate,
+}
+
+var bothWorkloads = []httpclient.Workload{httpclient.FirstTime, httpclient.Revalidate}
+
+// The experiments that run no scenarios.
+
+var environments = experiment{
+	name: "1", title: "Table 1 - Tested network environments",
+	generate: func(*exp.Session, *experiment) (any, error) { return nil, nil },
+	render: func(w io.Writer, _ *exp.Session, _ any) error {
+		report.Environments(w)
+		return nil
+	},
+}
+
+var tagCase = experiment{
+	name: "tagcase", title: "HTML tag case vs deflate ratio",
+	generate: func(*exp.Session, *experiment) (any, error) { return core.TagCaseTable() },
+	render:   renderWith(report.TagCase),
+}
+
+var css = experiment{
+	name: "css", title: "Figure 1 + whole-page CSS replacement",
+	generate: func(s *exp.Session, _ *experiment) (any, error) { return s.Site.CSSReplacements(), nil },
+	render:   renderWith(report.CSS),
+}
+
+var png = experiment{
+	name: "png", title: "GIF->PNG / animated GIF->MNG conversion",
+	generate: func(s *exp.Session, _ *experiment) (any, error) { return s.Site.ConvertImages() },
+	render:   renderWith(report.PNG),
+}
+
+var headers = experiment{
+	name: "headers", title: "Request-redundancy (compact encoding) estimate",
+	generate: func(s *exp.Session, _ *experiment) (any, error) { return core.HeaderRedundancy(s.Site) },
+	render:   renderWith(report.HeaderRedundancy),
+}
+
+// metricsSweep gathers structured per-run metrics over the main protocol
+// × environment matrix; it is not one of the paper's tables, so it runs
+// only when requested by name.
+var metricsSweep = experiment{
+	name: "sweep", title: "Per-run structured metrics sweep (protocol modes × environments)",
+	skip: true,
+	tables: []table{func() table {
+		t := table{grid: core.Grid{Stride: 7919}}
+		for ei, env := range []netem.Environment{netem.LAN, netem.WAN, netem.PPP} {
+			modes := protocolModes
+			if env == netem.PPP {
+				modes = modes[1:] // the paper has no HTTP/1.0 runs over PPP
 			}
-			a, err := sw.ModemTable(s.Site, httpserver.ProfileApache)
-			if err != nil {
-				return nil, err
+			for mi, mode := range modes {
+				t.grid.Rows = append(t.grid.Rows,
+					oneCell(cell(httpserver.ProfileApache, mode, env, httpclient.FirstTime, 12000+uint64(ei)*100+uint64(mi))))
 			}
-			return ModemPair{Jigsaw: j, Apache: a}, nil
-		},
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			v := d.(ModemPair)
-			report.Modem(w, v.Jigsaw, "Jigsaw")
-			fmt.Fprintln(w)
-			report.Modem(w, v.Apache, "Apache")
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "tagcase", Title: "HTML tag case vs deflate ratio",
-		Generate: func(*exp.Session) (any, error) { return core.TagCaseTable() },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.TagCase(w, d.([]core.TagCaseRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "css", Title: "Figure 1 + whole-page CSS replacement",
-		Generate: func(s *exp.Session) (any, error) { return s.Site.CSSReplacements(), nil },
-		Render: func(w io.Writer, s *exp.Session, _ any) error {
-			report.CSS(w, s.Site)
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "png", Title: "GIF->PNG / animated GIF->MNG conversion",
-		Generate: func(s *exp.Session) (any, error) { return s.Site.ConvertImages() },
-		Render: func(w io.Writer, s *exp.Session, _ any) error {
-			return report.PNG(w, s.Site)
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "nagle", Title: "Nagle interaction ablation",
-		Generate: func(s *exp.Session) (any, error) { return sweepFor(s, "nagle").NagleTable(s.Site) },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Nagle(w, d.([]core.NagleRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "reset", Title: "Server early-close scenario",
-		Generate: func(s *exp.Session) (any, error) { return sweepFor(s, "reset").ResetTable(s.Site) },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Reset(w, d.([]core.ResetRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "flush", Title: "Buffer/flush-timer ablation",
-		Generate: func(s *exp.Session) (any, error) { return sweepFor(s, "flush").FlushAblation(s.Site) },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Flush(w, d.([]core.FlushRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "range", Title: "Range-probe revalidation after a site revision",
-		Generate: func(s *exp.Session) (any, error) { return sweepFor(s, "range").RangeTable(s.Site) },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Range(w, d.([]core.RangeRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "headers", Title: "Request-redundancy (compact encoding) estimate",
-		Generate: func(s *exp.Session) (any, error) { return core.HeaderRedundancy(s.Site) },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.HeaderRedundancy(w, d.([]core.HeaderRedundancyRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "cwnd", Title: "Slow-start initial window ablation",
-		Generate: func(s *exp.Session) (any, error) { return sweepFor(s, "cwnd").CwndTable(s.Site) },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Cwnd(w, d.([]core.CwndRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "proxy", Title: "Shared caching proxy tier (PPP last mile, WAN origin)",
-		Generate: func(s *exp.Session) (any, error) { return sweepFor(s, "proxy").ProxyTable(s.Site) },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Proxy(w, d.([]core.ProxyRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "faults", Title: "Fault injection and recovery (PPP and WAN, scripted faults)",
-		Generate: func(s *exp.Session) (any, error) { return sweepFor(s, "faults").FaultsTable(s.Site) },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Faults(w, d.([]core.FaultRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "variance", Title: "Seed-variance experiment: per-cell 95% CIs and latency quantiles (clean vs burst loss)",
-		Generate: func(s *exp.Session) (any, error) {
-			return sweepFor(s, "variance").VarianceTable(s.Site)
-		},
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Variance(w, d.([]core.VarianceRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "mux", Title: "Multiplexed protocol modes: mux, server push, burst vs the paper's four",
-		Generate: func(s *exp.Session) (any, error) { return sweepFor(s, "mux").MuxTable(s.Site) },
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Mux(w, d.(*core.MuxData))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "mux-faults", Title: "Framed-protocol fault injection: mux error handling and stream recovery",
-		Generate: func(s *exp.Session) (any, error) {
-			return sweepFor(s, "mux-faults").MuxFaultsTable(s.Site)
-		},
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.MuxFaults(w, d.([]core.MuxFaultRow))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "blame", Title: "Causal delay attribution: per-request blame and critical path (paper §4)",
-		Generate: func(s *exp.Session) (any, error) {
-			return sweepFor(s, "blame").BlameTable(s.Site)
-		},
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.Blame(w, d.(*core.BlameData))
-			return nil
-		},
-	})
-	exp.Register(exp.Experiment{
-		Name: "sweep", Title: "Per-run structured metrics sweep (protocol modes × environments)",
-		Skip: true,
-		Generate: func(s *exp.Session) (any, error) {
-			// The sweep gathers structured per-run metrics over the main
-			// protocol × environment matrix; it is not one of the paper's
-			// tables, so it runs only when requested by name.
-			col := exp.NewCollector()
-			modes := []httpclient.Mode{
-				httpclient.ModeHTTP10,
-				httpclient.ModeHTTP11Serial,
-				httpclient.ModeHTTP11Pipelined,
-				httpclient.ModeHTTP11PipelinedDeflate,
+		}
+		return t
+	}()},
+	generate: func(s *exp.Session, e *experiment) (any, error) {
+		sw := e.sweep(s)
+		sw.Collector = exp.NewCollector()
+		if _, err := sw.Measure(e.tables[0].grid, s.Site); err != nil {
+			return nil, err
+		}
+		recs := sw.Collector.Records()
+		if s.Collector != nil {
+			for _, m := range recs {
+				s.Collector.Add(m)
 			}
-			for ei, env := range []netem.Environment{netem.LAN, netem.WAN, netem.PPP} {
-				ms := modes
-				if env == netem.PPP {
-					ms = ms[1:] // the paper has no HTTP/1.0 runs over PPP
-				}
-				for mi, mode := range ms {
-					sw := sweepFor(s, "sweep")
-					sw.Collector = col
-					sc := core.Scenario{
-						Server: httpserver.ProfileApache, Client: mode,
-						Env: env, Workload: httpclient.FirstTime,
-						Seed: 12000 + uint64(ei)*100 + uint64(mi),
-					}
-					if _, err := sw.RunAveraged(sc, s.Site); err != nil {
-						return nil, err
-					}
-				}
-			}
-			recs := col.Records()
-			if s.Collector != nil {
-				for _, m := range recs {
-					s.Collector.Add(m)
-				}
-			}
-			return recs, nil
-		},
-		Render: func(w io.Writer, _ *exp.Session, d any) error {
-			report.MetricsTable(w, d.([]exp.Metrics))
-			return nil
-		},
-	})
+		}
+		return recs, nil
+	},
+	render: renderWith(report.MetricsTable),
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -58,9 +59,10 @@ func TestRegisteredNames(t *testing.T) {
 
 // TestRenderedBytesDeterministic requires the full rendered output of a
 // scenario-driven experiment — and its collected metrics CSV — to be
-// byte-identical between a serial and a wide worker pool.
+// byte-identical between a serial and a wide worker pool. nagle mixes
+// server overrides and proxy runs the two-link topology.
 func TestRenderedBytesDeterministic(t *testing.T) {
-	for _, name := range []string{"3", "nagle", "faults", "variance", "mux", "mux-faults", "blame"} {
+	for _, name := range []string{"3", "nagle", "proxy", "faults", "variance", "mux", "mux-faults", "blame"} {
 		s1 := session(t, 1)
 		s8 := session(t, 8)
 		out1 := render(t, s1, name)
@@ -116,5 +118,28 @@ func TestSweepExperiment(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("Per-run metrics")) {
 		t.Errorf("sweep render missing title:\n%s", buf.Bytes())
+	}
+}
+
+// TestRenderUsesGeneratedData pins that an experiment renders the value
+// its Generate produced instead of computing it again: converting the
+// site's images takes over a hundred thousand allocations, printing the
+// report of it a few hundred.
+func TestRenderUsesGeneratedData(t *testing.T) {
+	s := session(t, 1)
+	for _, name := range []string{"png", "css"} {
+		e, _ := exp.Lookup(name)
+		data, err := e.Generate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := e.Render(io.Discard, s, data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs >= 1000 {
+			t.Errorf("rendering %s allocates %.0f objects; it must not recompute its report", name, allocs)
+		}
 	}
 }

@@ -16,18 +16,19 @@ import (
 // timeline (with the critical-path overlay), the pcap and the blame
 // waterfall are rendered and their length and CRC-32 compared with
 // testdata/export_crc.txt. A change that makes an exporter cheaper must
-// leave that file alone. The population is generated on a pool of one,
-// so the scenario remembered under each label — the last one run — does
-// not depend on scheduling.
+// leave that file alone — and so must a change to how experiments are
+// declared: the file lists what a one-run pass over every experiment
+// executed when scenarios were still recorded as they ran, so it is also
+// the proof that Scenarios enumerates that population.
 func TestExportBytesUnchanged(t *testing.T) {
-	s, scs := recordedPopulation(t, 1)
+	s := session(t, 1)
 	var got bytes.Buffer
 	sum := func(name string, b *bytes.Buffer) {
 		fmt.Fprintf(&got, "\t%s %d %08x", name, b.Len(), crc32.ChecksumIEEE(b.Bytes()))
 		b.Reset()
 	}
 	var out bytes.Buffer
-	for _, sc := range scs {
+	for _, sc := range Scenarios() {
 		res, err := core.Run(sc, s.Site, core.WithCapture(), core.WithTimeline(), core.WithBlame())
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)

@@ -61,8 +61,8 @@ func walkStats(events []tcpsim.PacketEvent, clientHost, serverHost string) trace
 // upstream link — and then checks that a run which retains nothing
 // reports the same statistics.
 func TestTalliesMatchEventWalk(t *testing.T) {
-	s, scs := recordedPopulation(t, 8)
-	for _, sc := range scs {
+	s := session(t, 1)
+	for _, sc := range Scenarios() {
 		kept, err := core.Run(sc, s.Site, core.WithCapture())
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)

@@ -5,8 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exp"
-	_ "repro/internal/experiments"
+	"repro/internal/experiments"
 	"repro/internal/httpclient"
 )
 
@@ -23,21 +22,8 @@ func TestCountedBodiesMeasureLikeKeptBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.RecordScenarios(true)
-	s := &exp.Session{Site: site, Runs: 1, Parallel: 8}
-	for _, name := range exp.Names() {
-		e, _ := exp.Lookup(name)
-		if _, err := e.Generate(s); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	core.RecordScenarios(false)
-	scs := core.RecordedScenarios()
-	if len(scs) < 30 {
-		t.Fatalf("recorder saw only %d scenarios; expected the full experiment population", len(scs))
-	}
 	defer httpclient.RetainBodies(false)
-	for _, sc := range scs {
+	for _, sc := range experiments.Scenarios() {
 		var runs [2]*core.RunResult
 		for i, keep := range []bool{true, false} {
 			httpclient.RetainBodies(keep)

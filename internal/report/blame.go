@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/causality"
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -69,81 +68,4 @@ func CriticalPath(w io.Writer, a *causality.Analysis) {
 		},
 	}
 	s.Render(w, rows)
-}
-
-// blameCols builds the shared column set of the blame sections: the
-// cell label, whole-fetch seconds, critical-path milliseconds, and one
-// column per attribution category (milliseconds, summed over the
-// page's requests, averaged over the sweep).
-func blameCols(labelHead string, labelWidth string) []Col[core.BlameRow] {
-	cols := []Col[core.BlameRow]{
-		{Head: labelHead, Format: labelWidth, Value: func(r core.BlameRow) any { return r.Label }},
-		{Head: "Sec", Format: "%7.2f", Value: func(r core.BlameRow) any { return r.Seconds }},
-		{Head: "CritMs", Format: "%8.1f", Value: func(r core.BlameRow) any { return r.CriticalMs }},
-		{Format: "|", Value: nil},
-	}
-	heads := [causality.NumCategories]string{
-		"conn", "rto", "nagle", "flow", "sstart", "server", "hol", "wire",
-	}
-	for c := causality.Category(0); c < causality.NumCategories; c++ {
-		cat := c
-		cols = append(cols, Col[core.BlameRow]{
-			Head: heads[c], Format: "%8.1f",
-			Value: func(r core.BlameRow) any { return r.Cats[cat] },
-		})
-	}
-	return cols
-}
-
-var blameLegend = []string{
-	"Per-request elapsed time partitioned into exclusive causes (ms, summed over requests):",
-	"conn=TCP setup  rto=retransmit recovery  nagle=Nagle holds  flow=mux window stalls",
-	"sstart=cwnd waits  server=think time  hol=head-of-line queueing  wire=transmission",
-	"CritMs = page-load critical path (root document → last object through binding constraints)",
-}
-
-// Blame renders the blame experiment: the paper's §4 attribution
-// narrative as numbers — the Nagle stall, connection-setup cost, the
-// stream-priority ablation, and a two-run "why" diff.
-func Blame(w io.Writer, d *core.BlameData) {
-	nagle := Spec[core.BlameRow]{
-		Title:     "Where did the time go? (Jigsaw; WAN first-time; server Nagle re-enabled)",
-		Width:     112,
-		PreHeader: blameLegend,
-		Cols:      blameCols("variant", "%-31s"),
-	}
-	nagle.Render(w, d.Nagle)
-	io.WriteString(w, "\n")
-
-	setup := Spec[core.BlameRow]{
-		Title: "Connection-setup attribution (Apache; PPP first-time; tuned server)",
-		Width: 112,
-		Cols:  blameCols("mode", "%-31s"),
-	}
-	setup.Render(w, d.Setup)
-	io.WriteString(w, "\n")
-
-	sched := Spec[core.BlameRow]{
-		Title: "Stream-priority ablation (Apache; PPP first-time; framed modes)",
-		Width: 112,
-		PreHeader: []string{
-			"FIFO drains streams in creation order; the default pump serves (priority, id).",
-			"The delta lives in the critical path: pushed streams no longer yield to page data.",
-		},
-		Cols: blameCols("scheduler", "%-31s"),
-	}
-	sched.Render(w, d.Sched)
-	io.WriteString(w, "\n")
-
-	diff := Spec[causality.DiffRow]{
-		Title: "Why is " + d.WhyA + " faster than " + d.WhyB + "? (fixed seeds, per-category totals, largest delta first)",
-		Width: 60,
-		Cols: []Col[causality.DiffRow]{
-			{Head: "category", Format: "%-10s", Value: func(r causality.DiffRow) any { return r.Cat.String() }},
-			{Head: "A ms", Format: "%10.1f", Value: func(r causality.DiffRow) any { return float64(r.A) / 1e6 }},
-			{Head: "B ms", Format: "%10.1f", Value: func(r causality.DiffRow) any { return float64(r.B) / 1e6 }},
-			{Head: "B-A ms", Format: "%10.1f", Value: func(r causality.DiffRow) any { return float64(r.Delta) / 1e6 }},
-		},
-	}
-	diff.Render(w, d.Why)
 }

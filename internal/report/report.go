@@ -2,14 +2,16 @@
 // text, side by side with the paper's published numbers where available.
 // Every table is described declaratively as a Spec (tablespec.go) — a
 // column list with formats and value extractors — and rendered by the
-// one shared engine.
+// one shared engine. The scenario-driven experiments declare their Specs
+// next to their grids in internal/experiments and reach this package as
+// Tables; what is rendered here by name is what has a layout or a typed
+// result of its own.
 package report
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -121,55 +123,6 @@ func Environments(w io.Writer) {
 	s.Render(w, netem.Environments)
 }
 
-// Modem renders the §8.2.1 modem-compression experiment.
-func Modem(w io.Writer, rows []core.ModemRow, profileName string) {
-	s := Spec[core.ModemRow]{
-		Title: fmt.Sprintf("Modem compression experiment (single GET of the HTML page over 28.8k PPP) - %s", profileName),
-		Width: 86,
-		Cols: []Col[core.ModemRow]{
-			{Format: "%-52s", Value: func(r core.ModemRow) any { return r.Label }},
-			{Head: "Pa", Format: "%8.1f", Value: func(r core.ModemRow) any { return r.Packets }},
-			{Head: "Bytes", Format: "%9.0f", Value: func(r core.ModemRow) any { return r.Bytes }},
-			{Head: "Sec", Format: "%8.2f", Value: func(r core.ModemRow) any { return r.Seconds }},
-		},
-		Footer: func() []string {
-			p := core.PaperModem
-			return []string{
-				fmt.Sprintf("%-52s %8.1f %9s %8.2f", "  (paper: uncompressed HTML)", p.UncompressedPa, "", p.UncompressedSec),
-				fmt.Sprintf("%-52s %8.1f %9s %8.2f", "  (paper: zlib-compressed HTML)", p.CompressedPa, "", p.CompressedSec),
-			}
-		},
-	}
-	s.Render(w, rows)
-}
-
-// Proxy renders the shared-caching-proxy experiment: last-mile cost per
-// protocol mode under each cache state, with the cache-effectiveness and
-// origin-side columns alongside.
-func Proxy(w io.Writer, rows []core.ProxyRow) {
-	s := Spec[core.ProxyRow]{
-		Title: "Shared proxy cache (PPP last mile, proxy to Apache origin over WAN; first-time workload)",
-		Width: 118,
-		PreHeader: []string{
-			"cold = empty cache | warm = site cached and fresh | stale = cached earlier, expired (revalidate upstream)",
-		},
-		Cols: []Col[core.ProxyRow]{
-			{Format: "%-33s", Value: func(r core.ProxyRow) any { return r.Mode }},
-			{Head: "cache", Format: "%-6s", Value: func(r core.ProxyRow) any { return r.Variant }},
-			{Head: "Pa", Format: "%7.1f", Value: func(r core.ProxyRow) any { return r.Packets }},
-			{Head: "Bytes", Format: "%9.0f", Value: func(r core.ProxyRow) any { return r.Bytes }},
-			{Head: "Sec", Format: "%7.2f", Value: func(r core.ProxyRow) any { return r.Seconds }},
-			{Head: "%ov", Format: "%6.2f", Value: func(r core.ProxyRow) any { return r.OverheadPct }},
-			{Format: "|", Value: nil},
-			{Head: "hit%", Format: "%6.1f", Value: func(r core.ProxyRow) any { return 100 * r.HitRatio }},
-			{Head: "KBsaved", Format: "%8.1f", Value: func(r core.ProxyRow) any { return r.BytesSaved / 1024 }},
-			{Head: "upReq", Format: "%6.1f", Value: func(r core.ProxyRow) any { return r.UpstreamRequests }},
-			{Head: "originPa", Format: "%9.1f", Value: func(r core.ProxyRow) any { return r.OriginPackets }},
-		},
-	}
-	s.Render(w, rows)
-}
-
 // TagCase renders the markup-case compression experiment.
 func TagCase(w io.Writer, rows []core.TagCaseRow) {
 	s := Spec[core.TagCaseRow]{
@@ -180,113 +133,6 @@ func TagCase(w io.Writer, rows []core.TagCaseRow) {
 			{Head: "HTML", Format: "%10d", Value: func(r core.TagCaseRow) any { return r.HTMLBytes }},
 			{Head: "deflated", Format: "%10d", Value: func(r core.TagCaseRow) any { return r.Deflated }},
 			{Head: "ratio", Format: "%8.3f", Value: func(r core.TagCaseRow) any { return r.Ratio }},
-		},
-	}
-	s.Render(w, rows)
-}
-
-// Nagle renders the Nagle-interaction ablation.
-func Nagle(w io.Writer, rows []core.NagleRow) {
-	s := Spec[core.NagleRow]{
-		Title: "Nagle interaction (WAN first-time retrieval; delayed final segments)",
-		Width: 72,
-		Cols: []Col[core.NagleRow]{
-			{Format: "%-44s", Value: func(r core.NagleRow) any { return r.Label }},
-			{Head: "Pa", Format: "%8.1f", Value: func(r core.NagleRow) any { return r.Packets }},
-			{Head: "Sec", Format: "%8.2f", Value: func(r core.NagleRow) any { return r.Seconds }},
-		},
-	}
-	s.Render(w, rows)
-}
-
-// Reset renders the connection-management experiment.
-func Reset(w io.Writer, rows []core.ResetRow) {
-	s := Spec[core.ResetRow]{
-		Title: "Server early-close scenario (5 requests per connection, pipelined client, WAN)",
-		Width: 100,
-		Cols: []Col[core.ResetRow]{
-			{Format: "%-42s", Value: func(r core.ResetRow) any { return r.Label }},
-			{Head: "Pa", Format: "%8.1f", Value: func(r core.ResetRow) any { return r.Packets }},
-			{Head: "Sec", Format: "%8.2f", Value: func(r core.ResetRow) any { return r.Seconds }},
-			{Head: "Resets", Format: "%8.1f", Value: func(r core.ResetRow) any { return r.Errors }},
-			{Head: "Retried", Format: "%8.1f", Value: func(r core.ResetRow) any { return r.Retried }},
-			{Head: "Responses", Format: "%10.1f", Value: func(r core.ResetRow) any { return r.Responses }},
-		},
-	}
-	s.Render(w, rows)
-}
-
-// Faults renders the fault-injection / recovery experiment.
-func Faults(w io.Writer, rows []core.FaultRow) {
-	s := Spec[core.FaultRow]{
-		Title: "Fault injection and recovery (Apache, first-time retrieval; default recovery policy)",
-		Width: 117,
-		PreHeader: []string{
-			"TO = client watchdog timeouts | Rec = requests recovered by retry | Fail = permanently failed",
-			"Waste = payload KB delivered then re-fetched | Fallb = degradation steps (pipelined -> serial -> HTTP/1.0)",
-		},
-		Cols: []Col[core.FaultRow]{
-			{Head: "env", Format: "%-5s", Value: func(r core.FaultRow) any { return r.Env }},
-			{Head: "fault", Format: "%-12s", Value: func(r core.FaultRow) any { return r.Fault }},
-			{Format: "%-33s", Value: func(r core.FaultRow) any { return r.Mode }},
-			{Head: "Pa", Format: "%7.1f", Value: func(r core.FaultRow) any { return r.Packets }},
-			{Head: "Sec", Format: "%8.2f", Value: func(r core.FaultRow) any { return r.Seconds }},
-			{Format: "|", Value: nil},
-			{Head: "Err", Format: "%5.1f", Value: func(r core.FaultRow) any { return r.Errors }},
-			{Head: "Rtry", Format: "%6.1f", Value: func(r core.FaultRow) any { return r.Retried }},
-			{Head: "TO", Format: "%5.1f", Value: func(r core.FaultRow) any { return r.Timeouts }},
-			{Head: "Rec", Format: "%5.1f", Value: func(r core.FaultRow) any { return r.Recovered }},
-			{Head: "Fail", Format: "%5.1f", Value: func(r core.FaultRow) any { return r.Failed }},
-			{Head: "Waste", Format: "%7.1f", Value: func(r core.FaultRow) any { return r.WastedKB }},
-			{Head: "Fallb", Format: "%6.1f", Value: func(r core.FaultRow) any { return r.Fallbacks }},
-		},
-	}
-	s.Render(w, rows)
-}
-
-// MuxFaults renders the framed-protocol fault-recovery experiment.
-func MuxFaults(w io.Writer, rows []core.MuxFaultRow) {
-	s := Spec[core.MuxFaultRow]{
-		Title: "Framed-protocol fault injection and recovery (Apache, first-time retrieval; default recovery policy)",
-		Width: 132,
-		PreHeader: []string{
-			"TO = watchdog timeouts | Rec/Fail = requests recovered by retry / permanently failed | RecS = seconds spent in recovery",
-			"Rst = streams torn down by RST_STREAM | GoAwy = GOAWAY announcements | Dead = confirmed flow-control deadlocks",
-		},
-		Cols: []Col[core.MuxFaultRow]{
-			{Head: "env", Format: "%-5s", Value: func(r core.MuxFaultRow) any { return r.Env }},
-			{Head: "fault", Format: "%-14s", Value: func(r core.MuxFaultRow) any { return r.Fault }},
-			{Format: "%-18s", Value: func(r core.MuxFaultRow) any { return r.Mode }},
-			{Head: "Pa", Format: "%7.1f", Value: func(r core.MuxFaultRow) any { return r.Packets }},
-			{Head: "Sec", Format: "%8.2f", Value: func(r core.MuxFaultRow) any { return r.Seconds }},
-			{Format: "|", Value: nil},
-			{Head: "Err", Format: "%5.1f", Value: func(r core.MuxFaultRow) any { return r.Errors }},
-			{Head: "Rtry", Format: "%6.1f", Value: func(r core.MuxFaultRow) any { return r.Retried }},
-			{Head: "TO", Format: "%5.1f", Value: func(r core.MuxFaultRow) any { return r.Timeouts }},
-			{Head: "Rec", Format: "%5.1f", Value: func(r core.MuxFaultRow) any { return r.Recovered }},
-			{Head: "Fail", Format: "%5.1f", Value: func(r core.MuxFaultRow) any { return r.Failed }},
-			{Head: "Waste", Format: "%7.1f", Value: func(r core.MuxFaultRow) any { return r.WastedKB }},
-			{Head: "RecS", Format: "%6.2f", Value: func(r core.MuxFaultRow) any { return r.RecoverySec }},
-			{Head: "Fallb", Format: "%6.1f", Value: func(r core.MuxFaultRow) any { return r.Fallbacks }},
-			{Format: "|", Value: nil},
-			{Head: "Rst", Format: "%5.1f", Value: func(r core.MuxFaultRow) any { return r.StreamsReset }},
-			{Head: "GoAwy", Format: "%6.1f", Value: func(r core.MuxFaultRow) any { return r.Goaways }},
-			{Head: "Dead", Format: "%5.1f", Value: func(r core.MuxFaultRow) any { return r.Deadlocks }},
-		},
-	}
-	s.Render(w, rows)
-}
-
-// Flush renders the flush-policy ablation grid.
-func Flush(w io.Writer, rows []core.FlushRow) {
-	s := Spec[core.FlushRow]{
-		Title: "Pipelining flush-policy ablation (WAN first-time retrieval)",
-		Width: 64,
-		Cols: []Col[core.FlushRow]{
-			{Head: "buffer", Format: "%-12d", Value: func(r core.FlushRow) any { return r.BufferSize }},
-			{Head: "timer", Format: "%-14s", Value: func(r core.FlushRow) any { return r.FlushTimeout }},
-			{Head: "Pa", Format: "%8.1f", Value: func(r core.FlushRow) any { return r.Packets }},
-			{Head: "Sec", Format: "%8.2f", Value: func(r core.FlushRow) any { return r.Seconds }},
 		},
 	}
 	s.Render(w, rows)
@@ -305,13 +151,12 @@ var cssSpec = Spec[webgen.Replacement]{
 
 // CSS renders the image→CSS replacement analysis (Figure 1 and the
 // whole-page estimate).
-func CSS(w io.Writer, site *webgen.Site) {
+func CSS(w io.Writer, rep webgen.CSSReport) {
 	fig := webgen.FigureOneReplacement()
 	line(w, "Figure 1 - the %q banner", "solutions")
 	line(w, "  GIF: %d bytes; HTML+CSS replacement: %d bytes (paper: 682 -> ~150)", fig.GIFBytes, fig.CSSBytes())
 	line(w, "  reduction factor: %.1fx", float64(fig.GIFBytes)/float64(fig.CSSBytes()))
 	line(w, "")
-	rep := site.CSSReplacements()
 	line(w, "Whole-page image -> HTML+CSS analysis")
 	rule(w, 70)
 	line(w, "  images replaced:        %d of %d", len(rep.Replacements), len(rep.Replacements)+len(rep.Kept))
@@ -339,11 +184,7 @@ var pngSpec = Spec[webgen.Conversion]{
 }
 
 // PNG renders the GIF→PNG / animated GIF→MNG conversion report.
-func PNG(w io.Writer, site *webgen.Site) error {
-	rep, err := site.ConvertImages()
-	if err != nil {
-		return err
-	}
+func PNG(w io.Writer, rep webgen.ConversionReport) {
 	line(w, "GIF -> PNG and animated GIF -> MNG conversion")
 	rule(w, 76)
 	line(w, "  static GIFs:  %d -> %d bytes (saved %d, %.1f%%)  [paper: 103299 -> 92096]",
@@ -359,29 +200,6 @@ func PNG(w io.Writer, site *webgen.Site) error {
 		line(w, "%s", pngSpec.Row(c))
 	}
 	rule(w, 76)
-	return nil
-}
-
-// Duration formats a duration for table cells.
-func Duration(d time.Duration) string {
-	return fmt.Sprintf("%.2fs", d.Seconds())
-}
-
-// Range renders the range-probe ("poor man's multiplexing") experiment.
-func Range(w io.Writer, rows []core.RangeRow) {
-	s := Spec[core.RangeRow]{
-		Title: "Range-request revalidation after a site revision (PPP, pipelined, ~30% of objects changed)",
-		Width: 110,
-		Cols: []Col[core.RangeRow]{
-			{Format: "%-46s", Value: func(r core.RangeRow) any { return r.Label }},
-			{Head: "Pa", Format: "%8.1f", Value: func(r core.RangeRow) any { return r.Packets }},
-			{Head: "Bytes", Format: "%9.0f", Value: func(r core.RangeRow) any { return r.Bytes }},
-			{Head: "Sec", Format: "%9.2f", Value: func(r core.RangeRow) any { return r.Seconds }},
-			{Head: "Metadata Sec", Format: "%13.2f", Value: func(r core.RangeRow) any { return r.MetadataSeconds }},
-			{Head: "206s", Format: "%8.1f", Value: func(r core.RangeRow) any { return r.Responses206 }},
-		},
-	}
-	s.Render(w, rows)
 }
 
 // HeaderRedundancy renders the compact-wire-representation estimate.
@@ -393,20 +211,6 @@ func HeaderRedundancy(w io.Writer, rows []core.HeaderRedundancyRow) {
 			{Format: "%-52s", Value: func(r core.HeaderRedundancyRow) any { return r.Label }},
 			{Head: "bytes", Format: "%12d", Value: func(r core.HeaderRedundancyRow) any { return r.RequestBytes }},
 			{Head: "ratio", Format: "%8.3f", Value: func(r core.HeaderRedundancyRow) any { return r.Ratio }},
-		},
-	}
-	s.Render(w, rows)
-}
-
-// Cwnd renders the initial-window ablation.
-func Cwnd(w io.Writer, rows []core.CwndRow) {
-	s := Spec[core.CwndRow]{
-		Title: "Slow-start initial window ablation (WAN first-time retrieval, pipelined)",
-		Width: 64,
-		Cols: []Col[core.CwndRow]{
-			{Format: "%-30s", Value: func(r core.CwndRow) any { return r.Label }},
-			{Head: "Pa", Format: "%8.1f", Value: func(r core.CwndRow) any { return r.Packets }},
-			{Head: "Sec", Format: "%8.2f", Value: func(r core.CwndRow) any { return r.Seconds }},
 		},
 	}
 	s.Render(w, rows)

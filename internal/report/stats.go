@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/stats"
 )
@@ -19,32 +18,14 @@ func MeanCI(s stats.Summary, prec int) string {
 	return fmt.Sprintf("%.*f ±%.*f", prec, s.Mean, prec, s.CI95)
 }
 
-// Variance renders the seed-variance experiment: per-cell mean ± 95% CI
-// for the paper's headline quantities and per-request total-latency
-// quantiles, clean vs burst loss.
-func Variance(w io.Writer, rows []core.VarianceRow) {
-	s := Spec[core.VarianceRow]{
-		Title: "Seed-variance experiment (Apache, first-time retrieval; Student-t 95% CIs over N seeded runs)",
-		Width: 130,
-		PreHeader: []string{
-			"Sec/Pa = whole-fetch elapsed seconds and packets, mean ± 95% CI | p50/p90/p99/max = per-request total latency [ms]",
-		},
-		Cols: []Col[core.VarianceRow]{
-			{Head: "env", Format: "%-5s", Value: func(r core.VarianceRow) any { return r.Env }},
-			{Head: "fault", Format: "%-12s", Value: func(r core.VarianceRow) any { return r.Fault }},
-			{Format: "%-33s", Value: func(r core.VarianceRow) any { return r.Mode }},
-			{Head: "N", Format: "%3d", Value: func(r core.VarianceRow) any { return r.N }},
-			{Head: "Sec", Format: "%15s", Value: func(r core.VarianceRow) any { return MeanCI(r.Seconds, 2) }},
-			{Head: "Pa", Format: "%15s", Value: func(r core.VarianceRow) any { return MeanCI(r.Packets, 1) }},
-			{Format: "|", Value: nil},
-			{Head: "p50", Format: "%8.1f", Value: func(r core.VarianceRow) any { return r.LatP50Ms }},
-			{Head: "p90", Format: "%8.1f", Value: func(r core.VarianceRow) any { return r.LatP90Ms }},
-			{Head: "p99", Format: "%8.1f", Value: func(r core.VarianceRow) any { return r.LatP99Ms }},
-			{Head: "max", Format: "%9.1f", Value: func(r core.VarianceRow) any { return r.LatMaxMs }},
-		},
-	}
-	s.Render(w, rows)
+// CI is a mean ± 95% CI table cell: under a %s verb it prints as MeanCI
+// does, at Prec decimals, and it marshals as its Summary.
+type CI struct {
+	stats.Summary
+	Prec int `json:"-"`
 }
+
+func (c CI) String() string { return MeanCI(c.Summary, c.Prec) }
 
 // Cells renders the cross-seed per-cell aggregates a collector
 // accumulated over any experiment mix: mean ± 95% CI for elapsed time

@@ -2,10 +2,10 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/stats"
 )
@@ -19,28 +19,39 @@ func TestMeanCI(t *testing.T) {
 	}
 }
 
-// TestVarianceRenderer pins the distribution/±CI table bytes on
-// synthetic rows, so format drift is a deliberate golden update rather
-// than an accident.
+// TestVarianceRenderer pins how a mean ± CI cell prints in a table and
+// what it marshals to, so format drift is deliberate rather than an
+// accident.
 func TestVarianceRenderer(t *testing.T) {
-	rows := []core.VarianceRow{
-		{Env: "PPP", Fault: "none", Mode: "HTTP/1.1 pipelined", N: 8,
-			Seconds:  stats.Summary{N: 8, Mean: 12.345, CI95: 0.678},
-			Packets:  stats.Summary{N: 8, Mean: 234.0},
-			LatP50Ms: 101.5, LatP90Ms: 303.25, LatP99Ms: 404.0, LatMaxMs: 505.9},
-		{Env: "WAN", Fault: "burst-loss", Mode: "HTTP/1.0", N: 8,
-			Seconds:  stats.Summary{N: 8, Mean: 80.96, CI95: 25.08},
-			Packets:  stats.Summary{N: 8, Mean: 861.2, CI95: 185.8},
-			LatP50Ms: 17448.3, LatP90Ms: 41339.1, LatP99Ms: 68182.6, LatMaxMs: 68734.9},
+	type cell struct {
+		label        string
+		secs, pkts   stats.Summary
+		p50Ms, maxMs float64
 	}
+	s := Spec[cell]{
+		Title: "Seed-variance experiment",
+		Width: 60,
+		Cols: []Col[cell]{
+			{Name: "mode", Format: "%-20s", Value: func(c cell) any { return c.label }},
+			{Head: "Sec", Format: "%15s", Value: func(c cell) any { return CI{c.secs, 2} }},
+			{Head: "Pa", Format: "%15s", Value: func(c cell) any { return CI{c.pkts, 1} }},
+			{Format: "|"},
+			{Head: "p50", Format: "%8.1f", Value: func(c cell) any { return c.p50Ms }},
+			{Head: "max", Format: "%9.1f", Value: func(c cell) any { return c.maxMs }},
+		},
+	}
+	tab := Tabulate(s, []cell{
+		{"HTTP/1.1 pipelined", stats.Summary{N: 8, Mean: 12.345, CI95: 0.678}, stats.Summary{N: 8, Mean: 234.0}, 101.5, 505.9},
+		{"HTTP/1.0", stats.Summary{N: 8, Mean: 80.96, CI95: 25.08}, stats.Summary{N: 8, Mean: 861.2, CI95: 185.8}, 17448.3, 68734.9},
+	})
 	var buf bytes.Buffer
-	Variance(&buf, rows)
+	tab.Render(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		"Seed-variance experiment",
-		"12.35 ±0.68",  // mean ± CI at two decimals
-		"234.0",        // zero-width CI renders bare mean
-		"861.2 ±185.8", // packets with CI at one decimal
+		"    12.35 ±0.68", // mean ± CI at two decimals, right-aligned in its column
+		"          234.0", // zero-width CI renders bare mean
+		"861.2 ±185.8",    // packets with CI at one decimal
 		"101.5",
 		"68734.9",
 	} {
@@ -48,11 +59,15 @@ func TestVarianceRenderer(t *testing.T) {
 			t.Errorf("variance table missing %q:\n%s", want, out)
 		}
 	}
-	// Rendering the same rows twice is byte-identical.
+	// Rendering the same table twice is byte-identical.
 	var again bytes.Buffer
-	Variance(&again, rows)
+	tab.Render(&again)
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Error("variance renderer not deterministic")
+	}
+	js, err := json.Marshal(tab.Value("Sec", "HTTP/1.0"))
+	if err != nil || string(js) != `{"n":8,"mean":80.96,"stddev":0,"ci95":25.08}` {
+		t.Errorf("a CI cell marshals as %s, %v; want its Summary", js, err)
 	}
 }
 

@@ -1,8 +1,10 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -14,6 +16,9 @@ type Col[R any] struct {
 	Head   string
 	Format string
 	Value  func(R) any
+	// Name, when set, names the column in a Table where the printed Head
+	// is blank or repeats.
+	Name string
 }
 
 // Spec is a declarative table description. Render reproduces the layout
@@ -118,4 +123,60 @@ func (s Spec[R]) Render(w io.Writer, rows []R) {
 	}
 	lines(rule)
 	_, _ = w.Write(b) // Render reports no error, as the Fprintf per line it replaces did not
+}
+
+// Table is what a declared table reduces to once its rows are measured:
+// the column values themselves, by name. It is what -json encodes, what
+// Value looks a measurement up in, and — together with the layout of the
+// Spec it came from — all that Render prints.
+type Table struct {
+	Title   string   `json:"title"`
+	Columns []string `json:"columns"`
+	Rows    [][]any  `json:"rows"`
+
+	layout Spec[[]any]
+}
+
+// Tabulate evaluates the Spec's columns over the rows, once. Separator
+// columns print but carry no value.
+func Tabulate[R any](s Spec[R], rows []R) *Table {
+	t := &Table{Title: s.Title, Rows: make([][]any, len(rows)),
+		layout: Spec[[]any]{Title: s.Title, Width: s.Width, PreHeader: s.PreHeader, Footer: s.Footer}}
+	for _, c := range s.Cols {
+		col := Col[[]any]{Head: c.Head, Format: c.Format}
+		if !c.literal() {
+			i := len(t.Columns)
+			col.Value = func(r []any) any { return r[i] }
+			t.Columns = append(t.Columns, cmp.Or(c.Name, c.Head))
+		}
+		t.layout.Cols = append(t.layout.Cols, col)
+	}
+	for i, r := range rows {
+		vals := make([]any, 0, len(t.Columns))
+		for _, c := range s.Cols {
+			if !c.literal() {
+				vals = append(vals, c.Value(r))
+			}
+		}
+		t.Rows[i] = vals
+	}
+	return t
+}
+
+// Render writes the table in its Spec's layout.
+func (t *Table) Render(w io.Writer) { t.layout.Render(w, t.Rows) }
+
+// Value returns the named column's value in the first row whose leading
+// values are the given labels, or nil when no such column or row exists.
+func (t *Table) Value(column string, labels ...any) any {
+	col := slices.Index(t.Columns, column)
+	if col < 0 {
+		return nil
+	}
+	for _, r := range t.Rows {
+		if len(labels) <= len(r) && slices.Equal(r[:len(labels)], labels) {
+			return r[col]
+		}
+	}
+	return nil
 }
