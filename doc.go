@@ -12,6 +12,7 @@
 // internal/gifenc, internal/pngenc, internal/htmlparse, internal/css).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-versus-measured results. The benchmarks in
-// bench_test.go regenerate every table and figure of the evaluation.
+// EXPERIMENTS.md for paper-versus-measured results. cmd/httpperf
+// regenerates every table and figure of the evaluation; bench/ measures
+// how fast the simulator does it.
 package repro

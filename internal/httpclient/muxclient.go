@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/htmlparse"
 	"repro/internal/httpmsg"
 	"repro/internal/mux"
 	"repro/internal/obs"
@@ -76,9 +75,7 @@ func (r *Robot) dialMux() *muxConn {
 		Close:     mc.onClose,
 	})
 	r.result.SocketsUsed++
-	if live := 1; live > r.result.MaxSimultaneousConns {
-		r.result.MaxSimultaneousConns = live
-	}
+	r.result.MaxSimultaneousConns = max(r.result.MaxSimultaneousConns, r.liveCount())
 	sess := mux.NewClient(func(b []byte) { mc.conn.Write(b) })
 	sess.EnablePush = r.cfg.MuxPush
 	sess.FIFO = r.cfg.MuxFIFO
@@ -323,14 +320,9 @@ func (mc *muxConn) onGoaway(last uint32, code mux.ErrCode) {
 }
 
 // requeueStream releases a torn-down stream's work item back onto the
-// robot's queue. chargeBudget distinguishes per-stream teardowns (a
-// peer RST_STREAM, a watchdog reset — individual retries, counted
-// against the policy's RetryBudget) from a whole-session failure,
-// which is ONE fault event no matter how many streams it takes down:
-// charging a 40-stream session failure 40 budget units would exhaust
-// the budget before the backoff/fallback ladder — which already
-// bounds session redials — ever engaged. Non-idempotent requests are
-// never replayed on either path. The caller dispatches.
+// robot's queue via Robot.requeue. chargeBudget is set for per-stream
+// teardowns (a peer RST_STREAM, a watchdog reset — individual retries)
+// and clear for a whole-session failure. The caller dispatches.
 func (mc *muxConn) requeueStream(ms *muxStream, chargeBudget bool) {
 	r := mc.r
 	p := r.cfg.Recovery
@@ -339,32 +331,9 @@ func (mc *muxConn) requeueStream(ms *muxStream, chargeBudget bool) {
 		r.recovering = true
 		r.recoverFrom = r.sim.Now()
 	}
-	it := ms.it
 	ms.claimed = false
 	ms.cancelled = true // late DATA racing the reset is waste
-	if p != nil && (!idempotent(it.method) || (chargeBudget && !p.Allow(r.retryCharge))) {
-		r.issued--
-		r.result.RequestsFailed++
-		r.result.Aborted = true
-		if it.isHTML {
-			r.htmlPending = false
-		}
-		return
-	}
-	it.retried = true
-	r.result.Retried++
-	if chargeBudget {
-		r.retryCharge++
-	}
-	r.issued--
-	it.span = r.cfg.Obs.SpanQueued(it.method, it.path, true)
-	r.queue = append(r.queue, it)
-	if it.isHTML {
-		// The page will be re-received from the start; discard the
-		// half-parsed tokenizer state. Already-discovered links stay
-		// deduplicated by r.enqueued.
-		r.extractor = htmlparse.LinkExtractor{}
-	}
+	r.requeue(ms.it, chargeBudget)
 }
 
 // outstanding reports whether any claimed stream still awaits its
@@ -550,19 +519,9 @@ func (r *Robot) muxFailErr(mc *muxConn, isError bool) {
 	if r.mux == mc {
 		r.mux = nil
 	}
-	p := r.cfg.Recovery
 	if isError {
 		r.result.Errors++
-		if p != nil {
-			r.consecFails++
-			if b := p.Backoff(r.consecFails); b > 0 {
-				r.backoffUntil = r.sim.Now().Add(b)
-				r.cfg.Obs.RetryBackoff(b, r.consecFails)
-			}
-			if p.FallbackAfter > 0 && r.consecFails >= p.FallbackAfter {
-				r.fallbackMuxDegrade()
-			}
-		}
+		r.noteFailure(r.fallbackMuxDegrade)
 	}
 	mc.fillStats()
 	for _, st := range mc.sess.Streams() {

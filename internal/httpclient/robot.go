@@ -333,14 +333,17 @@ func (r *Robot) dial() *clientConn {
 	})
 	r.conns = append(r.conns, cc)
 	r.result.SocketsUsed++
-	if live := r.liveCount(); live > r.result.MaxSimultaneousConns {
-		r.result.MaxSimultaneousConns = live
-	}
+	r.result.MaxSimultaneousConns = max(r.result.MaxSimultaneousConns, r.liveCount())
 	return cc
 }
 
+// liveCount is the number of open connections, a mux session's among
+// them.
 func (r *Robot) liveCount() int {
 	n := 0
+	if r.mux != nil && !r.mux.dead {
+		n++
+	}
 	for _, c := range r.conns {
 		if !c.dead {
 			n++
@@ -553,16 +556,7 @@ func (r *Robot) failConn(cc *clientConn, isError bool) {
 				r.cfg.Obs.Fallback(1, "serial")
 			}
 		}
-		if p != nil {
-			r.consecFails++
-			if b := p.Backoff(r.consecFails); b > 0 {
-				r.backoffUntil = r.sim.Now().Add(b)
-				r.cfg.Obs.RetryBackoff(b, r.consecFails)
-			}
-			if p.FallbackAfter > 0 && r.consecFails >= p.FallbackAfter {
-				r.fallbackDegrade()
-			}
-		}
+		r.noteFailure(r.fallbackDegrade)
 	}
 	if n := len(cc.inflight); n > 0 {
 		// Even a graceful close that takes a pipelined batch down with it
@@ -583,35 +577,69 @@ func (r *Robot) failConn(cc *clientConn, isError bool) {
 			r.recoverFrom = r.sim.Now()
 		}
 		for _, it := range cc.inflight {
-			if p != nil && (!idempotent(it.method) || !p.Allow(r.retryCharge)) {
-				// Budget exhausted (or unsafe to replay): drop the request
-				// permanently rather than retry forever. Its span stays
-				// open-ended, which the waterfall marks abandoned.
-				r.issued--
-				r.result.RequestsFailed++
-				r.result.Aborted = true
-				if it.isHTML {
-					r.htmlPending = false
-				}
-				continue
-			}
-			it.retried = true
-			r.result.Retried++
-			r.retryCharge++
-			r.issued-- // it will be re-issued
-			// The original span stays open-ended; the retry is its own span.
-			it.span = r.cfg.Obs.SpanQueued(it.method, it.path, true)
-			r.queue = append(r.queue, it)
-			if it.isHTML {
-				// The page will be re-received from the start; discard
-				// the half-parsed tokenizer state. Already-discovered
-				// links stay deduplicated by r.enqueued.
-				r.extractor = htmlparse.LinkExtractor{}
-			}
+			r.requeue(it, true)
 		}
 		cc.inflight = nil
 	}
 	r.dispatch()
+}
+
+// noteFailure counts one more consecutive connection (or mux session)
+// failure against the Recovery policy: it opens the backoff window and,
+// after FallbackAfter failures in a row, takes the caller's step down
+// the protocol ladder.
+func (r *Robot) noteFailure(degrade func()) {
+	p := r.cfg.Recovery
+	if p == nil {
+		return
+	}
+	r.consecFails++
+	if b := p.Backoff(r.consecFails); b > 0 {
+		r.backoffUntil = r.sim.Now().Add(b)
+		r.cfg.Obs.RetryBackoff(b, r.consecFails)
+	}
+	if p.FallbackAfter > 0 && r.consecFails >= p.FallbackAfter {
+		degrade()
+	}
+}
+
+// requeue puts an unanswered request back on the queue as a retry and
+// reports whether it did. Under a Recovery policy a request that is
+// unsafe to replay, or — when charge is set — one the RetryBudget no
+// longer covers, is dropped permanently instead of retried forever; its
+// span stays open-ended, which the waterfall marks abandoned. charge
+// is clear for the streams a mux session failure takes down: that is
+// ONE fault event no matter how many streams it holds, and charging a
+// 40-stream session failure 40 budget units would exhaust the budget
+// before the backoff/fallback ladder — which already bounds session
+// redials — ever engaged. The caller dispatches.
+func (r *Robot) requeue(it workItem, charge bool) bool {
+	p := r.cfg.Recovery
+	if p != nil && (!idempotent(it.method) || (charge && !p.Allow(r.retryCharge))) {
+		r.issued--
+		r.result.RequestsFailed++
+		r.result.Aborted = true
+		if it.isHTML {
+			r.htmlPending = false
+		}
+		return false
+	}
+	it.retried = true
+	r.result.Retried++
+	if charge {
+		r.retryCharge++
+	}
+	r.issued-- // it will be re-issued
+	// The original span stays open-ended; the retry is its own span.
+	it.span = r.cfg.Obs.SpanQueued(it.method, it.path, true)
+	r.queue = append(r.queue, it)
+	if it.isHTML {
+		// The page will be re-received from the start; discard the
+		// half-parsed tokenizer state. Already-discovered links stay
+		// deduplicated by r.enqueued.
+		r.extractor = htmlparse.LinkExtractor{}
+	}
+	return true
 }
 
 // idempotent reports whether a request may be transparently re-issued

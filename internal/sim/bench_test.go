@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// benchEngine drives a mixed workload shaped like the TCP simulation:
-// mostly near-term events (segment arrivals, delayed ACKs), a slice of
-// RTO-range timers that are rescheduled before firing, and an
-// occasional far-future event that exercises the overflow path.
-func benchEngine(b *testing.B, e Engine) {
+// BenchmarkScheduleAndRun drives a mixed workload shaped like the TCP
+// simulation: mostly near-term events (segment arrivals, delayed ACKs),
+// a slice of RTO-range timers that are rescheduled before firing, and
+// an occasional far-future event that exercises the overflow path.
+func BenchmarkScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
-	s := NewWithEngine(e)
+	s := New()
 	noop := func(any) {}
 	var rto TimerHandle
 	for i := 0; i < b.N; i++ {
@@ -30,9 +30,4 @@ func benchEngine(b *testing.B, e Engine) {
 		}
 	}
 	s.Run()
-}
-
-func BenchmarkScheduleAndRun(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchEngine(b, EngineWheel) })
-	b.Run("heap", func(b *testing.B) { benchEngine(b, EngineHeap) })
 }

@@ -6,11 +6,9 @@
 // reproducible. The engine is intentionally single-threaded: callbacks run
 // on the caller's goroutine inside Run, Step, or RunUntil.
 //
-// Two interchangeable event queues implement the (when, seq) firing
-// order: the default hierarchical timer wheel (wheel.go) and the legacy
-// container/heap queue (heapq.go), kept for differential testing. Both
-// fire the exact same events in the exact same order; they differ only
-// in speed and allocation behaviour.
+// The event queue is a hierarchical timer wheel (wheel.go) that fires
+// in (when, seq) order; a standalone sorted-slice model in the tests
+// (oracle_test.go) is the reference it is checked against.
 //
 // The hot path is allocation-free: timer state lives in a free-list
 // arena inside the Simulator, and callers hold value-type TimerHandles
@@ -49,49 +47,18 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // MaxTime is the largest representable instant.
 const MaxTime = Time(math.MaxInt64)
 
-// Engine selects the event-queue implementation backing a Simulator.
-type Engine int
-
-const (
-	// EngineWheel is the hierarchical timer wheel, the default.
-	EngineWheel Engine = iota
-	// EngineHeap is the legacy container/heap queue. It fires the same
-	// events in the same order as the wheel; it exists as the reference
-	// implementation for differential tests and benchmarks.
-	EngineHeap
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	if e == EngineHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// SetDefaultEngine changes the engine New uses and returns the previous
-// default. It exists for differential tests; production code should not
-// call it. The simlegacy build tag flips the compiled-in default to
-// EngineHeap.
-func SetDefaultEngine(e Engine) Engine {
-	prev := defaultEngine
-	defaultEngine = e
-	return prev
-}
-
 // entry states.
 const (
 	stateFree uint8 = iota
 	statePending
 )
 
-// entry locations (meaning is engine-specific).
+// entry locations within the wheel.
 const (
 	locNone uint8 = iota
 	locWheel
 	locDue
 	locOverflow
-	locHeap
 )
 
 // entry is one scheduled event in the simulator's arena. Entries are
@@ -106,29 +73,11 @@ type entry struct {
 	level uint8
 	slot  uint8
 	// next/prev link the entry into a wheel slot's doubly-linked list;
-	// the heap engines reuse next as the heap position.
+	// the overflow heap reuses next as the heap position.
 	next, prev int32
 	fn         func()
 	afn        func(any)
 	arg        any
-}
-
-// queue is the event-queue contract shared by the wheel and heap
-// engines. All methods key on (entry.when, entry.seq).
-type queue interface {
-	// insert places a pending entry.
-	insert(s *Simulator, idx int32)
-	// remove detaches a pending entry before it fires.
-	remove(s *Simulator, idx int32)
-	// peek returns the index of the next event to fire (normalizing
-	// internal structures as needed), or -1 when empty.
-	peek(s *Simulator) int32
-	// pop discards the entry the preceding peek returned.
-	pop(s *Simulator)
-	// depth reports the engine's occupancy depth for Stats.WheelDepth:
-	// the deepest populated tier of the wheel (1-4, 5 when the overflow
-	// heap holds events), or 1 for a non-empty heap engine.
-	depth() int
 }
 
 // Simulator owns the virtual clock and the pending event queue.
@@ -142,23 +91,11 @@ type Simulator struct {
 
 	ents []entry
 	free []int32
-	q    queue
+	q    *wheel
 }
 
-// New returns an empty simulator with the clock at zero, on the default
-// engine (the timer wheel unless built with the simlegacy tag).
-func New() *Simulator { return NewWithEngine(defaultEngine) }
-
-// NewWithEngine returns an empty simulator on the given engine.
-func NewWithEngine(e Engine) *Simulator {
-	s := &Simulator{}
-	if e == EngineHeap {
-		s.q = &heapQueue{}
-	} else {
-		s.q = newWheel()
-	}
-	return s
-}
+// New returns an empty simulator with the clock at zero.
+func New() *Simulator { return &Simulator{q: newWheel()} }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
@@ -171,7 +108,7 @@ type Stats struct {
 	Pending int
 	// WheelDepth is the deepest populated tier of the event queue:
 	// 0 when empty, 1-4 for wheel levels, 5 when the far-future overflow
-	// heap holds events (always 0 or 1 on the legacy heap engine).
+	// heap holds events.
 	WheelDepth int
 	// PoolInUse is the number of timer-arena entries currently live.
 	PoolInUse int
@@ -355,7 +292,7 @@ func (s *Simulator) Step() bool {
 	if idx < 0 {
 		return false
 	}
-	s.q.pop(s)
+	s.q.pop()
 	e := &s.ents[idx]
 	s.now = e.when
 	fn, afn, arg := e.fn, e.afn, e.arg

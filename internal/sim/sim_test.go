@@ -6,13 +6,12 @@ import (
 	"time"
 )
 
-// eachEngine runs a subtest on both event-queue implementations; the
-// core contract tests must hold identically on the wheel and the heap.
+// eachEngine runs a core contract test on a fresh Simulator, as the
+// subtest "wheel" — the name these tests have reported under since the
+// wheel was one of two engines.
 func eachEngine(t *testing.T, f func(t *testing.T, s *Simulator)) {
 	t.Helper()
-	for _, e := range []Engine{EngineWheel, EngineHeap} {
-		t.Run(e.String(), func(t *testing.T) { f(t, NewWithEngine(e)) })
-	}
+	t.Run("wheel", func(t *testing.T) { f(t, New()) })
 }
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -345,7 +344,7 @@ func TestFarFutureEventsCascade(t *testing.T) {
 // Stopping an overflow-heap event and rescheduling across the horizon
 // must both work.
 func TestOverflowStopAndReschedule(t *testing.T) {
-	s := NewWithEngine(EngineWheel)
+	s := New()
 	far := s.Schedule(time.Hour, func() { t.Error("stopped overflow event fired") })
 	if got := s.Stats().WheelDepth; got != wheelLevels+1 {
 		t.Fatalf("WheelDepth with overflow event = %d, want %d", got, wheelLevels+1)
@@ -406,7 +405,7 @@ func TestTimeArithmetic(t *testing.T) {
 // pointer arg, reschedule it, let it fire — must not allocate. This is
 // the foundation of the zero-alloc packet path.
 func TestTimerCycleDoesNotAllocate(t *testing.T) {
-	s := NewWithEngine(EngineWheel) // the legacy heap allocates by design
+	s := New()
 	type peer struct{ n int }
 	p := &peer{}
 	fire := func(a any) { a.(*peer).n++ }
@@ -426,52 +425,48 @@ func TestTimerCycleDoesNotAllocate(t *testing.T) {
 }
 
 // Property: events always fire in non-decreasing time order, regardless of
-// the scheduling order of their delays — on both engines.
+// the scheduling order of their delays.
 func TestPropertyEventsFireInOrder(t *testing.T) {
-	for _, e := range []Engine{EngineWheel, EngineHeap} {
-		e := e
-		t.Run(e.String(), func(t *testing.T) {
-			f := func(delays []uint16) bool {
-				if len(delays) == 0 {
-					return true
-				}
-				s := NewWithEngine(e)
-				var times []Time
-				for _, d := range delays {
-					s.Schedule(time.Duration(d)*time.Microsecond, func() {
-						times = append(times, s.Now())
-					})
-				}
-				s.Run()
-				if len(times) != len(delays) {
-					return false
-				}
-				for i := 1; i < len(times); i++ {
-					if times[i] < times[i-1] {
-						return false
-					}
-				}
+	eachEngine(t, func(t *testing.T, _ *Simulator) {
+		f := func(delays []uint16) bool {
+			if len(delays) == 0 {
 				return true
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-				t.Fatal(err)
+			s := New()
+			var times []Time
+			for _, d := range delays {
+				s.Schedule(time.Duration(d)*time.Microsecond, func() {
+					times = append(times, s.Now())
+				})
 			}
-		})
-	}
+			s.Run()
+			if len(times) != len(delays) {
+				return false
+			}
+			for i := 1; i < len(times); i++ {
+				if times[i] < times[i-1] {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
-// Property: the wheel and the heap fire the exact same events in the
+// Property: the wheel and the model fire the exact same events in the
 // exact same order, including ties, stops, and reschedules.
 func TestPropertyEnginesAgree(t *testing.T) {
-	run := func(e Engine, delays []uint32, stopEvery, reschedEvery uint8) []int {
-		s := NewWithEngine(e)
+	run := func(s engine, delays []uint32, stopEvery, reschedEvery uint8) []int {
 		var order []int
-		handles := make([]TimerHandle, len(delays))
+		handles := make([]timer, len(delays))
 		for i, d := range delays {
 			i := i
 			// Spread delays across slot, level, and overflow ranges
 			// (up to ~34s, past the wheel horizon).
-			handles[i] = s.Schedule(time.Duration(d)*8, func() {
+			handles[i] = s.schedule(time.Duration(d)*8, func() {
 				order = append(order, i)
 			})
 		}
@@ -489,8 +484,9 @@ func TestPropertyEnginesAgree(t *testing.T) {
 		if len(delays) == 0 {
 			return true
 		}
-		a := run(EngineWheel, delays, stopEvery, reschedEvery)
-		b := run(EngineHeap, delays, stopEvery, reschedEvery)
+		wheel, model := bothEngines()
+		a := run(wheel, delays, stopEvery, reschedEvery)
+		b := run(model, delays, stopEvery, reschedEvery)
 		if len(a) != len(b) {
 			return false
 		}
@@ -514,8 +510,7 @@ func TestPropertyEnginesAgree(t *testing.T) {
 // extend past the parent's slot edge, and events parked in the parent's
 // next slot interleave with the level's late bits).
 func TestPropertyChainedTimersAgree(t *testing.T) {
-	run := func(e Engine, seeds []uint32) []Time {
-		s := NewWithEngine(e)
+	run := func(s engine, seeds []uint32) []Time {
 		var order []Time
 		for _, seed := range seeds {
 			rng := NewRand(uint64(seed))
@@ -529,9 +524,9 @@ func TestPropertyChainedTimersAgree(t *testing.T) {
 				hops--
 				// Delays spanning level-0 slots up to past the horizon.
 				d := time.Duration(rng.Intn(20_000_000_000))
-				s.Schedule(d, step)
+				s.schedule(d, step)
 			}
-			s.Schedule(time.Duration(seed%1000)*time.Microsecond, step)
+			s.schedule(time.Duration(seed%1000)*time.Microsecond, step)
 		}
 		s.Run()
 		return order
@@ -540,8 +535,9 @@ func TestPropertyChainedTimersAgree(t *testing.T) {
 		if len(seeds) == 0 {
 			return true
 		}
-		a := run(EngineWheel, seeds)
-		b := run(EngineHeap, seeds)
+		wheel, model := bothEngines()
+		a := run(wheel, seeds)
+		b := run(model, seeds)
 		if len(a) != len(b) {
 			return false
 		}
@@ -581,18 +577,6 @@ func TestPropertyFiredCount(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSetDefaultEngine(t *testing.T) {
-	prev := SetDefaultEngine(EngineHeap)
-	defer SetDefaultEngine(prev)
-	if _, ok := New().q.(*heapQueue); !ok {
-		t.Fatal("New after SetDefaultEngine(EngineHeap) did not use the heap")
-	}
-	SetDefaultEngine(EngineWheel)
-	if _, ok := New().q.(*wheel); !ok {
-		t.Fatal("New after SetDefaultEngine(EngineWheel) did not use the wheel")
 	}
 }
 

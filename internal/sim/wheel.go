@@ -205,6 +205,8 @@ func (w *wheel) advanceTo(s *Simulator, b uint64) {
 	}
 }
 
+// peek returns the index of the next event to fire, cascading and
+// draining slots as needed, or -1 when empty.
 func (w *wheel) peek(s *Simulator) int32 {
 	for {
 		if w.dueHead < len(w.due) {
@@ -270,7 +272,8 @@ func (w *wheel) peek(s *Simulator) int32 {
 	}
 }
 
-func (w *wheel) pop(*Simulator) { w.dueHead++ }
+// pop discards the entry the preceding peek returned.
+func (w *wheel) pop() { w.dueHead++ }
 
 // drainOverflow moves every overflow event now inside the wheel horizon
 // onto the wheel.
@@ -287,6 +290,8 @@ func (w *wheel) drainOverflow(s *Simulator) {
 	}
 }
 
+// depth reports the deepest populated tier for Stats.WheelDepth: 1-4
+// for wheel levels, 5 when the overflow heap holds events.
 func (w *wheel) depth() int {
 	d := 0
 	if w.dueHead < len(w.due) {

@@ -55,17 +55,3 @@ func Summarize(values []float64) Summary {
 	}
 	return s
 }
-
-// Interval returns the confidence interval [Mean−CI95, Mean+CI95].
-func (s Summary) Interval() (lo, hi float64) {
-	return s.Mean - s.CI95, s.Mean + s.CI95
-}
-
-// Overlaps reports whether the two summaries' 95% confidence intervals
-// intersect. Two single-sample summaries (zero-width intervals) overlap
-// only when their means are equal.
-func (s Summary) Overlaps(o Summary) bool {
-	aLo, aHi := s.Interval()
-	bLo, bHi := o.Interval()
-	return aLo <= bHi && bLo <= aHi
-}

@@ -1,9 +1,8 @@
 // Package stats is the statistical layer under the measurement harness:
 // mergeable log-bucketed latency histograms with exact-rank quantiles
-// (hist.go), streaming Welford mean/variance (welford.go), Student-t 95%
-// confidence intervals for cross-seed cell aggregation (ci.go), and a
-// significance-aware comparison of two metric populations for the
-// perf-regression gate (compare.go).
+// (hist.go), streaming Welford mean/variance (welford.go), and
+// Student-t 95% confidence intervals for cross-seed cell aggregation
+// (ci.go).
 //
 // The paper reports every cell of its tables as a single
 // tcpdump-accounted run; later measurement work showed protocol

@@ -19,7 +19,7 @@ func TestSteadyStatePacketPathAllocs(t *testing.T) {
 	const payloadLen = 2_000_000
 	payload := make([]byte, payloadLen)
 
-	s := sim.NewWithEngine(sim.EngineWheel) // the legacy heap allocates by design
+	s := sim.New()
 	n := NewNetwork(s)
 	client := n.AddHost("client")
 	server := n.AddHost("server")

@@ -23,8 +23,9 @@ const (
 )
 
 // MetaRecord opens a stream: schema version plus the environment facts
-// needed to interpret wall-clock rates (paralleling the benchjson
-// snapshot header, so streams from different machines are comparable).
+// needed to interpret wall-clock rates (paralleling the env stamp of a
+// bench/ result file, so streams from different machines are
+// comparable).
 type MetaRecord struct {
 	T           string `json:"t"`
 	Schema      string `json:"schema"`
