@@ -164,6 +164,10 @@ type RunResult struct {
 	// breakdown and page-load critical path — when Run was given
 	// WithBlame; nil otherwise.
 	Blame *causality.Analysis
+
+	// served is the site the origin served: the one given to Run, or its
+	// revision on a ReviseFraction run.
+	served *webgen.Site
 }
 
 // ErrDidNotFinish reports a run whose client never completed the page.
@@ -207,10 +211,19 @@ type runConfig struct {
 	blame    bool
 	seed     *uint64
 	metrics  *exp.Metrics
-	// served, when non-nil, is where a sweep keeps the revised site a
-	// ReviseFraction run serves, so that the next cell's run at the same
-	// seed finds it there instead of synthesizing it again.
-	served **webgen.Site
+	// revision, when non-nil, is the repetition slot where a sweep keeps
+	// the revised site a ReviseFraction run serves, so that the other
+	// cells' runs at the same seed find it there instead of synthesizing
+	// it again.
+	revision *revision
+}
+
+// revision is one repetition's revised site, synthesized by the first
+// run to need it and served by every run that shares the slot.
+type revision struct {
+	once sync.Once
+	site *webgen.Site
+	err  error
 }
 
 // WithCapture retains the full packet trace in the result.
@@ -395,16 +408,15 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		if sc.Workload != httpclient.Revalidate {
 			return nil, fmt.Errorf("core: ReviseFraction applies to the revalidation workload")
 		}
-		if cfg.served == nil {
-			cfg.served = new(*webgen.Site)
+		rev := cfg.revision
+		if rev == nil {
+			rev = new(revision)
 		}
-		if *cfg.served == nil {
-			var err error
-			if *cfg.served, err = site.Revise(sc.ReviseFraction, sc.Seed+101); err != nil {
-				return nil, err
-			}
+		rev.once.Do(func() { rev.site, rev.err = site.Revise(sc.ReviseFraction, sc.Seed+101) })
+		if rev.err != nil {
+			return nil, rev.err
 		}
-		served = *cfg.served
+		served = rev.site
 	}
 	server := httpserver.New(s, serverHost, serverPort, served, serverCfg, rng, cpuJitter)
 
@@ -541,6 +553,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		Stats:    capture.Stats("client"),
 		Client:   robot.Result(),
 		Server:   server.Stats(),
+		served:   served,
 	}
 	if px != nil {
 		res.Stats = capture.StatsBetween("client", "proxy")

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
+	"repro/internal/exp"
 	"repro/internal/netem"
 	"repro/internal/stats"
 	"repro/internal/webgen"
@@ -31,7 +33,7 @@ type Grid struct {
 }
 
 // Measured is a GridRow after its cells ran: Results[k] holds cell k's
-// repetitions, indexed as Sweep.series indexes them.
+// repetitions, in repetition order (Sweep.Measure).
 type Measured struct {
 	Labels  []any
 	Results [][]*RunResult
@@ -52,25 +54,86 @@ func (g Grid) sharesRevisions() bool {
 	})
 }
 
-// Measure runs every cell of the grid across the sweep's population, row
-// by row. Cells that share their revisions synthesize each repetition's
-// revised site once, in the first cell to run it.
+// Measure runs every cell of the grid across the sweep's population: the
+// sweep's Runs×Seeds repetitions of each cell, the seed stepped by the
+// grid's Stride between repetitions and by seedFamilyStride between
+// families. The whole grid — every (row, cell, repetition) — is one job
+// list on the pool, so no cell waits for the previous one to drain.
+// Collected records and results keep (row, cell, repetition) order.
+// Cells that share their revisions synthesize each repetition's revised
+// site once, in whichever cell runs that repetition first.
 func (sw Sweep) Measure(g Grid, site *webgen.Site) ([]Measured, error) {
-	sw.Stats = sw.Stats || g.Stats
-	sw.Blame = sw.Blame || g.Blame
-	if g.sharesRevisions() {
-		sw.served = new([]*webgen.Site)
+	runs := max(sw.Runs, 1)
+	reps := runs * max(sw.Seeds, 1)
+	withStats, withBlame := sw.Stats || g.Stats, sw.Blame || g.Blame
+	type cell struct {
+		sc      Scenario
+		results []*RunResult
+		// completed counts finished repetitions for the progress layer;
+		// the run reaching reps marks the cell done.
+		completed atomic.Int64
 	}
+	var cells []*cell
 	out := make([]Measured, len(g.Rows))
 	for i, row := range g.Rows {
 		out[i] = Measured{Labels: row.Labels, Results: make([][]*RunResult, len(row.Cells))}
 		for k, sc := range row.Cells {
-			results, err := sw.series(sc, site, g.Stride)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", sc, err)
-			}
-			out[i].Results[k] = results
+			c := &cell{sc: sc, results: make([]*RunResult, reps)}
+			out[i].Results[k] = c.results
+			cells = append(cells, c)
 		}
+	}
+	var revisions []revision
+	if g.sharesRevisions() {
+		revisions = make([]revision, reps)
+	}
+	var metrics []exp.Metrics
+	if sw.Collector != nil {
+		metrics = make([]exp.Metrics, len(cells)*reps)
+	}
+	err := exp.ForEach(sw.Parallel, len(cells)*reps, func(j int) error {
+		c, i := cells[j/reps], j%reps
+		family, rep := i/runs, i%runs
+		one := c.sc
+		one.Seed = c.sc.Seed + uint64(family)*seedFamilyStride + uint64(rep)*g.Stride
+		one.Jitter = reps > 1
+		var opts []Option
+		if revisions != nil {
+			// Slot i is repetition i's in every cell.
+			opts = append(opts, func(cfg *runConfig) { cfg.revision = &revisions[i] })
+		}
+		if metrics != nil {
+			metrics[j] = exp.Metrics{Experiment: sw.Experiment, Run: i}
+			opts = append(opts, WithMetrics(&metrics[j]))
+		}
+		if withStats {
+			opts = append(opts, WithStats())
+		}
+		if withBlame {
+			opts = append(opts, WithBlame())
+		}
+		res, err := Run(one, site, opts...)
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.sc, err)
+		}
+		c.results[i] = res
+		if exp.ProgressActive() {
+			exp.NotifyProgress(exp.ProgressEvent{
+				Experiment: sw.Experiment,
+				Scenario:   c.sc.String(),
+				Seed:       one.Seed,
+				Run:        i,
+				CellDone:   c.completed.Add(1) == int64(reps),
+				SimSeconds: res.Elapsed.Seconds(),
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range metrics {
+		sw.Collector.Add(m)
 	}
 	return out, nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/exp"
 	"repro/internal/webgen"
 )
@@ -21,7 +19,8 @@ const seedFamilyStride = 1_000_003
 // Aggregation is deterministic and order-independent: runs are indexed,
 // workers write into per-index slots, and averaging walks the slots in
 // index order, so the same seeds give byte-identical tables at any
-// Parallel level.
+// Parallel level. Measure runs a whole grid this way; RunAveraged is its
+// one-cell case.
 type Sweep struct {
 	Runs     int
 	Seeds    int
@@ -38,84 +37,14 @@ type Sweep struct {
 	// carries the causal delay attribution and each collected record
 	// the blame_*_ms / critical_path_ms columns.
 	Blame bool
-	// served, when non-nil, makes a table's cells share each repetition's
-	// revised site: the first cell to run repetition i synthesizes it.
-	served *[]*webgen.Site
-}
-
-// series executes the sweep's Runs×Seeds repetitions of sc, stepping the
-// seed by stride between repetitions — each table keeps its historical
-// stride so regenerated output matches the serial code — and by
-// seedFamilyStride between families. Results are indexed by repetition.
-func (sw Sweep) series(sc Scenario, site *webgen.Site, stride uint64) ([]*RunResult, error) {
-	runs := max(sw.Runs, 1)
-	n := runs * max(sw.Seeds, 1)
-	results := make([]*RunResult, n)
-	if sw.served != nil && *sw.served == nil {
-		*sw.served = make([]*webgen.Site, n)
-	}
-	var metrics []*exp.Metrics
-	if sw.Collector != nil {
-		metrics = make([]*exp.Metrics, n)
-	}
-	// completed counts finished repetitions for the progress layer; the
-	// run reaching n marks the cell done. The counter perturbs nothing:
-	// it exists only when a progress consumer is installed.
-	var completed atomic.Int64
-	err := exp.ForEach(sw.Parallel, n, func(i int) error {
-		family, rep := i/runs, i%runs
-		one := sc
-		one.Seed = sc.Seed + uint64(family)*seedFamilyStride + uint64(rep)*stride
-		one.Jitter = n > 1
-		var opts []Option
-		if sw.served != nil {
-			// Slot i is this repetition's alone, in every cell.
-			opts = append(opts, func(c *runConfig) { c.served = &(*sw.served)[i] })
-		}
-		if metrics != nil {
-			metrics[i] = &exp.Metrics{Experiment: sw.Experiment, Run: i}
-			opts = append(opts, WithMetrics(metrics[i]))
-		}
-		if sw.Stats {
-			opts = append(opts, WithStats())
-		}
-		if sw.Blame {
-			opts = append(opts, WithBlame())
-		}
-		res, err := Run(one, site, opts...)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		if exp.ProgressActive() {
-			exp.NotifyProgress(exp.ProgressEvent{
-				Experiment: sw.Experiment,
-				Scenario:   sc.String(),
-				Seed:       one.Seed,
-				Run:        i,
-				CellDone:   completed.Add(1) == int64(n),
-				SimSeconds: res.Elapsed.Seconds(),
-			})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if sw.Collector != nil {
-		for _, m := range metrics {
-			sw.Collector.Add(*m)
-		}
-	}
-	return results, nil
 }
 
 // RunAveraged executes the scenario across the sweep's population and
 // averages the measurements, like the paper's five-run methodology.
 func (sw Sweep) RunAveraged(sc Scenario, site *webgen.Site) (Avg, error) {
-	results, err := sw.series(sc, site, 7919)
+	measured, err := sw.Measure(Grid{Rows: []GridRow{{Cells: []Scenario{sc}}}, Stride: 7919}, site)
 	if err != nil {
 		return Avg{}, err
 	}
-	return Average(results), nil
+	return Average(measured[0].Results[0]), nil
 }

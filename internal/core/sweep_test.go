@@ -3,13 +3,13 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/exp"
 	"repro/internal/httpclient"
 	"repro/internal/httpserver"
 	"repro/internal/netem"
-	"repro/internal/webgen"
 )
 
 // testScenario is a cheap LAN cell used throughout the sweep tests.
@@ -201,46 +201,46 @@ func TestSweepSeedFamilies(t *testing.T) {
 	}
 }
 
-// A sweep that shares revisions serves each repetition of every cell the
-// site a lone run synthesizes at that seed — once: the first cell fills
-// the slot, the second finds it — and measures exactly what unshared
-// runs measure, at any pool width.
+// A grid whose cells share their revisions serves each repetition of
+// every cell one revised site, the one a lone run synthesizes at that
+// seed, and measures exactly what lone runs measure — with the cells'
+// repetitions racing for the revision on a wide pool.
 func TestSweepSharesRevisionsBetweenCells(t *testing.T) {
 	site := testSite(t)
 	sc := scenario(httpserver.ProfileApache, httpclient.ModeHTTP11Pipelined, netem.PPP, httpclient.Revalidate)
 	sc.ReviseFraction, sc.Seed = 0.3, 9900
-	plain := Sweep{Runs: 2, Seeds: 2, Parallel: 4}
-	want, err := plain.series(sc, site, 13)
+	g := Grid{Stride: 13, Rows: []GridRow{{Cells: []Scenario{sc, sc}}, {Cells: []Scenario{sc}}}}
+	measured, err := Sweep{Runs: 2, Seeds: 2, Parallel: 4}.Measure(g, site)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharing := plain
-	sharing.served = new([]*webgen.Site)
-	var slots []*webgen.Site
-	for cell := 0; cell < 2; cell++ {
-		got, err := sharing.series(sc, site, 13)
+	cells := slices.Concat(measured[0].Results, measured[1].Results)
+	first := cells[0]
+	if len(first) != 4 {
+		t.Fatalf("%d repetitions, want 4", len(first))
+	}
+	for i := range first {
+		lone := sc
+		lone.Seed = sc.Seed + uint64(i/2)*seedFamilyStride + uint64(i%2)*13
+		lone.Jitter = true
+		want, err := Run(lone, site)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(*sharing.served) != len(want) {
-			t.Fatalf("%d revision slots for %d repetitions", len(*sharing.served), len(want))
+		rev := first[i].served
+		if rev == site || rev.HTML.ETag != want.served.HTML.ETag {
+			t.Errorf("repetition %d serves a site other than its seed's revision", i)
 		}
-		for i, res := range got {
-			if res.Stats != want[i].Stats || res.Client != want[i].Client {
-				t.Errorf("cell %d repetition %d measures differently when the revision is shared", cell, i)
+		if i > 0 && rev == first[i-1].served {
+			t.Errorf("repetitions %d and %d share a revision", i-1, i)
+		}
+		for k, results := range cells {
+			if results[i].served != rev {
+				t.Errorf("cell %d repetition %d synthesized its own revision", k, i)
+			}
+			if results[i].Stats != want.Stats || results[i].Client != want.Client {
+				t.Errorf("cell %d repetition %d measures differently when the revision is shared", k, i)
 			}
 		}
-		if cell == 0 {
-			slots = append(slots, *sharing.served...)
-			continue
-		}
-		for i, rev := range *sharing.served {
-			if rev == nil || rev != slots[i] {
-				t.Errorf("repetition %d: the second cell did not reuse the first cell's revision", i)
-			}
-		}
-	}
-	if slots[0] == slots[1] || slots[0].HTML.ETag == site.HTML.ETag {
-		t.Error("repetitions at different seeds share a revision, or serve the unrevised site")
 	}
 }

@@ -8,6 +8,7 @@ package gifenc
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/lzw"
 )
@@ -102,7 +103,8 @@ type Frame struct {
 
 // EncodeAnimation serializes a GIF89a animation. All frames must share the
 // first frame's dimensions and palette (a common authoring constraint that
-// keeps the file small). loop is the Netscape loop count (0 = forever).
+// keeps the file small): only the first frame's palette is written, as
+// the global color table. loop is the Netscape loop count (0 = forever).
 func EncodeAnimation(frames []Frame, loop int) ([]byte, error) {
 	if len(frames) == 0 {
 		return nil, errors.New("gifenc: no frames")
@@ -117,6 +119,9 @@ func EncodeAnimation(frames []Frame, loop int) ([]byte, error) {
 		}
 		if f.Image.W != first.W || f.Image.H != first.H {
 			return nil, errors.New("gifenc: frame dimensions differ")
+		}
+		if !slices.Equal(f.Image.Palette, first.Palette) {
+			return nil, errors.New("gifenc: frame palette differs from the first frame's")
 		}
 	}
 	var out []byte
@@ -136,6 +141,63 @@ func EncodeAnimation(frames []Frame, loop int) ([]byte, error) {
 	out = append(out, 0x3B)
 	return out, nil
 }
+
+// Byte counts of the fixed-size blocks the encoders write.
+const (
+	signatureLen      = 6          // "GIF87a" or "GIF89a"
+	screenLen         = 7          // logical screen descriptor
+	loopExtensionLen  = 3 + 11 + 5 // Netscape looping extension
+	graphicControlLen = 8          // per-frame graphic control extension
+	imageFramingLen   = 10 + 1 + 1 // descriptor, literal width, block terminator
+	trailerLen        = 1
+)
+
+// EncodedLen returns len(Encode(img)) and true when that length is below
+// limit, and (limit, false) otherwise. It builds no encoding: the pixels'
+// LZW code is only counted (lzw.CompressedLen), and counting stops once
+// the total reaches limit. img must be an image Encode accepts; EncodedLen
+// does not validate it.
+func EncodedLen(img *Image, limit int) (int, bool) {
+	n := signatureLen + screenLen + colorTableLen(img) + trailerLen
+	return addImageDataLen(n, img, limit)
+}
+
+// EncodedAnimationLen is EncodedLen for EncodeAnimation(frames, loop),
+// whose length does not depend on loop. The frames must be ones
+// EncodeAnimation accepts.
+func EncodedAnimationLen(frames []Frame, limit int) (int, bool) {
+	n := signatureLen + screenLen + colorTableLen(frames[0].Image) + loopExtensionLen +
+		len(frames)*graphicControlLen + trailerLen
+	for _, f := range frames {
+		var ok bool
+		if n, ok = addImageDataLen(n, f.Image, limit); !ok {
+			return limit, false
+		}
+	}
+	return n, true
+}
+
+// addImageDataLen adds to n the length appendImageData gives img, and
+// reports whether the sum stays below limit; if not it returns limit.
+func addImageDataLen(n int, img *Image, limit int) (int, bool) {
+	n += imageFramingLen
+	c, ok := lzw.CompressedLen(img.Pixels, literalWidth(img), limit-n)
+	if !ok {
+		return limit, false
+	}
+	// The code travels in sub-blocks of up to 255 bytes behind a length
+	// byte each.
+	if n += c + (c+254)/255; n >= limit {
+		return limit, false
+	}
+	return n, true
+}
+
+// colorTableLen is the size of the color table written for img's palette.
+func colorTableLen(img *Image) int { return 3 << uint(paletteBits(len(img.Palette))) }
+
+// literalWidth is the LZW minimum code size of img's pixels.
+func literalWidth(img *Image) int { return max(paletteBits(len(img.Palette)), 2) }
 
 func appendLogicalScreen(out []byte, img *Image) []byte {
 	out = append(out, byte(img.W), byte(img.W>>8), byte(img.H), byte(img.H>>8))
@@ -167,10 +229,7 @@ func appendImageData(out []byte, img *Image, interlaced bool) []byte {
 	}
 	out = append(out, 0x2C, 0, 0, 0, 0,
 		byte(img.W), byte(img.W>>8), byte(img.H), byte(img.H>>8), packed)
-	litWidth := paletteBits(len(img.Palette))
-	if litWidth < 2 {
-		litWidth = 2
-	}
+	litWidth := literalWidth(img)
 	out = append(out, byte(litWidth))
 	pixels := img.Pixels
 	if interlaced {

@@ -2,9 +2,11 @@ package gifenc
 
 import (
 	"bytes"
+	"fmt"
 	"image"
 	"image/color"
 	"image/gif"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -207,6 +209,63 @@ func TestEncodeAnimationRejectsMismatchedFrames(t *testing.T) {
 	}
 	if _, err := EncodeAnimation(nil, 0); err == nil {
 		t.Fatal("empty animation accepted")
+	}
+	// Only the first frame's palette is written. A later frame with a
+	// larger one would be coded with indices the global table lacks; one
+	// of the same size but other colors would display wrongly.
+	recolored := testImage(16, 16, 4, 2)
+	recolored.Palette[1] = Color{1, 2, 3}
+	for _, second := range []*Image{testImage(16, 16, 8, 2), recolored} {
+		mismatched := []Frame{frames[0], {Image: second}}
+		if _, err := EncodeAnimation(mismatched, 0); err == nil {
+			t.Errorf("frame with a %d-color palette unlike the first's accepted", len(second.Palette))
+		}
+	}
+}
+
+// checkEncodedLen holds a length kernel to its contract — (want, true)
+// exactly when want < limit, else (limit, false) — at limits around want,
+// the length the encoder actually produced.
+func checkEncodedLen(t *testing.T, what string, want int, size func(limit int) (int, bool)) {
+	t.Helper()
+	for _, limit := range []int{0, 1, want / 2, want - 1, want, want + 1, 2 * want, math.MaxInt} {
+		n, ok := size(limit)
+		if wantOK := want < limit; ok != wantOK || ok && n != want || !ok && n != limit {
+			t.Errorf("%s: length at limit %d = (%d, %v); the encoder wrote %d bytes", what, limit, n, ok, want)
+		}
+	}
+}
+
+func TestEncodedLenMatchesEncode(t *testing.T) {
+	for _, colors := range []int{2, 3, 4, 5, 16, 17, 64, 128, 255, 256} {
+		// The larger images code to more than one 255-byte sub-block.
+		for _, wh := range [][2]int{{1, 1}, {13, 7}, {90, 30}, {200, 150}} {
+			img := testImage(wh[0], wh[1], colors, uint64(colors))
+			data, err := Encode(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEncodedLen(t, fmt.Sprintf("%dx%d/%d colors", wh[0], wh[1], colors), len(data),
+				func(limit int) (int, bool) { return EncodedLen(img, limit) })
+		}
+	}
+	for _, colors := range []int{2, 32, 256} {
+		for _, n := range []int{1, 2, 5} {
+			var frames []Frame
+			for i := 0; i < n; i++ {
+				img := testImage(120, 40, colors, uint64(i+1))
+				if i > 0 {
+					img.Palette = frames[0].Image.Palette
+				}
+				frames = append(frames, Frame{Image: img, DelayCS: 15})
+			}
+			data, err := EncodeAnimation(frames, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEncodedLen(t, fmt.Sprintf("%d frames/%d colors", n, colors), len(data),
+				func(limit int) (int, bool) { return EncodedAnimationLen(frames, limit) })
+		}
 	}
 }
 

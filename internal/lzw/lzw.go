@@ -11,6 +11,7 @@ package lzw
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -31,13 +32,42 @@ var dictPool = sync.Pool{New: func() any { return new(encTable) }}
 // (2..8 bits). The output begins with a CLEAR code and ends with EOI, as
 // GIF image data requires.
 func Compress(data []byte, litWidth int) []byte {
+	w := bitWriter{budget: math.MaxInt}
+	encode(data, litWidth, &w)
+	return w.bytes()
+}
+
+// CompressedLen returns len(Compress(data, litWidth)) and true when that
+// length is below limit, and (limit, false) otherwise. It runs Compress's
+// coder but keeps only a count of the bits, and stops as soon as the
+// count shows the output reaching limit bytes, so sizing an input
+// against a small limit costs only the prefix that fills it.
+func CompressedLen(data []byte, litWidth, limit int) (int, bool) {
+	if limit <= 0 {
+		return limit, false
+	}
+	// The output reaches limit bytes once it holds more than limit-1
+	// whole bytes of bits.
+	w := bitWriter{counting: true, budget: math.MaxInt}
+	if limit <= math.MaxInt/8 {
+		w.budget = 8*(limit-1) + 1
+	}
+	encode(data, litWidth, &w)
+	if n := (w.bits + 7) / 8; n < limit {
+		return n, true
+	}
+	return limit, false
+}
+
+// encode runs the GIF-variant LZW coder over data, handing every code to
+// w, and returns early once w has taken its budget of bits.
+func encode(data []byte, litWidth int, w *bitWriter) {
 	if litWidth < 2 || litWidth > 8 {
 		panic(fmt.Sprintf("lzw: literal width %d out of range", litWidth))
 	}
 	clear := 1 << uint(litWidth)
 	eoi := clear + 1
 
-	var w bitWriter
 	width := uint(litWidth + 1)
 	next := eoi + 1
 	// The dictionary maps (prefix code, next byte) to a code. A flat
@@ -74,7 +104,7 @@ func Compress(data []byte, litWidth int) []byte {
 	w.writeBits(uint32(clear), width)
 	if len(data) == 0 {
 		w.writeBits(uint32(eoi), width)
-		return w.bytes()
+		return
 	}
 
 	cur := int(data[0])
@@ -85,6 +115,9 @@ func Compress(data []byte, litWidth int) []byte {
 			continue
 		}
 		w.writeBits(uint32(cur), width)
+		if w.bits >= w.budget {
+			return
+		}
 		dict[key] = gen | int32(next)
 		next++
 		// Widen when the next code to be emitted would not fit.
@@ -106,7 +139,6 @@ func Compress(data []byte, litWidth int) []byte {
 		width++
 	}
 	w.writeBits(uint32(eoi), width)
-	return w.bytes()
 }
 
 // Decompress decodes GIF-variant LZW data with the given literal width.
@@ -198,14 +230,22 @@ func Decompress(data []byte, litWidth int) ([]byte, error) {
 	}
 }
 
-// bitWriter packs codes LSB-first (GIF order).
+// bitWriter packs codes LSB-first (GIF order). A counting writer packs
+// nothing and only totals the bits.
 type bitWriter struct {
-	out  []byte
-	acc  uint32
-	nacc uint
+	out      []byte
+	acc      uint32
+	nacc     uint
+	counting bool
+	bits     int // every bit written so far
+	budget   int // the coder stops feeding the writer once bits reaches it
 }
 
 func (w *bitWriter) writeBits(v uint32, n uint) {
+	w.bits += int(n)
+	if w.counting {
+		return
+	}
 	w.acc |= v << w.nacc
 	w.nacc += n
 	for w.nacc >= 8 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	stdlzw "compress/lzw"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -109,6 +110,66 @@ func TestDictionaryOverflowResets(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip across dictionary reset failed")
 	}
+}
+
+// checkCompressedLen holds CompressedLen at limit to its contract, given
+// want, the length Compress produces.
+func checkCompressedLen(t *testing.T, data []byte, lw, limit, want int) {
+	t.Helper()
+	n, ok := CompressedLen(data, lw, limit)
+	if wantOK := want < limit; ok != wantOK || ok && n != want || !ok && n != limit {
+		t.Errorf("lw%d, %d bytes in: CompressedLen(limit %d) = (%d, %v); Compress gives %d bytes",
+			lw, len(data), limit, n, ok, want)
+	}
+}
+
+func TestCompressedLenMatchesCompress(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for lw := 2; lw <= 8; lw++ {
+		symbols := 1 << lw
+		random := func(n int) []byte {
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = byte(r.Intn(symbols))
+			}
+			return b
+		}
+		alternating := make([]byte, 3000)
+		for i := range alternating {
+			alternating[i] = byte(i % 2)
+		}
+		inputs := map[string][]byte{
+			"empty":       {},
+			"single":      {1},
+			"flat":        bytes.Repeat([]byte{1}, 5000),
+			"alternating": alternating,
+			"random":      random(2000),
+			// Enough material to fill the 4096-code table and emit CLEAR
+			// several times over.
+			"clearing": random(60_000),
+		}
+		for _, data := range inputs {
+			want := len(Compress(data, lw))
+			for _, limit := range []int{-1, 0, 1, want / 2, want - 1, want, want + 1, 2 * want, math.MaxInt} {
+				checkCompressedLen(t, data, lw, limit, want)
+			}
+		}
+	}
+}
+
+// FuzzCompressedLen holds the counting coder to the writing one on
+// arbitrary input, literal width and limit.
+func FuzzCompressedLen(f *testing.F) {
+	f.Add([]byte("TOBEORNOTTOBEORTOBEORNOT"), 8, 10)
+	f.Add([]byte{}, 2, 1)
+	f.Add(bytes.Repeat([]byte{3, 1}, 3000), 2, 400)
+	f.Fuzz(func(t *testing.T, data []byte, litWidth, limit int) {
+		lw := 2 + (litWidth%7+7)%7
+		for i := range data {
+			data[i] &= byte(1<<lw - 1)
+		}
+		checkCompressedLen(t, data, lw, limit, len(Compress(data, lw)))
+	})
 }
 
 func TestCorruptStream(t *testing.T) {

@@ -2,6 +2,7 @@ package webgen
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/gifenc"
 	"repro/internal/sim"
@@ -26,38 +27,82 @@ func (s *SynthImage) FirstFrame() *gifenc.Image {
 	return s.Frames[0].Image
 }
 
+// animationFrames is the frame count of a synthesized animation.
+const animationFrames = 5
+
 // Synthesize builds an image whose encoded GIF size approximates
 // spec.Target. Synthesis is deterministic in (spec, seed).
 func Synthesize(spec Spec, seed uint64) (*SynthImage, error) {
 	if spec.Role == RoleAnimation {
-		return synthesizeAnimation(spec, seed)
-	}
-	// Binary search a scale parameter; encoded size grows monotonically
-	// with scale for a fixed style.
-	lo, hi := 1, 600
-	var best *SynthImage
-	bestErr := 1 << 30
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		img := renderStatic(spec, mid, seed)
-		data, err := gifenc.Encode(img)
+		scale := searchScale(spec.Target, 400, func(scale, limit int) (int, bool) {
+			return gifenc.EncodedAnimationLen(renderAnimation(spec, scale, seed, animationFrames), limit)
+		})
+		frames := renderAnimation(spec, scale, seed, animationFrames)
+		data, err := gifenc.EncodeAnimation(frames, 0)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("webgen: synthesize %s: %w", spec.Name, err)
 		}
-		if d := abs(len(data) - spec.Target); d < bestErr {
-			bestErr = d
-			best = &SynthImage{Spec: spec, Image: img, GIF: data}
-		}
-		if len(data) < spec.Target {
+		return &SynthImage{Spec: spec, Frames: frames, GIF: data}, nil
+	}
+	scale := searchScale(spec.Target, 600, func(scale, limit int) (int, bool) {
+		return gifenc.EncodedLen(renderStatic(spec, scale, seed), limit)
+	})
+	img := renderStatic(spec, scale, seed)
+	data, err := gifenc.Encode(img)
+	if err != nil {
+		return nil, fmt.Errorf("webgen: synthesize %s: %w", spec.Name, err)
+	}
+	return &SynthImage{Spec: spec, Image: img, GIF: data}, nil
+}
+
+// searchScale binary-searches the drawing scales 1..hi for the one whose
+// encoding is nearest target bytes (the earliest probe wins a tie);
+// encoded size grows monotonically with scale for a fixed style.
+// size(scale, limit) reports the encoded length at a scale as a length
+// kernel does: exact when below limit, else (limit, false).
+//
+// Each probe is sized against 2×target, so an overshooting probe costs
+// only the code that reaches the cap. That changes no choice. A capped
+// probe steers the search down, as its full length would, and lies at
+// least target bytes from the goal; an exact one, 1 to 2×target−1 bytes
+// long, lies closer. So the nearest exact probe is the nearest probe,
+// and only when every probe was capped are they sized in full and
+// compared.
+func searchScale(target, hi int, size func(scale, limit int) (int, bool)) int {
+	type probe struct {
+		scale, n int
+		exact    bool
+	}
+	var probes []probe
+	for lo := 1; lo <= hi; {
+		mid := (lo + hi) / 2
+		n, exact := size(mid, 2*target)
+		probes = append(probes, probe{mid, n, exact})
+		if n < target {
 			lo = mid + 1
 		} else {
 			hi = mid - 1
 		}
 	}
-	if best == nil {
-		return nil, fmt.Errorf("webgen: could not synthesize %s", spec.Name)
+	nearest := func() (scale, dist int) {
+		dist = math.MaxInt
+		for _, p := range probes {
+			if d := abs(p.n - target); p.exact && d < dist {
+				scale, dist = p.scale, d
+			}
+		}
+		return scale, dist
 	}
-	return best, nil
+	if scale, dist := nearest(); dist < target {
+		return scale
+	}
+	for i, p := range probes {
+		if !p.exact {
+			probes[i].n, probes[i].exact = size(p.scale, math.MaxInt)
+		}
+	}
+	scale, _ := nearest()
+	return scale
 }
 
 func abs(v int) int {
@@ -207,35 +252,6 @@ func drawGlyph(img *gifenc.Image, x0, y0, w, h int, rng *sim.Rand) {
 			}
 		}
 	}
-}
-
-// synthesizeAnimation builds an N-frame animated GIF near the target.
-func synthesizeAnimation(spec Spec, seed uint64) (*SynthImage, error) {
-	const nFrames = 5
-	lo, hi := 1, 400
-	var best *SynthImage
-	bestErr := 1 << 30
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		frames := renderAnimation(spec, mid, seed, nFrames)
-		data, err := gifenc.EncodeAnimation(frames, 0)
-		if err != nil {
-			return nil, err
-		}
-		if d := abs(len(data) - spec.Target); d < bestErr {
-			bestErr = d
-			best = &SynthImage{Spec: spec, Frames: frames, GIF: data}
-		}
-		if len(data) < spec.Target {
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("webgen: could not synthesize %s", spec.Name)
-	}
-	return best, nil
 }
 
 // renderAnimation draws frames that share a palette and differ by a
