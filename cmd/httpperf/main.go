@@ -69,7 +69,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"time"
 
@@ -164,64 +163,56 @@ func realMain() int {
 	}
 	defer writeExitProfiles(*memprofile, *mutexprofile)
 
-	// Telemetry stream + sampler.
-	var stream *telemetry.Stream
+	// Live observers: one monitor, handed to every run below; nil when
+	// no telemetry flag is set. The progress reporter feeds the stream
+	// whenever one is open, and stderr only under -progress.
+	var mon *telemetry.Monitor
+	if *telemetryOut != "" || *flightDir != "" || *progress {
+		mon = new(telemetry.Monitor)
+	}
 	if *telemetryOut != "" {
 		f, err := os.Create(*telemetryOut)
 		if err != nil {
 			return fail(err)
 		}
 		defer f.Close()
-		stream = telemetry.NewStream(f)
-		telemetry.SetStream(stream)
-		sampler := telemetry.StartSampler(stream, telemetry.Default(), *telemetryInterval)
+		mon.Stream = telemetry.NewStream(f)
+		sampler := telemetry.StartSampler(mon.Stream, &mon.Metrics, *telemetryInterval)
 		defer func() {
 			sampler.Close()
-			telemetry.SetStream(nil)
-			if err := stream.Err(); err != nil {
+			if err := mon.Stream.Err(); err != nil {
 				fmt.Fprintln(os.Stderr, "httpperf: telemetry stream:", err)
 			}
 		}()
 	}
-
-	// Flight recorder.
 	if *flightDir != "" {
 		fl, err := telemetry.NewFlight(*flightDir, *flightEvents)
 		if err != nil {
 			return fail(err)
 		}
-		telemetry.SetFlight(fl)
-		defer telemetry.SetFlight(nil)
+		mon.Flight = fl
 	}
-
-	// Progress reporter: feeds the stream whenever one is open, and
-	// stderr only under -progress.
-	var reporter *telemetry.Reporter
-	if *progress || stream != nil {
+	if *progress || *telemetryOut != "" {
 		var human io.Writer
 		if *progress {
 			human = os.Stderr
 		}
-		reporter = telemetry.NewReporter(telemetry.Default(), stream, human)
-		exp.SetProgress(reporter.Observe)
-		defer func() {
-			exp.SetProgress(nil)
-			reporter.Close()
-		}()
+		mon.Progress = telemetry.NewReporter(&mon.Metrics, mon.Stream, human)
+		defer mon.Progress.Close()
 	}
 
 	if *pcap != "" || *timeline != "" || *waterfall || *hist || *blame || *criticalPath {
-		if err := observe(*scenario, *topology, *fault, *seed, *pcap, *timeline, *waterfall, *hist, *blame, *criticalPath); err != nil {
+		if err := observe(*scenario, *topology, *fault, *seed, *pcap, *timeline, *waterfall, *hist, *blame, *criticalPath, mon); err != nil {
 			return fail(err)
 		}
 		return 0
 	}
-	s := &exp.Session{Runs: *runs, Seeds: *seeds, Parallel: *parallel, Stats: *statsOn}
+	s := &exp.Session{Runs: *runs, Seeds: *seeds, Parallel: *parallel, Stats: *statsOn, Monitor: mon}
 	if *profileSlowest != "" {
 		// The collector supplies the cells' wall-time measurements.
 		s.Collector = exp.NewCollector()
 	}
-	if err := run(s, *table, *asJSON, *asCSV, *statsOn, reporter); err != nil {
+	if err := run(s, *table, *asJSON, *asCSV, *statsOn); err != nil {
 		return fail(err)
 	}
 	if *profileSlowest != "" {
@@ -284,10 +275,9 @@ func writeExitProfiles(memprofile, mutexprofile string) {
 	}
 }
 
-// writeSlowestProfile finds the sweep's slowest cell by per-run wall
-// time (sim_events / events-per-second), re-runs that exact scenario
-// alone under the CPU profiler, and writes the profile to path.
-func writeSlowestProfile(path string, s *exp.Session) error {
+// slowestRun finds the sweep's slowest run by wall time (sim_events /
+// events-per-second) and the scenario that repeats it exactly.
+func slowestRun(s *exp.Session) (core.Scenario, exp.Metrics, error) {
 	var slowest exp.Metrics
 	var slowestWall float64
 	found := false
@@ -301,18 +291,33 @@ func writeSlowestProfile(path string, s *exp.Session) error {
 		}
 	}
 	if !found {
-		return fmt.Errorf("profile-slowest: the sweep collected no per-run metrics")
+		return core.Scenario{}, slowest, fmt.Errorf("profile-slowest: the sweep collected no per-run metrics")
 	}
 	// Scenario strings do not round-trip through ParseScenario (the
 	// paper's mode names contain slashes, and overrides are not spelled
-	// out), so the experiment's declared cell of that name supplies the
-	// Scenario and the metrics record its seed.
-	scs := experiments.Scenarios(slowest.Experiment)
-	i := slices.IndexFunc(scs, func(sc core.Scenario) bool { return sc.String() == slowest.Scenario })
-	if i < 0 {
-		return fmt.Errorf("profile-slowest: experiment %s declares no cell named %q", slowest.Experiment, slowest.Scenario)
+	// out), and cells that differ only in overrides share one. So the
+	// run is the repetition of that name, among the experiment's
+	// declared cells, that the sweep ran at the record's seed.
+	sw := core.Sweep{Runs: s.Runs, Seeds: s.Seeds}
+	for _, g := range experiments.Grids(slowest.Experiment) {
+		for _, row := range g.Rows {
+			for _, sc := range row.Cells {
+				if one := sw.Repetition(g, sc, slowest.Run); sc.String() == slowest.Scenario && one.Seed == slowest.Seed {
+					return one, slowest, nil
+				}
+			}
+		}
 	}
-	sc := scs[i]
+	return core.Scenario{}, slowest, fmt.Errorf("profile-slowest: experiment %s declares no cell %q run at seed %d", slowest.Experiment, slowest.Scenario, slowest.Seed)
+}
+
+// writeSlowestProfile re-runs the sweep's slowest run alone under the
+// CPU profiler and writes the profile to path.
+func writeSlowestProfile(path string, s *exp.Session) error {
+	sc, slowest, err := slowestRun(s)
+	if err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -321,13 +326,13 @@ func writeSlowestProfile(path string, s *exp.Session) error {
 	if err := pprof.StartCPUProfile(f); err != nil {
 		return err
 	}
-	_, runErr := core.Run(sc, s.Site, core.WithSeed(slowest.Seed))
+	_, runErr := core.Run(sc, s.Site)
 	pprof.StopCPUProfile()
 	if runErr != nil {
 		return fmt.Errorf("profile-slowest: re-running %s: %w", slowest.Scenario, runErr)
 	}
 	fmt.Fprintf(os.Stderr, "httpperf: wrote %s (slowest cell %s seed %d, ~%.0fms wall)\n",
-		path, slowest.Scenario, slowest.Seed, slowestWall*1000)
+		path, slowest.Scenario, slowest.Seed, float64(slowest.SimEvents)/slowest.SimEventsPerSec*1000)
 	return nil
 }
 
@@ -353,7 +358,7 @@ func printList(w io.Writer) {
 
 // observe runs one scenario with full observability and writes the
 // requested exports.
-func observe(spec, topology, fault string, seed uint64, pcap, timeline string, waterfall, hist, blame, criticalPath bool) error {
+func observe(spec, topology, fault string, seed uint64, pcap, timeline string, waterfall, hist, blame, criticalPath bool, mon *telemetry.Monitor) error {
 	sc, err := core.ParseScenario(spec)
 	if err != nil {
 		return err
@@ -373,7 +378,7 @@ func observe(spec, topology, fault string, seed uint64, pcap, timeline string, w
 	if err != nil {
 		return err
 	}
-	opts := []core.Option{core.WithCapture(), core.WithTimeline()}
+	opts := []core.Option{core.WithCapture(), core.WithTimeline(), core.WithMonitor(mon)}
 	if hist {
 		opts = append(opts, core.WithStats())
 	}
@@ -434,7 +439,7 @@ func observe(spec, topology, fault string, seed uint64, pcap, timeline string, w
 	return nil
 }
 
-func run(s *exp.Session, table string, asJSON, asCSV, statsOn bool, reporter *telemetry.Reporter) error {
+func run(s *exp.Session, table string, asJSON, asCSV, statsOn bool) error {
 	site, err := core.DefaultSite()
 	if err != nil {
 		return err
@@ -447,6 +452,10 @@ func run(s *exp.Session, table string, asJSON, asCSV, statsOn bool, reporter *te
 			return fmt.Errorf("unknown table %q (known: %v)", table, exp.AllNames())
 		}
 		names = []string{table}
+	}
+	var reporter *telemetry.Reporter
+	if s.Monitor != nil {
+		reporter = s.Monitor.Progress
 	}
 	expDone := func(name string) {
 		if reporter != nil {

@@ -74,3 +74,28 @@ func TestMuxGolden(t *testing.T) {
 func TestMuxFaultsGolden(t *testing.T) {
 	goldenTable(t, "mux-faults", "testdata/muxfaults_golden.txt")
 }
+
+// TestSlowestRunRepeatsItsRecord sweeps a table at two runs a cell, whose
+// repetitions are jittered, and re-runs the slowest record the way
+// -profile-slowest does: the re-run must be the run the sweep measured.
+func TestSlowestRunRepeatsItsRecord(t *testing.T) {
+	site, err := core.DefaultSite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &exp.Session{Runs: 2, Seeds: 1, Parallel: 2, Site: site, Collector: exp.NewCollector()}
+	if _, err := s.Generate("nagle"); err != nil {
+		t.Fatal(err)
+	}
+	sc, rec, err := slowestRun(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(sc, site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Elapsed.Seconds(); got != rec.ElapsedSeconds {
+		t.Errorf("re-run of %s seed %d took %v s, the sweep measured %v s", rec.Scenario, rec.Seed, got, rec.ElapsedSeconds)
+	}
+}

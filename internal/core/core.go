@@ -14,7 +14,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -35,12 +34,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/webgen"
 )
-
-// testHookAfterRun, when non-nil, runs right after the simulation
-// drains and before result assembly. Tests install a panicking hook to
-// exercise the flight recorder's dump-on-panic path without corrupting
-// a real simulation.
-var testHookAfterRun func(sc Scenario)
 
 // Scenario is one experiment configuration.
 type Scenario struct {
@@ -211,11 +204,16 @@ type runConfig struct {
 	blame    bool
 	seed     *uint64
 	metrics  *exp.Metrics
+	monitor  *telemetry.Monitor
 	// revision, when non-nil, is the repetition slot where a sweep keeps
 	// the revised site a ReviseFraction run serves, so that the other
 	// cells' runs at the same seed find it there instead of synthesizing
 	// it again.
 	revision *revision
+	// afterDrive, when non-nil, runs right after the simulation drains.
+	// Tests panic in it to exercise the flight recorder's panic dump
+	// without corrupting a real simulation.
+	afterDrive func()
 }
 
 // revision is one repetition's revised site, synthesized by the first
@@ -268,6 +266,14 @@ func WithMetrics(m *exp.Metrics) Option {
 	return func(c *runConfig) { c.metrics = m }
 }
 
+// WithMonitor watches the run with m's live observers: engine metrics
+// polled into its metric set when it has a stream, and its flight
+// recorder's dumps. A nil m leaves the run unobserved. Like the other
+// observers it does not perturb the run.
+func WithMonitor(m *telemetry.Monitor) Option {
+	return func(c *runConfig) { c.monitor = m }
+}
+
 // Run executes the scenario against the site and returns its measurements.
 func Run(sc Scenario, site *webgen.Site, opts ...Option) (*RunResult, error) {
 	var cfg runConfig
@@ -286,31 +292,16 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	}
 	s := sim.New()
 	s.SetEventLimit(50_000_000)
+	o := cfg.observers(s)
 	net := tcpsim.NewNetwork(s)
+	net.Obs = o.layers
 	clientHost := net.AddHost("client")
 	serverHost := net.AddHost("server")
-
-	// The bus exists for a timeline run (every layer publishes into it),
-	// for a stats run (only the client's request-lifecycle spans are
-	// needed, so the other layers stay unwired and the bus stays small),
-	// and for a flight-recorded run (the recorder subscribes to the
-	// fully-wired bus but retains only a bounded tail). Wiring the bus
-	// never perturbs the simulation — publishers observe, they do not
-	// schedule — so a flight-armed run still measures byte-identically.
-	flight := telemetry.ActiveFlight()
-	wired := cfg.timeline || cfg.blame || flight != nil
-	var bus *obs.Bus
-	if wired || cfg.stats {
-		bus = obs.New(s)
-	}
-	if wired {
-		net.Obs = bus
-	}
 
 	var rng *sim.Rand
 	cpuJitter := 0.0
 	pathOpts := netem.PathOptions{}
-	if wired {
+	if bus := o.layers; bus != nil {
 		pathOpts.Observer = func(ev netem.LinkEvent) {
 			if ev.Dropped {
 				bus.WireDrop(ev.Link, ev.WireBytes)
@@ -365,8 +356,9 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	} else {
 		net.ConnectHosts(clientHost, serverHost, path)
 	}
-	capture := trace.Attach(net, cfg.capture || flight != nil)
+	capture := trace.Attach(net, o.keepCapture)
 	defer capture.Detach()
+	o.capture = capture
 
 	serverCfg := httpserver.Config{Profile: sc.Server}
 	if sc.ServerOverride != nil {
@@ -390,10 +382,8 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		serverCfg.MuxFIFO = true
 	}
 	serverCfg.EnableDeflate = serverCfg.EnableDeflate || clientCfg.AcceptDeflate
-	if wired {
-		serverCfg.Obs = bus
-	}
-	clientCfg.Obs = bus
+	serverCfg.Obs = o.layers
+	clientCfg.Obs = o.bus
 	if sc.Fault != faults.None {
 		serverCfg.Faults = script.Server
 		serverCfg.MuxFaults = script.Mux
@@ -439,10 +429,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 				}
 			}
 		}
-		proxyCfg := proxy.Config{Cache: pcache, NoDelay: true}
-		if wired {
-			proxyCfg.Obs = bus
-		}
+		proxyCfg := proxy.Config{Cache: pcache, NoDelay: true, Obs: o.layers}
 		if sc.Fault != faults.None {
 			pol := faults.Default()
 			proxyCfg.Recovery = &pol
@@ -465,94 +452,18 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		robot.Start("/", sc.Workload, nil)
 	})
 
-	// Causality analyzer: a passive subscriber accumulating cause
-	// intervals per connection as events flow. It only reads, so an
-	// armed run stays byte-identical to an unarmed one.
-	var blameCol *causality.Collector
-	if cfg.blame {
-		blameCol = causality.NewCollector()
-		detach := bus.Subscribe(blameCol.Observe)
-		defer detach()
-	}
-
-	// Flight recorder: retain the tail of the event stream in a bounded
-	// ring, note whether the client's recovery watchdog ever fired, and
-	// keep a dump closure ready for the three triggers — panic, watchdog,
-	// cell error. The subscriber runs on the simulation goroutine and
-	// only appends to the ring, so recording never perturbs the run.
-	var ring *telemetry.Ring[obs.Event]
-	sawWatchdog := false
-	if flight != nil {
-		ring = telemetry.NewRing[obs.Event](flight.Events())
-		detach := bus.Subscribe(func(ev obs.Event) {
-			ring.Push(ev)
-			if ev.Kind == obs.KindClientTimeout {
-				sawWatchdog = true
-			}
-		})
-		defer detach()
-	}
-	dump := func(reason string) {
-		if flight == nil {
-			return
-		}
-		flight.Dump(telemetry.DumpSource{
-			Label:   sc.String(),
-			Reason:  reason,
-			Events:  ring.Len(),
-			Dropped: ring.Dropped(),
-			Perfetto: func(w *os.File) error {
-				return obs.WritePerfettoEvents(w, ring.Snapshot(), bus.Conns(), bus.Spans())
-			},
-			Pcap: func(w *os.File) error {
-				return capture.WritePcap(w)
-			},
-		})
-	}
-	if flight != nil {
-		defer func() {
-			if r := recover(); r != nil {
-				dump("panic")
-				panic(r)
-			}
-		}()
-	}
-
-	// Live engine telemetry: with a stream active, run with safe-point
-	// polls publishing the engine's counters into the process registry.
-	// RunWithPoll fires the exact same events in the exact same order as
-	// Run, so an observed run still produces byte-identical results.
-	var tracker *telemetry.SimTracker
-	if telemetry.Active() {
-		tracker = telemetry.NewSimTracker(telemetry.Default())
-	}
-	wallStart := time.Now()
-	if tracker != nil {
-		s.RunWithPoll(telemetry.PollEvents, func() {
-			st := s.Stats()
-			tracker.Poll(st.Fired, st.Pending, st.WheelDepth, st.PoolInUse)
-		})
-		tracker.Finish(s.Stats().Fired)
-	} else {
-		s.Run()
-	}
-	if testHookAfterRun != nil {
-		testHookAfterRun(sc)
-	}
-	wall := time.Since(wallStart)
-
-	if !robot.Finished() {
-		dump("error")
+	wall := o.drive(s, sc, cfg.afterDrive)
+	finished := robot.Finished()
+	blame := o.finish(sc, finished)
+	if !finished {
 		return nil, fmt.Errorf("%w: %s", ErrDidNotFinish, sc)
-	}
-	if sawWatchdog {
-		dump("watchdog")
 	}
 	res := &RunResult{
 		Scenario: sc,
 		Stats:    capture.Stats("client"),
 		Client:   robot.Result(),
 		Server:   server.Stats(),
+		Blame:    blame,
 		served:   served,
 	}
 	if px != nil {
@@ -567,10 +478,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		res.Capture = capture
 	}
 	if cfg.timeline {
-		res.Timeline = bus
-	}
-	if cfg.blame {
-		res.Blame = blameCol.Finish(bus)
+		res.Timeline = o.bus
 	}
 	if cfg.stats {
 		// Per-request latencies derive from the client's lifecycle spans:
@@ -579,7 +487,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		// Intermediary-originated spans (Via) and abandoned spans never
 		// completed carry no client-visible latency and are skipped.
 		ls := &stats.LatencySet{}
-		for _, sp := range bus.Spans() {
+		for _, sp := range o.bus.Spans() {
 			if sp.Via != "" || sp.Done == obs.NoTime || sp.Written == obs.NoTime {
 				continue
 			}
@@ -633,8 +541,8 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 			m.SimEventsPerSec = float64(m.SimEvents) / secs
 		}
 		if cfg.timeline {
-			m.TimelineEvents = bus.Len()
-			m.TimelineSpans = len(bus.Spans())
+			m.TimelineEvents = o.bus.Len()
+			m.TimelineSpans = len(o.bus.Spans())
 		}
 		if a := res.Blame; a != nil {
 			m.BlameConnectMs = a.Total.Ms(causality.CatConnect)

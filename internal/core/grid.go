@@ -8,6 +8,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/netem"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/webgen"
 )
 
@@ -63,9 +64,7 @@ func (g Grid) sharesRevisions() bool {
 // Cells that share their revisions synthesize each repetition's revised
 // site once, in whichever cell runs that repetition first.
 func (sw Sweep) Measure(g Grid, site *webgen.Site) ([]Measured, error) {
-	runs := max(sw.Runs, 1)
-	reps := runs * max(sw.Seeds, 1)
-	withStats, withBlame := sw.Stats || g.Stats, sw.Blame || g.Blame
+	reps := max(sw.Runs, 1) * max(sw.Seeds, 1)
 	type cell struct {
 		sc      Scenario
 		results []*RunResult
@@ -93,10 +92,7 @@ func (sw Sweep) Measure(g Grid, site *webgen.Site) ([]Measured, error) {
 	}
 	err := exp.ForEach(sw.Parallel, len(cells)*reps, func(j int) error {
 		c, i := cells[j/reps], j%reps
-		family, rep := i/runs, i%runs
-		one := c.sc
-		one.Seed = c.sc.Seed + uint64(family)*seedFamilyStride + uint64(rep)*g.Stride
-		one.Jitter = reps > 1
+		one := sw.Repetition(g, c.sc, i)
 		var opts []Option
 		if revisions != nil {
 			// Slot i is repetition i's in every cell.
@@ -106,19 +102,22 @@ func (sw Sweep) Measure(g Grid, site *webgen.Site) ([]Measured, error) {
 			metrics[j] = exp.Metrics{Experiment: sw.Experiment, Run: i}
 			opts = append(opts, WithMetrics(&metrics[j]))
 		}
-		if withStats {
+		if sw.Stats || g.Stats {
 			opts = append(opts, WithStats())
 		}
-		if withBlame {
+		if g.Blame {
 			opts = append(opts, WithBlame())
+		}
+		if sw.Monitor != nil {
+			opts = append(opts, WithMonitor(sw.Monitor))
 		}
 		res, err := Run(one, site, opts...)
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.sc, err)
 		}
 		c.results[i] = res
-		if exp.ProgressActive() {
-			exp.NotifyProgress(exp.ProgressEvent{
+		if mon := sw.Monitor; mon != nil && mon.Progress != nil {
+			mon.Progress.Observe(telemetry.ProgressEvent{
 				Experiment: sw.Experiment,
 				Scenario:   c.sc.String(),
 				Seed:       one.Seed,

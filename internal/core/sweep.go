@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/exp"
+	"repro/internal/telemetry"
 	"repro/internal/webgen"
 )
 
@@ -13,8 +14,9 @@ const seedFamilyStride = 1_000_003
 // Sweep executes the repeated runs behind each experiment cell. The zero
 // value performs a single serial run per cell; Runs and Seeds control
 // the averaged population (Runs repetitions in each of Seeds seed
-// families), Parallel the worker-pool width, and Collector — stamped
-// with Experiment — gathers one exp.Metrics record per simulation run.
+// families), Parallel the worker-pool width, Collector — stamped with
+// Experiment — gathers one exp.Metrics record per simulation run, and
+// Monitor watches every run live.
 //
 // Aggregation is deterministic and order-independent: runs are indexed,
 // workers write into per-index slots, and averaging walks the slots in
@@ -33,10 +35,21 @@ type Sweep struct {
 	// carries per-request latency distributions and each collected
 	// record its Dist quantiles.
 	Stats bool
-	// Blame runs every repetition with WithBlame, so each RunResult
-	// carries the causal delay attribution and each collected record
-	// the blame_*_ms / critical_path_ms columns.
-	Blame bool
+	// Monitor, when non-nil, runs every repetition with WithMonitor and
+	// reports each finished run to its progress reporter.
+	Monitor *telemetry.Monitor
+}
+
+// Repetition is the scenario the sweep runs as repetition i of cell sc
+// in grid g: the seed stepped by the grid's Stride between runs and by
+// seedFamilyStride between seed families, and jittered when the
+// population holds more than one run, reproducing the run-to-run
+// variation the paper averaged away.
+func (sw Sweep) Repetition(g Grid, sc Scenario, i int) Scenario {
+	runs := max(sw.Runs, 1)
+	sc.Seed += uint64(i/runs)*seedFamilyStride + uint64(i%runs)*g.Stride
+	sc.Jitter = runs*max(sw.Seeds, 1) > 1
+	return sc
 }
 
 // RunAveraged executes the scenario across the sweep's population and

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faults"
@@ -16,25 +19,18 @@ import (
 	"repro/internal/trace"
 )
 
-// withTelemetry installs a stream and flight recorder for the duration
-// of fn and restores the previous globals afterwards, so the rest of
-// the package's tests keep running unobserved.
-func withTelemetry(t *testing.T, fn func(stream *bytes.Buffer, flightDir string)) {
+// newMonitor returns a monitor streaming into the returned buffer and
+// dumping into the returned directory, owned by the calling test alone.
+func newMonitor(t *testing.T) (*telemetry.Monitor, *bytes.Buffer, string) {
 	t.Helper()
 	var buf bytes.Buffer
-	st := telemetry.NewStream(&buf)
 	dir := t.TempDir()
 	fl, err := telemetry.NewFlight(dir, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevSt := telemetry.SetStream(st)
-	prevFl := telemetry.SetFlight(fl)
-	defer func() {
-		telemetry.SetStream(prevSt)
-		telemetry.SetFlight(prevFl)
-	}()
-	fn(&buf, dir)
+	st := telemetry.NewStream(&buf)
+	return &telemetry.Monitor{Stream: st, Flight: fl, Progress: telemetry.NewReporter(new(telemetry.Metrics), st, nil)}, &buf, dir
 }
 
 // TestTelemetryDoesNotPerturb is the contract the whole telemetry layer
@@ -43,6 +39,7 @@ func withTelemetry(t *testing.T, fn func(stream *bytes.Buffer, flightDir string)
 // timeline, same client counters. Telemetry observes the run; it never
 // steers it.
 func TestTelemetryDoesNotPerturb(t *testing.T) {
+	t.Parallel()
 	site := testSite(t)
 	sc := Scenario{
 		Server:   httpserver.ProfileApache,
@@ -53,8 +50,8 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 		Fault:    faults.BurstLoss, // retries + watchdog traffic: the busiest code paths
 	}
 
-	runArtifacts := func() (pcap, perfetto []byte, cl httpclient.Result) {
-		res, err := Run(sc, site, WithCapture(), WithTimeline(), WithStats())
+	runArtifacts := func(opts ...Option) (pcap, perfetto []byte, cl httpclient.Result) {
+		res, err := Run(sc, site, append(opts, WithCapture(), WithTimeline(), WithStats())...)
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -70,24 +67,24 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 
 	plainPcap, plainPerfetto, plainClient := runArtifacts()
 
-	withTelemetry(t, func(stream *bytes.Buffer, flightDir string) {
-		obsPcap, obsPerfetto, obsClient := runArtifacts()
-		if !bytes.Equal(plainPcap, obsPcap) {
-			t.Error("pcap differs with telemetry armed")
-		}
-		if !bytes.Equal(plainPerfetto, obsPerfetto) {
-			t.Error("Perfetto timeline differs with telemetry armed")
-		}
-		if plainClient != obsClient {
-			t.Errorf("client result differs with telemetry armed:\n  plain    %+v\n  observed %+v", plainClient, obsClient)
-		}
-	})
+	mon, _, _ := newMonitor(t)
+	obsPcap, obsPerfetto, obsClient := runArtifacts(WithMonitor(mon))
+	if !bytes.Equal(plainPcap, obsPcap) {
+		t.Error("pcap differs with telemetry armed")
+	}
+	if !bytes.Equal(plainPerfetto, obsPerfetto) {
+		t.Error("Perfetto timeline differs with telemetry armed")
+	}
+	if plainClient != obsClient {
+		t.Errorf("client result differs with telemetry armed:\n  plain    %+v\n  observed %+v", plainClient, obsClient)
+	}
 }
 
 // TestFlightDumpOnWatchdog runs a stall-fault cell — the scripted way to
 // trip the client watchdog — and checks the recorder leaves a parseable
 // pair of artifacts behind and announces them on the stream.
 func TestFlightDumpOnWatchdog(t *testing.T) {
+	t.Parallel()
 	site := testSite(t)
 	sc := Scenario{
 		Server:   httpserver.ProfileApache,
@@ -97,8 +94,9 @@ func TestFlightDumpOnWatchdog(t *testing.T) {
 		Seed:     3,
 		Fault:    faults.Stall,
 	}
-	withTelemetry(t, func(stream *bytes.Buffer, flightDir string) {
-		res, err := Run(sc, site)
+	mon, stream, flightDir := newMonitor(t)
+	{
+		res, err := Run(sc, site, WithMonitor(mon))
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -148,23 +146,23 @@ func TestFlightDumpOnWatchdog(t *testing.T) {
 		if !strings.Contains(stream.String(), `"reason":"watchdog"`) {
 			t.Fatal("flight record on the stream does not carry the watchdog reason")
 		}
-	})
+	}
 }
 
 // TestFlightDumpOnPanic pins the crash path: a panic on the simulation
 // goroutine must leave a dump behind and then propagate — the recorder
 // may not swallow the crash.
 func TestFlightDumpOnPanic(t *testing.T) {
+	t.Parallel()
 	site := testSite(t)
 	sc := scenario(httpserver.ProfileApache, httpclient.ModeHTTP11Pipelined, netem.LAN, httpclient.FirstTime)
+	crash := func(c *runConfig) { c.afterDrive = func() { panic("telemetry test: injected crash") } }
 
-	testHookAfterRun = func(Scenario) { panic("telemetry test: injected crash") }
-	defer func() { testHookAfterRun = nil }()
-
-	withTelemetry(t, func(stream *bytes.Buffer, flightDir string) {
+	mon, _, flightDir := newMonitor(t)
+	{
 		recovered := func() (r any) {
 			defer func() { r = recover() }()
-			Run(sc, site)
+			Run(sc, site, WithMonitor(mon), crash)
 			return nil
 		}()
 		if recovered == nil {
@@ -181,7 +179,114 @@ func TestFlightDumpOnPanic(t *testing.T) {
 		if _, err := trace.ParsePcap(raw); err != nil {
 			t.Fatalf("panic-path pcap does not parse: %v", err)
 		}
-	})
+	}
+}
+
+// TestMonitorsAreIsolated runs two observed sweeps and an unobserved
+// one at once, on pools of two, over fault grids whose stall cells trip
+// the recovery watchdog. Each monitor's stream must carry progress
+// records for exactly its own runs, its flight directory exactly its own
+// watchdog dumps, and the unobserved sweep must reach neither.
+func TestMonitorsAreIsolated(t *testing.T) {
+	t.Parallel()
+	site := testSite(t)
+	type sweep struct {
+		name     string
+		mode     httpclient.Mode
+		mon      *telemetry.Monitor
+		stream   *bytes.Buffer
+		dir      string
+		measured []Measured
+	}
+	sweeps := []*sweep{
+		{name: "a", mode: httpclient.ModeHTTP11Pipelined},
+		{name: "b", mode: httpclient.ModeHTTP11Serial},
+		{name: "unobserved", mode: httpclient.ModeHTTP10},
+	}
+	sweeps[0].mon, sweeps[0].stream, sweeps[0].dir = newMonitor(t)
+	sweeps[1].mon, sweeps[1].stream, sweeps[1].dir = newMonitor(t)
+	var wg sync.WaitGroup
+	for _, sw := range sweeps {
+		clean := scenario(httpserver.ProfileApache, sw.mode, netem.WAN, httpclient.FirstTime)
+		stall := clean
+		stall.Fault = faults.Stall
+		g := Grid{Stride: 7, Rows: []GridRow{{Cells: []Scenario{clean}}, {Cells: []Scenario{stall}}}}
+		wg.Add(1)
+		go func(sw *sweep) {
+			defer wg.Done()
+			var err error
+			sw.measured, err = Sweep{Runs: 2, Parallel: 2, Experiment: sw.name, Monitor: sw.mon}.Measure(g, site)
+			if err != nil {
+				t.Errorf("sweep %s: %v", sw.name, err)
+			}
+		}(sw)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for _, sw := range sweeps[:2] {
+		// The runs the sweep made, and the watchdog dumps they owe.
+		want, dumps := map[string]bool{}, map[string]int{}
+		for _, row := range sw.measured {
+			for _, res := range row.Results[0] {
+				label := res.Scenario.String()
+				want[fmt.Sprintf("%s/%s#%d", sw.name, label, res.Scenario.Seed)] = true
+				if res.Client.Timeouts > 0 {
+					dumps[label]++
+				}
+			}
+		}
+		if len(dumps) == 0 {
+			t.Fatalf("sweep %s: no stall run tripped the watchdog; dump isolation untested", sw.name)
+		}
+
+		got, flights, announced := map[string]bool{}, map[string]int{}, map[string]bool{}
+		for _, line := range strings.Split(strings.TrimSpace(sw.stream.String()), "\n") {
+			var rec struct {
+				T, Experiment, Scenario, Label, Reason string
+				Seed                                   uint64
+				Paths                                  []string
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			switch rec.T {
+			case telemetry.RecordProgress:
+				got[fmt.Sprintf("%s/%s#%d", rec.Experiment, rec.Scenario, rec.Seed)] = true
+			case telemetry.RecordFlight:
+				flights[rec.Label+"-"+rec.Reason]++
+				for _, p := range rec.Paths {
+					announced[p] = true
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("sweep %s: stream carries progress for runs %v, want its own %v", sw.name, got, want)
+		}
+
+		wantFlights := map[string]int{}
+		for label, n := range dumps {
+			wantFlights[label+"-watchdog"] = n
+		}
+		if !reflect.DeepEqual(flights, wantFlights) {
+			t.Errorf("sweep %s: stream announces dumps %v, want its own %v", sw.name, flights, wantFlights)
+		}
+		// The dumps announced are the sweep's own, so the directory must
+		// hold those files and no others.
+		entries, err := os.ReadDir(sw.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]bool{}
+		for _, e := range entries {
+			files[filepath.Join(sw.dir, e.Name())] = true
+		}
+		if !reflect.DeepEqual(files, announced) {
+			t.Errorf("sweep %s: flight dir holds %v, want exactly the announced %v", sw.name, names(entries), announced)
+		}
+	}
 }
 
 // findDump locates the single flight artifact for reason with the given

@@ -135,7 +135,7 @@ func TestCollectorCSVShape(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "experiment,scenario,seed,run,packets,") {
 		t.Fatalf("header = %q", lines[0])
 	}
-	wantCols := len(csvHeader)
+	wantCols := len(csvColumns)
 	if got := len(strings.Split(lines[1], ",")); got != wantCols {
 		t.Fatalf("row has %d columns, want %d", got, wantCols)
 	}

@@ -165,60 +165,87 @@ type Metrics struct {
 	OriginBytes        int64   `json:"origin_bytes,omitempty"`
 }
 
-// csvHeader lists the CSV columns, in Metrics field order.
-var csvHeader = []string{
-	"experiment", "scenario", "seed", "run",
-	"packets", "packets_c2s", "packets_s2c",
-	"payload_bytes", "wire_bytes", "link_wire_bytes",
-	"overhead_pct", "elapsed_seconds",
-	"retransmissions", "rto_timeouts", "drops",
-	"dials", "sockets_used", "max_open_conns",
-	"client_cpu_seconds", "server_cpu_seconds",
-	"responses_200", "responses_304", "responses_206",
-	"errors", "retried",
-	"timeouts", "requests_recovered", "requests_failed",
-	"wasted_bytes", "recovery_seconds", "fallbacks", "faults_injected",
-	"streams_opened", "push_promised", "push_used",
-	"push_wasted_bytes", "header_bytes_saved", "flow_control_stalls",
-	"streams_reset", "goaways", "deadlocks_detected",
-	"timeline_events", "timeline_spans",
-	"blame_connect_ms", "blame_rto_ms", "blame_nagle_ms",
-	"blame_flow_ms", "blame_slowstart_ms", "blame_server_ms",
-	"blame_hol_ms", "blame_wire_ms", "critical_path_ms",
-	"sim_events",
-	"cache_hits", "cache_misses", "cache_revalidations",
-	"cache_hit_ratio", "cache_bytes_saved", "upstream_requests",
-	"origin_packets", "origin_bytes",
+// csvColumn is one fixed CSV column: its header and how a record's
+// value is written.
+type csvColumn struct {
+	name string
+	cell func(*Metrics) string
 }
 
-// csvRow renders the record in csvHeader order.
-func (m Metrics) csvRow() []string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
-	return []string{
-		m.Experiment, m.Scenario,
-		strconv.FormatUint(m.Seed, 10), strconv.Itoa(m.Run),
-		strconv.Itoa(m.Packets), strconv.Itoa(m.PacketsC2S), strconv.Itoa(m.PacketsS2C),
-		strconv.FormatInt(m.PayloadBytes, 10), strconv.FormatInt(m.WireBytes, 10), strconv.FormatInt(m.LinkWireBytes, 10),
-		f(m.OverheadPct), f(m.ElapsedSeconds),
-		strconv.Itoa(m.Retransmissions), strconv.Itoa(m.RTOTimeouts), strconv.Itoa(m.Drops),
-		strconv.Itoa(m.Dials), strconv.Itoa(m.SocketsUsed), strconv.Itoa(m.MaxOpenConns),
-		f(m.ClientCPUSeconds), f(m.ServerCPUSeconds),
-		strconv.Itoa(m.Responses200), strconv.Itoa(m.Responses304), strconv.Itoa(m.Responses206),
-		strconv.Itoa(m.Errors), strconv.Itoa(m.Retried),
-		strconv.Itoa(m.Timeouts), strconv.Itoa(m.RequestsRecovered), strconv.Itoa(m.RequestsFailed),
-		strconv.FormatInt(m.WastedBytes, 10), f(m.RecoverySeconds), strconv.Itoa(m.Fallbacks), strconv.Itoa(m.FaultsInjected),
-		strconv.Itoa(m.StreamsOpened), strconv.Itoa(m.PushPromised), strconv.Itoa(m.PushUsed),
-		strconv.FormatInt(m.PushWastedBytes, 10), strconv.FormatInt(m.HeaderBytesSaved, 10), strconv.Itoa(m.FlowControlStalls),
-		strconv.Itoa(m.StreamsReset), strconv.Itoa(m.Goaways), strconv.Itoa(m.DeadlocksDetected),
-		strconv.Itoa(m.TimelineEvents), strconv.Itoa(m.TimelineSpans),
-		f(m.BlameConnectMs), f(m.BlameRTOMs), f(m.BlameNagleMs),
-		f(m.BlameFlowMs), f(m.BlameSlowStartMs), f(m.BlameServerMs),
-		f(m.BlameHOLMs), f(m.BlameWireMs), f(m.CriticalPathMs),
-		strconv.FormatUint(m.SimEvents, 10),
-		strconv.Itoa(m.CacheHits), strconv.Itoa(m.CacheMisses), strconv.Itoa(m.CacheRevalidations),
-		f(m.CacheHitRatio), strconv.FormatInt(m.CacheBytesSaved, 10), strconv.Itoa(m.UpstreamRequests),
-		strconv.Itoa(m.OriginPackets), strconv.FormatInt(m.OriginBytes, 10),
-	}
+func text(name string, f func(*Metrics) string) csvColumn { return csvColumn{name, f} }
+
+func count[T int | int64](name string, f func(*Metrics) T) csvColumn {
+	return csvColumn{name, func(m *Metrics) string { return strconv.FormatInt(int64(f(m)), 10) }}
+}
+
+func decimal(name string, f func(*Metrics) float64) csvColumn {
+	return csvColumn{name, func(m *Metrics) string { return strconv.FormatFloat(f(m), 'f', 6, 64) }}
+}
+
+// csvColumns is the CSV layout, in Metrics field order: every field but
+// the wall-clock SimEventsPerSec and the optional Dist.
+var csvColumns = []csvColumn{
+	text("experiment", func(m *Metrics) string { return m.Experiment }),
+	text("scenario", func(m *Metrics) string { return m.Scenario }),
+	text("seed", func(m *Metrics) string { return strconv.FormatUint(m.Seed, 10) }),
+	count("run", func(m *Metrics) int { return m.Run }),
+	count("packets", func(m *Metrics) int { return m.Packets }),
+	count("packets_c2s", func(m *Metrics) int { return m.PacketsC2S }),
+	count("packets_s2c", func(m *Metrics) int { return m.PacketsS2C }),
+	count("payload_bytes", func(m *Metrics) int64 { return m.PayloadBytes }),
+	count("wire_bytes", func(m *Metrics) int64 { return m.WireBytes }),
+	count("link_wire_bytes", func(m *Metrics) int64 { return m.LinkWireBytes }),
+	decimal("overhead_pct", func(m *Metrics) float64 { return m.OverheadPct }),
+	decimal("elapsed_seconds", func(m *Metrics) float64 { return m.ElapsedSeconds }),
+	count("retransmissions", func(m *Metrics) int { return m.Retransmissions }),
+	count("rto_timeouts", func(m *Metrics) int { return m.RTOTimeouts }),
+	count("drops", func(m *Metrics) int { return m.Drops }),
+	count("dials", func(m *Metrics) int { return m.Dials }),
+	count("sockets_used", func(m *Metrics) int { return m.SocketsUsed }),
+	count("max_open_conns", func(m *Metrics) int { return m.MaxOpenConns }),
+	decimal("client_cpu_seconds", func(m *Metrics) float64 { return m.ClientCPUSeconds }),
+	decimal("server_cpu_seconds", func(m *Metrics) float64 { return m.ServerCPUSeconds }),
+	count("responses_200", func(m *Metrics) int { return m.Responses200 }),
+	count("responses_304", func(m *Metrics) int { return m.Responses304 }),
+	count("responses_206", func(m *Metrics) int { return m.Responses206 }),
+	count("errors", func(m *Metrics) int { return m.Errors }),
+	count("retried", func(m *Metrics) int { return m.Retried }),
+	count("timeouts", func(m *Metrics) int { return m.Timeouts }),
+	count("requests_recovered", func(m *Metrics) int { return m.RequestsRecovered }),
+	count("requests_failed", func(m *Metrics) int { return m.RequestsFailed }),
+	count("wasted_bytes", func(m *Metrics) int64 { return m.WastedBytes }),
+	decimal("recovery_seconds", func(m *Metrics) float64 { return m.RecoverySeconds }),
+	count("fallbacks", func(m *Metrics) int { return m.Fallbacks }),
+	count("faults_injected", func(m *Metrics) int { return m.FaultsInjected }),
+	count("streams_opened", func(m *Metrics) int { return m.StreamsOpened }),
+	count("push_promised", func(m *Metrics) int { return m.PushPromised }),
+	count("push_used", func(m *Metrics) int { return m.PushUsed }),
+	count("push_wasted_bytes", func(m *Metrics) int64 { return m.PushWastedBytes }),
+	count("header_bytes_saved", func(m *Metrics) int64 { return m.HeaderBytesSaved }),
+	count("flow_control_stalls", func(m *Metrics) int { return m.FlowControlStalls }),
+	count("streams_reset", func(m *Metrics) int { return m.StreamsReset }),
+	count("goaways", func(m *Metrics) int { return m.Goaways }),
+	count("deadlocks_detected", func(m *Metrics) int { return m.DeadlocksDetected }),
+	count("timeline_events", func(m *Metrics) int { return m.TimelineEvents }),
+	count("timeline_spans", func(m *Metrics) int { return m.TimelineSpans }),
+	decimal("blame_connect_ms", func(m *Metrics) float64 { return m.BlameConnectMs }),
+	decimal("blame_rto_ms", func(m *Metrics) float64 { return m.BlameRTOMs }),
+	decimal("blame_nagle_ms", func(m *Metrics) float64 { return m.BlameNagleMs }),
+	decimal("blame_flow_ms", func(m *Metrics) float64 { return m.BlameFlowMs }),
+	decimal("blame_slowstart_ms", func(m *Metrics) float64 { return m.BlameSlowStartMs }),
+	decimal("blame_server_ms", func(m *Metrics) float64 { return m.BlameServerMs }),
+	decimal("blame_hol_ms", func(m *Metrics) float64 { return m.BlameHOLMs }),
+	decimal("blame_wire_ms", func(m *Metrics) float64 { return m.BlameWireMs }),
+	decimal("critical_path_ms", func(m *Metrics) float64 { return m.CriticalPathMs }),
+	text("sim_events", func(m *Metrics) string { return strconv.FormatUint(m.SimEvents, 10) }),
+	count("cache_hits", func(m *Metrics) int { return m.CacheHits }),
+	count("cache_misses", func(m *Metrics) int { return m.CacheMisses }),
+	count("cache_revalidations", func(m *Metrics) int { return m.CacheRevalidations }),
+	decimal("cache_hit_ratio", func(m *Metrics) float64 { return m.CacheHitRatio }),
+	count("cache_bytes_saved", func(m *Metrics) int64 { return m.CacheBytesSaved }),
+	count("upstream_requests", func(m *Metrics) int { return m.UpstreamRequests }),
+	count("origin_packets", func(m *Metrics) int { return m.OriginPackets }),
+	count("origin_bytes", func(m *Metrics) int64 { return m.OriginBytes }),
 }
 
 // Collector accumulates per-run metrics from concurrent workers. The
@@ -298,12 +325,19 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 	recs := c.Records()
 	extras := distColumns(recs)
 	cw := csv.NewWriter(w)
-	header := append(append(make([]string, 0, len(csvHeader)+len(extras)), csvHeader...), extras...)
-	if err := cw.Write(header); err != nil {
+	row := make([]string, 0, len(csvColumns)+len(extras))
+	for _, col := range csvColumns {
+		row = append(row, col.name)
+	}
+	if err := cw.Write(append(row, extras...)); err != nil {
 		return err
 	}
-	for _, m := range recs {
-		row := m.csvRow()
+	for i := range recs {
+		m := &recs[i]
+		row = row[:0]
+		for _, col := range csvColumns {
+			row = append(row, col.cell(m))
+		}
 		for _, k := range extras {
 			if v, ok := m.Dist[k]; ok {
 				row = append(row, strconv.FormatFloat(v, 'f', 6, 64))

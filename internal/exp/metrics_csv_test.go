@@ -72,7 +72,7 @@ func TestCSVWithoutDistUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	header := strings.SplitN(buf.String(), "\n", 2)[0]
-	if got, want := len(strings.Split(header, ",")), len(csvHeader); got != want {
+	if got, want := len(strings.Split(header, ",")), len(csvColumns); got != want {
 		t.Fatalf("dist-free CSV has %d columns, want %d", got, want)
 	}
 	if strings.Contains(header, "lat_") {

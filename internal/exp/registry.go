@@ -6,13 +6,14 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/telemetry"
 	"repro/internal/webgen"
 )
 
 // Session carries the sweep-wide settings every experiment generator
 // receives: the site under test, the averaging depth, the parallelism
-// budget, and the collector that gathers per-run metrics across the
-// whole invocation.
+// budget, the collector that gathers per-run metrics across the whole
+// invocation, and the monitor that watches it.
 type Session struct {
 	// Site is the synthesized web site all scenarios fetch.
 	Site *webgen.Site
@@ -31,6 +32,9 @@ type Session struct {
 	// quantiles, at the cost of recording request-lifecycle spans.
 	// Measurements are unperturbed either way.
 	Stats bool
+	// Monitor, when non-nil, watches every run of the sweep live:
+	// progress, engine metrics and flight dumps (internal/telemetry).
+	Monitor *telemetry.Monitor
 }
 
 // Experiment is one registered, regenerable experiment: a declarative

@@ -75,6 +75,7 @@ func (e *experiment) sweep(s *exp.Session) core.Sweep {
 		Experiment: e.name,
 		Collector:  s.Collector,
 		Stats:      s.Stats,
+		Monitor:    s.Monitor,
 	}
 }
 
@@ -169,6 +170,19 @@ func Scenarios(names ...string) []core.Scenario {
 	}
 	slices.SortFunc(out, func(a, b core.Scenario) int { return strings.Compare(a.String(), b.String()) })
 	return out
+}
+
+// Grids returns the grids the named experiment declares, in order.
+func Grids(name string) []core.Grid {
+	var grids []core.Grid
+	for _, e := range declared {
+		if e.name == name {
+			for _, t := range e.tables {
+				grids = append(grids, t.grid)
+			}
+		}
+	}
+	return grids
 }
 
 // Column builders. A label column prints one of the row's declared

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// Flight is the crash-dump flight recorder's process-wide half: the
-// dump directory and the per-run retention depth. The per-run half is a
+// Flight is the crash-dump flight recorder's per-monitor half: the dump
+// directory and the per-run retention depth. The per-run half is a
 // Ring of obs events that core attaches as a bus subscriber; when a run
 // panics, the recovery watchdog fires, or a sweep cell errors, core
 // calls Dump with exporter closures and the retained window lands on
@@ -36,9 +36,6 @@ func NewFlight(dir string, events int) (*Flight, error) {
 	return &Flight{dir: dir, events: events}, nil
 }
 
-// Dir returns the dump directory.
-func (f *Flight) Dir() string { return f.dir }
-
 // Events returns the per-run ring depth.
 func (f *Flight) Events() int { return f.events }
 
@@ -57,11 +54,11 @@ type DumpSource struct {
 }
 
 // Dump writes the retained window to disk and returns the artifact
-// paths. Every dump also lands as a flight record on the active
-// telemetry stream, so a machine consumer learns about crashes from the
-// same JSON-lines feed as progress. Dump never panics: a dump is a
+// paths. Every dump also lands as a flight record on st (the monitor's
+// stream; nil for none), so a machine consumer learns about crashes from
+// the same JSON-lines feed as progress. Dump never panics: a dump is a
 // best-effort black box retrieved on the way down.
-func (f *Flight) Dump(src DumpSource) ([]string, error) {
+func (f *Flight) Dump(st *Stream, src DumpSource) ([]string, error) {
 	n := f.seq.Add(1)
 	base := filepath.Join(f.dir, fmt.Sprintf("flight-%03d-%s-%s", n, sanitizeLabel(src.Label), src.Reason))
 	var paths []string
@@ -89,7 +86,7 @@ func (f *Flight) Dump(src DumpSource) ([]string, error) {
 	write(".perfetto.json", src.Perfetto)
 	write(".pcap", src.Pcap)
 
-	if st := ActiveStream(); st != nil {
+	if st != nil {
 		rec := FlightRecord{
 			T:       RecordFlight,
 			WallMS:  st.WallMS(),

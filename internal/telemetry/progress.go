@@ -5,13 +5,30 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"repro/internal/exp"
 )
 
-// Reporter consumes sweep-progress events (exp.SetProgress(r.Observe))
-// and turns them into a live view: counters and a run-duration
-// histogram in the registry, progress records on the telemetry stream,
+// ProgressEvent is one unit of sweep progress: a single simulation run
+// finishing inside a cell, with CellDone set when that run was the
+// cell's last. The sweep driver (core.Sweep.Measure) hands these to its
+// monitor's reporter from pool workers.
+type ProgressEvent struct {
+	// Experiment is the registered experiment name ("" when the run is
+	// not part of a registered experiment).
+	Experiment string
+	// Scenario labels the cell (the scenario's display string).
+	Scenario string
+	// Seed is the run's RNG seed; Run its replicate index in the cell.
+	Seed uint64
+	Run  int
+	// CellDone marks the completion of the cell's last run.
+	CellDone bool
+	// SimSeconds is the run's simulated page-load time in seconds.
+	SimSeconds float64
+}
+
+// Reporter consumes sweep-progress events and turns them into a live
+// view: run and cell counters and a run-duration histogram in the
+// monitor's metric set, progress records on the telemetry stream,
 // an EWMA-smoothed runs-per-second rate, and — when the caller declares
 // how many experiments the invocation will run — an ETA extrapolated
 // from the EWMA of completed experiment durations. An optional human
@@ -23,9 +40,7 @@ type Reporter struct {
 	human io.Writer // nil: no stderr line
 	now   func() time.Time
 
-	runs  *Counter
-	cells *Counter
-	hist  *Hist
+	m *Metrics
 
 	start      time.Time
 	lastRun    time.Time
@@ -46,17 +61,10 @@ type Reporter struct {
 // humanThrottle caps the stderr line's redraw rate.
 const humanThrottle = 100 * time.Millisecond
 
-// NewReporter returns a reporter publishing into reg and, optionally,
-// st (machine records) and human (live status line).
-func NewReporter(reg *Registry, st *Stream, human io.Writer) *Reporter {
-	r := &Reporter{
-		st:    st,
-		human: human,
-		now:   time.Now,
-		runs:  reg.Counter(MetricRunsTotal),
-		cells: reg.Counter(MetricCellsTotal),
-		hist:  reg.Hist(MetricRunElapsedMS),
-	}
+// NewReporter returns a reporter publishing into m and, optionally, st
+// (machine records) and human (live status line).
+func NewReporter(m *Metrics, st *Stream, human io.Writer) *Reporter {
+	r := &Reporter{st: st, human: human, now: time.Now, m: m}
 	r.start = r.now()
 	r.lastExpMark = r.start
 	return r
@@ -72,15 +80,15 @@ func (r *Reporter) SetTotalExperiments(n int) {
 
 // Observe consumes one sweep-progress event. It is safe for concurrent
 // calls from pool workers.
-func (r *Reporter) Observe(ev exp.ProgressEvent) {
+func (r *Reporter) Observe(ev ProgressEvent) {
 	r.mu.Lock()
 	now := r.now()
 	r.runsDone++
-	r.runs.Add(1)
-	r.hist.Observe(int64(ev.SimSeconds * 1000))
+	r.m.Runs.Add(1)
+	r.m.RunSimMS.Observe(int64(ev.SimSeconds * 1000))
 	if ev.CellDone {
 		r.cellsDone++
-		r.cells.Add(1)
+		r.m.Cells.Add(1)
 	}
 	if ev.Experiment != "" {
 		r.lastExp = ev.Experiment
@@ -171,20 +179,6 @@ func (r *Reporter) ExperimentDone(name string) {
 	if human != nil {
 		fmt.Fprint(human, line)
 	}
-}
-
-// RunsPerSec returns the current EWMA-smoothed completion rate.
-func (r *Reporter) RunsPerSec() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rateLocked()
-}
-
-// Done returns the run and cell completion counts.
-func (r *Reporter) Done() (runs, cells int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runsDone, r.cellsDone
 }
 
 // Close finishes the stderr line with a newline so the shell prompt

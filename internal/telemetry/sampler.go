@@ -12,61 +12,51 @@ import (
 const PollEvents = 16384
 
 // SimTracker publishes one running simulation's engine statistics into
-// a registry. Each concurrently running simulation owns a tracker; the
-// counters receive deltas (so the totals aggregate across runs) and the
-// pending/pool gauges receive signed deltas (so their values are sums
-// over the currently active runs). Poll is called from the simulation
-// goroutine at safe-points between events, so reading engine state is
-// race-free by construction.
+// a metric set. Each concurrently running simulation owns a tracker; the
+// event counter receives deltas (so the total aggregates across runs)
+// and the pending/pool gauges receive signed deltas (so their values are
+// sums over the currently active runs). Poll is called from the
+// simulation goroutine at safe-points between events, so reading engine
+// state is race-free by construction.
 type SimTracker struct {
-	events      *Counter
-	pending     *Gauge
-	pool        *Gauge
-	depth       *Gauge
+	m           *Metrics
 	lastFired   uint64
 	lastPending int
 	lastPool    int
 }
 
-// NewSimTracker returns a tracker publishing into reg.
-func NewSimTracker(reg *Registry) *SimTracker {
-	return &SimTracker{
-		events:  reg.Counter(MetricSimEventsTotal),
-		pending: reg.Gauge(MetricSimPending),
-		pool:    reg.Gauge(MetricSimPoolInUse),
-		depth:   reg.Gauge(MetricSimWheelDepth),
-	}
-}
+// NewSimTracker returns a tracker publishing into m.
+func NewSimTracker(m *Metrics) *SimTracker { return &SimTracker{m: m} }
 
 // Poll publishes the deltas since the previous poll.
 func (t *SimTracker) Poll(fired uint64, pending, wheelDepth, poolInUse int) {
-	t.events.Add(int64(fired - t.lastFired))
+	t.m.SimEvents.Add(int64(fired - t.lastFired))
 	t.lastFired = fired
-	t.pending.Add(int64(pending - t.lastPending))
+	t.m.SimPending.Add(int64(pending - t.lastPending))
 	t.lastPending = pending
-	t.pool.Add(int64(poolInUse - t.lastPool))
+	t.m.SimPoolInUse.Add(int64(poolInUse - t.lastPool))
 	t.lastPool = poolInUse
-	t.depth.SetMax(int64(wheelDepth))
+	setMax(&t.m.SimWheelDepth, int64(wheelDepth))
 }
 
 // Finish publishes the final deltas and withdraws this run's
 // contribution from the aggregate gauges.
 func (t *SimTracker) Finish(fired uint64) {
-	t.events.Add(int64(fired - t.lastFired))
+	t.m.SimEvents.Add(int64(fired - t.lastFired))
 	t.lastFired = fired
-	t.pending.Add(int64(-t.lastPending))
+	t.m.SimPending.Add(int64(-t.lastPending))
 	t.lastPending = 0
-	t.pool.Add(int64(-t.lastPool))
+	t.m.SimPoolInUse.Add(int64(-t.lastPool))
 	t.lastPool = 0
 }
 
-// Sampler periodically snapshots the registry plus Go runtime memory
+// Sampler periodically snapshots a metric set plus Go runtime memory
 // and GC state into a stream as sample records. Start it once per
 // process; Close flushes a final sample so even sweeps shorter than one
 // interval leave at least one snapshot in the stream.
 type Sampler struct {
 	st       *Stream
-	reg      *Registry
+	m        *Metrics
 	interval time.Duration
 
 	stop chan struct{}
@@ -81,14 +71,14 @@ type Sampler struct {
 const ewmaAlpha = 0.3
 
 // StartSampler launches the sampling goroutine, emitting one sample
-// record per interval (minimum 10ms) into st.
-func StartSampler(st *Stream, reg *Registry, interval time.Duration) *Sampler {
+// record of m per interval (minimum 10ms) into st.
+func StartSampler(st *Stream, m *Metrics, interval time.Duration) *Sampler {
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
 	s := &Sampler{
 		st:       st,
-		reg:      reg,
+		m:        m,
 		interval: interval,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -118,8 +108,8 @@ func (s *Sampler) sample() {
 	runtime.ReadMemStats(&ms)
 
 	wall := s.st.WallMS()
-	counters := s.reg.Counters()
-	events := counters[MetricSimEventsTotal]
+	counters := s.m.counters()
+	events := counters["sim_events_total"]
 	if dt := (wall - s.lastWallMS) / 1000; dt > 0 {
 		inst := float64(events-s.lastEvents) / dt
 		if s.ewma == 0 {
@@ -141,8 +131,8 @@ func (s *Sampler) sample() {
 		GCPauseTotalMS:  float64(ms.PauseTotalNs) / 1e6,
 		Goroutines:      runtime.NumGoroutine(),
 		Counters:        counters,
-		Gauges:          s.reg.Gauges(),
-		Hists:           s.reg.Hists(),
+		Gauges:          s.m.gauges(),
+		Hists:           s.m.hists(),
 		SimEventsPerSec: s.ewma,
 	})
 }

@@ -38,7 +38,7 @@ type MetaRecord struct {
 }
 
 // SampleRecord is one periodic sampler snapshot: Go runtime memory and
-// GC state, the registry's counters/gauges/histograms, and the sampler's
+// GC state, the metric set's counters/gauges/histograms, and the sampler's
 // EWMA of engine events per wall-clock second.
 type SampleRecord struct {
 	T      string  `json:"t"`

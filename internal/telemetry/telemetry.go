@@ -1,13 +1,12 @@
 // Package telemetry is the live-observability layer of the harness: a
-// process-wide registry of counters, gauges, and histograms that running
-// sweeps publish into, a periodic sampler that snapshots the registry
-// together with engine statistics and Go runtime memory/GC state into a
-// JSON-lines time series (stream.go, sampler.go), an EWMA-based sweep
-// progress reporter (progress.go), and a crash-dump flight recorder — a
-// bounded ring buffer of the most recent internal/obs events, dumped as
-// Perfetto JSON plus a synthetic pcap when a run panics, the client's
-// fault-recovery watchdog fires, or a sweep cell errors (ring.go,
-// flight.go).
+// fixed set of run and engine metrics that running sweeps publish into,
+// a periodic sampler that snapshots them together with Go runtime
+// memory/GC state into a JSON-lines time series (stream.go, sampler.go),
+// an EWMA-based sweep progress reporter (progress.go), and a crash-dump
+// flight recorder — a bounded ring buffer of the most recent internal/obs
+// events, dumped as Perfetto JSON plus a synthetic pcap when a run
+// panics, the client's fault-recovery watchdog fires, or a sweep cell
+// errors (ring.go, flight.go).
 //
 // Everything here is off by default and strictly non-perturbing: the
 // simulator's virtual-time behaviour, every golden table, metrics CSV,
@@ -16,55 +15,78 @@
 // entirely in the wall-clock domain — it observes the simulation, never
 // participates in it.
 //
-// The package sits below internal/core: core publishes into the global
-// registry, attaches flight-recorder rings to each run's obs bus, and
-// polls engine statistics at safe-points; cmd/httpperf turns the layer
-// on with -telemetry, -progress, and -flight.
+// The package holds no process state. cmd/httpperf builds one Monitor
+// from -telemetry, -progress and -flight and hands it down to the runs
+// it observes (exp.Session → core.Sweep → core.Run); a run without a
+// monitor is unobserved.
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/stats"
 )
 
-// Counter is a monotonically increasing metric. The zero value is ready
-// to use; all methods are safe for concurrent use.
-type Counter struct{ v atomic.Int64 }
+// Monitor is one set of live observers. Every field is optional: a nil
+// Stream means no JSON-lines records (and no engine polling), a nil
+// Flight no crash dumps, a nil Progress no progress records or stderr
+// line. Runs and the reporter publish into Metrics, which the sampler
+// snapshots.
+type Monitor struct {
+	Stream   *Stream
+	Flight   *Flight
+	Progress *Reporter
+	Metrics  Metrics
+}
 
-// Add increments the counter by d (d < 0 is a programming error but is
-// applied as-is rather than panicking in a telemetry path).
-func (c *Counter) Add(d int64) { c.v.Add(d) }
+// Metrics is the fixed metric set a monitor's runs publish into. The
+// counters are monotone totals; the pending and pool gauges sum signed
+// deltas over the runs in flight; the wheel depth is a high-water mark.
+// Every field is safe for concurrent use.
+type Metrics struct {
+	Runs      atomic.Int64 // runs_total: completed simulation runs
+	Cells     atomic.Int64 // cells_total: completed sweep cells
+	SimEvents atomic.Int64 // sim_events_total: engine events fired
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+	SimPending    atomic.Int64 // sim_pending: pending events, summed over active runs
+	SimPoolInUse  atomic.Int64 // sim_pool_in_use: live timer-arena entries, summed
+	SimWheelDepth atomic.Int64 // sim_wheel_depth: deepest populated wheel tier seen
 
-// Gauge is an instantaneous level. Concurrent runs aggregate into one
-// gauge with Add (each contributor applies deltas, so the value is the
-// sum over contributors); SetMax maintains a high-water mark instead.
-type Gauge struct{ v atomic.Int64 }
+	RunSimMS Hist // run_sim_ms: simulated run durations
+}
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+// counters, gauges and hists name the metric set as a sample record
+// carries it.
+func (m *Metrics) counters() map[string]int64 {
+	return map[string]int64{
+		"runs_total":       m.Runs.Load(),
+		"cells_total":      m.Cells.Load(),
+		"sim_events_total": m.SimEvents.Load(),
+	}
+}
 
-// Add applies a delta; contributors that add on change and subtract on
-// exit make the gauge an aggregate over all of them.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
+func (m *Metrics) gauges() map[string]int64 {
+	return map[string]int64{
+		"sim_pending":     m.SimPending.Load(),
+		"sim_pool_in_use": m.SimPoolInUse.Load(),
+		"sim_wheel_depth": m.SimWheelDepth.Load(),
+	}
+}
 
-// SetMax raises the gauge to v if v exceeds the current value.
-func (g *Gauge) SetMax(v int64) {
+func (m *Metrics) hists() map[string]HistSnapshot {
+	return map[string]HistSnapshot{"run_sim_ms": m.RunSimMS.Snapshot()}
+}
+
+// setMax raises g to v if v exceeds its current value.
+func setMax(g *atomic.Int64, v int64) {
 	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
+		cur := g.Load()
+		if v <= cur || g.CompareAndSwap(cur, v) {
 			return
 		}
 	}
 }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Hist is a concurrency-safe wrapper around the mergeable log-bucketed
 // stats.Histogram, for value distributions (run durations, dump sizes).
@@ -101,169 +123,3 @@ func (h *Hist) Snapshot() HistSnapshot {
 		Max:   h.h.Max(),
 	}
 }
-
-// Registry is a named collection of metrics. Lookups intern the metric
-// on first use, so publishers can fetch by name without registration
-// ceremony; the returned pointers are stable and lock-free to update.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Hist
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Hist{},
-	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Hist returns the named histogram, creating it on first use.
-func (r *Registry) Hist(name string) *Hist {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Hist{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Counters returns a name→value snapshot of every counter.
-func (r *Registry) Counters() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	return out
-}
-
-// Gauges returns a name→value snapshot of every gauge.
-func (r *Registry) Gauges() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	return out
-}
-
-// Hists returns a name→summary snapshot of every histogram.
-func (r *Registry) Hists() map[string]HistSnapshot {
-	r.mu.Lock()
-	hs := make(map[string]*Hist, len(r.hists))
-	for name, h := range r.hists {
-		hs[name] = h
-	}
-	r.mu.Unlock()
-	out := make(map[string]HistSnapshot, len(hs))
-	for name, h := range hs {
-		out[name] = h.Snapshot()
-	}
-	return out
-}
-
-// Names returns the sorted names of every registered metric, for tests
-// and listings.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for name := range r.counters {
-		out = append(out, name)
-	}
-	for name := range r.gauges {
-		out = append(out, name)
-	}
-	for name := range r.hists {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// --- process-wide state ---
-
-// Well-known metric names the harness publishes. Counters are monotone
-// totals; the pending/pool gauges aggregate deltas across concurrently
-// running simulations, and the wheel-depth gauge is a high-water mark.
-const (
-	MetricRunsTotal      = "runs_total"       // completed simulation runs
-	MetricCellsTotal     = "cells_total"      // completed sweep cells
-	MetricSimEventsTotal = "sim_events_total" // engine events fired
-	MetricSimPending     = "sim_pending"      // pending events, summed over active runs
-	MetricSimPoolInUse   = "sim_pool_in_use"  // live timer-arena entries, summed
-	MetricSimWheelDepth  = "sim_wheel_depth"  // deepest populated wheel tier seen
-	MetricRunElapsedMS   = "run_sim_ms"       // histogram of simulated run durations
-)
-
-var (
-	defaultRegistry = NewRegistry()
-	activeStream    atomic.Pointer[Stream]
-	activeFlight    atomic.Pointer[Flight]
-)
-
-// Default returns the process-wide registry every harness layer
-// publishes into.
-func Default() *Registry { return defaultRegistry }
-
-// SetStream installs st as the process-wide telemetry stream (nil turns
-// streaming off) and returns the previous stream.
-func SetStream(st *Stream) *Stream {
-	if st == nil {
-		return activeStream.Swap(nil)
-	}
-	return activeStream.Swap(st)
-}
-
-// ActiveStream returns the installed stream, or nil when streaming is
-// off.
-func ActiveStream() *Stream { return activeStream.Load() }
-
-// Active reports whether any telemetry stream is installed — the cheap
-// guard hot paths use before publishing.
-func Active() bool { return activeStream.Load() != nil }
-
-// SetFlight installs f as the process-wide flight recorder (nil turns
-// it off) and returns the previous recorder.
-func SetFlight(f *Flight) *Flight {
-	if f == nil {
-		return activeFlight.Swap(nil)
-	}
-	return activeFlight.Swap(f)
-}
-
-// ActiveFlight returns the installed flight recorder, or nil when crash
-// dumping is off.
-func ActiveFlight() *Flight { return activeFlight.Load() }

@@ -9,51 +9,53 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/exp"
 )
 
-func TestRegistryInternsAndAggregates(t *testing.T) {
-	reg := NewRegistry()
-	if reg.Counter("a") != reg.Counter("a") {
-		t.Fatal("Counter not interned: two lookups returned different pointers")
-	}
+// TestMetricsAggregateConcurrently updates one metric set from many
+// goroutines and checks a sample record carries all seven metrics under
+// their names.
+func TestMetricsAggregateConcurrently(t *testing.T) {
+	var m Metrics
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				reg.Counter("a").Add(1)
-				reg.Gauge("g").Add(1)
-				reg.Gauge("g").Add(-1)
-				reg.Gauge("hw").SetMax(int64(i))
-				reg.Hist("h").Observe(int64(i))
+				m.Runs.Add(1)
+				m.SimPending.Add(1)
+				m.SimPending.Add(-1)
+				setMax(&m.SimWheelDepth, int64(i))
+				m.RunSimMS.Observe(int64(i))
 			}
 		}()
 	}
 	wg.Wait()
-	if got := reg.Counter("a").Value(); got != 8000 {
-		t.Fatalf("counter = %d, want 8000", got)
+	if got := m.Runs.Load(); got != 8000 {
+		t.Fatalf("runs = %d, want 8000", got)
 	}
-	if got := reg.Gauge("g").Value(); got != 0 {
+	if got := m.SimPending.Load(); got != 0 {
 		t.Fatalf("gauge after balanced deltas = %d, want 0", got)
 	}
-	if got := reg.Gauge("hw").Value(); got != 999 {
+	if got := m.SimWheelDepth.Load(); got != 999 {
 		t.Fatalf("high-water gauge = %d, want 999", got)
 	}
-	if got := reg.Hist("h").Snapshot().Count; got != 8000 {
+	if got := m.RunSimMS.Snapshot().Count; got != 8000 {
 		t.Fatalf("hist count = %d, want 8000", got)
 	}
-	names := reg.Names()
-	want := []string{"a", "g", "h", "hw"}
-	if len(names) != len(want) {
-		t.Fatalf("Names = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", names, want)
+	counters, gauges, hists := m.counters(), m.gauges(), m.hists()
+	for _, name := range []string{"runs_total", "cells_total", "sim_events_total"} {
+		if _, ok := counters[name]; !ok {
+			t.Errorf("counters lack %s: %v", name, counters)
 		}
+	}
+	for _, name := range []string{"sim_pending", "sim_pool_in_use", "sim_wheel_depth"} {
+		if _, ok := gauges[name]; !ok {
+			t.Errorf("gauges lack %s: %v", name, gauges)
+		}
+	}
+	if _, ok := hists["run_sim_ms"]; !ok || len(counters)+len(gauges)+len(hists) != 7 {
+		t.Errorf("sample maps are not the seven metrics: %v %v %v", counters, gauges, hists)
 	}
 }
 
@@ -111,9 +113,9 @@ func TestValidateStreamRejectsBadStreams(t *testing.T) {
 func TestSamplerEmitsFinalSample(t *testing.T) {
 	var buf bytes.Buffer
 	st := NewStream(&buf)
-	reg := NewRegistry()
-	reg.Counter(MetricSimEventsTotal).Add(12345)
-	s := StartSampler(st, reg, 10*time.Millisecond)
+	var m Metrics
+	m.SimEvents.Add(12345)
+	s := StartSampler(st, &m, 10*time.Millisecond)
 	time.Sleep(25 * time.Millisecond)
 	s.Close()
 
@@ -125,66 +127,84 @@ func TestSamplerEmitsFinalSample(t *testing.T) {
 		t.Fatalf("no sample records after Close: %v", counts)
 	}
 	if !strings.Contains(buf.String(), `"sim_events_total":12345`) {
-		t.Fatalf("sample records missing registry counters:\n%s", buf.String())
+		t.Fatalf("sample records missing the event counter:\n%s", buf.String())
+	}
+	// A metric no run has touched reads 0; it is not absent.
+	if !strings.Contains(buf.String(), `"runs_total":0`) {
+		t.Fatalf("sample records omit an untouched counter:\n%s", buf.String())
 	}
 }
 
 func TestSimTrackerDeltas(t *testing.T) {
-	reg := NewRegistry()
-	a := NewSimTracker(reg)
-	b := NewSimTracker(reg)
+	var m Metrics
+	a := NewSimTracker(&m)
+	b := NewSimTracker(&m)
 	a.Poll(100, 10, 2, 20)
 	b.Poll(50, 5, 3, 8)
-	if got := reg.Counter(MetricSimEventsTotal).Value(); got != 150 {
+	if got := m.SimEvents.Load(); got != 150 {
 		t.Fatalf("events total = %d, want 150", got)
 	}
-	if got := reg.Gauge(MetricSimPending).Value(); got != 15 {
+	if got := m.SimPending.Load(); got != 15 {
 		t.Fatalf("pending = %d, want 15 (10+5 across runs)", got)
 	}
-	if got := reg.Gauge(MetricSimWheelDepth).Value(); got != 3 {
+	if got := m.SimWheelDepth.Load(); got != 3 {
 		t.Fatalf("wheel depth = %d, want high-water 3", got)
 	}
 	a.Poll(180, 4, 1, 12) // pending shrank: delta is signed
-	if got := reg.Gauge(MetricSimPending).Value(); got != 9 {
+	if got := m.SimPending.Load(); got != 9 {
 		t.Fatalf("pending = %d, want 9 (4+5)", got)
 	}
 	a.Finish(200)
 	b.Finish(60)
-	if got := reg.Counter(MetricSimEventsTotal).Value(); got != 260 {
+	if got := m.SimEvents.Load(); got != 260 {
 		t.Fatalf("events total = %d, want 260", got)
 	}
-	if got := reg.Gauge(MetricSimPending).Value(); got != 0 {
+	if got := m.SimPending.Load(); got != 0 {
 		t.Fatalf("pending after both runs finished = %d, want 0", got)
 	}
-	if got := reg.Gauge(MetricSimPoolInUse).Value(); got != 0 {
+	if got := m.SimPoolInUse.Load(); got != 0 {
 		t.Fatalf("pool in use after finish = %d, want 0", got)
 	}
 }
 
-// TestReporterEWMAAndETA drives the reporter on a synthetic clock: runs
-// arriving every 100ms give a 10 runs/sec EWMA exactly (constant input),
-// and two of four experiments done at a constant pace predict the
-// remaining two at that pace.
+// TestReporterEWMAAndETA drives the reporter on a synthetic clock and
+// reads its progress records: runs arriving every 100ms give a 10
+// runs/sec EWMA exactly (constant input), and two of four experiments
+// done at a constant pace predict the remaining two at that pace.
 func TestReporterEWMAAndETA(t *testing.T) {
 	var buf bytes.Buffer
 	st := NewStream(&buf)
 	var human bytes.Buffer
-	r := NewReporter(NewRegistry(), st, &human)
+	var m Metrics
+	r := NewReporter(&m, st, &human)
 	now := time.Unix(1000, 0)
 	r.now = func() time.Time { return now }
 	r.start, r.lastExpMark = now, now
 	r.SetTotalExperiments(4)
+	last := func() ProgressRecord {
+		t.Helper()
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		var rec ProgressRecord
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rec); err != nil || rec.T != RecordProgress {
+			t.Fatalf("last record %q is not a progress record (%v)", lines[len(lines)-1], err)
+		}
+		return rec
+	}
 
 	for i := 0; i < 20; i++ {
 		now = now.Add(100 * time.Millisecond)
-		r.Observe(exp.ProgressEvent{Experiment: "t", Scenario: "s", Run: i, CellDone: i%5 == 4, SimSeconds: 1.5})
+		r.Observe(ProgressEvent{Experiment: "t", Scenario: "s", Run: i, CellDone: i%5 == 4, SimSeconds: 1.5})
 	}
-	if rate := r.RunsPerSec(); rate < 9.99 || rate > 10.01 {
-		t.Fatalf("EWMA rate = %v, want 10 (constant 100ms gaps)", rate)
+	rec := last()
+	if rec.RunsPerSec < 9.99 || rec.RunsPerSec > 10.01 {
+		t.Fatalf("EWMA rate = %v, want 10 (constant 100ms gaps)", rec.RunsPerSec)
 	}
-	runs, cells := r.Done()
-	if runs != 20 || cells != 4 {
-		t.Fatalf("Done = %d runs, %d cells; want 20, 4", runs, cells)
+	if rec.RunsDone != 20 || rec.CellsDone != 4 {
+		t.Fatalf("done = %d runs, %d cells; want 20, 4", rec.RunsDone, rec.CellsDone)
+	}
+	if m.Runs.Load() != 20 || m.Cells.Load() != 4 || m.RunSimMS.Snapshot().Count != 20 {
+		t.Fatalf("metric set = %d runs, %d cells, %d durations; want 20, 4, 20",
+			m.Runs.Load(), m.Cells.Load(), m.RunSimMS.Snapshot().Count)
 	}
 
 	now = now.Add(time.Second)
@@ -193,13 +213,12 @@ func TestReporterEWMAAndETA(t *testing.T) {
 	r.ExperimentDone("u")
 	// Both experiment gaps are 3s, so the EWMA is exactly 3s and the two
 	// remaining experiments predict 6s.
-	_, _, eta := r.etaLocked()
-	if eta < 5.99 || eta > 6.01 {
-		t.Fatalf("eta = %v, want 6s (constant 3s per experiment, 2 left)", eta)
+	rec = last()
+	if rec.ETASeconds < 5.99 || rec.ETASeconds > 6.01 {
+		t.Fatalf("eta = %v, want 6s (constant 3s per experiment, 2 left)", rec.ETASeconds)
 	}
-	done, total, _ := r.etaLocked()
-	if done != 2 || total != 4 {
-		t.Fatalf("experiments = %d/%d, want 2/4", done, total)
+	if rec.ExperimentsDone != 2 || rec.ExperimentsTotal != 4 {
+		t.Fatalf("experiments = %d/%d, want 2/4", rec.ExperimentsDone, rec.ExperimentsTotal)
 	}
 
 	r.Close()
@@ -225,10 +244,8 @@ func TestFlightDumpWritesArtifactsAndStreams(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	prev := SetStream(NewStream(&buf))
-	defer SetStream(prev)
-
-	paths, err := fl.Dump(DumpSource{
+	st := NewStream(&buf)
+	paths, err := fl.Dump(st, DumpSource{
 		Label:   "Apache/HTTP 1.1/PPP", // slashes and spaces must sanitize
 		Reason:  "watchdog",
 		Events:  7,
@@ -272,35 +289,12 @@ func TestFlightDumpWritesArtifactsAndStreams(t *testing.T) {
 	}
 
 	// A second dump must not overwrite the first.
-	paths2, err := fl.Dump(DumpSource{Label: "x", Reason: "error",
+	paths2, err := fl.Dump(nil, DumpSource{Label: "x", Reason: "error",
 		Perfetto: func(w *os.File) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths2) != 1 || paths2[0] == paths[0] {
 		t.Fatalf("second dump reused the first dump's path: %v vs %v", paths2, paths)
-	}
-}
-
-func TestProgressHookInstallUninstall(t *testing.T) {
-	if exp.ProgressActive() {
-		t.Fatal("progress hook active before install")
-	}
-	var got []exp.ProgressEvent
-	prev := exp.SetProgress(func(ev exp.ProgressEvent) { got = append(got, ev) })
-	if prev != nil {
-		t.Fatal("unexpected previous hook")
-	}
-	if !exp.ProgressActive() {
-		t.Fatal("hook not active after install")
-	}
-	exp.NotifyProgress(exp.ProgressEvent{Run: 3})
-	exp.SetProgress(nil)
-	if exp.ProgressActive() {
-		t.Fatal("hook still active after uninstall")
-	}
-	exp.NotifyProgress(exp.ProgressEvent{Run: 4}) // must not panic or deliver
-	if len(got) != 1 || got[0].Run != 3 {
-		t.Fatalf("delivered events = %+v, want exactly the pre-uninstall one", got)
 	}
 }
