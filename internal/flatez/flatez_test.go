@@ -327,7 +327,8 @@ func TestBuildLengthsLimitRespected(t *testing.T) {
 	if kraft > 1.0 {
 		t.Fatalf("over-subscribed code: Kraft %v", kraft)
 	}
-	if _, err := newHuffDecoder(lens); err != nil {
+	var table huffTable
+	if err := table.build(lens); err != nil {
 		t.Fatalf("limited lengths rejected by decoder: %v", err)
 	}
 }
@@ -500,13 +501,22 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 	}
 	r := bitReader{in: w.bytes()}
 	for i, x := range values {
-		got, err := r.readBits(x.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != x.v {
+		if got := r.bits(x.n); got != x.v {
 			t.Fatalf("value %d = %d, want %d", i, got, x.v)
 		}
+	}
+	// 39 bits written: the rest of the last byte is padding in the input,
+	// the bit after it padding the reader supplies.
+	if r.overrun() {
+		t.Fatal("overrun within the input")
+	}
+	r.bits(1)
+	if r.overrun() {
+		t.Fatal("overrun within the last byte")
+	}
+	r.bits(1)
+	if !r.overrun() {
+		t.Fatal("reading past the input not reported")
 	}
 }
 

@@ -126,62 +126,112 @@ func canonicalCodes(lens []uint8) []uint32 {
 	return codes
 }
 
-// huffDecoder decodes canonical Huffman codes bit by bit (the approach of
-// Mark Adler's puff.c: counts per length plus symbols sorted by code).
-type huffDecoder struct {
-	count  []int // count[l] = number of codes of length l
-	symbol []int // symbols ordered by (length, symbol)
-}
+// Decoding tables. A code is looked up by the next rootBits bits of the
+// stream (LSB-first, so a code's first bit is bit 0 of the index). A code
+// of at most rootBits bits fills every root entry that starts with it. The
+// root entry of a longer code's first rootBits bits links to a sub-table
+// indexed by the bits after them, as wide as the longest code sharing
+// that prefix, so every code resolves in at most two lookups.
+//
+// An entry packs a value in its high 16 bits, the entryLink flag, and n
+// in its low 4 bits. A leaf's value is the symbol and n (1..15) the whole
+// code's length; a link's value is the sub-table's offset and n its index
+// width. Zero is an unassigned pattern of an incomplete code.
+const (
+	rootBits  = 9
+	rootSize  = 1 << rootBits
+	rootMask  = rootSize - 1
+	entryLink = 1 << 4
+	entryLen  = 1<<4 - 1
+)
 
-// newHuffDecoder builds a decoder from code lengths. It rejects
-// over-subscribed codes; incomplete codes are accepted (they only error
-// if a missing code is actually encountered), matching DEFLATE's
-// allowance for a partial distance code.
-func newHuffDecoder(lens []uint8) (*huffDecoder, error) {
-	d := &huffDecoder{count: make([]int, maxCodeBits+1)}
+// tableSize bounds the entries of any table, root and sub-tables. In
+// units of 15-bit code space a root prefix spans 64 units. Canonical
+// codes fill the space in order of length, so the c_L codes of one length
+// L > rootBits form one run of c_L·2^(15-L) units. The prefixes whose
+// longest code has length L all meet that run, so there are at most
+// c_L·2^(15-L)/64 + 2 of them, each with a 2^(L-9)-entry sub-table:
+// c_L + 2^(L-8) entries. Summed over L = 10..15 that is at most the
+// number of symbols (288 for the fixed literal code) plus 252.
+const tableSize = rootSize + 288 + 252
+
+// huffTable decodes one canonical Huffman code.
+type huffTable [tableSize]uint32
+
+// build fills t for the code with the given lengths. It rejects
+// over-subscribed codes; incomplete ones are accepted, their unassigned
+// patterns left as zero entries that decode to ErrCorrupt only when met,
+// as DEFLATE allows for a distance code with a single symbol.
+func (t *huffTable) build(lens []uint8) error {
+	var count [maxCodeBits + 1]int
 	for _, l := range lens {
-		if l > 0 {
-			d.count[l]++
-		}
+		count[l]++
 	}
+	count[0] = 0
 	left := 1
 	for l := 1; l <= maxCodeBits; l++ {
-		left <<= 1
-		left -= d.count[l]
+		left = left<<1 - count[l]
 		if left < 0 {
-			return nil, fmt.Errorf("%w: over-subscribed huffman code", ErrCorrupt)
+			return fmt.Errorf("%w: over-subscribed huffman code", ErrCorrupt)
 		}
 	}
-	offs := make([]int, maxCodeBits+2)
-	for l := 1; l <= maxCodeBits; l++ {
-		offs[l+1] = offs[l] + d.count[l]
+	// first[l] is the first canonical code of length l (RFC 1951 §3.2.2).
+	var first [maxCodeBits + 1]uint32
+	for l, code := 1, uint32(0); l <= maxCodeBits; l++ {
+		code = (code + uint32(count[l-1])) << 1
+		first[l] = code
 	}
-	d.symbol = make([]int, offs[maxCodeBits+1])
+
+	// Size each long prefix's sub-table by its longest code, then lay the
+	// sub-tables out after the root.
+	clear(t[:rootSize])
+	var subLen [rootSize]uint8
+	next := first
+	for _, l := range lens {
+		if l > rootBits {
+			p := reverseBits(next[l], uint(l)) & rootMask
+			subLen[p] = max(subLen[p], l-rootBits)
+			next[l]++
+		}
+	}
+	off := uint32(rootSize)
+	for p, n := range subLen {
+		if n > 0 {
+			t[p] = off<<16 | entryLink | uint32(n)
+			clear(t[off : off+1<<n])
+			off += 1 << n
+		}
+	}
+
+	next = first
 	for sym, l := range lens {
-		if l > 0 {
-			d.symbol[offs[l]] = sym
-			offs[l]++
+		if l == 0 {
+			continue
+		}
+		code := reverseBits(next[l], uint(l))
+		next[l]++
+		leaf := uint32(sym)<<16 | uint32(l)
+		if l <= rootBits {
+			for i := code; i < rootSize; i += 1 << l {
+				t[i] = leaf
+			}
+			continue
+		}
+		link := t[code&rootMask]
+		sub := t[link>>16 : link>>16+1<<(link&entryLen)]
+		for i := code >> rootBits; i < uint32(len(sub)); i += 1 << (l - rootBits) {
+			sub[i] = leaf
 		}
 	}
-	return d, nil
+	return nil
 }
 
-// decode reads one symbol from r.
-func (d *huffDecoder) decode(r *bitReader) (int, error) {
-	code, first, index := 0, 0, 0
-	for l := 1; l <= maxCodeBits; l++ {
-		b, err := r.readBits(1)
-		if err != nil {
-			return 0, err
-		}
-		code |= int(b)
-		count := d.count[l]
-		if code-first < count {
-			return d.symbol[index+code-first], nil
-		}
-		index += count
-		first = (first + count) << 1
-		code <<= 1
+// entry returns the entry for the code at the bottom of acc, which must
+// hold at least as many valid bits as the code is long.
+func (t *huffTable) entry(acc uint64) uint32 {
+	e := t[acc&rootMask]
+	if e&entryLink != 0 {
+		e = t[e>>16+uint32(acc>>rootBits)&(1<<(e&entryLen)-1)]
 	}
-	return 0, fmt.Errorf("%w: invalid huffman code", ErrCorrupt)
+	return e
 }

@@ -2,9 +2,32 @@ package flatez
 
 import "fmt"
 
+// errInvalidCode reports a bit pattern no code of the block assigns.
+var errInvalidCode = fmt.Errorf("%w: invalid huffman code", ErrCorrupt)
+
+// The fixed-block tables (RFC 1951 §3.2.6), built once.
+var fixedLit, fixedDist huffTable
+
+func init() {
+	if err := fixedLit.build(fixedLitLens()); err != nil {
+		panic(err)
+	}
+	if err := fixedDist.build(fixedDistLens()); err != nil {
+		panic(err)
+	}
+}
+
 // Decompress inflates a raw DEFLATE stream.
 func Decompress(data []byte) ([]byte, error) {
 	return DecompressDict(data, nil)
+}
+
+// inflater is one DecompressDict call's state. A dynamic block's tables
+// live in it, so a block allocates nothing beyond the output.
+type inflater struct {
+	r         bitReader
+	out       []byte
+	lit, dist huffTable
 }
 
 // DecompressDict inflates a stream produced with the given preset
@@ -13,112 +36,81 @@ func DecompressDict(data, dict []byte) ([]byte, error) {
 	if len(dict) > windowSize {
 		dict = dict[len(dict)-windowSize:]
 	}
-	out := make([]byte, len(dict), len(dict)+len(data)*3)
-	copy(out, dict)
-	r := &bitReader{in: data}
+	// HTML deflates to about a quarter of its size, so four times the
+	// input holds a page without regrowing.
+	f := inflater{r: bitReader{in: data}, out: make([]byte, len(dict), len(dict)+len(data)*4)}
+	copy(f.out, dict)
 	for {
-		final, err := r.readBits(1)
-		if err != nil {
-			return nil, err
-		}
-		btype, err := r.readBits(2)
-		if err != nil {
-			return nil, err
-		}
-		switch btype {
+		hdr := f.r.bits(3) // BFINAL, then BTYPE
+		var err error
+		switch hdr >> 1 {
 		case 0:
-			out, err = inflateStored(r, out)
+			err = f.stored()
 		case 1:
-			out, err = inflateFixed(r, out)
+			err = f.coded(&fixedLit, &fixedDist)
 		case 2:
-			out, err = inflateDynamic(r, out)
+			err = f.dynamic()
 		default:
 			err = fmt.Errorf("%w: reserved block type", ErrCorrupt)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if final == 1 {
-			return out[len(dict):], nil
+		if hdr&1 == 1 {
+			return f.out[len(dict):], nil
 		}
 	}
 }
 
-func inflateStored(r *bitReader, out []byte) ([]byte, error) {
-	r.alignByte()
-	hdr, err := r.readBytes(4)
+func (f *inflater) stored() error {
+	f.r.alignByte()
+	hdr, err := f.r.bytes(4)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := int(hdr[0]) | int(hdr[1])<<8
 	nlen := int(hdr[2]) | int(hdr[3])<<8
 	if n != ^nlen&0xffff {
-		return nil, fmt.Errorf("%w: stored block length check failed", ErrCorrupt)
+		return fmt.Errorf("%w: stored block length check failed", ErrCorrupt)
 	}
-	body, err := r.readBytes(n)
+	body, err := f.r.bytes(n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return append(out, body...), nil
+	f.out = append(f.out, body...)
+	return nil
 }
 
-var (
-	fixedLitDec  *huffDecoder
-	fixedDistDec *huffDecoder
-)
-
-func init() {
-	var err error
-	fixedLitDec, err = newHuffDecoder(fixedLitLens())
-	if err != nil {
-		panic(err)
-	}
-	fixedDistDec, err = newHuffDecoder(fixedDistLens())
-	if err != nil {
-		panic(err)
-	}
-}
-
-func inflateFixed(r *bitReader, out []byte) ([]byte, error) {
-	return inflateCoded(r, out, fixedLitDec, fixedDistDec)
-}
-
-func inflateDynamic(r *bitReader, out []byte) ([]byte, error) {
-	hlit, err := r.readBits(5)
-	if err != nil {
-		return nil, err
-	}
-	hdist, err := r.readBits(5)
-	if err != nil {
-		return nil, err
-	}
-	hclen, err := r.readBits(4)
-	if err != nil {
-		return nil, err
-	}
-	nlit, ndist, ncl := int(hlit)+257, int(hdist)+1, int(hclen)+4
+// dynamic reads a dynamic block's code lengths (RFC 1951 §3.2.7), builds
+// its tables and decodes it.
+func (f *inflater) dynamic() error {
+	r := &f.r
+	nlit := int(r.bits(5)) + 257
+	ndist := int(r.bits(5)) + 1
+	ncl := int(r.bits(4)) + 4
 	if nlit > 286 || ndist > 30 {
-		return nil, fmt.Errorf("%w: too many codes (%d lit, %d dist)", ErrCorrupt, nlit, ndist)
+		return fmt.Errorf("%w: too many codes (%d lit, %d dist)", ErrCorrupt, nlit, ndist)
+	}
+	var clLens [19]uint8
+	for _, sym := range clOrder[:ncl] {
+		clLens[sym] = uint8(r.bits(3))
+	}
+	// The code-length code borrows the literal table, which is built only
+	// once the lengths are read.
+	cl := &f.lit
+	if err := cl.build(clLens[:]); err != nil {
+		return err
 	}
 
-	clLens := make([]uint8, 19)
-	for i := 0; i < ncl; i++ {
-		v, err := r.readBits(3)
-		if err != nil {
-			return nil, err
-		}
-		clLens[clOrder[i]] = uint8(v)
-	}
-	clDec, err := newHuffDecoder(clLens)
-	if err != nil {
-		return nil, err
-	}
-
-	all := make([]uint8, nlit+ndist)
+	var lens [286 + 30]uint8
+	all := lens[:nlit+ndist]
 	for i := 0; i < len(all); {
-		sym, err := clDec.decode(r)
-		if err != nil {
-			return nil, err
+		if r.nacc < maxCLBits+7 { // a code and a repeat count
+			r.refill()
+		}
+		sym, ok := r.decode(cl)
+		if !ok {
+			return errInvalidCode
 		}
 		switch {
 		case sym < 16:
@@ -126,95 +118,93 @@ func inflateDynamic(r *bitReader, out []byte) ([]byte, error) {
 			i++
 		case sym == 16:
 			if i == 0 {
-				return nil, fmt.Errorf("%w: repeat with no previous length", ErrCorrupt)
+				return fmt.Errorf("%w: repeat with no previous length", ErrCorrupt)
 			}
-			n, err := r.readBits(2)
-			if err != nil {
-				return nil, err
+			n := 3 + int(r.bits(2))
+			if i+n > len(all) {
+				return fmt.Errorf("%w: length repeat overflow", ErrCorrupt)
 			}
-			prev := all[i-1]
-			for k := 0; k < int(n)+3; k++ {
-				if i >= len(all) {
-					return nil, fmt.Errorf("%w: length repeat overflow", ErrCorrupt)
-				}
+			for prev := all[i-1]; n > 0; n-- {
 				all[i] = prev
 				i++
 			}
 		case sym == 17:
-			n, err := r.readBits(3)
-			if err != nil {
-				return nil, err
-			}
-			i += int(n) + 3
-		case sym == 18:
-			n, err := r.readBits(7)
-			if err != nil {
-				return nil, err
-			}
-			i += int(n) + 11
-		default:
-			return nil, fmt.Errorf("%w: bad code-length symbol %d", ErrCorrupt, sym)
+			i += 3 + int(r.bits(3))
+		default: // 18
+			i += 11 + int(r.bits(7))
 		}
 		if i > len(all) {
-			return nil, fmt.Errorf("%w: length run overflow", ErrCorrupt)
+			return fmt.Errorf("%w: length run overflow", ErrCorrupt)
 		}
 	}
 	if all[256] == 0 {
-		return nil, fmt.Errorf("%w: missing end-of-block code", ErrCorrupt)
+		return fmt.Errorf("%w: missing end-of-block code", ErrCorrupt)
 	}
-	litDec, err := newHuffDecoder(all[:nlit])
-	if err != nil {
-		return nil, err
+	if err := f.lit.build(all[:nlit]); err != nil {
+		return err
 	}
-	distDec, err := newHuffDecoder(all[nlit:])
-	if err != nil {
-		return nil, err
+	if err := f.dist.build(all[nlit:]); err != nil {
+		return err
 	}
-	return inflateCoded(r, out, litDec, distDec)
+	return f.coded(&f.lit, &f.dist)
 }
 
-func inflateCoded(r *bitReader, out []byte, litDec, distDec *huffDecoder) ([]byte, error) {
+// coded decodes a Huffman-coded block through its end-of-block code.
+func (f *inflater) coded(lit, dist *huffTable) error {
+	r := &f.r
+	out := f.out
 	for {
-		sym, err := litDec.decode(r)
-		if err != nil {
-			return nil, err
+		// The longest literal or length/distance pair is 15 + 5 + 15 + 13
+		// bits: with 48 in hand the whole step needs no refill. Checking
+		// for overrun before each refill bounds how far a truncated stream
+		// decodes into the padding; checking at the end of the block
+		// rejects it before any block that read padding is accepted.
+		if r.nacc < 48 {
+			if r.overrun() {
+				return errUnexpectedEOF
+			}
+			r.refill()
 		}
-		switch {
-		case sym < 256:
+		sym, ok := r.decode(lit)
+		if !ok {
+			return errInvalidCode
+		}
+		if sym < 256 {
 			out = append(out, byte(sym))
-		case sym == 256:
-			return out, nil
-		default:
-			lc := sym - 257
-			if lc >= len(lengthBase) {
-				return nil, fmt.Errorf("%w: bad length symbol %d", ErrCorrupt, sym)
+			continue
+		}
+		if sym == 256 {
+			if r.overrun() {
+				return errUnexpectedEOF
 			}
-			extra, err := r.readBits(lengthExtra[lc])
-			if err != nil {
-				return nil, err
-			}
-			length := lengthBase[lc] + int(extra)
-
-			dsym, err := distDec.decode(r)
-			if err != nil {
-				return nil, err
-			}
-			if dsym >= len(distBase) {
-				return nil, fmt.Errorf("%w: bad distance symbol %d", ErrCorrupt, dsym)
-			}
-			dextra, err := r.readBits(distExtra[dsym])
-			if err != nil {
-				return nil, err
-			}
-			dist := distBase[dsym] + int(dextra)
-			if dist > len(out) {
-				return nil, fmt.Errorf("%w: distance %d beyond output", ErrCorrupt, dist)
-			}
-			// Byte-by-byte copy: overlapping references replicate runs.
-			start := len(out) - dist
-			for k := 0; k < length; k++ {
-				out = append(out, out[start+k])
-			}
+			f.out = out
+			return nil
+		}
+		lc := sym - 257
+		if lc >= uint32(len(lengthBase)) {
+			return fmt.Errorf("%w: bad length symbol %d", ErrCorrupt, sym)
+		}
+		length := lengthBase[lc] + int(r.take(lengthExtra[lc]))
+		dsym, ok := r.decode(dist)
+		if !ok {
+			return errInvalidCode
+		}
+		d := distBase[dsym] + int(r.take(distExtra[dsym]))
+		if d > len(out) {
+			return fmt.Errorf("%w: distance %d beyond output", ErrCorrupt, d)
+		}
+		start := len(out) - d
+		if d >= length {
+			out = append(out, out[start:start+length]...)
+			continue
+		}
+		// An overlapping match repeats the last d bytes. Everything from
+		// start on is already that repetition, so each copy can take all
+		// of it: the chunk doubles until the match is done.
+		for length > 0 {
+			n := min(length, len(out)-start)
+			out = append(out, out[start:start+n]...)
+			length -= n
 		}
 	}
 }

@@ -278,7 +278,8 @@ type Result struct {
 	Timeouts int
 	// RequestsRecovered counts requests that failed at least once and
 	// ultimately completed; RequestsFailed counts requests dropped
-	// permanently (retry budget exhausted or non-idempotent method).
+	// permanently (retry budget exhausted or non-idempotent method) and
+	// responses whose deflate coding does not inflate.
 	RequestsRecovered int
 	RequestsFailed    int
 	// WastedBytes counts response bytes that were delivered and then

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/httpmsg"
 	"repro/internal/httpserver"
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -233,6 +234,54 @@ func TestDeflateFetch(t *testing.T) {
 	}
 	if res.Responses200 != 43 {
 		t.Fatalf("200s = %d, want 43 (links parsed from inflated page)", res.Responses200)
+	}
+}
+
+// A page whose deflate coding does not inflate is a failed request. Its
+// coded bytes must not reach the link extractor (this body starts with a
+// reserved block type and goes on to look like markup with two images),
+// and nothing is cached for it.
+func TestUndecodableDeflatePageFails(t *testing.T) {
+	s := sim.New()
+	s.SetEventLimit(1_000_000)
+	n := tcpsim.NewNetwork(s)
+	client := n.AddHost("client")
+	serverHost := n.AddHost("server")
+	link := netem.Config{PropagationDelay: 2 * time.Millisecond, BitsPerSecond: 10_000_000, MTU: 1500}
+	n.ConnectHosts(client, serverHost, netem.NewAsymPath(s, "t", link, link))
+	resp := httpmsg.NewResponse(httpmsg.Proto11, 200)
+	resp.Header.Add("Content-Type", "text/html")
+	resp.Header.Add("Content-Encoding", "deflate")
+	resp.Body = []byte("\xff" + `<img src="/images/a.gif"><img src="/images/b.gif">`)
+	var paths []string
+	serverHost.Listen(80, tcpsim.Options{NoDelay: true}, func(*tcpsim.Conn) tcpsim.Handler {
+		var p httpmsg.RequestParser
+		return &tcpsim.Callbacks{Data: func(c *tcpsim.Conn, data []byte) {
+			reqs, err := p.Feed(data)
+			if err != nil {
+				t.Errorf("request parse: %v", err)
+			}
+			for _, req := range reqs {
+				paths = append(paths, req.Target)
+				if err := c.Write(resp.Marshal()); err != nil {
+					t.Errorf("write: %v", err)
+				}
+			}
+		}}
+	})
+	robot := NewRobot(s, client, "server", 80, ModeHTTP11PipelinedDeflate.Config(), nil, nil, 0)
+	s.Schedule(0, func() { robot.Start("/", FirstTime, nil) })
+	s.Run()
+
+	res := robot.Result()
+	if !robot.Finished() || res.RequestsFailed != 1 || res.DeflateResponses != 1 || res.InflatedBytes != 0 {
+		t.Fatalf("finished %v, result %+v; want one failed deflate response", robot.Finished(), res)
+	}
+	if len(paths) != 1 {
+		t.Fatalf("server saw requests for %v, want only the page", paths)
+	}
+	if robot.Cache().Len() != 0 {
+		t.Fatalf("%d cache entries, want none", robot.Cache().Len())
 	}
 }
 

@@ -442,17 +442,27 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 		}
 	}
 
-	if resp.Header.Get("Content-Encoding") == "deflate" {
+	deflated := resp.Header.Get("Content-Encoding") == "deflate"
+	if deflated {
 		r.result.DeflateResponses++
-		if decoded, err := flatez.Decompress(body); err == nil {
-			body, size = decoded, len(decoded)
-			r.result.InflatedBytes += int64(size)
+		decoded, err := flatez.Decompress(body)
+		if err != nil {
+			// Nothing to parse and nothing to cache: the request failed.
+			r.result.RequestsFailed++
+			if it.isHTML {
+				r.htmlPending = false
+			}
+			r.handled++
+			r.dispatch()
+			return
 		}
+		body, size = decoded, len(decoded)
+		r.result.InflatedBytes += int64(size)
 	}
 
 	if it.isHTML {
 		if resp.StatusCode == 200 {
-			if resp.Header.Get("Content-Encoding") == "deflate" {
+			if deflated {
 				// Compressed page: parse the inflated document now.
 				r.discoverLinks(body)
 			}
