@@ -447,6 +447,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		targetHost, targetPort = "proxy", proxyPort
 	}
 	robot := httpclient.NewRobot(s, clientHost, targetHost, targetPort, clientCfg, clientCache, rng, cpuJitter)
+	robot.ArmIndex(httpclient.SiteIndex(served))
 
 	s.Schedule(0, func() {
 		robot.Start("/", sc.Workload, nil)

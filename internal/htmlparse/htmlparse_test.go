@@ -122,6 +122,8 @@ func TestLinkExtractorKinds(t *testing.T) {
 	</head><body background="/bg.gif">
 	<img src="/images/a.gif"><img src="/images/b.gif">
 	<input type=image src="/images/submit.gif">
+	<INPUT TYPE=IMAGE SRC="/images/SUBMIT.GIF">
+	<input type=text src="/images/not-an-image.gif">
 	<iframe src="/inner.html"></iframe>
 	<a href="/away.html">x</a>
 	</body></html>`
@@ -131,8 +133,8 @@ func TestLinkExtractorKinds(t *testing.T) {
 	for _, l := range links {
 		byKind[l.Kind] = append(byKind[l.Kind], l.URL)
 	}
-	if got := byKind[LinkImage]; len(got) != 3 {
-		t.Fatalf("images = %v, want 3", got)
+	if got := byKind[LinkImage]; len(got) != 4 || got[3] != "/images/SUBMIT.GIF" {
+		t.Fatalf("images = %v, want 4, the upper-case input last", got)
 	}
 	if got := byKind[LinkStylesheet]; len(got) != 1 || got[0] != "/style.css" {
 		t.Fatalf("stylesheets = %v", got)

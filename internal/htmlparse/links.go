@@ -1,6 +1,9 @@
 package htmlparse
 
-import "strings"
+import (
+	"bytes"
+	"strings"
+)
 
 // LinkKind classifies an embedded or referenced resource.
 type LinkKind int
@@ -52,11 +55,33 @@ type Link struct {
 type LinkExtractor struct {
 	z    scanner
 	seen map[Link]bool
+
+	// While armed (index set), the bytes fed so far are the first
+	// verified bytes of the index's page, and Feed has returned its first
+	// replayed links.
+	index              *PageIndex
+	verified, replayed int
 }
 
 // Feed consumes HTML bytes and returns newly discovered links in document
-// order.
+// order. An armed extractor may return a slice it shares with its index;
+// callers must not modify it.
 func (e *LinkExtractor) Feed(data []byte) []Link {
+	if x := e.index; x != nil {
+		end := e.verified + len(data)
+		if end <= len(x.page) && bytes.Equal(data, x.page[e.verified:end]) {
+			return e.replay(end)
+		}
+		// The first chunk that is not the page's: become the extractor
+		// that scanned the verified prefix, and scan from here on.
+		e.index = nil
+		e.scan(x.page[:e.verified])
+	}
+	return e.scan(data)
+}
+
+// scan runs the scanner over data and returns the new links it completes.
+func (e *LinkExtractor) scan(data []byte) []Link {
 	e.z.push(data)
 	var out []Link
 	for {
@@ -95,7 +120,7 @@ func (e *LinkExtractor) extract(raw []byte, out []Link) []Link {
 			continue
 		}
 		attrs := string(rest)
-		if lt.tag == "input" && attrValue(attrs, "type") != "image" ||
+		if lt.tag == "input" && !lowerIs(attrValue(attrs, "type"), "image") ||
 			lt.tag == "link" && !lowerIs(attrValue(attrs, "rel"), "stylesheet") {
 			return out
 		}

@@ -4,7 +4,7 @@ import "strings"
 
 // The reference implementation: the tokenizer and link extractor as they
 // were before the scanner rewrite, kept verbatim (renamed; one panic
-// fixed, marked below) so the
+// and one case-sensitive comparison fixed, both marked below) so the
 // differential tests can demand the same tokens and the same links from
 // every Feed call, for any chunking. It materialises a Token per lexical
 // element and rescans a stalled token from offset 0; that cost is why it
@@ -68,7 +68,7 @@ func (z *oracleTokenizer) next() (Token, int, bool) {
 			return Token{}, 0, false
 		}
 		if end < 4 {
-			// The one departure from the original, which sliced
+			// The first departure from the original, which sliced
 			// buf[4:end] and panicked on the abruptly closed comments
 			// "<!-->" and "<!--->": they are empty comments.
 			return Token{Type: Comment}, end + 3, true
@@ -231,7 +231,9 @@ func (e *oracleExtractor) extract(t Token, out []Link) []Link {
 			out = add(src, LinkImage)
 		}
 	case "input":
-		if typ, _ := t.Attr("type"); typ == "image" {
+		// The second departure: the original compared type with
+		// "image" case-sensitively, losing <INPUT TYPE=IMAGE>.
+		if typ, _ := t.Attr("type"); equalFold(typ, "image") {
 			if src, ok := t.Attr("src"); ok {
 				out = add(src, LinkImage)
 			}

@@ -144,6 +144,7 @@ var splitSeeds = []string{
 	"<link rel=STYLE\u017fHEET href=long-s.css><link rel=StyleSheet href=s.css>",
 	"<img src=\xff\xfe><\xffimg src=x>",
 	`plain text, never a tag`,
+	`<INPUT TYPE=IMAGE SRC=a.gif><Input Type="Image" src=b.gif><input type=text src=c.gif>`,
 }
 
 func FuzzLinkExtractorSplit(f *testing.F) {

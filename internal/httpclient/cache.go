@@ -45,8 +45,8 @@ func (c *Cache) Put(e *Entry) { c.entries[e.Path] = e }
 func (c *Cache) Len() int { return len(c.entries) }
 
 // Prime fills the cache from a site, as if a prior first-time retrieval
-// had completed: every object's validators, plus the page's link list
-// (extracted once per site and shared).
+// had completed: every object's validators, plus the page's inline link
+// list (from the site's link index, built once per site and shared).
 func (c *Cache) Prime(site *webgen.Site) {
 	for _, path := range site.Paths() {
 		obj, _ := site.Object(path)
@@ -58,20 +58,16 @@ func (c *Cache) Prime(site *webgen.Site) {
 			Size:         len(obj.Body),
 		}
 		if obj == site.HTML {
-			e.Links = site.PageLinks(inlineLinks)
+			e.Links = SiteIndex(site).InlineURLs()
 		}
 		c.Put(e)
 	}
 }
 
-// inlineLinks lists a document's inline resources in document order.
-func inlineLinks(html []byte) []string {
-	var links []string
-	var ex htmlparse.LinkExtractor
-	for _, l := range ex.Feed(html) {
-		if l.Kind.Inline() {
-			links = append(links, l.URL)
-		}
-	}
-	return links
+// SiteIndex returns the link index of site's page, built by the first
+// call for that site and shared by every later one.
+func SiteIndex(site *webgen.Site) *htmlparse.PageIndex {
+	return site.LinkIndex(indexPage).(*htmlparse.PageIndex)
 }
+
+func indexPage(html []byte) any { return htmlparse.IndexPage(html) }

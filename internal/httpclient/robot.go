@@ -49,6 +49,7 @@ type Robot struct {
 	conns     []*clientConn
 	mux       *muxConn
 	extractor htmlparse.LinkExtractor
+	index     *htmlparse.PageIndex
 	enqueued  map[string]bool
 	imageURLs []string
 
@@ -103,12 +104,20 @@ func (r *Robot) Result() Result { return r.result }
 // Finished reports whether the fetch completed.
 func (r *Robot) Finished() bool { return r.finished }
 
+// ArmIndex hands the robot the link index of the page it will fetch
+// (SiteIndex of the site served). Link discovery then replays the index
+// for as long as the page arrives as indexed and scans what does not,
+// finding the same links after the same bytes either way. Call it before
+// Start; without it the robot scans every page.
+func (r *Robot) ArmIndex(idx *htmlparse.PageIndex) { r.index = idx }
+
 // Start begins fetching pagePath under the given workload. onDone (may be
 // nil) fires when the page and all inline objects are done.
 func (r *Robot) Start(pagePath string, workload Workload, onDone func(*Robot)) {
 	r.workload = workload
 	r.onDone = onDone
 	r.htmlPending = true
+	r.extractor.Arm(r.index)
 
 	item := workItem{method: "GET", path: pagePath, isHTML: true}
 	if workload == Revalidate && !r.cfg.RevalidateHTMLUnconditionally {
@@ -647,7 +656,7 @@ func (r *Robot) requeue(it workItem, charge bool) bool {
 		// The page will be re-received from the start; discard the
 		// half-parsed tokenizer state. Already-discovered links stay
 		// deduplicated by r.enqueued.
-		r.extractor = htmlparse.LinkExtractor{}
+		r.extractor.Arm(r.index)
 	}
 	return true
 }

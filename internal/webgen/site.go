@@ -34,9 +34,9 @@ type Site struct {
 	deflateOnce sync.Once
 	deflated    map[string][]byte
 
-	// pageLinks, likewise, is built by the first PageLinks call.
-	linksOnce sync.Once
-	pageLinks []string
+	// linkIndex, likewise, is built by the first LinkIndex call.
+	indexOnce sync.Once
+	linkIndex any
 }
 
 // Options tunes site synthesis.
@@ -133,14 +133,16 @@ func (s *Site) Deflated(path string) ([]byte, bool) {
 	return body, ok
 }
 
-// PageLinks returns the page's inline links as extract finds them in its
-// HTML. Like Deflated, the list is computed by the first call and shared,
-// unmodified, for the life of the site; safe for concurrent use. The
-// extractor is the caller's (the HTML parser's own tests build their
-// pages with this package); every caller must pass the same pure function.
-func (s *Site) PageLinks(extract func(html []byte) []string) []string {
-	s.linksOnce.Do(func() { s.pageLinks = extract(s.HTML.Body) })
-	return s.pageLinks
+// LinkIndex returns what build makes of the page's HTML: the HTML
+// parser's link index, which the robot replays instead of parsing the
+// page on every run. Like Deflated, it is built by the first call and
+// shared, unmodified, for the life of the site; safe for concurrent use.
+// The builder is the caller's (the HTML parser's own tests build their
+// pages with this package, so it cannot import the parser); every caller
+// must pass the same pure function.
+func (s *Site) LinkIndex(build func(html []byte) any) any {
+	s.indexOnce.Do(func() { s.linkIndex = build(s.HTML.Body) })
+	return s.linkIndex
 }
 
 // Paths lists all resource paths, page first.

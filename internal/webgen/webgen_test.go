@@ -541,43 +541,56 @@ func TestMicroscapeHTMLMatchesSite(t *testing.T) {
 	}
 }
 
-// The page's link list is the same kind of artifact: extracted once
-// however many callers race for it, from the site's own page, shared by
-// all of them, and a revised site has its own.
-func TestPageLinksExtractedOncePerSite(t *testing.T) {
+// The page's link index is the same kind of artifact: built once however
+// many callers race for it, from the site's own page, shared by all of
+// them, free to fetch again, and a revised or CSS-ified site builds its
+// own.
+func TestLinkIndexBuiltOncePerSite(t *testing.T) {
 	s := site(t)
 	revised, err := s.Revise(0.3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cssified, err := s.CSSified(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
 	var pages [][]byte
-	extract := func(html []byte) []string {
+	build := func(html []byte) any {
 		mu.Lock()
 		defer mu.Unlock()
 		pages = append(pages, html)
-		return []string{"/a", "/b"}
+		return htmlparse.IndexPage(html)
 	}
-	got := make([][]string, 8)
+	got := make([]any, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = revised.PageLinks(extract)
+			got[i] = revised.LinkIndex(build)
 		}(i)
 	}
 	wg.Wait()
-	for i, l := range got {
-		if len(l) != 2 || &l[0] != &got[0][0] {
-			t.Fatalf("caller %d got its own list", i)
+	for i, x := range got {
+		if x == nil || x != got[0] {
+			t.Fatalf("caller %d got its own index", i)
 		}
 	}
-	s.PageLinks(extract)
-	if len(pages) != 2 || !bytes.Equal(pages[0], revised.HTML.Body) || !bytes.Equal(pages[1], s.HTML.Body) {
-		t.Fatalf("extract ran %d times, want once per site on that site's page", len(pages))
+	css := cssified.LinkIndex(build)
+	if len(pages) != 2 || !bytes.Equal(pages[0], revised.HTML.Body) || !bytes.Equal(pages[1], cssified.HTML.Body) {
+		t.Fatalf("build ran %d times, want once per site on that site's page", len(pages))
 	}
-	if n := testing.AllocsPerRun(10, func() { s.PageLinks(extract) }); n != 0 {
-		t.Errorf("a later PageLinks call allocates %v times, want 0", n)
+	// The shared site may have its index already (another test, -count).
+	orig := s.LinkIndex(func(html []byte) any { return htmlparse.IndexPage(html) })
+	if orig == got[0] || orig == css {
+		t.Error("a derived site shares the original's index")
+	}
+	if a, b := orig.(*htmlparse.PageIndex).InlineURLs(), css.(*htmlparse.PageIndex).InlineURLs(); len(b) >= len(a) {
+		t.Errorf("the CSS-ified page's index lists %d inline links, the original's %d", len(b), len(a))
+	}
+	if n := testing.AllocsPerRun(10, func() { s.LinkIndex(build) }); n != 0 {
+		t.Errorf("a later LinkIndex call allocates %v times, want 0", n)
 	}
 }
