@@ -13,12 +13,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"repro/internal/gifenc"
-	"repro/internal/pngenc"
 	"repro/internal/webgen"
 )
 
@@ -30,13 +29,14 @@ func main() {
 	cssified := flag.Bool("cssified", false, "also write the CSSified variant")
 	flag.Parse()
 
-	if err := run(*out, *seed, *tagCase, *convert, *cssified); err != nil {
+	if err := run(os.Stdout, *out, *seed, *tagCase, *convert, *cssified); err != nil {
 		fmt.Fprintln(os.Stderr, "microscape:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, seed uint64, tagCase string, convert, cssified bool) error {
+// run writes the site to the directory out and reports on w.
+func run(w io.Writer, out string, seed uint64, tagCase string, convert, cssified bool) error {
 	var tc webgen.TagCase
 	switch tagCase {
 	case "lower":
@@ -55,7 +55,7 @@ func run(out string, seed uint64, tagCase string, convert, cssified bool) error 
 	if err := writeSite(site, out); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d objects (%d bytes) to %s\n", site.ObjectCount(), site.TotalBytes(), out)
+	fmt.Fprintf(w, "wrote %d objects (%d bytes) to %s\n", site.ObjectCount(), site.TotalBytes(), out)
 
 	if convert {
 		dir := filepath.Join(out, "converted")
@@ -66,30 +66,18 @@ func run(out string, seed uint64, tagCase string, convert, cssified bool) error 
 		if err != nil {
 			return err
 		}
-		for _, img := range site.Images {
-			var data []byte
-			var name string
-			if img.Static() {
-				name = strings.TrimSuffix(img.Spec.Name, ".gif") + ".png"
-				data, err = pngenc.Encode(toPNG(img), pngenc.Options{})
-			} else {
-				name = strings.TrimSuffix(img.Spec.Name, ".gif") + ".mng"
-				frames := make([]*pngenc.Image, len(img.Frames))
-				delays := make([]int, len(img.Frames))
-				for i, f := range img.Frames {
-					frames[i] = toPNGImage(f.Image.W, f.Image.H, f.Image.Palette, f.Image.Pixels)
-					delays[i] = f.DelayCS
+		for _, set := range []struct {
+			convs []webgen.Conversion
+			ext   string
+		}{{rep.Static, ".png"}, {rep.Animations, ".mng"}} {
+			for _, c := range set.convs {
+				name := strings.TrimSuffix(c.Name, ".gif") + set.ext
+				if err := os.WriteFile(filepath.Join(dir, name), c.Data, 0o644); err != nil {
+					return err
 				}
-				data, err = pngenc.EncodeMNG(frames, delays, pngenc.Options{})
-			}
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				return err
 			}
 		}
-		fmt.Printf("converted: static GIF %d -> PNG %d bytes; animations %d -> MNG %d bytes\n",
+		fmt.Fprintf(w, "converted: static GIF %d -> PNG %d bytes; animations %d -> MNG %d bytes\n",
 			rep.StaticGIF, rep.StaticPNG, rep.AnimGIF, rep.AnimMNG)
 	}
 
@@ -102,7 +90,7 @@ func run(out string, seed uint64, tagCase string, convert, cssified bool) error 
 		if err := writeSite(cs, dir); err != nil {
 			return err
 		}
-		fmt.Printf("cssified variant: %d objects (%d bytes) in %s\n", cs.ObjectCount(), cs.TotalBytes(), dir)
+		fmt.Fprintf(w, "cssified variant: %d objects (%d bytes) in %s\n", cs.ObjectCount(), cs.TotalBytes(), dir)
 	}
 	return nil
 }
@@ -122,18 +110,4 @@ func writeSite(site *webgen.Site, dir string) error {
 		}
 	}
 	return nil
-}
-
-func toPNG(img *webgen.SynthImage) *pngenc.Image {
-	g := img.FirstFrame()
-	return toPNGImage(g.W, g.H, g.Palette, g.Pixels)
-}
-
-func toPNGImage(w, h int, pal []gifenc.Color, pixels []byte) *pngenc.Image {
-	out := &pngenc.Image{W: w, H: h, Pixels: pixels}
-	out.Palette = make([]pngenc.Color, len(pal))
-	for i, c := range pal {
-		out.Palette[i] = pngenc.Color{R: c.R, G: c.G, B: c.B}
-	}
-	return out
 }

@@ -257,8 +257,8 @@ func TestFlightCollapse(t *testing.T) {
 			order = append(order, i)
 		})
 	}
-	if f.Waiters() != 3 {
-		t.Fatalf("Waiters = %d, want 3", f.Waiters())
+	if len(f.waiters) != 3 {
+		t.Fatalf("%d waiters, want 3", len(f.waiters))
 	}
 	c.FinishFlight(f, resp200("shared"), nil)
 	if c.Flight("/x") != nil {

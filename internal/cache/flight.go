@@ -25,9 +25,6 @@ func (f *Flight) Join(fn func(*httpmsg.Response, error)) {
 	f.waiters = append(f.waiters, fn)
 }
 
-// Waiters returns how many requests are riding the flight.
-func (f *Flight) Waiters() int { return len(f.waiters) }
-
 // Flight returns the in-progress fetch for key, or nil.
 func (c *Cache) Flight(key string) *Flight { return c.flights[key] }
 

@@ -78,9 +78,6 @@ func (c Category) String() string {
 	return "unknown"
 }
 
-// MetricKey is the category's exp.Metrics / CSV column name.
-func (c Category) MetricKey() string { return "blame_" + c.String() + "_ms" }
-
 // Blame is a per-category delay vector in simulator time.
 type Blame [NumCategories]sim.Duration
 

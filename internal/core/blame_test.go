@@ -39,7 +39,7 @@ func TestBlameDoesNotPerturb(t *testing.T) {
 		if err := res.Capture.WritePcap(&pc); err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Timeline.WritePerfetto(&pf); err != nil {
+		if err := res.Timeline.WritePerfettoPath(&pf, nil); err != nil {
 			t.Fatal(err)
 		}
 		return pc.Bytes(), pf.Bytes(), res.Client

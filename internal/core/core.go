@@ -6,7 +6,7 @@
 // A Scenario names one cell of the paper's measurement matrix — server
 // profile × client mode × network environment × workload. Run executes it
 // once deterministically, with functional options selecting packet
-// capture, a seed override, or structured per-run metrics; Sweep repeats
+// capture, observers, or structured per-run metrics; Sweep repeats
 // it with seeded jitter across a worker pool, as the paper averaged five
 // runs "to make up for network fluctuations".
 package core
@@ -202,7 +202,6 @@ type runConfig struct {
 	timeline bool
 	stats    bool
 	blame    bool
-	seed     *uint64
 	metrics  *exp.Metrics
 	monitor  *telemetry.Monitor
 	// revision, when non-nil, is the repetition slot where a sweep keeps
@@ -254,11 +253,6 @@ func WithStats() Option { return func(c *runConfig) { c.stats = true } }
 // bus subscriber, so, like the timeline, it does not perturb the run.
 func WithBlame() Option { return func(c *runConfig) { c.blame = true } }
 
-// WithSeed overrides the scenario's seed for this run.
-func WithSeed(seed uint64) Option {
-	return func(c *runConfig) { c.seed = &seed }
-}
-
 // WithMetrics fills m with the run's structured measurements: packet and
 // byte counts, retransmissions and drops, connection accounting, and
 // simulated CPU time for both endpoints.
@@ -279,9 +273,6 @@ func Run(sc Scenario, site *webgen.Site, opts ...Option) (*RunResult, error) {
 	var cfg runConfig
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.seed != nil {
-		sc.Seed = *cfg.seed
 	}
 	return run(sc, site, cfg)
 }
@@ -447,7 +438,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		targetHost, targetPort = "proxy", proxyPort
 	}
 	robot := httpclient.NewRobot(s, clientHost, targetHost, targetPort, clientCfg, clientCache, rng, cpuJitter)
-	robot.ArmIndex(httpclient.SiteIndex(served))
+	robot.ArmIndex(served.LinkIndex())
 
 	s.Schedule(0, func() {
 		robot.Start("/", sc.Workload, nil)

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/exp"
 	"repro/internal/telemetry"
-	"repro/internal/webgen"
 )
 
 // seedFamilyStride separates the independent seed families a Sweep's
@@ -21,8 +20,7 @@ const seedFamilyStride = 1_000_003
 // Aggregation is deterministic and order-independent: runs are indexed,
 // workers write into per-index slots, and averaging walks the slots in
 // index order, so the same seeds give byte-identical tables at any
-// Parallel level. Measure runs a whole grid this way; RunAveraged is its
-// one-cell case.
+// Parallel level. Measure runs a whole grid this way.
 type Sweep struct {
 	Runs     int
 	Seeds    int
@@ -50,14 +48,4 @@ func (sw Sweep) Repetition(g Grid, sc Scenario, i int) Scenario {
 	sc.Seed += uint64(i/runs)*seedFamilyStride + uint64(i%runs)*g.Stride
 	sc.Jitter = runs*max(sw.Seeds, 1) > 1
 	return sc
-}
-
-// RunAveraged executes the scenario across the sweep's population and
-// averages the measurements, like the paper's five-run methodology.
-func (sw Sweep) RunAveraged(sc Scenario, site *webgen.Site) (Avg, error) {
-	measured, err := sw.Measure(Grid{Rows: []GridRow{{Cells: []Scenario{sc}}}, Stride: 7919}, site)
-	if err != nil {
-		return Avg{}, err
-	}
-	return Average(measured[0].Results[0]), nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/httpclient"
 	"repro/internal/httpserver"
 	"repro/internal/netem"
+	"repro/internal/webgen"
 )
 
 // testScenario is a cheap LAN cell used throughout the sweep tests.
@@ -18,6 +19,17 @@ func testScenario() Scenario {
 		Server: httpserver.ProfileApache, Client: httpclient.ModeHTTP11Pipelined,
 		Env: netem.LAN, Workload: httpclient.FirstTime, Seed: 42,
 	}
+}
+
+// RunAveraged executes the scenario across the sweep's population and
+// averages the measurements, like the paper's five-run methodology: the
+// one-cell grid at the tables' seed stride.
+func (sw Sweep) RunAveraged(sc Scenario, site *webgen.Site) (Avg, error) {
+	measured, err := sw.Measure(Grid{Rows: []GridRow{{Cells: []Scenario{sc}}}, Stride: 7919}, site)
+	if err != nil {
+		return Avg{}, err
+	}
+	return Average(measured[0].Results[0]), nil
 }
 
 // TestSweepMatchesLegacyRunAveraged pins the compatibility contract: a
@@ -153,23 +165,6 @@ func TestWithMetricsCounters(t *testing.T) {
 	}
 	if m.Responses200 != res.Client.Responses200 {
 		t.Errorf("Responses200 = %d, want %d", m.Responses200, res.Client.Responses200)
-	}
-}
-
-// TestWithSeedOverride checks that WithSeed replaces the scenario seed
-// and is recorded in the metrics.
-func TestWithSeedOverride(t *testing.T) {
-	site, err := DefaultSite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := testScenario()
-	var m exp.Metrics
-	if _, err := Run(sc, site, WithSeed(777), WithMetrics(&m)); err != nil {
-		t.Fatal(err)
-	}
-	if m.Seed != 777 {
-		t.Errorf("Seed = %d, want 777", m.Seed)
 	}
 }
 

@@ -183,7 +183,7 @@ func TestPerfettoFromFullScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.Timeline.WritePerfetto(&buf); err != nil {
+	if err := res.Timeline.WritePerfettoPath(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {

@@ -18,18 +18,3 @@ func BenchmarkParse(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkCascadeStyle(b *testing.B) {
-	sheet := MustParse(benchSheet)
-	c := NewCascade(sheet)
-	path := []Element{
-		{Tag: "html"}, {Tag: "body"},
-		{Tag: "div", Classes: []string{"nav"}},
-		{Tag: "ul"}, {Tag: "li"},
-		{Tag: "a", Pseudos: []string{"link"}},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Style(path)
-	}
-}

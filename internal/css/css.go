@@ -84,22 +84,6 @@ func (ss SimpleSelector) String() string {
 	return b.String()
 }
 
-// Specificity computes CSS1 cascading specificity: ids*100 +
-// (classes+pseudo-classes)*10 + elements.
-func (s Selector) Specificity() int {
-	n := 0
-	for _, ss := range s.Simple {
-		if ss.ID != "" {
-			n += 100
-		}
-		n += 10 * (len(ss.Classes) + len(ss.Pseudos))
-		if ss.Element != "" && ss.Element != "*" {
-			n++
-		}
-	}
-	return n
-}
-
 // css1Properties is the CSS1 property set.
 var css1Properties = map[string]bool{
 	// Font properties.

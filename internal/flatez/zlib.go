@@ -1,7 +1,5 @@
 package flatez
 
-import "fmt"
-
 // Adler32 computes the RFC 1950 checksum of data, continuing from a prior
 // value (pass 1 to start).
 func Adler32(prior uint32, data []byte) uint32 {
@@ -63,53 +61,6 @@ func ZlibCompressDict(data, dict []byte, level int) []byte {
 	sum := Adler32(1, data)
 	out = append(out, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum))
 	return out
-}
-
-// ZlibDecompress unwraps and inflates an RFC 1950 stream, verifying the
-// Adler-32 checksum.
-func ZlibDecompress(data []byte) ([]byte, error) {
-	return ZlibDecompressDict(data, nil)
-}
-
-// ZlibDecompressDict unwraps a stream that may have been compressed with
-// a preset dictionary; dict must match the DICTID recorded in the header.
-func ZlibDecompressDict(data, dict []byte) ([]byte, error) {
-	if len(data) < 6 {
-		return nil, fmt.Errorf("%w: zlib stream too short", ErrCorrupt)
-	}
-	cmf, flg := data[0], data[1]
-	if cmf&0x0f != 8 {
-		return nil, fmt.Errorf("%w: not a deflate zlib stream", ErrCorrupt)
-	}
-	if (uint16(cmf)<<8|uint16(flg))%31 != 0 {
-		return nil, fmt.Errorf("%w: zlib header check failed", ErrCorrupt)
-	}
-	body := data[2 : len(data)-4]
-	if flg&0x20 != 0 {
-		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: missing DICTID", ErrCorrupt)
-		}
-		if dict == nil {
-			return nil, fmt.Errorf("%w: stream requires a preset dictionary", ErrCorrupt)
-		}
-		id := uint32(body[0])<<24 | uint32(body[1])<<16 | uint32(body[2])<<8 | uint32(body[3])
-		if want := Adler32(1, dict); id != want {
-			return nil, fmt.Errorf("%w: dictionary id %08x, want %08x", ErrCorrupt, id, want)
-		}
-		body = body[4:]
-	} else {
-		dict = nil
-	}
-	out, err := DecompressDict(body, dict)
-	if err != nil {
-		return nil, err
-	}
-	tail := data[len(data)-4:]
-	want := uint32(tail[0])<<24 | uint32(tail[1])<<16 | uint32(tail[2])<<8 | uint32(tail[3])
-	if got := Adler32(1, out); got != want {
-		return nil, fmt.Errorf("%w: adler32 mismatch (got %08x want %08x)", ErrCorrupt, got, want)
-	}
-	return out, nil
 }
 
 // Ratio returns compressed size over original size (smaller is better),

@@ -11,18 +11,3 @@ func BenchmarkEncode(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkDecode(b *testing.B) {
-	img := testImage(160, 120, 64, 5)
-	data, err := Encode(img)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(img.Pixels)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,6 +1,7 @@
-// Package gifenc implements a GIF87a/89a encoder and decoder (including
-// animated GIF89a with the Netscape looping extension), built on the LZW
-// coder in internal/lzw. It provides the "before" side of the paper's
+// Package gifenc implements a GIF87a/89a encoder (including animated
+// GIF89a with the Netscape looping extension), built on the LZW coder in
+// internal/lzw. The package tests decode its output with the standard
+// library's image/gif. It provides the "before" side of the paper's
 // image-format experiment: the Microscape page's 40 static GIFs and 2 GIF
 // animations, which are converted to PNG and MNG by internal/pngenc.
 package gifenc
@@ -12,9 +13,6 @@ import (
 
 	"repro/internal/lzw"
 )
-
-// ErrFormat reports data that is not valid GIF.
-var ErrFormat = errors.New("gifenc: invalid GIF data")
 
 // Color is one RGB palette entry.
 type Color struct{ R, G, B byte }
@@ -60,38 +58,15 @@ func paletteBits(n int) int {
 
 // Encode serializes a single-image GIF87a.
 func Encode(img *Image) ([]byte, error) {
-	return encode(img, false)
-}
-
-// EncodeInterlaced serializes a single-image GIF87a with the four-pass row
-// interlacing used for progressive display over slow links.
-func EncodeInterlaced(img *Image) ([]byte, error) {
-	return encode(img, true)
-}
-
-func encode(img *Image, interlaced bool) ([]byte, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
 	var out []byte
 	out = append(out, "GIF87a"...)
 	out = appendLogicalScreen(out, img)
-	out = appendImageData(out, img, interlaced)
+	out = appendImageData(out, img)
 	out = append(out, 0x3B) // trailer
 	return out, nil
-}
-
-// interlaceRowOrder returns the source row for each output row position
-// under GIF's four-pass interlace (rows 0,8,16..., 4,12..., 2,6...,
-// 1,3,5...).
-func interlaceRowOrder(h int) []int {
-	order := make([]int, 0, h)
-	for _, p := range []struct{ start, step int }{{0, 8}, {4, 8}, {2, 4}, {1, 2}} {
-		for y := p.start; y < h; y += p.step {
-			order = append(order, y)
-		}
-	}
-	return order
 }
 
 // Frame is one animation frame with its display delay.
@@ -136,7 +111,7 @@ func EncodeAnimation(frames []Frame, loop int) ([]byte, error) {
 	for _, f := range frames {
 		// Graphic control extension: delay, no transparency.
 		out = append(out, 0x21, 0xF9, 4, 0, byte(f.DelayCS), byte(f.DelayCS>>8), 0, 0)
-		out = appendImageData(out, f.Image, false)
+		out = appendImageData(out, f.Image)
 	}
 	out = append(out, 0x3B)
 	return out, nil
@@ -221,24 +196,13 @@ func appendColorTable(out []byte, pal []Color, bits int) []byte {
 	return out
 }
 
-func appendImageData(out []byte, img *Image, interlaced bool) []byte {
-	// Image descriptor at (0,0), no local color table.
-	var packed byte
-	if interlaced {
-		packed = 0x40
-	}
+func appendImageData(out []byte, img *Image) []byte {
+	// Image descriptor at (0,0), no local color table, not interlaced.
 	out = append(out, 0x2C, 0, 0, 0, 0,
-		byte(img.W), byte(img.W>>8), byte(img.H), byte(img.H>>8), packed)
+		byte(img.W), byte(img.W>>8), byte(img.H), byte(img.H>>8), 0)
 	litWidth := literalWidth(img)
 	out = append(out, byte(litWidth))
-	pixels := img.Pixels
-	if interlaced {
-		pixels = make([]byte, 0, len(img.Pixels))
-		for _, y := range interlaceRowOrder(img.H) {
-			pixels = append(pixels, img.Pixels[y*img.W:(y+1)*img.W]...)
-		}
-	}
-	compressed := lzw.Compress(pixels, litWidth)
+	compressed := lzw.Compress(img.Pixels, litWidth)
 	for off := 0; off < len(compressed); off += 255 {
 		end := off + 255
 		if end > len(compressed) {
@@ -249,171 +213,4 @@ func appendImageData(out []byte, img *Image, interlaced bool) []byte {
 	}
 	out = append(out, 0) // block terminator
 	return out
-}
-
-// Decode parses the first image of a GIF.
-func Decode(data []byte) (*Image, error) {
-	frames, err := DecodeAll(data)
-	if err != nil {
-		return nil, err
-	}
-	return frames[0].Image, nil
-}
-
-// DecodeAll parses every frame of a GIF.
-func DecodeAll(data []byte) ([]Frame, error) {
-	p := &parser{data: data}
-	return p.parse()
-}
-
-type parser struct {
-	data []byte
-	pos  int
-}
-
-func (p *parser) need(n int) ([]byte, error) {
-	if p.pos+n > len(p.data) {
-		return nil, fmt.Errorf("%w: truncated at offset %d", ErrFormat, p.pos)
-	}
-	b := p.data[p.pos : p.pos+n]
-	p.pos += n
-	return b, nil
-}
-
-func (p *parser) u16(b []byte) int { return int(b[0]) | int(b[1])<<8 }
-
-func (p *parser) parse() ([]Frame, error) {
-	hdr, err := p.need(6)
-	if err != nil {
-		return nil, err
-	}
-	if string(hdr) != "GIF87a" && string(hdr) != "GIF89a" {
-		return nil, fmt.Errorf("%w: bad signature %q", ErrFormat, hdr)
-	}
-	lsd, err := p.need(7)
-	if err != nil {
-		return nil, err
-	}
-	screenW, screenH := p.u16(lsd[0:2]), p.u16(lsd[2:4])
-	packed := lsd[4]
-	var global []Color
-	if packed&0x80 != 0 {
-		n := 1 << uint(packed&0x07+1)
-		raw, err := p.need(3 * n)
-		if err != nil {
-			return nil, err
-		}
-		global = make([]Color, n)
-		for i := range global {
-			global[i] = Color{raw[3*i], raw[3*i+1], raw[3*i+2]}
-		}
-	}
-
-	var frames []Frame
-	pendingDelay := 0
-	for {
-		b, err := p.need(1)
-		if err != nil {
-			return nil, err
-		}
-		switch b[0] {
-		case 0x3B: // trailer
-			if len(frames) == 0 {
-				return nil, fmt.Errorf("%w: no image data", ErrFormat)
-			}
-			return frames, nil
-		case 0x21: // extension
-			kind, err := p.need(1)
-			if err != nil {
-				return nil, err
-			}
-			blocks, err := p.subBlocks()
-			if err != nil {
-				return nil, err
-			}
-			if kind[0] == 0xF9 && len(blocks) >= 4 {
-				pendingDelay = int(blocks[1]) | int(blocks[2])<<8
-			}
-		case 0x2C: // image descriptor
-			img, err := p.parseImage(global, screenW, screenH)
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, Frame{Image: img, DelayCS: pendingDelay})
-			pendingDelay = 0
-		default:
-			return nil, fmt.Errorf("%w: unknown block 0x%02x", ErrFormat, b[0])
-		}
-	}
-}
-
-// subBlocks reads a sub-block chain and returns the concatenated payload.
-func (p *parser) subBlocks() ([]byte, error) {
-	var out []byte
-	for {
-		szb, err := p.need(1)
-		if err != nil {
-			return nil, err
-		}
-		if szb[0] == 0 {
-			return out, nil
-		}
-		body, err := p.need(int(szb[0]))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, body...)
-	}
-}
-
-func (p *parser) parseImage(global []Color, screenW, screenH int) (*Image, error) {
-	desc, err := p.need(9)
-	if err != nil {
-		return nil, err
-	}
-	w, h := p.u16(desc[4:6]), p.u16(desc[6:8])
-	packed := desc[8]
-	interlaced := packed&0x40 != 0
-	pal := global
-	if packed&0x80 != 0 {
-		n := 1 << uint(packed&0x07+1)
-		raw, err := p.need(3 * n)
-		if err != nil {
-			return nil, err
-		}
-		pal = make([]Color, n)
-		for i := range pal {
-			pal[i] = Color{raw[3*i], raw[3*i+1], raw[3*i+2]}
-		}
-	}
-	if pal == nil {
-		return nil, fmt.Errorf("%w: image with no color table", ErrFormat)
-	}
-	litb, err := p.need(1)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := p.subBlocks()
-	if err != nil {
-		return nil, err
-	}
-	pixels, err := lzw.Decompress(comp, int(litb[0]))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	if len(pixels) < w*h {
-		return nil, fmt.Errorf("%w: %d pixels for %dx%d image", ErrFormat, len(pixels), w, h)
-	}
-	pixels = pixels[:w*h]
-	if interlaced {
-		deinterlaced := make([]byte, w*h)
-		for i, y := range interlaceRowOrder(h) {
-			copy(deinterlaced[y*w:(y+1)*w], pixels[i*w:(i+1)*w])
-		}
-		pixels = deinterlaced
-	}
-	img := &Image{W: w, H: h, Palette: pal, Pixels: pixels}
-	_ = screenW
-	_ = screenH
-	return img, nil
 }

@@ -1,4 +1,4 @@
-// Package htmlparse is a streaming HTML tokenizer and embedded-link
+// Package htmlparse is a streaming HTML scanner and embedded-link
 // extractor. The simulated robot feeds it response bytes as they arrive
 // from the network, discovering inline images incrementally — exactly the
 // behaviour the paper analyses when it discusses how much of the first
@@ -23,30 +23,8 @@ const (
 	Decl // <!DOCTYPE ...> and other declarations
 )
 
-// Attr is one tag attribute. Name is lower-cased; Value is unescaped of
-// surrounding quotes only.
-type Attr struct {
-	Name, Value string
-}
-
-// Token is one lexical HTML element.
-type Token struct {
-	Type  TokenType
-	Data  string // tag name (lower-cased) or text/comment content
-	Attrs []Attr
-}
-
-// Attr returns the value of the named attribute and whether it exists.
-func (t *Token) Attr(name string) (string, bool) {
-	for _, a := range t.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
-// scanner is the lexical core shared by Tokenizer and LinkExtractor: it
+// scanner is the lexical core of LinkExtractor (and of the tests'
+// token-materialising Tokenizer): it
 // finds token boundaries in a stream fed in arbitrary pieces and yields
 // each complete token as its type and its bytes between the delimiters,
 // without building anything from them. It keeps only the input not yet
@@ -154,46 +132,6 @@ var (
 	commentClose = []byte("-->")
 )
 
-// Tokenizer incrementally tokenizes HTML. Feed may be called with any
-// byte slicing; tokens are emitted as soon as they are complete.
-type Tokenizer struct {
-	z scanner
-}
-
-// Feed appends data and returns the tokens completed by it.
-func (t *Tokenizer) Feed(data []byte) []Token {
-	t.z.push(data)
-	var out []Token
-	for {
-		typ, raw, ok := t.z.next()
-		if !ok {
-			t.z.compact()
-			return out
-		}
-		switch typ {
-		case StartTag:
-			out = append(out, parseStartTag(raw))
-		case EndTag:
-			out = append(out, Token{Type: EndTag, Data: strings.ToLower(strings.TrimSpace(string(raw)))})
-		default:
-			out = append(out, Token{Type: typ, Data: string(raw)})
-		}
-	}
-}
-
-// Flush returns any trailing text at end of input.
-func (t *Tokenizer) Flush() []Token {
-	if len(t.z.buf) == 0 {
-		return nil
-	}
-	tok := Token{Type: Text, Data: string(t.z.buf)}
-	t.z = scanner{}
-	return []Token{tok}
-}
-
-// Buffered returns the number of bytes held awaiting a complete token.
-func (t *Tokenizer) Buffered() int { return len(t.z.buf) }
-
 // tagName splits a start tag's bytes into its name and its attribute
 // text. The self-closing slash is irrelevant for 1997-era HTML; it is
 // stripped.
@@ -207,20 +145,6 @@ func tagName(raw []byte) (name, attrs []byte) {
 		i++
 	}
 	return raw[:i], raw[i:]
-}
-
-func parseStartTag(raw []byte) Token {
-	name, attrs := tagName(raw)
-	tok := Token{Type: StartTag, Data: strings.ToLower(string(name))}
-	rest := string(attrs)
-	for {
-		attr, value, tail := nextAttr(rest)
-		if attr == "" {
-			return tok
-		}
-		tok.Attrs = append(tok.Attrs, Attr{Name: strings.ToLower(attr), Value: DecodeEntities(value)})
-		rest = tail
-	}
 }
 
 // nextAttr splits the first attribute off a start tag's attribute text,

@@ -1,6 +1,7 @@
 package htmlparse
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -274,5 +275,43 @@ func TestAttributeEntitiesDecoded(t *testing.T) {
 	toks := tokenizeAll(t, `<a href="/search?q=x&amp;page=2">x</a>`)
 	if v, _ := toks[0].Attr("href"); v != "/search?q=x&page=2" {
 		t.Fatalf("href = %q, entities not decoded", v)
+	}
+}
+
+// A token that stays incomplete is searched for its end once, not once
+// per Feed: the bytes the scanner examines are those from its resume
+// offset to the end of the buffer, and over a 1 MB stalled token fed in
+// segment-sized chunks they must add up to the input plus a few bytes of
+// overlap per Feed, where a rescan from offset 0 adds up to ≈360 MB.
+func TestStalledTokenScansLinearly(t *testing.T) {
+	const total, chunk = 1 << 20, 1460
+	stalled := map[string]string{
+		"text":      "no markup at all ",
+		"comment":   "<!-- never closed - -- ",
+		"decl":      "<!DOCTYPE never closed ",
+		"end tag":   "</never closed ",
+		"start tag": `<img alt="never closed > `,
+	}
+	for name, open := range stalled {
+		doc := append([]byte(open), bytes.Repeat([]byte("x-"), total/2)...)
+		var e LinkExtractor
+		examined := 0
+		feeds := 0
+		for off := 0; off < len(doc); off += chunk {
+			end := min(off+chunk, len(doc))
+			from := e.z.seen
+			if links := e.Feed(doc[off:end]); len(links) != 0 {
+				t.Fatalf("%s: links %v from an unterminated token", name, links)
+			}
+			examined += len(e.z.buf) - from
+			feeds++
+		}
+		if len(e.z.buf) != len(doc) {
+			t.Fatalf("%s: %d of %d bytes retained", name, len(e.z.buf), len(doc))
+		}
+		if limit := len(doc) + 4*feeds; examined > limit {
+			t.Errorf("%s: examined %d bytes of a %d-byte token over %d feeds, want at most %d",
+				name, examined, len(doc), feeds, limit)
+		}
 	}
 }

@@ -1,14 +1,14 @@
-package htmlparse
+package htmlparse_test
 
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/htmlparse"
 	"repro/internal/webgen"
 )
 
@@ -19,10 +19,10 @@ import (
 // links reported after n bytes of the page, however they were cut, are
 // the indexed ones ending at or before n.
 type armedDiffer struct {
-	armed, plain LinkExtractor
+	armed, plain htmlparse.LinkExtractor
 }
 
-func newArmedDiffer(x *PageIndex) *armedDiffer {
+func newArmedDiffer(x *htmlparse.PageIndex) *armedDiffer {
 	d := new(armedDiffer)
 	d.armed.Arm(x)
 	return d
@@ -53,19 +53,12 @@ func (d *armedDiffer) feedCuts(body []byte, cuts []int) error {
 // if body is a prefix of page, and to have fallen back to scanning if it
 // is not.
 func (d *armedDiffer) checkArmed(page, body []byte) error {
-	replayed := d.armed.index != nil && d.armed.verified == len(body)
+	armed, verified := d.armed.Replaying()
+	replayed := armed && verified == len(body)
 	if prefix := bytes.HasPrefix(page, body); replayed != prefix {
 		return fmt.Errorf("replayed all %d bytes: %v, body a prefix of the page: %v", len(body), replayed, prefix)
 	}
 	return nil
-}
-
-// clone copies an unarmed extractor's state.
-func (e *LinkExtractor) clone() LinkExtractor {
-	c := *e
-	c.z.buf = slices.Clone(e.z.buf)
-	c.seen = maps.Clone(e.seen)
-	return c
 }
 
 // mssCuts cuts n bytes into 1460-byte segments.
@@ -89,8 +82,8 @@ func randomCuts(rng *rand.Rand, n int) []int {
 func TestIndexedFeedMatchesScan(t *testing.T) {
 	for name, page := range oraclePages(t) {
 		rng := rand.New(rand.NewSource(int64(len(page))))
-		x := IndexPage(page)
-		var whole LinkExtractor
+		x := htmlparse.IndexPage(page)
+		var whole htmlparse.LinkExtractor
 		var inline []string
 		for _, l := range whole.Feed(page) {
 			if l.Kind.Inline() {
@@ -123,7 +116,7 @@ func TestIndexedFeedMatchesScan(t *testing.T) {
 		d := newArmedDiffer(x)
 		for a := 0; a < len(page); a += 1460 {
 			for n := a; n <= min(a+1460, len(page)); n++ {
-				armed, plain := d.armed, d.plain.clone()
+				armed, plain := d.armed, d.plain.Clone()
 				got, want := armed.Feed(page[a:n]), plain.Feed(page[a:n])
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s truncated at %d: last segment armed %v, scanned %v", name, n, got, want)
@@ -141,7 +134,7 @@ func TestIndexedFeedMatchesScan(t *testing.T) {
 			at = append(at, rng.Intn(len(page)))
 		}
 		for i := 0; i < 8; i++ {
-			end := x.ends[rng.Intn(len(x.ends))]
+			end := x.Ends()[rng.Intn(len(x.Ends()))]
 			at = append(at, end-1, end-2, end-1-rng.Intn(10))
 		}
 		for _, p := range at {
@@ -215,7 +208,7 @@ func FuzzIndexedFeedMatchesScan(f *testing.F) {
 			off += int(n)
 			offs = append(offs, off)
 		}
-		d := newArmedDiffer(IndexPage(doc))
+		d := newArmedDiffer(htmlparse.IndexPage(doc))
 		if err := d.feedCuts(body, offs); err != nil {
 			t.Fatal(err)
 		}
@@ -229,8 +222,8 @@ func FuzzIndexedFeedMatchesScan(f *testing.F) {
 // allocates nothing, where scanning it allocates a string per link.
 func TestIndexedFeedAllocs(t *testing.T) {
 	page := webgen.MicroscapeHTML(webgen.Options{})
-	x := IndexPage(page)
-	var e LinkExtractor
+	x := htmlparse.IndexPage(page)
+	var e htmlparse.LinkExtractor
 	links := 0
 	if n := testing.AllocsPerRun(20, func() {
 		e.Arm(x)
@@ -241,7 +234,7 @@ func TestIndexedFeedAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("replaying the page allocates %v times, want 0", n)
 	}
-	if links != len(x.links) || e.index == nil {
-		t.Errorf("replay returned %d of %d links (still armed: %v)", links, len(x.links), e.index != nil)
+	if armed, _ := e.Replaying(); links != len(x.Ends()) || !armed {
+		t.Errorf("replay returned %d of %d links (still armed: %v)", links, len(x.Ends()), armed)
 	}
 }

@@ -283,3 +283,85 @@ func equalFold(a, b string) bool {
 	}
 	return true
 }
+
+// Tokenizer is the scanner behind LinkExtractor with every token
+// materialised: the differential tests compare it token for token with
+// oracleTokenizer, which checks the scanner's token boundaries, not only
+// the links it leads to.
+
+// Attr is one tag attribute. Name is lower-cased; Value is unescaped of
+// surrounding quotes only.
+type Attr struct {
+	Name, Value string
+}
+
+// Token is one lexical HTML element.
+type Token struct {
+	Type  TokenType
+	Data  string // tag name (lower-cased) or text/comment content
+	Attrs []Attr
+}
+
+// Attr returns the value of the named attribute and whether it exists.
+func (t *Token) Attr(name string) (string, bool) {
+	for _, a := range t.Attrs {
+		if a.Name == name {
+			return a.Value, true
+		}
+	}
+	return "", false
+}
+
+// Tokenizer incrementally tokenizes HTML. Feed may be called with any
+// byte slicing; tokens are emitted as soon as they are complete.
+type Tokenizer struct {
+	z scanner
+}
+
+// Feed appends data and returns the tokens completed by it.
+func (t *Tokenizer) Feed(data []byte) []Token {
+	t.z.push(data)
+	var out []Token
+	for {
+		typ, raw, ok := t.z.next()
+		if !ok {
+			t.z.compact()
+			return out
+		}
+		switch typ {
+		case StartTag:
+			out = append(out, parseStartTag(raw))
+		case EndTag:
+			out = append(out, Token{Type: EndTag, Data: strings.ToLower(strings.TrimSpace(string(raw)))})
+		default:
+			out = append(out, Token{Type: typ, Data: string(raw)})
+		}
+	}
+}
+
+// Flush returns any trailing text at end of input.
+func (t *Tokenizer) Flush() []Token {
+	if len(t.z.buf) == 0 {
+		return nil
+	}
+	tok := Token{Type: Text, Data: string(t.z.buf)}
+	t.z = scanner{}
+	return []Token{tok}
+}
+
+// Buffered returns the number of bytes held awaiting a complete token.
+func (t *Tokenizer) Buffered() int { return len(t.z.buf) }
+
+func parseStartTag(raw []byte) Token {
+	name, attrs := tagName(raw)
+	tok := Token{Type: StartTag, Data: strings.ToLower(string(name))}
+	rest := string(attrs)
+	for {
+		attr, value, tail := nextAttr(rest)
+		if attr == "" {
+			return tok
+		}
+		tok.Attrs = append(tok.Attrs, Attr{Name: strings.ToLower(attr), Value: DecodeEntities(value)})
+		rest = tail
+	}
+}

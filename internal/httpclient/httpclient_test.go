@@ -106,20 +106,20 @@ func TestRequestSizesMatchPaper(t *testing.T) {
 	req := buildRequest(StyleRobot11, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.1")
 	req.Header.Add("If-None-Match", `"3a5f2c77-2d4"`)
 	req.Header.Add("If-Modified-Since", "Fri, 20 Jun 1997 08:30:00 GMT")
-	if n := req.WireSize(); n < 150 || n > 230 {
+	if n := len(req.Marshal()); n < 150 || n > 230 {
 		t.Errorf("robot conditional request = %dB, want ≈190", n)
 	}
 	// Browser requests are considerably bigger.
 	ns := buildRequest(StyleNetscape, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.0")
-	if n := ns.WireSize(); n < 250 {
+	if n := len(ns.Marshal()); n < 250 {
 		t.Errorf("Netscape request = %dB, want > 250", n)
 	}
 	ie := buildRequest(StyleMSIE, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.1")
-	if n := ie.WireSize(); n < 280 {
+	if n := len(ie.Marshal()); n < 280 {
 		t.Errorf("MSIE request = %dB, want > 280", n)
 	}
 	old := buildRequest(StyleRobot10, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.0")
-	if n := old.WireSize(); n < 300 {
+	if n := len(old.Marshal()); n < 300 {
 		t.Errorf("old libwww request = %dB, want > 300", n)
 	}
 }

@@ -105,7 +105,7 @@ func (r *Robot) Result() Result { return r.result }
 func (r *Robot) Finished() bool { return r.finished }
 
 // ArmIndex hands the robot the link index of the page it will fetch
-// (SiteIndex of the site served). Link discovery then replays the index
+// (the served site's LinkIndex). Link discovery then replays the index
 // for as long as the page arrives as indexed and scans what does not,
 // finding the same links after the same bytes either way. Call it before
 // Start; without it the robot scans every page.

@@ -27,11 +27,6 @@ func ParseDate(s string) (time.Time, error) {
 	return time.Time{}, fmt.Errorf("%w: unparseable HTTP-date %q", ErrMalformed, s)
 }
 
-// FormatDate renders t as an RFC 1123 HTTP-date (always GMT).
-func FormatDate(t time.Time) string {
-	return t.UTC().Format(httpDateFormats[0])
-}
-
 // ModifiedSince reports whether an entity with the given Last-Modified
 // value should be considered modified relative to an If-Modified-Since
 // header. Per the specification's spirit (and defensive 1997 practice):

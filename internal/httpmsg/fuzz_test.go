@@ -172,11 +172,11 @@ func FuzzParseDate(f *testing.F) {
 			return
 		}
 		// Any accepted date must round-trip through the RFC 1123 form
-		// FormatDate generates, landing on the same instant.
-		out := FormatDate(tm)
+		// formatDate generates, landing on the same instant.
+		out := formatDate(tm)
 		tm2, err := ParseDate(out)
 		if err != nil {
-			t.Fatalf("FormatDate(%q parse) produced unparseable %q: %v", s, out, err)
+			t.Fatalf("formatDate(%q parse) produced unparseable %q: %v", s, out, err)
 		}
 		if !tm2.Equal(tm) {
 			t.Fatalf("date round trip moved: %q -> %v -> %q -> %v", s, tm, out, tm2)

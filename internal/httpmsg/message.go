@@ -47,9 +47,6 @@ func (r *Request) AppendTo(dst []byte) []byte {
 	return append(b, r.Body...)
 }
 
-// WireSize returns the serialized size in bytes.
-func (r *Request) WireSize() int { return len(r.Marshal()) }
-
 // IsHTTP11 reports whether the request is HTTP/1.1.
 func (r *Request) IsHTTP11() bool { return r.Proto == Proto11 }
 
@@ -195,13 +192,4 @@ func appendChunked(b, body []byte, chunkSize int) []byte {
 func chunkedOverhead(n, chunkSize int) int {
 	chunks := (n + chunkSize - 1) / chunkSize
 	return chunks*(16+4) + 5
-}
-
-// EncodeChunked returns body in chunked transfer coding with the given
-// chunk size (0 selects the default).
-func EncodeChunked(body []byte, chunkSize int) []byte {
-	if chunkSize <= 0 {
-		chunkSize = defaultChunkSize
-	}
-	return appendChunked(make([]byte, 0, len(body)+chunkedOverhead(len(body), chunkSize)), body, chunkSize)
 }

@@ -158,7 +158,6 @@ type ResponseParser struct {
 	keep      bool
 	body      []byte
 	bodyLen   int
-	count     int
 }
 
 // appendBody accumulates body bytes and fires the BodyChunk hook.
@@ -180,18 +179,6 @@ func (p *ResponseParser) appendBody(chunk []byte) {
 func (p *ResponseParser) PushExpectation(method string) {
 	p.methods = append(p.methods, method)
 }
-
-// Outstanding returns the number of responses still expected.
-func (p *ResponseParser) Outstanding() int {
-	n := len(p.methods)
-	if p.head != nil {
-		n++
-	}
-	return n
-}
-
-// Parsed returns the number of complete responses produced.
-func (p *ResponseParser) Parsed() int { return p.count }
 
 // Buffered returns the number of unconsumed bytes.
 func (p *ResponseParser) Buffered() int { return p.buf.len() }
@@ -243,7 +230,6 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 		}
 		p.head.Body, p.head.BodyLen = p.body, p.bodyLen
 		out = append(out, p.head)
-		p.count++
 		p.head = nil
 	}
 }
@@ -265,7 +251,6 @@ func (p *ResponseParser) CloseEOF() (*Response, error) {
 	resp := p.head
 	resp.Body, resp.BodyLen = p.body, p.bodyLen
 	p.head = nil
-	p.count++
 	return resp, nil
 }
 

@@ -14,17 +14,6 @@ func BenchmarkCompress(b *testing.B) {
 	}
 }
 
-func BenchmarkDecompress(b *testing.B) {
-	comp := Compress(benchData, 8)
-	b.SetBytes(int64(len(benchData)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(comp, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkModemCompressor(b *testing.B) {
 	m := NewModemCompressor()
 	b.SetBytes(int64(len(benchData)))

@@ -2,21 +2,19 @@
 // substrates of the reproduction:
 //
 //   - the GIF flavor (variable code width, LSB-first packing, CLEAR/EOI
-//     control codes) used by the GIF codec in internal/gifenc, and
+//     control codes) used by the GIF encoder in internal/gifenc, whose
+//     output the package tests decode with the standard library's
+//     compress/lzw, and
 //   - a BTLZ-style adaptive dictionary coder approximating the V.42bis
 //     compression of 28.8k modems, used by the PPP link model for the
 //     paper's "deflate beats modem compression" experiment.
 package lzw
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
 )
-
-// ErrCorrupt reports invalid LZW data.
-var ErrCorrupt = errors.New("lzw: corrupt stream")
 
 const maxGIFWidth = 12
 
@@ -141,95 +139,6 @@ func encode(data []byte, litWidth int, w *bitWriter) {
 	w.writeBits(uint32(eoi), width)
 }
 
-// Decompress decodes GIF-variant LZW data with the given literal width.
-func Decompress(data []byte, litWidth int) ([]byte, error) {
-	if litWidth < 2 || litWidth > 8 {
-		return nil, fmt.Errorf("%w: literal width %d out of range", ErrCorrupt, litWidth)
-	}
-	clear := 1 << uint(litWidth)
-	eoi := clear + 1
-
-	r := bitReader{in: data}
-	width := uint(litWidth + 1)
-
-	// suffix/prefix arrays describe dictionary entries; entries < clear
-	// are literals.
-	prefix := make([]int, 1<<maxGIFWidth)
-	suffix := make([]byte, 1<<maxGIFWidth)
-	next := eoi + 1
-
-	var out []byte
-	last := -1
-	var lastFirst byte // first byte of the string for code `last`
-
-	expand := func(code int) []byte {
-		var rev []byte
-		for code >= clear {
-			rev = append(rev, suffix[code])
-			code = prefix[code]
-		}
-		rev = append(rev, byte(code))
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
-		}
-		return rev
-	}
-
-	for {
-		code, err := r.readBits(width)
-		if err != nil {
-			return nil, err
-		}
-		c := int(code)
-		switch {
-		case c == clear:
-			width = uint(litWidth + 1)
-			next = eoi + 1
-			last = -1
-			continue
-		case c == eoi:
-			return out, nil
-		case c < clear:
-			out = append(out, byte(c))
-			if last >= 0 && next < 1<<maxGIFWidth {
-				prefix[next] = last
-				suffix[next] = byte(c)
-				next++
-			}
-			last = c
-			lastFirst = byte(c)
-		case c < next:
-			s := expand(c)
-			out = append(out, s...)
-			if last >= 0 && next < 1<<maxGIFWidth {
-				prefix[next] = last
-				suffix[next] = s[0]
-				next++
-			}
-			last = c
-			lastFirst = s[0]
-		case c == next && last >= 0:
-			// The KwKwK case: the string is last's string plus its own
-			// first byte.
-			if next >= 1<<maxGIFWidth {
-				return nil, fmt.Errorf("%w: code overflow", ErrCorrupt)
-			}
-			prefix[next] = last
-			suffix[next] = lastFirst
-			next++
-			s := expand(c)
-			out = append(out, s...)
-			last = c
-			lastFirst = s[0]
-		default:
-			return nil, fmt.Errorf("%w: code %d beyond dictionary (next %d)", ErrCorrupt, c, next)
-		}
-		if next > (1<<width)-1 && width < maxGIFWidth {
-			width++
-		}
-	}
-}
-
 // bitWriter packs codes LSB-first (GIF order). A counting writer packs
 // nothing and only totals the bits.
 type bitWriter struct {
@@ -262,26 +171,4 @@ func (w *bitWriter) bytes() []byte {
 		w.nacc = 0
 	}
 	return w.out
-}
-
-type bitReader struct {
-	in   []byte
-	pos  int
-	acc  uint32
-	nacc uint
-}
-
-func (r *bitReader) readBits(n uint) (uint32, error) {
-	for r.nacc < n {
-		if r.pos >= len(r.in) {
-			return 0, fmt.Errorf("%w: unexpected end of stream", ErrCorrupt)
-		}
-		r.acc |= uint32(r.in[r.pos]) << r.nacc
-		r.pos++
-		r.nacc += 8
-	}
-	v := r.acc & ((1 << n) - 1)
-	r.acc >>= n
-	r.nacc -= n
-	return v, nil
 }

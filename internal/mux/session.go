@@ -290,12 +290,6 @@ func (s *Session) Goaway(code ErrCode) {
 	s.flush()
 }
 
-// SentGoaway reports whether this side has emitted a GOAWAY.
-func (s *Session) SentGoaway() bool { return s.goawaySent }
-
-// RecvGoaway reports whether the peer announced a session close.
-func (s *Session) RecvGoaway() bool { return s.goawayRecv }
-
 // Feed processes bytes arriving from the transport, firing callbacks
 // for each decoded frame and emitting any frames they provoke
 // (window updates, scheduled DATA) as one batched Send.

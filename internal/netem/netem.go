@@ -112,22 +112,6 @@ func (l *Link) Dropped() int { return l.dropped }
 // packets, after link compression.
 func (l *Link) WireBits() int64 { return l.wireBits }
 
-// SerializationDelay returns how long wireBytes take to serialize at the
-// link rate, ignoring compression.
-func (l *Link) SerializationDelay(wireBytes int) time.Duration {
-	if l.cfg.BitsPerSecond <= 0 {
-		return 0
-	}
-	bits := int64(wireBytes+l.cfg.PerPacketOverheadBytes) * 8
-	return time.Duration(bits * int64(time.Second) / l.cfg.BitsPerSecond)
-}
-
-// Transit models the total one-way latency of a single packet of wireBytes
-// on an idle link.
-func (l *Link) Transit(wireBytes int) time.Duration {
-	return l.SerializationDelay(wireBytes) + l.cfg.PropagationDelay
-}
-
 // Send accepts a packet for transmission. raw is the full IP packet
 // content (used only by the compressor; may be nil when no compressor is
 // configured); wireBytes is its IP-level size. deliver runs at the instant
@@ -215,19 +199,6 @@ func (p *Path) Dropped() int { return p.AB.Dropped() + p.BA.Dropped() }
 // after link compression — the quantity a line monitor on the physical
 // channel would count.
 func (p *Path) WireBits() int64 { return p.AB.WireBits() + p.BA.WireBits() }
-
-// NewPath builds a symmetric path from a single direction config.
-func NewPath(s *sim.Simulator, name string, cfg Config) *Path {
-	cfgBA := cfg
-	// Stateful parts must not be shared between directions.
-	if cfg.Compressor != nil {
-		panic("netem: NewPath cannot share a compressor between directions; use NewAsymPath")
-	}
-	return &Path{
-		AB: NewLink(s, name+"→", cfg),
-		BA: NewLink(s, name+"←", cfgBA),
-	}
-}
 
 // NewAsymPath builds a path with independent per-direction configs.
 func NewAsymPath(s *sim.Simulator, name string, ab, ba Config) *Path {

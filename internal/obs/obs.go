@@ -225,9 +225,6 @@ func New(s *sim.Simulator) *Bus {
 	}
 }
 
-// Enabled reports whether the bus is collecting (false for nil).
-func (b *Bus) Enabled() bool { return b != nil }
-
 // Len returns the number of recorded events.
 func (b *Bus) Len() int {
 	if b == nil {

@@ -11,9 +11,6 @@ import (
 
 func TestNilBusIsSafe(t *testing.T) {
 	var b *Bus
-	if b.Enabled() {
-		t.Fatal("nil bus reports enabled")
-	}
 	if id := b.ConnOpen("a:1", "b:2"); id != 0 {
 		t.Fatalf("nil ConnOpen returned %d", id)
 	}
@@ -36,7 +33,7 @@ func TestNilBusIsSafe(t *testing.T) {
 		t.Fatal("nil bus accessors returned data")
 	}
 	var buf bytes.Buffer
-	if err := b.WritePerfetto(&buf); err != nil {
+	if err := b.WritePerfettoPath(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -213,7 +210,7 @@ type perfettoEvent struct {
 func TestPerfettoSchema(t *testing.T) {
 	b := busFixture(t)
 	var buf bytes.Buffer
-	if err := b.WritePerfetto(&buf); err != nil {
+	if err := b.WritePerfettoPath(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {

@@ -49,7 +49,13 @@ type PathSlice struct {
 	From, To sim.Time
 }
 
-// WritePerfettoPath exports the timeline like WritePerfetto plus a
+// WritePerfettoPath exports the timeline as Chrome trace-event / Perfetto
+// JSON: one process per simulated host plus one for the wire,
+// connections as named threads carrying their TCP state as slices,
+// request spans as async slices over the connection that carried them,
+// congestion windows as counter tracks, and Nagle holds, RTO fires,
+// retransmissions, drops, and server request handling as instants. All
+// timestamps are simulated time in microseconds. A non-empty path adds a
 // dedicated "critical path" process: one complete slice per path link,
 // so the gating chain root document → last object reads left to right
 // as a single highlighted track in the Perfetto UI.
@@ -60,19 +66,8 @@ func (b *Bus) WritePerfettoPath(w io.Writer, path []PathSlice) error {
 	return writePerfetto(w, b.Events(), b.Conns(), b.Spans(), path)
 }
 
-// WritePerfetto exports the timeline as Chrome trace-event / Perfetto
-// JSON: one process per simulated host plus one for the wire,
-// connections as named threads carrying their TCP state as slices,
-// request spans as async slices over the connection that carried them,
-// congestion windows as counter tracks, and Nagle holds, RTO fires,
-// retransmissions, drops, and server request handling as instants. All
-// timestamps are simulated time in microseconds.
-func (b *Bus) WritePerfetto(w io.Writer) error {
-	return b.WritePerfettoPath(w, nil)
-}
-
 // WritePerfettoEvents exports an explicit event window in the same
-// layout as Bus.WritePerfetto. The flight recorder uses it to dump a
+// layout as Bus.WritePerfettoPath. The flight recorder uses it to dump a
 // ring-buffered tail of the event stream: events may be any suffix of
 // the bus's stream, while conns and spans are the bus's complete tables
 // (they are small and index-addressed, so they are never truncated).

@@ -79,7 +79,7 @@ func TestPerfettoEmptyTimeline(t *testing.T) {
 	var nilBus *Bus
 	for name, b := range map[string]*Bus{"nil bus": nilBus, "empty bus": New(sim.New())} {
 		var buf bytes.Buffer
-		if err := b.WritePerfetto(&buf); err != nil {
+		if err := b.WritePerfettoPath(&buf, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if buf.String() != want {
@@ -151,14 +151,14 @@ func (f *failAfter) Write(p []byte) (int, error) {
 func TestPerfettoWriteErrors(t *testing.T) {
 	b := bigBus(1200)
 	ok := &failAfter{n: math.MaxInt}
-	if err := b.WritePerfetto(ok); err != nil {
+	if err := b.WritePerfettoPath(ok, nil); err != nil {
 		t.Fatal(err)
 	}
 	if ok.writes < 3 {
 		t.Fatalf("a 1200-event export took %d writes; the test needs a mid-stream one", ok.writes)
 	}
 	var sizes chunkSizes
-	if err := b.WritePerfetto(&sizes); err != nil {
+	if err := b.WritePerfettoPath(&sizes, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range sizes {
@@ -169,7 +169,7 @@ func TestPerfettoWriteErrors(t *testing.T) {
 	boom := errors.New("disk full")
 	for n := 1; n <= ok.writes; n++ {
 		w := &failAfter{n: n, err: boom}
-		if err := b.WritePerfetto(w); !errors.Is(err, boom) {
+		if err := b.WritePerfettoPath(w, nil); !errors.Is(err, boom) {
 			t.Fatalf("writer failing at write %d of %d: export returned %v", n, ok.writes, err)
 		}
 		if w.writes != n {
@@ -193,7 +193,7 @@ func TestWritePerfettoAllocs(t *testing.T) {
 	var sink chunkSizes
 	allocs := testing.AllocsPerRun(20, func() {
 		sink = sink[:0]
-		if err := b.WritePerfetto(&sink); err != nil {
+		if err := b.WritePerfettoPath(&sink, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

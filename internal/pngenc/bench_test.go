@@ -6,32 +6,7 @@ func BenchmarkEncode(b *testing.B) {
 	img := testImage(160, 120, 64, 5)
 	b.SetBytes(int64(len(img.Pixels)))
 	for i := 0; i < b.N; i++ {
-		if _, err := Encode(img, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncodeInterlaced(b *testing.B) {
-	img := testImage(160, 120, 64, 5)
-	b.SetBytes(int64(len(img.Pixels)))
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(img, Options{Interlace: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	img := testImage(160, 120, 64, 5)
-	data, err := Encode(img, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(img.Pixels)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data); err != nil {
+		if _, err := Encode(img); err != nil {
 			b.Fatal(err)
 		}
 	}

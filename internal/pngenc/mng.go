@@ -22,7 +22,7 @@ var mngSignature = []byte{0x8a, 'M', 'N', 'G', '\r', '\n', 0x1a, '\n'}
 
 // EncodeMNG serializes frames (which must share dimensions and palette)
 // with per-frame delays in hundredths of a second.
-func EncodeMNG(frames []*Image, delaysCS []int, opts Options) ([]byte, error) {
+func EncodeMNG(frames []*Image, delaysCS []int) ([]byte, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("pngenc: no frames")
 	}
@@ -43,9 +43,6 @@ func EncodeMNG(frames []*Image, delaysCS []int, opts Options) ([]byte, error) {
 		if len(f.Palette) != len(first.Palette) {
 			return nil, fmt.Errorf("pngenc: frame palettes differ")
 		}
-	}
-	if opts.Level == 0 {
-		opts.Level = 6
 	}
 	depth := bitDepth(len(first.Palette))
 
@@ -86,102 +83,14 @@ func EncodeMNG(frames []*Image, delaysCS []int, opts Options) ([]byte, error) {
 		ihdr[8] = byte(depth)
 		ihdr[9] = 3
 		out = appendChunk(out, "IHDR", ihdr)
-		raw := packScanlines(f, depth)
-		filtered := filterScanlines(raw, f.H, rowBytes(f.W, depth), 1)
+		filtered := filterScanlines(packScanlines(f, depth), f.H, rowBytes(f.W, depth))
 		// Frames after the first compress against the previous frame's
 		// scanline stream as a preset dictionary — the inter-frame
 		// redundancy exploitation that Delta-PNG provides in full MNG.
-		out = appendChunk(out, "IDAT", flatez.ZlibCompressDict(filtered, prevFiltered, opts.Level))
+		out = appendChunk(out, "IDAT", flatez.ZlibCompressDict(filtered, prevFiltered, level))
 		out = appendChunk(out, "IEND", nil)
 		prevFiltered = filtered
 	}
 	out = appendChunk(out, "MEND", nil)
 	return out, nil
-}
-
-// MNGInfo summarizes a decoded MNG stream.
-type MNGInfo struct {
-	W, H     int
-	Frames   []*Image
-	DelaysCS []int
-}
-
-// DecodeMNG parses an MNG stream produced by EncodeMNG.
-func DecodeMNG(data []byte) (*MNGInfo, error) {
-	if len(data) < 8 || string(data[:8]) != string(mngSignature) {
-		return nil, fmt.Errorf("%w: bad MNG signature", ErrFormat)
-	}
-	// Chunk structure is shared with PNG.
-	chunks, err := parseChunks(append(append([]byte(nil), pngSignature...), data[8:]...))
-	if err != nil {
-		return nil, err
-	}
-	info := &MNGInfo{}
-	var pal []Color
-	var curW, curH, curDepth int
-	var sawMHDR, sawMEND bool
-	var prevFiltered []byte
-	pendingDelay := 0
-	for _, c := range chunks {
-		switch c.typ {
-		case "MHDR":
-			if len(c.data) != 28 {
-				return nil, fmt.Errorf("%w: MHDR length %d", ErrFormat, len(c.data))
-			}
-			info.W, info.H = int(getU32(c.data[0:])), int(getU32(c.data[4:]))
-			sawMHDR = true
-		case "PLTE":
-			pal = make([]Color, len(c.data)/3)
-			for i := range pal {
-				pal[i] = Color{c.data[3*i], c.data[3*i+1], c.data[3*i+2]}
-			}
-		case "FRAM":
-			if len(c.data) >= 10 && c.data[2] == 2 {
-				pendingDelay = int(getU32(c.data[6:]))
-			}
-		case "IHDR":
-			curW, curH = int(getU32(c.data[0:])), int(getU32(c.data[4:]))
-			curDepth = int(c.data[8])
-		case "IDAT":
-			if pal == nil {
-				return nil, fmt.Errorf("%w: frame before palette", ErrFormat)
-			}
-			filtered, err := flatez.ZlibDecompressDict(c.data, prevFiltered)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-			}
-			prevFiltered = filtered
-			rb := rowBytes(curW, curDepth)
-			raw, err := unfilterScanlines(filtered, curH, rb, 1)
-			if err != nil {
-				return nil, err
-			}
-			img := &Image{W: curW, H: curH, Palette: pal, Pixels: make([]byte, curW*curH)}
-			perByte := 8 / curDepth
-			for y := 0; y < curH; y++ {
-				row := raw[y*rb:]
-				for x := 0; x < curW; x++ {
-					var v byte
-					if curDepth == 8 {
-						v = row[x]
-					} else {
-						shift := uint((perByte - 1 - x%perByte) * curDepth)
-						v = row[x/perByte] >> shift & (1<<curDepth - 1)
-					}
-					img.Pixels[y*curW+x] = v
-				}
-			}
-			info.Frames = append(info.Frames, img)
-			info.DelaysCS = append(info.DelaysCS, pendingDelay)
-		case "MEND":
-			sawMEND = true
-		}
-	}
-	if !sawMHDR || !sawMEND {
-		return nil, fmt.Errorf("%w: missing MHDR or MEND", ErrFormat)
-	}
-	if len(info.Frames) == 0 {
-		return nil, fmt.Errorf("%w: no frames", ErrFormat)
-	}
-	return info, nil
 }

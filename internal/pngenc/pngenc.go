@@ -1,24 +1,24 @@
-// Package pngenc implements a PNG (RFC 2083) encoder and decoder and a
-// minimal MNG-LC animation container, providing the "after" side of the
-// paper's image-format experiment (GIF→PNG, animated GIF→MNG).
+// Package pngenc implements a PNG (RFC 2083) encoder and a minimal MNG-LC
+// animation container, providing the "after" side of the paper's
+// image-format experiment (GIF→PNG, animated GIF→MNG), which measures
+// encoded sizes only.
 //
-// The encoder writes paletted (color type 3) or truecolor (color type 2)
-// images with adaptive per-scanline filtering, a gAMA chunk (the paper
-// notes the converted images carry gamma information costing 16 bytes per
-// image), and IDAT compressed with this repository's own zlib
-// (internal/flatez). Output is cross-validated against the standard
-// library's image/png decoder in the package tests.
+// The encoder writes non-interlaced paletted (color type 3) images with
+// adaptive per-scanline filtering, a gAMA chunk (the paper notes the
+// converted images carry gamma information costing 16 bytes per image),
+// and IDAT compressed at deflate level 6 with this repository's own zlib
+// (internal/flatez). The package tests decode the output with the
+// standard library's image/png.
 package pngenc
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/flatez"
 )
 
-// ErrFormat reports data that is not valid PNG.
-var ErrFormat = errors.New("pngenc: invalid PNG data")
+// level is the deflate level of every IDAT stream.
+const level = 6
 
 var pngSignature = []byte{0x89, 'P', 'N', 'G', '\r', '\n', 0x1a, '\n'}
 
@@ -66,24 +66,10 @@ func bitDepth(n int) int {
 	}
 }
 
-// Options tunes encoding.
-type Options struct {
-	// Level is the deflate level (default 6).
-	Level int
-	// NoGamma omits the gAMA chunk (16 bytes), for size ablations.
-	NoGamma bool
-	// Interlace selects Adam7 interlacing — PNG's progressive-display
-	// mode, behind the paper's "time to render benefits relative to GIF".
-	Interlace bool
-}
-
 // Encode serializes the image as a paletted PNG.
-func Encode(img *Image, opts Options) ([]byte, error) {
+func Encode(img *Image) ([]byte, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Level == 0 {
-		opts.Level = 6
 	}
 	depth := bitDepth(len(img.Palette))
 
@@ -93,16 +79,11 @@ func Encode(img *Image, opts Options) ([]byte, error) {
 	putU32(ihdr[4:], uint32(img.H))
 	ihdr[8] = byte(depth)
 	ihdr[9] = 3 // color type: palette
-	if opts.Interlace {
-		ihdr[12] = 1 // Adam7
-	}
 	out = appendChunk(out, "IHDR", ihdr)
 
-	if !opts.NoGamma {
-		gama := make([]byte, 4)
-		putU32(gama, 45455) // gamma 1/2.2 scaled by 100000
-		out = appendChunk(out, "gAMA", gama)
-	}
+	gama := make([]byte, 4)
+	putU32(gama, 45455) // gamma 1/2.2 scaled by 100000
+	out = appendChunk(out, "gAMA", gama)
 
 	plte := make([]byte, 3*len(img.Palette))
 	for i, c := range img.Palette {
@@ -110,14 +91,8 @@ func Encode(img *Image, opts Options) ([]byte, error) {
 	}
 	out = appendChunk(out, "PLTE", plte)
 
-	var filtered []byte
-	if opts.Interlace {
-		filtered = interlaceScanlines(img, depth)
-	} else {
-		raw := packScanlines(img, depth)
-		filtered = filterScanlines(raw, img.H, rowBytes(img.W, depth), 1)
-	}
-	out = appendChunk(out, "IDAT", flatez.ZlibCompress(filtered, opts.Level))
+	filtered := filterScanlines(packScanlines(img, depth), img.H, rowBytes(img.W, depth))
+	out = appendChunk(out, "IDAT", flatez.ZlibCompress(filtered, level))
 	out = appendChunk(out, "IEND", nil)
 	return out, nil
 }
@@ -149,9 +124,9 @@ func packScanlines(img *Image, depth int) []byte {
 
 // filterScanlines applies per-row adaptive filtering (minimum sum of
 // absolute differences heuristic) and prepends the filter byte to each
-// row. bpp is the bytes per pixel used for the left-neighbour offset
-// (1 for packed palette data).
-func filterScanlines(raw []byte, h, rb, bpp int) []byte {
+// row. The left neighbour is one byte back, as for all packed palette
+// data.
+func filterScanlines(raw []byte, h, rb int) []byte {
 	out := make([]byte, 0, (rb+1)*h)
 	prev := make([]byte, rb)
 	cand := make([][]byte, 5)
@@ -162,9 +137,9 @@ func filterScanlines(raw []byte, h, rb, bpp int) []byte {
 		row := raw[y*rb : (y+1)*rb]
 		for i := 0; i < rb; i++ {
 			var left, up, ul byte
-			if i >= bpp {
-				left = row[i-bpp]
-				ul = prev[i-bpp]
+			if i >= 1 {
+				left = row[i-1]
+				ul = prev[i-1]
 			}
 			up = prev[i]
 			cand[0][i] = row[i]
@@ -218,10 +193,6 @@ func putU32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
 }
 
-func getU32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
 // appendChunk appends a PNG chunk: length, type, data, CRC.
 func appendChunk(out []byte, typ string, data []byte) []byte {
 	var lenb [4]byte
@@ -234,177 +205,4 @@ func appendChunk(out []byte, typ string, data []byte) []byte {
 	var crcb [4]byte
 	putU32(crcb[:], crc)
 	return append(out, crcb[:]...)
-}
-
-// Decode parses a paletted PNG produced by this package (or any baseline
-// non-interlaced paletted/truecolor PNG).
-func Decode(data []byte) (*Image, error) {
-	chunks, err := parseChunks(data)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		w, h, depth, colorType int
-		interlaced             bool
-		pal                    []Color
-		idat                   []byte
-		sawIHDR, sawIEND       bool
-	)
-	for _, c := range chunks {
-		switch c.typ {
-		case "IHDR":
-			if len(c.data) != 13 {
-				return nil, fmt.Errorf("%w: IHDR length %d", ErrFormat, len(c.data))
-			}
-			w, h = int(getU32(c.data[0:])), int(getU32(c.data[4:]))
-			depth = int(c.data[8])
-			colorType = int(c.data[9])
-			switch c.data[12] {
-			case 0:
-			case 1:
-				interlaced = true
-			default:
-				return nil, fmt.Errorf("%w: unknown interlace method %d", ErrFormat, c.data[12])
-			}
-			sawIHDR = true
-		case "PLTE":
-			if len(c.data)%3 != 0 {
-				return nil, fmt.Errorf("%w: PLTE length %d", ErrFormat, len(c.data))
-			}
-			pal = make([]Color, len(c.data)/3)
-			for i := range pal {
-				pal[i] = Color{c.data[3*i], c.data[3*i+1], c.data[3*i+2]}
-			}
-		case "IDAT":
-			idat = append(idat, c.data...)
-		case "IEND":
-			sawIEND = true
-		}
-	}
-	if !sawIHDR || !sawIEND || idat == nil {
-		return nil, fmt.Errorf("%w: missing critical chunks", ErrFormat)
-	}
-	if colorType != 3 {
-		return nil, fmt.Errorf("%w: color type %d unsupported by this decoder", ErrFormat, colorType)
-	}
-	if pal == nil {
-		return nil, fmt.Errorf("%w: paletted image without PLTE", ErrFormat)
-	}
-	if w <= 0 || h <= 0 || w > 1<<16 || h > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible dimensions %dx%d", ErrFormat, w, h)
-	}
-	switch depth {
-	case 1, 2, 4, 8:
-	default:
-		return nil, fmt.Errorf("%w: bit depth %d", ErrFormat, depth)
-	}
-
-	filtered, err := flatez.ZlibDecompress(idat)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-
-	img := &Image{W: w, H: h, Palette: pal}
-	if interlaced {
-		pixels, err := deinterlaceScanlines(filtered, w, h, depth)
-		if err != nil {
-			return nil, err
-		}
-		img.Pixels = pixels
-	} else {
-		rb := rowBytes(w, depth)
-		if len(filtered) != (rb+1)*h {
-			return nil, fmt.Errorf("%w: %d bytes of scanlines for %dx%d depth %d", ErrFormat, len(filtered), w, h, depth)
-		}
-		raw, err := unfilterScanlines(filtered, h, rb, 1)
-		if err != nil {
-			return nil, err
-		}
-		img.Pixels = make([]byte, w*h)
-		perByte := 8 / depth
-		for y := 0; y < h; y++ {
-			row := raw[y*rb:]
-			for x := 0; x < w; x++ {
-				var v byte
-				if depth == 8 {
-					v = row[x]
-				} else {
-					shift := uint((perByte - 1 - x%perByte) * depth)
-					v = row[x/perByte] >> shift & (1<<depth - 1)
-				}
-				img.Pixels[y*w+x] = v
-			}
-		}
-	}
-	for i, v := range img.Pixels {
-		if int(v) >= len(pal) {
-			return nil, fmt.Errorf("%w: pixel %d index %d beyond palette", ErrFormat, i, v)
-		}
-	}
-	return img, nil
-}
-
-func unfilterScanlines(filtered []byte, h, rb, bpp int) ([]byte, error) {
-	raw := make([]byte, rb*h)
-	prev := make([]byte, rb)
-	for y := 0; y < h; y++ {
-		ft := filtered[y*(rb+1)]
-		row := filtered[y*(rb+1)+1 : (y+1)*(rb+1)]
-		out := raw[y*rb : (y+1)*rb]
-		for i := 0; i < rb; i++ {
-			var left, up, ul byte
-			if i >= bpp {
-				left = out[i-bpp]
-				ul = prev[i-bpp]
-			}
-			up = prev[i]
-			switch ft {
-			case 0:
-				out[i] = row[i]
-			case 1:
-				out[i] = row[i] + left
-			case 2:
-				out[i] = row[i] + up
-			case 3:
-				out[i] = row[i] + byte((int(left)+int(up))/2)
-			case 4:
-				out[i] = row[i] + paeth(left, up, ul)
-			default:
-				return nil, fmt.Errorf("%w: filter type %d", ErrFormat, ft)
-			}
-		}
-		copy(prev, out)
-	}
-	return raw, nil
-}
-
-type chunk struct {
-	typ  string
-	data []byte
-}
-
-func parseChunks(data []byte) ([]chunk, error) {
-	if len(data) < len(pngSignature) || string(data[:8]) != string(pngSignature) {
-		return nil, fmt.Errorf("%w: bad signature", ErrFormat)
-	}
-	pos := 8
-	var chunks []chunk
-	for pos < len(data) {
-		if pos+8 > len(data) {
-			return nil, fmt.Errorf("%w: truncated chunk header", ErrFormat)
-		}
-		n := int(getU32(data[pos:]))
-		if pos+12+n > len(data) {
-			return nil, fmt.Errorf("%w: truncated chunk body", ErrFormat)
-		}
-		typ := string(data[pos+4 : pos+8])
-		body := data[pos+8 : pos+8+n]
-		wantCRC := getU32(data[pos+8+n:])
-		if got := CRC32(data[pos+4 : pos+8+n]); got != wantCRC {
-			return nil, fmt.Errorf("%w: CRC mismatch in %s", ErrFormat, typ)
-		}
-		chunks = append(chunks, chunk{typ: typ, data: body})
-		pos += 12 + n
-	}
-	return chunks, nil
 }

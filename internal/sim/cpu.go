@@ -36,8 +36,5 @@ func (c *CPU) Run(d Duration, fn func()) Time {
 	return end
 }
 
-// BusyUntil returns the instant the CPU goes idle.
-func (c *CPU) BusyUntil() Time { return c.busyUntil }
-
 // TotalWork returns the cumulative CPU time consumed.
 func (c *CPU) TotalWork() Duration { return c.total }

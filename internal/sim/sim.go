@@ -20,7 +20,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -43,9 +42,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
 // String formats the instant as seconds with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
-
-// MaxTime is the largest representable instant.
-const MaxTime = Time(math.MaxInt64)
 
 // entry states.
 const (
@@ -155,15 +151,6 @@ func (h TimerHandle) ent() *entry {
 
 // Active reports whether the handle's event is still pending.
 func (h TimerHandle) Active() bool { return h.ent() != nil }
-
-// When returns the instant the event will fire, and whether the handle
-// is still pending.
-func (h TimerHandle) When() (Time, bool) {
-	if e := h.ent(); e != nil {
-		return e.when, true
-	}
-	return 0, false
-}
 
 // Stop cancels the event if it has not fired. It reports whether the
 // call actually prevented the event from firing; stopping an
@@ -360,9 +347,6 @@ func (s *Simulator) RunUntil(t Time) {
 		s.now = t
 	}
 }
-
-// RunFor executes events for d of virtual time from now.
-func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
 // less orders entries by (when, seq), the engine-wide firing order.
 func (s *Simulator) less(a, b int32) bool {

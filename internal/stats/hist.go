@@ -17,7 +17,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -248,14 +247,4 @@ func sortedQuantile(sorted []int64, q float64) int64 {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// ExactQuantile computes the nearest-rank quantile of a value slice
-// directly (copying and sorting it) — the reference the histogram's
-// bucketed answer approximates, used by tests and small populations.
-func ExactQuantile(values []int64, q float64) int64 {
-	s := make([]int64, len(values))
-	copy(s, values)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return sortedQuantile(s, q)
 }

@@ -51,7 +51,6 @@ type Conn struct {
 	peerFin     bool
 	ackOwed     int
 	delackTimer sim.TimerHandle
-	totalRead   int64
 
 	segsSent, segsRcvd int
 	retransSegs        int
@@ -98,12 +97,6 @@ func (c *Conn) key() connKey {
 	return connKey{localPort: c.local.Port, remoteHost: c.remote.Host, remotePort: c.remote.Port}
 }
 
-// LocalAddr returns the local endpoint address.
-func (c *Conn) LocalAddr() Addr { return c.local }
-
-// RemoteAddr returns the peer endpoint address.
-func (c *Conn) RemoteAddr() Addr { return c.remote }
-
 // State returns the current TCP state.
 func (c *Conn) State() State { return c.state }
 
@@ -136,38 +129,6 @@ func (c *Conn) setCwnd(v int) {
 
 // Err returns the terminal error, if any.
 func (c *Conn) Err() error { return c.err }
-
-// Options returns the connection's effective options.
-func (c *Conn) Options() Options { return c.opts }
-
-// SetNoDelay enables or disables the Nagle algorithm at runtime.
-func (c *Conn) SetNoDelay(v bool) {
-	c.opts.NoDelay = v
-	if v {
-		c.trySend()
-	}
-}
-
-// Unacked returns the number of payload bytes sent but not acknowledged.
-func (c *Conn) Unacked() int {
-	n := int(c.sndNxt - c.sndUna)
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// TotalWritten returns the number of payload bytes the application wrote.
-func (c *Conn) TotalWritten() int64 { return c.totalWritten }
-
-// TotalRead returns the number of payload bytes delivered to the handler.
-func (c *Conn) TotalRead() int64 { return c.totalRead }
-
-// SegmentsSent returns the number of segments this endpoint transmitted.
-func (c *Conn) SegmentsSent() int { return c.segsSent }
-
-// SegmentsReceived returns the number of segments this endpoint received.
-func (c *Conn) SegmentsReceived() int { return c.segsRcvd }
 
 // Retransmissions returns the number of segments this endpoint sent more
 // than once (go-back-N resends and timer retransmits).
@@ -291,10 +252,6 @@ func (c *Conn) updateRTT(sample sim.Duration) {
 	}
 	c.rto = rto
 }
-
-// SRTT returns the smoothed round-trip estimate (zero before the first
-// sample).
-func (c *Conn) SRTT() sim.Duration { return c.srtt }
 
 // takeRTTSample closes the open RTT measurement if ack covers it.
 func (c *Conn) takeRTTSample(ack uint32) {
@@ -520,7 +477,6 @@ func (c *Conn) processData(seg Segment) {
 		return
 	}
 	c.rcvNxt += uint32(len(seg.Payload))
-	c.totalRead += int64(len(seg.Payload))
 	c.ackOwed++
 	if c.handler != nil {
 		// seg.Payload aliases the sender's buffer; OnData's contract says

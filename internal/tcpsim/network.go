@@ -167,9 +167,6 @@ type connKey struct {
 // Name returns the host name.
 func (h *Host) Name() string { return h.name }
 
-// Network returns the network the host belongs to.
-func (h *Host) Network() *Network { return h.net }
-
 // Dials returns how many outbound connections the host has opened.
 func (h *Host) Dials() int64 { return h.dials }
 
@@ -245,7 +242,3 @@ func (h *Host) receive(seg Segment) {
 func (h *Host) removeConn(c *Conn) {
 	delete(h.conns, c.key())
 }
-
-// OpenConns returns the number of live connection records on the host
-// (including TIME_WAIT).
-func (h *Host) OpenConns() int { return len(h.conns) }

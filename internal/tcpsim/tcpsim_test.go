@@ -138,7 +138,7 @@ func TestStateProgression(t *testing.T) {
 	if cli.State() != StateSynSent {
 		t.Fatalf("dial state = %v, want SYN_SENT", cli.State())
 	}
-	s.RunFor(10 * time.Millisecond)
+	runFor(s, 10*time.Millisecond)
 	if cli.State() != StateEstablished || srvConn.State() != StateEstablished {
 		t.Fatalf("states after handshake: %v / %v", cli.State(), srvConn.State())
 	}
@@ -258,7 +258,7 @@ func TestNagleHoldsSecondSmallWrite(t *testing.T) {
 			c.Write(make([]byte, 100)) // should be Nagle-delayed until ACK
 		},
 	})
-	s.RunFor(2 * time.Second)
+	runFor(s, 2*time.Second)
 	if len(dataSegs) != 2 {
 		t.Fatalf("saw %d data segments, want 2", len(dataSegs))
 	}
@@ -283,7 +283,7 @@ func TestNoDelayDisablesNagle(t *testing.T) {
 			c.Write(make([]byte, 100))
 		},
 	})
-	s.RunFor(2 * time.Second)
+	runFor(s, 2*time.Second)
 	if len(dataSegs) != 2 {
 		t.Fatalf("saw %d data segments, want 2", len(dataSegs))
 	}
@@ -308,7 +308,7 @@ func TestDelayedAckHeartbeat(t *testing.T) {
 	client.Dial("server", 80, Options{}, &Callbacks{
 		Connect: func(c *Conn) { c.Write(make([]byte, 100)) },
 	})
-	s.RunFor(time.Second)
+	runFor(s, time.Second)
 	if len(pureAcks) != 1 {
 		t.Fatalf("saw %d pure ACKs for one segment, want 1 (delayed)", len(pureAcks))
 	}
@@ -341,7 +341,7 @@ func TestAckEverySecondSegmentImmediate(t *testing.T) {
 	client.Dial("server", 80, Options{NoDelay: true}, &Callbacks{
 		Connect: func(c *Conn) { c.Write(make([]byte, 2*1460)) },
 	})
-	s.RunFor(time.Second)
+	runFor(s, time.Second)
 	if ackAt == 0 {
 		t.Fatal("no ACK after two segments")
 	}
@@ -613,7 +613,7 @@ func TestPeerWindowLimitsInFlight(t *testing.T) {
 	})
 	// After the first burst, in-flight bytes must not exceed the peer's
 	// 4096-byte window.
-	s.RunFor(30 * time.Millisecond)
+	runFor(s, 30*time.Millisecond)
 	if got := cli.Unacked(); got > 4096+1 { // +1 for a FIN sequence slot
 		t.Fatalf("in-flight %d bytes exceeds peer window 4096", got)
 	}
@@ -860,7 +860,7 @@ func TestSetNoDelayReleasesHeldSegment(t *testing.T) {
 			s.Schedule(10*time.Millisecond, func() { cli.SetNoDelay(true) })
 		},
 	})
-	s.RunFor(2 * time.Second)
+	runFor(s, 2*time.Second)
 	if len(dataTimes) != 2 {
 		t.Fatalf("data segments = %d, want 2", len(dataTimes))
 	}
@@ -911,7 +911,7 @@ func TestBufferedSendAndUnackedAccounting(t *testing.T) {
 	})
 	// After the handshake (~90ms) but before the first data ACKs return
 	// (~180ms), the initial window's worth of data is in flight.
-	s.RunFor(120 * time.Millisecond)
+	runFor(s, 120*time.Millisecond)
 	if got := cli.Unacked(); got < 2920 {
 		t.Fatalf("Unacked = %d, want ≥ 2 segments in flight", got)
 	}

@@ -35,9 +35,6 @@ func (r *Ring[T]) Push(v T) {
 // Len returns the number of retained values.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap returns the retention capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Dropped returns how many values were evicted to make room — the
 // overflow count a dump reports so a truncated window is never mistaken
 // for the whole run.

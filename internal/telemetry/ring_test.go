@@ -77,15 +77,15 @@ func TestRingWraparound(t *testing.T) {
 	if r.Dropped() != 2 {
 		t.Fatalf("Dropped = %d, want 2", r.Dropped())
 	}
-	if r.Cap() != 3 || r.Len() != 3 {
-		t.Fatalf("Cap/Len = %d/%d, want 3/3", r.Cap(), r.Len())
+	if len(r.buf) != 3 || r.Len() != 3 {
+		t.Fatalf("capacity/Len = %d/%d, want 3/3", len(r.buf), r.Len())
 	}
 }
 
 func TestRingMinimumCapacity(t *testing.T) {
 	r := NewRing[string](0)
-	if r.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1 for capacity 0", r.Cap())
+	if len(r.buf) != 1 {
+		t.Fatalf("capacity = %d, want 1 for capacity 0", len(r.buf))
 	}
 	r.Push("a")
 	r.Push("b")

@@ -5,13 +5,15 @@ import (
 	"repro/internal/pngenc"
 )
 
-// Conversion is one image's GIF→PNG (or animated GIF→MNG) size
-// comparison.
+// Conversion is one image's GIF→PNG (or animated GIF→MNG) conversion.
 type Conversion struct {
 	Name     string
 	Role     Role
 	GIFBytes int
-	NewBytes int // PNG or MNG
+	NewBytes int // len(Data)
+	// Data is the PNG or MNG file. It stays out of the -json report,
+	// which gives sizes only.
+	Data []byte `json:"-"`
 }
 
 // Saved is the byte saving (negative when PNG is larger, which the paper
@@ -49,11 +51,11 @@ func (s *Site) ConvertImages() (ConversionReport, error) {
 	var rep ConversionReport
 	for _, img := range s.Images {
 		if img.Static() {
-			data, err := pngenc.Encode(toPNGImage(img.Image), pngenc.Options{})
+			data, err := pngenc.Encode(toPNGImage(img.Image))
 			if err != nil {
 				return rep, err
 			}
-			c := Conversion{Name: img.Spec.Name, Role: img.Spec.Role, GIFBytes: len(img.GIF), NewBytes: len(data)}
+			c := Conversion{Name: img.Spec.Name, Role: img.Spec.Role, GIFBytes: len(img.GIF), NewBytes: len(data), Data: data}
 			rep.Static = append(rep.Static, c)
 			rep.StaticGIF += c.GIFBytes
 			rep.StaticPNG += c.NewBytes
@@ -65,11 +67,11 @@ func (s *Site) ConvertImages() (ConversionReport, error) {
 			frames[i] = toPNGImage(f.Image)
 			delays[i] = f.DelayCS
 		}
-		data, err := pngenc.EncodeMNG(frames, delays, pngenc.Options{})
+		data, err := pngenc.EncodeMNG(frames, delays)
 		if err != nil {
 			return rep, err
 		}
-		c := Conversion{Name: img.Spec.Name, Role: img.Spec.Role, GIFBytes: len(img.GIF), NewBytes: len(data)}
+		c := Conversion{Name: img.Spec.Name, Role: img.Spec.Role, GIFBytes: len(img.GIF), NewBytes: len(data), Data: data}
 		rep.Animations = append(rep.Animations, c)
 		rep.AnimGIF += c.GIFBytes
 		rep.AnimMNG += c.NewBytes

@@ -19,14 +19,6 @@ type SynthImage struct {
 // Static reports whether the image is a single frame.
 func (s *SynthImage) Static() bool { return s.Spec.Role != RoleAnimation }
 
-// FirstFrame returns the image content (first frame for animations).
-func (s *SynthImage) FirstFrame() *gifenc.Image {
-	if s.Image != nil {
-		return s.Image
-	}
-	return s.Frames[0].Image
-}
-
 // animationFrames is the frame count of a synthesized animation.
 const animationFrames = 5
 

@@ -50,17 +50,3 @@ func (s *Site) Revise(fraction float64, seed uint64) (*Site, error) {
 	site.HTML.LastModified = revisedLastModified
 	return site, nil
 }
-
-// ChangedFrom counts objects whose validators differ from the original
-// site's (including the page).
-func (s *Site) ChangedFrom(orig *Site) int {
-	n := 0
-	for _, path := range s.Paths() {
-		a, _ := s.Object(path)
-		b, ok := orig.Object(path)
-		if !ok || a.ETag != b.ETag {
-			n++
-		}
-	}
-	return n
-}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/flatez"
+	"repro/internal/htmlparse"
 )
 
 // Object is one servable resource.
@@ -36,7 +37,7 @@ type Site struct {
 
 	// linkIndex, likewise, is built by the first LinkIndex call.
 	indexOnce sync.Once
-	linkIndex any
+	linkIndex *htmlparse.PageIndex
 }
 
 // Options tunes site synthesis.
@@ -133,15 +134,12 @@ func (s *Site) Deflated(path string) ([]byte, bool) {
 	return body, ok
 }
 
-// LinkIndex returns what build makes of the page's HTML: the HTML
-// parser's link index, which the robot replays instead of parsing the
-// page on every run. Like Deflated, it is built by the first call and
-// shared, unmodified, for the life of the site; safe for concurrent use.
-// The builder is the caller's (the HTML parser's own tests build their
-// pages with this package, so it cannot import the parser); every caller
-// must pass the same pure function.
-func (s *Site) LinkIndex(build func(html []byte) any) any {
-	s.indexOnce.Do(func() { s.linkIndex = build(s.HTML.Body) })
+// LinkIndex returns the link index of the page's HTML, which the robot
+// replays instead of parsing the page on every run. Like Deflated, it is
+// built by the first call and shared, unmodified, for the life of the
+// site; safe for concurrent use.
+func (s *Site) LinkIndex() *htmlparse.PageIndex {
+	s.indexOnce.Do(func() { s.linkIndex = htmlparse.IndexPage(s.HTML.Body) })
 	return s.linkIndex
 }
 

@@ -121,18 +121,11 @@ func MicroscapeSpecs() []Spec {
 	return specs
 }
 
-// Paper-reported totals the synthesis aims for (used in tests and the
-// experiment reports).
+// Paper-reported sizes the synthesis aims for.
 const (
-	// PaperStaticGIFBytes is the paper's total for the 40 static images.
-	PaperStaticGIFBytes = 103299
-	// PaperAnimationGIFBytes is the paper's total for the 2 animations.
-	PaperAnimationGIFBytes = 24988
 	// PaperHTMLBytes is the paper's HTML page size ("typical HTML
 	// totaling 42KB").
 	PaperHTMLBytes = 42000
 	// PaperBannerGIFBytes is Figure 1's "solutions" GIF size.
 	PaperBannerGIFBytes = 682
-	// PaperBannerCSSBytes is the paper's estimate for its replacement.
-	PaperBannerCSSBytes = 150
 )

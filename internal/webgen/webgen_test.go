@@ -2,15 +2,22 @@ package webgen
 
 import (
 	"bytes"
+	"image/gif"
+	"image/png"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/css"
 	"repro/internal/flatez"
-	"repro/internal/gifenc"
 	"repro/internal/htmlparse"
-	"repro/internal/pngenc"
+)
+
+// The paper's GIF totals, which the specs' targets add up to.
+const (
+	paperStaticGIFBytes    = 103299 // the 40 static images
+	paperAnimationGIFBytes = 24988  // the 2 animations
 )
 
 var (
@@ -48,12 +55,12 @@ func TestSiteShape(t *testing.T) {
 func TestImageTotalsNearPaper(t *testing.T) {
 	s := site(t)
 	static := s.StaticImageBytes()
-	if ratio := float64(static) / PaperStaticGIFBytes; ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("static GIF total = %d, want within 10%% of %d", static, PaperStaticGIFBytes)
+	if ratio := float64(static) / paperStaticGIFBytes; ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("static GIF total = %d, want within 10%% of %d", static, paperStaticGIFBytes)
 	}
 	anim := s.AnimationBytes()
-	if ratio := float64(anim) / PaperAnimationGIFBytes; ratio < 0.85 || ratio > 1.15 {
-		t.Fatalf("animation total = %d, want within 15%% of %d", anim, PaperAnimationGIFBytes)
+	if ratio := float64(anim) / paperAnimationGIFBytes; ratio < 0.85 || ratio > 1.15 {
+		t.Fatalf("animation total = %d, want within 15%% of %d", anim, paperAnimationGIFBytes)
 	}
 	// "Over half of the data was contained in a single image and two
 	// animations."
@@ -134,15 +141,15 @@ func TestHTMLReferencesAllImages(t *testing.T) {
 func TestImagesAreValidGIFs(t *testing.T) {
 	s := site(t)
 	for _, img := range s.Images {
-		frames, err := gifenc.DecodeAll(img.GIF)
+		g, err := gif.DecodeAll(bytes.NewReader(img.GIF))
 		if err != nil {
 			t.Fatalf("%s: %v", img.Spec.Name, err)
 		}
-		if img.Static() && len(frames) != 1 {
-			t.Errorf("%s: %d frames for static image", img.Spec.Name, len(frames))
+		if img.Static() && len(g.Image) != 1 {
+			t.Errorf("%s: %d frames for static image", img.Spec.Name, len(g.Image))
 		}
-		if !img.Static() && len(frames) < 2 {
-			t.Errorf("%s: %d frames for animation", img.Spec.Name, len(frames))
+		if !img.Static() && len(g.Image) < 2 {
+			t.Errorf("%s: %d frames for animation", img.Spec.Name, len(g.Image))
 		}
 	}
 }
@@ -303,15 +310,9 @@ func TestConvertImages(t *testing.T) {
 		t.Fatalf("MNG conversion grew animations: %d → %d", rep.AnimGIF, rep.AnimMNG)
 	}
 	// Converted files must be valid.
-	for _, img := range s.Images {
-		if img.Static() {
-			data, err := pngenc.Encode(toPNGImage(img.Image), pngenc.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pngenc.Decode(data); err != nil {
-				t.Fatalf("%s: converted PNG invalid: %v", img.Spec.Name, err)
-			}
+	for _, c := range rep.Static {
+		if _, err := png.Decode(bytes.NewReader(c.Data)); err != nil {
+			t.Fatalf("%s: converted PNG invalid: %v", c.Name, err)
 		}
 	}
 }
@@ -338,11 +339,11 @@ func TestSpecTargetsMatchPaperTotals(t *testing.T) {
 			static += s.Target
 		}
 	}
-	if static != PaperStaticGIFBytes {
-		t.Fatalf("static targets sum to %d, want %d", static, PaperStaticGIFBytes)
+	if static != paperStaticGIFBytes {
+		t.Fatalf("static targets sum to %d, want %d", static, paperStaticGIFBytes)
 	}
-	if anim != PaperAnimationGIFBytes {
-		t.Fatalf("animation targets sum to %d, want %d", anim, PaperAnimationGIFBytes)
+	if anim != paperAnimationGIFBytes {
+		t.Fatalf("animation targets sum to %d, want %d", anim, paperAnimationGIFBytes)
 	}
 	if count[RoleAnimation] != 2 {
 		t.Fatalf("animations = %d, want 2", count[RoleAnimation])
@@ -364,6 +365,20 @@ func TestHTMLContainsNoUnclosedTables(t *testing.T) {
 	if strings.Count(html, "<p>") != strings.Count(html, "</p>") {
 		t.Fatal("unbalanced paragraphs")
 	}
+}
+
+// ChangedFrom counts objects whose validators differ from the original
+// site's (including the page).
+func (s *Site) ChangedFrom(orig *Site) int {
+	n := 0
+	for _, path := range s.Paths() {
+		a, _ := s.Object(path)
+		b, ok := orig.Object(path)
+		if !ok || a.ETag != b.ETag {
+			n++
+		}
+	}
+	return n
 }
 
 func TestRevise(t *testing.T) {
@@ -419,10 +434,37 @@ func TestRevise(t *testing.T) {
 	}
 }
 
+// markupElement pulls the tag and class out of replacement markup, which
+// the generator writes as "<TAG CLASS=name>" plus text.
+func markupElement(markup string) (tag, class string, ok bool) {
+	open, _, ok := strings.Cut(strings.TrimPrefix(markup, "<"), ">")
+	fields := strings.Fields(open)
+	if !ok || !strings.HasPrefix(markup, "<") || len(fields) == 0 {
+		return "", "", false
+	}
+	for _, f := range fields[1:] {
+		if k, v, isAttr := strings.Cut(f, "="); isAttr && strings.EqualFold(k, "class") {
+			class = v
+		}
+	}
+	return strings.ToLower(fields[0]), class, true
+}
+
+// tagClassSelector reports whether sel is "tag.class" or ".class", the
+// only selectors the generator writes, and whether it matches the
+// element.
+func tagClassSelector(sel css.Selector, tag, class string) (kind, matches bool) {
+	if len(sel.Simple) != 1 || len(sel.Simple[0].Classes) != 1 || sel.Simple[0].ID != "" || len(sel.Simple[0].Pseudos) != 0 {
+		return false, false
+	}
+	ss := sel.Simple[0]
+	return true, (ss.Element == "" || strings.EqualFold(ss.Element, tag)) && strings.EqualFold(ss.Classes[0], class)
+}
+
 func TestCSSReplacementRulesMatchTheirMarkup(t *testing.T) {
-	// End-to-end through the CSS1 engine: every generated replacement
-	// rule must actually match the element its markup creates, and give
-	// banners the font/background treatment of the paper's Figure 1.
+	// Every generated replacement rule must actually match the element
+	// its markup creates, and give banners the font/background treatment
+	// of the paper's Figure 1.
 	s := site(t)
 	rep := s.CSSReplacements()
 	var src strings.Builder
@@ -437,30 +479,33 @@ func TestCSSReplacementRulesMatchTheirMarkup(t *testing.T) {
 	if warns := sheet.Validate(); len(warns) != 0 {
 		t.Fatalf("generated styles use non-CSS1 properties: %v", warns)
 	}
-	cascade := css.NewCascade(sheet)
+	for _, rule := range sheet.Rules {
+		for _, sel := range rule.Selectors {
+			if kind, _ := tagClassSelector(sel, "", ""); !kind {
+				t.Fatalf("selector %q is not tag.class or .class", sel)
+			}
+		}
+	}
 	for _, r := range rep.Replacements {
 		if r.Markup == "" {
 			continue // spacers are replaced by layout properties alone
 		}
-		var z htmlparse.Tokenizer
-		toks := z.Feed([]byte(r.Markup + ">"))
-		var elem css.Element
-		found := false
-		for _, tok := range toks {
-			if tok.Type == htmlparse.StartTag {
-				elem.Tag = tok.Data
-				if class, ok := tok.Attr("class"); ok {
-					elem.Classes = []string{class}
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
+		tag, class, ok := markupElement(r.Markup)
+		if !ok {
 			t.Errorf("%s: markup %q has no start tag", r.Name, r.Markup)
 			continue
 		}
-		style := cascade.Style([]css.Element{elem})
+		style := map[string]string{}
+		for _, rule := range sheet.Rules {
+			if slices.ContainsFunc(rule.Selectors, func(sel css.Selector) bool {
+				_, matches := tagClassSelector(sel, tag, class)
+				return matches
+			}) {
+				for _, d := range rule.Decls {
+					style[d.Property] = d.Value
+				}
+			}
+		}
 		if len(style) == 0 {
 			t.Errorf("%s: no rule matches markup %q", r.Name, r.Markup)
 			continue
@@ -543,8 +588,7 @@ func TestMicroscapeHTMLMatchesSite(t *testing.T) {
 
 // The page's link index is the same kind of artifact: built once however
 // many callers race for it, from the site's own page, shared by all of
-// them, free to fetch again, and a revised or CSS-ified site builds its
-// own.
+// them, free to fetch again, and a revised or CSS-ified site has its own.
 func TestLinkIndexBuiltOncePerSite(t *testing.T) {
 	s := site(t)
 	revised, err := s.Revise(0.3, 7)
@@ -555,21 +599,14 @@ func TestLinkIndexBuiltOncePerSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var pages [][]byte
-	build := func(html []byte) any {
-		mu.Lock()
-		defer mu.Unlock()
-		pages = append(pages, html)
-		return htmlparse.IndexPage(html)
-	}
-	got := make([]any, 8)
+	// The revision is fresh: its first LinkIndex calls race each other.
+	got := make([]*htmlparse.PageIndex, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = revised.LinkIndex(build)
+			got[i] = revised.LinkIndex()
 		}(i)
 	}
 	wg.Wait()
@@ -578,19 +615,24 @@ func TestLinkIndexBuiltOncePerSite(t *testing.T) {
 			t.Fatalf("caller %d got its own index", i)
 		}
 	}
-	css := cssified.LinkIndex(build)
-	if len(pages) != 2 || !bytes.Equal(pages[0], revised.HTML.Body) || !bytes.Equal(pages[1], cssified.HTML.Body) {
-		t.Fatalf("build ran %d times, want once per site on that site's page", len(pages))
+	css := cssified.LinkIndex()
+	for _, c := range []struct {
+		site *Site
+		x    *htmlparse.PageIndex
+	}{{revised, got[0]}, {cssified, css}} {
+		if want := htmlparse.IndexPage(c.site.HTML.Body).InlineURLs(); !slices.Equal(c.x.InlineURLs(), want) {
+			t.Fatalf("index lists %v, not the inline links of its own site's page %v", c.x.InlineURLs(), want)
+		}
 	}
 	// The shared site may have its index already (another test, -count).
-	orig := s.LinkIndex(func(html []byte) any { return htmlparse.IndexPage(html) })
+	orig := s.LinkIndex()
 	if orig == got[0] || orig == css {
 		t.Error("a derived site shares the original's index")
 	}
-	if a, b := orig.(*htmlparse.PageIndex).InlineURLs(), css.(*htmlparse.PageIndex).InlineURLs(); len(b) >= len(a) {
+	if a, b := orig.InlineURLs(), css.InlineURLs(); len(b) >= len(a) {
 		t.Errorf("the CSS-ified page's index lists %d inline links, the original's %d", len(b), len(a))
 	}
-	if n := testing.AllocsPerRun(10, func() { s.LinkIndex(build) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { s.LinkIndex() }); n != 0 {
 		t.Errorf("a later LinkIndex call allocates %v times, want 0", n)
 	}
 }
