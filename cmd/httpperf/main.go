@@ -10,8 +10,7 @@
 //	httpperf                 # everything
 //	httpperf -table 4        # one experiment: a paper table (1, 3-11) or one of
 //	                         # the named ones (modem, nagle, proxy, mux, blame, ...)
-//	httpperf -list           # every registered experiment + the scenario vocabulary
-//	httpperf -list-envs      # Table 1
+//	httpperf -list           # every registered experiment + the scenario grammar
 //	httpperf -runs 5         # averaging runs per cell (default 5)
 //	httpperf -seeds 2        # independent seed families per cell (default 1)
 //	httpperf -parallel 8     # worker goroutines (default NumCPU)
@@ -23,22 +22,22 @@
 //	httpperf -table variance -seeds 8       # seed-variance experiment: mean ± 95% CI
 //	                                        # and latency quantiles per cell
 //	httpperf -table 4 -stats -seeds 4       # any experiment + per-cell ±CI summary table
-//	httpperf -hist                          # run -scenario once, print per-request
-//	                                        # latency histograms (queue/TTFB/total)
 //
 // -seeds widens every cell from a point to a population: that many
 // independent seed families of -runs repetitions each.
 //
-// Observability (single-scenario mode; see -scenario for the cell):
+// Explaining one run (the spec grammar is printed by -list):
 //
-//	httpperf -pcap run.pcap        # packet capture for tcpdump/Wireshark
-//	httpperf -timeline run.json    # Perfetto / Chrome trace-event JSON
-//	httpperf -waterfall            # devtools-style request waterfall table
-//	httpperf -blame                # waterfall with per-request delay attribution
-//	                               # phase columns, plus the run's totals
-//	httpperf -critical-path        # page-load gating chain and its blame
-//	httpperf -topology proxy:WAN   # interpose a shared caching proxy
-//	httpperf -fault early-close    # inject a scripted fault profile
+//	httpperf -explain apache/pipelined/PPP/first           # report on stdout
+//	httpperf -explain apache/pipelined/WAN/first/proxy:WAN/early-close -seed 7 -o out
+//
+// The report is the run's packet summary, its request waterfall with
+// per-request delay attribution, the attribution totals, the page-load
+// critical path and the per-request latency histograms (queue/TTFB/
+// total). -o DIR also writes run.pcap (tcpdump/Wireshark), run.json
+// (Perfetto, with a critical-path track), dump.txt (tcpdump-style
+// packet dump), client.xplot and server.xplot (xplot(1) input),
+// client.seq and server.seq (time-sequence points) and report.txt.
 //
 // Live telemetry (any mode; all off by default and non-perturbing —
 // output stays byte-identical with these on):
@@ -63,6 +62,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -81,42 +81,40 @@ import (
 )
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:]))
 }
 
 // realMain carries the whole invocation so deferred telemetry and
 // profile finalizers run before the process exits.
-func realMain() int {
-	table := flag.String("table", "all", "which table to regenerate ("+strings.Join(exp.AllNames(), ", ")+", all)")
-	runs := flag.Int("runs", core.DefaultRuns, "averaging runs per cell")
-	seeds := flag.Int("seeds", 1, "independent seed families per cell (multiplies -runs)")
-	statsOn := flag.Bool("stats", false, "collect per-request latency distributions and append a per-cell mean ±95% CI summary table")
-	hist := flag.Bool("hist", false, "run -scenario once and print its per-request latency histograms (queue/TTFB/total)")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for independent simulation runs")
-	list := flag.Bool("list", false, "list registered experiments and the scenario vocabulary, then exit")
-	listEnvs := flag.Bool("list-envs", false, "print Table 1 (network environments) and exit")
-	asJSON := flag.Bool("json", false, "emit results as JSON (tables plus per-run metrics) instead of text tables")
-	asCSV := flag.Bool("csv", false, "emit per-run metrics as CSV instead of text tables")
-	scenario := flag.String("scenario", "apache/pipelined/PPP/first", "server/client/env/workload[/topology][/fault] cell for the observability flags")
-	topology := flag.String("topology", "direct", "topology for the observability run: direct, or proxy:ENV[:warm|:stale]")
-	fault := flag.String("fault", "", "fault profile for the observability run ("+strings.Join(faults.Names(), ", ")+")")
-	seed := flag.Uint64("seed", 1, "seed for the observability single-scenario run")
-	pcap := flag.String("pcap", "", "run -scenario once and write its packet capture to this pcap file")
-	timeline := flag.String("timeline", "", "run -scenario once and write its event timeline to this Perfetto JSON file")
-	waterfall := flag.Bool("waterfall", false, "run -scenario once and print its request waterfall table")
-	blame := flag.Bool("blame", false, "run -scenario once and print its waterfall with per-request delay attribution columns, plus the run totals")
-	criticalPath := flag.Bool("critical-path", false, "run -scenario once and print its page-load critical path (gating chain + blame)")
-	progress := flag.Bool("progress", false, "report live sweep progress (cells, runs, rate, ETA) on stderr")
-	telemetryOut := flag.String("telemetry", "", "stream live telemetry (samples, progress, flight records) to this JSON-lines file")
-	telemetryInterval := flag.Duration("telemetry-interval", 500*time.Millisecond, "sampler period for -telemetry")
-	flightDir := flag.String("flight", "", "arm the flight recorder: dump the last -flight-events bus events into this directory when a run panics, the recovery watchdog fires, or a cell errors")
-	flightEvents := flag.Int("flight-events", telemetry.DefaultFlightEvents, "events the flight recorder retains per run")
-	validateTelemetry := flag.String("validate-telemetry", "", "validate a -telemetry JSON-lines file against the telemetry/1 schema and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile at exit to this file")
-	profileSlowest := flag.String("profile-slowest", "", "after the sweep, re-run its slowest cell alone and write that CPU profile to this file")
-	flag.Parse()
+func realMain(args []string) int {
+	fs := flag.NewFlagSet("httpperf", flag.ContinueOnError)
+	table := fs.String("table", "all", "which table to regenerate ("+strings.Join(exp.AllNames(), ", ")+", all)")
+	runs := fs.Int("runs", core.DefaultRuns, "averaging runs per cell")
+	seeds := fs.Int("seeds", 1, "independent seed families per cell (multiplies -runs)")
+	statsOn := fs.Bool("stats", false, "collect per-request latency distributions and append a per-cell mean ±95% CI summary table")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "worker goroutines for independent simulation runs")
+	list := fs.Bool("list", false, "list registered experiments and the scenario grammar, then exit")
+	asJSON := fs.Bool("json", false, "emit results as JSON (tables plus per-run metrics) instead of text tables")
+	asCSV := fs.Bool("csv", false, "emit per-run metrics as CSV instead of text tables")
+	explainSpec := fs.String("explain", "", "run this scenario (see -list) once with every observer armed and print its report")
+	seed := fs.Uint64("seed", 1, "seed for the -explain run")
+	outDir := fs.String("o", "", "with -explain, also write the run's artifacts (pcap, Perfetto JSON, dump, xplot, time-sequence, report) into this directory")
+	progress := fs.Bool("progress", false, "report live sweep progress (cells, runs, rate, ETA) on stderr")
+	telemetryOut := fs.String("telemetry", "", "stream live telemetry (samples, progress, flight records) to this JSON-lines file")
+	telemetryInterval := fs.Duration("telemetry-interval", 500*time.Millisecond, "sampler period for -telemetry")
+	flightDir := fs.String("flight", "", "arm the flight recorder: dump the last -flight-events bus events into this directory when a run panics, the recovery watchdog fires, or a cell errors")
+	flightEvents := fs.Int("flight-events", telemetry.DefaultFlightEvents, "events the flight recorder retains per run")
+	validateTelemetry := fs.String("validate-telemetry", "", "validate a -telemetry JSON-lines file against the telemetry/1 schema and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	mutexprofile := fs.String("mutexprofile", "", "write a mutex-contention profile at exit to this file")
+	profileSlowest := fs.String("profile-slowest", "", "after the sweep, re-run its slowest cell alone and write that CPU profile to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "httpperf:", err)
@@ -127,9 +125,8 @@ func realMain() int {
 		printList(os.Stdout)
 		return 0
 	}
-	if *listEnvs {
-		report.Environments(os.Stdout)
-		return 0
+	if *outDir != "" && *explainSpec == "" {
+		return fail(errors.New("-o needs -explain SPEC"))
 	}
 	if *validateTelemetry != "" {
 		if err := validateStreamFile(*validateTelemetry, os.Stdout); err != nil {
@@ -201,8 +198,8 @@ func realMain() int {
 		defer mon.Progress.Close()
 	}
 
-	if *pcap != "" || *timeline != "" || *waterfall || *hist || *blame || *criticalPath {
-		if err := observe(*scenario, *topology, *fault, *seed, *pcap, *timeline, *waterfall, *hist, *blame, *criticalPath, mon); err != nil {
+	if *explainSpec != "" {
+		if err := explain(*explainSpec, *seed, *outDir, mon, os.Stdout, os.Stderr); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -337,7 +334,7 @@ func writeSlowestProfile(path string, s *exp.Session) error {
 }
 
 // printList enumerates the registered experiments and the scenario
-// vocabulary the -scenario and -topology flags accept.
+// grammar -explain accepts (core.ParseScenario's).
 func printList(w io.Writer) {
 	fmt.Fprintln(w, "Experiments (-table):")
 	for _, name := range exp.AllNames() {
@@ -345,98 +342,19 @@ func printList(w io.Writer) {
 		fmt.Fprintf(w, "  %-8s %s\n", name, e.Title)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Scenario spec (-scenario): server/client/env/workload[/topology][/fault]")
+	fmt.Fprintln(w, "Scenario spec (-explain): server/client/env/workload[/fifo][/nagle][/topology][/fault]")
 	fmt.Fprintln(w, "  server:   jigsaw, apache")
 	fmt.Fprintln(w, "  client:   http10, serial, pipelined, deflate, netscape, msie, mux, mux-push, burst")
 	fmt.Fprintln(w, "  env:      LAN, WAN, PPP")
 	fmt.Fprintln(w, "  workload: first, reval")
-	fmt.Fprintln(w, "  topology: direct, proxy:ENV[:warm|:stale]   (also the -topology flag)")
-	fmt.Fprintln(w, "            e.g. proxy:WAN:warm = shared cache at the ISP, primed and fresh")
-	fmt.Fprintf(w, "  fault:    %s   (also the -fault flag)\n", strings.Join(faults.Names(), ", "))
-	fmt.Fprintln(w, "            e.g. early-close = server drops the connection after 5 responses")
-}
-
-// observe runs one scenario with full observability and writes the
-// requested exports.
-func observe(spec, topology, fault string, seed uint64, pcap, timeline string, waterfall, hist, blame, criticalPath bool, mon *telemetry.Monitor) error {
-	sc, err := core.ParseScenario(spec)
-	if err != nil {
-		return err
-	}
-	if topology != "" && topology != "direct" {
-		if sc.Proxy, err = core.ParseTopology(topology); err != nil {
-			return err
-		}
-	}
-	if fault != "" {
-		if sc.Fault, err = faults.Parse(fault); err != nil {
-			return err
-		}
-	}
-	sc.Seed = seed
-	site, err := core.DefaultSite()
-	if err != nil {
-		return err
-	}
-	opts := []core.Option{core.WithCapture(), core.WithTimeline(), core.WithMonitor(mon)}
-	if hist {
-		opts = append(opts, core.WithStats())
-	}
-	if blame || criticalPath {
-		opts = append(opts, core.WithBlame())
-	}
-	res, err := core.Run(sc, site, opts...)
-	if err != nil {
-		return err
-	}
-	if pcap != "" {
-		f, err := os.Create(pcap)
-		if err != nil {
-			return err
-		}
-		if err := res.Capture.WritePcap(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "httpperf: wrote %s (%d packets)\n", pcap, res.Stats.Packets)
-	}
-	if timeline != "" {
-		f, err := os.Create(timeline)
-		if err != nil {
-			return err
-		}
-		// With an attribution run, the export carries the critical path
-		// as a highlighted track.
-		if err := res.Timeline.WritePerfettoPath(f, res.Blame.PerfettoPath()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "httpperf: wrote %s (%d events, %d spans)\n",
-			timeline, res.Timeline.Len(), len(res.Timeline.Spans()))
-	}
-	if waterfall || blame {
-		report.WriteWaterfall(os.Stdout, res.Timeline, res.Blame)
-	}
-	if blame {
-		report.BlameSummary(os.Stdout, res.Blame)
-	}
-	if criticalPath {
-		if blame {
-			fmt.Println()
-		}
-		report.CriticalPath(os.Stdout, res.Blame)
-	}
-	if hist {
-		fmt.Printf("%s  (%d requests)\n\n", sc, res.Latency.Count())
-		res.Latency.Fprint(os.Stdout)
-	}
-	return nil
+	fmt.Fprintln(w, "  fifo:     mux modes only: first-come-first-served stream scheduling")
+	fmt.Fprintln(w, "            e.g. apache/mux/PPP/first/fifo")
+	fmt.Fprintln(w, "  nagle:    leave the server's Nagle algorithm on (the paper's untuned server)")
+	fmt.Fprintln(w, "            e.g. jigsaw/serial/WAN/first/nagle")
+	fmt.Fprintln(w, "  topology: direct, proxy:ENV[:warm|:stale]")
+	fmt.Fprintln(w, "            e.g. apache/pipelined/PPP/first/proxy:WAN:warm = shared cache at the ISP, primed and fresh")
+	fmt.Fprintf(w, "  fault:    %s\n", strings.Join(faults.Names(), ", "))
+	fmt.Fprintln(w, "            e.g. apache/pipelined/WAN/first/early-close = server drops the connection after 5 responses")
 }
 
 func run(s *exp.Session, table string, asJSON, asCSV, statsOn bool) error {

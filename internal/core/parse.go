@@ -107,21 +107,23 @@ func ParseTopology(s string) (*ProxyScenario, error) {
 }
 
 // ParseScenario parses a
-// "server/client/env/workload[/fifo][/topology][/fault]" spec — e.g.
-// "apache/pipelined/PPP/first",
+// "server/client/env/workload[/fifo][/nagle][/topology][/fault]" spec —
+// e.g. "apache/pipelined/PPP/first",
 // "apache/pipelined/PPP/first/proxy:WAN:warm",
-// "apache/mux/PPP/first/fifo", or
+// "apache/mux/PPP/first/fifo", "jigsaw/serial/WAN/first/nagle", or
 // "apache/pipelined/WAN/first/early-close" — into a Scenario with zero
 // seed and no jitter. The optional "fifo" part (mux modes only)
-// switches the stream scheduler to first-come-first-served; the next
+// switches the stream scheduler to first-come-first-served; "nagle"
+// leaves the server's Nagle algorithm on, the paper's untuned
+// configuration, and does not show in Scenario.String. The next
 // optional part is either a ParseTopology spec interposing a shared
 // caching proxy or a faults.Profile name; when both are given the
 // topology comes first and the fault last.
 func ParseScenario(spec string) (Scenario, error) {
 	parts := strings.Split(spec, "/")
-	if len(parts) < 4 || len(parts) > 7 {
+	if len(parts) < 4 || len(parts) > 8 {
 		return Scenario{}, fmt.Errorf(
-			"scenario %q: want server/client/env/workload[/fifo][/topology][/fault] — server: jigsaw|apache; client: http10|serial|pipelined|deflate|netscape|msie|mux|mux-push|burst; env: LAN|WAN|PPP; workload: first|reval; topology: direct|proxy:ENV[:warm|:stale]; fault: %s",
+			"scenario %q: want server/client/env/workload[/fifo][/nagle][/topology][/fault] — server: jigsaw|apache; client: http10|serial|pipelined|deflate|netscape|msie|mux|mux-push|burst; env: LAN|WAN|PPP; workload: first|reval; topology: direct|proxy:ENV[:warm|:stale]; fault: %s",
 			spec, strings.Join(faults.Names(), "|"))
 	}
 	var sc Scenario
@@ -143,8 +145,14 @@ func ParseScenario(spec string) (Scenario, error) {
 		sc.MuxFIFO = true
 		rest = rest[1:]
 	}
+	if len(rest) > 0 && strings.EqualFold(rest[0], "nagle") {
+		// Run sets TCP_NODELAY on the server unless an override is
+		// present; an override with NoDelay unset puts Nagle back.
+		sc.ServerOverride = &httpserver.Config{Profile: sc.Server}
+		rest = rest[1:]
+	}
 	if len(rest) > 2 {
-		return Scenario{}, fmt.Errorf("scenario %q: too many parts after the workload (want [/fifo][/topology][/fault])", spec)
+		return Scenario{}, fmt.Errorf("scenario %q: too many parts after the workload (want [/fifo][/nagle][/topology][/fault])", spec)
 	}
 	if len(rest) >= 1 {
 		if f, ferr := faults.Parse(rest[0]); ferr == nil {
