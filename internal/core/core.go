@@ -180,8 +180,7 @@ var ErrMuxTopology = errors.New("core: mux-family client modes do not speak thro
 // a bad spec from a failed run. Like ParseTopology's, the message
 // enumerates what would have been accepted.
 func validateMode(sc Scenario) error {
-	mux := sc.Client == httpclient.ModeMux || sc.Client == httpclient.ModeMuxPush
-	if mux && sc.Proxy != nil {
+	if sc.Client.Framed() && sc.Proxy != nil {
 		return fmt.Errorf("%w: %s (want direct, or proxy:ENV[:warm|:stale] with an HTTP/1.x or burst client mode, e.g. proxy:WAN:warm)", ErrMuxTopology, sc)
 	}
 	return nil

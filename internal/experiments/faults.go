@@ -239,7 +239,7 @@ var mux = experiment{
 		// multiplexed to account.
 		var framed []row
 		for _, m := range measured[0] {
-			if mode := m.Results[0][0].Scenario.Client; mode != httpclient.ModeMux && mode != httpclient.ModeMuxPush {
+			if !m.Results[0][0].Scenario.Client.Framed() {
 				continue
 			}
 			framed = append(framed,

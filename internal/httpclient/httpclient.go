@@ -1,16 +1,24 @@
 // Package httpclient implements the simulated web client: the libwww
 // robot of the paper, in its four measured configurations (HTTP/1.0 with
 // parallel connections, HTTP/1.1 persistent, HTTP/1.1 pipelined, and
-// pipelined with deflate transport compression), plus header/connection
-// profiles approximating the product browsers of Tables 10 and 11.
+// pipelined with deflate transport compression), header/connection
+// profiles approximating the product browsers of Tables 10 and 11, and
+// three later designs: framed multiplexing (internal/mux), with and
+// without server push, and Http-Burst aggregation.
 //
-// The pipelined client reproduces the implementation strategy the paper
-// converged on: requests are buffered in a 1024-byte application buffer,
+// Every HTTP/1.x mode sends through one output buffer per connection,
+// the implementation strategy the paper converged on: a pipelining
+// connection buffers requests in a 1024-byte application buffer,
 // flushed explicitly after the first (HTML) request, when the buffer
 // fills, when the flush timer expires, or when the document parse
-// completes; TCP_NODELAY is set; and HTML is parsed incrementally as
-// response segments arrive so new request batches can be issued while the
-// page is still in flight.
+// completes; a connection that does not pipeline is the same buffer
+// flushed after every request. TCP_NODELAY is set, and HTML is
+// parsed incrementally as response segments arrive so new request
+// batches can be issued while the page is still in flight. A burst is a
+// plain HTTP/1.1 exchange whose one response carries every object.
+//
+// Under a recovery policy (faults.Policy) the robot degrades one rung at
+// a time after repeated failures: mux → pipelined → serial → HTTP/1.0.
 package httpclient
 
 import (
@@ -83,6 +91,10 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
+// Framed reports whether the mode fetches over the framed multiplexed
+// protocol (internal/mux) rather than HTTP/1.x.
+func (m Mode) Framed() bool { return m == ModeMux || m == ModeMuxPush }
+
 // Workload selects the paper's two test workloads.
 type Workload int
 
@@ -105,6 +117,13 @@ func (w Workload) String() string {
 // Config tunes the robot. Mode presets fill the zero fields; see
 // (Mode).Config.
 type Config struct {
+	// Mode decides the transport: a framed mode (Mode.Framed) fetches
+	// over one multiplexed connection (internal/mux), ModeMuxPush
+	// advertising SETTINGS_ENABLE_PUSH so the server pushes inline
+	// objects; ModeBurst asks for the page as a single aggregated
+	// response (Accept-Burst); every other mode speaks HTTP/1.x as the
+	// fields below set it up. The recovery ladder's first rung rewrites
+	// a framed Mode to ModeHTTP11Pipelined.
 	Mode Mode
 
 	Proto      string // HTTP/1.0 or HTTP/1.1
@@ -114,14 +133,6 @@ type Config struct {
 	// AcceptDeflate advertises and decodes deflate content coding.
 	AcceptDeflate bool
 	Style         Style
-
-	// Mux fetches over one framed multiplexed connection (internal/mux)
-	// instead of HTTP/1.x; MuxPush additionally advertises
-	// SETTINGS_ENABLE_PUSH so the server pushes inline objects. Burst
-	// asks the server for a single aggregated response (Accept-Burst).
-	Mux     bool
-	MuxPush bool
-	Burst   bool
 
 	// BufferSize is the pipelining output buffer (paper: 1024).
 	BufferSize int
@@ -237,15 +248,12 @@ func (m Mode) Config() Config {
 		c.KeepAlive = true
 		c.NoDelay = true
 		c.Style = StyleRobot11
-		c.Mux = true
-		c.MuxPush = m == ModeMuxPush
 	case ModeBurst:
 		c.Proto = "HTTP/1.1"
 		c.MaxConns = 1
 		c.KeepAlive = true
 		c.NoDelay = true
 		c.Style = StyleRobot11
-		c.Burst = true
 	}
 	return c
 }
@@ -279,7 +287,8 @@ type Result struct {
 	// RequestsRecovered counts requests that failed at least once and
 	// ultimately completed; RequestsFailed counts requests dropped
 	// permanently (retry budget exhausted or non-idempotent method) and
-	// responses whose deflate coding does not inflate.
+	// responses whose deflate coding does not inflate or whose burst
+	// payload does not decode.
 	RequestsRecovered int
 	RequestsFailed    int
 	// WastedBytes counts response bytes that were delivered and then
@@ -289,8 +298,9 @@ type Result struct {
 	// RecoverySeconds sums the intervals from each failure streak's
 	// first failure to the first retried response completing.
 	RecoverySeconds float64
-	// Fallbacks counts protocol degradations (pipelined → serial →
-	// HTTP/1.0) taken after repeated connection failures.
+	// Fallbacks counts protocol degradations (mux → pipelined → serial
+	// → HTTP/1.0) taken under a Recovery policy after connection
+	// failures.
 	Fallbacks int
 
 	// Responses206 counts partial-content responses (range probes and
@@ -309,7 +319,7 @@ type Result struct {
 	// InflatedBytes is the decoded size of those bodies.
 	InflatedBytes int64
 
-	// Multiplexed-mode accounting (zero outside Mux/MuxPush/Burst).
+	// Multiplexed-mode accounting (zero outside the framed modes).
 	// StreamsOpened counts client-initiated streams; PushPromised the
 	// promises the server made; PushUsed the promises this fetch
 	// claimed in place of its own request.

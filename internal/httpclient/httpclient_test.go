@@ -1,6 +1,7 @@
 package httpclient
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -9,7 +10,9 @@ import (
 	"repro/internal/faults"
 	"repro/internal/httpmsg"
 	"repro/internal/httpserver"
+	"repro/internal/mux"
 	"repro/internal/netem"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
 	"repro/internal/webgen"
@@ -237,51 +240,65 @@ func TestDeflateFetch(t *testing.T) {
 	}
 }
 
-// A page whose deflate coding does not inflate is a failed request. Its
-// coded bytes must not reach the link extractor (this body starts with a
-// reserved block type and goes on to look like markup with two images),
-// and nothing is cached for it.
+// A page whose deflate coding does not inflate is a failed request, and
+// so is a burst payload that does not decode. The coded bytes must not
+// reach the link extractor (this body starts with a reserved block type,
+// has no burst record line, and goes on to look like markup with two
+// images), and nothing is cached for the page.
 func TestUndecodableDeflatePageFails(t *testing.T) {
-	s := sim.New()
-	s.SetEventLimit(1_000_000)
-	n := tcpsim.NewNetwork(s)
-	client := n.AddHost("client")
-	serverHost := n.AddHost("server")
-	link := netem.Config{PropagationDelay: 2 * time.Millisecond, BitsPerSecond: 10_000_000, MTU: 1500}
-	n.ConnectHosts(client, serverHost, netem.NewAsymPath(s, "t", link, link))
-	resp := httpmsg.NewResponse(httpmsg.Proto11, 200)
-	resp.Header.Add("Content-Type", "text/html")
-	resp.Header.Add("Content-Encoding", "deflate")
-	resp.Body = []byte("\xff" + `<img src="/images/a.gif"><img src="/images/b.gif">`)
-	var paths []string
-	serverHost.Listen(80, tcpsim.Options{NoDelay: true}, func(*tcpsim.Conn) tcpsim.Handler {
-		var p httpmsg.RequestParser
-		return &tcpsim.Callbacks{Data: func(c *tcpsim.Conn, data []byte) {
-			reqs, err := p.Feed(data)
-			if err != nil {
-				t.Errorf("request parse: %v", err)
+	for _, c := range []struct {
+		name        string
+		mode        Mode
+		header      []string // name, value pairs
+		deflateResp int
+	}{
+		{"deflate", ModeHTTP11PipelinedDeflate, []string{"Content-Type", "text/html", "Content-Encoding", "deflate"}, 1},
+		{"burst", ModeBurst, []string{"Content-Type", mux.BurstContentType}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := sim.New()
+			s.SetEventLimit(1_000_000)
+			n := tcpsim.NewNetwork(s)
+			client := n.AddHost("client")
+			serverHost := n.AddHost("server")
+			link := netem.Config{PropagationDelay: 2 * time.Millisecond, BitsPerSecond: 10_000_000, MTU: 1500}
+			n.ConnectHosts(client, serverHost, netem.NewAsymPath(s, "t", link, link))
+			resp := httpmsg.NewResponse(httpmsg.Proto11, 200)
+			for i := 0; i < len(c.header); i += 2 {
+				resp.Header.Add(c.header[i], c.header[i+1])
 			}
-			for _, req := range reqs {
-				paths = append(paths, req.Target)
-				if err := c.Write(resp.Marshal()); err != nil {
-					t.Errorf("write: %v", err)
-				}
-			}
-		}}
-	})
-	robot := NewRobot(s, client, "server", 80, ModeHTTP11PipelinedDeflate.Config(), nil, nil, 0)
-	s.Schedule(0, func() { robot.Start("/", FirstTime, nil) })
-	s.Run()
+			resp.Body = []byte("\xff" + `<img src="/images/a.gif"><img src="/images/b.gif">`)
+			var paths []string
+			serverHost.Listen(80, tcpsim.Options{NoDelay: true}, func(*tcpsim.Conn) tcpsim.Handler {
+				var p httpmsg.RequestParser
+				return &tcpsim.Callbacks{Data: func(c *tcpsim.Conn, data []byte) {
+					reqs, err := p.Feed(data)
+					if err != nil {
+						t.Errorf("request parse: %v", err)
+					}
+					for _, req := range reqs {
+						paths = append(paths, req.Target)
+						if err := c.Write(resp.Marshal()); err != nil {
+							t.Errorf("write: %v", err)
+						}
+					}
+				}}
+			})
+			robot := NewRobot(s, client, "server", 80, c.mode.Config(), nil, nil, 0)
+			s.Schedule(0, func() { robot.Start("/", FirstTime, nil) })
+			s.Run()
 
-	res := robot.Result()
-	if !robot.Finished() || res.RequestsFailed != 1 || res.DeflateResponses != 1 || res.InflatedBytes != 0 {
-		t.Fatalf("finished %v, result %+v; want one failed deflate response", robot.Finished(), res)
-	}
-	if len(paths) != 1 {
-		t.Fatalf("server saw requests for %v, want only the page", paths)
-	}
-	if robot.Cache().Len() != 0 {
-		t.Fatalf("%d cache entries, want none", robot.Cache().Len())
+			res := robot.Result()
+			if !robot.Finished() || res.RequestsFailed != 1 || res.DeflateResponses != c.deflateResp || res.InflatedBytes != 0 {
+				t.Fatalf("finished %v, result %+v; want one failed response", robot.Finished(), res)
+			}
+			if len(paths) != 1 {
+				t.Fatalf("server saw requests for %v, want only the page", paths)
+			}
+			if robot.Cache().Len() != 0 {
+				t.Fatalf("%d cache entries, want none", robot.Cache().Len())
+			}
+		})
 	}
 }
 
@@ -470,6 +487,10 @@ func TestFailConnRequeue(t *testing.T) {
 		if res.SocketsUsed < 2 {
 			t.Fatalf("sockets = %d, want reconnects", res.SocketsUsed)
 		}
+		// Without a policy the robot stops pipelining but counts nothing.
+		if res.Fallbacks != 0 {
+			t.Fatalf("fallbacks = %d without a policy, want 0", res.Fallbacks)
+		}
 	})
 	t.Run("policy", func(t *testing.T) {
 		cfg := ModeHTTP11Pipelined.Config()
@@ -496,6 +517,44 @@ func TestFailConnRequeue(t *testing.T) {
 			t.Fatalf("pipelined → serial fallback not recorded: %+v", res)
 		}
 	})
+}
+
+// TestDegradationLadder runs a mux robot against a server that resets
+// every connection: it must step down one rung at a time — mux →
+// pipelined → serial → HTTP/1.0 — and, once the retry budget is spent,
+// give up on the page and finish.
+func TestDegradationLadder(t *testing.T) {
+	s := sim.New()
+	s.SetEventLimit(1_000_000)
+	n := tcpsim.NewNetwork(s)
+	client := n.AddHost("client")
+	serverHost := n.AddHost("server")
+	link := netem.Config{PropagationDelay: 2 * time.Millisecond, BitsPerSecond: 10_000_000, MTU: 1500}
+	n.ConnectHosts(client, serverHost, netem.NewAsymPath(s, "t", link, link))
+	serverHost.Listen(80, tcpsim.Options{NoDelay: true}, func(*tcpsim.Conn) tcpsim.Handler {
+		return &tcpsim.Callbacks{Data: func(c *tcpsim.Conn, _ []byte) { c.Abort() }}
+	})
+	bus := obs.New(s)
+	cfg := ModeMux.Config()
+	pol := faults.Default()
+	cfg.Recovery, cfg.Obs = &pol, bus
+	robot := NewRobot(s, client, "server", 80, cfg, nil, nil, 0)
+	s.Schedule(0, func() { robot.Start("/", FirstTime, nil) })
+	s.Run()
+
+	var rungs []string
+	for _, ev := range bus.Events() {
+		if ev.Kind == obs.KindFallback {
+			rungs = append(rungs, fmt.Sprintf("(%d, %s)", ev.A, ev.Note))
+		}
+	}
+	if got, want := strings.Join(rungs, " "), "(1, pipelined) (1, serial) (2, http10)"; got != want {
+		t.Fatalf("fallbacks %s, want %s", got, want)
+	}
+	res := robot.Result()
+	if !robot.Finished() || res.Fallbacks != 3 {
+		t.Fatalf("finished %v, result %+v; want 3 fallbacks", robot.Finished(), res)
+	}
 }
 
 // TestStallTimeout wedges the server after the headers of one response

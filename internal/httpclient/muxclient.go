@@ -77,7 +77,7 @@ func (r *Robot) dialMux() *muxConn {
 	r.result.SocketsUsed++
 	r.result.MaxSimultaneousConns = max(r.result.MaxSimultaneousConns, r.liveCount())
 	sess := mux.NewClient(func(b []byte) { mc.conn.Write(b) })
-	sess.EnablePush = r.cfg.MuxPush
+	sess.EnablePush = r.cfg.Mode == ModeMuxPush
 	sess.FIFO = r.cfg.MuxFIFO
 	sess.OnHeaders = mc.onHeaders
 	sess.OnData = mc.onStreamData
@@ -256,7 +256,7 @@ func (mc *muxConn) complete(ms *muxStream) {
 		r.cfg.Obs.SpanDone(ms.span, ms.status, int64(ms.bodyLen))
 	}
 	r.cpu.Run(r.cfg.PerRequestCPU, func() {
-		r.handleResponse(nil, it, resp)
+		r.handleResponse(it, resp)
 	})
 }
 
@@ -325,12 +325,7 @@ func (mc *muxConn) onGoaway(last uint32, code mux.ErrCode) {
 // and clear for a whole-session failure. The caller dispatches.
 func (mc *muxConn) requeueStream(ms *muxStream, chargeBudget bool) {
 	r := mc.r
-	p := r.cfg.Recovery
 	r.result.WastedBytes += int64(ms.bodyLen)
-	if p != nil && !r.recovering {
-		r.recovering = true
-		r.recoverFrom = r.sim.Now()
-	}
 	ms.claimed = false
 	ms.cancelled = true // late DATA racing the reset is waste
 	r.requeue(ms.it, chargeBudget)
@@ -504,10 +499,9 @@ func (mc *muxConn) fillStats() {
 
 // muxFail retires a failed mux connection: undelivered claimed items
 // are re-queued (a fresh session will re-issue them), partial bodies
-// and orphaned pushes become waste, and dispatch redials — or, after
-// FallbackAfter consecutive session failures, continues the fetch over
-// HTTP/1.1 pipelining (from which the existing ladder can degrade
-// further to serial and HTTP/1.0).
+// and orphaned pushes become waste, and dispatch redials — or, once
+// noteFailure has stepped down the ladder, continues the fetch over
+// HTTP/1.1 pipelining.
 func (r *Robot) muxFail(mc *muxConn) { r.muxFailErr(mc, true) }
 
 func (r *Robot) muxFailErr(mc *muxConn, isError bool) {
@@ -520,8 +514,7 @@ func (r *Robot) muxFailErr(mc *muxConn, isError bool) {
 		r.mux = nil
 	}
 	if isError {
-		r.result.Errors++
-		r.noteFailure(r.fallbackMuxDegrade)
+		r.noteFailure()
 	}
 	mc.fillStats()
 	for _, st := range mc.sess.Streams() {

@@ -63,7 +63,6 @@ type Robot struct {
 
 	// Recovery state, all inert while cfg.Recovery is nil.
 	consecFails  int
-	fallbackLvl  int
 	retryCharge  int // retries counted against Policy.RetryBudget
 	backoffUntil sim.Time
 	backoffTimer sim.TimerHandle
@@ -171,34 +170,15 @@ func (r *Robot) discoverLinks(chunk []byte) {
 	r.dispatch()
 }
 
-// dispatch moves queued work onto connections.
+// dispatch moves queued work onto connections: a framed robot's onto
+// its mux session, an HTTP/1.x robot's through idleConn, which hands a
+// pipelining robot its one connection whatever it has outstanding.
 func (r *Robot) dispatch() {
-	if r.finished {
+	if r.finished || r.holdForBackoff() {
 		return
 	}
-	if r.holdForBackoff() {
-		return
-	}
-	if r.cfg.Mux {
+	if r.cfg.Mode.Framed() {
 		r.muxDispatch()
-		r.checkDone()
-		return
-	}
-	if r.cfg.Pipelining && !r.cautious {
-		if len(r.queue) > 0 {
-			c := r.soleConn()
-			for len(r.queue) > 0 {
-				it := r.queue[0]
-				r.queue = r.queue[1:]
-				c.enqueuePipelined(it)
-			}
-		}
-		// Flush before idle: once the document parse is complete no
-		// further requests can appear, so waiting for the timer would
-		// only lose time (the paper's explicit-flush insight).
-		if c := r.liveConn(); c != nil && c.conn.Corked() > 0 && !r.htmlPending {
-			c.flush()
-		}
 	} else {
 		for len(r.queue) > 0 {
 			c := r.idleConn()
@@ -207,7 +187,13 @@ func (r *Robot) dispatch() {
 			}
 			it := r.queue[0]
 			r.queue = r.queue[1:]
-			c.sendImmediate(it)
+			c.enqueue(it)
+		}
+		// Flush before idle: once the document parse is complete no
+		// further requests can appear, so waiting for the timer would
+		// only lose time (the paper's explicit-flush insight).
+		if c := r.liveConn(); c != nil && c.conn.Corked() > 0 && !r.htmlPending {
+			c.flush()
 		}
 	}
 	r.checkDone()
@@ -229,39 +215,40 @@ func (r *Robot) holdForBackoff() bool {
 	return true
 }
 
-// fallbackDegrade is the bottom of the degradation ladder, taken after
-// FallbackAfter consecutive connection failures: give up on persistent
-// connections entirely and fall back to HTTP/1.0, one request per
-// connection. (The ladder's first step, pipelined → serial, is taken in
-// failConn on the first pipelined error.)
-func (r *Robot) fallbackDegrade() {
-	if r.fallbackLvl >= 2 || r.cfg.Proto != "HTTP/1.1" {
-		return
+// pipelines reports whether the robot pipelines requests on its
+// connection; a reset (or the ladder) can turn this off mid-fetch.
+func (r *Robot) pipelines() bool { return r.cfg.Pipelining && !r.cautious }
+
+// stepDown takes the degradation ladder's next rung below the robot's
+// current protocol and reports whether there was one: framed
+// multiplexing → HTTP/1.1 pipelining → one request at a time →
+// HTTP/1.0, one request per connection. The serial rung is also the
+// legacy answer to a reset with pipelined requests outstanding, so it is
+// taken without a Recovery policy too, but counted only under one.
+func (r *Robot) stepDown() bool {
+	switch {
+	case r.cfg.Mode.Framed():
+		r.cfg.Mode = ModeHTTP11Pipelined
+		r.cfg.Pipelining, r.cfg.ExplicitFirstFlush = true, true
+		r.fellBack(1, "pipelined")
+	case r.pipelines():
+		r.cautious = true
+		if r.cfg.Recovery != nil {
+			r.fellBack(1, "serial")
+		}
+	case r.cfg.Proto == "HTTP/1.1":
+		r.cfg.Proto, r.cfg.KeepAlive, r.cfg.Pipelining = "HTTP/1.0", false, false
+		r.fellBack(2, "http10")
+	default:
+		return false
 	}
-	r.cfg.Proto = "HTTP/1.0"
-	r.cfg.KeepAlive = false
-	r.cfg.Pipelining = false
-	r.fallbackLvl = 2
-	r.consecFails = 0
-	r.result.Fallbacks++
-	r.cfg.Obs.Fallback(2, "http10")
+	return true
 }
 
-// fallbackMuxDegrade abandons framed multiplexing after FallbackAfter
-// consecutive session failures: the fetch continues over HTTP/1.1
-// pipelining — the top of the HTTP/1.x ladder, so later failures can
-// still step down to serial and HTTP/1.0 via failConn.
-func (r *Robot) fallbackMuxDegrade() {
-	if !r.cfg.Mux {
-		return
-	}
-	r.cfg.Mux = false
-	r.cfg.MuxPush = false
-	r.cfg.Pipelining = true
-	r.cfg.ExplicitFirstFlush = true
-	r.consecFails = 0
+// fellBack counts one step down the ladder and publishes it.
+func (r *Robot) fellBack(level int, name string) {
 	r.result.Fallbacks++
-	r.cfg.Obs.Fallback(1, "pipelined")
+	r.cfg.Obs.Fallback(level, name)
 }
 
 // liveConn returns the open connection, if any.
@@ -274,24 +261,18 @@ func (r *Robot) liveConn() *clientConn {
 	return nil
 }
 
-// soleConn returns the pipelining connection, dialing if needed.
-func (r *Robot) soleConn() *clientConn {
-	if c := r.liveConn(); c != nil {
-		return c
-	}
-	return r.dial()
-}
-
-// idleConn returns a reusable connection with nothing outstanding, or
-// dials a new one within MaxConns.
+// idleConn returns a connection that can take a request — for a
+// pipelining robot its live one, otherwise one with nothing outstanding —
+// or dials a new one within MaxConns.
 func (r *Robot) idleConn() *clientConn {
+	pipelines := r.pipelines()
 	live := 0
 	for _, c := range r.conns {
 		if c.dead {
 			continue
 		}
 		live++
-		if len(c.inflight) == 0 {
+		if pipelines || len(c.inflight) == 0 {
 			return c
 		}
 	}
@@ -383,14 +364,14 @@ func (r *Robot) buildItemRequest(it workItem) *httpmsg.Request {
 	if it.isHTML && r.cfg.AcceptDeflate {
 		req.Header.Add("Accept-Encoding", "deflate")
 	}
-	if it.isHTML && r.cfg.Burst {
+	if it.isHTML && r.cfg.Mode == ModeBurst {
 		req.Header.Add(mux.BurstRequestHeader, mux.BurstRequestValue)
 	}
 	return req
 }
 
 // handleResponse runs after per-response client CPU work.
-func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Response) {
+func (r *Robot) handleResponse(it workItem, resp *httpmsg.Response) {
 	if r.finished {
 		return
 	}
@@ -405,10 +386,6 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 				r.result.RecoverySeconds += r.sim.Now().Sub(r.recoverFrom).Seconds()
 			}
 		}
-	}
-	if r.cfg.Burst && it.isHTML {
-		r.handleBurstResponse(it, resp)
-		return
 	}
 	// body is nil when wantsBody declined it; size is what arrived.
 	body, size := resp.Body, resp.BodyLen
@@ -451,22 +428,31 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 		}
 	}
 
+	// A burst is the metadata and the body of every object on the page.
+	burst := it.isHTML && r.cfg.Mode == ModeBurst
 	deflated := resp.Header.Get("Content-Encoding") == "deflate"
-	if deflated {
+	bursted := burst && resp.StatusCode == 200 && resp.Header.Get("Content-Type") == mux.BurstContentType
+	var records []mux.BurstRecord
+	var err error
+	switch {
+	case deflated:
 		r.result.DeflateResponses++
-		decoded, err := flatez.Decompress(body)
-		if err != nil {
-			// Nothing to parse and nothing to cache: the request failed.
-			r.result.RequestsFailed++
-			if it.isHTML {
-				r.htmlPending = false
-			}
-			r.handled++
-			r.dispatch()
-			return
+		if body, err = flatez.Decompress(body); err == nil {
+			size = len(body)
+			r.result.InflatedBytes += int64(size)
 		}
-		body, size = decoded, len(decoded)
-		r.result.InflatedBytes += int64(size)
+	case bursted:
+		records, err = mux.DecodeBurst(body)
+	}
+	if err != nil {
+		// Nothing to parse and nothing to cache: the request failed.
+		r.result.RequestsFailed++
+		if it.isHTML {
+			r.htmlPending = false
+		}
+		r.handled++
+		r.dispatch()
+		return
 	}
 
 	if it.isHTML {
@@ -480,10 +466,14 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 		}
 		if r.workload == Revalidate && resp.StatusCode == 304 {
 			// The cached page is fresh: validate every inline object the
-			// cache recorded for it.
+			// cache recorded for it — a burst's 304 already has.
 			if e, ok := r.cache.Get(it.path); ok {
 				for _, url := range e.Links {
-					r.enqueueImage(url)
+					if !burst {
+						r.enqueueImage(url)
+					} else if c, ok := r.cache.Get(url); ok {
+						c.Validations++
+					}
 				}
 			}
 		}
@@ -491,8 +481,10 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 	}
 
 	// Cache maintenance.
-	switch resp.StatusCode {
-	case 200:
+	switch {
+	case bursted:
+		r.cacheRecords(it.path, records)
+	case resp.StatusCode == 200:
 		e := &Entry{
 			Path:         it.path,
 			ContentType:  resp.Header.Get("Content-Type"),
@@ -504,7 +496,7 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 			e.Links = append([]string(nil), r.imageURLs...)
 		}
 		r.cache.Put(e)
-	case 206:
+	case resp.StatusCode == 206:
 		if e, ok := r.cache.Get(it.path); ok {
 			if et := resp.Header.Get("ETag"); et != "" {
 				e.ETag = et
@@ -513,7 +505,7 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 				e.LastModified = lm
 			}
 		}
-	case 304:
+	case resp.StatusCode == 304:
 		if e, ok := r.cache.Get(it.path); ok {
 			e.Validations++
 		}
@@ -521,6 +513,30 @@ func (r *Robot) handleResponse(cc *clientConn, it workItem, resp *httpmsg.Respon
 
 	r.handled++
 	r.dispatch()
+}
+
+// cacheRecords stores every object a burst response carried; the page's
+// entry lists the others as its inline links.
+func (r *Robot) cacheRecords(page string, records []mux.BurstRecord) {
+	var links []string
+	for _, rec := range records {
+		if rec.Path != page {
+			links = append(links, rec.Path)
+		}
+	}
+	for _, rec := range records {
+		e := &Entry{
+			Path:         rec.Path,
+			ContentType:  rec.ContentType,
+			ETag:         rec.ETag,
+			LastModified: rec.LastModified,
+			Size:         len(rec.Body),
+		}
+		if rec.Path == page {
+			e.Links = links
+		}
+		r.cache.Put(e)
+	}
 }
 
 // checkDone finishes the fetch when all issued work is complete.
@@ -550,51 +566,31 @@ func (r *Robot) checkDone() {
 }
 
 // failConn re-queues unanswered requests from a failed or closed
-// connection and retires it. With a Recovery policy it additionally
-// enforces the retry budget and idempotency, opens the backoff window,
-// and steps down the protocol ladder after repeated failures.
+// connection and retires it. A reset with pipelined requests outstanding
+// leaves the client unable to tell which requests succeeded (the paper's
+// connection-management scenario), so the robot falls back to one
+// request at a time, the defensive behaviour deployed clients adopted.
+// Under a Recovery policy a graceful close that takes a pipelined batch
+// down with it does the same (each close costs the whole outstanding
+// batch, and clean re-pipelining can repeat forever), and failures count
+// towards backoff and the rest of the ladder (noteFailure).
 func (r *Robot) failConn(cc *clientConn, isError bool) {
 	if cc.dead {
 		return
 	}
 	cc.dead = true
 	cc.stopWatchdog()
-	p := r.cfg.Recovery
-	if isError {
-		r.result.Errors++
-		// A reset with pipelined requests outstanding leaves the client
-		// unable to tell which requests succeeded (the paper's
-		// connection-management scenario). Fall back to one request at a
-		// time, the defensive behaviour deployed clients adopted. Under a
-		// Recovery policy this is the ladder's first step.
-		if r.cfg.Pipelining && !r.cautious {
-			r.cautious = true
-			if p != nil {
-				r.fallbackLvl = 1
-				r.result.Fallbacks++
-				r.cfg.Obs.Fallback(1, "serial")
-			}
-		}
-		r.noteFailure(r.fallbackDegrade)
+	n := len(cc.inflight)
+	if r.pipelines() && (isError || r.cfg.Recovery != nil && n > 1) {
+		r.stepDown()
 	}
-	if n := len(cc.inflight); n > 0 {
-		// Even a graceful close that takes a pipelined batch down with it
-		// makes pipelining unproductive (each close costs the whole
-		// outstanding batch, and clean re-pipelining can repeat forever):
-		// under a policy, step down to serial after the first one.
-		if p != nil && !isError && r.cfg.Pipelining && !r.cautious && n > 1 {
-			r.cautious = true
-			r.fallbackLvl = 1
-			r.result.Fallbacks++
-			r.cfg.Obs.Fallback(1, "serial")
-		}
+	if isError {
+		r.noteFailure()
+	}
+	if n > 0 {
 		// Bytes of a partial in-progress response are delivered work the
 		// retry will repeat.
 		r.result.WastedBytes += int64(cc.parser.Pending())
-		if p != nil && !r.recovering {
-			r.recovering = true
-			r.recoverFrom = r.sim.Now()
-		}
 		for _, it := range cc.inflight {
 			r.requeue(it, true)
 		}
@@ -603,11 +599,12 @@ func (r *Robot) failConn(cc *clientConn, isError bool) {
 	r.dispatch()
 }
 
-// noteFailure counts one more consecutive connection (or mux session)
-// failure against the Recovery policy: it opens the backoff window and,
-// after FallbackAfter failures in a row, takes the caller's step down
-// the protocol ladder.
-func (r *Robot) noteFailure(degrade func()) {
+// noteFailure counts one connection (or mux session) failure. Under a
+// Recovery policy it also opens the backoff window and, after
+// FallbackAfter consecutive failures, steps down the protocol ladder,
+// which starts the count afresh.
+func (r *Robot) noteFailure() {
+	r.result.Errors++
 	p := r.cfg.Recovery
 	if p == nil {
 		return
@@ -617,13 +614,14 @@ func (r *Robot) noteFailure(degrade func()) {
 		r.backoffUntil = r.sim.Now().Add(b)
 		r.cfg.Obs.RetryBackoff(b, r.consecFails)
 	}
-	if p.FallbackAfter > 0 && r.consecFails >= p.FallbackAfter {
-		degrade()
+	if p.FallbackAfter > 0 && r.consecFails >= p.FallbackAfter && r.stepDown() {
+		r.consecFails = 0
 	}
 }
 
 // requeue puts an unanswered request back on the queue as a retry and
-// reports whether it did. Under a Recovery policy a request that is
+// reports whether it did; under a Recovery policy the first requeue of a
+// failure streak opens the recovery interval. A request that is
 // unsafe to replay, or — when charge is set — one the RetryBudget no
 // longer covers, is dropped permanently instead of retried forever; its
 // span stays open-ended, which the waterfall marks abandoned. charge
@@ -634,6 +632,10 @@ func (r *Robot) noteFailure(degrade func()) {
 // redials — ever engaged. The caller dispatches.
 func (r *Robot) requeue(it workItem, charge bool) bool {
 	p := r.cfg.Recovery
+	if p != nil && !r.recovering {
+		r.recovering = true
+		r.recoverFrom = r.sim.Now()
+	}
 	if p != nil && (!idempotent(it.method) || (charge && !p.Allow(r.retryCharge))) {
 		r.issued--
 		r.result.RequestsFailed++
@@ -683,39 +685,30 @@ type clientConn struct {
 	unflushed []obs.SpanID
 }
 
-// enqueuePipelined appends the request to the output buffer (the corked
-// tail of the connection's send buffer) and applies the paper's flush policy.
-func (cc *clientConn) enqueuePipelined(it workItem) {
-	cc.conn.Cork(cc.r.buildItemRequest(it).AppendTo)
+// enqueue appends the request to the output buffer (the corked tail of
+// the connection's send buffer) and applies the paper's flush policy. A
+// connection that does not pipeline flushes every request.
+func (cc *clientConn) enqueue(it workItem) {
+	r := cc.r
+	cc.conn.Cork(r.buildItemRequest(it).AppendTo)
 	cc.inflight = append(cc.inflight, it)
 	cc.parser.PushExpectation(it.method)
-	cc.r.issued++
-	if it.span != 0 {
+	r.issued++
+	pipelines := r.pipelines()
+	if !pipelines {
+		r.cfg.Obs.SpanWritten(it.span, cc.conn.ObsID())
+	} else if it.span != 0 {
 		cc.unflushed = append(cc.unflushed, it.span)
 	}
 
 	first := !cc.sentFirst
 	cc.sentFirst = true
 	switch {
-	case first && cc.r.cfg.ExplicitFirstFlush:
-		cc.flush()
-	case cc.conn.Corked() >= cc.r.cfg.BufferSize:
+	case !pipelines, first && r.cfg.ExplicitFirstFlush, cc.conn.Corked() >= r.cfg.BufferSize:
 		cc.flush()
 	default:
 		cc.armFlushTimer()
 	}
-}
-
-// sendImmediate writes one request with no buffering (serial modes).
-func (cc *clientConn) sendImmediate(it workItem) {
-	req := cc.r.buildItemRequest(it)
-	cc.inflight = append(cc.inflight, it)
-	cc.parser.PushExpectation(it.method)
-	cc.r.issued++
-	cc.r.cfg.Obs.SpanWritten(it.span, cc.conn.ObsID())
-	cc.conn.Cork(req.AppendTo)
-	cc.conn.Flush()
-	cc.armWatchdog()
 }
 
 func (cc *clientConn) flush() {
@@ -824,7 +817,7 @@ func (cc *clientConn) deliver(resps []*httpmsg.Response) {
 		}
 
 		r.cpu.Run(r.cfg.PerRequestCPU, func() {
-			r.handleResponse(cc, it, resp)
+			r.handleResponse(it, resp)
 		})
 	}
 	// New idle capacity may exist (connection reuse).
