@@ -9,15 +9,19 @@ import (
 )
 
 // TestRunAllocationBudget pins what one core.Run allocates, so that the
-// allocation diet of the data paths cannot silently regress: a payload
-// byte is copied once on the way out (into the TCP send buffer) and, for
-// a body nothing reads, not at all on the way in; heads are parsed in
-// place; the packet trace is tallied, not retained; the page's links
-// come from the site's link index, cached for revalidation and replayed,
-// not re-parsed, on a first-time fetch. Budgets are the measured cost (in
-// the comment) plus about a fifth. Scanning the page on every first-time
-// fetch cost 678 KB / 1218 allocations and 1083 KB / 2591 on the two
-// first-time cells.
+// allocation diet of the data paths cannot silently regress: a body goes
+// to the wire by reference, with only the bytes of a segment that
+// straddles a head and a body copied (into the network's send arena), and,
+// for a body nothing reads, is not copied at all on the way in; heads are
+// parsed in place; the packet trace is tallied, not retained; the page's
+// links come from the site's link index, cached for revalidation and
+// replayed, not re-parsed, on a first-time fetch. Budgets are the measured
+// cost (in the comment) plus about a fifth. Scanning the page on every
+// first-time fetch cost 678 KB / 1218 allocations and 1083 KB / 2591 on
+// the two first-time cells; copying every body into the send buffer cost
+// 636 KB / 876, 174 KB / 763, 1045 KB / 2232, 409 KB / 1628 and
+// 1476 KB / 2192 on the five cells. HTTP/1.0 opens 43 connections, so its
+// cell catches a cost per connection.
 func TestRunAllocationBudget(t *testing.T) {
 	site, err := core.DefaultSite()
 	if err != nil {
@@ -27,9 +31,11 @@ func TestRunAllocationBudget(t *testing.T) {
 		name      string
 		kb, count float64
 	}{
-		{"apache/pipelined/WAN/first", 765, 1050}, // 636 KB, 876 allocations
-		{"apache/pipelined/WAN/reval", 220, 920},  // 174 KB, 763
-		{"apache/mux/WAN/first", 1255, 2680},      // 1045 KB, 2232
+		{"apache/pipelined/WAN/first", 260, 1050},           // 217 KB, 875 allocations
+		{"apache/pipelined/WAN/reval", 175, 895},            // 143 KB, 745
+		{"apache/mux/WAN/first", 845, 2675},                 // 702 KB, 2229
+		{"apache/http10/WAN/first", 335, 1860},              // 278 KB, 1547
+		{"apache/pipelined/WAN/first/proxy:WAN", 690, 2550}, // 573 KB, 2124
 	} {
 		sc, err := core.ParseScenario(cell.name)
 		if err != nil {

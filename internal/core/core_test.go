@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"hash/crc32"
 	"sync"
 	"testing"
 
@@ -366,6 +367,75 @@ func TestPaperDataComplete(t *testing.T) {
 // Deflate runs share the site's one precomputed artifact: two at once
 // (the experiment pool's situation; run under -race) must each see what
 // a run on its own sees.
+// siteCRCs returns the CRC-32 of every object body of site and of every
+// deflated page, by path.
+func siteCRCs(site *webgen.Site) map[string]uint32 {
+	crcs := make(map[string]uint32)
+	for _, p := range site.Paths() {
+		obj, _ := site.Object(p)
+		crcs[p] = crc32.ChecksumIEEE(obj.Body)
+		if d, ok := site.Deflated(p); ok {
+			crcs[p+" (deflated)"] = crc32.ChecksumIEEE(d)
+		}
+	}
+	return crcs
+}
+
+// Servers and the proxy queue bodies by reference, so a segment's payload
+// is the site's own bytes: nothing on the way, in the network or at the
+// receiving end may write them. Identity, deflate, range, fault and proxy
+// cells, with the packet trace retained, must leave every body and every
+// deflated page of the site, and of the revision the range cell serves,
+// bit for bit as they were.
+func TestSiteBodiesNeverWritten(t *testing.T) {
+	site := testSite(t)
+	rangeCfg := httpclient.ModeHTTP11Pipelined.Config()
+	rangeCfg.RevalRangeProbe = 512
+	ranged := scenario(httpserver.ProfileApache, rangeCfg.Mode, netem.PPP, httpclient.Revalidate)
+	ranged.Seed, ranged.ReviseFraction, ranged.ClientOverride = 9900, 0.3, &rangeCfg
+	rev := new(revision) // the range cell's revision, made here to be checked
+	rev.once.Do(func() { rev.site, rev.err = site.Revise(ranged.ReviseFraction, ranged.Seed+101) })
+	if rev.err != nil {
+		t.Fatal(rev.err)
+	}
+	before, revBefore := siteCRCs(site), siteCRCs(rev.site)
+
+	cells := []Scenario{ranged}
+	for _, spec := range []string{
+		"apache/http10/WAN/first", "jigsaw/serial/LAN/first", "apache/pipelined/PPP/first",
+		"apache/deflate/WAN/first", "jigsaw/deflate/PPP/reval",
+		"apache/pipelined/WAN/first/truncate", "apache/pipelined/WAN/first/stall",
+		"apache/pipelined/WAN/first/abort", "apache/pipelined/WAN/first/early-close",
+		"apache/pipelined/PPP/first/burst-loss",
+		"apache/pipelined/PPP/first/proxy:WAN", "apache/pipelined/PPP/first/proxy:WAN:warm",
+		"jigsaw/serial/PPP/reval/proxy:WAN:stale",
+	} {
+		sc, err := ParseScenario(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, sc)
+	}
+	for _, sc := range cells {
+		res, err := Run(sc, site, WithCapture(), func(cfg *runConfig) { cfg.revision = rev })
+		if err != nil {
+			t.Fatalf("%s: %v", sc, err)
+		}
+		if sc.ClientOverride != nil && res.Client.Responses206 == 0 {
+			t.Errorf("%s: no 206 response, so no range body went out", sc)
+		}
+	}
+	check := func(what string, before map[string]uint32, s *webgen.Site) {
+		for p, crc := range siteCRCs(s) {
+			if before[p] != crc {
+				t.Errorf("%s %s changed during the runs", what, p)
+			}
+		}
+	}
+	check("site", before, site)
+	check("revision", revBefore, rev.site)
+}
+
 func TestConcurrentDeflateRunsShareTheSite(t *testing.T) {
 	site := testSite(t)
 	sc := scenario(httpserver.ProfileApache, httpclient.ModeHTTP11PipelinedDeflate, netem.WAN, httpclient.FirstTime)

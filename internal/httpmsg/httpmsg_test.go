@@ -125,6 +125,39 @@ func TestHeadResponseKeepsLengthDropsBody(t *testing.T) {
 	}
 }
 
+// The head AppendHeadFor appends, then the body it returns, is what
+// MarshalFor returns, and the body is the response's own, not a copy.
+func TestAppendHeadForSplitsMarshal(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789"), 500)
+	for _, tc := range []struct {
+		code    int
+		method  string
+		chunked bool
+		split   bool // the body is returned apart from the head
+	}{
+		{200, "GET", false, true},
+		{200, "HEAD", false, false},
+		{304, "GET", false, false},
+		{200, "GET", true, false},
+	} {
+		resp := NewResponse(Proto11, tc.code)
+		resp.Header.Add("Server", "Apache/1.2b10")
+		resp.Body, resp.Chunked = body, tc.chunked
+		prefix := []byte("previous response")
+		head, rest := resp.AppendHeadFor(prefix[:len(prefix):len(prefix)], tc.method)
+		if !bytes.HasPrefix(head, prefix) {
+			t.Fatalf("%+v: head does not extend dst", tc)
+		}
+		got := append(head[len(prefix):len(head):len(head)], rest...)
+		if want := resp.MarshalFor(tc.method); !bytes.Equal(got, want) {
+			t.Errorf("%+v: head+body is\n%q\nwant\n%q", tc, got, want)
+		}
+		if tc.split != (len(rest) > 0) || tc.split && &rest[0] != &body[0] {
+			t.Errorf("%+v: body returned apart = %v, aliasing the response's; want %v", tc, len(rest) > 0, tc.split)
+		}
+	}
+}
+
 func TestChunkedEncodingRoundTrip(t *testing.T) {
 	body := bytes.Repeat([]byte("abcdefgh"), 1000)
 	resp := NewResponse(Proto11, 200)

@@ -122,9 +122,25 @@ func (r *Response) Marshal() []byte { return r.MarshalFor("GET") }
 // method: HEAD responses carry headers only.
 func (r *Response) MarshalFor(method string) []byte { return r.AppendFor(nil, method) }
 
-// AppendFor appends what MarshalFor returns to dst: a server marshals
-// straight into the buffer it hands to TCP.
+// AppendFor appends what MarshalFor returns to dst, growing it at most
+// once.
 func (r *Response) AppendFor(dst []byte, method string) []byte {
+	b, body := r.appendHead(dst, method, true)
+	return append(b, body...)
+}
+
+// AppendHeadFor appends the head of what MarshalFor returns to dst and
+// returns the body bytes that follow it, r.Body itself: a server queues
+// the head and then the body, which it need not copy. A chunked body is
+// coded into the head, and then, as for HEAD and bodyless statuses, the
+// body returned is empty.
+func (r *Response) AppendHeadFor(dst []byte, method string) (head, body []byte) {
+	return r.appendHead(dst, method, false)
+}
+
+// appendHead appends the head, and a chunked body, to dst, which it grows
+// once, for the body that follows too when sizeBody is set.
+func (r *Response) appendHead(dst []byte, method string, sizeBody bool) (head, body []byte) {
 	// The framing field this serialization adds after the header's own,
 	// and the body bytes that follow the head.
 	var name, value string
@@ -149,9 +165,12 @@ func (r *Response) AppendFor(dst []byte, method string) []byte {
 		value = strconv.Itoa(len(r.Body))
 	}
 
-	size := len(r.Proto) + len(r.Reason) + 8 + r.Header.wireSize() + fieldSize(name, value) + 2 + len(body)
-	if chunked {
-		size += chunkedOverhead(len(body), defaultChunkSize)
+	size := len(r.Proto) + len(r.Reason) + 8 + r.Header.wireSize() + fieldSize(name, value) + 2
+	switch {
+	case chunked:
+		size += len(body) + chunkedOverhead(len(body), defaultChunkSize)
+	case sizeBody:
+		size += len(body)
 	}
 	b := slices.Grow(dst, size)
 	b = append(b, r.Proto...)
@@ -166,9 +185,9 @@ func (r *Response) AppendFor(dst []byte, method string) []byte {
 	}
 	b = append(b, "\r\n"...)
 	if chunked {
-		return appendChunked(b, body, defaultChunkSize)
+		return appendChunked(b, body, defaultChunkSize), nil
 	}
-	return append(b, body...)
+	return b, body
 }
 
 const defaultChunkSize = 4096

@@ -249,8 +249,8 @@ func (sc *serverConn) onData(c *tcpsim.Conn, data []byte) {
 	if err != nil {
 		sc.srv.stats.ProtocolErrors++
 		resp := httpmsg.NewResponse(httpmsg.Proto11, 400)
-		sc.conn.Write(resp.Marshal())
-		sc.close()
+		sc.conn.Cork(func(b []byte) []byte { return resp.AppendFor(b, "GET") })
+		sc.close() // flushes
 		return
 	}
 	if b := sc.srv.cfg.Obs; b != nil {
@@ -346,10 +346,11 @@ func (sc *serverConn) serve(req *httpmsg.Request) {
 	}
 
 	// The output buffer is the corked tail of the connection's send
-	// buffer: the response is marshalled straight into it. Buffering
-	// policy from the paper: flush when the buffer is full or when there
-	// are no more requests coming in on the connection.
-	sc.srv.stats.BytesOut += int64(sc.conn.Cork(func(b []byte) []byte { return resp.AppendFor(b, req.Method) }))
+	// buffer: the head is marshalled straight into it and the body queued
+	// by reference. Buffering policy from the paper: flush when the buffer
+	// is full or when there are no more requests coming in on the
+	// connection.
+	sc.srv.stats.BytesOut += int64(sc.queue(resp, req.Method, -1))
 	if sc.conn.Corked() >= sc.srv.cfg.ResponseBufferSize || (len(sc.pending) == 0 && sc.parser.Buffered() == 0) {
 		sc.conn.Flush()
 	}
@@ -381,12 +382,14 @@ func (sc *serverConn) injectFault(req *httpmsg.Request, resp *httpmsg.Response) 
 	f := sc.srv.cfg.Faults
 	sc.srv.faultSeq++
 	seq := sc.srv.faultSeq
-	fire := func(kind string, body []byte) {
+	// answer sends what the server has buffered, then resp's head and
+	// the first bodyBytes of its body.
+	answer := func(bodyBytes int) {
 		sc.conn.Flush()
-		if len(body) > 0 {
-			sc.srv.stats.BytesOut += int64(len(body))
-			sc.conn.Write(body)
-		}
+		sc.srv.stats.BytesOut += int64(sc.queue(resp, req.Method, bodyBytes))
+		sc.conn.Flush()
+	}
+	fire := func(kind string) {
 		sc.srv.stats.FaultsInjected++
 		if b := sc.srv.cfg.Obs; b != nil {
 			b.Fault(sc.conn.ObsID(), kind, int64(seq))
@@ -396,32 +399,43 @@ func (sc *serverConn) injectFault(req *httpmsg.Request, resp *httpmsg.Response) 
 	case f.StallResponse > 0 && seq == f.StallResponse:
 		// Headers only, then silence forever on this connection: the
 		// failure mode only a client timeout can clear.
-		body := resp.MarshalFor(req.Method)
-		if i := bytes.Index(body, []byte("\r\n\r\n")); i >= 0 {
-			body = body[:i+4]
-		}
-		fire("stall", body)
+		answer(0)
+		fire("stall")
 		sc.stalled = true
 		return true
 	case f.TruncateResponse > 0 && seq == f.TruncateResponse:
 		// Partial body under a full Content-Length, then a full close:
 		// the client detects the truncation at EOF.
-		body := resp.MarshalFor(req.Method)
-		if i := bytes.Index(body, []byte("\r\n\r\n")); i >= 0 && i+4+f.TruncateBodyBytes < len(body) {
-			body = body[:i+4+f.TruncateBodyBytes]
-		}
-		fire("truncate", body)
+		answer(f.TruncateBodyBytes)
+		fire("truncate")
 		sc.closing = true
 		sc.conn.Close()
 		return true
 	case f.AbortResponse > 0 && seq == f.AbortResponse:
 		// Reset the connection with pipelined requests outstanding.
-		fire("abort", nil)
+		sc.conn.Flush()
+		fire("abort")
 		sc.closing = true
 		sc.conn.Abort()
 		return true
 	}
 	return false
+}
+
+// queue corks resp's head and then, by reference, its body, or only the
+// body's first limit bytes when limit is not negative. It returns the
+// bytes queued. The server never chunks, so the head ends where the body
+// begins.
+func (sc *serverConn) queue(resp *httpmsg.Response, method string, limit int) int {
+	var body []byte
+	n := sc.conn.Cork(func(b []byte) (head []byte) {
+		head, body = resp.AppendHeadFor(b, method)
+		return head
+	})
+	if limit >= 0 && limit < len(body) {
+		body = body[:limit]
+	}
+	return n + sc.conn.CorkRef(body)
 }
 
 // respond builds the response for one request; the caller marshals it

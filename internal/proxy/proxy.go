@@ -255,8 +255,9 @@ func (pc *proxyConn) onData(c *tcpsim.Conn, data []byte) {
 	reqs, err := pc.parser.Feed(data)
 	if err != nil {
 		pc.p.stats.ProtocolErrors++
-		pc.conn.Write(httpmsg.NewResponse(httpmsg.Proto11, 400).Marshal())
-		pc.close()
+		resp := httpmsg.NewResponse(httpmsg.Proto11, 400)
+		pc.conn.Cork(func(b []byte) []byte { return resp.AppendFor(b, "GET") })
+		pc.close() // flushes
 		return
 	}
 	for _, req := range reqs {
@@ -469,9 +470,14 @@ func (pc *proxyConn) writeReady() {
 			resp.Header.Set("Connection", "close")
 		}
 		p.stats.Responses++
-		p.stats.BytesToClient += int64(pc.conn.Cork(func(b []byte) []byte {
-			return resp.AppendFor(b, slot.req.Method)
-		}))
+		// The head is marshalled into the connection's send buffer and the
+		// body, the origin's bytes as parsed or cached, queued by reference.
+		var body []byte
+		n := pc.conn.Cork(func(b []byte) (head []byte) {
+			head, body = resp.AppendHeadFor(b, slot.req.Method)
+			return head
+		})
+		p.stats.BytesToClient += int64(n + pc.conn.CorkRef(body))
 		if clientClose {
 			pc.close()
 			return
@@ -526,7 +532,8 @@ func (p *Proxy) send(uf *upstreamFetch) {
 	p.cfg.Obs.SpanWritten(uf.span, u.conn.ObsID())
 	u.inflight = append(u.inflight, uf)
 	u.parser.PushExpectation(uf.req.Method)
-	u.conn.Write(uf.req.Marshal())
+	u.conn.Cork(uf.req.AppendTo)
+	u.conn.Flush()
 }
 
 // ensureUpstream returns the live origin connection, dialing if needed.

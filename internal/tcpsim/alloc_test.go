@@ -11,10 +11,10 @@ import (
 // TestSteadyStatePacketPathAllocs pins the zero-alloc discipline of the
 // wire path: on an established connection with a warm timer arena and
 // flight pool, pushing a bulk transfer through the network must not
-// allocate per packet. The budget tolerates the send buffer's growth
-// (one append per Write) amortized over thousands of segments; a copy
-// or closure on the per-segment path would blow it by orders of
-// magnitude.
+// allocate per packet. The budget tolerates the copy each 2 MB Write
+// makes (a Write that large gets an allocation of its own rather than
+// arena space) amortized over thousands of segments; a copy or closure
+// on the per-segment path would blow it by orders of magnitude.
 func TestSteadyStatePacketPathAllocs(t *testing.T) {
 	const payloadLen = 2_000_000
 	payload := make([]byte, payloadLen)

@@ -15,15 +15,15 @@ type Conn struct {
 	state   State
 	obsID   obs.ConnID
 
-	// Send side. sndBuf holds bytes from sequence sndBase upward:
+	// Send side. sndQ holds bytes from sequence sndBase upward:
 	// unacknowledged bytes first, then not-yet-transmitted bytes.
 	iss        uint32
 	sndUna     uint32
 	sndNxt     uint32
 	sndMax     uint32
 	sndBase    uint32
-	sndBuf     []byte
-	corked     int // tail bytes of sndBuf that Cork queued and Flush has not released
+	sndQ       sendQueue
+	corked     int // tail bytes of sndQ that Cork and CorkRef queued and Flush has not released
 	cwnd       int
 	ssthresh   int
 	peerWnd    int
@@ -86,6 +86,7 @@ func newConn(h *Host, local, remote Addr, opts Options, handler Handler) *Conn {
 		peerWnd:  opts.MSS, // until the peer advertises
 		rto:      opts.InitialRTO,
 	}
+	c.sndQ.a = &h.net.arena
 	if b := h.net.Obs; b != nil {
 		c.obsID = b.ConnOpen(local.String(), remote.String())
 		b.Cwnd(c.obsID, c.cwnd, c.ssthresh)
@@ -145,8 +146,9 @@ func (c *Conn) sim() *sim.Simulator { return c.host.net.Sim }
 
 // --- application calls ---
 
-// Write appends p to the send buffer and transmits as much as the windows
-// and Nagle allow. It returns ErrWriteAfterClose after CloseWrite.
+// Write copies p into the send buffer and transmits as much as the
+// windows and Nagle allow; the caller may reuse p at once. It returns
+// ErrWriteAfterClose after CloseWrite.
 func (c *Conn) Write(p []byte) error {
 	if c.writeClosed {
 		return ErrWriteAfterClose
@@ -154,30 +156,49 @@ func (c *Conn) Write(p []byte) error {
 	if c.state == StateClosed && c.err != nil {
 		return c.err
 	}
-	c.sndBuf = append(c.sndBuf, p...)
+	c.sndQ.copyIn(p)
 	c.totalWritten += int64(len(p) + c.corked)
 	c.corked = 0
 	c.trySend()
 	return nil
 }
 
-// Cork lets marshal append straight to the send buffer, the one copy a
-// payload byte makes on its way to the wire, and holds those bytes back,
-// queued but not transmitted until the next Flush, Write or CloseWrite:
-// an application output buffer with its own flush policy. It returns the
-// bytes queued, 0 if the connection no longer accepts writes. marshal
-// must only append.
+// Cork lets marshal append a message head straight to the send buffer and
+// holds those bytes back, queued but not transmitted until the next Flush,
+// Write or CloseWrite: an application output buffer with its own flush
+// policy. It returns the bytes queued, 0 if the connection no longer
+// accepts writes. marshal must only append: it is handed the free end of
+// the arena the network's send buffers share, and a head that does not
+// fit there allocates its own.
 func (c *Conn) Cork(marshal func(buf []byte) []byte) int {
-	if c.writeClosed || (c.state == StateClosed && c.err != nil) {
+	if !c.writable() {
 		return 0
 	}
-	before := len(c.sndBuf)
-	c.sndBuf = marshal(c.sndBuf)
-	c.corked += len(c.sndBuf) - before
-	return len(c.sndBuf) - before
+	n := c.sndQ.marshal(marshal)
+	c.corked += n
+	return n
 }
 
-// Corked returns the number of bytes Cork is holding back.
+// CorkRef queues b by reference, held back like Cork's bytes: the body
+// that follows a corked head goes to the wire without being copied.
+// Segments alias b, and a packet capture may keep them, so the caller
+// must never change b's bytes again. It returns len(b), 0 if the
+// connection no longer accepts writes.
+func (c *Conn) CorkRef(b []byte) int {
+	if !c.writable() {
+		return 0
+	}
+	c.sndQ.push(b)
+	c.corked += len(b)
+	return len(b)
+}
+
+// writable reports whether Cork and CorkRef may queue bytes.
+func (c *Conn) writable() bool {
+	return !c.writeClosed && !(c.state == StateClosed && c.err != nil)
+}
+
+// Corked returns the number of bytes Cork and CorkRef are holding back.
 func (c *Conn) Corked() int { return c.corked }
 
 // Flush releases the corked bytes to the transmitter, exactly as one
@@ -396,10 +417,10 @@ func (c *Conn) processAck(seg Segment) {
 	// Trim acknowledged payload bytes from the send buffer.
 	if seqLT(c.sndBase, ack) {
 		trim := int(ack - c.sndBase)
-		if trim > len(c.sndBuf) {
-			trim = len(c.sndBuf) // FIN/SYN sequence slots
+		if trim > c.sndQ.n {
+			trim = c.sndQ.n // FIN/SYN sequence slots
 		}
-		c.sndBuf = c.sndBuf[trim:]
+		c.sndQ.drop(trim)
 		c.sndBase += uint32(trim)
 	}
 
@@ -407,7 +428,7 @@ func (c *Conn) processAck(seg Segment) {
 		// The ACK covers data beyond a go-back-N rollback point:
 		// fast-forward rather than resending what the peer already has.
 		c.sndNxt = ack
-		if c.finPending && !c.finSent && int(c.sndNxt-c.sndBase) == len(c.sndBuf)+1 {
+		if c.finPending && !c.finSent && int(c.sndNxt-c.sndBase) == c.sndQ.n+1 {
 			// The rolled-back FIN is covered too: re-mark it sent.
 			c.finSent = true
 			c.finSeq = c.sndNxt - 1
@@ -479,8 +500,9 @@ func (c *Conn) processData(seg Segment) {
 	c.rcvNxt += uint32(len(seg.Payload))
 	c.ackOwed++
 	if c.handler != nil {
-		// seg.Payload aliases the sender's buffer; OnData's contract says
-		// the slice is transient, so no defensive copy is needed here.
+		// seg.Payload aliases the sender's queue, perhaps a body it
+		// queued by reference; OnData's contract says the slice is
+		// transient and read-only, so no defensive copy is needed here.
 		c.handler.OnData(c, seg.Payload)
 	}
 	if c.state == StateClosed {
@@ -540,7 +562,7 @@ func (c *Conn) trySend() {
 	default:
 		return
 	}
-	end := len(c.sndBuf) - c.corked
+	end := c.sndQ.n - c.corked
 	for !c.finSent {
 		offset := int(c.sndNxt - c.sndBase)
 		if offset < 0 || offset > end {
@@ -581,12 +603,11 @@ func (c *Conn) trySend() {
 			}
 			break
 		}
-		// Zero-copy: the segment aliases sndBuf. Safe because sndBuf is
-		// only ever trimmed from the front (a reslice) and appended at the
-		// absolute end of the backing array, so an in-flight range is
-		// never overwritten. The full-capacity slice keeps appends from
-		// sharing spare capacity with the segment.
-		payload := c.sndBuf[offset : offset+n : offset+n]
+		// The segment aliases the queued span its bytes lie in, or the
+		// arena copy sndQ gathers when they straddle two (at most an MSS
+		// per span boundary). Neither is ever written again, and the
+		// capacity ends with the segment.
+		payload := c.sndQ.slice(offset, n)
 		flags := FlagACK
 		if last {
 			flags |= FlagPSH

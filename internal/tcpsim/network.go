@@ -36,6 +36,9 @@ type Network struct {
 	// segment allocates nothing once the pool is warm.
 	flights []*flight
 
+	// arena holds the bytes the connections' send queues copy.
+	arena arena
+
 	packets     int64
 	rtoTimeouts int64
 }

@@ -133,8 +133,9 @@ type Handler interface {
 	// OnConnect fires when the connection reaches ESTABLISHED.
 	OnConnect(c *Conn)
 	// OnData delivers in-order payload bytes as they arrive. The slice
-	// aliases the sender's buffer and is only valid for the duration of
-	// the call: copy it if it must be retained.
+	// aliases the sender's send queue, which may be a body the sender
+	// queued by reference with CorkRef: it is read-only, and only valid
+	// for the duration of the call, so copy it if it must be retained.
 	OnData(c *Conn, data []byte)
 	// OnPeerClose fires when the peer's FIN is received (EOF): all of the
 	// peer's data has been delivered.

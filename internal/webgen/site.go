@@ -10,8 +10,11 @@ import (
 
 // Object is one servable resource.
 type Object struct {
-	Path         string
-	ContentType  string
+	Path        string
+	ContentType string
+	// Body is never written once the site is built: servers queue it to
+	// TCP by reference, so every run on the site, and every packet trace
+	// a run keeps, shares these bytes.
 	Body         []byte
 	ETag         string
 	LastModified string
