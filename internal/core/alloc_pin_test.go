@@ -15,13 +15,18 @@ import (
 // for a body nothing reads, is not copied at all on the way in; heads are
 // parsed in place; the packet trace is tallied, not retained; the page's
 // links come from the site's link index, cached for revalidation and
-// replayed, not re-parsed, on a first-time fetch. Budgets are the measured
-// cost (in the comment) plus about a fifth. Scanning the page on every
-// first-time fetch cost 678 KB / 1218 allocations and 1083 KB / 2591 on
-// the two first-time cells; copying every body into the send buffer cost
-// 636 KB / 876, 174 KB / 763, 1045 KB / 2232, 409 KB / 1628 and
-// 1476 KB / 2192 on the five cells. HTTP/1.0 opens 43 connections, so its
-// cell catches a cost per connection.
+// replayed, not re-parsed, on a first-time fetch; connections are their
+// own TCP handlers, CPU work is scheduled without a closure, and each
+// connection reuses its request or response, its queues and its parser's
+// result slice. Budgets are the measured cost (in the comment) plus about
+// a fifth. Scanning the page on every first-time fetch cost 678 KB / 1218
+// allocations and 1083 KB / 2591 on the two first-time cells; copying
+// every body into the send buffer cost 636 KB / 876, 174 KB / 763,
+// 1045 KB / 2232, 409 KB / 1628 and 1476 KB / 2192 on the five cells;
+// a closure per connection and per request, and a fresh message, result
+// slice and queue array per request, cost 217 KB / 875, 143 KB / 745,
+// 702 KB / 2229, 278 KB / 1547 and 573 KB / 2124. HTTP/1.0 opens 43
+// connections, so its cell catches a cost per connection.
 func TestRunAllocationBudget(t *testing.T) {
 	site, err := core.DefaultSite()
 	if err != nil {
@@ -31,11 +36,11 @@ func TestRunAllocationBudget(t *testing.T) {
 		name      string
 		kb, count float64
 	}{
-		{"apache/pipelined/WAN/first", 260, 1050},           // 217 KB, 875 allocations
-		{"apache/pipelined/WAN/reval", 175, 895},            // 143 KB, 745
-		{"apache/mux/WAN/first", 845, 2675},                 // 702 KB, 2229
-		{"apache/http10/WAN/first", 335, 1860},              // 278 KB, 1547
-		{"apache/pipelined/WAN/first/proxy:WAN", 690, 2550}, // 573 KB, 2124
+		{"apache/pipelined/WAN/first", 215, 585},            // 180 KB, 488 allocations
+		{"apache/pipelined/WAN/reval", 140, 535},            // 117 KB, 446
+		{"apache/mux/WAN/first", 810, 2365},                 // 674 KB, 1971
+		{"apache/http10/WAN/first", 310, 1035},              // 256 KB, 862
+		{"apache/pipelined/WAN/first/proxy:WAN", 640, 1905}, // 535 KB, 1587
 	} {
 		sc, err := core.ParseScenario(cell.name)
 		if err != nil {

@@ -36,9 +36,11 @@ func (s Style) String() string {
 	return "unknown"
 }
 
-// buildRequest composes a request in the given style.
-func buildRequest(style Style, method, target, host, proto string) *httpmsg.Request {
-	req := &httpmsg.Request{Method: method, Target: target, Proto: proto}
+// buildRequest fills req with a request in the given style, reusing its
+// field array, and returns it.
+func buildRequest(req *httpmsg.Request, style Style, method, target, host, proto string) *httpmsg.Request {
+	req.Header.Reset()
+	*req = httpmsg.Request{Method: method, Target: target, Proto: proto, Header: req.Header}
 	h := &req.Header
 	switch style {
 	case StyleRobot11:

@@ -106,22 +106,22 @@ func TestModeAndWorkloadStrings(t *testing.T) {
 
 func TestRequestSizesMatchPaper(t *testing.T) {
 	// The tuned robot's requests average ~190 bytes with validators.
-	req := buildRequest(StyleRobot11, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.1")
+	req := buildRequest(new(httpmsg.Request), StyleRobot11, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.1")
 	req.Header.Add("If-None-Match", `"3a5f2c77-2d4"`)
 	req.Header.Add("If-Modified-Since", "Fri, 20 Jun 1997 08:30:00 GMT")
 	if n := len(req.Marshal()); n < 150 || n > 230 {
 		t.Errorf("robot conditional request = %dB, want ≈190", n)
 	}
 	// Browser requests are considerably bigger.
-	ns := buildRequest(StyleNetscape, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.0")
+	ns := buildRequest(new(httpmsg.Request), StyleNetscape, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.0")
 	if n := len(ns.Marshal()); n < 250 {
 		t.Errorf("Netscape request = %dB, want > 250", n)
 	}
-	ie := buildRequest(StyleMSIE, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.1")
+	ie := buildRequest(new(httpmsg.Request), StyleMSIE, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.1")
 	if n := len(ie.Marshal()); n < 280 {
 		t.Errorf("MSIE request = %dB, want > 280", n)
 	}
-	old := buildRequest(StyleRobot10, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.0")
+	old := buildRequest(new(httpmsg.Request), StyleRobot10, "GET", "/images/bullet_sm.gif", "server", "HTTP/1.0")
 	if n := len(old.Marshal()); n < 300 {
 		t.Errorf("old libwww request = %dB, want > 300", n)
 	}
@@ -417,11 +417,11 @@ func TestUnconditionalHTMLRevalidation(t *testing.T) {
 }
 
 func TestRobotRequestProtocolVersions(t *testing.T) {
-	req := buildRequest(StyleRobot10, "GET", "/", "server", "HTTP/1.0")
+	req := buildRequest(new(httpmsg.Request), StyleRobot10, "GET", "/", "server", "HTTP/1.0")
 	if !strings.HasPrefix(string(req.Marshal()), "GET / HTTP/1.0\r\n") {
 		t.Fatal("HTTP/1.0 request line wrong")
 	}
-	req = buildRequest(StyleRobot11, "GET", "/", "server", "HTTP/1.1")
+	req = buildRequest(new(httpmsg.Request), StyleRobot11, "GET", "/", "server", "HTTP/1.1")
 	if !req.Header.Has("Host") {
 		t.Fatal("HTTP/1.1 request missing Host")
 	}

@@ -42,8 +42,8 @@ type muxStream struct {
 }
 
 // muxConn is the robot's single framed multiplexed connection
-// (ModeMux / ModeMuxPush). Unlike clientConn there is no pipelining
-// buffer and no flush timer: the session's scheduler owns
+// (ModeMux / ModeMuxPush), and its handler. Unlike clientConn there is
+// no pipelining buffer and no flush timer: the session's scheduler owns
 // interleaving. Recovery (when armed) runs at two granularities: a
 // per-stream watchdog tears down individually silent streams with
 // RST_STREAM and re-issues them on the same session, and a
@@ -68,12 +68,7 @@ func (r *Robot) dialMux() *muxConn {
 	r.mux = mc
 	opts := r.cfg.TCP
 	opts.NoDelay = true // the frame scheduler owns batching
-	mc.conn = r.host.Dial(r.serverHost, r.serverPort, opts, &tcpsim.Callbacks{
-		Data:      mc.onData,
-		PeerClose: mc.onPeerClose,
-		Error:     mc.onError,
-		Close:     mc.onClose,
-	})
+	mc.conn = r.host.Dial(r.serverHost, r.serverPort, opts, mc)
 	r.result.SocketsUsed++
 	r.result.MaxSimultaneousConns = max(r.result.MaxSimultaneousConns, r.liveCount())
 	sess := mux.NewClient(func(b []byte) { mc.conn.Write(b) })
@@ -113,10 +108,8 @@ func (r *Robot) muxDispatch() {
 		}
 		mc = r.dialMux()
 	}
-	for len(r.queue) > 0 {
-		it := r.queue[0]
-		r.queue = r.queue[1:]
-		mc.request(it)
+	for r.queue.Len() > 0 {
+		mc.request(r.queue.Pop())
 	}
 }
 
@@ -165,7 +158,11 @@ func muxFields(req *httpmsg.Request, authority string) []mux.Field {
 	return fields
 }
 
-func (mc *muxConn) onData(c *tcpsim.Conn, data []byte) {
+// OnConnect implements tcpsim.Handler.
+func (mc *muxConn) OnConnect(c *tcpsim.Conn) {}
+
+// OnData implements tcpsim.Handler.
+func (mc *muxConn) OnData(c *tcpsim.Conn, data []byte) {
 	mc.r.lastData = mc.r.sim.Now()
 	mc.rxTotal += int64(len(data))
 	mc.sess.Feed(data)
@@ -255,9 +252,8 @@ func (mc *muxConn) complete(ms *muxStream) {
 	if ms.pushed {
 		r.cfg.Obs.SpanDone(ms.span, ms.status, int64(ms.bodyLen))
 	}
-	r.cpu.Run(r.cfg.PerRequestCPU, func() {
-		r.handleResponse(it, resp)
-	})
+	r.handoffs.Push(handoff{it, resp})
+	r.cpu.Run(r.cfg.PerRequestCPU, handleNext, r)
 }
 
 // onPushPromise accepts or cancels a server push. A promise the cache
@@ -439,7 +435,8 @@ func (mc *muxConn) onSessionError(err error) {
 	}
 }
 
-func (mc *muxConn) onPeerClose(c *tcpsim.Conn) {
+// OnPeerClose implements tcpsim.Handler.
+func (mc *muxConn) OnPeerClose(c *tcpsim.Conn) {
 	if mc.closing || mc.r.finished {
 		return // our FIN went first; this is the server's half closing
 	}
@@ -450,11 +447,13 @@ func (mc *muxConn) onPeerClose(c *tcpsim.Conn) {
 	mc.r.muxFailErr(mc, err != nil)
 }
 
-func (mc *muxConn) onError(c *tcpsim.Conn, err error) {
+// OnError implements tcpsim.Handler.
+func (mc *muxConn) OnError(c *tcpsim.Conn, err error) {
 	mc.r.muxFail(mc)
 }
 
-func (mc *muxConn) onClose(c *tcpsim.Conn) {
+// OnClose implements tcpsim.Handler.
+func (mc *muxConn) OnClose(c *tcpsim.Conn) {
 	if !mc.closing {
 		mc.r.muxFail(mc)
 	}

@@ -45,7 +45,7 @@ type Robot struct {
 	cpu        *sim.CPU
 
 	workload  Workload
-	queue     []workItem
+	queue     sim.Queue[workItem]
 	conns     []*clientConn
 	mux       *muxConn
 	extractor htmlparse.LinkExtractor
@@ -60,6 +60,16 @@ type Robot struct {
 	finished    bool
 	metaPending int
 	onDone      func(*Robot)
+
+	// req is the request buildItemRequest fills for each item: the wire
+	// form is marshalled from it at once, so one serves every request.
+	req httpmsg.Request
+	// handoffs holds each response awaiting its per-response CPU work,
+	// with the item it answers. CPU completes work in the order it was
+	// queued, so handleNext pops the response its work item was for.
+	handoffs sim.Queue[handoff]
+	// bodyChunk is every connection's ResponseParser.BodyChunk hook.
+	bodyChunk func(head *httpmsg.Response, chunk []byte)
 
 	// Recovery state, all inert while cfg.Recovery is nil.
 	consecFails  int
@@ -79,7 +89,7 @@ func NewRobot(s *sim.Simulator, host *tcpsim.Host, serverHost string, serverPort
 	if cache == nil {
 		cache = NewCache()
 	}
-	return &Robot{
+	r := &Robot{
 		sim:        s,
 		host:       host,
 		serverHost: serverHost,
@@ -89,6 +99,38 @@ func NewRobot(s *sim.Simulator, host *tcpsim.Host, serverHost string, serverPort
 		cpu:        sim.NewCPU(s, rng, cpuJitter),
 		enqueued:   make(map[string]bool),
 	}
+	r.bodyChunk = r.pageChunk
+	return r
+}
+
+// handoff is a response awaiting the robot's CPU, and the item it answers.
+type handoff struct {
+	it   workItem
+	resp *httpmsg.Response
+}
+
+// handleNext handles the oldest response awaiting the robot's CPU.
+func handleNext(a any) {
+	r := a.(*Robot)
+	h := r.handoffs.Pop()
+	r.handleResponse(h.it, h.resp)
+}
+
+// pageChunk parses the page for inline links as it streams in.
+func (r *Robot) pageChunk(head *httpmsg.Response, chunk []byte) {
+	// Identify the page by its media type: one Feed call can complete
+	// several pipelined responses, so the request queue's head is not
+	// a reliable indicator of what is currently streaming.
+	if head.StatusCode != 200 {
+		return
+	}
+	if !strings.Contains(head.Header.Get("Content-Type"), "text/html") {
+		return
+	}
+	if head.Header.Get("Content-Encoding") != "" {
+		return // compressed bodies are parsed after inflation
+	}
+	r.discoverLinks(chunk)
 }
 
 // Cache returns the robot's cache.
@@ -125,7 +167,7 @@ func (r *Robot) Start(pagePath string, workload Workload, onDone func(*Robot)) {
 		}
 	}
 	item.span = r.cfg.Obs.SpanQueued(item.method, item.path, false)
-	r.queue = append(r.queue, item)
+	r.queue.Push(item)
 	r.enqueued[pagePath] = true
 	r.metaPending++
 	r.dispatch()
@@ -152,7 +194,7 @@ func (r *Robot) enqueueImage(url string) {
 	}
 	it.span = r.cfg.Obs.SpanQueued(it.method, it.path, false)
 	r.metaPending++
-	r.queue = append(r.queue, it)
+	r.queue.Push(it)
 }
 
 // discoverLinks feeds HTML to the streaming extractor, queueing inline
@@ -180,14 +222,12 @@ func (r *Robot) dispatch() {
 	if r.cfg.Mode.Framed() {
 		r.muxDispatch()
 	} else {
-		for len(r.queue) > 0 {
+		for r.queue.Len() > 0 {
 			c := r.idleConn()
 			if c == nil {
 				break
 			}
-			it := r.queue[0]
-			r.queue = r.queue[1:]
-			c.enqueue(it)
+			c.enqueue(r.queue.Pop())
 		}
 		// Flush before idle: once the document parse is complete no
 		// further requests can appear, so waiting for the timer would
@@ -203,7 +243,7 @@ func (r *Robot) dispatch() {
 // window is open. Queued work stays queued; a timer resumes dispatch
 // when the window closes. Existing live connections are not affected.
 func (r *Robot) holdForBackoff() bool {
-	if r.cfg.Recovery == nil || len(r.queue) == 0 {
+	if r.cfg.Recovery == nil || r.queue.Len() == 0 {
 		return false
 	}
 	if r.backoffUntil <= r.sim.Now() || r.liveConn() != nil {
@@ -272,7 +312,7 @@ func (r *Robot) idleConn() *clientConn {
 			continue
 		}
 		live++
-		if pipelines || len(c.inflight) == 0 {
+		if pipelines || c.inflight.Len() == 0 {
 			return c
 		}
 	}
@@ -298,29 +338,10 @@ func wantsBody(h *httpmsg.Header) bool {
 func (r *Robot) dial() *clientConn {
 	cc := &clientConn{r: r}
 	cc.parser.KeepBody = func(head *httpmsg.Response) bool { return wantsBody(&head.Header) }
-	cc.parser.BodyChunk = func(head *httpmsg.Response, chunk []byte) {
-		// Identify the page by its media type: one Feed call can complete
-		// several pipelined responses, so the request queue's head is not
-		// a reliable indicator of what is currently streaming.
-		if head.StatusCode != 200 {
-			return
-		}
-		if !strings.Contains(head.Header.Get("Content-Type"), "text/html") {
-			return
-		}
-		if head.Header.Get("Content-Encoding") != "" {
-			return // compressed bodies are parsed after inflation
-		}
-		r.discoverLinks(chunk)
-	}
+	cc.parser.BodyChunk = r.bodyChunk
 	opts := r.cfg.TCP
 	opts.NoDelay = r.cfg.NoDelay
-	cc.conn = r.host.Dial(r.serverHost, r.serverPort, opts, &tcpsim.Callbacks{
-		Data:      cc.onData,
-		PeerClose: cc.onPeerClose,
-		Error:     cc.onError,
-		Close:     cc.onClose,
-	})
+	cc.conn = r.host.Dial(r.serverHost, r.serverPort, opts, cc)
 	r.conns = append(r.conns, cc)
 	r.result.SocketsUsed++
 	r.result.MaxSimultaneousConns = max(r.result.MaxSimultaneousConns, r.liveCount())
@@ -342,9 +363,10 @@ func (r *Robot) liveCount() int {
 	return n
 }
 
-// buildItemRequest composes the wire request for a work item.
+// buildItemRequest composes the wire request for a work item in the
+// robot's one Request, which the next call refills.
 func (r *Robot) buildItemRequest(it workItem) *httpmsg.Request {
-	req := buildRequest(r.cfg.Style, it.method, it.path, r.serverHost, r.cfg.Proto)
+	req := buildRequest(&r.req, r.cfg.Style, it.method, it.path, r.serverHost, r.cfg.Proto)
 	if it.conditional {
 		if e, ok := r.cache.Get(it.path); ok {
 			if r.cfg.Style == StyleRobot11 {
@@ -417,7 +439,7 @@ func (r *Robot) handleResponse(it workItem, resp *httpmsg.Response) {
 	if it.probe && resp.StatusCode == 206 {
 		total := contentRangeTotal(resp.Header.Get("Content-Range"))
 		if total > it.rangeHi+1 {
-			r.queue = append(r.queue, workItem{
+			r.queue.Push(workItem{
 				method:    "GET",
 				path:      it.path,
 				rangeLo:   it.rangeHi + 1,
@@ -541,7 +563,7 @@ func (r *Robot) cacheRecords(page string, records []mux.BurstRecord) {
 
 // checkDone finishes the fetch when all issued work is complete.
 func (r *Robot) checkDone() {
-	if r.finished || r.htmlPending || len(r.queue) > 0 || r.handled < r.issued {
+	if r.finished || r.htmlPending || r.queue.Len() > 0 || r.handled < r.issued {
 		return
 	}
 	r.finished = true
@@ -580,7 +602,7 @@ func (r *Robot) failConn(cc *clientConn, isError bool) {
 	}
 	cc.dead = true
 	cc.stopWatchdog()
-	n := len(cc.inflight)
+	n := cc.inflight.Len()
 	if r.pipelines() && (isError || r.cfg.Recovery != nil && n > 1) {
 		r.stepDown()
 	}
@@ -591,10 +613,10 @@ func (r *Robot) failConn(cc *clientConn, isError bool) {
 		// Bytes of a partial in-progress response are delivered work the
 		// retry will repeat.
 		r.result.WastedBytes += int64(cc.parser.Pending())
-		for _, it := range cc.inflight {
+		for _, it := range cc.inflight.Items() {
 			r.requeue(it, true)
 		}
-		cc.inflight = nil
+		cc.inflight.Reset()
 	}
 	r.dispatch()
 }
@@ -653,7 +675,7 @@ func (r *Robot) requeue(it workItem, charge bool) bool {
 	r.issued-- // it will be re-issued
 	// The original span stays open-ended; the retry is its own span.
 	it.span = r.cfg.Obs.SpanQueued(it.method, it.path, true)
-	r.queue = append(r.queue, it)
+	r.queue.Push(it)
 	if it.isHTML {
 		// The page will be re-received from the start; discard the
 		// half-parsed tokenizer state. Already-discovered links stay
@@ -669,12 +691,12 @@ func idempotent(method string) bool {
 	return method == "GET" || method == "HEAD"
 }
 
-// clientConn is one TCP connection of the robot.
+// clientConn is one TCP connection of the robot, and its handler.
 type clientConn struct {
 	r        *Robot
 	conn     *tcpsim.Conn
 	parser   httpmsg.ResponseParser
-	inflight []workItem
+	inflight sim.Queue[workItem]
 
 	flushTimer sim.TimerHandle
 	watchdog   sim.TimerHandle
@@ -690,8 +712,9 @@ type clientConn struct {
 // connection that does not pipeline flushes every request.
 func (cc *clientConn) enqueue(it workItem) {
 	r := cc.r
-	cc.conn.Cork(r.buildItemRequest(it).AppendTo)
-	cc.inflight = append(cc.inflight, it)
+	req := r.buildItemRequest(it)
+	cc.conn.Cork(func(b []byte) []byte { return req.AppendTo(b) })
+	cc.inflight.Push(it)
 	cc.parser.PushExpectation(it.method)
 	r.issued++
 	pipelines := r.pipelines()
@@ -737,7 +760,7 @@ func (cc *clientConn) armWatchdog() {
 	if p == nil || p.RequestTimeout <= 0 {
 		return
 	}
-	if cc.dead || len(cc.inflight) == 0 {
+	if cc.dead || cc.inflight.Len() == 0 {
 		cc.stopWatchdog()
 		return
 	}
@@ -782,10 +805,14 @@ func (cc *clientConn) armFlushTimer() {
 	cc.flushTimer = cc.r.sim.ScheduleArg(cc.r.cfg.FlushTimeout, flushFire, cc)
 }
 
-func (cc *clientConn) onData(c *tcpsim.Conn, data []byte) {
+// OnConnect implements tcpsim.Handler.
+func (cc *clientConn) OnConnect(c *tcpsim.Conn) {}
+
+// OnData implements tcpsim.Handler.
+func (cc *clientConn) OnData(c *tcpsim.Conn, data []byte) {
 	cc.r.lastData = cc.r.sim.Now()
-	if len(cc.inflight) > 0 {
-		cc.r.cfg.Obs.SpanFirstByte(cc.inflight[0].span)
+	if cc.inflight.Len() > 0 {
+		cc.r.cfg.Obs.SpanFirstByte(cc.inflight.Items()[0].span)
 	}
 	resps, err := cc.parser.Feed(data)
 	if err != nil {
@@ -801,24 +828,22 @@ func (cc *clientConn) onData(c *tcpsim.Conn, data []byte) {
 func (cc *clientConn) deliver(resps []*httpmsg.Response) {
 	r := cc.r
 	for _, resp := range resps {
-		if len(cc.inflight) == 0 {
+		if cc.inflight.Len() == 0 {
 			break
 		}
-		it := cc.inflight[0]
-		cc.inflight = cc.inflight[1:]
+		it := cc.inflight.Pop()
 		r.cfg.Obs.SpanDone(it.span, resp.StatusCode, int64(resp.BodyLen))
 
 		connClose := httpmsg.TokenListContains(resp.Header.Get("Connection"), "close")
 		reusable := r.cfg.KeepAlive && !connClose
-		if !reusable && len(cc.inflight) == 0 && !cc.dead {
+		if !reusable && cc.inflight.Len() == 0 && !cc.dead {
 			// HTTP/1.0 style: this connection is spent.
 			cc.dead = true
 			cc.conn.CloseWrite()
 		}
 
-		r.cpu.Run(r.cfg.PerRequestCPU, func() {
-			r.handleResponse(it, resp)
-		})
+		r.handoffs.Push(handoff{it, resp})
+		r.cpu.Run(r.cfg.PerRequestCPU, handleNext, r)
 	}
 	// New idle capacity may exist (connection reuse).
 	if !r.cfg.Pipelining {
@@ -826,11 +851,12 @@ func (cc *clientConn) deliver(resps []*httpmsg.Response) {
 	}
 }
 
-func (cc *clientConn) onPeerClose(c *tcpsim.Conn) {
+// OnPeerClose implements tcpsim.Handler.
+func (cc *clientConn) OnPeerClose(c *tcpsim.Conn) {
 	// The server finished sending: a trailing until-close body completes
 	// here.
 	resp, err := cc.parser.CloseEOF()
-	if err == nil && resp != nil && len(cc.inflight) > 0 {
+	if err == nil && resp != nil && cc.inflight.Len() > 0 {
 		cc.deliver([]*httpmsg.Response{resp})
 	}
 	truncated := err != nil
@@ -840,11 +866,13 @@ func (cc *clientConn) onPeerClose(c *tcpsim.Conn) {
 	cc.r.failConn(cc, truncated)
 }
 
-func (cc *clientConn) onError(c *tcpsim.Conn, err error) {
+// OnError implements tcpsim.Handler.
+func (cc *clientConn) OnError(c *tcpsim.Conn, err error) {
 	cc.r.failConn(cc, true)
 }
 
-func (cc *clientConn) onClose(c *tcpsim.Conn) {
+// OnClose implements tcpsim.Handler.
+func (cc *clientConn) OnClose(c *tcpsim.Conn) {
 	cc.r.failConn(cc, false)
 }
 

@@ -9,7 +9,10 @@
 // results (Tables 10 and 11).
 package httpmsg
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // Field is a single header field. Name case is preserved for byte-exact
 // output; lookups are case-insensitive.
@@ -73,6 +76,13 @@ func (h *Header) Del(name string) {
 	h.fields = out
 }
 
+// Reset removes every field but keeps the field array, so a message
+// that is filled again for each use allocates its fields once.
+func (h *Header) Reset() {
+	clear(h.fields)
+	h.fields = h.fields[:0]
+}
+
 // Fields returns the ordered field list.
 func (h *Header) Fields() []Field { return h.fields }
 
@@ -117,6 +127,27 @@ func fieldSize(name, value string) int {
 		return 0
 	}
 	return len(name) + len(value) + 4
+}
+
+// appendLength appends a Content-Length field for n bytes, formatting n
+// in place rather than through a string.
+func appendLength(b []byte, n int) []byte {
+	b = append(b, "Content-Length: "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, "\r\n"...)
+}
+
+// lengthSize is the number of bytes appendLength emits for n, 0 for a
+// negative n, which stands for no field.
+func lengthSize(n int) int {
+	if n < 0 {
+		return 0
+	}
+	size := len("Content-Length: \r\n") + 1
+	for ; n >= 10; n /= 10 {
+		size++
+	}
+	return size
 }
 
 // TokenListContains reports whether a comma-separated header value (e.g.

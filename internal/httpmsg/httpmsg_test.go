@@ -37,6 +37,14 @@ func TestHeaderOps(t *testing.T) {
 	if h.Get("Host") != "www26.w3.org" {
 		t.Fatal("Clone is not deep")
 	}
+	fields := &h.Fields()[0]
+	h.Reset()
+	if h.Len() != 0 || h.Has("Host") || clone.Get("Host") != "other" {
+		t.Fatal("Reset failed")
+	}
+	if h.Add("Via", "1.1 proxy"); &h.Fields()[0] != fields {
+		t.Fatal("Reset did not keep the field array")
+	}
 }
 
 func TestTokenListContains(t *testing.T) {
@@ -236,6 +244,90 @@ func TestRequestParserIncrementalByteAtATime(t *testing.T) {
 	if p.Buffered() != 0 {
 		t.Fatalf("leftover %d bytes", p.Buffered())
 	}
+}
+
+// Feed's result is the parser's own slice, whose array the next Feed
+// reuses; the messages in it are the caller's, which a later Feed leaves
+// as they were, and once a Feed has returned, the parser holds no
+// pointer to a message an earlier one handed out.
+func TestFeedReusesItsResultSlice(t *testing.T) {
+	reqWire := func(targets ...string) []byte {
+		var b []byte
+		for _, target := range targets {
+			r := &Request{Method: "GET", Target: target, Proto: Proto11}
+			r.Header.Add("Host", "microscape")
+			b = r.AppendTo(b)
+		}
+		return b
+	}
+	respWire := func(bodies ...string) []byte {
+		var b []byte
+		for _, body := range bodies {
+			r := NewResponse(Proto11, 200)
+			r.Header.Add("ETag", `"`+body+`"`)
+			r.Body = []byte(body)
+			b = r.AppendFor(b, "GET")
+		}
+		return b
+	}
+	t.Run("requests", func(t *testing.T) {
+		var p RequestParser
+		first, err := p.Feed(reqWire("/a", "/b"))
+		if err != nil || len(first) != 2 {
+			t.Fatalf("first Feed = %v, %v", first, err)
+		}
+		kept := append([]*Request(nil), first...)
+		want := marshalRequests(kept)
+		second, err := p.Feed(reqWire("/c", "/d"))
+		if err != nil || len(second) != 2 {
+			t.Fatalf("second Feed = %v, %v", second, err)
+		}
+		if &first[0] != &second[0] {
+			t.Error("the second Feed did not reuse the first's result array")
+		}
+		if got := marshalRequests(kept); !bytes.Equal(got, want) || kept[0] == second[0] || kept[1] == second[1] {
+			t.Errorf("the second Feed changed the first's requests:\n%q\nwant\n%q", got, want)
+		}
+		if out, err := p.Feed([]byte("GET /e HT")); err != nil || len(out) != 0 {
+			t.Fatalf("partial Feed = %v, %v", out, err)
+		}
+		for _, r := range p.out[:cap(p.out)] {
+			if r != nil {
+				t.Fatalf("the parser still holds request %s", r.Target)
+			}
+		}
+	})
+	t.Run("responses", func(t *testing.T) {
+		var p ResponseParser
+		for i := 0; i < 5; i++ {
+			p.PushExpectation("GET")
+		}
+		first, err := p.Feed(respWire("one", "two"))
+		if err != nil || len(first) != 2 {
+			t.Fatalf("first Feed = %v, %v", first, err)
+		}
+		kept := append([]*Response(nil), first...)
+		second, err := p.Feed(respWire("three", "four"))
+		if err != nil || len(second) != 2 {
+			t.Fatalf("second Feed = %v, %v", second, err)
+		}
+		if &first[0] != &second[0] {
+			t.Error("the second Feed did not reuse the first's result array")
+		}
+		for i, body := range []string{"one", "two"} {
+			if r := kept[i]; string(r.Body) != body || r.BodyLen != len(body) || r.Header.Get("ETag") != `"`+body+`"` || r == second[i] {
+				t.Errorf("response %d after the second Feed: %q, ETag %s; want %q", i, r.Body, r.Header.Get("ETag"), body)
+			}
+		}
+		if out, err := p.Feed([]byte("HTTP/1.1 200")); err != nil || len(out) != 0 {
+			t.Fatalf("partial Feed = %v, %v", out, err)
+		}
+		for _, r := range p.out[:cap(p.out)] {
+			if r != nil {
+				t.Fatalf("the parser still holds response %q", r.Body)
+			}
+		}
+	})
 }
 
 func TestResponseParserHeadHasNoBody(t *testing.T) {

@@ -27,12 +27,12 @@ func (r *Request) Marshal() []byte { return r.AppendTo(nil) }
 // AppendTo appends the request's serialization to dst, growing it at most
 // once: a sender marshals straight into its output buffer.
 func (r *Request) AppendTo(dst []byte) []byte {
-	var length string
+	length := -1
 	if len(r.Body) > 0 && !r.Header.Has("Content-Length") {
-		length = strconv.Itoa(len(r.Body))
+		length = len(r.Body)
 	}
 	b := slices.Grow(dst, len(r.Method)+len(r.Target)+len(r.Proto)+4+
-		r.Header.wireSize()+fieldSize("Content-Length", length)+2+len(r.Body))
+		r.Header.wireSize()+lengthSize(length)+2+len(r.Body))
 	b = append(b, r.Method...)
 	b = append(b, ' ')
 	b = append(b, r.Target...)
@@ -40,8 +40,8 @@ func (r *Request) AppendTo(dst []byte) []byte {
 	b = append(b, r.Proto...)
 	b = append(b, "\r\n"...)
 	b = r.Header.appendTo(b)
-	if length != "" {
-		b = appendField(b, "Content-Length", length)
+	if length >= 0 {
+		b = appendLength(b, length)
 	}
 	b = append(b, "\r\n"...)
 	return append(b, r.Body...)
@@ -141,9 +141,11 @@ func (r *Response) AppendHeadFor(dst []byte, method string) (head, body []byte) 
 // appendHead appends the head, and a chunked body, to dst, which it grows
 // once, for the body that follows too when sizeBody is set.
 func (r *Response) appendHead(dst []byte, method string, sizeBody bool) (head, body []byte) {
-	// The framing field this serialization adds after the header's own,
-	// and the body bytes that follow the head.
+	// The framing field this serialization adds after the header's own
+	// (a Content-Length as length, else name and value), and the body
+	// bytes that follow the head.
 	var name, value string
+	length := -1
 	body, chunked := r.Body, false
 	switch {
 	case bodyless(r.StatusCode):
@@ -162,10 +164,10 @@ func (r *Response) appendHead(dst []byte, method string, sizeBody bool) (head, b
 	if name != "" && r.Header.Has(name) {
 		name = ""
 	} else if name == "Content-Length" {
-		value = strconv.Itoa(len(r.Body))
+		name, length = "", len(r.Body)
 	}
 
-	size := len(r.Proto) + len(r.Reason) + 8 + r.Header.wireSize() + fieldSize(name, value) + 2
+	size := len(r.Proto) + len(r.Reason) + 8 + r.Header.wireSize() + fieldSize(name, value) + lengthSize(length) + 2
 	switch {
 	case chunked:
 		size += len(body) + chunkedOverhead(len(body), defaultChunkSize)
@@ -182,6 +184,9 @@ func (r *Response) appendHead(dst []byte, method string, sizeBody bool) (head, b
 	b = r.Header.appendTo(b)
 	if name != "" {
 		b = appendField(b, name, value)
+	}
+	if length >= 0 {
+		b = appendLength(b, length)
 	}
 	b = append(b, "\r\n"...)
 	if chunked {

@@ -29,26 +29,30 @@ const maxBodyPrealloc = 1 << 20
 // server reads them from a connection.
 type RequestParser struct {
 	buf  stream
-	head *Request // parsed head awaiting its body
-	need int      // body bytes still needed
+	head *Request   // parsed head awaiting its body
+	need int        // body bytes still needed
+	out  []*Request // Feed's result, reused
 }
 
 // Feed appends data to the parse buffer and returns all requests that are
 // now complete. What it has not consumed is copied; the caller may reuse
-// the slice.
+// data. The returned slice is the parser's own and is valid until the
+// next Feed, which reuses its array; the requests in it are the
+// caller's, and the parser never touches them again.
 func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
 	p.buf.push(data)
 	defer p.buf.settle()
-	var out []*Request
+	clear(p.out)
+	p.out = p.out[:0]
 	for {
 		if p.head == nil {
 			end := bytes.Index(p.buf.bytes(), []byte("\r\n\r\n"))
 			if end < 0 {
-				return out, nil
+				return p.out, nil
 			}
 			req, err := parseRequestHead(p.buf.bytes()[:end+4])
 			if err != nil {
-				return out, err
+				return p.out, err
 			}
 			p.buf.advance(end + 4)
 			p.head = req
@@ -56,16 +60,16 @@ func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
 			if cl := req.Header.Get("Content-Length"); cl != "" {
 				n, err := strconv.Atoi(strings.TrimSpace(cl))
 				if err != nil || n < 0 {
-					return out, ErrMalformed
+					return p.out, ErrMalformed
 				}
 				if n > maxBodyBytes {
-					return out, ErrBodyTooLarge
+					return p.out, ErrBodyTooLarge
 				}
 				p.need = n
 			}
 		}
 		if p.need > p.buf.len() {
-			return out, nil
+			return p.out, nil
 		}
 		if p.need > 0 {
 			// The body must be copied out: the stream's backing array is
@@ -73,7 +77,7 @@ func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
 			p.head.Body = append([]byte(nil), p.buf.bytes()[:p.need]...)
 			p.buf.advance(p.need)
 		}
-		out = append(out, p.head)
+		p.out = append(p.out, p.head)
 		p.head = nil
 		p.need = 0
 	}
@@ -134,8 +138,12 @@ const (
 // Because body framing depends on the request (HEAD has no body), callers
 // must push the method of each outstanding request in order.
 type ResponseParser struct {
-	buf     stream
+	buf stream
+	// methods[next:] are the outstanding requests' methods, oldest
+	// first; the array is reused once they are all answered.
 	methods []string
+	next    int
+	out     []*Response // Feed's result, reused
 
 	// BodyChunk, if non-nil, observes body bytes incrementally as they
 	// are consumed, before the response completes. head is the response
@@ -180,6 +188,19 @@ func (p *ResponseParser) PushExpectation(method string) {
 	p.methods = append(p.methods, method)
 }
 
+// popExpectation returns the oldest outstanding request's method, and
+// false when there is none.
+func (p *ResponseParser) popExpectation() (string, bool) {
+	if p.next == len(p.methods) {
+		return "", false
+	}
+	method := p.methods[p.next]
+	if p.next++; p.next == len(p.methods) {
+		p.methods, p.next = p.methods[:0], 0
+	}
+	return method, true
+}
+
 // Buffered returns the number of unconsumed bytes.
 func (p *ResponseParser) Buffered() int { return p.buf.len() }
 
@@ -191,27 +212,30 @@ func (p *ResponseParser) Buffered() int { return p.buf.len() }
 func (p *ResponseParser) Pending() int { return p.buf.len() + p.bodyLen }
 
 // Feed appends data and returns all responses completed by it. What it
-// has not consumed is copied; the caller may reuse the slice.
+// has not consumed is copied; the caller may reuse data. The returned
+// slice is the parser's own and is valid until the next Feed, which
+// reuses its array; the responses in it are the caller's, and the parser
+// never touches them again.
 func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 	p.buf.push(data)
 	defer p.buf.settle()
-	var out []*Response
+	clear(p.out)
+	p.out = p.out[:0]
 	for {
 		if p.head == nil {
 			end := bytes.Index(p.buf.bytes(), []byte("\r\n\r\n"))
 			if end < 0 {
-				return out, nil
+				return p.out, nil
 			}
 			resp, err := parseResponseHead(p.buf.bytes()[:end+4])
 			if err != nil {
-				return out, err
+				return p.out, err
 			}
 			p.buf.advance(end + 4)
-			if len(p.methods) == 0 {
-				return out, fmt.Errorf("%w: response with no outstanding request", ErrMalformed)
+			method, ok := p.popExpectation()
+			if !ok {
+				return p.out, fmt.Errorf("%w: response with no outstanding request", ErrMalformed)
 			}
-			method := p.methods[0]
-			p.methods = p.methods[1:]
 			p.head = resp
 			p.body, p.bodyLen = nil, 0
 			p.keep = p.KeepBody == nil || p.KeepBody(resp)
@@ -223,13 +247,13 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 		}
 		done, err := p.consumeBody()
 		if err != nil {
-			return out, err
+			return p.out, err
 		}
 		if !done {
-			return out, nil
+			return p.out, nil
 		}
 		p.head.Body, p.head.BodyLen = p.body, p.bodyLen
-		out = append(out, p.head)
+		p.out = append(p.out, p.head)
 		p.head = nil
 	}
 }

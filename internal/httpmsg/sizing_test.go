@@ -106,6 +106,24 @@ func TestMarshalAllocatesOnce(t *testing.T) {
 	}
 }
 
+// A message appended where there is room allocates nothing: its
+// Content-Length is formatted in place, not through a string.
+func TestAppendIntoRoomAllocatesNothing(t *testing.T) {
+	resp := NewResponse(Proto11, 200)
+	resp.Header.Add("Content-Type", "image/gif")
+	resp.Body = bytes.Repeat([]byte("x"), 42000)
+	req := &Request{Method: "POST", Target: "/cgi", Proto: Proto11, Body: bytes.Repeat([]byte("y"), 300)}
+	buf := make([]byte, 0, 1<<16)
+	for name, appendTo := range map[string]func(){
+		"response head": func() { resp.AppendHeadFor(buf, "GET") },
+		"request":       func() { req.AppendTo(buf) },
+	} {
+		if n := testing.AllocsPerRun(50, appendTo); n != 0 {
+			t.Errorf("%s: appending allocates %v times, want 0", name, n)
+		}
+	}
+}
+
 // A parsed head costs three allocations — its string, the message and
 // the field list sized from the line count — however many fields it has
 // (the split-and-append parser took eleven for a server's usual eight).

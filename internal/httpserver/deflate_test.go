@@ -32,8 +32,8 @@ func TestDeflateServersShareTheSitesArtifact(t *testing.T) {
 		port++
 		return New(s, host, port, site, cfg, nil, 0)
 	}
-	a := start().respond(deflateRequest())
-	b := start().respond(deflateRequest())
+	a := start().respond(deflateRequest(), new(httpmsg.Response))
+	b := start().respond(deflateRequest(), new(httpmsg.Response))
 	if a.Header.Get("Content-Encoding") != "deflate" || len(a.Body) == 0 {
 		t.Fatalf("deflate not served: %+v", a.Header)
 	}
@@ -67,7 +67,7 @@ func BenchmarkServerNewDeflate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		host := tcpsim.NewNetwork(s).AddHost("server")
 		srv := New(s, host, 80, site, cfg, nil, 0)
-		if resp := srv.respond(req); resp.Header.Get("Content-Encoding") != "deflate" {
+		if resp := srv.respond(req, new(httpmsg.Response)); resp.Header.Get("Content-Encoding") != "deflate" {
 			b.Fatal("deflate not served")
 		}
 	}

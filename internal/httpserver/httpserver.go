@@ -194,16 +194,21 @@ func (s *Server) Stats() Stats { return s.stats }
 // CPUTime returns the total simulated CPU work the server has consumed.
 func (s *Server) CPUTime() sim.Duration { return s.cpu.TotalWork() }
 
-// serverConn is the per-connection state machine.
+// serverConn is the per-connection state machine, and its handler.
 type serverConn struct {
 	srv    *Server
 	conn   *tcpsim.Conn
 	parser httpmsg.RequestParser
 
-	pending    []*httpmsg.Request // parsed, not yet processed
-	processing bool
-	served     int
-	closing    bool
+	pending sim.Queue[*httpmsg.Request] // parsed, not yet processed
+	// inService is the request the CPU is working on, nil when idle:
+	// processNext serves one request at a time.
+	inService *httpmsg.Request
+	// resp is filled for each response in turn: serve marshals its head
+	// into the send buffer at once, so one serves the connection.
+	resp    httpmsg.Response
+	served  int
+	closing bool
 	// stalled wedges the connection after a scripted stall fault: no
 	// further bytes are ever sent and no close is initiated.
 	stalled bool
@@ -218,21 +223,24 @@ type serverConn struct {
 }
 
 func newServerConn(srv *Server, c *tcpsim.Conn) tcpsim.Handler {
-	sc := &serverConn{srv: srv, conn: c}
 	srv.stats.Connections++
-	return &tcpsim.Callbacks{
-		Connect: func(c *tcpsim.Conn) {
-			// Per-connection setup cost (accept, fork/thread, logging).
-			srv.cpu.Run(srv.cfg.PerConnCPU, func() {})
-		},
-		Data:      sc.onData,
-		PeerClose: sc.onPeerClose,
-		Error:     func(c *tcpsim.Conn, err error) {},
-		Close:     func(c *tcpsim.Conn) {},
-	}
+	return &serverConn{srv: srv, conn: c}
 }
 
-func (sc *serverConn) onData(c *tcpsim.Conn, data []byte) {
+// OnConnect implements tcpsim.Handler: it charges the per-connection
+// setup cost (accept, fork/thread, logging).
+func (sc *serverConn) OnConnect(c *tcpsim.Conn) {
+	sc.srv.cpu.Run(sc.srv.cfg.PerConnCPU, sim.Nop, nil)
+}
+
+// OnError implements tcpsim.Handler.
+func (sc *serverConn) OnError(c *tcpsim.Conn, err error) {}
+
+// OnClose implements tcpsim.Handler.
+func (sc *serverConn) OnClose(c *tcpsim.Conn) {}
+
+// OnData implements tcpsim.Handler.
+func (sc *serverConn) OnData(c *tcpsim.Conn, data []byte) {
 	if sc.closing || sc.stalled {
 		return
 	}
@@ -253,12 +261,12 @@ func (sc *serverConn) onData(c *tcpsim.Conn, data []byte) {
 		sc.close() // flushes
 		return
 	}
-	if b := sc.srv.cfg.Obs; b != nil {
-		for _, req := range reqs {
+	for _, req := range reqs {
+		if b := sc.srv.cfg.Obs; b != nil {
 			b.ServerRecv(sc.conn.ObsID(), req.Target)
 		}
+		sc.pending.Push(req)
 	}
-	sc.pending = append(sc.pending, reqs...)
 	sc.processNext()
 }
 
@@ -290,7 +298,8 @@ func (sc *serverConn) sniffPreface(data []byte) []byte {
 	return nil
 }
 
-func (sc *serverConn) onPeerClose(c *tcpsim.Conn) {
+// OnPeerClose implements tcpsim.Handler.
+func (sc *serverConn) OnPeerClose(c *tcpsim.Conn) {
 	if sc.stalled {
 		return // the stall fault never answers, never closes
 	}
@@ -300,31 +309,34 @@ func (sc *serverConn) onPeerClose(c *tcpsim.Conn) {
 	}
 	// Client finished sending. Once all pending work drains, close our
 	// half too.
-	if !sc.processing && len(sc.pending) == 0 {
+	if sc.inService == nil && sc.pending.Len() == 0 {
 		sc.close()
 	}
 }
 
 // processNext serves queued requests one at a time through the host CPU.
 func (sc *serverConn) processNext() {
-	if sc.processing || sc.closing || sc.stalled || len(sc.pending) == 0 {
+	if sc.inService != nil || sc.closing || sc.stalled || sc.pending.Len() == 0 {
 		return
 	}
-	req := sc.pending[0]
-	sc.pending = sc.pending[1:]
-	sc.processing = true
+	sc.inService = sc.pending.Pop()
 	sc.srv.stats.Requests++
-	sc.srv.cpu.Run(sc.srv.cfg.PerRequestCPU, func() {
-		sc.processing = false
-		if sc.conn.State() == tcpsim.StateClosed {
-			return
-		}
-		sc.serve(req)
-	})
+	sc.srv.cpu.Run(sc.srv.cfg.PerRequestCPU, serveInService, sc)
+}
+
+// serveInService runs when the CPU has done a request's work.
+func serveInService(a any) {
+	sc := a.(*serverConn)
+	req := sc.inService
+	sc.inService = nil
+	if sc.conn.State() == tcpsim.StateClosed {
+		return
+	}
+	sc.serve(req)
 }
 
 func (sc *serverConn) serve(req *httpmsg.Request) {
-	resp := sc.srv.respond(req)
+	resp := sc.srv.respond(req, &sc.resp)
 	sc.srv.stats.Responses++
 	if b := sc.srv.cfg.Obs; b != nil {
 		b.ServerSend(sc.conn.ObsID(), req.Target, resp.StatusCode, len(resp.Body))
@@ -351,7 +363,7 @@ func (sc *serverConn) serve(req *httpmsg.Request) {
 	// is full or when there are no more requests coming in on the
 	// connection.
 	sc.srv.stats.BytesOut += int64(sc.queue(resp, req.Method, -1))
-	if sc.conn.Corked() >= sc.srv.cfg.ResponseBufferSize || (len(sc.pending) == 0 && sc.parser.Buffered() == 0) {
+	if sc.conn.Corked() >= sc.srv.cfg.ResponseBufferSize || (sc.pending.Len() == 0 && sc.parser.Buffered() == 0) {
 		sc.conn.Flush()
 	}
 
@@ -369,7 +381,7 @@ func (sc *serverConn) serve(req *httpmsg.Request) {
 	sc.processNext()
 	// If the client already half-closed and everything is served, finish
 	// our half too.
-	if !sc.processing && len(sc.pending) == 0 && sc.conn.State() == tcpsim.StateCloseWait {
+	if sc.inService == nil && sc.pending.Len() == 0 && sc.conn.State() == tcpsim.StateCloseWait {
 		sc.close()
 	}
 }
@@ -438,19 +450,20 @@ func (sc *serverConn) queue(resp *httpmsg.Response, method string, limit int) in
 	return n + sc.conn.CorkRef(body)
 }
 
-// respond builds the response for one request; the caller marshals it
-// after adding any connection-management headers.
-func (s *Server) respond(req *httpmsg.Request) *httpmsg.Response {
+// respond builds the response for one request in resp, which it empties
+// first, keeping its field array, and returns resp; the caller marshals
+// it after adding any connection-management headers.
+func (s *Server) respond(req *httpmsg.Request, resp *httpmsg.Response) *httpmsg.Response {
 	proto := httpmsg.Proto11
 	if !req.IsHTTP11() {
 		proto = httpmsg.Proto10
 	}
 	if req.Method != "GET" && req.Method != "HEAD" {
-		return s.finishHeaders(httpmsg.NewResponse(proto, 501))
+		return s.finishHeaders(initResponse(resp, proto, 501))
 	}
 	obj, ok := s.site.Object(req.Target)
 	if !ok {
-		resp := httpmsg.NewResponse(proto, 404)
+		initResponse(resp, proto, 404)
 		resp.Body = []byte("<html><body>404 Not Found</body></html>")
 		resp.Header.Add("Content-Type", "text/html")
 		return s.finishHeaders(resp)
@@ -459,14 +472,14 @@ func (s *Server) respond(req *httpmsg.Request) *httpmsg.Response {
 	// Conditional GET: entity tags take precedence over date validators.
 	if inm := req.Header.Get("If-None-Match"); inm != "" {
 		if httpmsg.ETagMatch(inm, obj.ETag) {
-			resp := httpmsg.NewResponse(proto, 304)
+			initResponse(resp, proto, 304)
 			resp.Header.Add("ETag", obj.ETag)
 			s.stats.NotModified++
 			return s.finishHeaders(resp)
 		}
 	} else if ims := req.Header.Get("If-Modified-Since"); ims != "" {
 		if !httpmsg.ModifiedSince(obj.LastModified, ims) {
-			resp := httpmsg.NewResponse(proto, 304)
+			initResponse(resp, proto, 304)
 			s.stats.NotModified++
 			return s.finishHeaders(resp)
 		}
@@ -478,7 +491,7 @@ func (s *Server) respond(req *httpmsg.Request) *httpmsg.Response {
 	// already answered 304 when the page was fresh).
 	if httpmsg.TokenListContains(req.Header.Get(mux.BurstRequestHeader), mux.BurstRequestValue) {
 		if recs := s.burstRecords(req.Target); recs != nil {
-			resp := httpmsg.NewResponse(proto, 200)
+			initResponse(resp, proto, 200)
 			resp.Header.Add("Content-Type", mux.BurstContentType)
 			resp.Body = mux.EncodeBurst(recs)
 			resp.Header.Add("ETag", obj.ETag)
@@ -488,7 +501,7 @@ func (s *Server) respond(req *httpmsg.Request) *httpmsg.Response {
 	}
 
 	body := obj.Body
-	resp := httpmsg.NewResponse(proto, 200)
+	initResponse(resp, proto, 200)
 	resp.Header.Add("Content-Type", obj.ContentType)
 
 	// Transport compression: the site's precomputed deflate coding of
@@ -520,6 +533,14 @@ func (s *Server) respond(req *httpmsg.Request) *httpmsg.Response {
 	resp.Header.Add("ETag", obj.ETag)
 	resp.Header.Add("Last-Modified", obj.LastModified)
 	return s.finishHeaders(resp)
+}
+
+// initResponse empties resp, keeping its field array, and gives it a
+// status line with the canonical reason phrase. It returns resp.
+func initResponse(resp *httpmsg.Response, proto string, code int) *httpmsg.Response {
+	resp.Header.Reset()
+	*resp = httpmsg.Response{Proto: proto, StatusCode: code, Reason: httpmsg.StatusText(code), Header: resp.Header}
+	return resp
 }
 
 // CanonicalResponse builds the exact 200 response the profile's server

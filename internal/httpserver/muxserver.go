@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/httpmsg"
 	"repro/internal/mux"
+	"repro/internal/sim"
 	"repro/internal/tcpsim"
 )
 
@@ -28,9 +29,10 @@ type muxServerConn struct {
 	sc   *serverConn
 	sess *mux.Session
 
-	pending    []muxJob
+	pending    sim.Queue[muxJob]
 	processing bool
-	served     int // client-requested responses completed on this connection
+	current    muxJob // the job the CPU is working on, while processing
+	served     int    // client-requested responses completed on this connection
 }
 
 // startMux hands the connection to a mux session. Response bytes are
@@ -90,37 +92,40 @@ func (msc *muxServerConn) onHeaders(st *mux.Stream, fields []mux.Field, end bool
 	if b := msc.sc.srv.cfg.Obs; b != nil {
 		b.ServerRecv(msc.sc.conn.ObsID(), req.Target)
 	}
-	msc.pending = append(msc.pending, muxJob{st: st, req: req})
+	msc.pending.Push(muxJob{st: st, req: req})
 	msc.processNext()
 }
 
 // processNext serves queued jobs one at a time through the host CPU,
 // mirroring serverConn.processNext.
 func (msc *muxServerConn) processNext() {
-	if msc.processing || msc.sc.closing || len(msc.pending) == 0 {
+	if msc.processing || msc.sc.closing || msc.pending.Len() == 0 {
 		return
 	}
-	job := msc.pending[0]
-	msc.pending = msc.pending[1:]
+	msc.current = msc.pending.Pop()
 	msc.processing = true
 	srv := msc.sc.srv
-	if !job.pushed {
+	if !msc.current.pushed {
 		srv.stats.Requests++
 	}
-	srv.cpu.Run(srv.cfg.PerRequestCPU, func() {
-		msc.processing = false
-		if msc.sc.conn.State() == tcpsim.StateClosed {
-			return
-		}
-		msc.serve(job)
-		msc.processNext()
-		msc.maybeClose()
-	})
+	srv.cpu.Run(srv.cfg.PerRequestCPU, serveCurrent, msc)
+}
+
+// serveCurrent runs when the CPU has done the current job's work.
+func serveCurrent(a any) {
+	msc := a.(*muxServerConn)
+	msc.processing = false
+	if msc.sc.conn.State() == tcpsim.StateClosed {
+		return
+	}
+	msc.serve(msc.current)
+	msc.processNext()
+	msc.maybeClose()
 }
 
 func (msc *muxServerConn) serve(job muxJob) {
 	srv := msc.sc.srv
-	resp := srv.respond(job.req)
+	resp := srv.respond(job.req, new(httpmsg.Response))
 	srv.stats.Responses++
 	if b := srv.cfg.Obs; b != nil {
 		b.ServerSend(msc.sc.conn.ObsID(), job.req.Target, resp.StatusCode, len(resp.Body))
@@ -297,7 +302,7 @@ func (msc *muxServerConn) push(parent *mux.Stream, path string) {
 	}
 	st.Priority = 1
 	msc.sc.srv.stats.PushedStreams++
-	msc.pending = append(msc.pending, muxJob{
+	msc.pending.Push(muxJob{
 		st:     st,
 		req:    &httpmsg.Request{Method: "GET", Target: path, Proto: httpmsg.Proto11},
 		pushed: true,
@@ -350,7 +355,7 @@ func (msc *muxServerConn) onPeerClose() {
 }
 
 func (msc *muxServerConn) maybeClose() {
-	if msc.processing || len(msc.pending) > 0 {
+	if msc.processing || msc.pending.Len() > 0 {
 		return
 	}
 	if msc.sc.conn.State() == tcpsim.StateCloseWait {

@@ -213,10 +213,10 @@ func conditional(req *httpmsg.Request) bool {
 	return req.Header.Has("If-None-Match") || req.Header.Has("If-Modified-Since")
 }
 
-// proxyConn is the per-client-connection state machine. Responses go back
-// in request order: a slot is reserved per parsed request and the head of
-// the queue is written as soon as it is ready, so a fast cache hit never
-// overtakes an earlier upstream miss.
+// proxyConn is the per-client-connection state machine, and its
+// handler. Responses go back in request order: a slot is reserved per
+// parsed request and the head of the queue is written as soon as it is
+// ready, so a fast cache hit never overtakes an earlier upstream miss.
 type proxyConn struct {
 	p      *Proxy
 	conn   *tcpsim.Conn
@@ -229,26 +229,37 @@ type proxyConn struct {
 
 // pxSlot is one client request awaiting its in-order response.
 type pxSlot struct {
+	pc    *proxyConn
 	req   *httpmsg.Request
 	resp  *httpmsg.Response
 	ready bool
 }
 
 func newProxyConn(p *Proxy, c *tcpsim.Conn) tcpsim.Handler {
-	pc := &proxyConn{p: p, conn: c}
 	p.stats.Connections++
-	return &tcpsim.Callbacks{
-		Connect: func(c *tcpsim.Conn) {
-			p.cpu.Run(p.cfg.PerConnCPU, func() {})
-		},
-		Data:      pc.onData,
-		PeerClose: pc.onPeerClose,
-		Error:     func(c *tcpsim.Conn, err error) {},
-		Close:     func(c *tcpsim.Conn) {},
-	}
+	return &proxyConn{p: p, conn: c}
 }
 
-func (pc *proxyConn) onData(c *tcpsim.Conn, data []byte) {
+// handleSlot runs when the CPU has done a request's work.
+func handleSlot(a any) {
+	slot := a.(*pxSlot)
+	slot.pc.handle(slot)
+}
+
+// OnConnect implements tcpsim.Handler: it charges the per-connection
+// setup cost.
+func (pc *proxyConn) OnConnect(c *tcpsim.Conn) {
+	pc.p.cpu.Run(pc.p.cfg.PerConnCPU, sim.Nop, nil)
+}
+
+// OnError implements tcpsim.Handler.
+func (pc *proxyConn) OnError(c *tcpsim.Conn, err error) {}
+
+// OnClose implements tcpsim.Handler.
+func (pc *proxyConn) OnClose(c *tcpsim.Conn) {}
+
+// OnData implements tcpsim.Handler.
+func (pc *proxyConn) OnData(c *tcpsim.Conn, data []byte) {
 	if pc.closing {
 		return
 	}
@@ -261,17 +272,15 @@ func (pc *proxyConn) onData(c *tcpsim.Conn, data []byte) {
 		return
 	}
 	for _, req := range reqs {
-		req := req
-		slot := &pxSlot{req: req}
+		slot := &pxSlot{pc: pc, req: req}
 		pc.slots = append(pc.slots, slot)
 		pc.p.stats.Requests++
-		pc.p.cpu.Run(pc.p.cfg.PerRequestCPU, func() {
-			pc.handle(slot)
-		})
+		pc.p.cpu.Run(pc.p.cfg.PerRequestCPU, handleSlot, slot)
 	}
 }
 
-func (pc *proxyConn) onPeerClose(c *tcpsim.Conn) {
+// OnPeerClose implements tcpsim.Handler.
+func (pc *proxyConn) OnPeerClose(c *tcpsim.Conn) {
 	pc.peerClosed = true
 	if len(pc.slots) == 0 {
 		pc.close()
@@ -511,7 +520,8 @@ type upstreamFetch struct {
 	span     obs.SpanID
 }
 
-// upstream is the proxy's persistent pipelined connection to the origin.
+// upstream is the proxy's persistent pipelined connection to the origin,
+// and its handler.
 type upstream struct {
 	p        *Proxy
 	conn     *tcpsim.Conn
@@ -546,18 +556,17 @@ func (p *Proxy) ensureUpstream() *upstream {
 	u := &upstream{p: p}
 	opts := p.cfg.UpstreamTCP
 	opts.NoDelay = true
-	u.conn = p.host.Dial(p.upstreamHost, p.upstreamPort, opts, &tcpsim.Callbacks{
-		Data:      u.onData,
-		PeerClose: u.onPeerClose,
-		Error:     u.onError,
-		Close:     u.onClose,
-	})
+	u.conn = p.host.Dial(p.upstreamHost, p.upstreamPort, opts, u)
 	p.up = u
 	p.stats.UpstreamSockets++
 	return u
 }
 
-func (u *upstream) onData(c *tcpsim.Conn, data []byte) {
+// OnConnect implements tcpsim.Handler.
+func (u *upstream) OnConnect(c *tcpsim.Conn) {}
+
+// OnData implements tcpsim.Handler.
+func (u *upstream) OnData(c *tcpsim.Conn, data []byte) {
 	if len(u.inflight) > 0 {
 		u.p.cfg.Obs.SpanFirstByte(u.inflight[0].span)
 	}
@@ -583,7 +592,8 @@ func (u *upstream) deliver(resps []*httpmsg.Response) {
 	}
 }
 
-func (u *upstream) onPeerClose(c *tcpsim.Conn) {
+// OnPeerClose implements tcpsim.Handler.
+func (u *upstream) OnPeerClose(c *tcpsim.Conn) {
 	// Origin finished sending (Connection: close or a per-connection
 	// request limit): complete any until-close body, then retire the
 	// connection and retry what was left unanswered.
@@ -597,9 +607,11 @@ func (u *upstream) onPeerClose(c *tcpsim.Conn) {
 	u.fail()
 }
 
-func (u *upstream) onError(c *tcpsim.Conn, err error) { u.fail() }
+// OnError implements tcpsim.Handler.
+func (u *upstream) OnError(c *tcpsim.Conn, err error) { u.fail() }
 
-func (u *upstream) onClose(c *tcpsim.Conn) { u.fail() }
+// OnClose implements tcpsim.Handler.
+func (u *upstream) OnClose(c *tcpsim.Conn) { u.fail() }
 
 // fail retires the connection, re-sending each unanswered request on a
 // fresh connection while the recovery policy's budget allows, then

@@ -19,9 +19,13 @@ func NewCPU(s *Simulator, rng *Rand, jitterFrac float64) *CPU {
 	return &CPU{sim: s, rng: rng, jitter: jitterFrac}
 }
 
-// Run schedules fn after d of CPU work, queued behind any work already
-// scheduled. It returns the completion instant.
-func (c *CPU) Run(d Duration, fn func()) Time {
+// Run schedules fn(arg) after d of CPU work, queued behind any work
+// already scheduled, and returns the completion instant. Work completes
+// in the order it was queued, whatever the jitter: each item ends no
+// earlier than the one before it, and items ending at one instant fire
+// in scheduling order. Like Simulator.AtArg, it allocates nothing when
+// fn is a package-level function and arg a pointer.
+func (c *CPU) Run(d Duration, fn func(any), arg any) Time {
 	if c.rng != nil && c.jitter > 0 {
 		d = c.rng.Jitter(d, c.jitter)
 	}
@@ -32,9 +36,13 @@ func (c *CPU) Run(d Duration, fn func()) Time {
 	end := start.Add(d)
 	c.busyUntil = end
 	c.total += d
-	c.sim.At(end, fn)
+	c.sim.AtArg(end, fn, arg)
 	return end
 }
+
+// Nop is a work item that only takes CPU time: Run(d, Nop, nil) charges
+// d and runs nothing when it completes.
+func Nop(any) {}
 
 // TotalWork returns the cumulative CPU time consumed.
 func (c *CPU) TotalWork() Duration { return c.total }

@@ -128,7 +128,10 @@ func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 func seqLE(a, b uint32) bool { return int32(a-b) <= 0 }
 
 // Handler receives connection events. All callbacks run synchronously on
-// the simulator goroutine; they may call Conn methods freely.
+// the simulator goroutine; they may call Conn methods freely. A long-lived
+// endpoint, such as an HTTP connection's state machine, implements Handler
+// itself, which costs nothing per connection beyond the endpoint; Callbacks
+// adapts optional funcs, for tests and ad-hoc endpoints.
 type Handler interface {
 	// OnConnect fires when the connection reaches ESTABLISHED.
 	OnConnect(c *Conn)
@@ -146,7 +149,9 @@ type Handler interface {
 	OnError(c *Conn, err error)
 }
 
-// Callbacks adapts optional funcs to Handler; nil fields are no-ops.
+// Callbacks adapts optional funcs to Handler; nil fields are no-ops. Each
+// func set is typically a closure or method value, allocated per
+// connection, which is why long-lived endpoints implement Handler instead.
 type Callbacks struct {
 	Connect   func(c *Conn)
 	Data      func(c *Conn, data []byte)
