@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/netem"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/webgen"
@@ -90,7 +91,7 @@ func (sw Sweep) Measure(g Grid, site *webgen.Site) ([]Measured, error) {
 	if sw.Collector != nil {
 		metrics = make([]exp.Metrics, len(cells)*reps)
 	}
-	err := exp.ForEach(sw.Parallel, len(cells)*reps, func(j int) error {
+	err := sim.ForEach(sw.Parallel, len(cells)*reps, func(j int) error {
 		c, i := cells[j/reps], j%reps
 		one := sw.Repetition(g, c.sc, i)
 		var opts []Option

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 
 	"repro/internal/flatez"
 	"repro/internal/httpclient"
+	"repro/internal/sim"
 	"repro/internal/webgen"
 )
 
@@ -55,18 +57,20 @@ type TagCaseRow struct {
 // affects deflate performance (lower-case tags compressed to ~0.27 of the
 // original vs ~0.35 for mixed case).
 func TagCaseTable() ([]TagCaseRow, error) {
-	var rows []TagCaseRow
-	for _, tc := range []webgen.TagCase{webgen.TagsLower, webgen.TagsMixed, webgen.TagsUpper} {
-		html := webgen.MicroscapeHTML(webgen.Options{Seed: 2, TagCase: tc})
+	cases := []webgen.TagCase{webgen.TagsLower, webgen.TagsMixed, webgen.TagsUpper}
+	rows := make([]TagCaseRow, len(cases))
+	err := sim.ForEach(runtime.GOMAXPROCS(0), len(cases), func(i int) error {
+		html := webgen.MicroscapeHTML(webgen.Options{Seed: 2, TagCase: cases[i]})
 		comp := flatez.Compress(html)
-		rows = append(rows, TagCaseRow{
-			Label:     tc.String() + "-case tags",
+		rows[i] = TagCaseRow{
+			Label:     cases[i].String() + "-case tags",
 			HTMLBytes: len(html),
 			Deflated:  len(comp),
 			Ratio:     flatez.Ratio(html, comp),
-		})
-	}
-	return rows, nil
+		}
+		return nil
+	})
+	return rows, err
 }
 
 // HeaderRedundancyRow is one request-encoding strategy of the paper's

@@ -1,9 +1,8 @@
-// Package exp orchestrates experiment sweeps. It provides the three
-// pieces the paper's measurement methodology needs at scale: a
-// declarative registry of named experiments (registry.go), a
-// deterministic worker pool that fans independent simulation runs out
-// across goroutines (pool.go), and a structured per-run metrics record
-// emitted as JSON or CSV alongside the text tables (this file).
+// Package exp orchestrates experiment sweeps. It provides two pieces
+// the paper's measurement methodology needs at scale: a declarative
+// registry of named experiments (registry.go) and a structured per-run
+// metrics record emitted as JSON or CSV alongside the text tables (this
+// file). Runs fan out on sim.ForEach, the one worker pool.
 //
 // The package sits below internal/core: core fills Metrics records and
 // drives the pool, while experiment registration and rendering live in

@@ -24,11 +24,23 @@ type encTable struct {
 	gen     int32
 }
 
+// newGen stamps a new generation, which empties the table; when the
+// stamp wraps, the table is zeroed instead.
+func (t *encTable) newGen() int32 {
+	t.gen += 1 << 16
+	if t.gen < 0 {
+		t.gen = 1 << 16
+		clear(t.entries[:])
+	}
+	return t.gen
+}
+
 var dictPool = sync.Pool{New: func() any { return new(encTable) }}
 
 // Compress encodes data in GIF-variant LZW with the given literal width
 // (2..8 bits). The output begins with a CLEAR code and ends with EOI, as
-// GIF image data requires.
+// GIF image data requires. It panics on a byte of data that does not fit
+// the literal width.
 func Compress(data []byte, litWidth int) []byte {
 	w := bitWriter{budget: math.MaxInt}
 	encode(data, litWidth, &w)
@@ -39,7 +51,9 @@ func Compress(data []byte, litWidth int) []byte {
 // length is below limit, and (limit, false) otherwise. It runs Compress's
 // coder but keeps only a count of the bits, and stops as soon as the
 // count shows the output reaching limit bytes, so sizing an input
-// against a small limit costs only the prefix that fills it.
+// against a small limit costs only the prefix that fills it. Like
+// Compress it panics on a byte beyond the literal width, once the coder
+// reaches it.
 func CompressedLen(data []byte, litWidth, limit int) (int, bool) {
 	if limit <= 0 {
 		return limit, false
@@ -63,41 +77,23 @@ func encode(data []byte, litWidth int, w *bitWriter) {
 	if litWidth < 2 || litWidth > 8 {
 		panic(fmt.Sprintf("lzw: literal width %d out of range", litWidth))
 	}
-	clear := 1 << uint(litWidth)
+	lw := uint(litWidth)
+	clear := 1 << lw
 	eoi := clear + 1
 
-	width := uint(litWidth + 1)
+	width := lw + 1
 	next := eoi + 1
 	// The dictionary maps (prefix code, next byte) to a code. A flat
-	// array indexed by prefix<<8|byte is much faster than a map here
-	// (codes are bounded by 1<<maxGIFWidth). Entries are stamped with a
-	// generation in the high bits so a CLEAR invalidates the whole table
-	// without re-zeroing four megabytes, and tables are pooled across
-	// calls.
+	// array indexed by prefix<<litWidth|byte is much faster than a map
+	// here (codes are bounded by 1<<maxGIFWidth), and rows as wide as the
+	// palette keep a small palette's dictionary within 64 KB of the
+	// table. Entries are stamped with a generation in the high bits so a
+	// CLEAR invalidates the whole table without re-zeroing it, and tables
+	// are pooled across calls.
 	tbl := dictPool.Get().(*encTable)
 	defer dictPool.Put(tbl)
 	dict := tbl.entries[:]
-	tbl.gen += 1 << 16
-	if tbl.gen < 0 { // generation counter wrapped: start a fresh table
-		tbl.gen = 1 << 16
-		for i := range dict {
-			dict[i] = 0
-		}
-	}
-	gen := tbl.gen
-
-	reset := func() {
-		width = uint(litWidth + 1)
-		next = eoi + 1
-		tbl.gen += 1 << 16
-		if tbl.gen < 0 {
-			tbl.gen = 1 << 16
-			for i := range dict {
-				dict[i] = 0
-			}
-		}
-		gen = tbl.gen
-	}
+	gen := tbl.newGen()
 
 	w.writeBits(uint32(clear), width)
 	if len(data) == 0 {
@@ -106,8 +102,14 @@ func encode(data []byte, litWidth int, w *bitWriter) {
 	}
 
 	cur := int(data[0])
+	if cur >= clear {
+		panic(symbolPanic(data[0], litWidth))
+	}
 	for _, b := range data[1:] {
-		key := cur<<8 | int(b)
+		if int(b) >= clear {
+			panic(symbolPanic(b, litWidth))
+		}
+		key := cur<<lw | int(b)
 		if v := dict[key]; v&^0xffff == gen {
 			cur = int(v & 0xffff)
 			continue
@@ -124,7 +126,7 @@ func encode(data []byte, litWidth int, w *bitWriter) {
 		}
 		if next >= 1<<maxGIFWidth {
 			w.writeBits(uint32(clear), width)
-			reset()
+			width, next, gen = lw+1, eoi+1, tbl.newGen()
 		}
 		cur = int(b)
 	}
@@ -137,6 +139,10 @@ func encode(data []byte, litWidth int, w *bitWriter) {
 		width++
 	}
 	w.writeBits(uint32(eoi), width)
+}
+
+func symbolPanic(b byte, litWidth int) string {
+	return fmt.Sprintf("lzw: symbol %d beyond literal width %d", b, litWidth)
 }
 
 // bitWriter packs codes LSB-first (GIF order). A counting writer packs

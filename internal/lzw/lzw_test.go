@@ -262,3 +262,25 @@ func TestModemDictSizeFloor(t *testing.T) {
 		t.Fatalf("dict size floor not applied: %d", m.dictSize)
 	}
 }
+
+// With dictionary rows 1<<litWidth wide, a byte beyond the literal width
+// would alias another prefix's entry, so both coders refuse it, first
+// byte or any later one, as compress/lzw's writer does.
+func TestSymbolBeyondLiteralWidthPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	for lw := 2; lw < 8; lw++ {
+		bad := byte(1 << lw)
+		for _, data := range [][]byte{{bad}, {0, bad}, append(bytes.Repeat([]byte{1, 0}, 3000), bad)} {
+			mustPanic("Compress", func() { Compress(data, lw) })
+			mustPanic("CompressedLen", func() { CompressedLen(data, lw, math.MaxInt) })
+		}
+	}
+}

@@ -14,7 +14,11 @@ package lzw
 //
 // It satisfies the netem.StreamCompressor interface structurally.
 type ModemCompressor struct {
-	dict  []int32 // (prefix<<8|byte) -> code+1; 0 = empty
+	// table is the dictionary, open-addressed: a slot holds key<<32|code
+	// for key = prefix<<8|byte, or 0 when empty (no code is 0). It has at
+	// least four slots per codeword, so a probe rarely goes past one.
+	table []uint64
+	shift uint // 64 - log2(len(table)): the hash keeps the top bits
 	next  int
 	width uint
 	cur   int // current prefix code, -1 when none
@@ -38,14 +42,18 @@ func NewModemCompressorSize(dictSize int) *ModemCompressor {
 	if dictSize < 512 {
 		dictSize = 512
 	}
-	m := &ModemCompressor{dictSize: dictSize}
+	m := &ModemCompressor{dictSize: dictSize, shift: 64}
+	for 1<<(64-m.shift) < 4*dictSize {
+		m.shift--
+	}
+	m.table = make([]uint64, 1<<(64-m.shift))
 	m.Reset()
 	return m
 }
 
 // Reset clears the dictionary, as on modem retrain.
 func (m *ModemCompressor) Reset() {
-	m.dict = make([]int32, m.dictSize<<8)
+	clear(m.table)
 	m.next = 259 // V.42bis: codes 0..255 literals, 256..258 control
 	m.width = 9
 	m.cur = -1
@@ -55,19 +63,26 @@ func (m *ModemCompressor) Reset() {
 // the number of bits the modem would put on the wire for it.
 func (m *ModemCompressor) CompressedBits(p []byte) int {
 	bits := 0
+	mask := uint64(len(m.table) - 1)
 	for _, b := range p {
 		if m.cur < 0 {
 			m.cur = int(b)
 			continue
 		}
-		key := m.cur<<8 | int(b)
-		if code := m.dict[key]; code != 0 {
-			m.cur = int(code) - 1
+		key := uint64(m.cur)<<8 | uint64(b)
+		i := key * 0x9e3779b97f4a7c15 >> m.shift
+		e := m.table[i]
+		for e != 0 && e>>32 != key {
+			i = (i + 1) & mask
+			e = m.table[i]
+		}
+		if e != 0 {
+			m.cur = int(uint32(e))
 			continue
 		}
 		bits += int(m.width)
 		if m.next < m.dictSize {
-			m.dict[key] = int32(m.next) + 1
+			m.table[i] = key<<32 | uint64(m.next)
 			m.next++
 			if m.next > 1<<m.width && m.next <= m.dictSize {
 				m.width++

@@ -1,8 +1,11 @@
 package webgen
 
 import (
+	"runtime"
+
 	"repro/internal/gifenc"
 	"repro/internal/pngenc"
+	"repro/internal/sim"
 )
 
 // Conversion is one image's GIF→PNG (or animated GIF→MNG) conversion.
@@ -46,35 +49,50 @@ func toPNGImage(img *gifenc.Image) *pngenc.Image {
 }
 
 // ConvertImages runs the paper's batch conversion: every static GIF to
-// PNG, every animation to MNG.
+// PNG, every animation to MNG. The images are encoded on the pool, each
+// into its own slot, and totalled in site order.
 func (s *Site) ConvertImages() (ConversionReport, error) {
+	convs := make([]Conversion, len(s.Images))
+	err := sim.ForEach(runtime.GOMAXPROCS(0), len(s.Images), func(i int) (err error) {
+		convs[i], err = convert(s.Images[i])
+		return err
+	})
+	if err != nil {
+		return ConversionReport{}, err
+	}
 	var rep ConversionReport
-	for _, img := range s.Images {
+	for i, img := range s.Images {
+		c := convs[i]
 		if img.Static() {
-			data, err := pngenc.Encode(toPNGImage(img.Image))
-			if err != nil {
-				return rep, err
-			}
-			c := Conversion{Name: img.Spec.Name, Role: img.Spec.Role, GIFBytes: len(img.GIF), NewBytes: len(data), Data: data}
 			rep.Static = append(rep.Static, c)
 			rep.StaticGIF += c.GIFBytes
 			rep.StaticPNG += c.NewBytes
-			continue
+		} else {
+			rep.Animations = append(rep.Animations, c)
+			rep.AnimGIF += c.GIFBytes
+			rep.AnimMNG += c.NewBytes
 		}
+	}
+	return rep, nil
+}
+
+// convert encodes one image as PNG, or as MNG when it is an animation.
+func convert(img *SynthImage) (Conversion, error) {
+	var data []byte
+	var err error
+	if img.Static() {
+		data, err = pngenc.Encode(toPNGImage(img.Image))
+	} else {
 		frames := make([]*pngenc.Image, len(img.Frames))
 		delays := make([]int, len(img.Frames))
 		for i, f := range img.Frames {
 			frames[i] = toPNGImage(f.Image)
 			delays[i] = f.DelayCS
 		}
-		data, err := pngenc.EncodeMNG(frames, delays)
-		if err != nil {
-			return rep, err
-		}
-		c := Conversion{Name: img.Spec.Name, Role: img.Spec.Role, GIFBytes: len(img.GIF), NewBytes: len(data), Data: data}
-		rep.Animations = append(rep.Animations, c)
-		rep.AnimGIF += c.GIFBytes
-		rep.AnimMNG += c.NewBytes
+		data, err = pngenc.EncodeMNG(frames, delays)
 	}
-	return rep, nil
+	if err != nil {
+		return Conversion{}, err
+	}
+	return Conversion{Name: img.Spec.Name, Role: img.Spec.Role, GIFBytes: len(img.GIF), NewBytes: len(data), Data: data}, nil
 }

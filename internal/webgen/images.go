@@ -135,17 +135,19 @@ func renderStatic(spec Spec, scale int, seed uint64) *gifenc.Image {
 		s := 4 + scale/2
 		img := newImage(s, s, 4)
 		cx, cy := s/2, s/2
+		inner, outer := (s*s)/9, (s*s)/6
 		for y := 0; y < s; y++ {
-			for x := 0; x < s; x++ {
-				dx, dy := x-cx, y-cy
-				switch {
-				case dx*dx+dy*dy < (s*s)/9:
-					img.Pixels[y*s+x] = 1
-				case dx*dx+dy*dy < (s*s)/6:
-					img.Pixels[y*s+x] = 2
+			row := img.Pixels[y*s : y*s+s]
+			dy2 := (y - cy) * (y - cy)
+			for x := range row {
+				switch d2 := (x-cx)*(x-cx) + dy2; {
+				case d2 < inner:
+					row[x] = 1
+				case d2 < outer:
+					row[x] = 2
 				}
 				if rng.Intn(24) == 0 {
-					img.Pixels[y*s+x] = byte(rng.Intn(4))
+					row[x] = byte(rng.Intn(4))
 				}
 			}
 		}
@@ -159,8 +161,9 @@ func renderStatic(spec Spec, scale int, seed uint64) *gifenc.Image {
 		}
 		img := newImage(w, h, 4)
 		// Background color 1 (the #FC0 of Figure 1), glyph color 0.
-		for i := range img.Pixels {
-			img.Pixels[i] = 1
+		img.Pixels[0] = 1
+		for n := 1; n < len(img.Pixels); n *= 2 {
+			copy(img.Pixels[n:], img.Pixels[:n])
 		}
 		x := h / 2
 		for x+h/2 < w*2/3 {
@@ -174,12 +177,14 @@ func renderStatic(spec Spec, scale int, seed uint64) *gifenc.Image {
 		s := 4 + scale
 		img := newImage(s, s, 16)
 		for y := 0; y < s; y++ {
-			for x := 0; x < s; x++ {
-				c := (x/3 + y/3) % 8
+			row := img.Pixels[y*s : y*s+s]
+			y3 := y / 3
+			for x := range row {
+				c := (x/3 + y3) & 7
 				if rng.Intn(6) == 0 {
 					c = 8 + rng.Intn(8)
 				}
-				img.Pixels[y*s+x] = byte(c)
+				row[x] = byte(c)
 			}
 		}
 		return img
@@ -195,10 +200,19 @@ func renderStatic(spec Spec, scale int, seed uint64) *gifenc.Image {
 			h = 4
 		}
 		img := newImage(w, h, 128)
+		// x*255/w steps by 255/w, and by one more each time the
+		// remainder wraps.
+		xStep, xRem := 255/w, 255%w
 		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				base := (x*255/w + y*255/h) / 4
-				img.Pixels[y*w+x] = byte((base + rng.Intn(96)) % 128)
+			row := img.Pixels[y*w : y*w+w]
+			yv := y * 255 / h
+			xv, xr := 0, 0
+			for x := range row {
+				row[x] = byte(((xv+yv)>>2 + rng.Intn(96)) & 127)
+				xv += xStep
+				if xr += xRem; xr >= w {
+					xv, xr = xv+1, xr-w
+				}
 			}
 		}
 		return img
@@ -219,28 +233,40 @@ func newImage(w, h, colors int) *gifenc.Image {
 	return img
 }
 
-// drawGlyph draws a blocky letterform-like shape.
+// drawGlyph draws a blocky letterform-like shape, clipped to the image.
 func drawGlyph(img *gifenc.Image, x0, y0, w, h int, rng *sim.Rand) {
 	kind := rng.Intn(4)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			px, py := x0+x, y0+y
-			if px >= img.W || py >= img.H {
-				continue
+	cw, ch := min(w, img.W-x0), min(h, img.H-y0)
+	if cw <= 0 || ch <= 0 {
+		return
+	}
+	// bars marks the glyph's left and right quarters of a row.
+	bars := func(row []byte) {
+		clear(row[:min(w/4, cw)])
+		clear(row[min(w-w/4, cw):])
+	}
+	for y := 0; y < ch; y++ {
+		row := img.Pixels[(y0+y)*img.W+x0:][:cw]
+		switch kind {
+		case 0: // vertical bars
+			bars(row)
+		case 1: // ring
+			if y < h/4 || y >= h-h/4 {
+				clear(row)
+			} else {
+				bars(row)
 			}
-			var on bool
-			switch kind {
-			case 0: // vertical bars
-				on = x < w/4 || x >= w-w/4
-			case 1: // ring
-				on = x < w/4 || x >= w-w/4 || y < h/4 || y >= h-h/4
-			case 2: // diagonal
-				on = abs(x*h-y*w) < h*w/4
-			default: // horizontal bars
-				on = y < h/4 || (y >= h/2-h/8 && y < h/2+h/8)
+		case 2: // diagonal: |x*h - y*w| < h*w/4
+			d, band := -y*w, h*w/4
+			for x := range row {
+				if d < band && -d < band {
+					row[x] = 0
+				}
+				d += h
 			}
-			if on {
-				img.Pixels[py*img.W+px] = 0
+		default: // horizontal bars
+			if y < h/4 || (y >= h/2-h/8 && y < h/2+h/8) {
+				clear(row)
 			}
 		}
 	}
@@ -256,12 +282,14 @@ func renderAnimation(spec Spec, scale int, seed uint64, nFrames int) []gifenc.Fr
 	rng := sim.NewRand(seed ^ nameHash(spec.Name) ^ 0xA11A)
 	base := newImage(w, h, 32)
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			c := (x/4 + y/4) % 12
+		row := base.Pixels[y*w : y*w+w]
+		y4 := y / 4
+		for x := range row {
+			c := (x/4 + y4) % 12
 			if rng.Intn(5) == 0 {
 				c = 12 + rng.Intn(20)
 			}
-			base.Pixels[y*w+x] = byte(c)
+			row[x] = byte(c)
 		}
 	}
 	var frames []gifenc.Frame

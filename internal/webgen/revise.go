@@ -1,6 +1,11 @@
 package webgen
 
-import "repro/internal/sim"
+import (
+	"runtime"
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // revisedLastModified is the timestamp carried by objects changed in a
 // revision.
@@ -18,23 +23,30 @@ func (s *Site) Revise(fraction float64, seed uint64) (*Site, error) {
 	if seed == 0 {
 		seed = 1
 	}
+	// Draw every choice first; the fresh images are then synthesized on
+	// the pool, each a pure function of its spec and seed.
 	rng := sim.NewRand(seed ^ 0x5EED1E)
-	site := &Site{objects: make(map[string]*Object)}
-	var imagePaths []string
-	for i, img := range s.Images {
-		use := img
+	var fresh []int
+	for i := range s.Images {
 		if rng.Float64() < fraction {
-			fresh, err := Synthesize(img.Spec, seed+uint64(i)*977+13)
-			if err != nil {
-				return nil, err
-			}
-			use = fresh
+			fresh = append(fresh, i)
 		}
-		site.Images = append(site.Images, use)
+	}
+	site := &Site{objects: make(map[string]*Object), Images: slices.Clone(s.Images)}
+	err := sim.ForEach(runtime.GOMAXPROCS(0), len(fresh), func(k int) (err error) {
+		i := fresh[k]
+		site.Images[i], err = Synthesize(s.Images[i].Spec, seed+uint64(i)*977+13)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var imagePaths []string
+	for i, use := range site.Images {
 		path := imagePath(use.Spec)
 		imagePaths = append(imagePaths, path)
 		site.addObject(&Object{Path: path, ContentType: "image/gif", Body: use.GIF})
-		if use != img {
+		if use != s.Images[i] {
 			if obj, ok := site.Object(path); ok {
 				obj.LastModified = revisedLastModified
 			}

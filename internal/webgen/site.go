@@ -2,10 +2,12 @@ package webgen
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/flatez"
 	"repro/internal/htmlparse"
+	"repro/internal/sim"
 )
 
 // Object is one servable resource.
@@ -58,15 +60,20 @@ func Microscape(opts Options) (*Site, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	site := &Site{objects: make(map[string]*Object)}
-	for _, spec := range MicroscapeSpecs() {
-		img, err := Synthesize(spec, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		site.Images = append(site.Images, img)
+	specs := MicroscapeSpecs()
+	site := &Site{objects: make(map[string]*Object), Images: make([]*SynthImage, len(specs))}
+	// Each image is a pure function of its spec and seed and lands in its
+	// own slot, so the site does not depend on how the pool schedules them.
+	err := sim.ForEach(runtime.GOMAXPROCS(0), len(specs), func(i int) (err error) {
+		site.Images[i], err = Synthesize(specs[i], opts.Seed)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, img := range site.Images {
 		site.addObject(&Object{
-			Path:        imagePath(spec),
+			Path:        imagePath(img.Spec),
 			ContentType: "image/gif",
 			Body:        img.GIF,
 		})

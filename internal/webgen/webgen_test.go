@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"image/gif"
 	"image/png"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -167,6 +169,52 @@ func TestDeterministicSynthesis(t *testing.T) {
 		if !bytes.Equal(a.Images[i].GIF, b.Images[i].GIF) {
 			t.Fatalf("image %d not deterministic", i)
 		}
+	}
+}
+
+// objects lists a site's objects in serving order, every field of each.
+func objects(s *Site) []Object {
+	var out []Object
+	for _, p := range s.Paths() {
+		o, _ := s.Object(p)
+		out = append(out, *o)
+	}
+	return out
+}
+
+// Synthesis and conversion run on a pool as wide as GOMAXPROCS; each
+// image is written to its own slot, so the bytes, validators and object
+// order must not depend on the width.
+func TestSynthesisIndependentOfGOMAXPROCS(t *testing.T) {
+	type build struct {
+		site, revised []Object
+		conv          ConversionReport
+	}
+	at := func(procs int) build {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s, err := Microscape(Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Revise(0.3, 10001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv, err := s.ConvertImages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return build{objects(s), objects(r), conv}
+	}
+	one, four := at(1), at(4)
+	if !reflect.DeepEqual(one.site, four.site) {
+		t.Error("Microscape differs between GOMAXPROCS 1 and 4")
+	}
+	if !reflect.DeepEqual(one.revised, four.revised) {
+		t.Error("Revise(0.3, 10001) differs between GOMAXPROCS 1 and 4")
+	}
+	if !reflect.DeepEqual(one.conv, four.conv) {
+		t.Error("ConvertImages differs between GOMAXPROCS 1 and 4")
 	}
 }
 
