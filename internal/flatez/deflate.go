@@ -1,5 +1,10 @@
 package flatez
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 const (
 	windowSize = 32768
 	minMatch   = 3
@@ -88,27 +93,37 @@ func lz77(data, dict []byte, p matcherParams) []token {
 		insert(i)
 	}
 
-	matchLen := func(a, b int) int {
-		max := len(buf) - b
-		if max > maxMatch {
-			max = maxMatch
-		}
+	// matchLen is the length of the common prefix of buf[a:] and
+	// buf[b:], a < b, up to max bytes, compared a word at a time.
+	matchLen := func(a, b, max int) int {
 		n := 0
+		for ; n+8 <= max; n += 8 {
+			if x := binary.LittleEndian.Uint64(buf[a+n:]) ^ binary.LittleEndian.Uint64(buf[b+n:]); x != 0 {
+				return n + bits.TrailingZeros64(x)/8
+			}
+		}
 		for n < max && buf[a+n] == buf[b+n] {
 			n++
 		}
 		return n
 	}
-	// findFrom walks a hash chain looking for the best match for pos.
+	// findFrom walks a hash chain looking for the best match for pos:
+	// the longest, and the nearest of equals. A candidate whose byte at
+	// the best length so far differs cannot be longer and is passed
+	// over, and once the best reaches the longest a match can be the walk
+	// stops; neither changes the match found.
 	findFrom := func(cand int32, pos int) (length, dist int) {
 		limit := pos - windowSize
+		longest := min(len(buf)-pos, maxMatch)
 		chain := p.maxChain
-		for cand >= 0 && int(cand) > limit && chain > 0 {
-			if l := matchLen(int(cand), pos); l > length {
-				length = l
-				dist = pos - int(cand)
-				if l >= p.nice {
-					break
+		for cand >= 0 && int(cand) > limit && chain > 0 && length < longest {
+			if c := int(cand); buf[c+length] == buf[pos+length] {
+				if l := matchLen(c, pos, longest); l > length {
+					length = l
+					dist = pos - c
+					if l >= p.nice {
+						break
+					}
 				}
 			}
 			cand = prev[cand]

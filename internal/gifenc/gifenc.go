@@ -127,49 +127,75 @@ const (
 	trailerLen        = 1
 )
 
-// EncodedLen returns len(Encode(img)) and true when that length is below
-// limit, and (limit, false) otherwise. It builds no encoding: the pixels'
-// LZW code is only counted (lzw.CompressedLen), and counting stops once
-// the total reaches limit. img must be an image Encode accepts; EncodedLen
-// does not validate it.
-func EncodedLen(img *Image, limit int) (int, bool) {
-	n := signatureLen + screenLen + colorTableLen(img) + trailerLen
-	return addImageDataLen(n, img, limit)
+// Sizer measures an encoding from its pixels as they are drawn, without
+// building it: the pixels' LZW code is only counted (lzw.Counter), and
+// counting stops once the total reaches the limit, so a caller drawing
+// the image can stop drawing there too. Call Image before each image's
+// pixels, then Write them in order in any number of pieces.
+type Sizer struct {
+	n, limit int
+	litWidth int
+	code     *lzw.Counter // the current image's pixels
+	over     bool         // the total has reached the limit
 }
 
-// EncodedAnimationLen is EncodedLen for EncodeAnimation(frames, loop),
-// whose length does not depend on loop. The frames must be ones
-// EncodeAnimation accepts.
-func EncodedAnimationLen(frames []Frame, limit int) (int, bool) {
-	n := signatureLen + screenLen + colorTableLen(frames[0].Image) + loopExtensionLen +
-		len(frames)*graphicControlLen + trailerLen
-	for _, f := range frames {
-		var ok bool
-		if n, ok = addImageDataLen(n, f.Image, limit); !ok {
-			return limit, false
-		}
-	}
-	return n, true
+// NewSizer starts sizing Encode's output for an image with the given
+// palette size against limit bytes.
+func NewSizer(colors, limit int) *Sizer {
+	return newSizer(signatureLen+screenLen+trailerLen, colors, limit)
 }
 
-// addImageDataLen adds to n the length appendImageData gives img, and
-// reports whether the sum stays below limit; if not it returns limit.
-func addImageDataLen(n int, img *Image, limit int) (int, bool) {
-	n += imageFramingLen
-	c, ok := lzw.CompressedLen(img.Pixels, literalWidth(img), limit-n)
-	if !ok {
-		return limit, false
-	}
-	// The code travels in sub-blocks of up to 255 bytes behind a length
-	// byte each.
-	if n += c + (c+254)/255; n >= limit {
-		return limit, false
-	}
-	return n, true
+// NewAnimationSizer starts sizing EncodeAnimation's output for frames
+// images with the given palette size against limit bytes.
+func NewAnimationSizer(colors, frames, limit int) *Sizer {
+	return newSizer(signatureLen+screenLen+loopExtensionLen+frames*graphicControlLen+trailerLen, colors, limit)
 }
 
-// colorTableLen is the size of the color table written for img's palette.
-func colorTableLen(img *Image) int { return 3 << uint(paletteBits(len(img.Palette))) }
+func newSizer(n, colors, limit int) *Sizer {
+	bits := paletteBits(colors)
+	return &Sizer{n: n + 3<<uint(bits), limit: limit, litWidth: max(bits, 2)}
+}
+
+// Image starts the next image's pixels.
+func (s *Sizer) Image() {
+	s.endImage()
+	if !s.over {
+		s.n += imageFramingLen
+		s.code = lzw.NewCounter(s.litWidth, s.limit-s.n)
+	}
+}
+
+// Write counts the next pixels of the current image. It reports false
+// once the total has reached the limit; the Sizer then reads no more.
+func (s *Sizer) Write(pixels []byte) bool {
+	if !s.over && !s.code.Write(pixels) {
+		s.over = true
+	}
+	return !s.over
+}
+
+// Len ends the last image and returns the encoding's length and true
+// when that is below the limit, else (limit, false).
+func (s *Sizer) Len() (int, bool) {
+	s.endImage()
+	if s.over {
+		return s.limit, false
+	}
+	return s.n, true
+}
+
+// endImage adds the current image's code to the total. The code travels
+// in sub-blocks of up to 255 bytes behind a length byte each.
+func (s *Sizer) endImage() {
+	if s.code == nil {
+		return
+	}
+	c, ok := s.code.Len()
+	s.code = nil
+	if s.n += c + (c+254)/255; !ok || s.n >= s.limit {
+		s.over = true
+	}
+}
 
 // literalWidth is the LZW minimum code size of img's pixels.
 func literalWidth(img *Image) int { return max(paletteBits(len(img.Palette)), 2) }

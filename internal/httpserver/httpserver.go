@@ -486,14 +486,15 @@ func (s *Server) respond(req *httpmsg.Request, resp *httpmsg.Response) *httpmsg.
 	}
 
 	// Burst aggregation: a page request carrying Accept-Burst gets one
-	// 200 whose body packs the page and every inline object as records.
+	// 200 whose body packs the page and every inline object as records,
+	// built once per site and queued by reference like any site body.
 	// It validates like the page itself (the conditional-GET paths above
 	// already answered 304 when the page was fresh).
 	if httpmsg.TokenListContains(req.Header.Get(mux.BurstRequestHeader), mux.BurstRequestValue) {
-		if recs := s.burstRecords(req.Target); recs != nil {
+		if body, ok := s.site.Burst(req.Target); ok {
 			initResponse(resp, proto, 200)
 			resp.Header.Add("Content-Type", mux.BurstContentType)
-			resp.Body = mux.EncodeBurst(recs)
+			resp.Body = body
 			resp.Header.Add("ETag", obj.ETag)
 			resp.Header.Add("Last-Modified", obj.LastModified)
 			return s.finishHeaders(resp)

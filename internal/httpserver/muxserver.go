@@ -362,28 +362,3 @@ func (msc *muxServerConn) maybeClose() {
 		msc.sc.close()
 	}
 }
-
-// burstRecords packs a page and its inline objects for the burst
-// (aggregated single-response) mode; nil when the target is not an
-// HTML page.
-func (s *Server) burstRecords(target string) []mux.BurstRecord {
-	obj, ok := s.site.Object(target)
-	if !ok || !strings.Contains(obj.ContentType, "text/html") {
-		return nil
-	}
-	recs := []mux.BurstRecord{{
-		Path: target, ContentType: obj.ContentType,
-		ETag: obj.ETag, LastModified: obj.LastModified, Body: obj.Body,
-	}}
-	for _, path := range s.site.InlineLinks(target) {
-		o, ok := s.site.Object(path)
-		if !ok {
-			continue
-		}
-		recs = append(recs, mux.BurstRecord{
-			Path: path, ContentType: o.ContentType,
-			ETag: o.ETag, LastModified: o.LastModified, Body: o.Body,
-		})
-	}
-	return recs
-}

@@ -103,6 +103,15 @@ func TestDictionaryOverflowResets(t *testing.T) {
 	}
 }
 
+// CompressedLen returns len(Compress(data, litWidth)) and true when that
+// length is below limit, and (limit, false) otherwise. It is a Counter
+// fed data in one piece.
+func CompressedLen(data []byte, litWidth, limit int) (int, bool) {
+	c := NewCounter(litWidth, limit)
+	c.Write(data)
+	return c.Len()
+}
+
 // checkCompressedLen holds CompressedLen at limit to its contract, given
 // want, the length Compress produces.
 func checkCompressedLen(t *testing.T, data []byte, lw, limit, want int) {

@@ -85,11 +85,7 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	i := bucketIndex(v)
-	if i >= len(h.counts) {
-		grown := make([]int64, i+1)
-		copy(grown, h.counts)
-		h.counts = grown
-	}
+	h.grow(i + 1)
 	h.counts[i]++
 	if h.n == 0 || v < h.min {
 		h.min = v
@@ -101,16 +97,28 @@ func (h *Histogram) Observe(v int64) {
 	h.sum += v
 }
 
+// grow extends counts to n buckets. The array's capacity grows
+// geometrically, so a histogram whose maximum keeps rising reallocates
+// a logarithmic number of times, not once per new top bucket.
+func (h *Histogram) grow(n int) {
+	switch {
+	case n <= len(h.counts):
+	case n <= cap(h.counts):
+		// Past len the array has never been written: it is still zero.
+		h.counts = h.counts[:n]
+	default:
+		grown := make([]int64, n, max(n, 2*cap(h.counts)))
+		copy(grown, h.counts)
+		h.counts = grown
+	}
+}
+
 // Merge folds o into h. Safe when o is nil or empty.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.n == 0 {
 		return
 	}
-	if len(o.counts) > len(h.counts) {
-		grown := make([]int64, len(o.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
+	h.grow(len(o.counts))
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}

@@ -259,3 +259,37 @@ func TestLatencySetDistMap(t *testing.T) {
 		t.Fatalf("Fprint output missing content:\n%s", sb.String())
 	}
 }
+
+// A histogram whose maximum keeps rising grows its bucket array
+// geometrically: observing ever larger values through 1 500 new top
+// buckets reallocates a handful of times, not once per bucket, and
+// merging into it does the same.
+func TestHistogramGrowthAmortized(t *testing.T) {
+	var vals []int64
+	for v := int64(1); v < 1<<40; v += v/16 + 1 {
+		vals = append(vals, v)
+	}
+	var top int
+	allocs := testing.AllocsPerRun(5, func() {
+		var h Histogram
+		for _, v := range vals {
+			h.Observe(v)
+		}
+		top = len(h.counts)
+	})
+	if top < 1000 || allocs > 16 {
+		t.Errorf("%d observations up to bucket %d allocate %v times, want at most 16", len(vals), top, allocs)
+	}
+	allocs = testing.AllocsPerRun(5, func() {
+		var h Histogram
+		for i := range vals {
+			var o Histogram
+			o.Observe(vals[i])
+			h.Merge(&o)
+		}
+	})
+	// Each shard allocates its own array once.
+	if allocs > float64(len(vals))+16 {
+		t.Errorf("%d merges allocate %v times, want at most %d", len(vals), allocs, len(vals)+16)
+	}
+}

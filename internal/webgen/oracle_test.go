@@ -198,6 +198,10 @@ func oracleRenderStatic(spec Spec, scale int, seed uint64) *gifenc.Image {
 	}
 }
 
+func newImage(w, h, colors int) *gifenc.Image {
+	return &gifenc.Image{W: w, H: h, Palette: newPalette(colors), Pixels: make([]byte, w*h)}
+}
+
 func oracleDrawGlyph(img *gifenc.Image, x0, y0, w, h int, rng *sim.Rand) {
 	kind := rng.Intn(4)
 	for y := 0; y < h; y++ {

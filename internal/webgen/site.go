@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/flatez"
 	"repro/internal/htmlparse"
+	"repro/internal/mux"
 	"repro/internal/sim"
 )
 
@@ -43,6 +44,10 @@ type Site struct {
 	// linkIndex, likewise, is built by the first LinkIndex call.
 	indexOnce sync.Once
 	linkIndex *htmlparse.PageIndex
+
+	// burst, likewise, is built by the first Burst call.
+	burstOnce sync.Once
+	burst     map[string][]byte
 }
 
 // Options tunes site synthesis.
@@ -151,6 +156,36 @@ func (s *Site) Deflated(path string) ([]byte, bool) {
 func (s *Site) LinkIndex() *htmlparse.PageIndex {
 	s.indexOnce.Do(func() { s.linkIndex = htmlparse.IndexPage(s.HTML.Body) })
 	return s.linkIndex
+}
+
+// Burst returns the Http-Burst body for the text/html object at path:
+// the page and every inline object it references, packed as records
+// (mux.EncodeBurst). Like Deflated, the bodies are built by the first
+// call and shared, unmodified, for the life of the site; safe for
+// concurrent use.
+func (s *Site) Burst(path string) ([]byte, bool) {
+	s.burstOnce.Do(func() {
+		s.burst = make(map[string][]byte)
+		for _, p := range s.paths {
+			obj := s.objects[p]
+			if obj.ContentType != "text/html" {
+				continue
+			}
+			recs := []mux.BurstRecord{burstRecord(obj)}
+			for _, link := range s.InlineLinks(p) {
+				if o, ok := s.objects[link]; ok {
+					recs = append(recs, burstRecord(o))
+				}
+			}
+			s.burst[p] = mux.EncodeBurst(recs)
+		}
+	})
+	body, ok := s.burst[path]
+	return body, ok
+}
+
+func burstRecord(o *Object) mux.BurstRecord {
+	return mux.BurstRecord{Path: o.Path, ContentType: o.ContentType, ETag: o.ETag, LastModified: o.LastModified, Body: o.Body}
 }
 
 // Paths lists all resource paths, page first.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/css"
 	"repro/internal/flatez"
 	"repro/internal/htmlparse"
+	"repro/internal/mux"
 )
 
 // The paper's GIF totals, which the specs' targets add up to.
@@ -682,5 +683,63 @@ func TestLinkIndexBuiltOncePerSite(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() { s.LinkIndex() }); n != 0 {
 		t.Errorf("a later LinkIndex call allocates %v times, want 0", n)
+	}
+}
+
+// The burst body is a site artifact too: built once however many callers
+// race for it, shared by all of them, decoding to the page and then every
+// inline object with its validators, and a revised site has its own.
+func TestBurstBuiltOncePerSite(t *testing.T) {
+	s := site(t)
+	revised, err := s.Revise(0.3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = revised.Burst("/")
+		}(i)
+	}
+	wg.Wait()
+	for i, b := range got {
+		if len(b) == 0 || &b[0] != &got[0][0] {
+			t.Fatalf("caller %d got its own copy of the burst body", i)
+		}
+	}
+	for _, c := range []struct {
+		site *Site
+		body []byte
+	}{{revised, got[0]}, {s, nil}} {
+		if c.body == nil {
+			c.body, _ = c.site.Burst("/")
+		}
+		recs, err := mux.DecodeBurst(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != c.site.ObjectCount() {
+			t.Fatalf("burst body holds %d records, the site %d objects", len(recs), c.site.ObjectCount())
+		}
+		for i, r := range recs {
+			o, _ := c.site.Object(c.site.Paths()[i])
+			if r.Path != o.Path || r.ContentType != o.ContentType || r.ETag != o.ETag ||
+				r.LastModified != o.LastModified || !bytes.Equal(r.Body, o.Body) {
+				t.Fatalf("record %d (%s) is not the site's object %s", i, r.Path, o.Path)
+			}
+		}
+	}
+	orig, _ := s.Burst("/")
+	if bytes.Equal(orig, got[0]) {
+		t.Error("the revised site serves the original's burst body")
+	}
+	if n := testing.AllocsPerRun(10, func() { s.Burst("/") }); n != 0 {
+		t.Errorf("a later Burst call allocates %v times, want 0", n)
+	}
+	if _, ok := s.Burst(s.Paths()[1]); ok {
+		t.Error("an image has a burst body; only text/html pages aggregate")
 	}
 }
