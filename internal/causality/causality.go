@@ -135,6 +135,9 @@ type Analysis struct {
 	Chain         []ChainLink
 	CriticalPath  sim.Duration
 	CriticalBlame Blame
+	// PathErr is set when the critical-path walk could not reach the
+	// root document; Chain then holds the part it walked.
+	PathErr error
 }
 
 // farFuture caps intervals still open when the run ends; window

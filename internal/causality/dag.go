@@ -1,6 +1,10 @@
 package causality
 
-import "repro/internal/obs"
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // PerfettoPath converts the critical-path chain into the overlay
 // slices obs.Bus.WritePerfettoPath renders as a highlighted track.
@@ -49,13 +53,17 @@ func (c *Collector) criticalPath(a *Analysis, spans []obs.SpanInfo, peer map[obs
 	}
 
 	// connPred finds the previous response serialized on s's
-	// connection: the latest-finishing span whose response completed
-	// before s's first byte. Overlapping mux streams have no such
-	// predecessor and fall back to the discovery edge.
+	// connection: the latest-finishing span queued before s (by span id
+	// when queued at the same instant) whose response completed before
+	// s's first byte. Only earlier-queued spans qualify, so pipelined
+	// responses that complete in one segment, and so share a Done
+	// instant, still chain back in queue order instead of pointing at
+	// each other. Overlapping mux streams have no such predecessor and
+	// fall back to the discovery edge.
 	connPred := func(s *obs.SpanInfo) *obs.SpanInfo {
 		var best *obs.SpanInfo
 		for _, p := range client {
-			if p == s || p.Conn != s.Conn {
+			if p.Conn != s.Conn || p.Queued > s.Queued || p.Queued == s.Queued && p.ID >= s.ID {
 				continue
 			}
 			if s.FirstByte != obs.NoTime && p.Done <= s.FirstByte {
@@ -67,8 +75,16 @@ func (c *Collector) criticalPath(a *Analysis, spans []obs.SpanInfo, peer map[obs
 		return best
 	}
 
+	// Each step moves to an earlier-queued span or to the root, so the
+	// walk ends within len(client)+1 steps; running out of them is a bug
+	// in the edges, reported rather than left as a short path.
 	cur, cut := last, last.Done
-	for steps := 0; steps <= len(client)+1; steps++ {
+	for steps := 0; ; steps++ {
+		if steps > len(client)+1 {
+			a.PathErr = fmt.Errorf("causality: critical-path walk from span %d did not reach the root span %d in %d steps",
+				last.ID, root.ID, steps)
+			break
+		}
 		p := connPred(cur)
 		gate := cur.Queued
 		if p != nil && p.Done > gate {

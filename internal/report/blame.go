@@ -31,6 +31,9 @@ func BlameSummary(w io.Writer, a *causality.Analysis) {
 		len(a.Requests), float64(a.Total.Sum())/1e6, float64(a.Elapsed)/1e6)
 	line(w, "  %s", blameVector(a.Total))
 	line(w, "critical path: %.1f ms over %d gating requests", float64(a.CriticalPath)/1e6, len(a.Chain))
+	if a.PathErr != nil {
+		line(w, "critical path incomplete: %v", a.PathErr)
+	}
 }
 
 // pathRow joins one critical-path link with its request's identity.
