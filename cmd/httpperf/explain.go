@@ -21,7 +21,7 @@ import (
 // also writes the run's artifacts there: run.pcap, run.json (Perfetto,
 // with the critical-path track), dump.txt, the xplot and time-sequence
 // files of each end, and report.txt, the report itself.
-func explain(spec string, seed uint64, dir string, mon *telemetry.Monitor, stdout, stderr io.Writer) error {
+func explain(spec string, seed uint64, dir string, flight *telemetry.Flight, stdout, stderr io.Writer) error {
 	sc, err := core.ParseScenario(spec)
 	if err != nil {
 		return err
@@ -31,7 +31,7 @@ func explain(spec string, seed uint64, dir string, mon *telemetry.Monitor, stdou
 	if err != nil {
 		return err
 	}
-	res, err := core.Run(sc, site, core.WithCapture(), core.WithTimeline(), core.WithStats(), core.WithBlame(), core.WithMonitor(mon))
+	res, err := core.Run(sc, site, core.WithCapture(), core.WithTimeline(), core.WithStats(), core.WithBlame(), core.WithFlight(flight))
 	if err != nil {
 		return err
 	}

@@ -39,17 +39,13 @@
 // packet dump), client.xplot and server.xplot (xplot(1) input),
 // client.seq and server.seq (time-sequence points) and report.txt.
 //
-// Live telemetry (any mode; all off by default and non-perturbing —
-// output stays byte-identical with these on):
+// Flight recorder (any mode; off by default and non-perturbing — output
+// stays byte-identical with it on):
 //
-//	httpperf -progress                      # live cells/runs/rate/ETA line on stderr
-//	httpperf -telemetry out.jsonl           # JSON-lines stream: meta, periodic samples
-//	                                        # (registry + memory/GC), progress, flight records
-//	httpperf -telemetry-interval 250ms      # sampler period (default 500ms)
-//	httpperf -flight dumps/                 # flight recorder: retain the last -flight-events
-//	                                        # bus events per run; dump Perfetto JSON + pcap
-//	                                        # on panic, recovery-watchdog fire, or cell error
-//	httpperf -validate-telemetry out.jsonl  # check a stream against the telemetry/1 schema
+//	httpperf -flight dumps/                 # retain each run's last 4096 bus events; on a
+//	                                        # panic, recovery-watchdog fire or unfinished run,
+//	                                        # dump Perfetto JSON + pcap and announce the dump
+//	                                        # on a line of dumps/index.txt
 //
 // Profiling:
 //
@@ -70,7 +66,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -84,8 +79,8 @@ func main() {
 	os.Exit(realMain(os.Args[1:]))
 }
 
-// realMain carries the whole invocation so deferred telemetry and
-// profile finalizers run before the process exits.
+// realMain carries the whole invocation so deferred profile finalizers
+// run before the process exits.
 func realMain(args []string) int {
 	fs := flag.NewFlagSet("httpperf", flag.ContinueOnError)
 	table := fs.String("table", "all", "which table to regenerate ("+strings.Join(exp.AllNames(), ", ")+", all)")
@@ -99,12 +94,7 @@ func realMain(args []string) int {
 	explainSpec := fs.String("explain", "", "run this scenario (see -list) once with every observer armed and print its report")
 	seed := fs.Uint64("seed", 1, "seed for the -explain run")
 	outDir := fs.String("o", "", "with -explain, also write the run's artifacts (pcap, Perfetto JSON, dump, xplot, time-sequence, report) into this directory")
-	progress := fs.Bool("progress", false, "report live sweep progress (cells, runs, rate, ETA) on stderr")
-	telemetryOut := fs.String("telemetry", "", "stream live telemetry (samples, progress, flight records) to this JSON-lines file")
-	telemetryInterval := fs.Duration("telemetry-interval", 500*time.Millisecond, "sampler period for -telemetry")
-	flightDir := fs.String("flight", "", "arm the flight recorder: dump the last -flight-events bus events into this directory when a run panics, the recovery watchdog fires, or a cell errors")
-	flightEvents := fs.Int("flight-events", telemetry.DefaultFlightEvents, "events the flight recorder retains per run")
-	validateTelemetry := fs.String("validate-telemetry", "", "validate a -telemetry JSON-lines file against the telemetry/1 schema and exit")
+	flightDir := fs.String("flight", "", "arm the flight recorder: dump each run's last bus events into this directory, indexed in index.txt, when a run panics, the recovery watchdog fires, or a run does not finish")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	mutexprofile := fs.String("mutexprofile", "", "write a mutex-contention profile at exit to this file")
@@ -127,12 +117,6 @@ func realMain(args []string) int {
 	}
 	if *outDir != "" && *explainSpec == "" {
 		return fail(errors.New("-o needs -explain SPEC"))
-	}
-	if *validateTelemetry != "" {
-		if err := validateStreamFile(*validateTelemetry, os.Stdout); err != nil {
-			return fail(err)
-		}
-		return 0
 	}
 
 	// Profiling. The mutex fraction must be set before the work runs;
@@ -160,51 +144,22 @@ func realMain(args []string) int {
 	}
 	defer writeExitProfiles(*memprofile, *mutexprofile)
 
-	// Live observers: one monitor, handed to every run below; nil when
-	// no telemetry flag is set. The progress reporter feeds the stream
-	// whenever one is open, and stderr only under -progress.
-	var mon *telemetry.Monitor
-	if *telemetryOut != "" || *flightDir != "" || *progress {
-		mon = new(telemetry.Monitor)
-	}
-	if *telemetryOut != "" {
-		f, err := os.Create(*telemetryOut)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		mon.Stream = telemetry.NewStream(f)
-		sampler := telemetry.StartSampler(mon.Stream, &mon.Metrics, *telemetryInterval)
-		defer func() {
-			sampler.Close()
-			if err := mon.Stream.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "httpperf: telemetry stream:", err)
-			}
-		}()
-	}
+	// The flight recorder, handed to every run below; nil without -flight.
+	var flight *telemetry.Flight
 	if *flightDir != "" {
-		fl, err := telemetry.NewFlight(*flightDir, *flightEvents)
-		if err != nil {
+		var err error
+		if flight, err = telemetry.NewFlight(*flightDir); err != nil {
 			return fail(err)
 		}
-		mon.Flight = fl
-	}
-	if *progress || *telemetryOut != "" {
-		var human io.Writer
-		if *progress {
-			human = os.Stderr
-		}
-		mon.Progress = telemetry.NewReporter(&mon.Metrics, mon.Stream, human)
-		defer mon.Progress.Close()
 	}
 
 	if *explainSpec != "" {
-		if err := explain(*explainSpec, *seed, *outDir, mon, os.Stdout, os.Stderr); err != nil {
+		if err := explain(*explainSpec, *seed, *outDir, flight, os.Stdout, os.Stderr); err != nil {
 			return fail(err)
 		}
 		return 0
 	}
-	s := &exp.Session{Runs: *runs, Seeds: *seeds, Parallel: *parallel, Stats: *statsOn, Monitor: mon}
+	s := &exp.Session{Runs: *runs, Seeds: *seeds, Parallel: *parallel, Stats: *statsOn, Flight: flight}
 	if *profileSlowest != "" {
 		// The collector supplies the cells' wall-time measurements.
 		s.Collector = exp.NewCollector()
@@ -219,28 +174,6 @@ func realMain(args []string) int {
 		}
 	}
 	return 0
-}
-
-// validateStreamFile checks a JSON-lines telemetry file against the
-// telemetry/1 schema and prints the per-type record counts.
-func validateStreamFile(path string, w io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	counts, err := telemetry.ValidateStream(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if counts[telemetry.RecordSample] == 0 {
-		return fmt.Errorf("%s: no sample records (sampler never fired?)", path)
-	}
-	fmt.Fprintf(w, "%s: valid %s stream: %d meta, %d sample, %d progress, %d flight\n",
-		path, telemetry.SchemaVersion,
-		counts[telemetry.RecordMeta], counts[telemetry.RecordSample],
-		counts[telemetry.RecordProgress], counts[telemetry.RecordFlight])
-	return nil
 }
 
 // writeExitProfiles writes the heap and mutex profiles, when requested.
@@ -371,18 +304,6 @@ func run(s *exp.Session, table string, asJSON, asCSV, statsOn bool) error {
 		}
 		names = []string{table}
 	}
-	var reporter *telemetry.Reporter
-	if s.Monitor != nil {
-		reporter = s.Monitor.Progress
-	}
-	expDone := func(name string) {
-		if reporter != nil {
-			reporter.ExperimentDone(name)
-		}
-	}
-	if reporter != nil {
-		reporter.SetTotalExperiments(len(names))
-	}
 
 	if asJSON || asCSV {
 		if s.Collector == nil {
@@ -397,7 +318,6 @@ func run(s *exp.Session, table string, asJSON, asCSV, statsOn bool) error {
 			if data != nil {
 				results[name] = data
 			}
-			expDone(name)
 		}
 		if asCSV {
 			return s.Collector.WriteCSV(os.Stdout)
@@ -424,7 +344,6 @@ func run(s *exp.Session, table string, asJSON, asCSV, statsOn bool) error {
 			return fmt.Errorf("table %s: %w", name, err)
 		}
 		fmt.Println()
-		expDone(name)
 	}
 	if statsOn {
 		report.Cells(os.Stdout, s.Collector.Cells())

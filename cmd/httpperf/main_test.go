@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"testing"
 
@@ -10,7 +9,9 @@ import (
 	"repro/internal/exp"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the committed smoke-job goldens")
+// updateGolden rewrites the goldens instead of checking them:
+// UPDATE_GOLDEN=1 go test ./... regenerates every golden in the module.
+var updateGolden = os.Getenv("UPDATE_GOLDEN") == "1"
 
 // goldenTable renders one registered experiment exactly the way the CI
 // smoke jobs invoke it (`httpperf -table NAME -runs 1 -seeds 1
@@ -36,7 +37,7 @@ func goldenTable(t *testing.T, name, path string) {
 	}
 	buf.WriteByte('\n') // run() prints a blank line after each table
 
-	if *updateGolden {
+	if updateGolden {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func goldenTable(t *testing.T, name, path string) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to regenerate)", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("%s table drifted from committed golden:\n--- got ---\n%s\n--- want ---\n%s", name, buf.Bytes(), want)
@@ -53,26 +54,33 @@ func goldenTable(t *testing.T, name, path string) {
 
 // TestFaultMatrixGolden pins the exact bytes the CI fault-matrix smoke
 // job diffs: `httpperf -table faults -runs 1 -seeds 1 -parallel 4`. If the
-// fault table legitimately changes, regenerate with `go test ./cmd/httpperf
-// -run TestFaultMatrixGolden -update`.
+// fault table legitimately changes, regenerate with `UPDATE_GOLDEN=1 go
+// test ./cmd/httpperf -run TestFaultMatrixGolden`.
 func TestFaultMatrixGolden(t *testing.T) {
 	goldenTable(t, "faults", "testdata/faults_golden.txt")
 }
 
 // TestMuxGolden pins the exact bytes the CI mux smoke job diffs:
 // `httpperf -table mux -runs 1 -seeds 1 -parallel 4`. Regenerate with
-// `go test ./cmd/httpperf -run TestMuxGolden -update` after legitimate
-// changes to the multiplexed-protocol experiment.
+// `UPDATE_GOLDEN=1 go test ./cmd/httpperf -run TestMuxGolden` after
+// legitimate changes to the multiplexed-protocol experiment.
 func TestMuxGolden(t *testing.T) {
 	goldenTable(t, "mux", "testdata/mux_golden.txt")
 }
 
 // TestMuxFaultsGolden pins the exact bytes the CI fault-matrix smoke
 // job diffs for the framed-protocol recovery sweep: `httpperf -table
-// mux-faults -runs 1 -seeds 1 -parallel 4`. Regenerate with `go test
-// ./cmd/httpperf -run TestMuxFaultsGolden -update`.
+// mux-faults -runs 1 -seeds 1 -parallel 4`. Regenerate with
+// `UPDATE_GOLDEN=1 go test ./cmd/httpperf -run TestMuxFaultsGolden`.
 func TestMuxFaultsGolden(t *testing.T) {
 	goldenTable(t, "mux-faults", "testdata/muxfaults_golden.txt")
+}
+
+// TestBlameGolden pins the exact bytes the CI delay-attribution smoke job
+// and the benchmark's table_all warm-up diff: `httpperf -table blame
+// -runs 1 -seeds 1 -parallel 4`.
+func TestBlameGolden(t *testing.T) {
+	goldenTable(t, "blame", "testdata/blame_golden.txt")
 }
 
 // TestSlowestRunRepeatsItsRecord sweeps a table at two runs a cell, whose

@@ -18,7 +18,7 @@
 //
 // The analyzer is a passive bus subscriber: it only reads events, so
 // an armed run is byte-identical to an unarmed one (pinned by test,
-// like the timeline and telemetry layers).
+// like the timeline and the flight recorder).
 package causality
 
 import (

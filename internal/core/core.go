@@ -202,7 +202,7 @@ type runConfig struct {
 	stats    bool
 	blame    bool
 	metrics  *exp.Metrics
-	monitor  *telemetry.Monitor
+	flight   *telemetry.Flight
 	// revision, when non-nil, is the repetition slot where a sweep keeps
 	// the revised site a ReviseFraction run serves, so that the other
 	// cells' runs at the same seed find it there instead of synthesizing
@@ -259,12 +259,13 @@ func WithMetrics(m *exp.Metrics) Option {
 	return func(c *runConfig) { c.metrics = m }
 }
 
-// WithMonitor watches the run with m's live observers: engine metrics
-// polled into its metric set when it has a stream, and its flight
-// recorder's dumps. A nil m leaves the run unobserved. Like the other
-// observers it does not perturb the run.
-func WithMonitor(m *telemetry.Monitor) Option {
-	return func(c *runConfig) { c.monitor = m }
+// WithFlight arms f's flight recorder on the run: the run retains its
+// most recent bus events and dumps them, with its packet capture, when
+// it panics, its recovery watchdog fires, or it does not finish. A nil f
+// leaves the run unobserved. Like the other observers it does not
+// perturb the run.
+func WithFlight(f *telemetry.Flight) Option {
+	return func(c *runConfig) { c.flight = f }
 }
 
 // Run executes the scenario against the site and returns its measurements.

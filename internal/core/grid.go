@@ -3,13 +3,11 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/exp"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/webgen"
 )
 
@@ -69,9 +67,6 @@ func (sw Sweep) Measure(g Grid, site *webgen.Site) ([]Measured, error) {
 	type cell struct {
 		sc      Scenario
 		results []*RunResult
-		// completed counts finished repetitions for the progress layer;
-		// the run reaching reps marks the cell done.
-		completed atomic.Int64
 	}
 	var cells []*cell
 	out := make([]Measured, len(g.Rows))
@@ -109,24 +104,14 @@ func (sw Sweep) Measure(g Grid, site *webgen.Site) ([]Measured, error) {
 		if g.Blame {
 			opts = append(opts, WithBlame())
 		}
-		if sw.Monitor != nil {
-			opts = append(opts, WithMonitor(sw.Monitor))
+		if sw.Flight != nil {
+			opts = append(opts, WithFlight(sw.Flight))
 		}
 		res, err := Run(one, site, opts...)
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.sc, err)
 		}
 		c.results[i] = res
-		if mon := sw.Monitor; mon != nil && mon.Progress != nil {
-			mon.Progress.Observe(telemetry.ProgressEvent{
-				Experiment: sw.Experiment,
-				Scenario:   c.sc.String(),
-				Seed:       one.Seed,
-				Run:        i,
-				CellDone:   c.completed.Add(1) == int64(reps),
-				SimSeconds: res.Elapsed.Seconds(),
-			})
-		}
 		return nil
 	})
 	if err != nil {

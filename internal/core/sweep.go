@@ -15,7 +15,7 @@ const seedFamilyStride = 1_000_003
 // the averaged population (Runs repetitions in each of Seeds seed
 // families), Parallel the worker-pool width, Collector — stamped with
 // Experiment — gathers one exp.Metrics record per simulation run, and
-// Monitor watches every run live.
+// Flight arms the flight recorder on every run.
 //
 // Aggregation is deterministic and order-independent: runs are indexed,
 // workers write into per-index slots, and averaging walks the slots in
@@ -33,9 +33,8 @@ type Sweep struct {
 	// carries per-request latency distributions and each collected
 	// record its Dist quantiles.
 	Stats bool
-	// Monitor, when non-nil, runs every repetition with WithMonitor and
-	// reports each finished run to its progress reporter.
-	Monitor *telemetry.Monitor
+	// Flight, when non-nil, runs every repetition with WithFlight.
+	Flight *telemetry.Flight
 }
 
 // Repetition is the scenario the sweep runs as repetition i of cell sc

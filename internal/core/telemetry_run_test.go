@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,25 +18,37 @@ import (
 	"repro/internal/trace"
 )
 
-// newMonitor returns a monitor streaming into the returned buffer and
-// dumping into the returned directory, owned by the calling test alone.
-func newMonitor(t *testing.T) (*telemetry.Monitor, *bytes.Buffer, string) {
+// newFlight returns a flight recorder dumping into the returned
+// directory, owned by the calling test alone.
+func newFlight(t *testing.T) (*telemetry.Flight, string) {
 	t.Helper()
-	var buf bytes.Buffer
 	dir := t.TempDir()
-	fl, err := telemetry.NewFlight(dir, 512)
+	fl, err := telemetry.NewFlight(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := telemetry.NewStream(&buf)
-	return &telemetry.Monitor{Stream: st, Flight: fl, Progress: telemetry.NewReporter(new(telemetry.Metrics), st, nil)}, &buf, dir
+	return fl, dir
 }
 
-// TestTelemetryDoesNotPerturb is the contract the whole telemetry layer
-// hangs on: with a stream and flight recorder armed the simulation must
-// produce byte-identical artifacts — same packet trace, same Perfetto
-// timeline, same client counters. Telemetry observes the run; it never
-// steers it.
+// flightIndex reads dir's index.txt: one line per dump, split into its
+// tab-separated fields (number, reason, label, kept, dropped, artifacts).
+func flightIndex(t *testing.T, dir string) [][]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "index.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines [][]string
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		lines = append(lines, strings.Split(line, "\t"))
+	}
+	return lines
+}
+
+// TestTelemetryDoesNotPerturb is the contract the flight recorder hangs
+// on: with it armed the simulation must produce byte-identical artifacts
+// — same packet trace, same Perfetto timeline, same client counters. The
+// recorder observes the run; it never steers it.
 func TestTelemetryDoesNotPerturb(t *testing.T) {
 	t.Parallel()
 	site := testSite(t)
@@ -67,22 +78,22 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 
 	plainPcap, plainPerfetto, plainClient := runArtifacts()
 
-	mon, _, _ := newMonitor(t)
-	obsPcap, obsPerfetto, obsClient := runArtifacts(WithMonitor(mon))
+	fl, _ := newFlight(t)
+	obsPcap, obsPerfetto, obsClient := runArtifacts(WithFlight(fl))
 	if !bytes.Equal(plainPcap, obsPcap) {
-		t.Error("pcap differs with telemetry armed")
+		t.Error("pcap differs with the flight recorder armed")
 	}
 	if !bytes.Equal(plainPerfetto, obsPerfetto) {
-		t.Error("Perfetto timeline differs with telemetry armed")
+		t.Error("Perfetto timeline differs with the flight recorder armed")
 	}
 	if plainClient != obsClient {
-		t.Errorf("client result differs with telemetry armed:\n  plain    %+v\n  observed %+v", plainClient, obsClient)
+		t.Errorf("client result differs with the flight recorder armed:\n  plain    %+v\n  observed %+v", plainClient, obsClient)
 	}
 }
 
 // TestFlightDumpOnWatchdog runs a stall-fault cell — the scripted way to
 // trip the client watchdog — and checks the recorder leaves a parseable
-// pair of artifacts behind and announces them on the stream.
+// pair of artifacts behind and announces them in its index.
 func TestFlightDumpOnWatchdog(t *testing.T) {
 	t.Parallel()
 	site := testSite(t)
@@ -94,9 +105,9 @@ func TestFlightDumpOnWatchdog(t *testing.T) {
 		Seed:     3,
 		Fault:    faults.Stall,
 	}
-	mon, stream, flightDir := newMonitor(t)
+	fl, flightDir := newFlight(t)
 	{
-		res, err := Run(sc, site, WithMonitor(mon))
+		res, err := Run(sc, site, WithFlight(fl))
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -135,16 +146,16 @@ func TestFlightDumpOnWatchdog(t *testing.T) {
 			t.Fatal("flight pcap dump has no packets")
 		}
 
-		// The stream must carry a flight record pointing at the dump.
-		counts, err := telemetry.ValidateStream(bytes.NewReader(stream.Bytes()))
-		if err != nil {
-			t.Fatalf("stream does not validate: %v", err)
+		// The index must announce exactly that dump: the watchdog reason,
+		// the scenario, and both artifacts.
+		index := flightIndex(t, flightDir)
+		if len(index) != 1 {
+			t.Fatalf("index has %d lines, want 1: %q", len(index), index)
 		}
-		if counts[telemetry.RecordFlight] < 1 {
-			t.Fatalf("stream has %d flight records, want >= 1", counts[telemetry.RecordFlight])
-		}
-		if !strings.Contains(stream.String(), `"reason":"watchdog"`) {
-			t.Fatal("flight record on the stream does not carry the watchdog reason")
+		line := index[0]
+		want := filepath.Base(perfettoPath) + " " + filepath.Base(pcapPath)
+		if len(line) != 6 || line[1] != "watchdog" || line[2] != sc.String() || line[5] != want {
+			t.Fatalf("index line = %q, want the watchdog dump of %s naming %s", line, sc, want)
 		}
 	}
 }
@@ -156,13 +167,13 @@ func TestFlightDumpOnPanic(t *testing.T) {
 	t.Parallel()
 	site := testSite(t)
 	sc := scenario(httpserver.ProfileApache, httpclient.ModeHTTP11Pipelined, netem.LAN, httpclient.FirstTime)
-	crash := func(c *runConfig) { c.afterDrive = func() { panic("telemetry test: injected crash") } }
+	crash := func(c *runConfig) { c.afterDrive = func() { panic("flight test: injected crash") } }
 
-	mon, _, flightDir := newMonitor(t)
+	fl, flightDir := newFlight(t)
 	{
 		recovered := func() (r any) {
 			defer func() { r = recover() }()
-			Run(sc, site, WithMonitor(mon), crash)
+			Run(sc, site, WithFlight(fl), crash)
 			return nil
 		}()
 		if recovered == nil {
@@ -179,22 +190,24 @@ func TestFlightDumpOnPanic(t *testing.T) {
 		if _, err := trace.ParsePcap(raw); err != nil {
 			t.Fatalf("panic-path pcap does not parse: %v", err)
 		}
+		if index := flightIndex(t, flightDir); len(index) != 1 || index[0][1] != "panic" {
+			t.Fatalf("index = %q, want one panic dump", index)
+		}
 	}
 }
 
-// TestMonitorsAreIsolated runs two observed sweeps and an unobserved
-// one at once, on pools of two, over fault grids whose stall cells trip
-// the recovery watchdog. Each monitor's stream must carry progress
-// records for exactly its own runs, its flight directory exactly its own
-// watchdog dumps, and the unobserved sweep must reach neither.
+// TestMonitorsAreIsolated runs two sweeps with flight recorders and an
+// unobserved one at once, on pools of two, over fault grids whose stall
+// cells trip the recovery watchdog. Each recorder's directory must hold
+// exactly its own sweep's watchdog dumps, all announced in its index,
+// and the unobserved sweep must reach neither.
 func TestMonitorsAreIsolated(t *testing.T) {
 	t.Parallel()
 	site := testSite(t)
 	type sweep struct {
 		name     string
 		mode     httpclient.Mode
-		mon      *telemetry.Monitor
-		stream   *bytes.Buffer
+		flight   *telemetry.Flight
 		dir      string
 		measured []Measured
 	}
@@ -203,8 +216,8 @@ func TestMonitorsAreIsolated(t *testing.T) {
 		{name: "b", mode: httpclient.ModeHTTP11Serial},
 		{name: "unobserved", mode: httpclient.ModeHTTP10},
 	}
-	sweeps[0].mon, sweeps[0].stream, sweeps[0].dir = newMonitor(t)
-	sweeps[1].mon, sweeps[1].stream, sweeps[1].dir = newMonitor(t)
+	sweeps[0].flight, sweeps[0].dir = newFlight(t)
+	sweeps[1].flight, sweeps[1].dir = newFlight(t)
 	var wg sync.WaitGroup
 	for _, sw := range sweeps {
 		clean := scenario(httpserver.ProfileApache, sw.mode, netem.WAN, httpclient.FirstTime)
@@ -215,7 +228,7 @@ func TestMonitorsAreIsolated(t *testing.T) {
 		go func(sw *sweep) {
 			defer wg.Done()
 			var err error
-			sw.measured, err = Sweep{Runs: 2, Parallel: 2, Experiment: sw.name, Monitor: sw.mon}.Measure(g, site)
+			sw.measured, err = Sweep{Runs: 2, Parallel: 2, Experiment: sw.name, Flight: sw.flight}.Measure(g, site)
 			if err != nil {
 				t.Errorf("sweep %s: %v", sw.name, err)
 			}
@@ -227,14 +240,12 @@ func TestMonitorsAreIsolated(t *testing.T) {
 	}
 
 	for _, sw := range sweeps[:2] {
-		// The runs the sweep made, and the watchdog dumps they owe.
-		want, dumps := map[string]bool{}, map[string]int{}
+		// The watchdog dumps the sweep's runs owe.
+		dumps := map[string]int{}
 		for _, row := range sw.measured {
 			for _, res := range row.Results[0] {
-				label := res.Scenario.String()
-				want[fmt.Sprintf("%s/%s#%d", sw.name, label, res.Scenario.Seed)] = true
 				if res.Client.Timeouts > 0 {
-					dumps[label]++
+					dumps[res.Scenario.String()+"-watchdog"]++
 				}
 			}
 		}
@@ -242,46 +253,25 @@ func TestMonitorsAreIsolated(t *testing.T) {
 			t.Fatalf("sweep %s: no stall run tripped the watchdog; dump isolation untested", sw.name)
 		}
 
-		got, flights, announced := map[string]bool{}, map[string]int{}, map[string]bool{}
-		for _, line := range strings.Split(strings.TrimSpace(sw.stream.String()), "\n") {
-			var rec struct {
-				T, Experiment, Scenario, Label, Reason string
-				Seed                                   uint64
-				Paths                                  []string
-			}
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				t.Fatal(err)
-			}
-			switch rec.T {
-			case telemetry.RecordProgress:
-				got[fmt.Sprintf("%s/%s#%d", rec.Experiment, rec.Scenario, rec.Seed)] = true
-			case telemetry.RecordFlight:
-				flights[rec.Label+"-"+rec.Reason]++
-				for _, p := range rec.Paths {
-					announced[p] = true
-				}
+		flights, announced := map[string]int{}, map[string]bool{"index.txt": true}
+		for _, line := range flightIndex(t, sw.dir) {
+			flights[line[2]+"-"+line[1]]++
+			for _, name := range strings.Fields(line[5]) {
+				announced[name] = true
 			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("sweep %s: stream carries progress for runs %v, want its own %v", sw.name, got, want)
-		}
-
-		wantFlights := map[string]int{}
-		for label, n := range dumps {
-			wantFlights[label+"-watchdog"] = n
-		}
-		if !reflect.DeepEqual(flights, wantFlights) {
-			t.Errorf("sweep %s: stream announces dumps %v, want its own %v", sw.name, flights, wantFlights)
+		if !reflect.DeepEqual(flights, dumps) {
+			t.Errorf("sweep %s: index announces dumps %v, want its own %v", sw.name, flights, dumps)
 		}
 		// The dumps announced are the sweep's own, so the directory must
-		// hold those files and no others.
+		// hold those files and the index, and no others.
 		entries, err := os.ReadDir(sw.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		files := map[string]bool{}
 		for _, e := range entries {
-			files[filepath.Join(sw.dir, e.Name())] = true
+			files[e.Name()] = true
 		}
 		if !reflect.DeepEqual(files, announced) {
 			t.Errorf("sweep %s: flight dir holds %v, want exactly the announced %v", sw.name, names(entries), announced)

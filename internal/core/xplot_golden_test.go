@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +12,9 @@ import (
 	"repro/internal/netem"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+// updateGolden rewrites the goldens instead of checking them:
+// UPDATE_GOLDEN=1 go test ./... regenerates every golden in the module.
+var updateGolden = os.Getenv("UPDATE_GOLDEN") == "1"
 
 // The xplot and time-sequence outputs are the paper's debugging
 // instruments; these goldens pin them byte-for-byte for one LAN and one
@@ -50,7 +51,7 @@ func TestXplotGolden(t *testing.T) {
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if *updateGolden {
+	if updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run go test ./internal/core -run XplotGolden -update to regenerate)", err)
+		t.Fatalf("%v (run UPDATE_GOLDEN=1 go test ./internal/core -run XplotGolden to regenerate)", err)
 	}
 	if !bytes.Equal(got, want) {
 		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
@@ -74,7 +75,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 				w = wl[i]
 			}
 			if g != w {
-				t.Fatalf("%s differs at line %d:\n got: %q\nwant: %q\n(rerun with -update to accept)", name, i+1, g, w)
+				t.Fatalf("%s differs at line %d:\n got: %q\nwant: %q\n(rerun with UPDATE_GOLDEN=1 to accept)", name, i+1, g, w)
 			}
 		}
 		t.Fatalf("%s differs in length only", name)

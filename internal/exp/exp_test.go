@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,36 +72,17 @@ func TestRegistry(t *testing.T) {
 	// The registry is process-global; use uniquely named test entries.
 	gen := func(s *Session) (any, error) { return 42, nil }
 	Register(Experiment{Name: "test-a", Title: "a", Generate: gen})
-	Register(Experiment{Name: "test-b", Title: "b", Generate: gen, Skip: true})
+	Register(Experiment{Name: "test-0", Title: "0", Generate: gen})
 
 	if _, ok := Lookup("test-a"); !ok {
 		t.Fatal("test-a not registered")
 	}
-	names := Names()
-	hasA, hasB := false, false
-	for _, n := range names {
-		if n == "test-a" {
-			hasA = true
-		}
-		if n == "test-b" {
-			hasB = true
-		}
+	// Names keeps registration order; AllNames sorts.
+	if names := Names(); !slices.Equal(names[len(names)-2:], []string{"test-a", "test-0"}) {
+		t.Fatalf("Names() = %v, want test-a then test-0 last", names)
 	}
-	if !hasA {
-		t.Fatal("Names() missing test-a")
-	}
-	if hasB {
-		t.Fatal("Names() includes skipped test-b")
-	}
-	all := AllNames()
-	found := false
-	for _, n := range all {
-		if n == "test-b" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("AllNames() missing skipped test-b")
+	if all := AllNames(); !slices.IsSorted(all) || !slices.Contains(all, "test-0") {
+		t.Fatalf("AllNames() = %v, want every name, sorted", all)
 	}
 
 	s := &Session{}

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -13,7 +13,7 @@ import (
 // Session carries the sweep-wide settings every experiment generator
 // receives: the site under test, the averaging depth, the parallelism
 // budget, the collector that gathers per-run metrics across the whole
-// invocation, and the monitor that watches it.
+// invocation, and the flight recorder armed on its runs.
 type Session struct {
 	// Site is the synthesized web site all scenarios fetch.
 	Site *webgen.Site
@@ -32,9 +32,9 @@ type Session struct {
 	// quantiles, at the cost of recording request-lifecycle spans.
 	// Measurements are unperturbed either way.
 	Stats bool
-	// Monitor, when non-nil, watches every run of the sweep live:
-	// progress, engine metrics and flight dumps (internal/telemetry).
-	Monitor *telemetry.Monitor
+	// Flight, when non-nil, arms the flight recorder on every run of the
+	// sweep (internal/telemetry).
+	Flight *telemetry.Flight
 }
 
 // Experiment is one registered, regenerable experiment: a declarative
@@ -45,10 +45,6 @@ type Experiment struct {
 	Name string
 	// Title is a one-line description for listings.
 	Title string
-	// Skip excludes the experiment from Names() — it runs only when
-	// requested explicitly (used for extra sweeps that are not part of
-	// the paper's table set).
-	Skip bool
 
 	Generate func(s *Session) (any, error)
 	Render   func(w io.Writer, s *Session, data any) error
@@ -87,27 +83,18 @@ func Lookup(name string) (Experiment, bool) {
 	return e, ok
 }
 
-// Names returns the non-skipped experiment names in registration order —
-// the default "run everything" sequence.
+// Names returns the experiment names in registration order — the
+// default "run everything" sequence.
 func Names() []string {
 	registry.Lock()
 	defer registry.Unlock()
-	var out []string
-	for _, name := range registry.order {
-		if !registry.byName[name].Skip {
-			out = append(out, name)
-		}
-	}
-	return out
+	return slices.Clone(registry.order)
 }
 
 // AllNames returns every registered name, sorted, for error messages.
 func AllNames() []string {
-	registry.Lock()
-	defer registry.Unlock()
-	out := make([]string, len(registry.order))
-	copy(out, registry.order)
-	sort.Strings(out)
+	out := Names()
+	slices.Sort(out)
 	return out
 }
 

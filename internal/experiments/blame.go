@@ -102,7 +102,7 @@ var blame = experiment{
 		var sides [2]*causality.Analysis
 		why := e.tables[3].grid.Rows
 		for i, r := range why {
-			res, err := core.Run(r.Cells[0], s.Site, core.WithBlame(), core.WithMonitor(s.Monitor))
+			res, err := core.Run(r.Cells[0], s.Site, core.WithBlame(), core.WithFlight(s.Flight))
 			if err != nil {
 				return nil, err
 			}

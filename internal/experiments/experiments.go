@@ -56,10 +56,7 @@ func oneCell(sc core.Scenario, labels ...any) core.GridRow {
 // (mux, blame), or no scenarios at all.
 type experiment struct {
 	name, title string
-	// skip keeps the experiment out of the default run-everything
-	// sequence (exp.Experiment.Skip).
-	skip   bool
-	tables []table
+	tables      []table
 
 	generate func(s *exp.Session, e *experiment) (any, error)
 	render   func(w io.Writer, s *exp.Session, data any) error
@@ -75,7 +72,7 @@ func (e *experiment) sweep(s *exp.Session) core.Sweep {
 		Experiment: e.name,
 		Collector:  s.Collector,
 		Stats:      s.Stats,
-		Monitor:    s.Monitor,
+		Flight:     s.Flight,
 	}
 }
 
@@ -124,7 +121,7 @@ var declared = slices.Concat(
 	[]experiment{environments, table3},
 	paperTables(),
 	[]experiment{modem, tagCase, css, png, nagle, reset, flush, rangeProbe, headers, cwnd,
-		proxy, faultInjection, variance, mux, muxFaults, blame, metricsSweep},
+		proxy, faultInjection, variance, mux, muxFaults, blame},
 )
 
 func init() {
@@ -138,7 +135,7 @@ func init() {
 			render = renderTables
 		}
 		exp.Register(exp.Experiment{
-			Name: e.name, Title: e.title, Skip: e.skip,
+			Name: e.name, Title: e.title,
 			Generate: func(s *exp.Session) (any, error) { return generate(s, e) },
 			Render:   render,
 		})
@@ -153,7 +150,7 @@ func init() {
 func Scenarios(names ...string) []core.Scenario {
 	byLabel := map[string]core.Scenario{}
 	for _, e := range declared {
-		if wanted := slices.Contains(names, e.name) || len(names) == 0 && !e.skip; !wanted {
+		if wanted := slices.Contains(names, e.name) || len(names) == 0; !wanted {
 			continue
 		}
 		for _, t := range e.tables {
@@ -259,41 +256,4 @@ var headers = experiment{
 	name: "headers", title: "Request-redundancy (compact encoding) estimate",
 	generate: func(s *exp.Session, _ *experiment) (any, error) { return core.HeaderRedundancy(s.Site) },
 	render:   renderWith(report.HeaderRedundancy),
-}
-
-// metricsSweep gathers structured per-run metrics over the main protocol
-// × environment matrix; it is not one of the paper's tables, so it runs
-// only when requested by name.
-var metricsSweep = experiment{
-	name: "sweep", title: "Per-run structured metrics sweep (protocol modes × environments)",
-	skip: true,
-	tables: []table{func() table {
-		t := table{grid: core.Grid{Stride: 7919}}
-		for ei, env := range []netem.Environment{netem.LAN, netem.WAN, netem.PPP} {
-			modes := protocolModes
-			if env == netem.PPP {
-				modes = modes[1:] // the paper has no HTTP/1.0 runs over PPP
-			}
-			for mi, mode := range modes {
-				t.grid.Rows = append(t.grid.Rows,
-					oneCell(cell(httpserver.ProfileApache, mode, env, httpclient.FirstTime, 12000+uint64(ei)*100+uint64(mi))))
-			}
-		}
-		return t
-	}()},
-	generate: func(s *exp.Session, e *experiment) (any, error) {
-		sw := e.sweep(s)
-		sw.Collector = exp.NewCollector()
-		if _, err := sw.Measure(e.tables[0].grid, s.Site); err != nil {
-			return nil, err
-		}
-		recs := sw.Collector.Records()
-		if s.Collector != nil {
-			for _, m := range recs {
-				s.Collector.Add(m)
-			}
-		}
-		return recs, nil
-	},
-	render: renderWith(report.MetricsTable),
 }

@@ -52,8 +52,8 @@ func TestRegisteredNames(t *testing.T) {
 			t.Fatalf("Names()[%d] = %q, want %q (full: %v)", i, got[i], want[i], got)
 		}
 	}
-	if _, ok := exp.Lookup("sweep"); !ok {
-		t.Error("skip-listed sweep experiment not registered")
+	if all := exp.AllNames(); len(all) != len(want) {
+		t.Errorf("AllNames() = %v: every registered experiment runs by default", all)
 	}
 }
 
@@ -83,41 +83,6 @@ func TestRenderedBytesDeterministic(t *testing.T) {
 		if !bytes.Equal(csv1.Bytes(), csv8.Bytes()) {
 			t.Errorf("%s: metrics CSV differs between -parallel 1 and 8", name)
 		}
-	}
-}
-
-// TestSweepExperiment runs the skip-listed metrics sweep and checks it
-// produces one record per run with the experiment stamp.
-func TestSweepExperiment(t *testing.T) {
-	s := session(t, 4)
-	s.Runs = 1
-	e, _ := exp.Lookup("sweep")
-	data, err := e.Generate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := data.([]exp.Metrics)
-	// 4 modes on LAN and WAN, 3 on PPP, one run each.
-	if len(recs) != 11 {
-		t.Fatalf("got %d records, want 11", len(recs))
-	}
-	for _, m := range recs {
-		if m.Experiment != "sweep" {
-			t.Errorf("record experiment = %q, want sweep", m.Experiment)
-		}
-		if m.Packets <= 0 {
-			t.Errorf("%s: no packets recorded", m.Scenario)
-		}
-	}
-	if s.Collector.Len() != len(recs) {
-		t.Errorf("session collector has %d records, want %d", s.Collector.Len(), len(recs))
-	}
-	var buf bytes.Buffer
-	if err := e.Render(&buf, s, data); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("Per-run metrics")) {
-		t.Errorf("sweep render missing title:\n%s", buf.Bytes())
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +11,9 @@ import (
 	"repro/internal/exp"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden table files")
+// updateGolden rewrites the goldens instead of checking them:
+// UPDATE_GOLDEN=1 go test ./... regenerates every golden in the module.
+var updateGolden = os.Getenv("UPDATE_GOLDEN") == "1"
 
 // TestLegacyTablesUnchanged pins the rendered bytes of representative
 // pre-existing experiments against goldens captured before the fault
@@ -66,7 +67,7 @@ func TestMuxFaultsGolden(t *testing.T) {
 
 func checkGolden(t *testing.T, name, path string, got []byte) {
 	t.Helper()
-	if *updateGolden {
+	if updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func checkGolden(t *testing.T, name, path string, got []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%s: %v (run with -update to regenerate)", name, err)
+		t.Fatalf("%s: %v (run with UPDATE_GOLDEN=1 to regenerate)", name, err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: rendered table changed:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/netem"
 	"repro/internal/webgen"
 )
@@ -214,28 +213,4 @@ func HeaderRedundancy(w io.Writer, rows []core.HeaderRedundancyRow) {
 		},
 	}
 	s.Render(w, rows)
-}
-
-// MetricsTable renders collected per-run metrics records as a text
-// table (the structured counterpart is Collector.WriteCSV / -json).
-func MetricsTable(w io.Writer, recs []exp.Metrics) {
-	s := Spec[exp.Metrics]{
-		Title: "Per-run metrics",
-		Width: 120,
-		Cols: []Col[exp.Metrics]{
-			{Head: "scenario", Format: "%-40s", Value: func(m exp.Metrics) any { return m.Scenario }},
-			{Head: "seed", Format: "%8d", Value: func(m exp.Metrics) any { return m.Seed }},
-			{Head: "run", Format: "%3d", Value: func(m exp.Metrics) any { return m.Run }},
-			{Head: "Pa", Format: "%6d", Value: func(m exp.Metrics) any { return m.Packets }},
-			{Head: "Bytes", Format: "%9d", Value: func(m exp.Metrics) any { return m.PayloadBytes }},
-			{Head: "Sec", Format: "%7.2f", Value: func(m exp.Metrics) any { return m.ElapsedSeconds }},
-			{Head: "rexmt", Format: "%5d", Value: func(m exp.Metrics) any { return m.Retransmissions }},
-			{Head: "drop", Format: "%4d", Value: func(m exp.Metrics) any { return m.Drops }},
-			{Head: "dial", Format: "%4d", Value: func(m exp.Metrics) any { return m.Dials }},
-			{Head: "conn", Format: "%4d", Value: func(m exp.Metrics) any { return m.MaxOpenConns }},
-			{Head: "cliCPU", Format: "%7.3f", Value: func(m exp.Metrics) any { return m.ClientCPUSeconds }},
-			{Head: "srvCPU", Format: "%7.3f", Value: func(m exp.Metrics) any { return m.ServerCPUSeconds }},
-		},
-	}
-	s.Render(w, recs)
 }

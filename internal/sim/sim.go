@@ -102,22 +102,11 @@ type Stats struct {
 	Fired uint64
 	// Pending is the number of scheduled events not yet fired or stopped.
 	Pending int
-	// WheelDepth is the deepest populated tier of the event queue:
-	// 0 when empty, 1-4 for wheel levels, 5 when the far-future overflow
-	// heap holds events.
-	WheelDepth int
-	// PoolInUse is the number of timer-arena entries currently live.
-	PoolInUse int
 }
 
 // Stats returns a snapshot of the engine's counters.
 func (s *Simulator) Stats() Stats {
-	return Stats{
-		Fired:      s.fired,
-		Pending:    s.pending,
-		WheelDepth: s.q.depth(),
-		PoolInUse:  len(s.ents) - len(s.free),
-	}
+	return Stats{Fired: s.fired, Pending: s.pending}
 }
 
 // SetEventLimit caps the number of events a single Run may execute; it
@@ -303,34 +292,6 @@ func (s *Simulator) Run() {
 			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", s.limit, s.now))
 		}
 	}
-}
-
-// RunWithPoll is Run with a telemetry safe-point: poll is called
-// between events, every `every` events fired, and once more after the
-// queue drains. Because poll runs on the simulation goroutine at a
-// point where no callback is mid-flight, it may read the simulator's
-// state (Stats, Now) race-free; because it is called between events
-// and schedules nothing, the event stream, the clock, and the
-// (when, seq) firing order are identical to a plain Run — an observed
-// run produces byte-identical results. every<=0 or a nil poll degrade
-// to Run.
-func (s *Simulator) RunWithPoll(every uint64, poll func()) {
-	if every == 0 || poll == nil {
-		s.Run()
-		return
-	}
-	start := s.fired
-	next := start + every
-	for s.Step() {
-		if s.limit > 0 && s.fired-start > s.limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", s.limit, s.now))
-		}
-		if s.fired >= next {
-			poll()
-			next = s.fired + every
-		}
-	}
-	poll()
 }
 
 // RunUntil executes events with instants <= t, then advances the clock to

@@ -346,8 +346,8 @@ func TestFarFutureEventsCascade(t *testing.T) {
 func TestOverflowStopAndReschedule(t *testing.T) {
 	s := New()
 	far := s.Schedule(time.Hour, func() { t.Error("stopped overflow event fired") })
-	if got := s.Stats().WheelDepth; got != wheelLevels+1 {
-		t.Fatalf("WheelDepth with overflow event = %d, want %d", got, wheelLevels+1)
+	if got := len(s.q.overflow); got != 1 {
+		t.Fatalf("overflow heap holds %d events, want 1", got)
 	}
 	if !far.Stop() {
 		t.Fatal("Stop on overflow event returned false")
@@ -370,20 +370,18 @@ func TestStats(t *testing.T) {
 	}
 	h := s.Schedule(time.Millisecond, func() {})
 	s.Schedule(2*time.Millisecond, func() {})
-	st := s.Stats()
-	if st.Pending != 2 || st.PoolInUse != 2 || st.Fired != 0 {
-		t.Fatalf("Stats = %+v, want Pending=2 PoolInUse=2 Fired=0", st)
-	}
-	if st.WheelDepth == 0 {
-		t.Fatal("WheelDepth = 0 with pending events")
+	// inUse is the live timer-arena entries, which must track Pending.
+	inUse := func() int { return len(s.ents) - len(s.free) }
+	if st := s.Stats(); st.Pending != 2 || inUse() != 2 || st.Fired != 0 {
+		t.Fatalf("Stats = %+v with %d arena entries, want Pending=2, 2 entries, Fired=0", st, inUse())
 	}
 	h.Stop()
-	if st := s.Stats(); st.Pending != 1 || st.PoolInUse != 1 {
-		t.Fatalf("Stats after Stop = %+v, want Pending=1 PoolInUse=1", st)
+	if st := s.Stats(); st.Pending != 1 || inUse() != 1 {
+		t.Fatalf("Stats after Stop = %+v with %d arena entries, want Pending=1, 1 entry", st, inUse())
 	}
 	s.Run()
-	if st := s.Stats(); st.Pending != 0 || st.PoolInUse != 0 || st.Fired != 1 || st.WheelDepth != 0 {
-		t.Fatalf("Stats after Run = %+v, want Pending=0 PoolInUse=0 Fired=1 Depth=0", st)
+	if st := s.Stats(); st.Pending != 0 || inUse() != 0 || st.Fired != 1 {
+		t.Fatalf("Stats after Run = %+v with %d arena entries, want Pending=0, 0 entries, Fired=1", st, inUse())
 	}
 }
 

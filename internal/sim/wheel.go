@@ -290,24 +290,6 @@ func (w *wheel) drainOverflow(s *Simulator) {
 	}
 }
 
-// depth reports the deepest populated tier for Stats.WheelDepth: 1-4
-// for wheel levels, 5 when the overflow heap holds events.
-func (w *wheel) depth() int {
-	d := 0
-	if w.dueHead < len(w.due) {
-		d = 1
-	}
-	for l := 0; l < wheelLevels; l++ {
-		if w.bitmap[l] != 0 {
-			d = l + 1
-		}
-	}
-	if len(w.overflow) > 0 {
-		d = wheelLevels + 1
-	}
-	return d
-}
-
 // sortDue orders the freshly drained due queue by (when, seq): an
 // allocation-free quicksort (insertion sort below 16) — sort.Slice
 // would allocate its closure on the packet hot path.

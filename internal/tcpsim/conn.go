@@ -128,9 +128,6 @@ func (c *Conn) setCwnd(v int) {
 	}
 }
 
-// Err returns the terminal error, if any.
-func (c *Conn) Err() error { return c.err }
-
 // Retransmissions returns the number of segments this endpoint sent more
 // than once (go-back-N resends and timer retransmits).
 func (c *Conn) Retransmissions() int { return c.retransSegs }
