@@ -43,6 +43,6 @@ func ExampleRun() {
 	// Output:
 	// Microscape: 43 objects, 169236 bytes (HTML 41812 + images 127424)
 	//
-	// HTTP/1.0                            524 packets   193931 bytes    3.28s  (43 connections)
+	// HTTP/1.0                            520 packets   193931 bytes    3.32s  (43 connections)
 	// HTTP/1.1 Pipelined                  198 packets   181633 bytes    1.52s  (1 connections)
 }

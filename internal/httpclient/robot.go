@@ -845,10 +845,6 @@ func (cc *clientConn) deliver(resps []*httpmsg.Response) {
 		r.handoffs.Push(handoff{it, resp})
 		r.cpu.Run(r.cfg.PerRequestCPU, handleNext, r)
 	}
-	// New idle capacity may exist (connection reuse).
-	if !r.cfg.Pipelining {
-		r.dispatch()
-	}
 }
 
 // OnPeerClose implements tcpsim.Handler.
