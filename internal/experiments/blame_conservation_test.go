@@ -15,37 +15,11 @@ import (
 // nanoseconds, no epsilon. The walk must reach the root document on
 // every scenario, leaving no path empty.
 func TestBlameConservation(t *testing.T) {
-	s := session(t, 1)
+	r := replayed(t)
 	var short []string
-	for _, sc := range Scenarios() {
-		res, err := core.Run(sc, s.Site, core.WithBlame())
-		if err != nil {
-			t.Fatalf("%s: %v", sc, err)
-		}
-		a := res.Blame
-		if a == nil {
-			t.Fatalf("%s: no attribution", sc)
-		}
-		for _, rb := range a.Requests {
-			if rb.B.Sum() != rb.Elapsed {
-				t.Errorf("%s span %d (%s): blame sum %v != elapsed %v",
-					sc, rb.Span, rb.Path, rb.B.Sum(), rb.Elapsed)
-			}
-		}
-		if a.Total.Sum() != a.Elapsed {
-			t.Errorf("%s: total blame %v != summed elapsed %v", sc, a.Total.Sum(), a.Elapsed)
-		}
-		if a.CriticalBlame.Sum() != a.CriticalPath {
-			t.Errorf("%s: critical blame %v != critical path %v", sc, a.CriticalBlame.Sum(), a.CriticalPath)
-		}
-		if a.PathErr != nil {
-			t.Errorf("%s: %v", sc, a.PathErr)
-		}
-		if len(a.Chain) == 0 {
-			t.Errorf("%s: empty critical path", sc)
-		}
-		if float64(a.CriticalPath) < 0.9*float64(res.Elapsed) {
-			short = append(short, sc.String())
+	for i, f := range r.report(t, "blame-conservation") {
+		if f.note != "" {
+			short = append(short, r.scenarios[i].String())
 		}
 	}
 	// The path still stops short of the page where blame has no category
@@ -54,6 +28,36 @@ func TestBlameConservation(t *testing.T) {
 	if len(short) > maxShortPaths {
 		t.Errorf("%d scenarios' critical paths cover under 90%% of their elapsed time, want at most %d: %v",
 			len(short), maxShortPaths, short)
+	}
+}
+
+// checkBlame checks the observed run's attribution, and notes a critical
+// path that covers under 90 % of the page's elapsed time.
+func checkBlame(observed, _ *core.RunResult, f *finding) {
+	a := observed.Blame
+	if a == nil {
+		f.errorf("no attribution")
+		return
+	}
+	for _, rb := range a.Requests {
+		if rb.B.Sum() != rb.Elapsed {
+			f.errorf("span %d (%s): blame sum %v != elapsed %v", rb.Span, rb.Path, rb.B.Sum(), rb.Elapsed)
+		}
+	}
+	if a.Total.Sum() != a.Elapsed {
+		f.errorf("total blame %v != summed elapsed %v", a.Total.Sum(), a.Elapsed)
+	}
+	if a.CriticalBlame.Sum() != a.CriticalPath {
+		f.errorf("critical blame %v != critical path %v", a.CriticalBlame.Sum(), a.CriticalPath)
+	}
+	if a.PathErr != nil {
+		f.errorf("%v", a.PathErr)
+	}
+	if len(a.Chain) == 0 {
+		f.errorf("empty critical path")
+	}
+	if float64(a.CriticalPath) < 0.9*float64(observed.Elapsed) {
+		f.note = "short"
 	}
 }
 

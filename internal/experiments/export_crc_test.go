@@ -21,30 +21,48 @@ import (
 // executed when scenarios were still recorded as they ran, so it is also
 // the proof that Scenarios enumerates that population.
 func TestExportBytesUnchanged(t *testing.T) {
-	s := session(t, 1)
 	var got bytes.Buffer
-	sum := func(name string, b *bytes.Buffer) {
-		fmt.Fprintf(&got, "\t%s %d %08x", name, b.Len(), crc32.ChecksumIEEE(b.Bytes()))
-		b.Reset()
-	}
-	var out bytes.Buffer
-	for _, sc := range Scenarios() {
-		res, err := core.Run(sc, s.Site, core.WithCapture(), core.WithTimeline(), core.WithBlame())
-		if err != nil {
-			t.Fatalf("%s: %v", sc, err)
-		}
-		got.WriteString(sc.String())
-		if err := res.Timeline.WritePerfettoPath(&out, res.Blame.PerfettoPath()); err != nil {
-			t.Fatalf("%s: perfetto: %v", sc, err)
-		}
-		sum("perfetto", &out)
-		if err := res.Capture.WritePcap(&out); err != nil {
-			t.Fatalf("%s: pcap: %v", sc, err)
-		}
-		sum("pcap", &out)
-		report.WriteWaterfall(&out, res.Timeline, res.Blame)
-		sum("waterfall", &out)
+	for _, f := range replayed(t).report(t, "export-crc") {
+		got.WriteString(f.note)
 		got.WriteByte('\n')
 	}
 	checkGolden(t, "export-crc", filepath.Join("testdata", "export_crc.txt"), got.Bytes())
+}
+
+// checkExport renders the observed run's three artifacts and notes the
+// scenario's export_crc.txt line: its name, then each artifact's length
+// and CRC-32, summed as the exporter writes rather than kept.
+func checkExport(observed, _ *core.RunResult, f *finding) {
+	line := []byte(observed.Scenario.String())
+	var out crcWriter
+	sum := func(name string) {
+		line = fmt.Appendf(line, "\t%s %d %08x", name, out.n, out.crc)
+		out = crcWriter{}
+	}
+	if err := observed.Timeline.WritePerfettoPath(&out, observed.Blame.PerfettoPath()); err != nil {
+		f.errorf("perfetto: %v", err)
+		return
+	}
+	sum("perfetto")
+	if err := observed.Capture.WritePcap(&out); err != nil {
+		f.errorf("pcap: %v", err)
+		return
+	}
+	sum("pcap")
+	report.WriteWaterfall(&out, observed.Timeline, observed.Blame)
+	sum("waterfall")
+	f.note = string(line)
+}
+
+// crcWriter is an io.Writer that keeps only the length and CRC-32 of
+// what was written to it.
+type crcWriter struct {
+	n   int
+	crc uint32
+}
+
+func (w *crcWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+	return len(p), nil
 }

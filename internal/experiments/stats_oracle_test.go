@@ -61,31 +61,28 @@ func walkStats(events []tcpsim.PacketEvent, clientHost, serverHost string) trace
 // upstream link — and then checks that a run which retains nothing
 // reports the same statistics.
 func TestTalliesMatchEventWalk(t *testing.T) {
-	s := session(t, 1)
-	for _, sc := range Scenarios() {
-		kept, err := core.Run(sc, s.Site, core.WithCapture())
-		if err != nil {
-			t.Fatalf("%s: %v", sc, err)
+	replayed(t).report(t, "tallies")
+}
+
+// checkTallies compares the observed run's tallies with a walk over its
+// retained events, and the plain run's statistics with the observed
+// run's.
+func checkTallies(kept, counted *core.RunResult, f *finding) {
+	events := kept.Capture.Events()
+	if len(events) == 0 {
+		f.errorf("WithCapture retained no events")
+		return
+	}
+	for _, view := range [][2]string{{"client", ""}, {"client", "proxy"}, {"proxy", "server"}} {
+		got := kept.Capture.StatsBetween(view[0], view[1])
+		if want := walkStats(events, view[0], view[1]); got != want {
+			f.errorf("tallies for %v:\n got %+v\nwant %+v", view, got, want)
 		}
-		events := kept.Capture.Events()
-		if len(events) == 0 {
-			t.Fatalf("%s: WithCapture retained no events", sc)
-		}
-		for _, view := range [][2]string{{"client", ""}, {"client", "proxy"}, {"proxy", "server"}} {
-			got := kept.Capture.StatsBetween(view[0], view[1])
-			if want := walkStats(events, view[0], view[1]); got != want {
-				t.Errorf("%s: tallies for %v:\n got %+v\nwant %+v", sc, view, got, want)
-			}
-		}
-		counted, err := core.Run(sc, s.Site)
-		if err != nil {
-			t.Fatalf("%s: %v", sc, err)
-		}
-		if counted.Capture != nil || counted.Stats != kept.Stats || counted.Elapsed != kept.Elapsed {
-			t.Errorf("%s: a run without capture reports %+v, with capture %+v", sc, counted.Stats, kept.Stats)
-		}
-		if (counted.Origin == nil) != (kept.Origin == nil) || counted.Origin != nil && *counted.Origin != *kept.Origin {
-			t.Errorf("%s: origin-link statistics differ between a run with and without capture", sc)
-		}
+	}
+	if counted.Capture != nil || counted.Stats != kept.Stats || counted.Elapsed != kept.Elapsed {
+		f.errorf("a run without capture reports %+v, with capture %+v", counted.Stats, kept.Stats)
+	}
+	if !samePointee(counted.Origin, kept.Origin) {
+		f.errorf("origin-link statistics differ between a run with and without capture")
 	}
 }

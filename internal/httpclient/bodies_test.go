@@ -1,12 +1,17 @@
 package httpclient_test
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/httpclient"
+	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestCountedBodiesMeasureLikeKeptBodies replays every scenario any
@@ -22,23 +27,40 @@ func TestCountedBodiesMeasureLikeKeptBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer httpclient.RetainBodies(false)
-	for _, sc := range experiments.Scenarios() {
-		var runs [2]*core.RunResult
-		for i, keep := range []bool{true, false} {
-			httpclient.RetainBodies(keep)
-			if runs[i], err = core.Run(sc, site, core.WithTimeline()); err != nil {
-				t.Fatalf("%s (bodies kept: %v): %v", sc, keep, err)
+	scenarios := experiments.Scenarios()
+	// measure runs every scenario on a pool with the robot keeping bodies
+	// or not, and keeps what the comparison reads.
+	type measured struct {
+		client httpclient.Result
+		stats  trace.Stats
+		spans  []obs.SpanInfo
+	}
+	measure := func(keep bool) []measured {
+		httpclient.RetainBodies(keep)
+		out := make([]measured, len(scenarios))
+		err := sim.ForEach(runtime.GOMAXPROCS(0), len(scenarios), func(i int) error {
+			res, err := core.Run(scenarios[i], site, core.WithTimeline())
+			if err != nil {
+				return fmt.Errorf("%s (bodies kept: %v): %v", scenarios[i], keep, err)
 			}
+			out[i] = measured{res.Client, res.Stats, res.Timeline.Spans()}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		kept, counted := runs[0], runs[1]
-		if kept.Client != counted.Client {
-			t.Errorf("%s: client result differs:\n   kept %+v\ncounted %+v", sc, kept.Client, counted.Client)
+		return out
+	}
+	defer httpclient.RetainBodies(false)
+	kept, counted := measure(true), measure(false)
+	for i, sc := range scenarios {
+		if kept[i].client != counted[i].client {
+			t.Errorf("%s: client result differs:\n   kept %+v\ncounted %+v", sc, kept[i].client, counted[i].client)
 		}
-		if kept.Stats != counted.Stats {
-			t.Errorf("%s: packet statistics differ:\n   kept %+v\ncounted %+v", sc, kept.Stats, counted.Stats)
+		if kept[i].stats != counted[i].stats {
+			t.Errorf("%s: packet statistics differ:\n   kept %+v\ncounted %+v", sc, kept[i].stats, counted[i].stats)
 		}
-		if !reflect.DeepEqual(kept.Timeline.Spans(), counted.Timeline.Spans()) {
+		if !reflect.DeepEqual(kept[i].spans, counted[i].spans) {
 			t.Errorf("%s: request spans differ between kept and counted bodies", sc)
 		}
 	}

@@ -13,3 +13,7 @@ func (h TimerHandle) When() (Time, bool) {
 
 // RunFor executes events for d of virtual time from now.
 func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
+
+// inUse returns the live timer-arena entries: the events scheduled and
+// not yet fired or stopped.
+func (s *Simulator) inUse() int { return len(s.ents) - len(s.free) }

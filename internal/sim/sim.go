@@ -79,11 +79,10 @@ type entry struct {
 // Simulator owns the virtual clock and the pending event queue.
 // The zero value is not usable; call New.
 type Simulator struct {
-	now     Time
-	seq     uint64
-	fired   uint64
-	limit   uint64 // safety cap on events per Run; 0 = none
-	pending int
+	now   Time
+	seq   uint64
+	fired uint64
+	limit uint64 // safety cap on events per Run; 0 = none
 
 	ents []entry
 	free []int32
@@ -100,13 +99,11 @@ func (s *Simulator) Now() Time { return s.now }
 type Stats struct {
 	// Fired is the number of events executed so far.
 	Fired uint64
-	// Pending is the number of scheduled events not yet fired or stopped.
-	Pending int
 }
 
 // Stats returns a snapshot of the engine's counters.
 func (s *Simulator) Stats() Stats {
-	return Stats{Fired: s.fired, Pending: s.pending}
+	return Stats{Fired: s.fired}
 }
 
 // SetEventLimit caps the number of events a single Run may execute; it
@@ -151,7 +148,6 @@ func (h TimerHandle) Stop() bool {
 	}
 	s := h.s
 	s.q.remove(s, h.idx)
-	s.pending--
 	s.release(h.idx)
 	return true
 }
@@ -219,7 +215,6 @@ func (s *Simulator) schedule(t Time, fn func(), afn func(any), arg any) TimerHan
 	e.afn = afn
 	e.arg = arg
 	s.q.insert(s, idx)
-	s.pending++
 	return TimerHandle{s: s, idx: idx, gen: e.gen}
 }
 
@@ -272,7 +267,6 @@ func (s *Simulator) Step() bool {
 	e := &s.ents[idx]
 	s.now = e.when
 	fn, afn, arg := e.fn, e.afn, e.arg
-	s.pending--
 	s.release(idx)
 	s.fired++
 	if fn != nil {

@@ -107,8 +107,8 @@ func TestStopAfterFireReturnsFalse(t *testing.T) {
 		if h.Stop() {
 			t.Fatal("Stop after fire returned true")
 		}
-		if st := s.Stats(); st.Pending != 0 || st.Fired != 1 {
-			t.Fatalf("Stats after stop-after-fire = %+v", st)
+		if st := s.Stats(); s.inUse() != 0 || st.Fired != 1 {
+			t.Fatalf("Stats after stop-after-fire = %+v with %d arena entries", st, s.inUse())
 		}
 	})
 }
@@ -247,7 +247,7 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 		if s.Now() != Time(3*time.Millisecond) {
 			t.Fatalf("clock = %v, want 3ms", s.Now())
 		}
-		if got := s.Stats().Pending; got != 1 {
+		if got := s.inUse(); got != 1 {
 			t.Fatalf("pending = %d, want 1", got)
 		}
 		s.Run()
@@ -370,18 +370,16 @@ func TestStats(t *testing.T) {
 	}
 	h := s.Schedule(time.Millisecond, func() {})
 	s.Schedule(2*time.Millisecond, func() {})
-	// inUse is the live timer-arena entries, which must track Pending.
-	inUse := func() int { return len(s.ents) - len(s.free) }
-	if st := s.Stats(); st.Pending != 2 || inUse() != 2 || st.Fired != 0 {
-		t.Fatalf("Stats = %+v with %d arena entries, want Pending=2, 2 entries, Fired=0", st, inUse())
+	if st := s.Stats(); s.inUse() != 2 || st.Fired != 0 {
+		t.Fatalf("Stats = %+v with %d arena entries, want 2 entries, Fired=0", st, s.inUse())
 	}
 	h.Stop()
-	if st := s.Stats(); st.Pending != 1 || inUse() != 1 {
-		t.Fatalf("Stats after Stop = %+v with %d arena entries, want Pending=1, 1 entry", st, inUse())
+	if s.inUse() != 1 {
+		t.Fatalf("%d arena entries after Stop, want 1", s.inUse())
 	}
 	s.Run()
-	if st := s.Stats(); st.Pending != 0 || inUse() != 0 || st.Fired != 1 {
-		t.Fatalf("Stats after Run = %+v with %d arena entries, want Pending=0, 0 entries, Fired=1", st, inUse())
+	if st := s.Stats(); s.inUse() != 0 || st.Fired != 1 {
+		t.Fatalf("Stats after Run = %+v with %d arena entries, want 0 entries, Fired=1", st, s.inUse())
 	}
 }
 
