@@ -16,25 +16,38 @@ import (
 )
 
 // The whole-population tests share one replay: every scenario Scenarios
-// declares is simulated exactly twice, observed (packet trace retained,
-// timeline and blame armed) and plain, on a pool of GOMAXPROCS workers,
-// and each pair is handed to every checker below. Only what the checkers
-// keep outlives a pair, so memory stays flat however many scenarios there
-// are. A new whole-population check is one more entry here plus a test
-// that reports its findings; it adds no simulation.
+// declares, and each of extraScenarios after them, is simulated exactly
+// twice, observed (packet trace retained, timeline and blame armed) and
+// plain, on a pool of GOMAXPROCS workers, and each pair is handed to
+// every checker below, an extra's only to those with extras set. Only
+// what the checkers keep outlives a pair, so memory stays flat however
+// many scenarios there are. A new whole-population check is one more
+// entry here plus a test that reports its findings; it adds no
+// simulation.
 var checkers = []checker{
-	{"export-crc", checkExport},
-	{"blame-conservation", checkBlame},
-	{"tallies", checkTallies},
-	{"non-perturbation", checkNonPerturbation},
+	{"export-crc", checkExport, false},
+	{"blame-conservation", checkBlame, false},
+	{"tallies", checkTallies, false},
+	{"non-perturbation", checkNonPerturbation, true},
+}
+
+// extraScenarios are cells no experiment declares whose fault paths the
+// site-body and non-perturbation checks must still reach: an HTTP/1.x
+// server truncating or aborting a response. Declaring them would change
+// the faults table and export_crc.txt, so only the replay runs them.
+var extraScenarios = []string{
+	"apache/pipelined/WAN/first/truncate",
+	"apache/pipelined/WAN/first/abort",
 }
 
 // A checker inspects one scenario's pair of runs and records what it
 // found in f. It runs on a pool worker beside other scenarios' checks,
-// so it may touch nothing but its arguments.
+// so it may touch nothing but its arguments. A checker without extras
+// sees exactly the declared scenarios.
 type checker struct {
-	name  string
-	check func(observed, plain *core.RunResult, f *finding)
+	name   string
+	check  func(observed, plain *core.RunResult, f *finding)
+	extras bool
 }
 
 // A finding is what one checker kept from one scenario.
@@ -51,10 +64,10 @@ func (f *finding) errorf(format string, args ...any) {
 
 // replay is what the shared replay kept.
 type replay struct {
-	scenarios []core.Scenario
-	findings  [][]finding // [checker][scenario]
-	runs      int64       // simulations executed
-	err       error       // the lowest-numbered failed run; it stops the replay
+	scenarios []core.Scenario // the declared ones, then the extras
+	findings  [][]finding     // [checker][scenario the checker sees]
+	runs      int64           // simulations executed
+	err       error           // the lowest-numbered failed run; it stops the replay
 	// wrote marks the scenarios after one of whose runs a body of the
 	// site no longer matched its checksum from before the replay.
 	wrote []bool
@@ -67,7 +80,7 @@ var (
 
 // replayed returns the shared replay, running it on first use. It fails t
 // when a run failed or when the replay did not simulate each declared
-// scenario exactly twice.
+// and each extra scenario exactly twice.
 func replayed(t *testing.T) *replay {
 	t.Helper()
 	replayOnce.Do(func() { shared = runReplay() })
@@ -75,7 +88,7 @@ func replayed(t *testing.T) *replay {
 		t.Fatal(shared.err)
 	}
 	if want := 2 * int64(len(shared.scenarios)); shared.runs != want {
-		t.Fatalf("replay ran %d simulations, want %d: one observed and one plain per declared scenario", shared.runs, want)
+		t.Fatalf("replay ran %d simulations, want %d: one observed and one plain per declared and extra scenario", shared.runs, want)
 	}
 	return &shared
 }
@@ -87,9 +100,22 @@ func runReplay() (r replay) {
 		return r
 	}
 	r.scenarios = Scenarios()
+	declared := len(r.scenarios)
+	for _, spec := range extraScenarios {
+		sc, err := core.ParseScenario(spec)
+		if err != nil {
+			r.err = err
+			return r
+		}
+		r.scenarios = append(r.scenarios, sc)
+	}
 	r.findings = make([][]finding, len(checkers))
-	for c := range r.findings {
-		r.findings[c] = make([]finding, len(r.scenarios))
+	for c, ch := range checkers {
+		if ch.extras {
+			r.findings[c] = make([]finding, len(r.scenarios))
+		} else {
+			r.findings[c] = make([]finding, declared)
+		}
 	}
 	r.wrote = make([]bool, len(r.scenarios))
 	rp := newReplayer(site)
@@ -100,7 +126,9 @@ func runReplay() (r replay) {
 		}
 		r.wrote[i] = wrote != nil
 		for c, ch := range checkers {
-			ch.check(observed, plain, &r.findings[c][i])
+			if i < len(r.findings[c]) {
+				ch.check(observed, plain, &r.findings[c][i])
+			}
 		}
 		return nil
 	})
@@ -193,8 +221,8 @@ func changedBodies(before, after map[string]uint32) []string {
 
 // TestSiteBodiesNeverWrittenByAnyScenario is core.TestSiteBodiesNeverWritten
 // over the whole population: servers, the proxy and the burst encoder
-// queue the site's bodies by reference, so no run of any declared
-// scenario, observed or plain, may write them. Every object body,
+// queue the site's bodies by reference, so no run of any declared or
+// extra scenario, observed or plain, may write them. Every object body,
 // deflated page and burst body must keep its CRC-32 after every run of
 // the replay. Runs share the site on a pool, so a changed checksum does
 // not say whose run wrote; when one changes, the pairs are re-run one at
@@ -224,9 +252,9 @@ func TestSiteBodiesNeverWrittenByAnyScenario(t *testing.T) {
 // TestObserversDoNotPerturbAnyScenario is core.TestTelemetryDoesNotPerturb
 // over the whole population: retaining the packet trace, recording the
 // timeline and attributing blame observe a run and never steer it, so
-// every declared scenario's observed run must report what its plain run
-// reports: client result, server and proxy counters, packet statistics
-// of both links, elapsed time.
+// every declared and extra scenario's observed run must report what its
+// plain run reports: client result, server and proxy counters, packet
+// statistics of both links, elapsed time.
 func TestObserversDoNotPerturbAnyScenario(t *testing.T) {
 	replayed(t).report(t, "non-perturbation")
 }

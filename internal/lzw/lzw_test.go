@@ -4,8 +4,10 @@ import (
 	"bytes"
 	stdlzw "compress/lzw"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -292,4 +294,57 @@ func TestSymbolBeyondLiteralWidthPanics(t *testing.T) {
 			mustPanic("CompressedLen", func() { CompressedLen(data, lw, math.MaxInt) })
 		}
 	}
+}
+
+// cycleCoders starts n coders of literal width lw at once, closes them
+// all and returns the tables they coded with.
+func cycleCoders(n, lw int) map[*encTable]bool {
+	cs := make([]coder, n)
+	tables := make(map[*encTable]bool)
+	for i := range cs {
+		cs[i].start(lw, bitWriter{budget: math.MaxInt})
+		tables[cs[i].tbl] = true
+	}
+	for i := range cs {
+		cs[i].close()
+	}
+	return tables
+}
+
+// Released tables outlive garbage collections: once GOMAXPROCS coders of
+// a width have closed, the next GOMAXPROCS coders of that width get the
+// same tables back, whatever collections ran in between, instead of
+// making and zeroing new ones.
+func TestReleasedTablesSurviveGC(t *testing.T) {
+	n := runtime.GOMAXPROCS(0)
+	for lw := 2; lw <= 8; lw++ {
+		before := cycleCoders(n, lw)
+		runtime.GC()
+		runtime.GC()
+		if after := cycleCoders(n, lw); !maps.Equal(before, after) {
+			t.Errorf("lw%d: %d of %d tables were made again after two collections", lw, n-countShared(before, after), n)
+		}
+	}
+}
+
+// A width keeps at most GOMAXPROCS tables: of more coders closed at once,
+// the rest are dropped, and the next as many coders make that many anew.
+func TestFreeListKeepsAtMostGOMAXPROCS(t *testing.T) {
+	n := runtime.GOMAXPROCS(0)
+	for lw := 2; lw <= 8; lw++ {
+		before := cycleCoders(n+2, lw)
+		if kept := countShared(before, cycleCoders(n+2, lw)); kept != n {
+			t.Errorf("lw%d: %d tables kept of %d released, want GOMAXPROCS = %d", lw, kept, n+2, n)
+		}
+	}
+}
+
+func countShared(a, b map[*encTable]bool) int {
+	n := 0
+	for t := range b {
+		if a[t] {
+			n++
+		}
+	}
+	return n
 }
