@@ -42,10 +42,10 @@
 // Flight recorder (any mode; off by default and non-perturbing — output
 // stays byte-identical with it on):
 //
-//	httpperf -flight dumps/                 # retain each run's last 4096 bus events; on a
-//	                                        # panic, recovery-watchdog fire or unfinished run,
-//	                                        # dump Perfetto JSON + pcap and announce the dump
-//	                                        # on a line of dumps/index.txt
+//	httpperf -flight dumps/                 # on a panic, recovery-watchdog fire or unfinished
+//	                                        # run, dump its last 4096 bus events as Perfetto
+//	                                        # JSON, and its packets as a pcap, and announce
+//	                                        # the dump on a line of dumps/index.txt
 //
 // Profiling:
 //

@@ -16,9 +16,9 @@
 // same partition restricted to the chain segments explains *why* that
 // chain was slow.
 //
-// The analyzer is a passive bus subscriber: it only reads events, so
-// an armed run is byte-identical to an unarmed one (pinned by test,
-// like the timeline and the flight recorder).
+// Analyze reads a finished run's bus after the drive: it schedules and
+// publishes nothing, so an armed run is byte-identical to an unarmed one
+// (pinned by test, like the timeline and the flight recorder).
 package causality
 
 import (
@@ -180,19 +180,14 @@ type connTrack struct {
 	serverOpen   []sim.Time // FIFO queue of open server-recv instants
 }
 
-// Collector is the analyzer subscriber: feed it every bus event via
-// Observe, then call Finish once the run completes. It never mutates
-// anything it observes.
-type Collector struct {
+// collector accumulates cause intervals from the bus events observe
+// is fed, in order; finish then computes the analysis. It never
+// mutates anything it observes.
+type collector struct {
 	tracks map[obs.ConnID]*connTrack
 }
 
-// NewCollector returns an empty analyzer.
-func NewCollector() *Collector {
-	return &Collector{tracks: make(map[obs.ConnID]*connTrack)}
-}
-
-func (c *Collector) track(id obs.ConnID) *connTrack {
+func (c *collector) track(id obs.ConnID) *connTrack {
 	t := c.tracks[id]
 	if t == nil {
 		t = &connTrack{connectStart: obs.NoTime, stallStart: obs.NoTime, flowStart: obs.NoTime}
@@ -201,8 +196,8 @@ func (c *Collector) track(id obs.ConnID) *connTrack {
 	return t
 }
 
-// Observe consumes one bus event. Suitable as a Bus.Subscribe callback.
-func (c *Collector) Observe(ev obs.Event) {
+// observe consumes one bus event.
+func (c *collector) observe(ev obs.Event) {
 	switch ev.Kind {
 	case obs.KindConnOpen:
 		c.track(ev.Conn).connectStart = ev.Time
@@ -292,10 +287,10 @@ func (t *connTrack) close() {
 	t.serverOpen = nil
 }
 
-// Finish closes open intervals and computes the analysis from the
+// finish closes open intervals and computes the analysis from the
 // bus's connection and span tables. The collector must have observed
 // every event the bus recorded.
-func (c *Collector) Finish(b *obs.Bus) *Analysis {
+func (c *collector) finish(b *obs.Bus) *Analysis {
 	for _, t := range c.tracks {
 		t.close()
 	}
@@ -339,7 +334,7 @@ func (c *Collector) Finish(b *obs.Bus) *Analysis {
 
 // spanTracks gathers the interval sources relevant to a span: its
 // connection and that connection's peer, nil where there is none.
-func (c *Collector) spanTracks(conn obs.ConnID, peer map[obs.ConnID]obs.ConnID) (own, far *connTrack) {
+func (c *collector) spanTracks(conn obs.ConnID, peer map[obs.ConnID]obs.ConnID) (own, far *connTrack) {
 	own = c.tracks[conn]
 	if p, ok := peer[conn]; ok {
 		far = c.tracks[p]
@@ -347,15 +342,14 @@ func (c *Collector) spanTracks(conn obs.ConnID, peer map[obs.ConnID]obs.ConnID) 
 	return own, far
 }
 
-// Analyze replays a finished bus through a fresh collector. Equivalent
-// to subscribing Observe for the whole run: the bus retains every
-// event in order.
+// Analyze attributes the delay of every completed client request in a
+// finished run's bus and reconstructs its critical path.
 func Analyze(b *obs.Bus) *Analysis {
-	c := NewCollector()
+	c := &collector{tracks: make(map[obs.ConnID]*connTrack)}
 	for _, ev := range b.Events() {
-		c.Observe(ev)
+		c.observe(ev)
 	}
-	return c.Finish(b)
+	return c.finish(b)
 }
 
 // index lists the ends of the track's non-empty intervals in time order

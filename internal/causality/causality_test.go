@@ -80,12 +80,12 @@ func TestDiffOrder(t *testing.T) {
 // TestObserveStallLifecycle: a stall without a resume is capped by
 // close(), and an unknown stall cause maps to no category (residual).
 func TestObserveStallLifecycle(t *testing.T) {
-	c := NewCollector()
-	c.Observe(obs.Event{Kind: obs.KindSendStall, Conn: 1, Time: ms(10), Note: "nagle"})
-	c.Observe(obs.Event{Kind: obs.KindSendResume, Conn: 1, Time: ms(15)})
-	c.Observe(obs.Event{Kind: obs.KindSendStall, Conn: 1, Time: ms(20), Note: "rwnd"})
-	c.Observe(obs.Event{Kind: obs.KindSendResume, Conn: 1, Time: ms(25)})
-	c.Observe(obs.Event{Kind: obs.KindSendStall, Conn: 1, Time: ms(30), Note: "cwnd"})
+	c := &collector{tracks: make(map[obs.ConnID]*connTrack)}
+	c.observe(obs.Event{Kind: obs.KindSendStall, Conn: 1, Time: ms(10), Note: "nagle"})
+	c.observe(obs.Event{Kind: obs.KindSendResume, Conn: 1, Time: ms(15)})
+	c.observe(obs.Event{Kind: obs.KindSendStall, Conn: 1, Time: ms(20), Note: "rwnd"})
+	c.observe(obs.Event{Kind: obs.KindSendResume, Conn: 1, Time: ms(25)})
+	c.observe(obs.Event{Kind: obs.KindSendStall, Conn: 1, Time: ms(30), Note: "cwnd"})
 	tr := c.tracks[1]
 	tr.close()
 	if len(tr.ivs) != 2 {

@@ -31,7 +31,7 @@ func (a *Analysis) PerfettoPath() []obs.PathSlice {
 // document's arrival (HTML parse → object, and push promises, which
 // are queued when promised). The chain segments tile the page interval
 // contiguously, so CriticalBlame.Sum() == CriticalPath exactly.
-func (c *Collector) criticalPath(a *Analysis, spans []obs.SpanInfo, peer map[obs.ConnID]obs.ConnID) {
+func (c *collector) criticalPath(a *Analysis, spans []obs.SpanInfo, peer map[obs.ConnID]obs.ConnID) {
 	// Client spans in queue order; the first is the root document.
 	var client []*obs.SpanInfo
 	for i := range spans {

@@ -79,7 +79,7 @@ func sortTimes(ts []sim.Time) {
 
 // randomTrack draws n intervals over [0, span): a mix of short, long,
 // zero-length, abutting, nested and still-open (farFuture) ones, in no
-// particular order, as Observe appends them.
+// particular order, as observe appends them.
 func randomTrack(rng *rand.Rand, n int, span int64) *connTrack {
 	t := &connTrack{}
 	var prevEnd sim.Time

@@ -248,8 +248,9 @@ func WithStats() Option { return func(c *runConfig) { c.stats = true } }
 // (connection setup, RTO recovery, Nagle holds, flow-control stalls,
 // congestion-window waits, server think, head-of-line queueing, wire
 // time — summing exactly to elapsed), and the page-load critical path
-// is reconstructed, into RunResult.Blame. The analyzer is a passive
-// bus subscriber, so, like the timeline, it does not perturb the run.
+// is reconstructed, into RunResult.Blame. The analyzer reads the run's
+// bus after the drive, so, like the timeline, it does not perturb the
+// run.
 func WithBlame() Option { return func(c *runConfig) { c.blame = true } }
 
 // WithMetrics fills m with the run's structured measurements: packet and
@@ -259,9 +260,9 @@ func WithMetrics(m *exp.Metrics) Option {
 	return func(c *runConfig) { c.metrics = m }
 }
 
-// WithFlight arms f's flight recorder on the run: the run retains its
-// most recent bus events and dumps them, with its packet capture, when
-// it panics, its recovery watchdog fires, or it does not finish. A nil f
+// WithFlight arms f's flight recorder on the run: the run's last bus
+// events are dumped, with its packet capture, when it panics, its
+// recovery watchdog fires, or it does not finish. A nil f
 // leaves the run unobserved. Like the other observers it does not
 // perturb the run.
 func WithFlight(f *telemetry.Flight) Option {
@@ -291,16 +292,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 
 	var rng *sim.Rand
 	cpuJitter := 0.0
-	pathOpts := netem.PathOptions{}
-	if bus := o.layers; bus != nil {
-		pathOpts.Observer = func(ev netem.LinkEvent) {
-			if ev.Dropped {
-				bus.WireDrop(ev.Link, ev.WireBytes)
-				return
-			}
-			bus.WireSend(ev.Link, ev.WireBytes, ev.Start, ev.Done, ev.Arrive)
-		}
-	}
+	pathOpts := netem.PathOptions{Obs: o.layers}
 	if sc.Jitter {
 		rng = sim.NewRand(sc.Seed | 1)
 		cpuJitter = 0.10
@@ -348,7 +340,6 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		net.ConnectHosts(clientHost, serverHost, path)
 	}
 	capture := trace.Attach(net, o.keepCapture)
-	defer capture.Detach()
 	o.capture = capture
 
 	serverCfg := httpserver.Config{Profile: sc.Server}
@@ -420,7 +411,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 				}
 			}
 		}
-		proxyCfg := proxy.Config{Cache: pcache, NoDelay: true, Obs: o.layers}
+		proxyCfg := proxy.Config{Cache: pcache, Obs: o.layers}
 		if sc.Fault != faults.None {
 			pol := faults.Default()
 			proxyCfg.Recovery = &pol

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -107,7 +108,7 @@ func TestFlightDumpOnWatchdog(t *testing.T) {
 	}
 	fl, flightDir := newFlight(t)
 	{
-		res, err := Run(sc, site, WithFlight(fl))
+		res, err := Run(sc, site, WithFlight(fl), WithTimeline())
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -147,7 +148,8 @@ func TestFlightDumpOnWatchdog(t *testing.T) {
 		}
 
 		// The index must announce exactly that dump: the watchdog reason,
-		// the scenario, and both artifacts.
+		// the scenario, every event of the run kept and none dropped, and
+		// both artifacts.
 		index := flightIndex(t, flightDir)
 		if len(index) != 1 {
 			t.Fatalf("index has %d lines, want 1: %q", len(index), index)
@@ -156,6 +158,9 @@ func TestFlightDumpOnWatchdog(t *testing.T) {
 		want := filepath.Base(perfettoPath) + " " + filepath.Base(pcapPath)
 		if len(line) != 6 || line[1] != "watchdog" || line[2] != sc.String() || line[5] != want {
 			t.Fatalf("index line = %q, want the watchdog dump of %s naming %s", line, sc, want)
+		}
+		if kept := fmt.Sprintf("kept %d", res.Timeline.Len()); line[3] != kept || line[4] != "dropped 0" {
+			t.Fatalf("index line = %q, want %q and \"dropped 0\"", line, kept)
 		}
 	}
 }

@@ -56,15 +56,6 @@ func TestVarianceGolden(t *testing.T) {
 	checkGolden(t, "variance", filepath.Join("testdata", "variance_golden.txt"), got)
 }
 
-// TestMuxFaultsGolden pins the framed-protocol fault-recovery table:
-// every faulted mux cell must finish the page deterministically, so the
-// averaged recovery counters are byte-stable across regenerations.
-func TestMuxFaultsGolden(t *testing.T) {
-	s := session(t, 4)
-	got := render(t, s, "mux-faults")
-	checkGolden(t, "mux-faults", filepath.Join("testdata", "muxfaults_golden.txt"), got)
-}
-
 func checkGolden(t *testing.T, name, path string, got []byte) {
 	t.Helper()
 	if updateGolden {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -34,21 +35,6 @@ type StreamCompressor interface {
 // A nil LossFunc means no loss.
 type LossFunc func(index int, wireBytes int) bool
 
-// LinkEvent describes one packet's fate on a link, reported to the
-// link's Observer. For an accepted packet, serialization runs from
-// Start to Done (after FIFO queueing) and the last bit reaches the far
-// end at Arrive; a dropped packet carries only the drop instant in
-// Start (Done and Arrive equal Start).
-type LinkEvent struct {
-	Link                string
-	WireBytes           int
-	Dropped             bool
-	Start, Done, Arrive sim.Time
-}
-
-// Observer receives a LinkEvent for every packet offered to a link.
-type Observer func(ev LinkEvent)
-
 // Config describes one direction of a link.
 type Config struct {
 	// BitsPerSecond is the serialization rate. Zero means infinitely fast.
@@ -68,9 +54,10 @@ type Config struct {
 	Compressor StreamCompressor
 	// Loss, if non-nil, selects packets to drop.
 	Loss LossFunc
-	// Observer, if non-nil, is told about every packet offered to the
-	// link (accepted or dropped) with its serialization window.
-	Observer Observer
+	// Obs, if non-nil, records every packet offered to the link: a
+	// wire-drop event for a dropped one, and a wire-send event with its
+	// serialization window for an accepted one.
+	Obs *obs.Bus
 }
 
 // Link is one direction of a point-to-point connection. Packets are
@@ -137,12 +124,8 @@ func (l *Link) SendArg(raw []byte, wireBytes int, fn func(any), arg any) bool {
 	}
 	if l.cfg.Loss != nil && l.cfg.Loss(idx, wireBytes) {
 		l.dropped++
-		if l.cfg.Observer != nil {
-			now := l.sim.Now()
-			l.cfg.Observer(LinkEvent{
-				Link: l.name, WireBytes: wireBytes, Dropped: true,
-				Start: now, Done: now, Arrive: now,
-			})
+		if l.cfg.Obs != nil {
+			l.cfg.Obs.WireDrop(l.name, wireBytes)
 		}
 		return false
 	}
@@ -172,11 +155,8 @@ func (l *Link) SendArg(raw []byte, wireBytes int, fn func(any), arg any) bool {
 	l.busyUntil = done
 	arrive := done.Add(l.cfg.PropagationDelay)
 	l.sim.AtArg(arrive, fn, arg)
-	if l.cfg.Observer != nil {
-		l.cfg.Observer(LinkEvent{
-			Link: l.name, WireBytes: wireBytes,
-			Start: start, Done: done, Arrive: arrive,
-		})
+	if l.cfg.Obs != nil {
+		l.cfg.Obs.WireSend(l.name, wireBytes, start, done, arrive)
 	}
 	return true
 }

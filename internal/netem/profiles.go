@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -93,8 +94,8 @@ type PathOptions struct {
 	// They allow asymmetric faults — e.g. a one-direction blackhole —
 	// and give each direction its own instance of a stateful model.
 	LossAB, LossBA LossFunc
-	// Observer, if non-nil, observes every packet on both directions.
-	Observer Observer
+	// Obs, if non-nil, records every packet on both directions.
+	Obs *obs.Bus
 }
 
 // NewEnvPath instantiates an environment as a Path. Endpoint A is the
@@ -113,7 +114,7 @@ func NewEnvPath(s *sim.Simulator, env Environment, opts PathOptions) *Path {
 		PropagationDelay: rtt / 2,
 		MTU:              p.MSS + IPTCPHeaderBytes,
 		Loss:             opts.Loss,
-		Observer:         opts.Observer,
+		Obs:              opts.Obs,
 	}
 	if env == PPP {
 		// PPP framing: flag, address, control, protocol, FCS ≈ 8 bytes.

@@ -2,10 +2,10 @@
 // allocation-conscious event bus that every layer of the simulation
 // publishes into. The TCP layer (tcpsim) reports connection state
 // transitions, congestion-window changes, Nagle holds, RTO expirations,
-// and retransmissions; the link layer (netem, bridged by core) reports
-// serialization and delivery of every packet; and the HTTP layers
-// (httpclient, httpserver) report request lifecycle spans — queued,
-// request written, first response byte, complete — per object.
+// and retransmissions; the link layer (netem) reports serialization and
+// delivery of every packet; and the HTTP layers (httpclient,
+// httpserver) report request lifecycle spans — queued, request written,
+// first response byte, complete — per object.
 //
 // On top of the bus sit three exporter views, reproducing the paper's
 // own diagnostic toolchain in modern form: a Chrome trace-event /
@@ -214,7 +214,6 @@ type Bus struct {
 	events []Event
 	conns  []ConnInfo
 	spans  []SpanInfo
-	subs   []func(Event)
 }
 
 // New returns an empty bus stamping events with s's clock.
@@ -259,37 +258,11 @@ func (b *Bus) Spans() []SpanInfo {
 	return b.spans
 }
 
-// Subscribe pushes fn onto the bus's subscriber stack; every event
-// recorded from then on is delivered to fn immediately after it is
-// appended to the bus (including wire-send events, whose Time stamp can
-// precede already-delivered events). The returned detach pops the
-// subscription and must be called in LIFO order relative to other
-// Subscribe calls on the same bus, mirroring trace.Attach. Subscribers
-// run on the simulation goroutine and must not publish back into the
-// bus or schedule events — they observe, nothing more.
-func (b *Bus) Subscribe(fn func(Event)) (detach func()) {
-	if b == nil {
-		return func() {}
-	}
-	b.subs = append(b.subs, fn)
-	depth := len(b.subs)
-	return func() {
-		if len(b.subs) != depth {
-			panic("obs: Subscribe detach out of LIFO order")
-		}
-		b.subs = b.subs[:depth-1]
-	}
-}
-
-// record appends a fully-stamped event and notifies subscribers. Both
-// publication paths — add (stamped now) and WireSend (stamped at
-// serialization start) — funnel through here, so a subscriber sees
-// every event the bus retains.
+// record appends a fully-stamped event. Both publication paths — add
+// (stamped now) and WireSend (stamped at serialization start) — funnel
+// through here, so the bus retains every event of the run.
 func (b *Bus) record(ev Event) {
 	b.events = append(b.events, ev)
-	for _, fn := range b.subs {
-		fn(ev)
-	}
 }
 
 func (b *Bus) add(ev Event) {

@@ -30,27 +30,25 @@ import (
 // ErrUpstream reports an origin fetch that failed after its retry.
 var ErrUpstream = errors.New("proxy: upstream fetch failed")
 
-// Config tunes proxy behaviour. Zero values select defaults.
+// The proxy's fixed costs and settings: a lean 1997 proxy charging
+// perRequestCPU and perConnCPU to its host's single CPU, flushing its
+// client-side output buffer when responseBufferSize bytes are corked or
+// no further pipelined responses are pending (the origin server's
+// policy), and stamping via on the messages it forwards. Client and
+// origin connections both run with TCP_NODELAY: the proxy pipelines
+// misses and cannot afford Nagle stalls.
+const (
+	perRequestCPU      = 2 * time.Millisecond
+	perConnCPU         = 2 * time.Millisecond
+	responseBufferSize = 4096
+	via                = "1.1 proxy"
+)
+
+// Config tunes proxy behaviour.
 type Config struct {
 	// Cache is the shared response cache. A nil cache makes the proxy a
 	// pure relay (every request is forwarded, nothing stored).
 	Cache *cache.Cache
-	// PerRequestCPU and PerConnCPU are processing costs charged to the
-	// proxy host's single CPU (defaults 2ms/2ms: a lean 1997 proxy).
-	PerRequestCPU, PerConnCPU time.Duration
-	// ResponseBufferSize is the client-side output buffer, flushed when
-	// full or when no further pipelined responses are pending (default
-	// 4096, matching the origin server's policy).
-	ResponseBufferSize int
-	// NoDelay disables Nagle on accepted client connections.
-	NoDelay bool
-	// TCP and UpstreamTCP override connection options for the two sides.
-	// Upstream connections always run with TCP_NODELAY (the proxy
-	// pipelines misses and cannot afford Nagle stalls).
-	TCP, UpstreamTCP tcpsim.Options
-	// Via is the pseudonym stamped on forwarded messages (default
-	// "1.1 proxy").
-	Via string
 	// Recovery, when non-nil, governs upstream retries: each unanswered
 	// origin request is re-sent on a fresh connection while the policy's
 	// RetryBudget allows, then answered with 502. Nil keeps the classic
@@ -59,22 +57,6 @@ type Config struct {
 	// Obs, if non-nil, receives cache hit/miss/revalidation instants on
 	// client connections and request lifecycle spans for upstream fetches.
 	Obs *obs.Bus
-}
-
-func (c Config) applyDefaults() Config {
-	if c.PerRequestCPU == 0 {
-		c.PerRequestCPU = 2 * time.Millisecond
-	}
-	if c.PerConnCPU == 0 {
-		c.PerConnCPU = 2 * time.Millisecond
-	}
-	if c.ResponseBufferSize == 0 {
-		c.ResponseBufferSize = 4096
-	}
-	if c.Via == "" {
-		c.Via = "1.1 proxy"
-	}
-	return c
 }
 
 // Stats counts proxy activity.
@@ -136,15 +118,13 @@ func New(s *sim.Simulator, host *tcpsim.Host, port int, upstreamHost string, ups
 	p := &Proxy{
 		sim:          s,
 		host:         host,
-		cfg:          cfg.applyDefaults(),
+		cfg:          cfg,
 		cache:        cfg.Cache,
 		cpu:          sim.NewCPU(s, rng, cpuJitter),
 		upstreamHost: upstreamHost,
 		upstreamPort: upstreamPort,
 	}
-	tcpOpts := p.cfg.TCP
-	tcpOpts.NoDelay = p.cfg.NoDelay
-	host.Listen(port, tcpOpts, func(c *tcpsim.Conn) tcpsim.Handler {
+	host.Listen(port, tcpsim.Options{NoDelay: true}, func(c *tcpsim.Conn) tcpsim.Handler {
 		return newProxyConn(p, c)
 	})
 	return p
@@ -182,7 +162,7 @@ func (p *Proxy) forwardRequest(req *httpmsg.Request) *httpmsg.Request {
 	if !out.Header.Has("Host") {
 		out.Header.Add("Host", p.upstreamHost)
 	}
-	out.Header.Add("Via", p.cfg.Via)
+	out.Header.Add("Via", via)
 	return out
 }
 
@@ -196,7 +176,7 @@ func (p *Proxy) revalRequest(e *cache.Entry) *httpmsg.Request {
 	if e.LastModified != "" {
 		req.Header.Add("If-Modified-Since", e.LastModified)
 	}
-	req.Header.Add("Via", p.cfg.Via)
+	req.Header.Add("Via", via)
 	return req
 }
 
@@ -249,7 +229,7 @@ func handleSlot(a any) {
 // OnConnect implements tcpsim.Handler: it charges the per-connection
 // setup cost.
 func (pc *proxyConn) OnConnect(c *tcpsim.Conn) {
-	pc.p.cpu.Run(pc.p.cfg.PerConnCPU, sim.Nop, nil)
+	pc.p.cpu.Run(perConnCPU, sim.Nop, nil)
 }
 
 // OnError implements tcpsim.Handler.
@@ -275,7 +255,7 @@ func (pc *proxyConn) OnData(c *tcpsim.Conn, data []byte) {
 		slot := &pxSlot{pc: pc, req: req}
 		pc.slots = append(pc.slots, slot)
 		pc.p.stats.Requests++
-		pc.p.cpu.Run(pc.p.cfg.PerRequestCPU, handleSlot, slot)
+		pc.p.cpu.Run(perRequestCPU, handleSlot, slot)
 	}
 }
 
@@ -428,7 +408,7 @@ func (pc *proxyConn) localNotModified(e *cache.Entry, proto string) *httpmsg.Res
 // stamp adds the Age and Via of a cache-served response.
 func (pc *proxyConn) stamp(resp *httpmsg.Response, e *cache.Entry) {
 	resp.Header.Add("Age", strconv.FormatInt(int64(pc.p.cache.Age(e)/time.Second), 10))
-	resp.Header.Add("Via", pc.p.cfg.Via)
+	resp.Header.Add("Via", via)
 }
 
 // forwardResponse relays an origin response to one client, stamping Via
@@ -444,7 +424,7 @@ func (pc *proxyConn) forwardResponse(req *httpmsg.Request, resp *httpmsg.Respons
 	}
 	out.Header.Del("Transfer-Encoding")
 	out.Header.Del("Connection")
-	out.Header.Add("Via", pc.p.cfg.Via)
+	out.Header.Add("Via", via)
 	return out
 }
 
@@ -453,7 +433,7 @@ func (pc *proxyConn) gatewayError(req *httpmsg.Request) *httpmsg.Response {
 	resp := httpmsg.NewResponse(protoFor(req), 502)
 	resp.Body = []byte("<html><body>502 Bad Gateway</body></html>")
 	resp.Header.Add("Content-Type", "text/html")
-	resp.Header.Add("Via", pc.p.cfg.Via)
+	resp.Header.Add("Via", via)
 	return resp
 }
 
@@ -495,7 +475,7 @@ func (pc *proxyConn) writeReady() {
 	// Buffering policy mirrors the origin server, and like it the output
 	// buffer is the corked tail of the connection's send buffer: flush
 	// when it is full or when no further pipelined responses are pending.
-	if pc.conn.Corked() >= p.cfg.ResponseBufferSize ||
+	if pc.conn.Corked() >= responseBufferSize ||
 		(len(pc.slots) == 0 && pc.parser.Buffered() == 0) {
 		pc.conn.Flush()
 	}
@@ -538,7 +518,7 @@ func (p *Proxy) fetch(req *httpmsg.Request, cb func(*httpmsg.Response, error)) {
 func (p *Proxy) send(uf *upstreamFetch) {
 	u := p.ensureUpstream()
 	p.stats.UpstreamRequests++
-	uf.span = p.cfg.Obs.SpanQueuedVia(uf.req.Method, uf.req.Target, uf.attempts > 0, p.cfg.Via)
+	uf.span = p.cfg.Obs.SpanQueuedVia(uf.req.Method, uf.req.Target, uf.attempts > 0, via)
 	p.cfg.Obs.SpanWritten(uf.span, u.conn.ObsID())
 	u.inflight = append(u.inflight, uf)
 	u.parser.PushExpectation(uf.req.Method)
@@ -554,9 +534,7 @@ func (p *Proxy) ensureUpstream() *upstream {
 		return p.up
 	}
 	u := &upstream{p: p}
-	opts := p.cfg.UpstreamTCP
-	opts.NoDelay = true
-	u.conn = p.host.Dial(p.upstreamHost, p.upstreamPort, opts, u)
+	u.conn = p.host.Dial(p.upstreamHost, p.upstreamPort, tcpsim.Options{NoDelay: true}, u)
 	p.up = u
 	p.stats.UpstreamSockets++
 	return u

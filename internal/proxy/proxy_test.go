@@ -53,7 +53,7 @@ func newRig(t *testing.T, primeWarm, primeStale bool) *rig {
 			}
 		}
 	}
-	px := New(s, proxyHost, 3128, "server", 80, Config{Cache: c, NoDelay: true}, nil, 0)
+	px := New(s, proxyHost, 3128, "server", 80, Config{Cache: c}, nil, 0)
 	return &rig{s: s, net: net, client: clientHost, proxy: px, origin: origin, site: site, cache: c}
 }
 

@@ -1,15 +1,14 @@
-// Package telemetry is the harness's crash-dump flight recorder. Every
-// observed run keeps a bounded Ring of its most recent internal/obs
-// events (ring.go); when the run panics, the client's fault-recovery
-// watchdog fires, or the run does not finish, core hands the retained
-// window to Flight.Dump, which writes it as Perfetto JSON plus a
-// synthetic pcap and announces the dump on one line of the dump
-// directory's index.txt.
+// Package telemetry is the harness's crash-dump flight recorder. When an
+// observed run panics, the client's fault-recovery watchdog fires, or the
+// run does not finish, core reads the tail of the run's internal/obs
+// event record and hands it to Flight.Dump, which writes it as Perfetto
+// JSON plus a synthetic pcap and announces the dump on one line of the
+// dump directory's index.txt.
 //
-// The recorder is off by default and strictly non-perturbing: it
-// observes the simulation and schedules nothing, so every table,
-// metrics record and exported artifact is byte-identical with it armed
-// (enforced by core's TestTelemetryDoesNotPerturb).
+// The recorder is off by default and strictly non-perturbing: it reads
+// the run's record after the drive and schedules nothing, so every
+// table, metrics record and exported artifact is byte-identical with it
+// armed (enforced by core's TestTelemetryDoesNotPerturb).
 //
 // The package holds no process state. cmd/httpperf builds one Flight
 // from -flight and hands it down to the runs it observes (exp.Session →
@@ -26,9 +25,11 @@ import (
 	"sync/atomic"
 )
 
-// DefaultFlightEvents is the ring depth each observed run retains:
-// enough tail to see the stall or reset that killed a run, small enough
-// to cost nothing.
+// DefaultFlightEvents is how many of a run's last bus events a dump
+// keeps: enough tail to see the stall or reset that killed a run. The
+// bus holds the whole run, and no declared scenario publishes more than
+// 3 191 events, so the bound only shortens the dump of a run that never
+// finishes.
 const DefaultFlightEvents = 4096
 
 // indexFile is the file in the dump directory that announces each dump.
@@ -54,19 +55,20 @@ func NewFlight(dir string) (*Flight, error) {
 
 // DumpSource is everything a dump needs from the failing run: a label
 // (the scenario string), the trigger reason ("panic", "watchdog",
-// "error"), the retained-window accounting, and exporter closures for
-// the two artifact formats. A nil exporter skips that artifact.
+// "error"), how many events the dump keeps and how many earlier ones it
+// drops, and exporter closures for the two artifact formats. A nil
+// exporter skips that artifact.
 type DumpSource struct {
 	Label   string
 	Reason  string
 	Events  int
-	Dropped uint64
+	Dropped int
 
 	Perfetto func(w *os.File) error
 	Pcap     func(w *os.File) error
 }
 
-// Dump writes the retained window into the dump directory and appends
+// Dump writes the kept events into the dump directory and appends
 // one tab-separated line to its index.txt: the dump's number, the
 // reason, the label, the events kept and dropped, the artifacts written
 // and, when a write failed, the first error:

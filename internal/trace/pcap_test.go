@@ -129,56 +129,6 @@ func TestParsePcapRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestDetachRestoresHook(t *testing.T) {
-	s := sim.New()
-	n := tcpsim.NewNetwork(s)
-	client := n.AddHost("client")
-	server := n.AddHost("server")
-	cfg := netem.Config{PropagationDelay: time.Millisecond}
-	n.ConnectHosts(client, server, netem.NewAsymPath(s, "t", cfg, cfg))
-
-	prior := 0
-	n.PacketHook = func(ev tcpsim.PacketEvent) { prior++ }
-	cap := Attach(n, true)
-	cap.Detach()
-	cap.Detach() // idempotent
-
-	server.Listen(80, tcpsim.Options{}, func(c *tcpsim.Conn) tcpsim.Handler {
-		return &tcpsim.Callbacks{PeerClose: func(c *tcpsim.Conn) { c.CloseWrite() }}
-	})
-	client.Dial("server", 80, tcpsim.Options{}, &tcpsim.Callbacks{
-		Connect: func(c *tcpsim.Conn) { c.CloseWrite() },
-	})
-	s.Run()
-
-	if prior == 0 {
-		t.Fatal("prior hook lost after Detach")
-	}
-	if len(cap.Events()) != 0 {
-		t.Fatalf("detached capture recorded %d events", len(cap.Events()))
-	}
-}
-
-func TestDetachStackedLIFO(t *testing.T) {
-	s := sim.New()
-	n := tcpsim.NewNetwork(s)
-	a := Attach(n, true)
-	b := Attach(n, true)
-	b.Detach()
-	// After detaching b, a's hook must be the active head again.
-	n.PacketHook(tcpsim.PacketEvent{})
-	if len(a.Events()) != 1 {
-		t.Fatalf("a saw %d events after b detached, want 1", len(a.Events()))
-	}
-	if len(b.Events()) != 0 {
-		t.Fatalf("b saw %d events after detach", len(b.Events()))
-	}
-	a.Detach()
-	if n.PacketHook != nil {
-		t.Fatal("hook chain not empty after all captures detached")
-	}
-}
-
 // syntheticCapture is n segments between a few hosts with payloads of
 // every length 0..1460 residue, enough to cross several write chunks.
 func syntheticCapture(n int) *Capture {

@@ -18,12 +18,9 @@ import (
 // packet events themselves (≈80 KB for a page load) are kept, for
 // Events, Dump, TimeSequence and WritePcap, only if Attach was told to.
 type Capture struct {
-	events   []tcpsim.PacketEvent
-	links    []linkTally // in order of first packet; four on a proxy run
-	retain   bool
-	net      *tcpsim.Network
-	prev     func(tcpsim.PacketEvent)
-	detached bool
+	events []tcpsim.PacketEvent
+	links  []linkTally // in order of first packet; four on a proxy run
+	retain bool
 }
 
 // linkTally is the Stats of the packets one host sent to another,
@@ -33,21 +30,11 @@ type linkTally struct {
 	Stats
 }
 
-// Attach installs the capture as the network's packet hook, chaining any
-// hook already present; retain keeps the events as well as the tallies.
-// Call Detach when done so the hook chain does not grow with every
-// capture over a long-lived network; captures must be detached in
-// reverse attach order (LIFO), like deferred cleanups.
+// Attach installs the capture as the network's packet hook, replacing
+// any hook there; retain keeps the events as well as the tallies.
 func Attach(n *tcpsim.Network, retain bool) *Capture {
-	c := &Capture{net: n, prev: n.PacketHook, retain: retain}
-	n.PacketHook = func(ev tcpsim.PacketEvent) {
-		if !c.detached {
-			c.record(ev)
-		}
-		if c.prev != nil {
-			c.prev(ev)
-		}
-	}
+	c := &Capture{retain: retain}
+	n.PacketHook = c.record
 	return c
 }
 
@@ -79,27 +66,9 @@ func (c *Capture) record(ev tcpsim.PacketEvent) {
 	l.Last = ev.Time
 }
 
-// Detach removes the capture from the network's hook chain, restoring
-// the hook that was installed before Attach. The captured events remain
-// readable afterwards. Detach is idempotent. Detaching out of LIFO order
-// also restores the pre-Attach hook, unlinking any capture attached
-// later — recording on this capture stops regardless.
-func (c *Capture) Detach() {
-	if c.detached {
-		return
-	}
-	c.detached = true
-	if c.net != nil {
-		c.net.PacketHook = c.prev
-	}
-}
-
 // Events returns the captured packet events in transmission order, nil
 // for a capture attached without retention.
 func (c *Capture) Events() []tcpsim.PacketEvent { return c.events }
-
-// Reset discards captured events and tallies.
-func (c *Capture) Reset() { c.events, c.links = c.events[:0], c.links[:0] }
 
 // Stats summarizes a capture in the paper's terms.
 type Stats struct {

@@ -122,42 +122,6 @@ func TestTimeSequenceKinds(t *testing.T) {
 	}
 }
 
-func TestResetClearsEvents(t *testing.T) {
-	cap, _ := runExchange(t)
-	if len(cap.Events()) == 0 {
-		t.Fatal("expected events")
-	}
-	cap.Reset()
-	if len(cap.Events()) != 0 {
-		t.Fatal("Reset left events behind")
-	}
-}
-
-func TestHookChaining(t *testing.T) {
-	s := sim.New()
-	n := tcpsim.NewNetwork(s)
-	client := n.AddHost("client")
-	server := n.AddHost("server")
-	cfg := netem.Config{PropagationDelay: time.Millisecond}
-	n.ConnectHosts(client, server, netem.NewAsymPath(s, "t", cfg, cfg))
-	prior := 0
-	n.PacketHook = func(ev tcpsim.PacketEvent) { prior++ }
-	cap := Attach(n, true)
-	server.Listen(80, tcpsim.Options{}, func(c *tcpsim.Conn) tcpsim.Handler {
-		return &tcpsim.Callbacks{PeerClose: func(c *tcpsim.Conn) { c.CloseWrite() }}
-	})
-	client.Dial("server", 80, tcpsim.Options{}, &tcpsim.Callbacks{
-		Connect: func(c *tcpsim.Conn) { c.CloseWrite() },
-	})
-	s.Run()
-	if prior == 0 {
-		t.Fatal("prior hook was not chained")
-	}
-	if prior != len(cap.Events()) {
-		t.Fatalf("prior hook saw %d, capture saw %d", prior, len(cap.Events()))
-	}
-}
-
 func TestStatsElapsed(t *testing.T) {
 	st := Stats{First: sim.Time(time.Second), Last: sim.Time(3 * time.Second)}
 	if st.Elapsed() != 2*time.Second {
@@ -200,22 +164,25 @@ func TestWriteXplot(t *testing.T) {
 // that keeps every event, and keeps none: nothing to list, dump, plot or
 // write to a pcap but the file header.
 func TestTallyOnlyCapture(t *testing.T) {
-	s := sim.New()
-	n := tcpsim.NewNetwork(s)
-	client := n.AddHost("client")
-	server := n.AddHost("server")
-	cfg := netem.Config{PropagationDelay: time.Millisecond}
-	n.ConnectHosts(client, server, netem.NewAsymPath(s, "t", cfg, cfg))
-	kept := Attach(n, true)
-	tallied := Attach(n, false)
-	server.Listen(80, tcpsim.Options{}, func(c *tcpsim.Conn) tcpsim.Handler {
-		return &tcpsim.Callbacks{Data: func(c *tcpsim.Conn, d []byte) { c.Write(make([]byte, 3000)); c.CloseWrite() }}
-	})
-	client.Dial("server", 80, tcpsim.Options{}, &tcpsim.Callbacks{
-		Connect:   func(c *tcpsim.Conn) { c.Write(make([]byte, 100)) },
-		PeerClose: func(c *tcpsim.Conn) { c.CloseWrite() },
-	})
-	s.Run()
+	exchange := func(retain bool) *Capture {
+		s := sim.New()
+		n := tcpsim.NewNetwork(s)
+		client := n.AddHost("client")
+		server := n.AddHost("server")
+		cfg := netem.Config{PropagationDelay: time.Millisecond}
+		n.ConnectHosts(client, server, netem.NewAsymPath(s, "t", cfg, cfg))
+		c := Attach(n, retain)
+		server.Listen(80, tcpsim.Options{}, func(c *tcpsim.Conn) tcpsim.Handler {
+			return &tcpsim.Callbacks{Data: func(c *tcpsim.Conn, d []byte) { c.Write(make([]byte, 3000)); c.CloseWrite() }}
+		})
+		client.Dial("server", 80, tcpsim.Options{}, &tcpsim.Callbacks{
+			Connect:   func(c *tcpsim.Conn) { c.Write(make([]byte, 100)) },
+			PeerClose: func(c *tcpsim.Conn) { c.CloseWrite() },
+		})
+		s.Run()
+		return c
+	}
+	kept, tallied := exchange(true), exchange(false)
 	if len(kept.Events()) == 0 || tallied.Events() != nil || len(tallied.TimeSequence("server")) != 0 {
 		t.Fatalf("kept capture has %d events, tally-only capture %d", len(kept.Events()), len(tallied.Events()))
 	}
@@ -230,9 +197,5 @@ func TestTallyOnlyCapture(t *testing.T) {
 	var pcap bytes.Buffer
 	if err := tallied.WritePcap(&pcap); err != nil || pcap.Len() != 24 {
 		t.Errorf("tally-only pcap: %d bytes, err %v; want the 24-byte file header", pcap.Len(), err)
-	}
-	tallied.Reset()
-	if got := tallied.Stats("client"); got != (Stats{}) {
-		t.Errorf("Stats after Reset = %+v, want zero", got)
 	}
 }
