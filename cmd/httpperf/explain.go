@@ -83,7 +83,7 @@ func explain(spec string, seed uint64, dir string, flight *telemetry.Flight, std
 	}
 	// The capture holds every hop, so on a proxy run the pcap has more
 	// records than the client-side packet count of the summary.
-	fmt.Fprintf(stderr, "httpperf: wrote %d files to %s (run.pcap: %d packets; run.json: %d events, %d spans)\n",
+	fmt.Fprintf(stderr, "httpperf: wrote %d files to %s (run.pcap: %d packets; timeline: %d events, %d spans)\n",
 		len(files), dir, len(res.Capture.Events()), res.Timeline.Len(), len(res.Timeline.Spans()))
 	return nil
 }

@@ -199,8 +199,6 @@ func (c *collector) track(id obs.ConnID) *connTrack {
 // observe consumes one bus event.
 func (c *collector) observe(ev obs.Event) {
 	switch ev.Kind {
-	case obs.KindConnOpen:
-		c.track(ev.Conn).connectStart = ev.Time
 	case obs.KindConnState:
 		if ev.Note == "ESTABLISHED" {
 			t := c.track(ev.Conn)
@@ -343,9 +341,14 @@ func (c *collector) spanTracks(conn obs.ConnID, peer map[obs.ConnID]obs.ConnID) 
 }
 
 // Analyze attributes the delay of every completed client request in a
-// finished run's bus and reconstructs its critical path.
+// finished run's bus and reconstructs its critical path. Each
+// connection's setup interval starts at its Opened instant in the bus's
+// conn table and ends at its first ESTABLISHED event.
 func Analyze(b *obs.Bus) *Analysis {
 	c := &collector{tracks: make(map[obs.ConnID]*connTrack)}
+	for _, ci := range b.Conns() {
+		c.track(ci.ID).connectStart = ci.Opened
+	}
 	for _, ev := range b.Events() {
 		c.observe(ev)
 	}

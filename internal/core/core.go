@@ -227,10 +227,12 @@ func WithCapture() Option { return func(c *runConfig) { c.capture = true } }
 
 // WithTimeline records the full-stack event timeline — TCP connection
 // state spans, congestion-window changes, Nagle holds, RTO fires,
-// retransmissions, wire serialization windows, and per-object request
-// lifecycle spans — into RunResult.Timeline, for export as a Perfetto
-// trace or a request waterfall. Observation does not perturb the
-// simulation: a run measures identically with or without it.
+// retransmissions, and per-object request lifecycle spans — into
+// RunResult.Timeline, for export as a Perfetto trace or a request
+// waterfall. The run's packet capture is retained for it, and the
+// timeline draws its wire serialization windows from the capture.
+// Observation does not perturb the simulation: a run measures
+// identically with or without it.
 func WithTimeline() Option { return func(c *runConfig) { c.timeline = true } }
 
 // WithStats collects per-request latency distributions — queue time
@@ -292,7 +294,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 
 	var rng *sim.Rand
 	cpuJitter := 0.0
-	pathOpts := netem.PathOptions{Obs: o.layers}
+	var pathOpts netem.PathOptions
 	if sc.Jitter {
 		rng = sim.NewRand(sc.Seed | 1)
 		cpuJitter = 0.10
@@ -341,6 +343,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	}
 	capture := trace.Attach(net, o.keepCapture)
 	o.capture = capture
+	o.layers.SetPackets(capture)
 
 	serverCfg := httpserver.Config{Profile: sc.Server}
 	if sc.ServerOverride != nil {

@@ -168,7 +168,7 @@ func Average(results []*RunResult) Avg {
 		Bytes:   Mean(results, PayloadBytes),
 		Seconds: Mean(results, Seconds),
 	}}
-	hdr := avg.Packets * netem.IPTCPHeaderBytes
+	hdr := float64(avg.Packets * netem.IPTCPHeaderBytes) // rounded before the sum: no fused multiply-add
 	if total := avg.Bytes + hdr; total > 0 {
 		avg.OverheadPct = 100 * hdr / total
 	}

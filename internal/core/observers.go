@@ -22,7 +22,8 @@ type observers struct {
 	// layers is that bus when every layer publishes into it, and nil
 	// when only the client's request spans are needed (stats alone).
 	bus, layers *obs.Bus
-	// keepCapture retains the packet events, for the caller or a dump.
+	// keepCapture retains the packet events, for the caller, the
+	// timeline's link tracks or a dump.
 	keepCapture bool
 	capture     *trace.Capture
 	blame       bool
@@ -31,7 +32,7 @@ type observers struct {
 
 func (cfg runConfig) observers(s *sim.Simulator) *observers {
 	flight := cfg.flight != nil
-	o := &observers{keepCapture: cfg.capture || flight, blame: cfg.blame, flight: cfg.flight}
+	o := &observers{keepCapture: cfg.capture || cfg.timeline || flight, blame: cfg.blame, flight: cfg.flight}
 	if cfg.timeline || cfg.blame || flight || cfg.stats {
 		o.bus = obs.New(s)
 	}
@@ -86,14 +87,13 @@ func (o *observers) dump(sc Scenario, reason string) {
 	if o.flight == nil {
 		return
 	}
-	events := o.bus.Events()
-	kept := events[max(0, len(events)-telemetry.DefaultFlightEvents):]
+	kept := min(o.bus.Len(), telemetry.DefaultFlightEvents)
 	// A failed write is reported on the dump's index line; a dump never
 	// fails the run it records.
 	_ = o.flight.Dump(telemetry.DumpSource{
-		Label: sc.String(), Reason: reason, Events: len(kept), Dropped: len(events) - len(kept),
+		Label: sc.String(), Reason: reason, Events: kept, Dropped: o.bus.Len() - kept,
 		Perfetto: func(w *os.File) error {
-			return obs.WritePerfettoEvents(w, kept, o.bus.Conns(), o.bus.Spans())
+			return o.bus.WritePerfettoTail(w, kept)
 		},
 		Pcap: func(w *os.File) error { return o.capture.WritePcap(w) },
 	})

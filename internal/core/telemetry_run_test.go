@@ -315,3 +315,47 @@ func names(entries []os.DirEntry) []string {
 	}
 	return out
 }
+
+// TestFlightDumpMatchesTimelineExport: a dump that kept every event is
+// the run's own timeline export, byte for byte — packet slices and drop
+// instants included, though the bus draws them from the capture rather
+// than from its own events.
+func TestFlightDumpMatchesTimelineExport(t *testing.T) {
+	t.Parallel()
+	site := testSite(t)
+	sc := Scenario{
+		Server:   httpserver.ProfileApache,
+		Client:   httpclient.ModeHTTP10,
+		Env:      netem.PPP,
+		Workload: httpclient.FirstTime,
+		Seed:     5,
+		Fault:    faults.BurstLoss,
+	}
+	fl, flightDir := newFlight(t)
+	res, err := Run(sc, site, WithFlight(fl), WithTimeline())
+	if err != nil {
+		t.Fatalf("%s: %v", sc, err)
+	}
+	if res.Client.Timeouts < 1 {
+		t.Fatal("burst loss did not trip the watchdog; no dump to compare")
+	}
+	if line := flightIndex(t, flightDir)[0]; line[4] != "dropped 0" {
+		t.Fatalf("index line = %q: the dump must keep the whole run", line)
+	}
+	dump, err := os.ReadFile(findDump(t, flightDir, "watchdog", ".perfetto.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var export bytes.Buffer
+	if err := res.Timeline.WritePerfettoPath(&export, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dump, export.Bytes()) {
+		t.Fatalf("flight dump (%d bytes) differs from the timeline export (%d bytes)", len(dump), export.Len())
+	}
+	for _, want := range []string{`"cat":"wire"`, `{"name":"drop"`} {
+		if !bytes.Contains(dump, []byte(want)) {
+			t.Errorf("dump has no %s record", want)
+		}
+	}
+}

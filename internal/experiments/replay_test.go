@@ -29,6 +29,7 @@ var checkers = []checker{
 	{"blame-conservation", checkBlame, false},
 	{"tallies", checkTallies, false},
 	{"non-perturbation", checkNonPerturbation, true},
+	{"bus-order", checkBusOrder, true},
 }
 
 // extraScenarios are cells no experiment declares whose fault paths the
@@ -282,4 +283,21 @@ func checkNonPerturbation(observed, plain *core.RunResult, f *finding) {
 // values.
 func samePointee[T comparable](a, b *T) bool {
 	return a == nil && b == nil || a != nil && b != nil && *a == *b
+}
+
+// TestBusEventsInTimeOrder: every event is stamped with the clock when
+// it is published, so every observed run's timeline lists its events in
+// non-decreasing time, and a reader may walk it as a clock does.
+func TestBusEventsInTimeOrder(t *testing.T) {
+	replayed(t).report(t, "bus-order")
+}
+
+func checkBusOrder(observed, _ *core.RunResult, f *finding) {
+	events := observed.Timeline.Events()
+	for i := 1; i < len(events); i++ {
+		if prev, ev := events[i-1], events[i]; ev.Time < prev.Time {
+			f.errorf("event %d (%v at %v) precedes event %d (%v at %v)", i, ev.Kind, ev.Time, i-1, prev.Kind, prev.Time)
+			return
+		}
+	}
 }

@@ -11,3 +11,11 @@ func (l *Link) SerializationDelay(wireBytes int) time.Duration {
 	bits := int64(wireBytes+l.cfg.PerPacketOverheadBytes) * 8
 	return time.Duration(bits * int64(time.Second) / l.cfg.BitsPerSecond)
 }
+
+// Send is SendArg with a closure run at delivery.
+func (l *Link) Send(raw []byte, wireBytes int, deliver func()) bool {
+	return l.SendArg(raw, wireBytes, callFunc, deliver)
+}
+
+// callFunc invokes a boxed func(): Send's delivery function.
+func callFunc(a any) { a.(func())() }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -54,10 +53,6 @@ type Config struct {
 	Compressor StreamCompressor
 	// Loss, if non-nil, selects packets to drop.
 	Loss LossFunc
-	// Obs, if non-nil, records every packet offered to the link: a
-	// wire-drop event for a dropped one, and a wire-send event with its
-	// serialization window for an accepted one.
-	Obs *obs.Bus
 }
 
 // Link is one direction of a point-to-point connection. Packets are
@@ -99,24 +94,29 @@ func (l *Link) Dropped() int { return l.dropped }
 // packets, after link compression.
 func (l *Link) WireBits() int64 { return l.wireBits }
 
-// Send accepts a packet for transmission. raw is the full IP packet
+// SendArg accepts a packet for transmission. raw is the full IP packet
 // content (used only by the compressor; may be nil when no compressor is
-// configured); wireBytes is its IP-level size. deliver runs at the instant
-// the last bit arrives at the far end. Send reports whether the packet
-// was accepted (false = dropped by the loss model).
-func (l *Link) Send(raw []byte, wireBytes int, deliver func()) bool {
-	return l.SendArg(raw, wireBytes, callFunc, deliver)
+// configured); wireBytes is its IP-level size. fn(arg) runs at the
+// instant the last bit arrives at the far end; with fn a package-level
+// function and arg a pointer, accepting a packet allocates nothing.
+// SendArg reports whether the packet was accepted (false = dropped by
+// the loss model).
+func (l *Link) SendArg(raw []byte, wireBytes int, fn func(any), arg any) bool {
+	_, ok := l.Transmit(raw, wireBytes, fn, arg)
+	return ok
 }
 
-// callFunc invokes a boxed func(); it adapts Send's closure form to the
-// allocation-free SendArg path.
-func callFunc(a any) { a.(func())() }
+// Window is an accepted packet's passage over a link: serialization
+// starts at Start (after FIFO queueing behind earlier packets) and ends
+// at Done, and the last bit reaches the far end at Arrive.
+type Window struct {
+	Start, Done, Arrive sim.Time
+}
 
-// SendArg is Send for an argument-taking delivery function: fn(arg) runs
-// at the instant the last bit arrives. With fn a package-level function
-// and arg a pointer, accepting a packet allocates nothing — this is the
-// form the TCP hot path uses.
-func (l *Link) SendArg(raw []byte, wireBytes int, fn func(any), arg any) bool {
+// Transmit is SendArg that also reports the accepted packet's window;
+// a dropped packet reports false and no window. This is the form the
+// TCP hot path uses, so that its packet capture records the window.
+func (l *Link) Transmit(raw []byte, wireBytes int, fn func(any), arg any) (Window, bool) {
 	idx := l.sent
 	l.sent++
 	if l.cfg.MTU > 0 && wireBytes > l.cfg.MTU {
@@ -124,10 +124,7 @@ func (l *Link) SendArg(raw []byte, wireBytes int, fn func(any), arg any) bool {
 	}
 	if l.cfg.Loss != nil && l.cfg.Loss(idx, wireBytes) {
 		l.dropped++
-		if l.cfg.Obs != nil {
-			l.cfg.Obs.WireDrop(l.name, wireBytes)
-		}
-		return false
+		return Window{}, false
 	}
 
 	bits := int64(wireBytes+l.cfg.PerPacketOverheadBytes) * 8
@@ -155,10 +152,7 @@ func (l *Link) SendArg(raw []byte, wireBytes int, fn func(any), arg any) bool {
 	l.busyUntil = done
 	arrive := done.Add(l.cfg.PropagationDelay)
 	l.sim.AtArg(arrive, fn, arg)
-	if l.cfg.Obs != nil {
-		l.cfg.Obs.WireSend(l.name, wireBytes, start, done, arrive)
-	}
-	return true
+	return Window{Start: start, Done: done, Arrive: arrive}, true
 }
 
 // Path is a bidirectional point-to-point connection.

@@ -186,3 +186,68 @@ func TestRTTJitterChangesDelay(t *testing.T) {
 		t.Fatalf("jittered delay %v outside [%v,%v]", got, lo, hi)
 	}
 }
+
+// TestTransmitReportsWindow: the window Transmit reports is the one the
+// link keeps. Serialization starts no earlier than the packet is offered
+// nor before the previous packet is done, the last bit arrives one
+// propagation delay after serialization ends, the delivery fires at that
+// instant, and a dropped packet reports no window.
+func TestTransmitReportsWindow(t *testing.T) {
+	s := sim.New()
+	const prop = 10 * time.Millisecond
+	l := NewLink(s, "t", Config{BitsPerSecond: 8000, PropagationDelay: prop,
+		Loss: func(i, _ int) bool { return i == 2 }})
+	type sent struct {
+		offered, delivered sim.Time
+		win                Window
+		ok                 bool
+	}
+	var got []*sent
+	offer := func(bytes int) {
+		p := &sent{offered: s.Now()}
+		p.win, p.ok = l.Transmit(nil, bytes, func(a any) { a.(*sent).delivered = s.Now() }, p)
+		got = append(got, p)
+	}
+	// Two back to back (the second queues), one dropped, one after the
+	// link went idle.
+	s.Schedule(0, func() { offer(100); offer(50); offer(40) })
+	s.Schedule(time.Second, func() { offer(20) })
+	s.Run()
+
+	if len(got) != 4 {
+		t.Fatalf("offered %d packets, want 4", len(got))
+	}
+	if p := got[2]; p.ok || p.win != (Window{}) || p.delivered != 0 {
+		t.Fatalf("dropped packet reported %+v", *p)
+	}
+	var prevDone sim.Time
+	for i, p := range got {
+		if i == 2 {
+			continue
+		}
+		w := p.win
+		if !p.ok {
+			t.Fatalf("packet %d not accepted", i)
+		}
+		if w.Start < p.offered || w.Start < prevDone {
+			t.Errorf("packet %d starts at %v: offered at %v, previous done at %v", i, w.Start, p.offered, prevDone)
+		}
+		if w.Done <= w.Start {
+			t.Errorf("packet %d window %v..%v is empty", i, w.Start, w.Done)
+		}
+		if w.Arrive != w.Done.Add(prop) {
+			t.Errorf("packet %d arrives at %v, want done %v + %v", i, w.Arrive, w.Done, prop)
+		}
+		if p.delivered != w.Arrive {
+			t.Errorf("packet %d delivered at %v, reported arrival %v", i, p.delivered, w.Arrive)
+		}
+		prevDone = w.Done
+	}
+	// The second packet queued behind the first; the last found the link idle.
+	if got[1].win.Start != got[0].win.Done {
+		t.Errorf("queued packet starts at %v, want the first's done %v", got[1].win.Start, got[0].win.Done)
+	}
+	if got[3].win.Start != got[3].offered {
+		t.Errorf("packet on an idle link starts at %v, want its offer instant %v", got[3].win.Start, got[3].offered)
+	}
+}

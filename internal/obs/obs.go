@@ -2,19 +2,23 @@
 // allocation-conscious event bus that every layer of the simulation
 // publishes into. The TCP layer (tcpsim) reports connection state
 // transitions, congestion-window changes, Nagle holds, RTO expirations,
-// and retransmissions; the link layer (netem) reports serialization and
-// delivery of every packet; and the HTTP layers (httpclient,
-// httpserver) report request lifecycle spans — queued, request written,
-// first response byte, complete — per object.
+// and retransmissions; the HTTP layers (httpclient, httpserver, proxy)
+// report request handling, caching, faults and recovery, and fill the
+// request-span table — queued, request written, first response byte,
+// complete — per object. Each
+// fact is recorded once: a connection's open instant and a span's
+// lifecycle live only in the conn and span tables, and the packets live
+// only in the run's capture (internal/trace), which the bus reaches
+// through SetPackets.
 //
 // On top of the bus sit three exporter views, reproducing the paper's
 // own diagnostic toolchain in modern form: a Chrome trace-event /
-// Perfetto JSON exporter (perfetto.go) rendering connections as tracks
-// and request spans as slices, and a devtools-style waterfall
-// (waterfall.go assembles the rows; rendering through the column-spec
-// engine lives in internal/report to keep this package dependency-light).
-// The pcap exporter, which works from the packet capture rather than
-// the bus, lives in internal/trace.
+// Perfetto JSON exporter (perfetto.go) rendering connections as tracks,
+// request spans as slices and the captured packets as link tracks, and
+// a devtools-style waterfall (waterfall.go assembles the rows; rendering
+// through the column-spec engine lives in internal/report to keep this
+// package dependency-light). The pcap exporter, which works from the
+// packet capture rather than the bus, lives in internal/trace.
 //
 // Every publishing method is safe to call on a nil *Bus and returns
 // immediately, so instrumented hot paths cost a single nil check when
@@ -30,15 +34,12 @@ import (
 // Kind classifies a timeline event.
 type Kind uint8
 
-// Event kinds. The A/B/C fields of Event carry kind-specific details,
+// Event kinds. The A/B fields of Event carry kind-specific details,
 // documented per constant.
 const (
-	// KindConnOpen records a new connection endpoint. Note holds
-	// "local→remote".
-	KindConnOpen Kind = iota
 	// KindConnState is a TCP state transition: A=old state ordinal,
 	// B=new state ordinal, Note=new state name.
-	KindConnState
+	KindConnState Kind = iota
 	// KindCwnd is a congestion-window change: A=cwnd bytes, B=ssthresh.
 	KindCwnd
 	// KindNagleHold records the Nagle algorithm holding back a partial
@@ -50,24 +51,6 @@ const (
 	// KindRetransmit is a segment sent more than once: A=sequence
 	// number, B=payload bytes.
 	KindRetransmit
-	// KindWireSend is a packet accepted by a link. Time is the instant
-	// serialization begins (after FIFO queueing); A=wire bytes,
-	// B=serialization-end nanoseconds, C=delivery nanoseconds.
-	// Note=link name.
-	KindWireSend
-	// KindWireDrop is a packet discarded by the link loss model:
-	// A=wire bytes, Note=link name.
-	KindWireDrop
-	// KindSpanQueued opens a request span: the client decided to fetch
-	// an object. A=1 when the request is a retry after a connection
-	// failure.
-	KindSpanQueued
-	// KindSpanWritten records the request bytes being handed to TCP.
-	KindSpanWritten
-	// KindSpanFirstByte records the first response byte arriving.
-	KindSpanFirstByte
-	// KindSpanDone closes a request span: A=status code, B=body bytes.
-	KindSpanDone
 	// KindServerRecv marks the server parsing a request: Note=target.
 	KindServerRecv
 	// KindServerSend marks the server queueing a response: A=status
@@ -135,10 +118,8 @@ const (
 )
 
 var kindNames = [...]string{
-	"conn-open", "conn-state", "cwnd", "nagle-hold", "rto-fire",
-	"retransmit", "wire-send", "wire-drop", "span-queued",
-	"span-written", "span-first-byte", "span-done", "server-recv",
-	"server-send", "cache-hit", "cache-miss", "cache-reval",
+	"conn-state", "cwnd", "nagle-hold", "rto-fire", "retransmit",
+	"server-recv", "server-send", "cache-hit", "cache-miss", "cache-reval",
 	"fault", "client-timeout", "retry-backoff", "fallback",
 	"push-promise", "mux-frame", "flow-stall", "stream-reset",
 	"goaway", "deadlock", "send-stall", "send-resume",
@@ -159,15 +140,14 @@ type ConnID int32
 type SpanID int32
 
 // Event is one timeline record. Events are stored flat (no per-event
-// allocation beyond the backing slice); A, B, and C carry kind-specific
+// allocation beyond the backing slice); A and B carry kind-specific
 // numeric details, Note an optional label.
 type Event struct {
-	Time    sim.Time
-	Kind    Kind
-	Conn    ConnID
-	Span    SpanID
-	A, B, C int64
-	Note    string
+	Time sim.Time
+	Kind Kind
+	Conn ConnID
+	A, B int64
+	Note string
 }
 
 // ConnInfo is the bus's record of one connection endpoint.
@@ -207,13 +187,36 @@ type SpanInfo struct {
 	Bytes  int64
 }
 
+// Packet is one packet offered to a link, as the timeline draws it.
+type Packet struct {
+	// Link names the link the packet was offered to.
+	Link string
+	// Bytes is the packet's IP-level size.
+	Bytes int
+	// Dropped marks a packet the link's loss model discarded.
+	Dropped bool
+	// At is the instant the packet was offered. An accepted packet is
+	// serialized over [Start, Done) and its last bit arrives at Arrive;
+	// a dropped one has no such window.
+	At, Start, Done, Arrive sim.Time
+}
+
+// Packets is a run's packet capture as the timeline reads it: Packet(i)
+// for i in [0, Len()), in the order the packets were offered. The
+// capture itself lives in internal/trace, which imports this package.
+type Packets interface {
+	Len() int
+	Packet(i int) Packet
+}
+
 // Bus accumulates timeline events on a simulator clock. The zero value
 // is not usable; call New. All methods are safe on a nil receiver.
 type Bus struct {
-	sim    *sim.Simulator
-	events []Event
-	conns  []ConnInfo
-	spans  []SpanInfo
+	sim     *sim.Simulator
+	events  []Event
+	conns   []ConnInfo
+	spans   []SpanInfo
+	packets Packets
 }
 
 // New returns an empty bus stamping events with s's clock.
@@ -232,9 +235,8 @@ func (b *Bus) Len() int {
 	return len(b.events)
 }
 
-// Events returns the recorded events. Wire-send events are stamped at
-// serialization start, which can be later than subsequently published
-// events' instants; all other events appear in publication order.
+// Events returns the recorded events in publication order, which is
+// time order: each is stamped with the clock when it is published.
 func (b *Bus) Events() []Event {
 	if b == nil {
 		return nil
@@ -258,16 +260,19 @@ func (b *Bus) Spans() []SpanInfo {
 	return b.spans
 }
 
-// record appends a fully-stamped event. Both publication paths — add
-// (stamped now) and WireSend (stamped at serialization start) — funnel
-// through here, so the bus retains every event of the run.
-func (b *Bus) record(ev Event) {
-	b.events = append(b.events, ev)
+// SetPackets gives the bus the run's packet capture, which its Perfetto
+// export draws the link tracks from.
+func (b *Bus) SetPackets(p Packets) {
+	if b == nil {
+		return
+	}
+	b.packets = p
 }
 
+// add stamps ev with the current instant and records it.
 func (b *Bus) add(ev Event) {
 	ev.Time = b.sim.Now()
-	b.record(ev)
+	b.events = append(b.events, ev)
 }
 
 // --- connection publishers ---
@@ -279,7 +284,6 @@ func (b *Bus) ConnOpen(local, remote string) ConnID {
 	}
 	id := ConnID(len(b.conns) + 1)
 	b.conns = append(b.conns, ConnInfo{ID: id, Local: local, Remote: remote, Opened: b.sim.Now()})
-	b.add(Event{Kind: KindConnOpen, Conn: id, Note: local + "→" + remote})
 	return id
 }
 
@@ -342,30 +346,6 @@ func (b *Bus) Retransmit(id ConnID, seq uint32, payload int) {
 	b.add(Event{Kind: KindRetransmit, Conn: id, A: int64(seq), B: int64(payload)})
 }
 
-// --- wire publishers ---
-
-// WireSend records a packet accepted by a link: serialization starts at
-// start (after FIFO queueing), ends at done, and the last bit reaches
-// the far end at arrive. The event is stamped at start, not at the
-// publication instant.
-func (b *Bus) WireSend(link string, wireBytes int, start, done, arrive sim.Time) {
-	if b == nil {
-		return
-	}
-	b.record(Event{
-		Time: start, Kind: KindWireSend, Note: link,
-		A: int64(wireBytes), B: int64(done), C: int64(arrive),
-	})
-}
-
-// WireDrop records a packet discarded by the link loss model.
-func (b *Bus) WireDrop(link string, wireBytes int) {
-	if b == nil {
-		return
-	}
-	b.add(Event{Kind: KindWireDrop, Note: link, A: int64(wireBytes)})
-}
-
 // --- request-span publishers ---
 
 // SpanQueued opens a request span at the current instant.
@@ -385,59 +365,43 @@ func (b *Bus) SpanQueuedVia(method, path string, retried bool, via string) SpanI
 		ID: id, Method: method, Path: path, Retried: retried, Via: via,
 		Queued: now, Written: NoTime, FirstByte: NoTime, Done: NoTime,
 	})
-	var retry int64
-	if retried {
-		retry = 1
-	}
-	b.add(Event{Kind: KindSpanQueued, Span: id, A: retry, Note: path})
 	return id
+}
+
+// span returns the span id names; nil on a nil bus or for an id
+// outside the table.
+func (b *Bus) span(id SpanID) *SpanInfo {
+	if b == nil || id <= 0 || int(id) > len(b.spans) {
+		return nil
+	}
+	return &b.spans[id-1]
 }
 
 // SpanWritten records the span's request bytes being handed to TCP on
 // conn. Only the first call per span is recorded.
 func (b *Bus) SpanWritten(id SpanID, conn ConnID) {
-	if b == nil || id <= 0 || int(id) > len(b.spans) {
-		return
+	if sp := b.span(id); sp != nil && sp.Written == NoTime {
+		sp.Written, sp.Conn = b.sim.Now(), conn
 	}
-	sp := &b.spans[id-1]
-	if sp.Written != NoTime {
-		return
-	}
-	sp.Written = b.sim.Now()
-	sp.Conn = conn
-	b.add(Event{Kind: KindSpanWritten, Span: id, Conn: conn})
 }
 
 // SpanFirstByte records the first response byte for the span. Idempotent:
 // only the first call is recorded.
 func (b *Bus) SpanFirstByte(id SpanID) {
-	if b == nil || id <= 0 || int(id) > len(b.spans) {
-		return
+	if sp := b.span(id); sp != nil && sp.FirstByte == NoTime {
+		sp.FirstByte = b.sim.Now()
 	}
-	sp := &b.spans[id-1]
-	if sp.FirstByte != NoTime {
-		return
-	}
-	sp.FirstByte = b.sim.Now()
-	b.add(Event{Kind: KindSpanFirstByte, Span: id, Conn: sp.Conn})
 }
 
 // SpanDone closes the span with the response status and body size. A
 // span with no recorded first byte gets one at the same instant (the
-// whole response arrived in a single delivery).
+// whole response arrived in a single delivery). Only the first call per
+// span is recorded.
 func (b *Bus) SpanDone(id SpanID, status int, bytes int64) {
-	if b == nil || id <= 0 || int(id) > len(b.spans) {
-		return
-	}
 	b.SpanFirstByte(id)
-	sp := &b.spans[id-1]
-	if sp.Done != NoTime {
-		return
+	if sp := b.span(id); sp != nil && sp.Done == NoTime {
+		sp.Done, sp.Status, sp.Bytes = b.sim.Now(), status, bytes
 	}
-	sp.Done = b.sim.Now()
-	sp.Status = status
-	sp.Bytes = bytes
-	b.add(Event{Kind: KindSpanDone, Span: id, Conn: sp.Conn, A: int64(status), B: bytes})
 }
 
 // --- server publishers ---
@@ -542,7 +506,7 @@ func (b *Bus) SpanPushed(method, path string, conn ConnID) SpanID {
 		ID: id, Method: method, Path: path, Pushed: true, Conn: conn,
 		Queued: now, Written: now, FirstByte: NoTime, Done: NoTime,
 	})
-	b.add(Event{Kind: KindPushPromise, Span: id, Conn: conn, Note: path})
+	b.add(Event{Kind: KindPushPromise, Conn: conn, Note: path})
 	return id
 }
 

@@ -19,8 +19,7 @@ func TestNilBusIsSafe(t *testing.T) {
 	b.NagleHold(1, 100)
 	b.RTOFire(1, time.Second, 1)
 	b.Retransmit(1, 42, 1460)
-	b.WireSend("l", 40, 0, 1, 2)
-	b.WireDrop("l", 40)
+	b.SetPackets(packetList{{Link: "l", Bytes: 40}})
 	if id := b.SpanQueued("GET", "/", false); id != 0 {
 		t.Fatalf("nil SpanQueued returned %d", id)
 	}
@@ -47,6 +46,12 @@ func TestNilBusIsSafe(t *testing.T) {
 	}
 }
 
+// packetList is a packet capture held as a slice.
+type packetList []Packet
+
+func (l packetList) Len() int            { return len(l) }
+func (l packetList) Packet(i int) Packet { return l[i] }
+
 // busFixture drives a tiny scripted timeline: one connection, two
 // request spans (the second retried and abandoned), a wire packet, and
 // a drop.
@@ -65,12 +70,10 @@ func busFixture(t *testing.T) *Bus {
 		b.ConnState(conn, 1, 3, "ESTABLISHED")
 		b.Cwnd(conn, 4096, 65535)
 		b.SpanWritten(sp1, conn)
-		b.WireSend("t→", 140, s.Now(), s.Now().Add(time.Millisecond), s.Now().Add(2*time.Millisecond))
 	})
 	s.Schedule(2*time.Millisecond, func() {
 		b.ServerRecv(conn, "/")
 		b.ServerSend(conn, "/", 200, 500)
-		b.WireDrop("t←", 540)
 	})
 	s.Schedule(3*time.Millisecond, func() {
 		b.SpanFirstByte(sp1)
@@ -85,6 +88,11 @@ func busFixture(t *testing.T) *Bus {
 		b.ConnState(conn, 3, 0, "CLOSED")
 	})
 	s.Run()
+	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(time.Millisecond) }
+	b.SetPackets(packetList{
+		{Link: "t→", Bytes: 140, At: ms(1), Start: ms(1), Done: ms(2), Arrive: ms(3)},
+		{Link: "t←", Bytes: 540, Dropped: true, At: ms(2)},
+	})
 	return b
 }
 

@@ -16,11 +16,11 @@ import (
 // chrome://tracing and Perfetto load. Phases used here: "M" metadata,
 // "X" complete slice (ts+dur), "b"/"e" async span begin/end, "C"
 // counter, "i" instant. Each output record is first collected as a
-// compact sort key plus a reference back to the Event, SpanInfo,
-// ConnInfo or PathSlice it describes; after the sort an append-only
-// encoder renders names and args straight from that source. The bytes
-// are those encoding/json produced for the exporter this replaced,
-// which perfetto_oracle_test.go keeps as the reference.
+// compact sort key plus a reference back to the Event, Packet,
+// SpanInfo, ConnInfo or PathSlice it describes; after the sort an
+// append-only encoder renders names and args straight from that source.
+// The bytes are those encoding/json produced for the exporter this
+// replaced, which perfetto_oracle_test.go keeps as the reference.
 
 func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 
@@ -53,38 +53,32 @@ type PathSlice struct {
 // JSON: one process per simulated host plus one for the wire,
 // connections as named threads carrying their TCP state as slices,
 // request spans as async slices over the connection that carried them,
-// congestion windows as counter tracks, and Nagle holds, RTO fires,
-// retransmissions, drops, and server request handling as instants. All
-// timestamps are simulated time in microseconds. A non-empty path adds a
-// dedicated "critical path" process: one complete slice per path link,
-// so the gating chain root document → last object reads left to right
-// as a single highlighted track in the Perfetto UI.
+// congestion windows as counter tracks, each captured packet as a slice
+// over its link's serialization (a drop as an instant), and Nagle holds,
+// RTO fires, retransmissions and server request handling as instants.
+// All timestamps are simulated time in microseconds. A non-empty path
+// adds a dedicated "critical path" process: one complete slice per path
+// link, so the gating chain root document → last object reads left to
+// right as a single highlighted track in the Perfetto UI.
 func (b *Bus) WritePerfettoPath(w io.Writer, path []PathSlice) error {
-	if b == nil {
-		path = nil
-	}
-	return writePerfetto(w, b.Events(), b.Conns(), b.Spans(), path)
+	return b.writePerfetto(w, b.Len(), path)
 }
 
-// WritePerfettoEvents exports an explicit event window in the same
-// layout as Bus.WritePerfettoPath. The flight recorder uses it to dump a
-// ring-buffered tail of the event stream: events may be any suffix of
-// the bus's stream, while conns and spans are the bus's complete tables
-// (they are small and index-addressed, so they are never truncated).
-func WritePerfettoEvents(w io.Writer, events []Event, conns []ConnInfo, spans []SpanInfo) error {
-	return writePerfetto(w, events, conns, spans, nil)
+// WritePerfettoTail exports the bus's last n events in the layout of
+// WritePerfettoPath, with every packet and the complete conn and span
+// tables (they are small and index-addressed, so they are never
+// truncated). The flight recorder dumps a run's record through it.
+func (b *Bus) WritePerfettoTail(w io.Writer, n int) error {
+	return b.writePerfetto(w, n, nil)
 }
 
 // shape is how an event Kind appears on the timeline.
 type shape uint8
 
 const (
-	shapeNone        shape = iota // not rendered (span lifecycle events render from the span table)
-	shapeState                    // opens a tcp-state slice on the connection's thread, closing the previous one
-	shapeCounter                  // counter sample on the connection's host process
-	shapeInstant                  // instant on the connection's thread
-	shapeWireInstant              // instant on the link's wire thread
-	shapeWireSlice                // slice over the link's serialization occupancy, ending at B
+	shapeState   shape = iota // opens a tcp-state slice on the connection's thread, closing the previous one
+	shapeCounter              // counter sample on the connection's host process
+	shapeInstant              // instant on the connection's thread
 )
 
 // shapes gives each shape's phase and the fields that follow pid/tid.
@@ -92,21 +86,18 @@ var shapes = [...]struct {
 	ph   byte
 	tail string
 }{
-	shapeState:       {'X', `,"cat":"tcp-state"`},
-	shapeCounter:     {'C', ``},
-	shapeInstant:     {'i', `,"s":"t"`},
-	shapeWireInstant: {'i', `,"s":"t"`},
-	shapeWireSlice:   {'X', `,"cat":"wire"`},
+	shapeState:   {'X', `,"cat":"tcp-state"`},
+	shapeCounter: {'C', ``},
+	shapeInstant: {'i', `,"s":"t"`},
 }
 
 // suffix is what follows a kind's name prefix.
 type suffix uint8
 
 const (
-	sufNone  suffix = iota
-	sufNote         // the event's Note
-	sufConn         // the connection id ("cwnd conn3")
-	sufBytes        // A and a "B" ("pkt 1500B")
+	sufNone suffix = iota
+	sufNote        // the event's Note
+	sufConn        // the connection id ("cwnd conn3")
 )
 
 // argValue is how one args value derives from an Event.
@@ -117,7 +108,6 @@ const (
 	valB                      // B
 	valAMicro                 // A in whole microseconds (integer division of nanoseconds)
 	valAIsOne                 // the boolean A == 1
-	valCUsec                  // C as fractional microseconds
 )
 
 type kindArg struct {
@@ -139,8 +129,6 @@ var kindTable = [...]struct {
 	KindNagleHold:     {shapeInstant, "nagle hold", sufNone, []kindArg{{"pending_bytes", valA}}},
 	KindRTOFire:       {shapeInstant, "RTO fire", sufNone, []kindArg{{"retries", valB}, {"rto_us", valAMicro}}},
 	KindRetransmit:    {shapeInstant, "retransmit", sufNone, []kindArg{{"payload_bytes", valB}, {"seq", valA}}},
-	KindWireSend:      {shapeWireSlice, "pkt ", sufBytes, []kindArg{{"arrive_us", valCUsec}}},
-	KindWireDrop:      {shapeWireInstant, "drop", sufNone, []kindArg{{"wire_bytes", valA}}},
 	KindServerRecv:    {shapeInstant, "req ", sufNote, nil},
 	KindServerSend:    {shapeInstant, "resp ", sufNote, []kindArg{{"body_bytes", valB}, {"status", valA}}},
 	KindCacheHit:      {shapeInstant, "cache hit ", sufNote, []kindArg{{"body_bytes", valA}}},
@@ -165,12 +153,13 @@ type source uint8
 
 const (
 	srcEvent       source = iota // events: rendered by kindTable
+	srcPacket                    // packets: a "pkt" slice, or a "drop" instant
 	srcSpanBegin                 // spans: async begin, with the request's args
 	srcSpanEnd                   // spans: async end
 	srcHostProcess               // conns: process_name of the host in Local
 	srcConnThread                // conns: thread_name "local → remote"
 	srcWireProcess               // process_name "wire"
-	srcWireThread                // events: thread_name of the link in Note
+	srcWireThread                // packets: thread_name of the packet's link
 	srcPathProcess               // process_name of the critical-path overlay
 	srcPathThread                // its one thread_name
 	srcPathSlice                 // path: one gating request
@@ -209,25 +198,30 @@ func compareRecords(a, c record) int {
 }
 
 // collect lists the records in emission order: the path overlay, host
-// processes and connection threads in first-connection order, the event
-// stream (a wire thread is named when its link first appears), the
-// state slices still open when the window ends, then the request spans.
-func collect(events []Event, conns []ConnInfo, spans []SpanInfo, path []PathSlice) []record {
-	recs := make([]record, 0, len(events)+2*len(spans)+2*len(conns)+len(path)+8)
+// processes and connection threads in first-connection order, the
+// packets (a wire thread is named when its link first appears), the
+// event stream, the state slices still open when the window ends, then
+// the request spans.
+func (e *encoder) collect() []record {
+	npkt := 0
+	if e.packets != nil {
+		npkt = e.packets.Len()
+	}
+	recs := make([]record, 0, len(e.events)+npkt+2*len(e.spans)+2*len(e.conns)+len(e.path)+8)
 
-	if len(path) > 0 {
+	if len(e.path) > 0 {
 		recs = append(recs,
 			record{ph: 'M', pid: pathPid, src: srcPathProcess},
 			record{ph: 'M', pid: pathPid, tid: 1, src: srcPathThread})
-		for i, ps := range path {
+		for i, ps := range e.path {
 			recs = append(recs, record{ts: usec(ps.From), ph: 'X', pid: pathPid, tid: 1,
 				src: srcPathSlice, ref: int32(i), end: ps.To})
 		}
 	}
 
 	pids := map[string]int32{}
-	connPid := make([]int32, len(conns)+1)
-	for i, ci := range conns {
+	connPid := make([]int32, len(e.conns)+1)
+	for i, ci := range e.conns {
 		host := connHost(ci.Local)
 		pid, ok := pids[host]
 		if !ok {
@@ -239,57 +233,59 @@ func collect(events []Event, conns []ConnInfo, spans []SpanInfo, path []PathSlic
 		recs = append(recs, record{ph: 'M', pid: pid, tid: int32(ci.ID), src: srcConnThread, ref: int32(i)})
 	}
 
+	// Packets on their link's wire thread: an accepted one as a slice
+	// over its serialization, a dropped one as an instant. last is where
+	// the window ends: the latest instant any record reaches.
 	var last sim.Time
-	for i := range events {
-		ev := &events[i]
-		if ev.Time > last {
-			last = ev.Time
+	wireTids := map[string]int32{}
+	for i := 0; i < npkt; i++ {
+		p := e.packets.Packet(i)
+		if len(wireTids) == 0 {
+			recs = append(recs, record{ph: 'M', pid: wirePid, src: srcWireProcess})
 		}
-		if ev.Kind == KindWireSend && sim.Time(ev.C) > last {
-			last = sim.Time(ev.C)
+		tid, ok := wireTids[p.Link]
+		if !ok {
+			tid = int32(len(wireTids) + 1)
+			wireTids[p.Link] = tid
+			recs = append(recs, record{ph: 'M', pid: wirePid, tid: tid, src: srcWireThread, ref: int32(i)})
 		}
+		r := record{pid: wirePid, tid: tid, src: srcPacket, ref: int32(i)}
+		if p.Dropped {
+			r.ts, r.ph = usec(p.At), 'i'
+			last = max(last, p.At)
+		} else {
+			r.ts, r.ph, r.end = usec(p.Start), 'X', p.Done
+			last = max(last, p.Start, p.Arrive)
+		}
+		recs = append(recs, r)
+	}
+	for i := range e.events {
+		last = max(last, e.events[i].Time)
 	}
 
 	// Connection state slices: each transition opens a slice that the
 	// next transition (or the end of the window) closes. CLOSED gets no
 	// slice. open holds 1 + the index of the event that opened the
 	// connection's current state.
-	open := make([]int32, len(conns)+1)
+	open := make([]int32, len(e.conns)+1)
 	closeState := func(id ConnID, at sim.Time) {
 		if open[id] == 0 {
 			return
 		}
 		ref := open[id] - 1
 		open[id] = 0
-		recs = append(recs, record{ts: usec(events[ref].Time), ph: 'X',
+		recs = append(recs, record{ts: usec(e.events[ref].Time), ph: 'X',
 			pid: connPid[id], tid: int32(id), src: srcEvent, ref: ref, end: at})
 	}
 
-	wireTids := map[string]int32{}
-	wireTid := func(ref int) int32 {
-		if len(wireTids) == 0 {
-			recs = append(recs, record{ph: 'M', pid: wirePid, src: srcWireProcess})
-		}
-		link := events[ref].Note
-		id, ok := wireTids[link]
-		if !ok {
-			id = int32(len(wireTids) + 1)
-			wireTids[link] = id
-			recs = append(recs, record{ph: 'M', pid: wirePid, tid: id, src: srcWireThread, ref: int32(ref)})
-		}
-		return id
-	}
-
-	for i := range events {
-		ev := &events[i]
+	for i := range e.events {
+		ev := &e.events[i]
 		if int(ev.Kind) >= len(kindTable) {
 			continue
 		}
 		sh := kindTable[ev.Kind].shape
 		r := record{ts: usec(ev.Time), ph: shapes[sh].ph, src: srcEvent, ref: int32(i)}
 		switch sh {
-		case shapeNone:
-			continue
 		case shapeState:
 			closeState(ev.Conn, ev.Time)
 			if ev.Note != "CLOSED" {
@@ -300,11 +296,6 @@ func collect(events []Event, conns []ConnInfo, spans []SpanInfo, path []PathSlic
 			r.pid = connPid[ev.Conn]
 		case shapeInstant:
 			r.pid, r.tid = connPid[ev.Conn], int32(ev.Conn)
-		case shapeWireSlice:
-			r.end = sim.Time(ev.B)
-			fallthrough
-		case shapeWireInstant:
-			r.pid, r.tid = wirePid, wireTid(i)
 		}
 		recs = append(recs, r)
 	}
@@ -314,8 +305,8 @@ func collect(events []Event, conns []ConnInfo, spans []SpanInfo, path []PathSlic
 
 	// Request spans as async begin/end pairs on the carrying connection:
 	// async slices may overlap (pipelining), which thread slices may not.
-	for i := range spans {
-		sp := &spans[i]
+	for i := range e.spans {
+		sp := &e.spans[i]
 		if sp.Conn == 0 || sp.Done == NoTime {
 			continue // never written or abandoned (e.g. connection reset)
 		}
@@ -344,10 +335,11 @@ type encoder struct {
 	buf []byte
 	err error
 
-	events []Event
-	conns  []ConnInfo
-	spans  []SpanInfo
-	path   []PathSlice
+	events  []Event
+	packets Packets
+	conns   []ConnInfo
+	spans   []SpanInfo
+	path    []PathSlice
 }
 
 // spill writes out every full chunk in buf, keeping the remainder.
@@ -358,14 +350,19 @@ func (e *encoder) spill() {
 	}
 }
 
-// writePerfetto is the shared export body: collect, sort, render.
-func writePerfetto(w io.Writer, events []Event, conns []ConnInfo, spans []SpanInfo, path []PathSlice) error {
-	recs := collect(events, conns, spans, path)
+// writePerfetto is the shared export body: collect the bus's last n
+// events, its packets, tables and path, sort, render. A nil bus exports
+// an empty timeline.
+func (b *Bus) writePerfetto(w io.Writer, n int, path []PathSlice) error {
+	e := encoder{w: w}
+	if b != nil {
+		e.events = b.events[len(b.events)-min(n, len(b.events)):]
+		e.packets, e.conns, e.spans, e.path = b.packets, b.conns, b.spans, path
+	}
+	recs := e.collect()
 	slices.SortStableFunc(recs, compareRecords)
 
-	e := encoder{w: w, buf: make([]byte, 0, chunkSize+1024),
-		events: events, conns: conns, spans: spans, path: path}
-	e.buf = append(e.buf, `{"traceEvents":[`...)
+	e.buf = append(make([]byte, 0, chunkSize+1024), `{"traceEvents":[`...)
 	for i := range recs {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
@@ -398,12 +395,23 @@ func (e *encoder) record(r *record) {
 			b = appendEscaped(b, ev.Note)
 		case sufConn:
 			b = strconv.AppendInt(b, int64(ev.Conn), 10)
-		case sufBytes:
-			b = append(strconv.AppendInt(b, ev.A, 10), 'B')
 		}
 		b = keys(b, r, ev.Time)
 		b = append(b, shapes[row.shape].tail...)
 		b = appendEventArgs(b, ev, row.args)
+	case srcPacket:
+		p := e.packets.Packet(int(r.ref))
+		if p.Dropped {
+			b = keys(append(b, "drop"...), r, p.At)
+			b = append(b, `,"s":"t","args":{"wire_bytes":`...)
+			b = strconv.AppendInt(b, int64(p.Bytes), 10)
+		} else {
+			b = append(strconv.AppendInt(append(b, "pkt "...), int64(p.Bytes), 10), 'B')
+			b = keys(b, r, p.Start)
+			b = append(b, `,"cat":"wire","args":{"arrive_us":`...)
+			b = appendUsec(b, p.Arrive)
+		}
+		b = append(b, '}')
 	case srcSpanBegin, srcSpanEnd:
 		sp := &e.spans[r.ref]
 		at := sp.Done
@@ -446,7 +454,7 @@ func (e *encoder) record(r *record) {
 		case srcWireProcess:
 			b = append(b, "wire"...)
 		case srcWireThread:
-			b = appendEscaped(b, e.events[r.ref].Note)
+			b = appendEscaped(b, e.packets.Packet(int(r.ref)).Link)
 		case srcPathProcess:
 			b = append(b, "critical path"...)
 		case srcPathThread:
@@ -507,8 +515,6 @@ func appendEventArgs(b []byte, ev *Event, args []kindArg) []byte {
 			b = strconv.AppendInt(b, ev.A/1e3, 10)
 		case valAIsOne:
 			b = strconv.AppendBool(b, ev.A == 1)
-		case valCUsec:
-			b = appendUsec(b, sim.Time(ev.C))
 		}
 	}
 	if len(args) > 0 {

@@ -75,8 +75,10 @@ func oraclePathEvents(path []PathSlice, spans []SpanInfo) []oracleEvent {
 }
 
 // oracleWritePerfetto is the export body; extra carries pre-built
-// overlay events (the critical-path track) merged into the sort.
-func oracleWritePerfetto(w io.Writer, events []Event, conns []ConnInfo, spans []SpanInfo, extra []oracleEvent) error {
+// overlay events (the critical-path track) merged into the sort. The
+// packets render on the wire process: a slice per accepted packet, an
+// instant per drop.
+func oracleWritePerfetto(w io.Writer, events []Event, packets []Packet, conns []ConnInfo, spans []SpanInfo, extra []oracleEvent) error {
 	evs := extra
 	emit := func(ev oracleEvent) { evs = append(evs, ev) }
 
@@ -105,8 +107,12 @@ func oracleWritePerfetto(w io.Writer, events []Event, conns []ConnInfo, spans []
 		if ev.Time > last {
 			last = ev.Time
 		}
-		if ev.Kind == KindWireSend && sim.Time(ev.C) > last {
-			last = sim.Time(ev.C)
+	}
+	for _, p := range packets {
+		if p.Dropped {
+			last = max(last, p.At)
+		} else {
+			last = max(last, p.Start, p.Arrive)
 		}
 	}
 
@@ -169,17 +175,6 @@ func oracleWritePerfetto(w io.Writer, events []Event, conns []ConnInfo, spans []
 			instant(ev, "RTO fire", map[string]any{"rto_us": ev.A / 1e3, "retries": ev.B})
 		case KindRetransmit:
 			instant(ev, "retransmit", map[string]any{"seq": ev.A, "payload_bytes": ev.B})
-		case KindWireDrop:
-			emit(oracleEvent{Name: "drop", Ph: "i", S: "t", Ts: usec(ev.Time),
-				Pid: wirePid, Tid: wireTid(ev.Note),
-				Args: map[string]any{"wire_bytes": ev.A}})
-		case KindWireSend:
-			// Slice over the link's serialization occupancy; delivery
-			// instant in args. FIFO links make these non-overlapping.
-			emit(oracleEvent{Name: fmt.Sprintf("pkt %dB", ev.A), Ph: "X",
-				Cat: "wire", Ts: usec(ev.Time), Dur: oracleDur(ev.Time, sim.Time(ev.B)),
-				Pid: wirePid, Tid: wireTid(ev.Note),
-				Args: map[string]any{"arrive_us": usec(sim.Time(ev.C))}})
 		case KindServerRecv:
 			instant(ev, "req "+ev.Note, nil)
 		case KindServerSend:
@@ -218,6 +213,21 @@ func oracleWritePerfetto(w io.Writer, events []Event, conns []ConnInfo, spans []
 	}
 	for id := range open {
 		closeState(id, last)
+	}
+
+	for _, p := range packets {
+		if p.Dropped {
+			emit(oracleEvent{Name: "drop", Ph: "i", S: "t", Ts: usec(p.At),
+				Pid: wirePid, Tid: wireTid(p.Link),
+				Args: map[string]any{"wire_bytes": p.Bytes}})
+			continue
+		}
+		// Slice over the link's serialization occupancy; delivery
+		// instant in args. FIFO links make these non-overlapping.
+		emit(oracleEvent{Name: fmt.Sprintf("pkt %dB", p.Bytes), Ph: "X",
+			Cat: "wire", Ts: usec(p.Start), Dur: oracleDur(p.Start, p.Done),
+			Pid: wirePid, Tid: wireTid(p.Link),
+			Args: map[string]any{"arrive_us": usec(p.Arrive)}})
 	}
 
 	// Request spans as async begin/end pairs on the carrying connection:
@@ -356,7 +366,8 @@ func (in *fuzzInput) note() string {
 
 // fuzzBus builds a bus and a path overlay from a script: a few
 // connections, events of every Kind (and a few values past the last
-// one) with arbitrary times, numbers and notes, spans with every
+// one) with arbitrary times, numbers and notes, sent and dropped
+// packets on arbitrary links with arbitrary instants, spans with every
 // combination of missing instants and flags, and path links naming
 // spans inside and outside the table.
 func fuzzBus(data []byte) (*Bus, []PathSlice) {
@@ -388,17 +399,24 @@ func fuzzBus(data []byte) (*Bus, []PathSlice) {
 	for n := int(in.byte()) % 4; n > 0; n-- {
 		path = append(path, PathSlice{Span: SpanID(int(in.byte())%9 - 1), From: in.time(), To: in.time()})
 	}
+	var pkts packetList
 	for len(in.data) > 0 {
-		b.events = append(b.events, Event{
-			Time: in.time(), Kind: Kind(in.byte() % 32), Conn: conn(), Span: SpanID(in.byte()),
-			A: in.num(), B: in.num(), C: in.num(), Note: in.note(),
-		})
+		if k := in.byte() % 40; k >= 32 {
+			pkts = append(pkts, Packet{Link: in.note(), Bytes: int(in.num()), Dropped: k >= 36,
+				At: in.time(), Start: in.time(), Done: in.time(), Arrive: in.time()})
+		} else {
+			b.events = append(b.events, Event{
+				Time: in.time(), Kind: Kind(k), Conn: conn(), A: in.num(), B: in.num(), Note: in.note(),
+			})
+		}
 	}
+	b.packets = pkts
 	return b, path
 }
 
 // FuzzPerfettoMatchesOracle: the append-only encoder and the
-// encoding/json exporter it replaced produce the same bytes for any bus.
+// encoding/json exporter it replaced produce the same bytes for any bus
+// and packet capture.
 func FuzzPerfettoMatchesOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0}) // one connection, nothing recorded
@@ -414,7 +432,7 @@ func FuzzPerfettoMatchesOracle(f *testing.F) {
 		if err := b.WritePerfettoPath(&got, path); err != nil {
 			t.Fatal(err)
 		}
-		if err := oracleWritePerfetto(&want, b.events, b.conns, b.spans, oraclePathEvents(path, b.spans)); err != nil {
+		if err := oracleWritePerfetto(&want, b.events, b.packets.(packetList), b.conns, b.spans, oraclePathEvents(path, b.spans)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {

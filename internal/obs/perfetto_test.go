@@ -78,12 +78,15 @@ func TestPerfettoEmptyTimeline(t *testing.T) {
 	const want = `{"traceEvents":[],"displayTimeUnit":"ms"}` + "\n"
 	var nilBus *Bus
 	for name, b := range map[string]*Bus{"nil bus": nilBus, "empty bus": New(sim.New())} {
-		var buf bytes.Buffer
+		var buf, tail bytes.Buffer
 		if err := b.WritePerfettoPath(&buf, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if buf.String() != want {
-			t.Errorf("%s exports %q, want %q", name, buf.String(), want)
+		if err := b.WritePerfettoTail(&tail, 10); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if buf.String() != want || tail.String() != want {
+			t.Errorf("%s exports %q and a tail of %q, want %q", name, buf.String(), tail.String(), want)
 		}
 	}
 	// A nil bus has no spans to name a path after; the overlay goes too.
@@ -97,7 +100,8 @@ func TestPerfettoEmptyTimeline(t *testing.T) {
 }
 
 // bigBus records n events of mixed kinds on a handful of connections
-// through the publishers, plus a span per 30 events.
+// through the publishers, plus a span per 30 events, and gives the bus a
+// capture of one packet per five events, a tenth of them dropped.
 func bigBus(n int) *Bus {
 	s := sim.New()
 	b := New(s)
@@ -105,11 +109,14 @@ func bigBus(n int) *Bus {
 	for i := 0; i < 4; i++ {
 		conns = append(conns, b.ConnOpen("client:"+string(rune('a'+i)), "server:80"))
 	}
+	var pkts packetList
 	for i := 0; b.Len() < n; i++ {
 		c := conns[i%len(conns)]
 		switch i % 6 {
 		case 0:
-			b.WireSend("wan-up", 1500, sim.Time(i*1000), sim.Time(i*1000+800), sim.Time(i*1000+90000))
+			at := sim.Time(i * 1000)
+			pkts = append(pkts, Packet{Link: "wan-up", Bytes: 1500, Dropped: i%60 == 0,
+				At: at, Start: at, Done: at + 800, Arrive: at + 90000})
 		case 1:
 			b.Cwnd(c, 4096+i, 65535)
 		case 2:
@@ -128,6 +135,7 @@ func bigBus(n int) *Bus {
 			}
 		}
 	}
+	b.SetPackets(pkts)
 	return b
 }
 
@@ -186,8 +194,9 @@ func (c *chunkSizes) Write(p []byte) (int, error) {
 }
 
 // TestWritePerfettoAllocs: the export allocates its record list, its
-// buffer and a few per-connection tables — nothing per event (the
-// exporter this replaced made about eight allocations per event).
+// buffer and a few per-connection and per-link tables — nothing per
+// event and nothing per packet (the exporter this replaced made about
+// eight allocations per event).
 func TestWritePerfettoAllocs(t *testing.T) {
 	b := bigBus(1200)
 	var sink chunkSizes
@@ -198,6 +207,7 @@ func TestWritePerfettoAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 64 {
-		t.Fatalf("exporting %d events made %.0f allocations, want at most 64", b.Len(), allocs)
+		t.Fatalf("exporting %d events and %d packets made %.0f allocations, want at most 64",
+			b.Len(), b.packets.Len(), allocs)
 	}
 }

@@ -23,7 +23,7 @@ func (r *Rand) Uint64() uint64 {
 
 // Float64 returns a value in [0, 1).
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
+	return float64(float64(r.Uint64()>>11) / float64(1<<53)) // rounded here, never fused into a caller's sum
 }
 
 // Intn returns a value in [0, n). It panics if n <= 0.
@@ -40,6 +40,8 @@ func (r *Rand) Jitter(d Duration, frac float64) Duration {
 	if frac == 0 || d == 0 {
 		return d
 	}
-	scale := 1 + frac*(2*r.Float64()-1)
+	// Each product is rounded on its own (float64(…) forbids a fused
+	// multiply-add), so the scale is the same on every architecture.
+	scale := 1 + float64(frac*(float64(2*r.Float64())-1))
 	return Duration(float64(d) * scale)
 }

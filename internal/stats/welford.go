@@ -19,7 +19,7 @@ func (w *Welford) Observe(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean)) // rounded before the sum: no fused multiply-add
 }
 
 // Merge folds the other accumulator's population into w.

@@ -10,13 +10,18 @@ import (
 
 // PacketEvent describes one segment put on a link, reported to the
 // network's packet hook at transmission time (like a tcpdump capture at
-// the sender's interface).
+// the sender's interface). The embedded Window is the link's report of
+// an accepted segment's serialization and arrival; it is zero for a
+// dropped one.
 type PacketEvent struct {
 	Time      sim.Time
 	Seg       Segment
 	WireBytes int
 	Dropped   bool
 	Retrans   bool
+	// Link names the link the segment was put on.
+	Link string
+	netem.Window
 }
 
 // Network is a set of hosts joined by point-to-point paths.
@@ -135,7 +140,7 @@ func (n *Network) transmit(seg Segment, retrans bool) {
 		f = &flight{net: n}
 	}
 	f.dst, f.seg = dst, seg
-	accepted := l.SendArg(seg.Payload, wire, deliverFlight, f)
+	win, accepted := l.Transmit(seg.Payload, wire, deliverFlight, f)
 	if !accepted {
 		f.dst, f.seg = nil, Segment{}
 		n.flights = append(n.flights, f)
@@ -147,6 +152,8 @@ func (n *Network) transmit(seg Segment, retrans bool) {
 			WireBytes: wire,
 			Dropped:   !accepted,
 			Retrans:   retrans,
+			Link:      l.Name(),
+			Window:    win,
 		})
 	}
 }

@@ -28,7 +28,7 @@ import (
 // DefaultFlightEvents is how many of a run's last bus events a dump
 // keeps: enough tail to see the stall or reset that killed a run. The
 // bus holds the whole run, and no declared scenario publishes more than
-// 3 191 events, so the bound only shortens the dump of a run that never
+// 1 763 events, so the bound only shortens the dump of a run that never
 // finishes.
 const DefaultFlightEvents = 4096
 

@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"repro/internal/netem"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
 )
@@ -70,6 +71,17 @@ func (c *Capture) record(ev tcpsim.PacketEvent) {
 // for a capture attached without retention.
 func (c *Capture) Events() []tcpsim.PacketEvent { return c.events }
 
+// Len returns the number of retained events. With Packet it makes the
+// capture the obs.Packets a run's timeline draws its link tracks from.
+func (c *Capture) Len() int { return len(c.events) }
+
+// Packet returns the i-th retained event as the timeline draws it.
+func (c *Capture) Packet(i int) obs.Packet {
+	ev := &c.events[i]
+	return obs.Packet{Link: ev.Link, Bytes: ev.WireBytes, Dropped: ev.Dropped,
+		At: ev.Time, Start: ev.Start, Done: ev.Done, Arrive: ev.Arrive}
+}
+
 // Stats summarizes a capture in the paper's terms.
 type Stats struct {
 	// Packets is the total number of segments transmitted in both
@@ -97,7 +109,7 @@ type Stats struct {
 // OverheadPct is the paper's %ov: header bytes as a percentage of total
 // bytes on the wire.
 func (s Stats) OverheadPct() float64 {
-	hdr := float64(s.Packets) * netem.IPTCPHeaderBytes
+	hdr := float64(s.Packets * netem.IPTCPHeaderBytes) // integer product: nothing to fuse into the sum
 	total := float64(s.PayloadBytes) + hdr
 	if total == 0 {
 		return 0
