@@ -49,7 +49,11 @@ type sweptFile struct {
 // top-level name is used by a bare reference inside its own package or
 // by a pkg.Name selector elsewhere; a method is used by any .Name
 // selector. A declaration, its receiver, a struct field name and an
-// interface method name are not uses.
+// interface method name are not uses. Matching methods by name misses a
+// dead method that shares its name with a live method or a field read
+// through a selector, as Robot.CPUTime, Server.CPUTime, Link.Sent and
+// the Cache fields hid the uncalled Proxy.CPUTime, Path.Sent,
+// Proxy.Cache and Robot.Cache.
 func TestEveryExportHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
 	files := parseTree(t, fset, ".", modulePath, true)

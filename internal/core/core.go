@@ -44,8 +44,9 @@ type Scenario struct {
 
 	// Seed drives all deterministic randomness in this run.
 	Seed uint64
-	// Jitter enables ±10% CPU and ±3% RTT perturbation, reproducing the
-	// run-to-run variation the paper averaged away.
+	// Jitter enables ±10% CPU (sim.NewCPU) and ±3% RTT
+	// (netem.NewEnvPath) perturbation from the run's seed, reproducing
+	// the run-to-run variation the paper averaged away.
 	Jitter bool
 
 	// ModemCompression enables V.42bis-style link compression on the PPP
@@ -90,8 +91,6 @@ type Scenario struct {
 type ProxyScenario struct {
 	// Env is the proxy ↔ origin link environment.
 	Env netem.Environment
-	// CacheBytes is the shared cache capacity (default 8 MiB).
-	CacheBytes int64
 	// Warm primes the cache with the whole site before the run, as if an
 	// earlier client had pulled it through minutes ago (entries fresh).
 	// Stale primes the same way but expires every entry, modelling a
@@ -187,10 +186,12 @@ func validateMode(sc Scenario) error {
 }
 
 // serverPort is the simulated origin's port; proxyPort the caching
-// proxy's (3128, squid's convention).
+// proxy's (3128, squid's convention), and proxyCacheBytes its shared
+// cache capacity.
 const (
-	serverPort = 80
-	proxyPort  = 3128
+	serverPort      = 80
+	proxyPort       = 3128
+	proxyCacheBytes = 8 << 20
 )
 
 // Option configures one Run call.
@@ -293,13 +294,10 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	serverHost := net.AddHost("server")
 
 	var rng *sim.Rand
-	cpuJitter := 0.0
 	var pathOpts netem.PathOptions
 	if sc.Jitter {
 		rng = sim.NewRand(sc.Seed | 1)
-		cpuJitter = 0.10
 		pathOpts.Rng = rng
-		pathOpts.RTTJitterFrac = 0.03
 	}
 	if sc.ModemCompression {
 		if sc.Env != netem.PPP {
@@ -366,16 +364,12 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		clientCfg.MuxFIFO = true
 		serverCfg.MuxFIFO = true
 	}
-	serverCfg.EnableDeflate = serverCfg.EnableDeflate || clientCfg.AcceptDeflate
 	serverCfg.Obs = o.layers
 	clientCfg.Obs = o.bus
 	if sc.Fault != faults.None {
 		serverCfg.Faults = script.Server
 		serverCfg.MuxFaults = script.Mux
-		if clientCfg.Recovery == nil {
-			pol := faults.Default()
-			clientCfg.Recovery = &pol
-		}
+		clientCfg.Recovery = true
 	}
 
 	served := site
@@ -393,15 +387,11 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 		}
 		served = rev.site
 	}
-	server := httpserver.New(s, serverHost, serverPort, served, serverCfg, rng, cpuJitter)
+	server := httpserver.New(s, serverHost, serverPort, served, serverCfg, rng)
 
 	var px *proxy.Proxy
 	if sc.Proxy != nil {
-		capacity := sc.Proxy.CacheBytes
-		if capacity == 0 {
-			capacity = 8 << 20
-		}
-		pcache := cache.New(capacity, func() sim.Time { return s.Now() })
+		pcache := cache.New(proxyCacheBytes, func() sim.Time { return s.Now() })
 		if sc.Proxy.Warm || sc.Proxy.Stale {
 			// Prime "as if" an earlier client had pulled the site through:
 			// store each object's canonical origin response; Stale then
@@ -414,13 +404,8 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 				}
 			}
 		}
-		proxyCfg := proxy.Config{Cache: pcache, Obs: o.layers}
-		if sc.Fault != faults.None {
-			pol := faults.Default()
-			proxyCfg.Recovery = &pol
-		}
-		px = proxy.New(s, proxyHost, proxyPort, "server", serverPort,
-			proxyCfg, rng, cpuJitter)
+		proxyCfg := proxy.Config{Cache: pcache, Recovery: sc.Fault != faults.None, Obs: o.layers}
+		px = proxy.New(s, proxyHost, proxyPort, "server", serverPort, proxyCfg, rng)
 	}
 
 	clientCache := httpclient.NewCache()
@@ -431,7 +416,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	if sc.Proxy != nil {
 		targetHost, targetPort = "proxy", proxyPort
 	}
-	robot := httpclient.NewRobot(s, clientHost, targetHost, targetPort, clientCfg, clientCache, rng, cpuJitter)
+	robot := httpclient.NewRobot(s, clientHost, targetHost, targetPort, clientCfg, clientCache, rng)
 	robot.ArmIndex(served.LinkIndex())
 
 	s.Schedule(0, func() {

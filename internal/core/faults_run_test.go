@@ -48,8 +48,8 @@ func TestEarlyClosePipelinedRecovers(t *testing.T) {
 	if c.Retried < 1 {
 		t.Fatal("early close never forced a retry")
 	}
-	if budget := faults.Default().RetryBudget; c.Retried > budget {
-		t.Fatalf("retried %d requests, budget is %d", c.Retried, budget)
+	if c.Retried > faults.RetryBudget {
+		t.Fatalf("retried %d requests, budget is %d", c.Retried, faults.RetryBudget)
 	}
 	if c.RequestsRecovered < 1 {
 		t.Fatal("no retried request was recovered")

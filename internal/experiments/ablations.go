@@ -9,7 +9,6 @@ import (
 	"repro/internal/httpserver"
 	"repro/internal/netem"
 	"repro/internal/report"
-	"repro/internal/tcpsim"
 )
 
 // The paper's quantities, as most tables print them.
@@ -228,13 +227,13 @@ var cwnd = one("cwnd", "Slow-start initial window ablation", table{
 
 func initialWindow(segments int, mode httpclient.Mode) core.Scenario {
 	cfg := mode.Config()
-	cfg.TCP.InitialCwndSegments = segments
+	cfg.InitialCwndSegments = segments
 	sc := cell(httpserver.ProfileApache, mode, netem.WAN, httpclient.FirstTime, 9800)
 	sc.ClientOverride = &cfg
 	sc.ServerOverride = &httpserver.Config{
-		Profile: httpserver.ProfileApache,
-		NoDelay: true,
-		TCP:     tcpsim.Options{InitialCwndSegments: segments},
+		Profile:             httpserver.ProfileApache,
+		NoDelay:             true,
+		InitialCwndSegments: segments,
 	}
 	return sc
 }

@@ -9,7 +9,7 @@
 // proxy run the same script applies to the origin server and the
 // proxy↔origin link).
 //
-// The package also defines Policy, the recovery policy shared by the
+// The package also defines the recovery policy shared by the
 // client (internal/httpclient) and the proxy's upstream fetcher
 // (internal/proxy): per-request timeout, capped exponential backoff,
 // a retry budget, and a protocol fallback ladder — all sim-clock
@@ -239,61 +239,38 @@ func (p Profile) Script(seed uint64) Script {
 	return sc
 }
 
-// Policy is the shared recovery policy: how long to wait for response
-// progress, how to back off before redialing, how many re-issues a
-// fetch may spend, and when to degrade the protocol. All decisions are
+// The shared recovery policy: how long to wait for response progress,
+// how to back off before redialing, how many re-issues a fetch may
+// spend, and when to degrade the protocol. All decisions are
 // deterministic functions of the sim clock and attempt counts.
-type Policy struct {
+const (
 	// RequestTimeout is the response progress watchdog: if a connection
 	// with requests outstanding receives no bytes for this long, the
-	// connection is aborted and its requests re-issued. Zero disables.
-	RequestTimeout time.Duration
-	// BaseBackoff and MaxBackoff bound the capped exponential delay
-	// before redialing after the n-th consecutive connection failure:
-	// min(BaseBackoff << (n-1), MaxBackoff).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
+	// connection is aborted and its requests re-issued.
+	RequestTimeout = 4 * time.Second
 	// RetryBudget caps the total request re-issues of one fetch; a
 	// request whose re-issue would exceed it fails permanently.
-	RetryBudget int
+	RetryBudget = 64
 	// FallbackAfter degrades the protocol one level (pipelined →
 	// persistent serial → HTTP/1.0) after this many consecutive
-	// connection failures. Zero disables the ladder.
-	FallbackAfter int
-}
+	// connection failures.
+	FallbackAfter = 3
 
-// Default returns the recovery policy the fault experiments run with.
-func Default() Policy {
-	return Policy{
-		RequestTimeout: 4 * time.Second,
-		BaseBackoff:    200 * time.Millisecond,
-		MaxBackoff:     3200 * time.Millisecond,
-		RetryBudget:    64,
-		FallbackAfter:  3,
-	}
-}
+	baseBackoff = 200 * time.Millisecond
+	maxBackoff  = 3200 * time.Millisecond
+)
 
 // Backoff returns the redial delay after the n-th consecutive
-// connection failure (n is 1-based): capped exponential, zero for n<=0.
-func (p Policy) Backoff(n int) time.Duration {
-	if n <= 0 || p.BaseBackoff <= 0 {
-		return 0
-	}
-	d := p.BaseBackoff
-	for i := 1; i < n; i++ {
+// connection failure (n is 1-based): 200 ms, doubling up to a cap of
+// 3.2 s.
+func Backoff(n int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < n && d < maxBackoff; i++ {
 		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
 	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		return p.MaxBackoff
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
-// Allow reports whether a re-issue is within budget given the number of
-// retries already spent.
-func (p Policy) Allow(retriesSpent int) bool {
-	return p.RetryBudget <= 0 || retriesSpent < p.RetryBudget
-}
+// Allow reports whether a re-issue is within RetryBudget given the
+// number of retries already spent.
+func Allow(retriesSpent int) bool { return retriesSpent < RetryBudget }

@@ -61,24 +61,24 @@ func TestScriptDeterministic(t *testing.T) {
 }
 
 func TestPolicyBackoff(t *testing.T) {
-	p := Policy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 800 * time.Millisecond}
-	want := []time.Duration{0, 100e6, 200e6, 400e6, 800e6, 800e6, 800e6}
-	for n, w := range want {
-		if got := p.Backoff(n); got != w {
-			t.Errorf("Backoff(%d) = %v, want %v", n, got, w)
+	want := []time.Duration{1: 200e6, 400e6, 800e6, 1600e6, 3200e6, 3200e6, 3200e6, 3200e6}
+	for n := 1; n < len(want); n++ {
+		if got := Backoff(n); got != want[n] {
+			t.Errorf("Backoff(%d) = %v, want %v", n, got, want[n])
 		}
 	}
-	if got := (Policy{}).Backoff(3); got != 0 {
-		t.Errorf("zero policy Backoff = %v", got)
+	if got := Backoff(1000); got != 3200e6 {
+		t.Errorf("Backoff(1000) = %v, want the 3.2s cap", got)
 	}
 }
 
 func TestPolicyAllow(t *testing.T) {
-	p := Policy{RetryBudget: 2}
-	if !p.Allow(0) || !p.Allow(1) || p.Allow(2) || p.Allow(3) {
-		t.Error("RetryBudget 2 must allow exactly retries 0 and 1")
+	for n := 0; n < RetryBudget; n++ {
+		if !Allow(n) {
+			t.Fatalf("Allow(%d) = false, want every retry below the budget of %d", n, RetryBudget)
+		}
 	}
-	if !(Policy{}).Allow(1000) {
-		t.Error("zero budget means unlimited")
+	if Allow(RetryBudget) || Allow(RetryBudget+1) {
+		t.Errorf("Allow(%d) = true, want the budget exhausted", RetryBudget)
 	}
 }

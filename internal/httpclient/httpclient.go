@@ -17,16 +17,14 @@
 // batches can be issued while the page is still in flight. A burst is a
 // plain HTTP/1.1 exchange whose one response carries every object.
 //
-// Under a recovery policy (faults.Policy) the robot degrades one rung at
+// Under the recovery policy (Config.Recovery) the robot degrades one rung at
 // a time after repeated failures: mux → pipelined → serial → HTTP/1.0.
 package httpclient
 
 import (
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/tcpsim"
 )
 
 // Mode is a measured client configuration.
@@ -172,23 +170,25 @@ type Config struct {
 	// cannot monopolize the pipelined connection.
 	RevalRangeProbe int
 
-	// Recovery, when non-nil, arms the fault-recovery machinery: a
-	// progress watchdog per connection (RequestTimeout of silence with
-	// requests outstanding aborts the connection), capped exponential
-	// backoff before re-dialing after consecutive failures, a retry
-	// budget, idempotency-aware re-issue (only GET/HEAD are requeued),
+	// Recovery arms the fault-recovery machinery under the faults
+	// package's policy: a progress watchdog per connection
+	// (faults.RequestTimeout of silence with requests outstanding
+	// aborts the connection), capped exponential backoff before
+	// re-dialing after consecutive failures, a retry budget,
+	// idempotency-aware re-issue (only GET/HEAD are requeued),
 	// and graceful protocol degradation (mux → pipelined → serial →
 	// HTTP/1.0). On a mux session the watchdog additionally runs
 	// per-stream: an individually silent stream is torn down with
 	// RST_STREAM and re-issued on the same session, and total silence
 	// is classified (flow-control deadlock vs generic stall) before the
 	// session is aborted.
-	// Nil preserves the legacy behaviour exactly: no extra timers fire
+	// Off preserves the legacy behaviour exactly: no extra timers fire
 	// and no RNG draws occur, so fault-free runs are byte-identical.
-	Recovery *faults.Policy
+	Recovery bool
 
-	// TCP overrides connection options other than NoDelay.
-	TCP tcpsim.Options
+	// InitialCwndSegments overrides the TCP slow-start initial window
+	// (0 keeps tcpsim's default of 2).
+	InitialCwndSegments int
 
 	// Obs, if non-nil, receives request lifecycle spans (queued →
 	// written → first byte → done) for every work item.

@@ -47,12 +47,12 @@ func fetch(t *testing.T, cfg Config, wl Workload, prime bool) (*Robot, *sim.Simu
 	n.ConnectHosts(client, serverHost, netem.NewAsymPath(s, "t", link, link))
 	site := testSite(t)
 	httpserver.New(s, serverHost, 80, site,
-		httpserver.Config{Profile: httpserver.ProfileApache, NoDelay: true, EnableDeflate: cfg.AcceptDeflate}, nil, 0)
+		httpserver.Config{Profile: httpserver.ProfileApache, NoDelay: true}, nil)
 	cache := NewCache()
 	if prime {
 		cache.Prime(site)
 	}
-	robot := NewRobot(s, client, "server", 80, cfg, cache, nil, 0)
+	robot := NewRobot(s, client, "server", 80, cfg, cache, nil)
 	s.Schedule(0, func() { robot.Start("/", wl, nil) })
 	s.Run()
 	if !robot.Finished() {
@@ -148,10 +148,10 @@ func TestFirstTimeFetchAllObjects(t *testing.T) {
 		t.Fatalf("sockets = %d, want 1", res.SocketsUsed)
 	}
 	// The cache is now populated with validators and the page's links.
-	if robot.Cache().Len() != 43 {
-		t.Fatalf("cache entries = %d, want 43", robot.Cache().Len())
+	if robot.cache.Len() != 43 {
+		t.Fatalf("cache entries = %d, want 43", robot.cache.Len())
 	}
-	page, ok := robot.Cache().Get("/")
+	page, ok := robot.cache.Get("/")
 	if !ok || len(page.Links) != 42 {
 		t.Fatalf("page cache entry links = %d, want 42", len(page.Links))
 	}
@@ -168,17 +168,17 @@ func TestFetchThenRevalidateUsesOwnCache(t *testing.T) {
 	link := netem.Config{PropagationDelay: 2 * time.Millisecond, BitsPerSecond: 10_000_000, MTU: 1500}
 	n.ConnectHosts(client, serverHost, netem.NewAsymPath(s, "t", link, link))
 	site := testSite(t)
-	httpserver.New(s, serverHost, 80, site, httpserver.Config{Profile: httpserver.ProfileApache, NoDelay: true}, nil, 0)
+	httpserver.New(s, serverHost, 80, site, httpserver.Config{Profile: httpserver.ProfileApache, NoDelay: true}, nil)
 
 	cache := NewCache()
-	first := NewRobot(s, client, "server", 80, ModeHTTP11Pipelined.Config(), cache, nil, 0)
+	first := NewRobot(s, client, "server", 80, ModeHTTP11Pipelined.Config(), cache, nil)
 	s.Schedule(0, func() { first.Start("/", FirstTime, nil) })
 	s.Run()
 	if !first.Finished() {
 		t.Fatal("first fetch incomplete")
 	}
 
-	second := NewRobot(s, client, "server", 80, ModeHTTP11Pipelined.Config(), cache, nil, 0)
+	second := NewRobot(s, client, "server", 80, ModeHTTP11Pipelined.Config(), cache, nil)
 	s.Schedule(0, func() { second.Start("/", Revalidate, nil) })
 	s.Run()
 	if !second.Finished() {
@@ -284,7 +284,7 @@ func TestUndecodableDeflatePageFails(t *testing.T) {
 					}
 				}}
 			})
-			robot := NewRobot(s, client, "server", 80, c.mode.Config(), nil, nil, 0)
+			robot := NewRobot(s, client, "server", 80, c.mode.Config(), nil, nil)
 			s.Schedule(0, func() { robot.Start("/", FirstTime, nil) })
 			s.Run()
 
@@ -295,8 +295,8 @@ func TestUndecodableDeflatePageFails(t *testing.T) {
 			if len(paths) != 1 {
 				t.Fatalf("server saw requests for %v, want only the page", paths)
 			}
-			if robot.Cache().Len() != 0 {
-				t.Fatalf("%d cache entries, want none", robot.Cache().Len())
+			if robot.cache.Len() != 0 {
+				t.Fatalf("%d cache entries, want none", robot.cache.Len())
 			}
 		})
 	}
@@ -385,7 +385,7 @@ func TestPipelinedBatchesIntoFewSegments(t *testing.T) {
 	link := netem.Config{PropagationDelay: 10 * time.Millisecond, BitsPerSecond: 10_000_000, MTU: 1500}
 	n.ConnectHosts(client, serverHost, netem.NewAsymPath(s, "t", link, link))
 	site := testSite(t)
-	httpserver.New(s, serverHost, 80, site, httpserver.Config{Profile: httpserver.ProfileApache, NoDelay: true}, nil, 0)
+	httpserver.New(s, serverHost, 80, site, httpserver.Config{Profile: httpserver.ProfileApache, NoDelay: true}, nil)
 	clientDataSegs := 0
 	n.PacketHook = func(ev tcpsim.PacketEvent) {
 		if ev.Seg.From.Host == "client" && len(ev.Seg.Payload) > 0 {
@@ -394,7 +394,7 @@ func TestPipelinedBatchesIntoFewSegments(t *testing.T) {
 	}
 	cache := NewCache()
 	cache.Prime(site)
-	robot := NewRobot(s, client, "server", 80, ModeHTTP11Pipelined.Config(), cache, nil, 0)
+	robot := NewRobot(s, client, "server", 80, ModeHTTP11Pipelined.Config(), cache, nil)
 	s.Schedule(0, func() { robot.Start("/", Revalidate, nil) })
 	s.Run()
 	if !robot.Finished() {
@@ -452,8 +452,8 @@ func fetchFaulty(t *testing.T, cfg Config, srvCfg httpserver.Config) *Robot {
 	serverHost := n.AddHost("server")
 	link := netem.Config{PropagationDelay: 45 * time.Millisecond, BitsPerSecond: 1_500_000, MTU: 1500}
 	n.ConnectHosts(client, serverHost, netem.NewAsymPath(s, "t", link, link))
-	httpserver.New(s, serverHost, 80, testSite(t), srvCfg, nil, 0)
-	robot := NewRobot(s, client, "server", 80, cfg, NewCache(), nil, 0)
+	httpserver.New(s, serverHost, 80, testSite(t), srvCfg, nil)
+	robot := NewRobot(s, client, "server", 80, cfg, NewCache(), nil)
 	s.Schedule(0, func() { robot.Start("/", FirstTime, nil) })
 	s.Run()
 	return robot
@@ -494,8 +494,7 @@ func TestFailConnRequeue(t *testing.T) {
 	})
 	t.Run("policy", func(t *testing.T) {
 		cfg := ModeHTTP11Pipelined.Config()
-		pol := faults.Default()
-		cfg.Recovery = &pol
+		cfg.Recovery = true
 		robot := fetchFaulty(t, cfg, srvCfg)
 		res := robot.Result()
 		if !robot.Finished() || !res.Done {
@@ -507,8 +506,8 @@ func TestFailConnRequeue(t *testing.T) {
 		if res.PayloadBytes < int64(testSite(t).TotalBytes()) {
 			t.Fatalf("payload %d below site total %d", res.PayloadBytes, testSite(t).TotalBytes())
 		}
-		if res.Retried == 0 || res.Retried > pol.RetryBudget {
-			t.Fatalf("retried = %d, want within (0, %d]", res.Retried, pol.RetryBudget)
+		if res.Retried == 0 || res.Retried > faults.RetryBudget {
+			t.Fatalf("retried = %d, want within (0, %d]", res.Retried, faults.RetryBudget)
 		}
 		if res.RequestsRecovered == 0 {
 			t.Fatalf("no recovered requests: %+v", res)
@@ -536,9 +535,8 @@ func TestDegradationLadder(t *testing.T) {
 	})
 	bus := obs.New(s)
 	cfg := ModeMux.Config()
-	pol := faults.Default()
-	cfg.Recovery, cfg.Obs = &pol, bus
-	robot := NewRobot(s, client, "server", 80, cfg, nil, nil, 0)
+	cfg.Recovery, cfg.Obs = true, bus
+	robot := NewRobot(s, client, "server", 80, cfg, nil, nil)
 	s.Schedule(0, func() { robot.Start("/", FirstTime, nil) })
 	s.Run()
 
@@ -567,8 +565,7 @@ func TestStallTimeout(t *testing.T) {
 		Faults: faults.ServerFaults{StallResponse: 3},
 	}
 	cfg := ModeHTTP11Pipelined.Config()
-	pol := faults.Default()
-	cfg.Recovery = &pol
+	cfg.Recovery = true
 	robot := fetchFaulty(t, cfg, srvCfg)
 	res := robot.Result()
 	if !robot.Finished() || !res.Done {
@@ -594,12 +591,12 @@ func TestCacheEntrySizesKeptAndCounted(t *testing.T) {
 		for _, keep := range []bool{true, false} {
 			retainBodies = keep
 			robot, _ := fetch(t, mode.Config(), FirstTime, false)
-			if n := robot.Cache().Len(); n != site.ObjectCount() {
+			if n := robot.cache.Len(); n != site.ObjectCount() {
 				t.Fatalf("%v keep=%v: %d cache entries, want %d", mode, keep, n, site.ObjectCount())
 			}
 			for _, path := range site.Paths() {
 				obj, _ := site.Object(path)
-				if e, ok := robot.Cache().Get(path); !ok || e.Size != len(obj.Body) || e.ETag != obj.ETag {
+				if e, ok := robot.cache.Get(path); !ok || e.Size != len(obj.Body) || e.ETag != obj.ETag {
 					t.Errorf("%v keep=%v: entry for %s = %+v, want size %d, etag %s", mode, keep, path, e, len(obj.Body), obj.ETag)
 				}
 			}
@@ -621,7 +618,7 @@ func TestPrimeSharesTheSitesLinkList(t *testing.T) {
 		t.Fatal("two caches primed from one site do not share its link list")
 	}
 	robot, _ := fetch(t, ModeHTTP11Pipelined.Config(), FirstTime, false)
-	fetched, _ := robot.Cache().Get("/")
+	fetched, _ := robot.cache.Get("/")
 	// Prime lists every inline reference in document order; the robot
 	// records each URL once, which for this page is the same list.
 	if strings.Join(fetched.Links, " ") != strings.Join(pa.Links, " ") {

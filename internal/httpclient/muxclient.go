@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/faults"
 	"repro/internal/httpmsg"
 	"repro/internal/mux"
 	"repro/internal/obs"
@@ -66,8 +67,8 @@ type muxConn struct {
 func (r *Robot) dialMux() *muxConn {
 	mc := &muxConn{r: r, promised: make(map[string]*mux.Stream)}
 	r.mux = mc
-	opts := r.cfg.TCP
-	opts.NoDelay = true // the frame scheduler owns batching
+	// The frame scheduler owns batching.
+	opts := tcpsim.Options{NoDelay: true, InitialCwndSegments: r.cfg.InitialCwndSegments}
 	mc.conn = r.host.Dial(r.serverHost, r.serverPort, opts, mc)
 	r.result.SocketsUsed++
 	r.result.MaxSimultaneousConns = max(r.result.MaxSimultaneousConns, r.liveCount())
@@ -343,15 +344,14 @@ func (mc *muxConn) outstanding() bool {
 // connection's (which restarts its clock on every arrival and so only
 // fires on total silence), the mux watchdog is a periodic sampler: it
 // must catch a single stream starving while the rest of the session
-// streams along, so it fires every RequestTimeout regardless of
+// streams along, so it fires every faults.RequestTimeout regardless of
 // session-wide progress and onWatchdog compares each stream's own
 // silence against the deadline. It runs on every data arrival, so the
 // already-armed path must not allocate, and it consumes sim sequence
 // numbers only when a Recovery policy is armed — fault-free runs stay
 // byte-identical.
 func (mc *muxConn) armWatchdog() {
-	p := mc.r.cfg.Recovery
-	if p == nil || p.RequestTimeout <= 0 {
+	if !mc.r.cfg.Recovery {
 		return
 	}
 	if mc.dead || mc.closing || !mc.outstanding() {
@@ -359,13 +359,13 @@ func (mc *muxConn) armWatchdog() {
 		return
 	}
 	if !mc.watchdog.Active() {
-		mc.watchdog = mc.r.sim.ScheduleArg(p.RequestTimeout, muxWatchdogFire, mc)
+		mc.watchdog = mc.r.sim.ScheduleArg(faults.RequestTimeout, muxWatchdogFire, mc)
 	}
 }
 
 func muxWatchdogFire(a any) { a.(*muxConn).onWatchdog() }
 
-// onWatchdog classifies RequestTimeout of silence. If the session as
+// onWatchdog classifies faults.RequestTimeout of silence. If the session as
 // a whole made recent progress, only streams that are individually
 // silent (a per-stream stall fault) are torn down with RST_STREAM and
 // re-issued on this same session. A fully silent session is first
@@ -374,19 +374,18 @@ func muxWatchdogFire(a any) { a.(*muxConn).onWatchdog() }
 // — and then aborted so recovery can redial.
 func (mc *muxConn) onWatchdog() {
 	r := mc.r
-	p := r.cfg.Recovery
 	if mc.dead || mc.closing {
 		return
 	}
 	now := r.sim.Now()
-	if since := now.Sub(r.lastData); since < p.RequestTimeout {
+	if since := now.Sub(r.lastData); since < faults.RequestTimeout {
 		requeued := false
 		for _, st := range mc.sess.Streams() {
 			ms, ok := st.UserData.(*muxStream)
 			if !ok || !ms.claimed || ms.delivered || st.ResetSent || st.ResetRecv {
 				continue
 			}
-			if now.Sub(ms.lastData) < p.RequestTimeout {
+			if now.Sub(ms.lastData) < faults.RequestTimeout {
 				continue
 			}
 			// Silence alone is not a stall: on a slow link a fair
@@ -422,7 +421,7 @@ func (mc *muxConn) onWatchdog() {
 		r.cfg.Obs.Deadlock(mc.conn.ObsID(), st.ID, which)
 	} else {
 		r.result.Timeouts++
-		r.cfg.Obs.ClientTimeout(mc.conn.ObsID(), p.RequestTimeout)
+		r.cfg.Obs.ClientTimeout(mc.conn.ObsID(), faults.RequestTimeout)
 	}
 	mc.conn.Abort()
 	r.muxFail(mc)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/faults"
 	"repro/internal/flatez"
 	"repro/internal/htmlparse"
 	"repro/internal/httpmsg"
@@ -56,7 +57,6 @@ type Robot struct {
 	issued      int
 	handled     int
 	htmlPending bool
-	cautious    bool
 	finished    bool
 	metaPending int
 	onDone      func(*Robot)
@@ -71,9 +71,9 @@ type Robot struct {
 	// bodyChunk is every connection's ResponseParser.BodyChunk hook.
 	bodyChunk func(head *httpmsg.Response, chunk []byte)
 
-	// Recovery state, all inert while cfg.Recovery is nil.
+	// Recovery state, all inert while cfg.Recovery is off.
 	consecFails  int
-	retryCharge  int // retries counted against Policy.RetryBudget
+	retryCharge  int // retries counted against faults.RetryBudget
 	backoffUntil sim.Time
 	backoffTimer sim.TimerHandle
 	recoverFrom  sim.Time
@@ -85,7 +85,7 @@ type Robot struct {
 
 // NewRobot builds a robot on the given host. rng adds CPU jitter when
 // non-nil.
-func NewRobot(s *sim.Simulator, host *tcpsim.Host, serverHost string, serverPort int, cfg Config, cache *Cache, rng *sim.Rand, cpuJitter float64) *Robot {
+func NewRobot(s *sim.Simulator, host *tcpsim.Host, serverHost string, serverPort int, cfg Config, cache *Cache, rng *sim.Rand) *Robot {
 	if cache == nil {
 		cache = NewCache()
 	}
@@ -96,7 +96,7 @@ func NewRobot(s *sim.Simulator, host *tcpsim.Host, serverHost string, serverPort
 		serverPort: serverPort,
 		cfg:        cfg,
 		cache:      cache,
-		cpu:        sim.NewCPU(s, rng, cpuJitter),
+		cpu:        sim.NewCPU(s, rng),
 		enqueued:   make(map[string]bool),
 	}
 	r.bodyChunk = r.pageChunk
@@ -132,9 +132,6 @@ func (r *Robot) pageChunk(head *httpmsg.Response, chunk []byte) {
 	}
 	r.discoverLinks(chunk)
 }
-
-// Cache returns the robot's cache.
-func (r *Robot) Cache() *Cache { return r.cache }
 
 // CPUTime returns the total simulated CPU work the robot has consumed.
 func (r *Robot) CPUTime() sim.Duration { return r.cpu.TotalWork() }
@@ -243,7 +240,7 @@ func (r *Robot) dispatch() {
 // window is open. Queued work stays queued; a timer resumes dispatch
 // when the window closes. Existing live connections are not affected.
 func (r *Robot) holdForBackoff() bool {
-	if r.cfg.Recovery == nil || r.queue.Len() == 0 {
+	if !r.cfg.Recovery || r.queue.Len() == 0 {
 		return false
 	}
 	if r.backoffUntil <= r.sim.Now() || r.liveConn() != nil {
@@ -257,7 +254,7 @@ func (r *Robot) holdForBackoff() bool {
 
 // pipelines reports whether the robot pipelines requests on its
 // connection; a reset (or the ladder) can turn this off mid-fetch.
-func (r *Robot) pipelines() bool { return r.cfg.Pipelining && !r.cautious }
+func (r *Robot) pipelines() bool { return r.cfg.Pipelining }
 
 // stepDown takes the degradation ladder's next rung below the robot's
 // current protocol and reports whether there was one: framed
@@ -272,8 +269,8 @@ func (r *Robot) stepDown() bool {
 		r.cfg.Pipelining, r.cfg.ExplicitFirstFlush = true, true
 		r.fellBack(1, "pipelined")
 	case r.pipelines():
-		r.cautious = true
-		if r.cfg.Recovery != nil {
+		r.cfg.Pipelining = false
+		if r.cfg.Recovery {
 			r.fellBack(1, "serial")
 		}
 	case r.cfg.Proto == "HTTP/1.1":
@@ -339,8 +336,7 @@ func (r *Robot) dial() *clientConn {
 	cc := &clientConn{r: r}
 	cc.parser.KeepBody = func(head *httpmsg.Response) bool { return wantsBody(&head.Header) }
 	cc.parser.BodyChunk = r.bodyChunk
-	opts := r.cfg.TCP
-	opts.NoDelay = r.cfg.NoDelay
+	opts := tcpsim.Options{NoDelay: r.cfg.NoDelay, InitialCwndSegments: r.cfg.InitialCwndSegments}
 	cc.conn = r.host.Dial(r.serverHost, r.serverPort, opts, cc)
 	r.conns = append(r.conns, cc)
 	r.result.SocketsUsed++
@@ -397,7 +393,7 @@ func (r *Robot) handleResponse(it workItem, resp *httpmsg.Response) {
 	if r.finished {
 		return
 	}
-	if r.cfg.Recovery != nil {
+	if r.cfg.Recovery {
 		r.consecFails = 0
 		if it.retried {
 			r.result.RequestsRecovered++
@@ -603,7 +599,7 @@ func (r *Robot) failConn(cc *clientConn, isError bool) {
 	cc.dead = true
 	cc.stopWatchdog()
 	n := cc.inflight.Len()
-	if r.pipelines() && (isError || r.cfg.Recovery != nil && n > 1) {
+	if r.pipelines() && (isError || r.cfg.Recovery && n > 1) {
 		r.stepDown()
 	}
 	if isError {
@@ -623,20 +619,18 @@ func (r *Robot) failConn(cc *clientConn, isError bool) {
 
 // noteFailure counts one connection (or mux session) failure. Under a
 // Recovery policy it also opens the backoff window and, after
-// FallbackAfter consecutive failures, steps down the protocol ladder,
+// faults.FallbackAfter consecutive failures, steps down the protocol ladder,
 // which starts the count afresh.
 func (r *Robot) noteFailure() {
 	r.result.Errors++
-	p := r.cfg.Recovery
-	if p == nil {
+	if !r.cfg.Recovery {
 		return
 	}
 	r.consecFails++
-	if b := p.Backoff(r.consecFails); b > 0 {
-		r.backoffUntil = r.sim.Now().Add(b)
-		r.cfg.Obs.RetryBackoff(b, r.consecFails)
-	}
-	if p.FallbackAfter > 0 && r.consecFails >= p.FallbackAfter && r.stepDown() {
+	b := faults.Backoff(r.consecFails)
+	r.backoffUntil = r.sim.Now().Add(b)
+	r.cfg.Obs.RetryBackoff(b, r.consecFails)
+	if r.consecFails >= faults.FallbackAfter && r.stepDown() {
 		r.consecFails = 0
 	}
 }
@@ -644,7 +638,7 @@ func (r *Robot) noteFailure() {
 // requeue puts an unanswered request back on the queue as a retry and
 // reports whether it did; under a Recovery policy the first requeue of a
 // failure streak opens the recovery interval. A request that is
-// unsafe to replay, or — when charge is set — one the RetryBudget no
+// unsafe to replay, or — when charge is set — one faults.RetryBudget no
 // longer covers, is dropped permanently instead of retried forever; its
 // span stays open-ended, which the waterfall marks abandoned. charge
 // is clear for the streams a mux session failure takes down: that is
@@ -653,12 +647,11 @@ func (r *Robot) noteFailure() {
 // before the backoff/fallback ladder — which already bounds session
 // redials — ever engaged. The caller dispatches.
 func (r *Robot) requeue(it workItem, charge bool) bool {
-	p := r.cfg.Recovery
-	if p != nil && !r.recovering {
+	if r.cfg.Recovery && !r.recovering {
 		r.recovering = true
 		r.recoverFrom = r.sim.Now()
 	}
-	if p != nil && (!idempotent(it.method) || (charge && !p.Allow(r.retryCharge))) {
+	if r.cfg.Recovery && (!idempotent(it.method) || (charge && !faults.Allow(r.retryCharge))) {
 		r.issued--
 		r.result.RequestsFailed++
 		r.result.Aborted = true
@@ -750,14 +743,13 @@ func (cc *clientConn) flush() {
 }
 
 // armWatchdog (re)starts the progress watchdog: with requests
-// outstanding, RequestTimeout of silence means the connection is
+// outstanding, faults.RequestTimeout of silence means the connection is
 // presumed dead (stalled server, blackholed path) and is aborted so the
 // requests can be re-issued. It is re-armed on every data arrival, so
 // slow-but-progressing transfers (pipelined responses trickling over a
 // modem link) never trip it.
 func (cc *clientConn) armWatchdog() {
-	p := cc.r.cfg.Recovery
-	if p == nil || p.RequestTimeout <= 0 {
+	if !cc.r.cfg.Recovery {
 		return
 	}
 	if cc.dead || cc.inflight.Len() == 0 {
@@ -768,8 +760,8 @@ func (cc *clientConn) armWatchdog() {
 	// one sequence number, exactly like the old stop-then-schedule pair,
 	// keeping event order byte-identical. This runs on every data
 	// arrival, so it must not allocate.
-	if !cc.watchdog.Reschedule(p.RequestTimeout) {
-		cc.watchdog = cc.r.sim.ScheduleArg(p.RequestTimeout, watchdogFire, cc)
+	if !cc.watchdog.Reschedule(faults.RequestTimeout) {
+		cc.watchdog = cc.r.sim.ScheduleArg(faults.RequestTimeout, watchdogFire, cc)
 	}
 }
 
@@ -779,17 +771,16 @@ func flushFire(a any)     { a.(*clientConn).flush() }
 func robotDispatch(a any) { a.(*Robot).dispatch() }
 
 func (cc *clientConn) onWatchdog() {
-	p := cc.r.cfg.Recovery
 	// Parallel connections share the link: one of them starving while
 	// the others transfer is contention, not a stall. Only declare
 	// the connection dead once the whole robot has been silent for
 	// the timeout.
-	if since := cc.r.sim.Now().Sub(cc.r.lastData); since < p.RequestTimeout {
-		cc.watchdog = cc.r.sim.ScheduleArg(p.RequestTimeout-since, watchdogFire, cc)
+	if since := cc.r.sim.Now().Sub(cc.r.lastData); since < faults.RequestTimeout {
+		cc.watchdog = cc.r.sim.ScheduleArg(faults.RequestTimeout-since, watchdogFire, cc)
 		return
 	}
 	cc.r.result.Timeouts++
-	cc.r.cfg.Obs.ClientTimeout(cc.conn.ObsID(), p.RequestTimeout)
+	cc.r.cfg.Obs.ClientTimeout(cc.conn.ObsID(), faults.RequestTimeout)
 	cc.conn.Abort()
 	cc.r.failConn(cc, true)
 }

@@ -26,11 +26,11 @@ func TestDeflateServersShareTheSitesArtifact(t *testing.T) {
 	site := tinySite(t)
 	s := sim.New()
 	host := tcpsim.NewNetwork(s).AddHost("server")
-	cfg := Config{Profile: ProfileApache, EnableDeflate: true}
+	cfg := Config{Profile: ProfileApache}
 	port := 80
 	start := func() *Server {
 		port++
-		return New(s, host, port, site, cfg, nil, 0)
+		return New(s, host, port, site, cfg, nil)
 	}
 	a := start().respond(deflateRequest(), new(httpmsg.Response))
 	b := start().respond(deflateRequest(), new(httpmsg.Response))
@@ -47,7 +47,7 @@ func TestDeflateServersShareTheSitesArtifact(t *testing.T) {
 	// flatez.Compress alone allocates more than a hundred times on this
 	// small page.
 	if n := testing.AllocsPerRun(20, func() { start() }); n > 12 {
-		t.Errorf("New with EnableDeflate allocates %v times, want a small constant", n)
+		t.Errorf("New on a deflate site allocates %v times, want a small constant", n)
 	}
 }
 
@@ -60,13 +60,13 @@ func BenchmarkServerNewDeflate(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := sim.New()
-	cfg := Config{Profile: ProfileApache, EnableDeflate: true}
+	cfg := Config{Profile: ProfileApache}
 	req := deflateRequest()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		host := tcpsim.NewNetwork(s).AddHost("server")
-		srv := New(s, host, 80, site, cfg, nil, 0)
+		srv := New(s, host, 80, site, cfg, nil)
 		if resp := srv.respond(req, new(httpmsg.Response)); resp.Header.Get("Content-Encoding") != "deflate" {
 			b.Fatal("deflate not served")
 		}

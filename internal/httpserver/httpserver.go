@@ -60,10 +60,6 @@ type Config struct {
 	// halves at once, reproducing the paper's reset scenario. The default
 	// is the independent half-close the paper prescribes.
 	NaiveClose bool
-	// ResponseBufferSize is the application output buffer. The buffer is
-	// flushed when full, when no more pipelined requests are pending, or
-	// before the connection goes idle.
-	ResponseBufferSize int
 	// PerRequestCPU and PerConnCPU are processing costs charged to the
 	// host's single CPU.
 	PerRequestCPU, PerConnCPU time.Duration
@@ -75,11 +71,9 @@ type Config struct {
 	// NoDelay disables Nagle on accepted connections (the paper's tuned
 	// configuration).
 	NoDelay bool
-	// EnableDeflate serves the precomputed deflate coding of text/html
-	// resources to clients that send Accept-Encoding: deflate.
-	EnableDeflate bool
-	// TCP overrides connection options other than NoDelay.
-	TCP tcpsim.Options
+	// InitialCwndSegments overrides the TCP slow-start initial window
+	// of accepted connections (0 keeps tcpsim's default of 2).
+	InitialCwndSegments int
 	// Obs, if non-nil, receives request-parsed and response-queued
 	// events for every request the server handles.
 	Obs *obs.Bus
@@ -115,9 +109,6 @@ func (c Config) applyProfile() Config {
 			c.PerConnCPU = 9 * time.Millisecond
 		}
 	}
-	if c.ResponseBufferSize == 0 {
-		c.ResponseBufferSize = 4096
-	}
 	// The early-close fault rides the existing per-connection request
 	// limit, which already implements both close styles.
 	if c.Faults.CloseAfterResponses > 0 {
@@ -149,6 +140,11 @@ type Stats struct {
 	FaultsInjected int
 }
 
+// responseBufferSize is the application output buffer. The buffer is
+// flushed when full, when no more pipelined requests are pending, or
+// before the connection goes idle.
+const responseBufferSize = 4096
+
 // serverDate is the fixed Date header both profiles stamp on every
 // response (the simulation's wall clock never advances past one page
 // view, as in the paper's isolated testbed).
@@ -160,7 +156,6 @@ type Server struct {
 	site  *webgen.Site
 	cpu   *sim.CPU
 	stats Stats
-	date  string
 	// faultSeq numbers responses server-wide (1-based) so one-shot
 	// scripted faults fire exactly once even across retried connections.
 	faultSeq int
@@ -173,15 +168,13 @@ type Server struct {
 }
 
 // New creates a server and begins listening on host:port.
-func New(s *sim.Simulator, host *tcpsim.Host, port int, site *webgen.Site, cfg Config, rng *sim.Rand, cpuJitter float64) *Server {
+func New(s *sim.Simulator, host *tcpsim.Host, port int, site *webgen.Site, cfg Config, rng *sim.Rand) *Server {
 	srv := &Server{
 		cfg:  cfg.applyProfile(),
 		site: site,
-		cpu:  sim.NewCPU(s, rng, cpuJitter),
-		date: serverDate,
+		cpu:  sim.NewCPU(s, rng),
 	}
-	tcpOpts := srv.cfg.TCP
-	tcpOpts.NoDelay = srv.cfg.NoDelay
+	tcpOpts := tcpsim.Options{NoDelay: srv.cfg.NoDelay, InitialCwndSegments: srv.cfg.InitialCwndSegments}
 	host.Listen(port, tcpOpts, func(c *tcpsim.Conn) tcpsim.Handler {
 		return newServerConn(srv, c)
 	})
@@ -363,7 +356,7 @@ func (sc *serverConn) serve(req *httpmsg.Request) {
 	// is full or when there are no more requests coming in on the
 	// connection.
 	sc.srv.stats.BytesOut += int64(sc.queue(resp, req.Method, -1))
-	if sc.conn.Corked() >= sc.srv.cfg.ResponseBufferSize || (sc.pending.Len() == 0 && sc.parser.Buffered() == 0) {
+	if sc.conn.Corked() >= responseBufferSize || (sc.pending.Len() == 0 && sc.parser.Buffered() == 0) {
 		sc.conn.Flush()
 	}
 
@@ -459,14 +452,14 @@ func (s *Server) respond(req *httpmsg.Request, resp *httpmsg.Response) *httpmsg.
 		proto = httpmsg.Proto10
 	}
 	if req.Method != "GET" && req.Method != "HEAD" {
-		return s.finishHeaders(initResponse(resp, proto, 501))
+		return finishHeaders(s.cfg.Profile, initResponse(resp, proto, 501))
 	}
 	obj, ok := s.site.Object(req.Target)
 	if !ok {
 		initResponse(resp, proto, 404)
 		resp.Body = []byte("<html><body>404 Not Found</body></html>")
 		resp.Header.Add("Content-Type", "text/html")
-		return s.finishHeaders(resp)
+		return finishHeaders(s.cfg.Profile, resp)
 	}
 
 	// Conditional GET: entity tags take precedence over date validators.
@@ -475,13 +468,13 @@ func (s *Server) respond(req *httpmsg.Request, resp *httpmsg.Response) *httpmsg.
 			initResponse(resp, proto, 304)
 			resp.Header.Add("ETag", obj.ETag)
 			s.stats.NotModified++
-			return s.finishHeaders(resp)
+			return finishHeaders(s.cfg.Profile, resp)
 		}
 	} else if ims := req.Header.Get("If-Modified-Since"); ims != "" {
 		if !httpmsg.ModifiedSince(obj.LastModified, ims) {
 			initResponse(resp, proto, 304)
 			s.stats.NotModified++
-			return s.finishHeaders(resp)
+			return finishHeaders(s.cfg.Profile, resp)
 		}
 	}
 
@@ -497,7 +490,7 @@ func (s *Server) respond(req *httpmsg.Request, resp *httpmsg.Response) *httpmsg.
 			resp.Body = body
 			resp.Header.Add("ETag", obj.ETag)
 			resp.Header.Add("Last-Modified", obj.LastModified)
-			return s.finishHeaders(resp)
+			return finishHeaders(s.cfg.Profile, resp)
 		}
 	}
 
@@ -506,8 +499,8 @@ func (s *Server) respond(req *httpmsg.Request, resp *httpmsg.Response) *httpmsg.
 	resp.Header.Add("Content-Type", obj.ContentType)
 
 	// Transport compression: the site's precomputed deflate coding of
-	// its HTML, built once per site.
-	if s.cfg.EnableDeflate && httpmsg.TokenListContains(req.Header.Get("Accept-Encoding"), "deflate") {
+	// its HTML, built once per site, for clients that accept it.
+	if httpmsg.TokenListContains(req.Header.Get("Accept-Encoding"), "deflate") {
 		if comp, ok := s.site.Deflated(req.Target); ok {
 			body = comp
 			resp.Header.Add("Content-Encoding", "deflate")
@@ -533,7 +526,7 @@ func (s *Server) respond(req *httpmsg.Request, resp *httpmsg.Response) *httpmsg.
 	resp.Body = body
 	resp.Header.Add("ETag", obj.ETag)
 	resp.Header.Add("Last-Modified", obj.LastModified)
-	return s.finishHeaders(resp)
+	return finishHeaders(s.cfg.Profile, resp)
 }
 
 // initResponse empties resp, keeping its field array, and gives it a
@@ -555,22 +548,21 @@ func CanonicalResponse(profile Profile, obj *webgen.Object) *httpmsg.Response {
 	resp.Body = obj.Body
 	resp.Header.Add("ETag", obj.ETag)
 	resp.Header.Add("Last-Modified", obj.LastModified)
-	srv := &Server{cfg: Config{Profile: profile}, date: serverDate}
-	return srv.finishHeaders(resp)
+	return finishHeaders(profile, resp)
 }
 
 // finishHeaders adds the profile's standing headers.
-func (s *Server) finishHeaders(resp *httpmsg.Response) *httpmsg.Response {
+func finishHeaders(profile Profile, resp *httpmsg.Response) *httpmsg.Response {
 	h := &resp.Header
-	switch s.cfg.Profile {
+	switch profile {
 	case ProfileApache:
-		h.Add("Date", s.date)
+		h.Add("Date", serverDate)
 		h.Add("Server", "Apache/1.2b10")
 	default:
 		// Jigsaw's responses carried noticeably more header bytes; the
 		// difference shows in the paper's revalidation byte counts
 		// (17694 for Jigsaw vs 14009 for Apache).
-		h.Add("Date", s.date)
+		h.Add("Date", serverDate)
 		h.Add("Server", "Jigsaw/1.06")
 		h.Add("MIME-Version", "1.0")
 		h.Add("Cache-Control", "max-age=86400")

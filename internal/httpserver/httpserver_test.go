@@ -53,7 +53,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	link := netem.Config{PropagationDelay: time.Millisecond}
 	n.ConnectHosts(client, serverHost, netem.NewAsymPath(s, "t", link, link))
 	site := tinySite(t)
-	srv := New(s, serverHost, 80, site, cfg, nil, 0)
+	srv := New(s, serverHost, 80, site, cfg, nil)
 	return &harness{t: t, sim: s, client: client, server: srv, site: site}
 }
 
@@ -235,7 +235,7 @@ func TestRangeRequests(t *testing.T) {
 }
 
 func TestDeflateNegotiation(t *testing.T) {
-	h := newHarness(t, Config{Profile: ProfileApache, NoDelay: true, EnableDeflate: true})
+	h := newHarness(t, Config{Profile: ProfileApache, NoDelay: true})
 	resps, err := h.exchange(get("/", "Accept-Encoding", "deflate"), "GET")
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func TestResponseBufferingCoalesces(t *testing.T) {
 	link := netem.Config{PropagationDelay: 5 * time.Millisecond, BitsPerSecond: 10_000_000, MTU: 1500}
 	n.ConnectHosts(client, serverHost, netem.NewAsymPath(s, "t", link, link))
 	site := tinySite(t)
-	New(s, serverHost, 80, site, Config{Profile: ProfileApache, NoDelay: true}, nil, 0)
+	New(s, serverHost, 80, site, Config{Profile: ProfileApache, NoDelay: true}, nil)
 
 	dataSegs := 0
 	n.PacketHook = func(ev tcpsim.PacketEvent) {

@@ -108,7 +108,7 @@ const (
 const HeaderLen = 9
 
 // MaxFrameLen caps the payload length the parser will accept. It is
-// deliberately far above any MaxFrameSize a session negotiates so the
+// deliberately far above any max frame size a session negotiates so the
 // limit only trips on corrupt length fields, not tight configs.
 const MaxFrameLen = 1 << 20
 

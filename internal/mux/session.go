@@ -68,16 +68,6 @@ type Session struct {
 	// returns (a transport write copies it).
 	Send func([]byte)
 
-	// MaxFrameSize caps outgoing DATA payloads (the interleaving
-	// quantum). Lowered further if the peer advertises a smaller
-	// SETTINGS_MAX_FRAME_SIZE.
-	MaxFrameSize int
-
-	// InitialWindow is the per-stream receive window this side
-	// advertises; the peer's streams start with it as their send
-	// window.
-	InitialWindow int
-
 	// EnablePush: on a client, advertised in the initial SETTINGS;
 	// on a server, learned from the client's SETTINGS.
 	EnablePush bool
@@ -94,7 +84,6 @@ type Session struct {
 	OnData        func(st *Stream, p []byte, endStream bool)
 	OnPushPromise func(parent, promised *Stream, fields []Field)
 	OnRstStream   func(st *Stream)
-	OnSettings    func(id uint16, val uint32)
 	OnError       func(err error)
 	// OnGoaway fires when the peer announces a session close.
 	// lastStreamID is the highest peer-initiated stream the sender may
@@ -114,6 +103,11 @@ type Session struct {
 	nextID      uint32 // next locally-initiated stream ID (odd client / even server)
 	lastPeerID  uint32 // highest peer-initiated stream ID accepted so far
 	prefaceLeft int    // server: preface bytes still owed by the client
+
+	// maxFrameSize caps outgoing DATA payloads (the interleaving
+	// quantum): DefaultMaxFrameSize, lowered if the peer advertises a
+	// smaller SETTINGS_MAX_FRAME_SIZE.
+	maxFrameSize int
 
 	streams map[uint32]*Stream
 	order   []*Stream // creation order; scheduling iterates this, never the map
@@ -139,8 +133,7 @@ type Session struct {
 func newSession(send func([]byte)) *Session {
 	return &Session{
 		Send:           send,
-		MaxFrameSize:   DefaultMaxFrameSize,
-		InitialWindow:  DefaultInitialWindow,
+		maxFrameSize:   DefaultMaxFrameSize,
 		streams:        make(map[uint32]*Stream),
 		recvAcc:        make(map[uint32]int),
 		connSendWindow: DefaultInitialWindow,
@@ -179,8 +172,8 @@ func (s *Session) Start() {
 		push = 1
 	}
 	p = appendSetting(p, SettingEnablePush, push)
-	p = appendSetting(p, SettingInitialWindowSize, uint32(s.InitialWindow))
-	p = appendSetting(p, SettingMaxFrameSize, uint32(s.MaxFrameSize))
+	p = appendSetting(p, SettingInitialWindowSize, DefaultInitialWindow)
+	p = appendSetting(p, SettingMaxFrameSize, DefaultMaxFrameSize)
 	s.emit(FrameSettings, 0, 0, p)
 	s.flush()
 }
@@ -375,7 +368,7 @@ func (s *Session) PeerDeadlock() (st *Stream, ok bool) {
 }
 
 func (s *Session) newStream(id uint32) *Stream {
-	st := &Stream{ID: id, sendWindow: s.peerWindow, recvWindow: s.InitialWindow}
+	st := &Stream{ID: id, sendWindow: s.peerWindow, recvWindow: DefaultInitialWindow}
 	s.streams[id] = st
 	s.order = append(s.order, st)
 	return st
@@ -413,12 +406,9 @@ func (s *Session) dispatch(f Frame) {
 						fmt.Errorf("mux: SETTINGS max frame size %d out of range", val))
 					return
 				}
-				if int(val) < s.MaxFrameSize {
-					s.MaxFrameSize = int(val)
+				if int(val) < s.maxFrameSize {
+					s.maxFrameSize = int(val)
 				}
-			}
-			if s.OnSettings != nil {
-				s.OnSettings(id, val)
 			}
 		}
 
@@ -656,7 +646,7 @@ func (s *Session) emitWindowUpdate(id uint32, inc int) {
 
 // pump runs the deterministic DATA scheduler: repeatedly pick the
 // most urgent priority band with queued data, give each of its
-// streams (in ID order) one MaxFrameSize chunk, and stop when queues
+// streams (in ID order) one maxFrameSize chunk, and stop when queues
 // or windows run dry. Window exhaustion is edge-counted as a
 // flow-control stall. With FIFO set, priority bands are ignored and
 // each pass serves only the earliest-opened unfinished stream, so
@@ -692,7 +682,7 @@ func (s *Session) pump() {
 				served = true
 				continue
 			}
-			n := min(len(st.sendBuf), s.MaxFrameSize)
+			n := min(len(st.sendBuf), s.maxFrameSize)
 			if s.connSendWindow <= 0 {
 				if !s.connStalled {
 					s.connStalled = true

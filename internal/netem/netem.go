@@ -83,10 +83,6 @@ func (l *Link) Name() string { return l.name }
 // Config returns the link's configuration.
 func (l *Link) Config() Config { return l.cfg }
 
-// Sent returns the number of packets accepted for transmission (including
-// dropped ones).
-func (l *Link) Sent() int { return l.sent }
-
 // Dropped returns the number of packets dropped by the loss model.
 func (l *Link) Dropped() int { return l.dropped }
 
@@ -160,10 +156,6 @@ type Path struct {
 	// AB carries packets from endpoint A to endpoint B; BA the reverse.
 	AB, BA *Link
 }
-
-// Sent returns the number of packets accepted for transmission on both
-// directions together (including dropped ones).
-func (p *Path) Sent() int { return p.AB.Sent() + p.BA.Sent() }
 
 // Dropped returns the number of packets dropped by the loss model on
 // both directions together.

@@ -87,8 +87,8 @@ func TestLossFunc(t *testing.T) {
 	if l.Dropped() != 1 {
 		t.Fatalf("dropped %d, want 1", l.Dropped())
 	}
-	if l.Sent() != 3 {
-		t.Fatalf("sent %d, want 3", l.Sent())
+	if l.sent != 3 {
+		t.Fatalf("sent %d, want 3", l.sent)
 	}
 }
 
@@ -174,14 +174,14 @@ func TestEnvironmentString(t *testing.T) {
 func TestRTTJitterChangesDelay(t *testing.T) {
 	s := sim.New()
 	rng := sim.NewRand(3)
-	p := NewEnvPath(s, WAN, PathOptions{RTTJitterFrac: 0.05, Rng: rng})
+	p := NewEnvPath(s, WAN, PathOptions{Rng: rng})
 	base := Profiles[WAN].RTT / 2
 	got := p.AB.Config().PropagationDelay
 	if got == base {
 		t.Fatal("jitter did not perturb propagation delay")
 	}
-	lo := time.Duration(float64(base) * 0.95)
-	hi := time.Duration(float64(base) * 1.05)
+	lo := time.Duration(float64(base) * 0.97)
+	hi := time.Duration(float64(base) * 1.03)
 	if got < lo || got > hi {
 		t.Fatalf("jittered delay %v outside [%v,%v]", got, lo, hi)
 	}

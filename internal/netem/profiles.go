@@ -76,19 +76,19 @@ var Profiles = map[Environment]Profile{
 	},
 }
 
+// rttJitter is the ±fraction (3 %) by which a jittered path perturbs
+// its profile's RTT.
+const rttJitter = 0.03
+
 // PathOptions tunes profile instantiation.
 type PathOptions struct {
 	// ModemCompression enables a V.42bis-style stream compressor on both
 	// directions (only meaningful for PPP).
 	ModemCompression func() StreamCompressor
-	// RTTJitterFrac perturbs propagation delay by ±frac using rng
-	// (reproduces run-to-run network fluctuation). Zero disables.
-	RTTJitterFrac float64
-	Rng           *sim.Rand
-	// Loss injects deterministic loss on both directions. Stateful loss
-	// models must not be shared between directions; use LossAB/LossBA.
-	Loss LossFunc
-	// LossAB and LossBA, when non-nil, take precedence over Loss for
+	// Rng, when non-nil, perturbs the profile's RTT by ±rttJitter
+	// (reproduces run-to-run network fluctuation).
+	Rng *sim.Rand
+	// LossAB and LossBA, when non-nil, inject deterministic loss on
 	// their direction (AB = endpoint A toward B, i.e. client→server).
 	// They allow asymmetric faults — e.g. a one-direction blackhole —
 	// and give each direction its own instance of a stateful model.
@@ -103,26 +103,20 @@ func NewEnvPath(s *sim.Simulator, env Environment, opts PathOptions) *Path {
 		panic(fmt.Sprintf("netem: unknown environment %v", env))
 	}
 	rtt := p.RTT
-	if opts.RTTJitterFrac > 0 && opts.Rng != nil {
-		rtt = opts.Rng.Jitter(rtt, opts.RTTJitterFrac)
+	if opts.Rng != nil {
+		rtt = opts.Rng.Jitter(rtt, rttJitter)
 	}
 	cfg := Config{
 		BitsPerSecond:    p.Bandwidth,
 		PropagationDelay: rtt / 2,
 		MTU:              p.MSS + IPTCPHeaderBytes,
-		Loss:             opts.Loss,
 	}
 	if env == PPP {
 		// PPP framing: flag, address, control, protocol, FCS ≈ 8 bytes.
 		cfg.PerPacketOverheadBytes = 8
 	}
 	ab, ba := cfg, cfg
-	if opts.LossAB != nil {
-		ab.Loss = opts.LossAB
-	}
-	if opts.LossBA != nil {
-		ba.Loss = opts.LossBA
-	}
+	ab.Loss, ba.Loss = opts.LossAB, opts.LossBA
 	if opts.ModemCompression != nil {
 		ab.Compressor = opts.ModemCompression()
 		ba.Compressor = opts.ModemCompression()

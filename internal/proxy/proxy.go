@@ -46,14 +46,13 @@ const (
 
 // Config tunes proxy behaviour.
 type Config struct {
-	// Cache is the shared response cache. A nil cache makes the proxy a
-	// pure relay (every request is forwarded, nothing stored).
+	// Cache is the shared response cache; it is required.
 	Cache *cache.Cache
-	// Recovery, when non-nil, governs upstream retries: each unanswered
-	// origin request is re-sent on a fresh connection while the policy's
-	// RetryBudget allows, then answered with 502. Nil keeps the classic
-	// behaviour: one retry, then 502.
-	Recovery *faults.Policy
+	// Recovery governs upstream retries: each unanswered origin request
+	// is re-sent on a fresh connection while faults.RetryBudget allows,
+	// then answered with 502. Off keeps the classic behaviour: one
+	// retry, then 502.
+	Recovery bool
 	// Obs, if non-nil, receives cache hit/miss/revalidation instants on
 	// client connections and request lifecycle spans for upstream fetches.
 	Obs *obs.Bus
@@ -114,13 +113,13 @@ type Proxy struct {
 
 // New creates a proxy listening on host:port, forwarding misses to
 // upstreamHost:upstreamPort. rng adds CPU jitter when non-nil.
-func New(s *sim.Simulator, host *tcpsim.Host, port int, upstreamHost string, upstreamPort int, cfg Config, rng *sim.Rand, cpuJitter float64) *Proxy {
+func New(s *sim.Simulator, host *tcpsim.Host, port int, upstreamHost string, upstreamPort int, cfg Config, rng *sim.Rand) *Proxy {
 	p := &Proxy{
 		sim:          s,
 		host:         host,
 		cfg:          cfg,
 		cache:        cfg.Cache,
-		cpu:          sim.NewCPU(s, rng, cpuJitter),
+		cpu:          sim.NewCPU(s, rng),
 		upstreamHost: upstreamHost,
 		upstreamPort: upstreamPort,
 	}
@@ -132,12 +131,6 @@ func New(s *sim.Simulator, host *tcpsim.Host, port int, upstreamHost string, ups
 
 // Stats returns a copy of the proxy counters.
 func (p *Proxy) Stats() Stats { return p.stats }
-
-// Cache returns the proxy's shared cache (nil for a pure relay).
-func (p *Proxy) Cache() *cache.Cache { return p.cache }
-
-// CPUTime returns the total simulated CPU work the proxy has consumed.
-func (p *Proxy) CPUTime() sim.Duration { return p.cpu.TotalWork() }
 
 // hopByHop reports header fields that must not be forwarded end-to-end.
 func hopByHop(name string) bool {
@@ -275,10 +268,10 @@ func (pc *proxyConn) handle(slot *pxSlot) {
 	p := pc.p
 	req := slot.req
 	key := req.Target
-	if p.cache == nil || req.Method != "GET" {
-		// Pure relay: forward, never store.
-		p.fetchThrough(key, p.forwardRequest(req), conditional(req), false, nil,
-			pc.completeUpstream(slot))
+	if req.Method != "GET" {
+		// Forward, never store, and never share a flight: a GET that
+		// joined a HEAD's fetch would be answered without a body.
+		p.fetch(p.forwardRequest(req), pc.completeUpstream(slot))
 		return
 	}
 	if e := p.cache.Get(key); e != nil {
@@ -292,7 +285,7 @@ func (pc *proxyConn) handle(slot *pxSlot) {
 		// Stale entry: revalidate upstream, then serve from the
 		// refreshed entry (304) or the replacing response (200).
 		p.stats.Revalidations++
-		p.fetchThrough(key, p.revalRequest(e), true, true, e,
+		p.fetchThrough(key, p.revalRequest(e), true, e,
 			func(resp *httpmsg.Response, err error) {
 				if err != nil || resp == nil {
 					p.stats.Errors++
@@ -312,7 +305,7 @@ func (pc *proxyConn) handle(slot *pxSlot) {
 	}
 	p.stats.Misses++
 	p.cfg.Obs.CacheMiss(pc.conn.ObsID(), key)
-	p.fetchThrough(key, p.forwardRequest(req), conditional(req), true, nil,
+	p.fetchThrough(key, p.forwardRequest(req), conditional(req), nil,
 		pc.completeUpstream(slot))
 }
 
@@ -336,11 +329,7 @@ func (pc *proxyConn) completeUpstream(slot *pxSlot) func(*httpmsg.Response, erro
 // waiters run. A request whose conditionality differs from the
 // in-progress flight fetches directly, skipping cache maintenance — the
 // shared response would have the wrong shape for it.
-func (p *Proxy) fetchThrough(key string, upReq *httpmsg.Request, cond, maintain bool, stale *cache.Entry, cb func(*httpmsg.Response, error)) {
-	if p.cache == nil {
-		p.fetch(upReq, cb)
-		return
-	}
+func (p *Proxy) fetchThrough(key string, upReq *httpmsg.Request, cond bool, stale *cache.Entry, cb func(*httpmsg.Response, error)) {
 	if f := p.cache.Flight(key); f != nil {
 		if f.Conditional == cond {
 			p.stats.Collapsed++
@@ -353,7 +342,7 @@ func (p *Proxy) fetchThrough(key string, upReq *httpmsg.Request, cond, maintain 
 	f := p.cache.StartFlight(key, cond)
 	f.Join(cb)
 	p.fetch(upReq, func(resp *httpmsg.Response, err error) {
-		if maintain && err == nil && resp != nil {
+		if err == nil && resp != nil {
 			switch {
 			case resp.StatusCode == 304 && stale != nil:
 				p.stats.RevalidationHits++
@@ -593,21 +582,21 @@ func (u *upstream) OnClose(c *tcpsim.Conn) { u.fail() }
 
 // fail retires the connection, re-sending each unanswered request on a
 // fresh connection while the recovery policy's budget allows, then
-// failing it (the client sees 502). Without a configured policy the
-// budget is 1: the classic retry-once-then-502 behaviour.
+// failing it (the client sees 502). Without Recovery the budget is 1:
+// the classic retry-once-then-502 behaviour.
 func (u *upstream) fail() {
 	if u.dead {
 		return
 	}
 	u.dead = true
-	pol := faults.Policy{RetryBudget: 1}
-	if u.p.cfg.Recovery != nil {
-		pol = *u.p.cfg.Recovery
+	budget := 1
+	if u.p.cfg.Recovery {
+		budget = faults.RetryBudget
 	}
 	pending := u.inflight
 	u.inflight = nil
 	for _, uf := range pending {
-		if pol.Allow(uf.attempts) {
+		if uf.attempts < budget {
 			uf.attempts++
 			u.p.stats.Retries++
 			u.p.send(uf)

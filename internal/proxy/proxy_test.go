@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func newRig(t *testing.T, primeWarm, primeStale bool) *rig {
 	net.ConnectHosts(proxyHost, serverHost, netem.NewEnvPath(s, netem.LAN, netem.PathOptions{}))
 
 	origin := httpserver.New(s, serverHost, 80, site,
-		httpserver.Config{Profile: httpserver.ProfileApache, NoDelay: true}, nil, 0)
+		httpserver.Config{Profile: httpserver.ProfileApache, NoDelay: true}, nil)
 	c := cache.New(8<<20, func() sim.Time { return s.Now() })
 	if primeWarm || primeStale {
 		for _, path := range site.Paths() {
@@ -53,7 +54,7 @@ func newRig(t *testing.T, primeWarm, primeStale bool) *rig {
 			}
 		}
 	}
-	px := New(s, proxyHost, 3128, "server", 80, Config{Cache: c}, nil, 0)
+	px := New(s, proxyHost, 3128, "server", 80, Config{Cache: c}, nil)
 	return &rig{s: s, net: net, client: clientHost, proxy: px, origin: origin, site: site, cache: c}
 }
 
@@ -90,13 +91,15 @@ func dialClient(t *testing.T, r *rig) *testClient {
 	return tc
 }
 
-func (tc *testClient) get(path string, headers ...[2]string) {
-	req := &httpmsg.Request{Method: "GET", Target: path, Proto: httpmsg.Proto11}
+func (tc *testClient) get(path string, headers ...[2]string) { tc.send("GET", path, headers...) }
+
+func (tc *testClient) send(method, path string, headers ...[2]string) {
+	req := &httpmsg.Request{Method: method, Target: path, Proto: httpmsg.Proto11}
 	req.Header.Add("Host", "proxy")
 	for _, h := range headers {
 		req.Header.Add(h[0], h[1])
 	}
-	tc.parser.PushExpectation("GET")
+	tc.parser.PushExpectation(method)
 	tc.conn.Write(req.Marshal())
 }
 
@@ -277,5 +280,72 @@ func TestHopByHopStripped(t *testing.T) {
 	}
 	if st := r.proxy.up.conn.State(); st != tcpsim.StateEstablished {
 		t.Fatalf("upstream state = %v, want established", st)
+	}
+}
+
+// TestHeadRelayedNotStored: a request other than GET is forwarded to
+// the origin and its response relayed, but nothing is stored.
+func TestHeadRelayedNotStored(t *testing.T) {
+	r := newRig(t, false, false)
+	obj, _ := r.site.Object("/")
+	tc := dialClient(t, r)
+	tc.onResp = func(*httpmsg.Response) { tc.conn.CloseWrite() }
+	r.s.Schedule(0, func() { tc.send("HEAD", "/") })
+	r.s.Run()
+
+	if len(tc.resps) != 1 {
+		t.Fatalf("got %d responses, want 1", len(tc.resps))
+	}
+	resp := tc.resps[0]
+	if resp.StatusCode != 200 || len(resp.Body) != 0 {
+		t.Fatalf("status %d with %d body bytes, want a bodiless 200", resp.StatusCode, len(resp.Body))
+	}
+	if got, want := resp.Header.Get("Content-Length"), strconv.Itoa(len(obj.Body)); got != want {
+		t.Fatalf("Content-Length = %q, want %q", got, want)
+	}
+	if got := resp.Header.Get("Via"); got != "1.1 proxy" {
+		t.Fatalf("Via = %q", got)
+	}
+	if n := r.origin.Stats().Requests; n != 1 {
+		t.Fatalf("origin saw %d requests, want 1", n)
+	}
+	st := r.proxy.Stats()
+	if st.UpstreamRequests != 1 || st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want 1 upstream request and no cache lookup", st)
+	}
+	if n := r.cache.Len(); n != 0 {
+		t.Fatalf("cache holds %d entries after a HEAD, want none", n)
+	}
+}
+
+// TestGetPipelinedAfterHeadGetsBody: a GET queued behind a HEAD of the
+// same URL fetches its own body instead of sharing the HEAD's bodiless
+// response.
+func TestGetPipelinedAfterHeadGetsBody(t *testing.T) {
+	r := newRig(t, false, false)
+	obj, _ := r.site.Object("/")
+	tc := dialClient(t, r)
+	tc.onResp = func(*httpmsg.Response) {
+		if len(tc.resps) == 2 {
+			tc.conn.CloseWrite()
+		}
+	}
+	r.s.Schedule(0, func() {
+		tc.send("HEAD", "/")
+		tc.get("/")
+	})
+	r.s.Run()
+
+	if len(tc.resps) != 2 {
+		t.Fatalf("got %d responses, want 2", len(tc.resps))
+	}
+	if resp := tc.resps[1]; resp.StatusCode != 200 || string(resp.Body) != string(obj.Body) {
+		t.Fatalf("GET after HEAD: status %d, body %d bytes, want 200 with %d", resp.StatusCode, len(resp.Body), len(obj.Body))
+	}
+	if st := r.proxy.Stats(); st.UpstreamRequests != 2 || st.Collapsed != 0 {
+		t.Fatalf("stats = %+v, want 2 upstream requests and none collapsed", st)
+	}
+	if n := r.cache.Len(); n != 1 {
+		t.Fatalf("cache holds %d entries, want the GET's 1", n)
 	}
 }

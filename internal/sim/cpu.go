@@ -9,14 +9,17 @@ type CPU struct {
 	sim       *Simulator
 	busyUntil Time
 	rng       *Rand
-	jitter    float64
 	total     Duration
 }
 
-// NewCPU returns a CPU on simulator s. rng and jitterFrac add reproducible
-// run-to-run variation to every work item; rng may be nil for none.
-func NewCPU(s *Simulator, rng *Rand, jitterFrac float64) *CPU {
-	return &CPU{sim: s, rng: rng, jitter: jitterFrac}
+// cpuJitter is the ±fraction (10 %) by which a jittered CPU perturbs
+// each work item.
+const cpuJitter = 0.10
+
+// NewCPU returns a CPU on simulator s. A non-nil rng adds reproducible
+// run-to-run variation of ±cpuJitter to every work item; nil adds none.
+func NewCPU(s *Simulator, rng *Rand) *CPU {
+	return &CPU{sim: s, rng: rng}
 }
 
 // Run schedules fn(arg) after d of CPU work, queued behind any work
@@ -26,8 +29,8 @@ func NewCPU(s *Simulator, rng *Rand, jitterFrac float64) *CPU {
 // in scheduling order. Like Simulator.AtArg, it allocates nothing when
 // fn is a package-level function and arg a pointer.
 func (c *CPU) Run(d Duration, fn func(any), arg any) Time {
-	if c.rng != nil && c.jitter > 0 {
-		d = c.rng.Jitter(d, c.jitter)
+	if c.rng != nil {
+		d = c.rng.Jitter(d, cpuJitter)
 	}
 	start := c.sim.Now()
 	if c.busyUntil > start {

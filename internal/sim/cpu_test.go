@@ -12,19 +12,18 @@ import (
 func TestCPUCompletesInQueueOrder(t *testing.T) {
 	ms := time.Millisecond
 	for _, tc := range []struct {
-		name   string
-		rng    *Rand
-		jitter float64
-		durs   []Duration
+		name string
+		rng  *Rand // non-nil jitters every item by ±10 %
+		durs []Duration
 	}{
-		{"jitter", NewRand(7), 1, []Duration{3 * ms, 1 * ms, 5 * ms, 2 * ms, 1 * ms, 4 * ms, 1 * ms, 2 * ms}},
-		{"zero durations", nil, 0, []Duration{0, 0, 0, 0, 0}},
-		{"equal instants", nil, 0, []Duration{2 * ms, 0, 0, 3 * ms, 0, 1 * ms, 0}},
-		{"zero durations with jitter", NewRand(3), 0.5, []Duration{0, 2 * ms, 0, 0, 1 * ms}},
+		{"jitter", NewRand(7), []Duration{3 * ms, 1 * ms, 5 * ms, 2 * ms, 1 * ms, 4 * ms, 1 * ms, 2 * ms}},
+		{"zero durations", nil, []Duration{0, 0, 0, 0, 0}},
+		{"equal instants", nil, []Duration{2 * ms, 0, 0, 3 * ms, 0, 1 * ms, 0}},
+		{"zero durations with jitter", NewRand(3), []Duration{0, 2 * ms, 0, 0, 1 * ms}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New()
-			cpu := NewCPU(s, tc.rng, tc.jitter)
+			cpu := NewCPU(s, tc.rng)
 			// got lists completed items by the ordinal of their Run call;
 			// ends lists the completion instants in Run order.
 			var got []int
@@ -67,7 +66,7 @@ func cpuDone(a any) { *a.(*int)++ }
 
 func TestCPURunAllocatesNothing(t *testing.T) {
 	s := New()
-	cpu := NewCPU(s, NewRand(1), 0.1)
+	cpu := NewCPU(s, NewRand(1))
 	n := 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		cpu.Run(time.Millisecond, cpuDone, &n)

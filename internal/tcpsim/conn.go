@@ -81,10 +81,10 @@ func newConn(h *Host, local, remote Addr, opts Options, handler Handler) *Conn {
 		sndUna:   iss,
 		sndNxt:   iss,
 		sndBase:  iss + 1,
-		cwnd:     opts.InitialCwndSegments * opts.MSS,
+		cwnd:     opts.InitialCwndSegments * mss,
 		ssthresh: 65535,
-		peerWnd:  opts.MSS, // until the peer advertises
-		rto:      opts.InitialRTO,
+		peerWnd:  mss, // until the peer advertises
+		rto:      initialRTO,
 	}
 	c.sndQ.a = &h.net.arena
 	if b := h.net.Obs; b != nil {
@@ -262,11 +262,11 @@ func (c *Conn) updateRTT(sample sim.Duration) {
 		c.srtt += (sample - c.srtt) / 8
 	}
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.opts.MinRTO {
-		rto = c.opts.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
-	if rto > c.opts.MaxRTO {
-		rto = c.opts.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	c.rto = rto
 }
@@ -440,9 +440,9 @@ func (c *Conn) processAck(seg Segment) {
 
 	// Congestion window growth.
 	if c.cwnd < c.ssthresh {
-		c.setCwnd(c.cwnd + c.opts.MSS) // slow start
+		c.setCwnd(c.cwnd + mss) // slow start
 	} else {
-		inc := c.opts.MSS * c.opts.MSS / c.cwnd
+		inc := mss * mss / c.cwnd
 		if inc < 1 {
 			inc = 1
 		}
@@ -509,7 +509,7 @@ func (c *Conn) processData(seg Segment) {
 	if c.ackOwed == 0 {
 		return
 	}
-	if c.ackOwed >= c.opts.AckEvery {
+	if c.ackOwed >= ackEvery {
 		c.sendAck()
 		return
 	}
@@ -585,14 +585,14 @@ func (c *Conn) trySend() {
 			break
 		}
 		n := pending
-		if n > c.opts.MSS {
-			n = c.opts.MSS
+		if n > mss {
+			n = mss
 		}
 		if n > avail {
 			n = avail
 		}
 		last := offset+n == end
-		if n < c.opts.MSS && c.sndNxt != c.sndUna && !c.opts.NoDelay && !(c.finPending && last) {
+		if n < mss && c.sndNxt != c.sndUna && !c.opts.NoDelay && !(c.finPending && last) {
 			// Nagle: a small segment waits while data is outstanding.
 			if b := c.host.net.Obs; b != nil {
 				b.NagleHold(c.obsID, pending)
@@ -727,7 +727,7 @@ func (c *Conn) armDelack() {
 	if c.delackTimer.Active() {
 		return
 	}
-	interval := sim.Time(c.opts.DelAckInterval)
+	interval := sim.Time(delAckInterval)
 	now := c.sim().Now()
 	next := (now/interval + 1) * interval
 	c.delackTimer = c.sim().AtArg(next, connDelack, c)
@@ -769,8 +769,8 @@ func (c *Conn) onRTO() {
 		return
 	}
 	c.rto *= 2
-	if c.rto > c.opts.MaxRTO {
-		c.rto = c.opts.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 
 	switch c.state {
@@ -790,7 +790,7 @@ func (c *Conn) onRTO() {
 		return
 	}
 
-	c.goBackN(c.opts.MSS)
+	c.goBackN(mss)
 	c.armRTO()
 }
 
@@ -806,8 +806,8 @@ func (c *Conn) fastRetransmit() {
 func (c *Conn) ssthreshAfterLoss() int {
 	inflight := int(c.sndNxt - c.sndUna)
 	half := inflight / 2
-	if half < 2*c.opts.MSS {
-		half = 2 * c.opts.MSS
+	if half < 2*mss {
+		half = 2 * mss
 	}
 	return half
 }
@@ -839,7 +839,7 @@ func (c *Conn) goBackN(newCwnd int) {
 func (c *Conn) enterTimeWait() {
 	c.setState(StateTimeWait)
 	c.stopRTO()
-	c.timeWaitTimer = c.sim().ScheduleArg(c.opts.TimeWait, connTimeWait, c)
+	c.timeWaitTimer = c.sim().ScheduleArg(timeWait, connTimeWait, c)
 }
 
 func (c *Conn) teardown(err error, notifyErr bool) {

@@ -2,11 +2,27 @@ package tcpsim
 
 import "time"
 
+// The era's TCP, fixed for every connection: "MSS 1460 everywhere", the
+// classic BSD 1 s minimum RTO (long-delay links such as PPP depend on it
+// to avoid spurious go-back-N retransmission), exponential backoff capped
+// at 64 s, the BSD 200 ms delayed-ACK fast timer and an immediate ACK for
+// every second segment.
+const (
+	mss            = 1460
+	initialRTO     = time.Second
+	minRTO         = time.Second
+	maxRTO         = 64 * time.Second
+	delAckInterval = 200 * time.Millisecond
+	ackEvery       = 2
+	// timeWait is the TIME_WAIT linger before the connection record is
+	// destroyed, kept short to bound simulation work; correctness in
+	// loss-free runs does not depend on it.
+	timeWait = 500 * time.Millisecond
+)
+
 // Options tunes a connection's TCP behaviour. The zero value selects the
 // defaults documented on each field (applied by normalize).
 type Options struct {
-	// MSS is the maximum segment size in bytes. Default 1460.
-	MSS int
 	// NoDelay disables the Nagle algorithm (TCP_NODELAY). Default off:
 	// Nagle enabled, as on 1997 stacks.
 	NoDelay bool
@@ -15,60 +31,20 @@ type Options struct {
 	InitialCwndSegments int
 	// RecvWindow is the advertised receive window in bytes. Default 65535.
 	RecvWindow int
-	// InitialRTO is the first retransmission timeout. Default 1s.
-	InitialRTO time.Duration
-	// MinRTO floors the adaptive retransmission timeout. Default 1s, the
-	// classic BSD minimum of the era; long-delay links (PPP) depend on
-	// it to avoid spurious go-back-N retransmission.
-	MinRTO time.Duration
-	// MaxRTO caps exponential RTO backoff. Default 64s.
-	MaxRTO time.Duration
 	// MaxRetries is the number of consecutive retransmissions before the
 	// connection errors with ErrTimeout. Default 10.
 	MaxRetries int
-	// DelAckInterval is the delayed-ACK heartbeat period. Like the BSD
-	// fast timer, pure ACKs for a single outstanding segment are deferred
-	// to the next multiple of this interval. Default 200ms.
-	DelAckInterval time.Duration
-	// AckEvery is the number of received segments that force an immediate
-	// ACK (the standard "ack every second segment"). Default 2.
-	AckEvery int
-	// TimeWait is the TIME_WAIT linger before the connection record is
-	// destroyed. Kept short by default (500ms) to bound simulation work;
-	// correctness in loss-free runs does not depend on it.
-	TimeWait time.Duration
 }
 
 func (o Options) normalize() Options {
-	if o.MSS == 0 {
-		o.MSS = 1460
-	}
 	if o.InitialCwndSegments == 0 {
 		o.InitialCwndSegments = 2
 	}
 	if o.RecvWindow == 0 {
 		o.RecvWindow = 65535
 	}
-	if o.InitialRTO == 0 {
-		o.InitialRTO = time.Second
-	}
-	if o.MinRTO == 0 {
-		o.MinRTO = time.Second
-	}
-	if o.MaxRTO == 0 {
-		o.MaxRTO = 64 * time.Second
-	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 10
-	}
-	if o.DelAckInterval == 0 {
-		o.DelAckInterval = 200 * time.Millisecond
-	}
-	if o.AckEvery == 0 {
-		o.AckEvery = 2
-	}
-	if o.TimeWait == 0 {
-		o.TimeWait = 500 * time.Millisecond
 	}
 	return o
 }

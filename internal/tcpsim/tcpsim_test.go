@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -578,24 +579,63 @@ func TestConnectionTimeoutAfterTotalLoss(t *testing.T) {
 	}
 }
 
+// TestRTOBackoffReachesCap follows a SYN under total loss through the
+// whole backoff: the timer doubles from the 1 s initial RTO to the 64 s
+// cap and stays there, and the default MaxRetries (10) ends the
+// connection with ErrTimeout one capped RTO after the 10th retry.
+func TestRTOBackoffReachesCap(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Loss = func(i, _ int) bool { return true }
+	s, n, client, _ := testNet(t, cfg)
+	var sends []sim.Time
+	n.PacketHook = func(ev PacketEvent) {
+		if ev.Seg.Flags&FlagSYN != 0 {
+			sends = append(sends, ev.Time)
+		}
+	}
+	var gotErr error
+	var errAt sim.Time
+	client.Dial("server", 80, Options{}, &Callbacks{
+		Error: func(c *Conn, err error) { gotErr, errAt = err, s.Now() },
+	})
+	s.Run()
+	want := []time.Duration{1, 2, 4, 8, 16, 32, 64, 64, 64, 64}
+	if len(sends) != len(want)+1 {
+		t.Fatalf("%d SYNs sent, want %d (the first and 10 retries)", len(sends), len(want)+1)
+	}
+	for i, w := range want {
+		if gap := sends[i+1].Sub(sends[i]); gap != w*time.Second {
+			t.Errorf("retry %d sent %v after the previous SYN, want %v", i+1, gap, w*time.Second)
+		}
+	}
+	if gotErr != ErrTimeout {
+		t.Fatalf("error = %v, want ErrTimeout", gotErr)
+	}
+	if gap := errAt.Sub(sends[len(sends)-1]); gap != maxRTO {
+		t.Fatalf("ErrTimeout %v after the last retry, want %v", gap, maxRTO)
+	}
+}
+
+// TestMSSSegmentation checks that a 5000-byte write leaves as full
+// 1460-byte segments and one remainder.
 func TestMSSSegmentation(t *testing.T) {
 	s, n, client, server := testNet(t, fastCfg())
 	server.Listen(80, Options{}, func(c *Conn) Handler { return &Callbacks{} })
-	maxPayload := 0
+	var sizes []int
 	n.PacketHook = func(ev PacketEvent) {
-		if len(ev.Seg.Payload) > maxPayload {
-			maxPayload = len(ev.Seg.Payload)
+		if len(ev.Seg.Payload) > 0 {
+			sizes = append(sizes, len(ev.Seg.Payload))
 		}
 	}
-	client.Dial("server", 80, Options{MSS: 536}, &Callbacks{
+	client.Dial("server", 80, Options{NoDelay: true}, &Callbacks{
 		Connect: func(c *Conn) {
 			c.Write(make([]byte, 5000))
 			c.CloseWrite()
 		},
 	})
 	s.Run()
-	if maxPayload != 536 {
-		t.Fatalf("max segment payload = %d, want 536", maxPayload)
+	if want := []int{1460, 1460, 1460, 620}; !slices.Equal(sizes, want) {
+		t.Fatalf("segment payloads %v, want %v", sizes, want)
 	}
 }
 
