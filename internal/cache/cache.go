@@ -99,12 +99,6 @@ func New(capacity int64, clock func() sim.Time) *Cache {
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// Bytes returns the cache's current byte charge.
-func (c *Cache) Bytes() int64 { return c.used }
-
-// Stats returns a copy of the activity counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // Get returns the entry for key (nil if absent) and marks it most
 // recently used.
 func (c *Cache) Get(key string) *Entry {
@@ -277,13 +271,6 @@ func (c *Cache) Refresh(e *Entry, resp *httpmsg.Response) {
 // revalidate. Warm-but-expired priming uses this to model a cache filled
 // on an earlier day.
 func (c *Cache) Expire(e *Entry) { e.FreshUntil = e.Received }
-
-// Remove drops the entry for key, if present.
-func (c *Cache) Remove(key string) {
-	if e, ok := c.entries[key]; ok {
-		c.removeEntry(e)
-	}
-}
 
 func (c *Cache) removeEntry(e *Entry) {
 	c.lru.Remove(e.elem)

@@ -257,3 +257,31 @@ func TestMuxPerStreamWatchdog(t *testing.T) {
 		t.Errorf("Retried = 0, want > 0")
 	}
 }
+
+// TestMuxFirstTimePacketsNearPipelining: with a dispatch's requests in
+// one write, windows credited in half-window steps and the server's
+// output buffered while it computes a response, a framed first-time
+// fetch costs at most 1.5× pipelining's packets on every environment,
+// with push or without.
+func TestMuxFirstTimePacketsNearPipelining(t *testing.T) {
+	site, err := DefaultSite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, env := range netem.Environments {
+		packets := func(mode httpclient.Mode) int {
+			sc := Scenario{Server: httpserver.ProfileApache, Client: mode, Env: env, Workload: httpclient.FirstTime}
+			res, err := Run(sc, site)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Stats.Packets
+		}
+		pipelined := packets(httpclient.ModeHTTP11Pipelined)
+		for _, mode := range []httpclient.Mode{httpclient.ModeMux, httpclient.ModeMuxPush} {
+			if got := packets(mode); 2*got > 3*pipelined {
+				t.Errorf("%v %v: %d packets, pipelining %d: more than 1.5×", env, mode, got, pipelined)
+			}
+		}
+	}
+}

@@ -625,3 +625,22 @@ func TestPrimeSharesTheSitesLinkList(t *testing.T) {
 		t.Fatalf("primed links differ from fetched links:\n%v\n%v", pa.Links, fetched.Links)
 	}
 }
+
+// Every header name a framed request can carry, in every style and with
+// every optional field a work item adds, lowers without allocating:
+// muxFields lowers each one per request.
+func TestRequestNamesLowerWithoutAllocating(t *testing.T) {
+	cfg := ModeBurst.Config()
+	cfg.AcceptDeflate = true
+	r := &Robot{cfg: cfg, cache: NewCache()}
+	r.cache.Put(&Entry{Path: "/", ETag: `"e"`, LastModified: "Mon, 07 Jul 1997 10:00:00 GMT"})
+	it := workItem{method: "GET", path: "/", conditional: true, isHTML: true, rangeHi: 511}
+	for s := StyleRobot11; s <= StyleMSIE; s++ {
+		r.cfg.Style = s
+		for _, f := range r.buildItemRequest(it).Header.Fields() {
+			if n := testing.AllocsPerRun(10, func() { _ = mux.LowerName(f.Name) }); n != 0 {
+				t.Errorf("%v: lowering %q allocates %.0f times", s, f.Name, n)
+			}
+		}
+	}
+}

@@ -201,9 +201,6 @@ func (p *ResponseParser) popExpectation() (string, bool) {
 	return method, true
 }
 
-// Buffered returns the number of unconsumed bytes.
-func (p *ResponseParser) Buffered() int { return p.buf.len() }
-
 // Pending returns the unconsumed buffer plus the body bytes of the most
 // recent response: delivered work that is lost if the stream dies with
 // that response in progress. Known quirk (TestPendingCountsLastCompletedBody,

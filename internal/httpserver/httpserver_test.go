@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/flatez"
 	"repro/internal/httpmsg"
+	"repro/internal/mux"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
@@ -412,5 +413,22 @@ func TestResponseBufferingCoalesces(t *testing.T) {
 	}
 	if dataSegs >= responses/2 {
 		t.Fatalf("server sent %d data segments for %d responses; buffering broken", dataSegs, responses)
+	}
+}
+
+// Every header name a response can carry, for both profiles and with the
+// coding and range fields, lowers without allocating: responseFields
+// lowers each one per framed response.
+func TestResponseNamesLowerWithoutAllocating(t *testing.T) {
+	obj, _ := tinySite(t).Object("/")
+	for _, p := range []Profile{ProfileJigsaw, ProfileApache} {
+		resp := CanonicalResponse(p, obj)
+		resp.Header.Add("Content-Encoding", "deflate")
+		resp.Header.Add("Content-Range", "bytes 0-9/10")
+		for _, f := range resp.Header.Fields() {
+			if n := testing.AllocsPerRun(10, func() { _ = mux.LowerName(f.Name) }); n != 0 {
+				t.Errorf("%v: lowering %q allocates %.0f times", p, f.Name, n)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package mux
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Field is one header field. Pseudo-header names (":method", ":path",
@@ -12,6 +13,37 @@ type Field struct {
 	Name  string
 	Value string
 }
+
+// LowerName returns an HTTP/1.x header name in the lower case a header
+// block carries. The names the simulator's request styles and server
+// profiles send come from a table built once, so lowering them
+// allocates nothing; any other name goes through strings.ToLower.
+func LowerName(name string) string {
+	if l, ok := lowerNames[name]; ok {
+		return l
+	}
+	return strings.ToLower(name)
+}
+
+var lowerNames = func() map[string]string {
+	m := make(map[string]string)
+	for _, n := range []string{
+		// Requests: the client styles' fields, then validators, ranges
+		// and the content codings a work item adds.
+		"Host", "Accept", "User-Agent", "Accept-Language", "Accept-Charset",
+		"From", "Connection", "UA-pixels", "UA-color", "UA-OS", "UA-CPU",
+		"If-None-Match", "If-Modified-Since", "Range", "Accept-Encoding",
+		BurstRequestHeader,
+		// Responses: the server profiles' standing fields and the
+		// entity's.
+		"Date", "Server", "MIME-Version", "Cache-Control", "Accept-Ranges",
+		"Content-Type", "Content-Encoding", "Content-Range", "ETag",
+		"Last-Modified",
+	} {
+		m[n] = strings.ToLower(n)
+	}
+	return m
+}()
 
 // The header block encoding is a deliberately small HPACK: each field
 // is either an index into the static+dynamic table (exact match), a

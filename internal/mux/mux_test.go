@@ -567,3 +567,84 @@ func TestSessionSendReusesItsBuffer(t *testing.T) {
 		t.Errorf("sent %d bytes, want %d", sent, want)
 	}
 }
+
+// A corked session holds every frame until the last Uncork: a client
+// opening a page's 42 inline requests in one batch writes them once.
+func TestCorkedBatchLeavesInOneSend(t *testing.T) {
+	var sends [][]byte
+	c := NewClient(func(b []byte) { sends = append(sends, bytes.Clone(b)) })
+	c.Start()
+	sends = nil
+	c.Cork()
+	c.Cork() // corks nest
+	for i := range 42 {
+		c.OpenStream([]Field{{":method", "GET"}, {":path", fmt.Sprintf("/images/%d.gif", i)}}, true, 0)
+	}
+	c.Uncork()
+	if len(sends) != 0 {
+		t.Fatalf("%d sends before the outer Uncork, want 0", len(sends))
+	}
+	c.Uncork()
+	if len(sends) != 1 {
+		t.Fatalf("the batch took %d sends, want 1", len(sends))
+	}
+	var r FrameReader
+	frames, err := r.Feed(sends[0])
+	if err != nil || len(frames) != 42 {
+		t.Fatalf("the send holds %d frames (%v), want 42 HEADERS", len(frames), err)
+	}
+	c.OpenStream([]Field{{":method", "GET"}, {":path", "/late.gif"}}, true, 0)
+	if len(sends) != 2 {
+		t.Fatalf("an uncorked OpenStream took %d sends, want its own", len(sends)-1)
+	}
+}
+
+// A 169 KB response is credited back in half-window WINDOW_UPDATE steps,
+// not one per received write, and the sender never stalls on a window
+// while it is.
+func TestWindowRefreshInHalfWindowSteps(t *testing.T) {
+	p := newPair()
+	var incs []int
+	send := p.client.Send
+	p.client.Send = func(b []byte) {
+		var r FrameReader
+		frames, _ := r.Feed(b)
+		for _, f := range frames {
+			if f.Type == FrameWindowUpdate {
+				incs = append(incs, int(f.Payload[0])<<24|int(f.Payload[1])<<16|int(f.Payload[2])<<8|int(f.Payload[3]))
+			}
+		}
+		send(b)
+	}
+	var st *Stream
+	p.server.OnHeaders = func(s *Stream, _ []Field, _ bool) { st = s }
+	got := 0
+	p.client.OnData = func(_ *Stream, b []byte, _ bool) { got += len(b) }
+	p.client.Start()
+	p.server.Start()
+	p.client.OpenStream([]Field{{":method", "GET"}, {":path", "/big"}}, true, 0)
+	p.run()
+	p.server.WriteHeaders(st, []Field{{":status", "200"}}, false)
+	body := make([]byte, 169*1024)
+	const chunk = 16 << 10
+	for off := 0; off < len(body); off += chunk {
+		end := min(off+chunk, len(body))
+		p.server.WriteData(st, body[off:end], end == len(body))
+		p.run()
+	}
+	if got != len(body) {
+		t.Fatalf("client received %d of %d bytes", got, len(body))
+	}
+	if n := p.server.Stats.FlowControlStalls; n != 0 {
+		t.Errorf("sender stalled %d times", n)
+	}
+	if len(incs) < 5 {
+		t.Errorf("%d WINDOW_UPDATEs for %d bytes, want the connection's five at least", len(incs), len(body))
+	}
+	for _, inc := range incs {
+		if inc < DefaultInitialWindow/2 {
+			t.Errorf("WINDOW_UPDATE of %d bytes, want half the %d-byte window or more: %v", inc, DefaultInitialWindow, incs)
+			break
+		}
+	}
+}

@@ -19,3 +19,6 @@ func (l *Link) Send(raw []byte, wireBytes int, deliver func()) bool {
 
 // callFunc invokes a boxed func(): Send's delivery function.
 func callFunc(a any) { a.(func())() }
+
+// Config returns the link's configuration.
+func (l *Link) Config() Config { return l.cfg }

@@ -80,9 +80,6 @@ func NewLink(s *sim.Simulator, name string, cfg Config) *Link {
 // Name returns the link's trace name.
 func (l *Link) Name() string { return l.name }
 
-// Config returns the link's configuration.
-func (l *Link) Config() Config { return l.cfg }
-
 // Dropped returns the number of packets dropped by the loss model.
 func (l *Link) Dropped() int { return l.dropped }
 

@@ -151,14 +151,6 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Mean returns the exact mean of the observed values (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
 // Quantile returns the q-quantile (0 < q ≤ 1) by the nearest-rank
 // definition: the value whose rank is ceil(q·n). The rank is exact; the
 // returned value is the representative (midpoint) of the rank's bucket,

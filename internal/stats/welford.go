@@ -22,22 +22,6 @@ func (w *Welford) Observe(x float64) {
 	w.m2 += float64(d * (x - w.mean)) // rounded before the sum: no fused multiply-add
 }
 
-// Merge folds the other accumulator's population into w.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
-}
-
 // N returns the number of samples observed.
 func (w *Welford) N() int64 { return w.n }
 

@@ -93,9 +93,6 @@ func (n *Network) AddHost(name string) *Host {
 	return h
 }
 
-// Host returns the named host, or nil.
-func (n *Network) Host(name string) *Host { return n.hosts[name] }
-
 // ConnectHosts joins hosts a and b with path p; p.AB carries a→b traffic.
 func (n *Network) ConnectHosts(a, b *Host, p *netem.Path) {
 	n.paths = append(n.paths, pathEntry{a: a.name, b: b.name, path: p})
@@ -173,9 +170,6 @@ type connKey struct {
 	remoteHost string
 	remotePort int
 }
-
-// Name returns the host name.
-func (h *Host) Name() string { return h.name }
 
 // Dials returns how many outbound connections the host has opened.
 func (h *Host) Dials() int64 { return h.dials }
