@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/webgen"
 )
@@ -30,6 +31,7 @@ var checkers = []checker{
 	{"tallies", checkTallies, false},
 	{"non-perturbation", checkNonPerturbation, true},
 	{"bus-order", checkBusOrder, true},
+	{"wedge", checkWedge, false},
 }
 
 // extraScenarios are cells no experiment declares whose fault paths the
@@ -298,6 +300,36 @@ func checkBusOrder(observed, _ *core.RunResult, f *finding) {
 		if prev, ev := events[i-1], events[i]; ev.Time < prev.Time {
 			f.errorf("event %d (%v at %v) precedes event %d (%v at %v)", i, ev.Kind, ev.Time, i-1, prev.Kind, prev.Time)
 			return
+		}
+	}
+}
+
+// TestWedgedConnectionsServeNothing: a mux-stall fault wedges its
+// connection for good, so once the fault fires on a connection no
+// declared scenario's timeline may show the server queueing another
+// response there. At least one scenario must fire the fault, or the
+// test checks nothing.
+func TestWedgedConnectionsServeNothing(t *testing.T) {
+	wedged := 0
+	for _, f := range replayed(t).report(t, "wedge") {
+		if f.note != "" {
+			wedged++
+		}
+	}
+	if wedged == 0 {
+		t.Fatal("wedge: no declared scenario fires a mux-stall fault")
+	}
+}
+
+func checkWedge(observed, _ *core.RunResult, f *finding) {
+	var wedged []obs.ConnID
+	for _, ev := range observed.Timeline.Events() {
+		switch {
+		case ev.Kind == obs.KindFault && ev.Note == "mux-stall":
+			wedged = append(wedged, ev.Conn)
+			f.note = "wedged"
+		case ev.Kind == obs.KindServerSend && slices.Contains(wedged, ev.Conn):
+			f.errorf("conn %d queues a response for %s at %v after its mux-stall fault", ev.Conn, ev.Note, ev.Time)
 		}
 	}
 }
