@@ -367,8 +367,7 @@ func run(sc Scenario, site *webgen.Site, cfg runConfig) (*RunResult, error) {
 	serverCfg.Obs = o.layers
 	clientCfg.Obs = o.bus
 	if sc.Fault != faults.None {
-		serverCfg.Faults = script.Server
-		serverCfg.MuxFaults = script.Mux
+		serverCfg.Fault = script.Server
 		clientCfg.Recovery = true
 	}
 

@@ -31,14 +31,17 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestScriptShape(t *testing.T) {
-	if s := None.Script(1); s.Server.Any() || s.LossC2S != nil || s.LossS2C != nil {
+	if s := None.Script(1); s.Server != (ServerFault{}) || s.LossC2S != nil || s.LossS2C != nil {
 		t.Error("None script is not empty")
 	}
-	if s := EarlyClose.Script(1); s.Server.CloseAfterResponses != 5 || !s.Server.NaiveClose {
+	if s := EarlyClose.Script(1); s.Server != (ServerFault{Kind: EarlyClose, At: 5}) {
 		t.Errorf("EarlyClose script = %+v", s.Server)
 	}
-	if s := Stall.Script(1); s.Server.StallResponse == 0 {
-		t.Error("Stall script has no stall ordinal")
+	if s := Stall.Script(1); s.Server.Kind != Stall || s.Server.At == 0 {
+		t.Errorf("Stall script = %+v, want a stall ordinal", s.Server)
+	}
+	if s := BurstLoss.Script(1); s.Server != (ServerFault{}) {
+		t.Errorf("BurstLoss script = %+v, want no server fault", s.Server)
 	}
 	if s := BurstLoss.Script(1); s.LossC2S == nil || s.LossS2C == nil {
 		t.Error("BurstLoss script missing loss models")

@@ -562,7 +562,7 @@ func TestDegradationLadder(t *testing.T) {
 func TestStallTimeout(t *testing.T) {
 	srvCfg := httpserver.Config{
 		Profile: httpserver.ProfileApache, NoDelay: true,
-		Faults: faults.ServerFaults{StallResponse: 3},
+		Fault: faults.ServerFault{Kind: faults.Stall, At: 3},
 	}
 	cfg := ModeHTTP11Pipelined.Config()
 	cfg.Recovery = true
