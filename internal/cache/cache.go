@@ -48,8 +48,8 @@ type Entry struct {
 	Received   sim.Time
 	FreshUntil sim.Time
 	Heuristic  bool
-	// Hits and Revalidations count how the entry has been used.
-	Hits, Revalidations int
+	// Revalidations counts the entry's refreshes by a 304.
+	Revalidations int
 
 	elem *list.Element
 }
@@ -66,9 +66,8 @@ func (e *Entry) Size() int64 {
 
 // Stats counts cache activity.
 type Stats struct {
-	Insertions int
-	Refreshes  int
-	Evictions  int
+	Refreshes int
+	Evictions int
 }
 
 // Cache is a byte-capacity LRU response cache on a simulated clock.
@@ -236,7 +235,6 @@ func (c *Cache) Store(key string, resp *httpmsg.Response) *Entry {
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.used += e.Size()
-	c.stats.Insertions++
 	return e
 }
 

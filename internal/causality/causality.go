@@ -104,8 +104,6 @@ func (b Blame) Ms(c Category) float64 { return float64(b[c]) / 1e6 }
 type RequestBlame struct {
 	Span    obs.SpanID
 	Path    string
-	Conn    obs.ConnID
-	Pushed  bool
 	Elapsed sim.Duration // Done - Queued; equals B.Sum() exactly
 	OnPath  bool         // member of the critical path
 	B       Blame
@@ -318,7 +316,7 @@ func (c *collector) finish(b *obs.Bus) *Analysis {
 		own, far := c.spanTracks(sp.Conn, peer)
 		bl := blameWindow(own, far, sp.Queued, sp.Written, sp.Done)
 		rb := RequestBlame{
-			Span: sp.ID, Path: sp.Path, Conn: sp.Conn, Pushed: sp.Pushed,
+			Span: sp.ID, Path: sp.Path,
 			Elapsed: sp.Done.Sub(sp.Queued), B: bl,
 		}
 		a.Requests = append(a.Requests, rb)

@@ -33,11 +33,6 @@ func walkStats(events []tcpsim.PacketEvent, clientHost, serverHost string) trace
 		}
 		if ev.Retrans {
 			s.Retransmissions++
-			if ev.Seg.From.Host == clientHost {
-				s.RetransC2S++
-			} else {
-				s.RetransS2C++
-			}
 		}
 		if ev.Dropped {
 			s.Dropped++

@@ -7,7 +7,6 @@ import "repro/internal/webgen"
 // link list.
 type Entry struct {
 	Path         string
-	ContentType  string
 	ETag         string
 	LastModified string
 	Size         int
@@ -49,7 +48,6 @@ func (c *Cache) Prime(site *webgen.Site) {
 		obj, _ := site.Object(path)
 		e := &Entry{
 			Path:         obj.Path,
-			ContentType:  obj.ContentType,
 			ETag:         obj.ETag,
 			LastModified: obj.LastModified,
 			Size:         len(obj.Body),

@@ -263,10 +263,9 @@ type Result struct {
 	Done    bool
 	Aborted bool
 
-	Requests       int
-	Responses200   int
-	Responses304   int
-	ResponsesOther int
+	Requests     int
+	Responses200 int
+	Responses304 int
 
 	// PayloadBytes counts response body bytes as received (compressed
 	// bodies count compressed).

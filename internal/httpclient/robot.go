@@ -414,8 +414,6 @@ func (r *Robot) handleResponse(it workItem, resp *httpmsg.Response) {
 		r.result.Responses206++
 	case 304:
 		r.result.Responses304++
-	default:
-		r.result.ResponsesOther++
 	}
 	r.result.PayloadBytes += int64(size)
 
@@ -505,7 +503,6 @@ func (r *Robot) handleResponse(it workItem, resp *httpmsg.Response) {
 	case resp.StatusCode == 200:
 		e := &Entry{
 			Path:         it.path,
-			ContentType:  resp.Header.Get("Content-Type"),
 			ETag:         resp.Header.Get("ETag"),
 			LastModified: resp.Header.Get("Last-Modified"),
 			Size:         size,
@@ -545,7 +542,6 @@ func (r *Robot) cacheRecords(page string, records []mux.BurstRecord) {
 	for _, rec := range records {
 		e := &Entry{
 			Path:         rec.Path,
-			ContentType:  rec.ContentType,
 			ETag:         rec.ETag,
 			LastModified: rec.LastModified,
 			Size:         len(rec.Body),

@@ -32,9 +32,7 @@ type Stats struct {
 	HeaderBytesSaved  int64 // Σ (plain header size − encoded block size), both directions
 	FlowControlStalls int   // transitions into a window-exhausted state
 	FramesSent        int
-	FramesReceived    int
 	GoawaysSent       int // GOAWAY frames this side emitted
-	ProtocolErrors    int // strict-validator rejections of peer frames
 }
 
 // Stream is one multiplexed request/response exchange.
@@ -314,7 +312,6 @@ func (s *Session) Feed(data []byte) {
 	}
 	frames, err := s.fr.Feed(data)
 	for _, f := range frames {
-		s.Stats.FramesReceived++
 		s.dispatch(f)
 	}
 	if err != nil {
@@ -535,7 +532,6 @@ func (s *Session) dispatch(f Frame) {
 			if st.sendWindow+inc > MaxWindow {
 				// Per RFC 7540 §6.9.1 a stream window overflow is a
 				// stream error: tear down just that stream.
-				s.Stats.ProtocolErrors++
 				s.RstStreamCode(st, ErrCodeFlowControl)
 				return
 			}
@@ -608,7 +604,6 @@ func (s *Session) recvStream(id uint32) (*Stream, error) {
 // the close with a GOAWAY carrying code, then surface err to the
 // session owner.
 func (s *Session) protoErr(code ErrCode, err error) {
-	s.Stats.ProtocolErrors++
 	s.Goaway(code)
 	s.fail(err)
 }

@@ -40,7 +40,6 @@ var Environments = []Environment{LAN, WAN, PPP}
 
 // Profile summarizes an environment for display (Table 1).
 type Profile struct {
-	Env        Environment
 	Channel    string
 	Connection string
 	RTT        time.Duration
@@ -51,7 +50,6 @@ type Profile struct {
 // Profiles reproduces Table 1 of the paper.
 var Profiles = map[Environment]Profile{
 	LAN: {
-		Env:        LAN,
 		Channel:    "High bandwidth, low latency",
 		Connection: "LAN - 10Mbit Ethernet",
 		RTT:        600 * time.Microsecond,
@@ -59,7 +57,6 @@ var Profiles = map[Environment]Profile{
 		Bandwidth:  10_000_000,
 	},
 	WAN: {
-		Env:        WAN,
 		Channel:    "High bandwidth, high latency",
 		Connection: "WAN - MA (MIT/LCS) to CA (LBL)",
 		RTT:        90 * time.Millisecond,
@@ -67,7 +64,6 @@ var Profiles = map[Environment]Profile{
 		Bandwidth:  1_500_000,
 	},
 	PPP: {
-		Env:        PPP,
 		Channel:    "Low bandwidth, high latency",
 		Connection: "PPP - 28.8k modem line",
 		RTT:        150 * time.Millisecond,

@@ -59,13 +59,11 @@ type Config struct {
 
 // Stats counts proxy activity.
 type Stats struct {
-	// Connections counts accepted client connections; UpstreamSockets
-	// counts origin connections dialed (1 unless the origin closed one).
-	Connections     int
+	// UpstreamSockets counts origin connections dialed (1 unless the
+	// origin closed one).
 	UpstreamSockets int
-	// Requests and Responses count client-side messages.
-	Requests  int
-	Responses int
+	// Requests counts client requests.
+	Requests int
 	// Hits are requests served from a fresh cache entry without touching
 	// the origin; Misses fetched the origin with no usable entry;
 	// Revalidations fetched conditionally for a stale entry, of which
@@ -81,18 +79,12 @@ type Stats struct {
 	// for the same URL instead of starting their own.
 	Collapsed int
 	// UpstreamRequests counts requests written to the origin, retries
-	// included; Retries counts just the re-sent ones.
+	// included.
 	UpstreamRequests int
-	Retries          int
 	// BytesFromCache and BytesFromUpstream split response body bytes by
-	// where they came from; BytesToClient is total marshaled output.
+	// where they came from.
 	BytesFromCache    int64
 	BytesFromUpstream int64
-	BytesToClient     int64
-	// Errors counts client responses lost to upstream failure (502s);
-	// ProtocolErrors counts unparseable client requests.
-	Errors         int
-	ProtocolErrors int
 }
 
 // Proxy is one caching intermediary on one host and port.
@@ -208,7 +200,6 @@ type pxSlot struct {
 }
 
 func newProxyConn(p *Proxy, c *tcpsim.Conn) tcpsim.Handler {
-	p.stats.Connections++
 	return &proxyConn{p: p, conn: c}
 }
 
@@ -237,7 +228,6 @@ func (pc *proxyConn) OnData(c *tcpsim.Conn, data []byte) {
 	}
 	reqs, err := pc.parser.Feed(data)
 	if err != nil {
-		pc.p.stats.ProtocolErrors++
 		resp := httpmsg.NewResponse(httpmsg.Proto11, 400)
 		pc.conn.Cork(func(b []byte) []byte { return resp.AppendFor(b, "GET") })
 		pc.close() // flushes
@@ -276,7 +266,6 @@ func (pc *proxyConn) handle(slot *pxSlot) {
 	if e := p.cache.Get(key); e != nil {
 		if p.cache.Fresh(e) {
 			p.stats.Hits++
-			e.Hits++
 			p.cfg.Obs.CacheHit(pc.conn.ObsID(), key, len(e.Body))
 			pc.complete(slot, pc.buildFromEntry(e, req))
 			return
@@ -287,7 +276,6 @@ func (pc *proxyConn) handle(slot *pxSlot) {
 		p.fetchThrough(key, p.revalRequest(e), true, e,
 			func(resp *httpmsg.Response, err error) {
 				if err != nil || resp == nil {
-					p.stats.Errors++
 					p.cfg.Obs.CacheReval(pc.conn.ObsID(), key, false)
 					pc.complete(slot, pc.gatewayError(req))
 					return
@@ -313,7 +301,6 @@ func (pc *proxyConn) handle(slot *pxSlot) {
 func (pc *proxyConn) completeUpstream(slot *pxSlot) func(*httpmsg.Response, error) {
 	return func(resp *httpmsg.Response, err error) {
 		if err != nil || resp == nil {
-			pc.p.stats.Errors++
 			pc.complete(slot, pc.gatewayError(slot.req))
 			return
 		}
@@ -347,7 +334,6 @@ func (p *Proxy) fetchThrough(key string, upReq *httpmsg.Request, cond bool, stal
 				p.stats.RevalidationHits++
 				p.cache.Refresh(stale, resp)
 			case resp.StatusCode == 200 && cache.Storable(upReq, resp):
-				resp.Header.Del("Transfer-Encoding")
 				p.cache.Store(key, resp)
 			}
 		}
@@ -410,7 +396,6 @@ func (pc *proxyConn) forwardResponse(req *httpmsg.Request, resp *httpmsg.Respons
 		Header:     resp.Header.Clone(),
 		Body:       resp.Body,
 	}
-	out.Header.Del("Transfer-Encoding")
 	out.Header.Del("Connection")
 	out.Header.Add("Via", via)
 	return out
@@ -437,7 +422,6 @@ func (pc *proxyConn) writeReady() {
 	if pc.closing || pc.conn.State() == tcpsim.StateClosed {
 		return
 	}
-	p := pc.p
 	for len(pc.slots) > 0 && pc.slots[0].ready {
 		slot := pc.slots[0]
 		pc.slots = pc.slots[1:]
@@ -446,15 +430,14 @@ func (pc *proxyConn) writeReady() {
 		if clientClose {
 			resp.Header.Set("Connection", "close")
 		}
-		p.stats.Responses++
 		// The head is marshalled into the connection's send buffer and the
 		// body, the origin's bytes as parsed or cached, queued by reference.
 		var body []byte
-		n := pc.conn.Cork(func(b []byte) (head []byte) {
+		pc.conn.Cork(func(b []byte) (head []byte) {
 			head, body = resp.AppendHeadFor(b, slot.req.Method)
 			return head
 		})
-		p.stats.BytesToClient += int64(n + pc.conn.CorkRef(body))
+		pc.conn.CorkRef(body)
 		if clientClose {
 			pc.close()
 			return
@@ -594,7 +577,6 @@ func (u *upstream) fail() {
 	for _, uf := range pending {
 		if uf.attempts < budget {
 			uf.attempts++
-			u.p.stats.Retries++
 			u.p.send(uf)
 			continue
 		}

@@ -174,13 +174,12 @@ func (c *Capture) WritePcap(w io.Writer) error {
 // PcapPacket is one frame decoded by ParsePcap.
 type PcapPacket struct {
 	// TimeNanos is the record timestamp in nanoseconds.
-	TimeNanos        int64
-	SrcIP, DstIP     [4]byte
-	SrcPort, DstPort int
-	Seq, Ack         uint32
+	TimeNanos    int64
+	SrcIP, DstIP [4]byte
+	DstPort      int
+	Seq, Ack     uint32
 	// Flags holds the TCP header flag byte (FIN 0x01 ... ACK 0x10).
 	Flags        byte
-	Window       int
 	PayloadBytes int
 }
 
@@ -253,12 +252,10 @@ func ParsePcap(data []byte) (*PcapFile, error) {
 		tcp := frame[ipv4HeaderLen:]
 		pkt := PcapPacket{
 			TimeNanos:    int64(sec)*1e9 + int64(nsec),
-			SrcPort:      int(binary.BigEndian.Uint16(tcp[0:])),
 			DstPort:      int(binary.BigEndian.Uint16(tcp[2:])),
 			Seq:          binary.BigEndian.Uint32(tcp[4:]),
 			Ack:          binary.BigEndian.Uint32(tcp[8:]),
 			Flags:        tcp[13],
-			Window:       int(binary.BigEndian.Uint16(tcp[14:])),
 			PayloadBytes: tcpLen - tcpHeaderLen,
 		}
 		copy(pkt.SrcIP[:], frame[12:16])

@@ -96,10 +96,8 @@ type Stats struct {
 	PayloadBytes int64
 	// WireBytes adds the 40-byte TCP/IP header per packet.
 	WireBytes int64
-	// Retransmissions and Dropped count pathological segments;
-	// RetransC2S and RetransS2C split the retransmissions by direction.
+	// Retransmissions and Dropped count pathological segments.
 	Retransmissions, Dropped int
-	RetransC2S, RetransS2C   int
 	// Connections is the number of SYNs from the client (sockets used).
 	Connections int
 	// First and Last bound the capture in virtual time.
@@ -151,11 +149,9 @@ func (c *Capture) StatsBetween(clientHost, serverHost string) Stats {
 		s.Dropped += l.Dropped
 		if fromClient {
 			s.ClientToServer += l.Packets
-			s.RetransC2S += l.Retransmissions
 			s.Connections += l.Connections
 		} else {
 			s.ServerToClient += l.Packets
-			s.RetransS2C += l.Retransmissions
 		}
 	}
 	return s
