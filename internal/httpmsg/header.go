@@ -1,7 +1,9 @@
 // Package httpmsg implements the HTTP/1.0 and HTTP/1.1 message layer used
 // by the simulated client and servers: byte-exact serialization, incremental
-// parsing of pipelined message streams, chunked transfer coding, and the
-// body-delimitation rules of RFC 1945 and RFC 2068.
+// parsing of pipelined message streams, and the body-delimitation rules of
+// RFC 1945 and RFC 2068 that the simulated servers use: Content-Length, or
+// read until close. Nothing here sends chunked transfer coding, so a
+// response that carries Transfer-Encoding is malformed.
 //
 // Serialization is byte-exact on purpose: the paper's Bytes column counts
 // HTTP header bytes, and the comparison between the ~190-byte libwww robot
@@ -116,17 +118,9 @@ func appendField(b []byte, name, value string) []byte {
 func (h *Header) wireSize() int {
 	n := 0
 	for _, f := range h.fields {
-		n += fieldSize(f.Name, f.Value)
+		n += len(f.Name) + len(f.Value) + 4
 	}
 	return n
-}
-
-// fieldSize is the number of bytes appendField emits, 0 for no field.
-func fieldSize(name, value string) int {
-	if name == "" {
-		return 0
-	}
-	return len(name) + len(value) + 4
 }
 
 // appendLength appends a Content-Length field for n bytes, formatting n

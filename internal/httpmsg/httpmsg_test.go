@@ -138,19 +138,17 @@ func TestHeadResponseKeepsLengthDropsBody(t *testing.T) {
 func TestAppendHeadForSplitsMarshal(t *testing.T) {
 	body := bytes.Repeat([]byte("0123456789"), 500)
 	for _, tc := range []struct {
-		code    int
-		method  string
-		chunked bool
-		split   bool // the body is returned apart from the head
+		code   int
+		method string
+		split  bool // the body is returned apart from the head
 	}{
-		{200, "GET", false, true},
-		{200, "HEAD", false, false},
-		{304, "GET", false, false},
-		{200, "GET", true, false},
+		{200, "GET", true},
+		{200, "HEAD", false},
+		{304, "GET", false},
 	} {
 		resp := NewResponse(Proto11, tc.code)
 		resp.Header.Add("Server", "Apache/1.2b10")
-		resp.Body, resp.Chunked = body, tc.chunked
+		resp.Body = body
 		prefix := []byte("previous response")
 		head, rest := resp.AppendHeadFor(prefix[:len(prefix):len(prefix)], tc.method)
 		if !bytes.HasPrefix(head, prefix) {
@@ -166,37 +164,18 @@ func TestAppendHeadForSplitsMarshal(t *testing.T) {
 	}
 }
 
-func TestChunkedEncodingRoundTrip(t *testing.T) {
-	body := bytes.Repeat([]byte("abcdefgh"), 1000)
-	resp := NewResponse(Proto11, 200)
-	resp.Body = body
-	resp.Chunked = true
-	wire := resp.Marshal()
-	if !bytes.Contains(wire, []byte("Transfer-Encoding: chunked")) {
-		t.Fatal("missing chunked header")
-	}
-	var p ResponseParser
-	p.PushExpectation("GET")
-	got, err := p.Feed(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || !bytes.Equal(got[0].Body, body) {
-		t.Fatal("chunked round trip failed")
-	}
-}
-
-func TestChunkedWithExtensions(t *testing.T) {
-	wire := "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" +
-		"5;ext=1\r\nhello\r\n0\r\n\r\n"
-	var p ResponseParser
-	p.PushExpectation("GET")
-	got, err := p.Feed([]byte(wire))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || string(got[0].Body) != "hello" {
-		t.Fatalf("chunk extension parse failed: %+v", got)
+// Nothing sends chunked transfer coding, so a response that carries
+// Transfer-Encoding, in any coding, fails as malformed rather than being
+// read with the wrong framing.
+func TestTransferEncodingIsMalformed(t *testing.T) {
+	for _, te := range []string{"chunked", "gzip, chunked", "identity"} {
+		wire := "HTTP/1.1 200 OK\r\nTransfer-Encoding: " + te + "\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+		var p ResponseParser
+		p.PushExpectation("GET")
+		got, err := p.Feed([]byte(wire))
+		if !errors.Is(err, ErrMalformed) || len(got) != 0 {
+			t.Errorf("Transfer-Encoding %q: %d responses, err %v; want ErrMalformed", te, len(got), err)
+		}
 	}
 }
 
@@ -436,21 +415,11 @@ func TestStatusTextCoverage(t *testing.T) {
 	}
 }
 
-func TestEncodeChunkedExact(t *testing.T) {
-	got := string(appendChunked(nil, []byte("hello"), 4))
-	want := "4\r\nhell\r\n1\r\no\r\n0\r\n\r\n"
-	if got != want {
-		t.Fatalf("chunked = %q, want %q", got, want)
-	}
-	if string(appendChunked(nil, nil, 4)) != "0\r\n\r\n" {
-		t.Fatal("empty body chunked encoding wrong")
-	}
-}
-
-// Property: any pipeline of responses with mixed framings round-trips
-// through the parser regardless of how the byte stream is split.
+// Property: any pipeline of responses with mixed framings (bodies, and
+// the bodiless replies to HEAD) round-trips through the parser regardless
+// of how the byte stream is split.
 func TestPropertyResponsePipelineSplitInvariance(t *testing.T) {
-	f := func(bodies [][]byte, splitSeed uint32, chunkedMask uint8) bool {
+	f := func(bodies [][]byte, splitSeed uint32, headMask uint8) bool {
 		if len(bodies) == 0 || len(bodies) > 8 {
 			return true
 		}
@@ -460,13 +429,14 @@ func TestPropertyResponsePipelineSplitInvariance(t *testing.T) {
 			if len(body) > 2048 {
 				body = body[:2048]
 			}
+			method := "GET"
+			if headMask&(1<<uint(i)) != 0 {
+				method = "HEAD"
+			}
 			resp := NewResponse(Proto11, 200)
 			resp.Body = body
-			if chunkedMask&(1<<uint(i)) != 0 {
-				resp.Chunked = true
-			}
-			wire = append(wire, resp.Marshal()...)
-			methods = append(methods, "GET")
+			wire = append(wire, resp.MarshalFor(method)...)
+			methods = append(methods, method)
 		}
 		var p ResponseParser
 		for _, m := range methods {
@@ -495,6 +465,9 @@ func TestPropertyResponsePipelineSplitInvariance(t *testing.T) {
 			want := bodies[i]
 			if len(want) > 2048 {
 				want = want[:2048]
+			}
+			if methods[i] == "HEAD" {
+				want = nil
 			}
 			if !bytes.Equal(got[i].Body, want) {
 				return false

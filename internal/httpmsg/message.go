@@ -70,8 +70,6 @@ type Response struct {
 	// BodyLen is set by ResponseParser: the body bytes received, len(Body)
 	// unless its KeepBody declined them. Marshal ignores it.
 	BodyLen int
-	// Chunked selects chunked transfer coding on Marshal (HTTP/1.1 only).
-	Chunked bool
 	// NoBodyLength leaves the body length undeclared: HTTP/1.0 style
 	// "read until close" framing.
 	NoBodyLength bool
@@ -131,47 +129,35 @@ func (r *Response) AppendFor(dst []byte, method string) []byte {
 
 // AppendHeadFor appends the head of what MarshalFor returns to dst and
 // returns the body bytes that follow it, r.Body itself: a server queues
-// the head and then the body, which it need not copy. A chunked body is
-// coded into the head, and then, as for HEAD and bodyless statuses, the
-// body returned is empty.
+// the head and then the body, which it need not copy. For HEAD and
+// bodyless statuses the body returned is empty.
 func (r *Response) AppendHeadFor(dst []byte, method string) (head, body []byte) {
 	return r.appendHead(dst, method, false)
 }
 
-// appendHead appends the head, and a chunked body, to dst, which it grows
-// once, for the body that follows too when sizeBody is set.
+// appendHead appends the head to dst, which it grows once, for the body
+// that follows too when sizeBody is set.
 func (r *Response) appendHead(dst []byte, method string, sizeBody bool) (head, body []byte) {
-	// The framing field this serialization adds after the header's own
-	// (a Content-Length as length, else name and value), and the body
-	// bytes that follow the head.
-	var name, value string
-	length := -1
-	body, chunked := r.Body, false
+	// The Content-Length this serialization adds after the header's own
+	// fields (-1 for none), and the body bytes that follow the head.
+	length, body := -1, r.Body
 	switch {
 	case bodyless(r.StatusCode):
-		// No body, no framing fields.
+		// No body, no framing field.
 		body = nil
 	case method == "HEAD":
 		// Keep the declared Content-Length of the would-be body: HEAD
 		// responses advertise the entity's length without sending it.
-		name, body = "Content-Length", nil
-	case r.Chunked:
-		name, value, chunked = "Transfer-Encoding", "chunked", true
-	case r.NoBodyLength:
-	default:
-		name = "Content-Length"
+		length, body = len(r.Body), nil
+	case !r.NoBodyLength:
+		length = len(r.Body)
 	}
-	if name != "" && r.Header.Has(name) {
-		name = ""
-	} else if name == "Content-Length" {
-		name, length = "", len(r.Body)
+	if r.Header.Has("Content-Length") {
+		length = -1
 	}
 
-	size := len(r.Proto) + len(r.Reason) + 8 + r.Header.wireSize() + fieldSize(name, value) + lengthSize(length) + 2
-	switch {
-	case chunked:
-		size += len(body) + chunkedOverhead(len(body), defaultChunkSize)
-	case sizeBody:
+	size := len(r.Proto) + len(r.Reason) + 8 + r.Header.wireSize() + lengthSize(length) + 2
+	if sizeBody {
 		size += len(body)
 	}
 	b := slices.Grow(dst, size)
@@ -182,38 +168,9 @@ func (r *Response) appendHead(dst []byte, method string, sizeBody bool) (head, b
 	b = append(b, r.Reason...)
 	b = append(b, "\r\n"...)
 	b = r.Header.appendTo(b)
-	if name != "" {
-		b = appendField(b, name, value)
-	}
 	if length >= 0 {
 		b = appendLength(b, length)
 	}
 	b = append(b, "\r\n"...)
-	if chunked {
-		return appendChunked(b, body, defaultChunkSize), nil
-	}
 	return b, body
-}
-
-const defaultChunkSize = 4096
-
-// appendChunked emits body in chunked transfer coding.
-func appendChunked(b, body []byte, chunkSize int) []byte {
-	for len(body) > 0 {
-		n := min(len(body), chunkSize)
-		b = strconv.AppendInt(b, int64(n), 16)
-		b = append(b, "\r\n"...)
-		b = append(b, body[:n]...)
-		b = append(b, "\r\n"...)
-		body = body[n:]
-	}
-	return append(b, "0\r\n\r\n"...)
-}
-
-// chunkedOverhead bounds the bytes appendChunked adds around n body
-// bytes: a size line of up to 16 hex digits and two CRLFs per chunk, and
-// the last-chunk marker.
-func chunkedOverhead(n, chunkSize int) int {
-	chunks := (n + chunkSize - 1) / chunkSize
-	return chunks*(16+4) + 5
 }

@@ -130,7 +130,6 @@ type bodyKind int
 const (
 	bodyNone bodyKind = iota
 	bodyLength
-	bodyChunked
 	bodyUntilClose
 )
 
@@ -158,14 +157,12 @@ type ResponseParser struct {
 	// every body.
 	KeepBody func(head *Response) bool
 
-	head      *Response
-	kind      bodyKind
-	need      int // for bodyLength: bytes still needed
-	chunkNeed int // for bodyChunked: payload bytes left in current chunk
-	chunkLast bool
-	keep      bool
-	body      []byte
-	bodyLen   int
+	head    *Response
+	kind    bodyKind
+	need    int // for bodyLength: bytes still needed
+	keep    bool
+	body    []byte
+	bodyLen int
 }
 
 // appendBody accumulates body bytes and fires the BodyChunk hook.
@@ -233,6 +230,9 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 			if !ok {
 				return p.out, fmt.Errorf("%w: response with no outstanding request", ErrMalformed)
 			}
+			if resp.Header.Has("Transfer-Encoding") {
+				return p.out, fmt.Errorf("%w: Transfer-Encoding %q", ErrMalformed, resp.Header.Get("Transfer-Encoding"))
+			}
 			p.head = resp
 			p.body, p.bodyLen = nil, 0
 			p.keep = p.KeepBody == nil || p.KeepBody(resp)
@@ -240,7 +240,6 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 			if p.keep && p.kind == bodyLength && p.need > 0 {
 				p.body = make([]byte, 0, min(p.need, maxBodyPrealloc))
 			}
-			p.chunkNeed, p.chunkLast = -1, false
 		}
 		done, err := p.consumeBody()
 		if err != nil {
@@ -291,67 +290,12 @@ func (p *ResponseParser) consumeBody() (bool, error) {
 		p.buf.advance(p.need)
 		p.need = 0
 		return true, nil
-	case bodyChunked:
-		return p.consumeChunked()
 	case bodyUntilClose:
 		p.appendBody(p.buf.bytes())
 		p.buf.reset()
 		return false, nil
 	}
 	return false, ErrMalformed
-}
-
-func (p *ResponseParser) consumeChunked() (bool, error) {
-	for {
-		if p.chunkNeed < 0 {
-			// Need a chunk-size line.
-			buf := p.buf.bytes()
-			nl := bytes.Index(buf, []byte("\r\n"))
-			if nl < 0 {
-				return false, nil
-			}
-			sizeStr := strings.TrimSpace(string(buf[:nl]))
-			if i := strings.IndexByte(sizeStr, ';'); i >= 0 {
-				sizeStr = sizeStr[:i] // drop chunk extensions
-			}
-			n, err := strconv.ParseInt(sizeStr, 16, 32)
-			if err != nil || n < 0 {
-				return false, fmt.Errorf("%w: bad chunk size %q", ErrMalformed, sizeStr)
-			}
-			p.buf.advance(nl + 2)
-			if n == 0 {
-				p.chunkLast = true
-				p.chunkNeed = 0
-			} else {
-				p.chunkNeed = int(n)
-			}
-		}
-		if p.chunkLast {
-			// Trailer: we support only the empty trailer "\r\n".
-			buf := p.buf.bytes()
-			if len(buf) < 2 {
-				return false, nil
-			}
-			if buf[0] != '\r' || buf[1] != '\n' {
-				return false, fmt.Errorf("%w: unsupported chunked trailer", ErrMalformed)
-			}
-			p.buf.advance(2)
-			p.chunkNeed = -1
-			p.chunkLast = false
-			return true, nil
-		}
-		// Chunk payload plus its CRLF.
-		buf := p.buf.bytes()
-		if len(buf) < p.chunkNeed+2 {
-			return false, nil
-		}
-		p.appendBody(buf[:p.chunkNeed])
-		if buf[p.chunkNeed] != '\r' || buf[p.chunkNeed+1] != '\n' {
-			return false, fmt.Errorf("%w: missing chunk CRLF", ErrMalformed)
-		}
-		p.buf.advance(p.chunkNeed + 2)
-		p.chunkNeed = -1
-	}
 }
 
 func parseResponseHead(head []byte) (*Response, error) {
@@ -376,9 +320,6 @@ func parseResponseHead(head []byte) (*Response, error) {
 func responseBodyKind(resp *Response, method string) (bodyKind, int) {
 	if method == "HEAD" || bodyless(resp.StatusCode) {
 		return bodyNone, 0
-	}
-	if te := resp.Header.Get("Transfer-Encoding"); TokenListContains(te, "chunked") {
-		return bodyChunked, 0
 	}
 	if cl := resp.Header.Get("Content-Length"); cl != "" {
 		n, err := strconv.Atoi(strings.TrimSpace(cl))

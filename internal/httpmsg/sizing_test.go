@@ -89,14 +89,11 @@ func TestMarshalAllocatesOnce(t *testing.T) {
 	resp.Header.Add("ETag", `"3a5f2c77-a410"`)
 	resp.Header.Add("Server", "Apache/1.2b10")
 	resp.Body = bytes.Repeat([]byte("x"), 42000)
-	chunked := *resp
-	chunked.Chunked = true
 	req := &Request{Method: "GET", Target: "/images/x.gif", Proto: Proto11}
 	req.Header.Add("Host", "server")
 	req.Header.Add("Accept", "*/*")
 	for name, marshal := range map[string]func() []byte{
 		"response": resp.Marshal,
-		"chunked":  chunked.Marshal,
 		"head":     func() []byte { return resp.MarshalFor("HEAD") },
 		"request":  req.Marshal,
 	} {
@@ -143,17 +140,13 @@ func TestParsedHeadAllocations(t *testing.T) {
 	}
 }
 
-// A body KeepBody declines costs nothing in the two framings the
-// simulated servers use: it is counted where TCP left it and still
-// streamed to BodyChunk, and the parser allocates what the same response
-// costs with an empty body. (A chunked body is counted too, but a chunk
-// that spans segments waits in the stream buffer and each size line is
-// parsed from a string; nothing here sends one.)
+// A body KeepBody declines costs nothing in either framing: it is
+// counted where TCP left it and still streamed to BodyChunk, and the
+// parser allocates what the same response costs with an empty body.
 func TestDiscardedBodyCostsNothing(t *testing.T) {
 	body := bytes.Repeat([]byte("x"), 30000)
 	for name, shape := range map[string]func(*Response){
 		"length":      func(*Response) {},
-		"chunked":     func(r *Response) { r.Chunked = true },
 		"until-close": func(r *Response) { r.NoBodyLength = true },
 	} {
 		wire := map[bool][]byte{}
@@ -187,7 +180,7 @@ func TestDiscardedBodyCostsNothing(t *testing.T) {
 		}
 		empty := testing.AllocsPerRun(20, parse(wire[false]))
 		full := testing.AllocsPerRun(20, parse(wire[true]))
-		if full > empty && name != "chunked" {
+		if full > empty {
 			t.Errorf("%s: a discarded %d-byte body cost %v allocations (%v with it, %v without)",
 				name, len(body), full-empty, full, empty)
 		}
