@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachRunsAllJobs(t *testing.T) {
@@ -44,6 +45,11 @@ func TestForEachCancelsOnError(t *testing.T) {
 		if i == 5 {
 			return boom
 		}
+		// Every other job costs a millisecond, so the three other
+		// workers need over three seconds to drain the list: far longer
+		// than the failing worker can be descheduled between its job's
+		// return and the pool's stop flag.
+		time.Sleep(time.Millisecond)
 		return nil
 	})
 	if !errors.Is(err, boom) {
